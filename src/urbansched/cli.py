@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import forecast_bike, forecast_bus, harness
+from . import forecast_bike, harness
 from .ddpg import DdpgConfig, Policy, desk_config, save_curve_csv, train
 from .demand import DemandProfile, HistoryLog, sample_segment
 from .envs import BikeEnv

@@ -41,13 +41,14 @@ class DdpgConfig:
     reward_scale: float = 1.0  # training-time scaling of stored rewards
     train_steps_per_episode: int = 8
     eval_every: int = 25
-    eval_episodes: int = 1
     seed: int = 0
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DdpgConfig":
-        known = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown DDPG config keys: {', '.join(unknown)}")
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -85,56 +86,41 @@ class ActorNet:
     def arrays(self) -> list[np.ndarray]:
         return self.lstm.arrays() + self.head.arrays()
 
-    def set_arrays(self, arrays: list[np.ndarray]):
-        k = len(nn.LSTM_PARAM_NAMES)
-        self.lstm.set_arrays(arrays[:k])
-        self.head.set_arrays(arrays[k:])
-
     def copy(self) -> "ActorNet":
         return ActorNet(lstm=self.lstm.copy(), head=self.head.copy())
 
     def forward(self, windows: np.ndarray):
         """windows: (B, W, obs) or (W, obs). Returns (scores, tapes).
 
-        Leading all-zero rows are episode-start padding and are skipped, so
-        a length-1 window and its zero-padded equivalent score identically.
-        Real observations are never all-zero (they carry a one-hot
-        location).
+        Leading all-zero rows are episode-start padding: each sample's
+        recurrence starts at its first nonzero row, so a length-1 window and
+        its zero-padded equivalent score identically. Real observations are
+        never all-zero (they carry a one-hot location).
         """
         windows = np.asarray(windows, dtype=float)
         squeeze = windows.ndim == 2
         if squeeze:
             windows = windows[None, :, :]
-        n_batch, length, _ = windows.shape
+        length = windows.shape[1]
         nonzero = np.any(windows != 0, axis=2)  # (B, W)
-        leads = np.where(nonzero.any(axis=1),
+        start = np.where(nonzero.any(axis=1),
                          nonzero.argmax(axis=1), length - 1)
-        hidden_last = np.zeros((n_batch, self.lstm.hidden_size))
-        group_tapes = []
-        for lead in np.unique(leads):
-            idx = np.flatnonzero(leads == lead)
-            xs = np.transpose(windows[idx, lead:, :], (1, 0, 2))
-            hs, tape = nn.lstm_forward(self.lstm, xs)
-            hidden_last[idx] = hs[-1]
-            group_tapes.append((idx, tape, hs.shape))
-        scores, head_tape = nn.mlp_forward(self.head, hidden_last)
-        tapes = (group_tapes, head_tape)
+        hs, lstm_tape = nn.lstm_forward(
+            self.lstm, np.transpose(windows, (1, 0, 2)), start=start)
+        scores, head_tape = nn.mlp_forward(self.head, hs[-1])
+        tapes = (lstm_tape, head_tape)
         if squeeze:
             return scores[0], tapes
         return scores, tapes
 
     def backward(self, tapes, dscores: np.ndarray) -> list[np.ndarray]:
-        group_tapes, head_tape = tapes
+        lstm_tape, head_tape = tapes
         dscores = np.atleast_2d(np.asarray(dscores, dtype=float))
         head_grads, dh_last = nn.mlp_backward(self.head, head_tape, dscores)
-        total = [np.zeros_like(a) for a in self.lstm.arrays()]
-        for idx, tape, hs_shape in group_tapes:
-            dh = np.zeros(hs_shape)
-            dh[-1] = dh_last[idx]
-            lstm_grads, _ = nn.lstm_backward(self.lstm, tape, dh)
-            for acc, g in zip(total, lstm_grads.arrays()):
-                acc += g
-        return total + head_grads.arrays()
+        dh = np.zeros_like(lstm_tape.h[1:])
+        dh[-1] = dh_last
+        lstm_grads, _ = nn.lstm_backward(self.lstm, lstm_tape, dh)
+        return lstm_grads.arrays() + head_grads.arrays()
 
 
 def act(actor: ActorNet, history_window: np.ndarray) -> np.ndarray:
@@ -165,9 +151,6 @@ class CriticNet:
 
     def arrays(self) -> list[np.ndarray]:
         return self.net.arrays()
-
-    def set_arrays(self, arrays: list[np.ndarray]):
-        self.net.set_arrays(arrays)
 
     def copy(self) -> "CriticNet":
         return CriticNet(net=self.net.copy(), obs_dim=self.obs_dim,
@@ -325,8 +308,7 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
         critic_tape, (2.0 * err / err.size)[:, None])
     critic_cfg = nn.OptimizerConfig(step_size=config.critic_lr,
                                     clip_norm=config.clip_norm)
-    critic_norm = nn.global_norm(critic_grads)
-    nn.optimizer_step(critic.arrays(), critic_grads, critic_cfg)
+    critic_norm = nn.optimizer_step(critic.arrays(), critic_grads, critic_cfg)
     # actor ascends the critic value through the chained gradient
     policy_actions, actor_tapes = actor.forward(windows)
     q_pi, pi_tape = critic.forward(last_obs, policy_actions)
@@ -339,8 +321,7 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
     actor_grads = actor.backward(actor_tapes, dscores)
     actor_cfg = nn.OptimizerConfig(step_size=config.actor_lr,
                                    clip_norm=config.clip_norm)
-    actor_norm = nn.global_norm(actor_grads)
-    nn.optimizer_step(actor.arrays(), actor_grads, actor_cfg)
+    actor_norm = nn.optimizer_step(actor.arrays(), actor_grads, actor_cfg)
     soft_update(actor_target.arrays(), actor.arrays(), config.tau)
     soft_update(critic_target.arrays(), critic.arrays(), config.tau)
     return TrainDiagnostics(critic_loss=critic_loss, actor_value=actor_value,
@@ -359,11 +340,17 @@ class HistoryWindow:
         self.push(obs)
 
     def push(self, obs: np.ndarray):
-        self.buffer = np.roll(self.buffer, -1, axis=0)
+        self.buffer[:-1] = self.buffer[1:]
         self.buffer[-1] = obs
 
     def snapshot(self) -> np.ndarray:
         return self.buffer.copy()
+
+
+# The meta a policy checkpoint holds, with the type of each value.
+POLICY_META = {"kind": str, "capacity": int, "history_window": int,
+               "obs_dim": int, "lstm_hidden": int, "head_sizes": list,
+               "head_activations": list}
 
 
 @dataclass
@@ -387,9 +374,8 @@ class Policy:
         return decode_action(scores, self.kind, self.capacity)
 
     def save(self, path: str):
-        named = {}
-        for name, arr in zip(nn.LSTM_PARAM_NAMES, self.actor.lstm.arrays()):
-            named[f"lstm.{name}"] = arr
+        named = {f"lstm.{name}": arr
+                 for name, arr in vars(self.actor.lstm).items()}
         for i, arr in enumerate(self.actor.head.arrays()):
             named[f"head.{i}"] = arr
         nn.save_checkpoint(path, named, meta={
@@ -403,15 +389,38 @@ class Policy:
 
     @classmethod
     def load(cls, path: str) -> "Policy":
+        """Read a checkpoint that save wrote, of version 2 or 1.
+
+        Raises ValueError when a meta key is missing or mistyped or the
+        array names or shapes do not match the actor the meta describes.
+        """
         arrays, meta = nn.load_checkpoint(path)
-        lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"])
-        lstm.set_arrays([arrays[f"lstm.{name}"] for name in nn.LSTM_PARAM_NAMES])
-        head = nn.MlpParams(weights=[], biases=[],
-                            activations=list(meta["head_activations"]))
-        n_layers = len(meta["head_activations"])
-        head.weights = [arrays[f"head.{i}"] for i in range(n_layers)]
-        head.biases = [arrays[f"head.{i}"] for i in range(n_layers, 2 * n_layers)]
-        actor = ActorNet(lstm=lstm, head=head)
+        bad = [k for k, kind in POLICY_META.items()
+               if not isinstance(meta.get(k), kind)]
+        if bad:
+            raise ValueError(f"checkpoint meta lacks or mistypes "
+                             f"{', '.join(bad)}")
+        if meta["history_window"] < 1:
+            raise ValueError("checkpoint history_window must be >= 1")
+        activations = meta["head_activations"]
+        n_layers = len(activations)
+        head_names = [f"head.{i}" for i in range(2 * n_layers)]
+        lstm_named = {name[len("lstm."):]: arr for name, arr in arrays.items()
+                      if name.startswith("lstm.")}
+        if {n for n in arrays if not n.startswith("lstm.")} != set(head_names):
+            raise ValueError(f"checkpoint arrays {sorted(arrays)} do not "
+                             f"match a {n_layers}-layer actor head")
+        head = nn.MlpParams(
+            weights=[arrays[name] for name in head_names[:n_layers]],
+            biases=[arrays[name] for name in head_names[n_layers:]],
+            activations=activations)
+        actor = ActorNet(lstm=nn.LstmParams.from_named(lstm_named), head=head)
+        sizes = [meta["lstm_hidden"], *meta["head_sizes"][1:]]
+        expected = ([a.shape for a in nn.LstmParams.zeros(
+            meta["obs_dim"], meta["lstm_hidden"]).arrays()]
+            + list(zip(sizes[:-1], sizes[1:])) + [(n,) for n in sizes[1:]])
+        if [a.shape for a in actor.arrays()] != expected:
+            raise ValueError("checkpoint array shapes do not match its meta")
         return cls(actor=actor, kind=meta["kind"], capacity=meta["capacity"],
                    history_window=meta["history_window"],
                    obs_dim=meta["obs_dim"])

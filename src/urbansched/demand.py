@@ -8,7 +8,6 @@ log the forecasters consume.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +158,6 @@ class HistoryLog:
     station_ids: list[str]
     departures: list[np.ndarray] = field(default_factory=list)  # per segment, (n,)
     od_counts: list[np.ndarray] = field(default_factory=list)  # per segment, (n, n)
-    bus_boardings: list[dict[tuple[str, int], int]] = field(default_factory=list)
 
     def record_trips(self, trips: list[Trip]):
         n = len(self.station_ids)
@@ -169,9 +167,6 @@ class HistoryLog:
             od[index[origin], index[dest]] += count
         self.od_counts.append(od)
         self.departures.append(od.sum(axis=1))
-
-    def record_boardings(self, boardings: dict[tuple[str, int], int]):
-        self.bus_boardings.append(dict(boardings))
 
     @property
     def n_segments(self) -> int:
@@ -209,8 +204,3 @@ class HistoryLog:
         for seg in range(1, max(rows, default=0) + 1):
             log.record_trips(rows.get(seg, []))
         return log
-
-
-def load_script_json(path: str) -> list[dict]:
-    with open(path) as fh:
-        return json.load(fh)

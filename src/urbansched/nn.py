@@ -9,7 +9,7 @@ backward pass needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,126 +19,109 @@ class ShapeError(ValueError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the limit 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 
-LSTM_PARAM_NAMES = [
+# The 15 per-gate arrays of the former layout, which checkpoint version 1
+# stores, in the order LstmParams.init draws them.
+V1_NAMES = (
     "W_xi", "W_hi", "w_ci", "W_xf", "W_hf", "w_cf",
     "W_xc", "W_hc", "W_xo", "W_ho", "w_co",
     "b_i", "b_f", "b_c", "b_o",
-]
+)
 
 
 @dataclass
 class LstmParams:
-    """Gate weights for a peephole LSTM.
+    """Peephole LSTM weights, packed by gate in the order i, f, g, o.
 
-    Peephole weights w_ci, w_cf, w_co act diagonally on the cell vector and
-    are stored as vectors of length hidden_size.
+    W_x (input, 4H), W_h (H, 4H) and b (4H) hold the four gate blocks side
+    by side, g being the cell candidate. peep (3, H) holds the diagonal
+    peepholes from the cell into i, f and o.
     """
 
-    input_size: int
-    hidden_size: int
-    W_xi: np.ndarray
-    W_hi: np.ndarray
-    w_ci: np.ndarray
-    W_xf: np.ndarray
-    W_hf: np.ndarray
-    w_cf: np.ndarray
-    W_xc: np.ndarray
-    W_hc: np.ndarray
-    W_xo: np.ndarray
-    W_ho: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    W_x: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
+    peep: np.ndarray
+
+    @property
+    def input_size(self) -> int:
+        return self.W_x.shape[0]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.W_h.shape[0]
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int,
              rng: np.random.Generator) -> "LstmParams":
         scale = 1.0 / np.sqrt(hidden_size)
-
-        def mat(rows, cols):
-            return rng.uniform(-scale, scale, size=(rows, cols))
-
-        def vec(size):
-            return rng.uniform(-scale, scale, size=size)
-
-        params = cls(
-            input_size=input_size, hidden_size=hidden_size,
-            W_xi=mat(input_size, hidden_size), W_hi=mat(hidden_size, hidden_size),
-            w_ci=vec(hidden_size),
-            W_xf=mat(input_size, hidden_size), W_hf=mat(hidden_size, hidden_size),
-            w_cf=vec(hidden_size),
-            W_xc=mat(input_size, hidden_size), W_hc=mat(hidden_size, hidden_size),
-            W_xo=mat(input_size, hidden_size), W_ho=mat(hidden_size, hidden_size),
-            w_co=vec(hidden_size),
-            b_i=vec(hidden_size), b_f=vec(hidden_size) + 1.0,
-            b_c=vec(hidden_size), b_o=vec(hidden_size),
-        )
-        return params
+        rows = {"W_x": input_size, "W_h": hidden_size}
+        named = {}
+        for name in V1_NAMES:  # this draw order fixes the seeded weights
+            shape = ((rows[name[:3]], hidden_size) if name[:3] in rows
+                     else (hidden_size,))
+            named[name] = rng.uniform(-scale, scale, size=shape)
+        named["b_f"] += 1.0
+        return cls.from_named(named)
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "LstmParams":
-        z = lambda *shape: np.zeros(shape)
-        return cls(
-            input_size=input_size, hidden_size=hidden_size,
-            W_xi=z(input_size, hidden_size), W_hi=z(hidden_size, hidden_size),
-            w_ci=z(hidden_size),
-            W_xf=z(input_size, hidden_size), W_hf=z(hidden_size, hidden_size),
-            w_cf=z(hidden_size),
-            W_xc=z(input_size, hidden_size), W_hc=z(hidden_size, hidden_size),
-            W_xo=z(input_size, hidden_size), W_ho=z(hidden_size, hidden_size),
-            w_co=z(hidden_size),
-            b_i=z(hidden_size), b_f=z(hidden_size), b_c=z(hidden_size),
-            b_o=z(hidden_size),
-        )
+        width = 4 * hidden_size
+        return cls(W_x=np.zeros((input_size, width)),
+                   W_h=np.zeros((hidden_size, width)), b=np.zeros(width),
+                   peep=np.zeros((3, hidden_size)))
+
+    @classmethod
+    def from_named(cls, named: dict[str, np.ndarray]) -> "LstmParams":
+        """Build from the packed arrays by field name, or pack the 15
+        per-gate arrays of checkpoint version 1 (V1_NAMES)."""
+        if set(named) == {f.name for f in fields(cls)}:
+            return cls(**named)
+        if set(named) != set(V1_NAMES):
+            raise ValueError(f"LSTM arrays {sorted(named)} match neither "
+                             "the packed nor the version-1 layout")
+
+        def pack(prefix):
+            # np.stack rejects blocks of unequal shape
+            blocks = np.stack([named[prefix + k] for k in "ifco"], axis=-2)
+            return blocks.reshape(*blocks.shape[:-2], -1)
+
+        return cls(W_x=pack("W_x"), W_h=pack("W_h"), b=pack("b_"),
+                   peep=np.stack([named["w_c" + k] for k in "ifo"]))
 
     def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in LSTM_PARAM_NAMES]
-
-    def set_arrays(self, arrays: list[np.ndarray]):
-        for name, arr in zip(LSTM_PARAM_NAMES, arrays):
-            setattr(self, name, arr)
+        return [self.W_x, self.W_h, self.b, self.peep]
 
     def copy(self) -> "LstmParams":
-        clone = LstmParams.zeros(self.input_size, self.hidden_size)
-        clone.set_arrays([a.copy() for a in self.arrays()])
-        return clone
+        return LstmParams(*(a.copy() for a in self.arrays()))
 
 
 @dataclass
 class LstmTape:
-    """Per-step activations cached by the forward pass for BPTT."""
+    """Activations cached by the forward pass for BPTT."""
 
     xs: np.ndarray  # (N, B, input)
-    i: list[np.ndarray]
-    f: list[np.ndarray]
-    g: list[np.ndarray]  # cell candidate tanh(...)
-    o: list[np.ndarray]
-    c: list[np.ndarray]  # c_1..c_N
-    h: list[np.ndarray]
-    c0: np.ndarray
-    h0: np.ndarray
+    gates: np.ndarray  # (N, B, 4H): activations of i, f, g, o per step
+    c: np.ndarray  # (N + 1, B, H): c_0 .. c_N
+    h: np.ndarray  # (N + 1, B, H): h_0 .. h_N
+    live: np.ndarray | None  # (N, B, 1): 1.0 from each sample's start on
 
 
 def lstm_forward(params: LstmParams, xs: np.ndarray,
-                 h0: np.ndarray | None = None,
-                 c0: np.ndarray | None = None):
-    """Run the gate recurrences over a sequence.
+                 start: np.ndarray | None = None):
+    """Run the gate recurrences over a sequence from zero state.
 
-    xs has shape (N, input) or (N, B, input). Returns (hs, tape) with hs the
-    per-step hidden states in the matching shape.
+    xs has shape (N, input) or (N, B, input). start, if given, holds one
+    step index per sample: before it the sample's h and c stay exactly 0,
+    so its recurrence runs over steps start..N-1 only.
+    Returns (hs, tape) with hs the per-step hidden states in the matching
+    shape.
     """
     xs = np.asarray(xs, dtype=float)
     squeeze = xs.ndim == 2
@@ -152,26 +135,36 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     if input_size != params.input_size:
         raise ShapeError(f"input size {input_size} != params input_size "
                          f"{params.input_size}")
-    hidden = params.hidden_size
-    h = np.zeros((batch, hidden)) if h0 is None else np.asarray(h0, dtype=float)
-    c = np.zeros((batch, hidden)) if c0 is None else np.asarray(c0, dtype=float)
-    tape = LstmTape(xs=xs, i=[], f=[], g=[], o=[], c=[], h=[], c0=c.copy(),
-                    h0=h.copy())
+    H = params.hidden_size
+    live = None
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (batch,):
+            raise ShapeError("start needs one step index per sample")
+        live = (np.arange(n_steps)[:, None] >= start).astype(float)[:, :, None]
+    xs = np.ascontiguousarray(xs)
+    c = np.zeros((n_steps + 1, batch, H))
+    h = np.zeros((n_steps + 1, batch, H))
+    p_i, p_f, p_o = params.peep
+    # one input projection for the whole sequence; each step then replaces
+    # its slice with the gate activations
+    gates = (xs.reshape(-1, input_size) @ params.W_x).reshape(
+        n_steps, batch, 4 * H)
     for t in range(n_steps):
-        x = xs[t]
-        i = sigmoid(x @ params.W_xi + h @ params.W_hi + c * params.w_ci + params.b_i)
-        f = sigmoid(x @ params.W_xf + h @ params.W_hf + c * params.w_cf + params.b_f)
-        g = np.tanh(x @ params.W_xc + h @ params.W_hc + params.b_c)
-        c = f * c + i * g
-        o = sigmoid(x @ params.W_xo + h @ params.W_ho + c * params.w_co + params.b_o)
-        h = o * np.tanh(c)
-        tape.i.append(i)
-        tape.f.append(f)
-        tape.g.append(g)
-        tape.o.append(o)
-        tape.c.append(c)
-        tape.h.append(h)
-    hs = np.stack(tape.h)
+        a = gates[t]
+        z = a + h[t] @ params.W_h
+        z[:, :H] += p_i * c[t]
+        z[:, H:2 * H] += p_f * c[t]
+        z += params.b
+        a[:, :2 * H] = sigmoid(z[:, :2 * H])
+        a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+        c[t + 1] = a[:, H:2 * H] * c[t] + a[:, :H] * a[:, 2 * H:3 * H]
+        if live is not None:
+            c[t + 1] *= live[t]  # and so h = o * tanh(0) = 0 as well
+        a[:, 3 * H:] = sigmoid(z[:, 3 * H:] + p_o * c[t + 1])
+        h[t + 1] = a[:, 3 * H:] * np.tanh(c[t + 1])
+    tape = LstmTape(xs=xs, gates=gates, c=c, h=h, live=live)
+    hs = h[1:]
     if squeeze:
         hs = hs[:, 0, :]
     return hs, tape
@@ -188,46 +181,39 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
     squeeze = dh_out.ndim == 2
     if squeeze:
         dh_out = dh_out[:, None, :]
-    n_steps, batch, _ = tape.xs.shape
-    if dh_out.shape != (n_steps, batch, params.hidden_size):
+    n_steps, batch, input_size = tape.xs.shape
+    H = params.hidden_size
+    if dh_out.shape != (n_steps, batch, H):
         raise ShapeError("output gradient shape does not match the tape")
-    grads = LstmParams.zeros(params.input_size, params.hidden_size)
-    dx = np.zeros_like(tape.xs)
-    dh_rec = np.zeros((batch, params.hidden_size))
-    dc_rec = np.zeros((batch, params.hidden_size))
+    p_i, p_f, p_o = params.peep
+    grads = LstmParams.zeros(input_size, H)
+    dx = np.empty_like(tape.xs)
+    dh_rec = np.zeros((batch, H))
+    dc_rec = np.zeros((batch, H))
+    d = np.empty((batch, 4 * H))  # gradient of the gate pre-activations
     for t in range(n_steps - 1, -1, -1):
-        x = tape.xs[t]
-        i, f, g, o = tape.i[t], tape.f[t], tape.g[t], tape.o[t]
-        c = tape.c[t]
-        c_prev = tape.c[t - 1] if t > 0 else tape.c0
-        h_prev = tape.h[t - 1] if t > 0 else tape.h0
+        a = tape.gates[t]
+        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        c_prev, c = tape.c[t], tape.c[t + 1]
         tanh_c = np.tanh(c)
         dh = dh_out[t] + dh_rec
-        da_o = dh * tanh_c * o * (1 - o)
-        dc = dh * o * (1 - tanh_c ** 2) + dc_rec + da_o * params.w_co
-        da_i = dc * g * i * (1 - i)
-        da_f = dc * c_prev * f * (1 - f)
-        da_g = dc * i * (1 - g ** 2)
-        grads.W_xi += x.T @ da_i
-        grads.W_hi += h_prev.T @ da_i
-        grads.w_ci += (da_i * c_prev).sum(axis=0)
-        grads.b_i += da_i.sum(axis=0)
-        grads.W_xf += x.T @ da_f
-        grads.W_hf += h_prev.T @ da_f
-        grads.w_cf += (da_f * c_prev).sum(axis=0)
-        grads.b_f += da_f.sum(axis=0)
-        grads.W_xc += x.T @ da_g
-        grads.W_hc += h_prev.T @ da_g
-        grads.b_c += da_g.sum(axis=0)
-        grads.W_xo += x.T @ da_o
-        grads.W_ho += h_prev.T @ da_o
-        grads.w_co += (da_o * c).sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-        dx[t] = (da_i @ params.W_xi.T + da_f @ params.W_xf.T
-                 + da_g @ params.W_xc.T + da_o @ params.W_xo.T)
-        dh_rec = (da_i @ params.W_hi.T + da_f @ params.W_hf.T
-                  + da_g @ params.W_hc.T + da_o @ params.W_ho.T)
-        dc_rec = dc * f + da_i * params.w_ci + da_f * params.w_cf
+        d_o = dh * tanh_c * o * (1 - o)
+        dc = dh * o * (1 - tanh_c ** 2) + dc_rec + d_o * p_o
+        if tape.live is not None:
+            dc *= tape.live[t]
+        d[:, :H] = dc * g * i * (1 - i)
+        d[:, H:2 * H] = dc * c_prev * f * (1 - f)
+        d[:, 2 * H:3 * H] = dc * i * (1 - g ** 2)
+        d[:, 3 * H:] = d_o
+        grads.W_x += tape.xs[t].T @ d
+        grads.W_h += tape.h[t].T @ d
+        grads.b += d.sum(axis=0)
+        grads.peep[0] += (d[:, :H] * c_prev).sum(axis=0)
+        grads.peep[1] += (d[:, H:2 * H] * c_prev).sum(axis=0)
+        grads.peep[2] += (d_o * c).sum(axis=0)
+        dx[t] = d @ params.W_x.T
+        dh_rec = d @ params.W_h.T
+        dc_rec = dc * f + d[:, :H] * p_i + d[:, H:2 * H] * p_f
     if squeeze:
         dx = dx[:, 0, :]
     return grads, dx
@@ -249,6 +235,11 @@ class MlpParams:
     biases: list[np.ndarray]
     activations: list[str]
 
+    def __post_init__(self):
+        if not all(isinstance(a, str) and a in _ACTIVATIONS
+                   for a in self.activations):
+            raise ValueError(f"unknown activation in {self.activations}")
+
     @classmethod
     def init(cls, sizes: list[int], activations: list[str],
              rng: np.random.Generator) -> "MlpParams":
@@ -263,11 +254,6 @@ class MlpParams:
 
     def arrays(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
-
-    def set_arrays(self, arrays: list[np.ndarray]):
-        k = len(self.weights)
-        self.weights = list(arrays[:k])
-        self.biases = list(arrays[k:])
 
     def copy(self) -> "MlpParams":
         return MlpParams(weights=[w.copy() for w in self.weights],
@@ -359,26 +345,30 @@ def global_norm(grads: list[np.ndarray]) -> float:
 
 
 def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
-                   config: OptimizerConfig) -> list[np.ndarray]:
-    """In-place gradient descent with optional global-norm clipping."""
+                   config: OptimizerConfig) -> float:
+    """In-place gradient descent with optional global-norm clipping.
+
+    Returns the global norm of grads before clipping.
+    """
     if len(params) != len(grads):
         raise ShapeError("params/grads length mismatch")
+    norm = global_norm(grads)
     scale = 1.0
-    if config.clip_norm > 0:
-        norm = global_norm(grads)
-        if norm > config.clip_norm:
-            scale = config.clip_norm / norm
+    if 0 < config.clip_norm < norm:
+        scale = config.clip_norm / norm
     for p, g in zip(params, grads):
         if p.shape != np.asarray(g).shape:
             raise ShapeError("params/grads shape mismatch")
         p -= config.step_size * scale * np.asarray(g)
-    return params
+    return norm
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-CHECKPOINT_VERSION = 1
+# Version 2 stores an LSTM as its four packed arrays; version 1 stored the
+# 15 per-gate arrays, which LstmParams.from_named packs on load.
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str, named_arrays: dict[str, np.ndarray],
@@ -395,9 +385,15 @@ def save_checkpoint(path: str, named_arrays: dict[str, np.ndarray],
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    arrays = {}
-    for name, entry in doc["arrays"].items():
-        arrays[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-    return arrays, doc.get("meta", {})
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {version}")
+    try:
+        arrays = {name: np.array(entry["data"], dtype=float).reshape(
+            entry["shape"]) for name, entry in doc["arrays"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed checkpoint arrays: {exc!r}") from exc
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint meta is not an object")
+    return arrays, meta

@@ -12,7 +12,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class PortableRng:
-    """splitmix64 stream with uniform / Poisson / normal draws."""
+    """splitmix64 stream with uniform / Poisson / weighted-choice draws."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -47,13 +47,6 @@ class PortableRng:
             cum += p
         return k
 
-    def normal(self) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        while u1 <= 1e-300:
-            u1 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def choice(self, weights: list[float]) -> int:
         total = sum(weights)
         if total <= 0:
@@ -65,8 +58,3 @@ class PortableRng:
             if u < cum:
                 return i
         return len(weights) - 1
-
-    def clone(self) -> "PortableRng":
-        c = PortableRng(0)
-        c.state = self.state
-        return c

@@ -66,7 +66,6 @@ class BikeStation:
     coord: tuple[float, float]
     docks: int
     available: int
-    cluster_id: int | None = None
 
     def __post_init__(self):
         if not (0 <= self.available <= self.docks):

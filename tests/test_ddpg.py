@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,6 +344,62 @@ class TestTrainLoop:
         r2, info2 = run_episode(env2, loaded)
         assert r1 == r2
         assert info1["served_total"] == info2["served_total"]
+
+
+class TestPolicyCheckpoint:
+    META = {"kind": "vehicle", "capacity": 10, "history_window": 3,
+            "obs_dim": 5, "lstm_hidden": 6, "head_sizes": [6, 6, 4],
+            "head_activations": ["relu", "tanh"]}
+
+    def write(self, path, named, meta, version):
+        nn.save_checkpoint(str(path), named, meta=meta)
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+
+    def test_version_1_loads_into_packed_layout(self, tmp_path):
+        actor = small_actor()
+        lstm, H = actor.lstm, actor.lstm.hidden_size
+        named = {}
+        for block, gate in enumerate("ifco"):
+            cols = slice(block * H, (block + 1) * H)
+            named[f"lstm.W_x{gate}"] = lstm.W_x[:, cols]
+            named[f"lstm.W_h{gate}"] = lstm.W_h[:, cols]
+            named[f"lstm.b_{gate}"] = lstm.b[cols]
+        for row, gate in enumerate("ifo"):
+            named[f"lstm.w_c{gate}"] = lstm.peep[row]
+        for i, arr in enumerate(actor.head.arrays()):
+            named[f"head.{i}"] = arr
+        assert len(named) == 15 + 4
+        path = tmp_path / "v1.json"
+        self.write(path, named, self.META, version=1)
+        loaded = Policy.load(str(path))
+        windows = np.random.default_rng(9).normal(size=(6, 3, 5))
+        windows[0, :2] = 0.0
+        np.testing.assert_allclose(loaded.actor.forward(windows)[0],
+                                   actor.forward(windows)[0], atol=1e-12)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_malformed_rejected(self, tmp_path, version):
+        actor = small_actor()
+        named = {f"lstm.{k}": v for k, v in vars(actor.lstm).items()}
+        named.update((f"head.{i}", a)
+                     for i, a in enumerate(actor.head.arrays()))
+        path = tmp_path / "bad.json"
+        bad_cases = [
+            (named, {k: v for k, v in self.META.items() if k != "obs_dim"}),
+            ({**named, "lstm.W_xi": np.zeros((5, 6))}, self.META),
+            ({k: v for k, v in named.items() if k != "head.3"}, self.META),
+            (named, {**self.META, "obs_dim": 7}),
+            (named, {**self.META, "head_sizes": [6, 6, 3]}),
+            (named, {**self.META, "obs_dim": "5"}),
+            (named, {**self.META, "history_window": 0}),
+            (named, {**self.META, "head_activations": ["relu", "bogus"]}),
+        ]
+        for arrays, meta in bad_cases:
+            self.write(path, arrays, meta, version)
+            with pytest.raises(ValueError):
+                Policy.load(str(path))
 
 
 class TestHistoryWindow:

@@ -193,6 +193,21 @@ class TestCli:
                     "--checkpoint", str(tmp_path / "policy.json")]) == 0
         assert "served=" in capsys.readouterr().out
 
+    def test_train_config_unknown_key_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"episode": 3}))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert "episode" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"version": 1, "meta": {}, "arrays": {}}))
+        assert cli(["eval", "--scenario", "fig1a",
+                    "--checkpoint", str(path)]) == 1
+        assert "obs_dim" in capsys.readouterr().err
+
     def test_trained_without_checkpoint_exit_1(self, capsys):
         assert cli(["simulate", "--scenario", "fig1a",
                     "--policy", "trained"]) == 1
