@@ -48,6 +48,12 @@ class DdpgConfig:
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown DDPG config keys: {', '.join(unknown)}")
+        for key, value in doc.items():
+            kind = cls.__dataclass_fields__[key].type
+            allowed = int if kind == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"DDPG config key {key!r} must be {kind}, "
+                                 f"not {value!r}")
         return cls(**doc)
 
     def to_dict(self) -> dict:

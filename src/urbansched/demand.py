@@ -25,7 +25,6 @@ class DemandProfile:
     station_ids: list[str]
     rates: np.ndarray  # (n_stations, segments_per_day) expected departures
     od_weights: np.ndarray  # (n, n), zero diagonal
-    noise_seed: int = 0
     bus_rates: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,7 +68,6 @@ class DemandProfile:
             station_ids=station_ids,
             rates=rates,
             od_weights=np.asarray(doc["od_weights"], dtype=float),
-            noise_seed=int(doc.get("seed", 0)),
             bus_rates=bus_rates,
         )
 

@@ -36,102 +36,76 @@ class EpisodeDone(RuntimeError):
 # ---------------------------------------------------------------------------
 # Observations
 
-@dataclass
-class BusObservation:
-    b1: np.ndarray  # segments since last forward bus, per stop
-    b2: np.ndarray  # segments since last backward bus, per stop
-    c1: np.ndarray  # (L, n) forward demand forecast
-    c2: np.ndarray  # (L, n) backward demand forecast
-    self_state: np.ndarray  # (d1..., e1, f1, v1)
-    others: np.ndarray  # flattened (d, e, f, v) per other bus
-    H: np.ndarray
-    O: np.ndarray | None
 
-    def flatten(self) -> np.ndarray:
-        parts = [self.b1, self.b2]
-        for t in range(self.c1.shape[0]):
-            parts += [self.c1[t], self.c2[t]]
-        parts += [self.self_state, self.others, self.H]
-        if self.O is not None:
-            parts.append(self.O.reshape(-1))
-        return np.concatenate([np.asarray(p, dtype=float).reshape(-1)
-                               for p in parts])
+def _observation(world: W.WorldState, head: list, agents: list, me: int,
+                 places: int, O: np.ndarray | None) -> np.ndarray:
+    """Flat vector of `head` (station info and forecasts), the agent block,
+    the system features H and, when given, O.
 
-
-@dataclass
-class BikeObservation:
-    b1: np.ndarray  # available bikes per station
-    b2: np.ndarray  # available docks per station
-    c1: np.ndarray  # (L, n) predicted departures
-    c2: np.ndarray  # (L, n) predicted arrivals
-    g: np.ndarray  # (L, 2n) flow encodings
-    self_state: np.ndarray
-    others: np.ndarray
-    H: np.ndarray
-    O: np.ndarray | None
-
-    def flatten(self) -> np.ndarray:
-        parts = [self.b1, self.b2]
-        for t in range(self.c1.shape[0]):
-            parts += [self.c1[t], self.c2[t]]
-        for t in range(self.g.shape[0]):
-            parts.append(self.g[t])
-        parts += [self.self_state, self.others, self.H]
-        if self.O is not None:
-            parts.append(self.O.reshape(-1))
-        return np.concatenate([np.asarray(p, dtype=float).reshape(-1)
-                               for p in parts])
+    The agent block holds agent `me` first, then each peer in world order,
+    each as a one-hot location over `places`, occupied, remaining and
+    operation.
+    """
+    order = [agents[me]] + agents[:me] + agents[me + 1:]
+    block = np.zeros((len(order), places + 3))
+    for row, agent in zip(block, order):
+        row[agent.location] = 1.0
+        row[places:] = (agent.occupied, agent.remaining, agent.operation)
+    parts = [*head, block, world.env_features]
+    if O is not None:
+        parts.append(O)
+    return np.concatenate([np.asarray(p, dtype=float).reshape(-1)
+                           for p in parts])
 
 
-def _agent_block(agent: W.AgentState) -> np.ndarray:
-    return np.concatenate([agent.location.astype(float),
-                           [agent.occupied, agent.remaining, agent.operation]])
+def _forecast_rows(horizon: int, *arrays) -> list[np.ndarray]:
+    """The first `horizon` rows of each forecast, as 2-D float arrays."""
+    arrays = [np.atleast_2d(np.asarray(a, dtype=float)) for a in arrays]
+    if min(a.shape[0] for a in arrays) < horizon:
+        raise ValueError("forecast horizon shorter than required L")
+    return [a[:horizon] for a in arrays]
 
 
 def bus_observe(world: W.WorldState, c1: np.ndarray, c2: np.ndarray,
                 bus_id: int, other_system: np.ndarray | None,
-                horizon: int) -> BusObservation:
-    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
-    if c1.shape[0] < horizon or c2.shape[0] < horizon:
-        raise ValueError("forecast horizon shorter than required L")
-    buses = world.buses
-    me = buses[bus_id]
-    others = [b for i, b in enumerate(buses) if i != bus_id]
-    return BusObservation(
-        b1=np.array([s.last_bus_fwd for s in world.bus_stops], dtype=float),
-        b2=np.array([s.last_bus_bwd for s in world.bus_stops], dtype=float),
-        c1=c1[:horizon], c2=c2[:horizon],
-        self_state=_agent_block(me),
-        others=(np.concatenate([_agent_block(b) for b in others])
-                if others else np.zeros(0)),
-        H=world.env_features,
-        O=other_system,
-    )
+                horizon: int) -> np.ndarray:
+    """Flat bus observation, in the order of `bike_observe` without g:
+    segments since the last forward and backward bus per stop, forward
+    and backward boarding forecasts, then the agent block (one-hot over
+    stops), H and O."""
+    c1, c2 = _forecast_rows(horizon, c1, c2)
+    return _observation(
+        world,
+        [[s.last_bus_fwd for s in world.bus_stops],
+         [s.last_bus_bwd for s in world.bus_stops],
+         np.concatenate((c1, c2), axis=1)],
+        world.buses, bus_id, len(world.bus_stops), other_system)
 
 
 def bike_observe(world: W.WorldState, c1: np.ndarray, c2: np.ndarray,
                  g: np.ndarray, vehicle_id: int,
                  other_system: np.ndarray | None,
-                 horizon: int) -> BikeObservation:
-    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    if min(c1.shape[0], c2.shape[0], g.shape[0]) < horizon:
-        raise ValueError("forecast horizon shorter than required L")
-    vehicles = world.vehicles
-    me = vehicles[vehicle_id]
-    others = [v for i, v in enumerate(vehicles) if i != vehicle_id]
-    return BikeObservation(
-        b1=np.array([s.available for s in world.bike_stations], dtype=float),
-        b2=np.array([s.free_docks for s in world.bike_stations], dtype=float),
-        c1=c1[:horizon], c2=c2[:horizon], g=g[:horizon],
-        self_state=_agent_block(me),
-        others=(np.concatenate([_agent_block(v) for v in others])
-                if others else np.zeros(0)),
-        H=world.env_features,
-        O=other_system,
-    )
+                 horizon: int) -> np.ndarray:
+    """Flat bike observation for `vehicle_id`, in this order (n stations,
+    L = horizon, V vehicles):
+
+    - b1 (n): available bikes per station; b2 (n): free docks per station
+    - for each of the L forecast segments: c1 (n) predicted departures,
+      then c2 (n) predicted arrivals
+    - g (L x 2n): flow encodings, segment by segment
+    - own state: one-hot location (max(n, 1)), occupied, remaining,
+      operation; then the same for each other vehicle ((V - 1) blocks)
+    - H: system features
+    - O, flattened row by row, when the cross-system block is on
+    """
+    c1, c2, g = _forecast_rows(horizon, c1, c2, g)
+    return _observation(
+        world,
+        [[s.available for s in world.bike_stations],
+         [s.free_docks for s in world.bike_stations],
+         np.concatenate((c1, c2), axis=1), g],
+        world.vehicles, vehicle_id, max(len(world.bike_stations), 1),
+        other_system)
 
 
 def joint_features(world: W.WorldState, for_agent: str, k: int,
@@ -185,11 +159,12 @@ class _DemandChannel:
     def horizon_slice(self, arr: np.ndarray, current: int, start: int,
                       L: int) -> np.ndarray:
         """Forecast rows for segments current+1..current+L, zero-padded."""
-        T = arr.shape[0]
-        rows = []
-        for t in range(current - start + 1, current - start + 1 + L):
-            rows.append(arr[t] if 0 <= t < T else np.zeros(arr.shape[1]))
-        return np.array(rows)
+        first = current - start + 1
+        lo, hi = max(first, 0), min(first + L, arr.shape[0])
+        out = np.zeros((L, arr.shape[1]))
+        if lo < hi:
+            out[lo - first:hi - first] = arr[lo:hi]
+        return out
 
 
 def _build_channel(scenario: W.ScenarioSpec, rng: PortableRng,
@@ -304,10 +279,6 @@ class BikeEnv:
     def action_dim(self) -> int:
         return self.n_stations + 1
 
-    def observation_dim(self) -> int:
-        probe = self.reset(seed=self.seed)
-        return probe.size
-
     def _outage_active(self, rng: PortableRng) -> bool:
         if self._outage_mode == "random":
             return rng.uniform() < 0.5
@@ -329,8 +300,6 @@ class BikeEnv:
         self.lost = 0
         self.distance = 0.0
         self.overflow = 0
-        self.total_demand = sum(c for t in self.channel.trips.values()
-                                for _, _, c in t)
         return self._observe()
 
     def _observe(self) -> np.ndarray:
@@ -342,8 +311,7 @@ class BikeEnv:
         g = self.channel.horizon_slice(self.channel.g, cur, start, self.horizon)
         O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
              if self.joint_enabled else None)
-        obs = bike_observe(w, c1, c2, g, 0, O, self.horizon)
-        return obs.flatten()
+        return bike_observe(w, c1, c2, g, 0, O, self.horizon)
 
     def step(self, action: tuple[int, int]):
         if self.done:
@@ -352,13 +320,13 @@ class BikeEnv:
         w = self.world
         if w.vehicles:
             vehicle = w.vehicles[0]
-            before = vehicle.position
+            before = vehicle.location
             undockable = 0
             if quantity < 0:
                 undockable = max(0, min(-quantity, vehicle.occupied)
                                  - w.bike_stations[station_idx].free_docks)
             W.apply_reposition(w, 0, station_idx, quantity)
-            after = vehicle.position
+            after = vehicle.location
             if before != after:
                 a = np.array(w.bike_stations[before].coord)
                 b = np.array(w.bike_stations[after].coord)
@@ -400,10 +368,10 @@ class BikeEnv:
 class BusEnv:
     """Single controlled bus on one route; other buses halt.
 
-    Reward for a move is the boarded passengers' accumulated waiting time in
-    minutes minus alpha times the driving time; halting is exactly 0. The
-    episode fails when any passenger has waited the patience bound p, or
-    ends with the clock.
+    Reward for a move is the accumulated waiting time, in minutes, of the
+    passengers who board, minus alpha times the driving time; halting is
+    exactly 0. The episode fails when any passenger has waited the patience
+    bound p, or ends with the clock.
     """
 
     scenario: W.ScenarioSpec
@@ -448,7 +416,7 @@ class BusEnv:
                                         self.horizon)
         O = (joint_features(w, "bus", self.joint_k)
              if self.joint_enabled else None)
-        return bus_observe(w, c1, c2, 0, O, self.horizon).flatten()
+        return bus_observe(w, c1, c2, 0, O, self.horizon)
 
     def _max_wait(self) -> int:
         w = self.world

@@ -66,7 +66,7 @@ def _simulate_passive(scenario: W.ScenarioSpec, seed: int = 0):
     env.reset(seed=seed)
     served = lost = 0
     done = False
-    home = env.world.vehicles[0].position if env.world.vehicles else 0
+    home = env.world.vehicles[0].location if env.world.vehicles else 0
     while not done:
         _, _, done, info = env.step((home, 0))
         served = info["served_total"]
@@ -147,7 +147,8 @@ def run_exhaustive_bike(scenario: W.ScenarioSpec, seed: int = 0):
 
 @dataclass
 class StaticHeadwayPolicy:
-    """Bus baseline: drive forward to the terminal, then back, forever."""
+    """Bus baseline: drive forward to the terminal of the bus's route, then
+    back, forever."""
 
     direction: int = W.OP_FORWARD
 
@@ -155,11 +156,11 @@ class StaticHeadwayPolicy:
         self.direction = W.OP_FORWARD
 
     def action_for(self, env: BusEnv) -> int:
-        bus = env.world.buses[0]
-        pos = bus.position
-        if pos == len(env.world.bus_stops) - 1:
+        world = env.world
+        pos = world.buses[0].location
+        if not world.same_route(pos, pos + 1):
             self.direction = W.OP_BACKWARD
-        elif pos == 0:
+        elif not world.same_route(pos, pos - 1):
             self.direction = W.OP_FORWARD
         return self.direction
 

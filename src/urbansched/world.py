@@ -50,7 +50,6 @@ class Passenger:
     origin: str
     destination: str
     arrival_segment: int
-    boarded: bool = False
 
     def __post_init__(self):
         if self.origin == self.destination:
@@ -79,6 +78,7 @@ class BikeStation:
 @dataclass
 class BusStop:
     id: str
+    route: int  # index of the route the stop belongs to
     route_position: int
     queue_fwd: list[Passenger] = field(default_factory=list)
     queue_bwd: list[Passenger] = field(default_factory=list)
@@ -89,27 +89,19 @@ class BusStop:
 @dataclass
 class AgentState:
     kind: str  # "bus" or "vehicle"
-    location: np.ndarray  # one-hot over stops (bus) or stations (vehicle)
+    location: int  # stop index (bus) or station index (vehicle)
     occupied: int
-    remaining: int
     operation: int
     capacity: int
     onboard: list[Passenger] = field(default_factory=list)
 
     def __post_init__(self):
-        loc = np.asarray(self.location)
-        if loc.sum() != 1 or not np.all((loc == 0) | (loc == 1)):
-            raise ScenarioError("agent location must be one-hot")
-        if self.occupied + self.remaining != self.capacity or self.occupied < 0:
-            raise ScenarioError("agent capacity identity violated")
+        if not (0 <= self.occupied <= self.capacity):
+            raise ScenarioError("agent occupancy outside [0, capacity]")
 
     @property
-    def position(self) -> int:
-        return int(np.argmax(self.location))
-
-    def move_to(self, index: int):
-        self.location = np.zeros_like(self.location)
-        self.location[index] = 1
+    def remaining(self) -> int:
+        return self.capacity - self.occupied
 
 
 @dataclass
@@ -118,20 +110,19 @@ class WorldState:
     bike_stations: list[BikeStation]
     bus_stops: list[BusStop]
     agents: list[AgentState]
-    in_transit_bikes: int
     env_features: np.ndarray
-
-    def station_index(self, station_id: str) -> int:
-        for i, s in enumerate(self.bike_stations):
-            if s.id == station_id:
-                return i
-        raise ScenarioError(f"unknown station {station_id!r}")
 
     def stop_index(self, stop_id: str) -> int:
         for i, s in enumerate(self.bus_stops):
             if s.id == stop_id:
                 return i
         raise ScenarioError(f"unknown bus stop {stop_id!r}")
+
+    def same_route(self, a: int, b: int) -> bool:
+        """Whether stop indices a and b both exist and lie on one route."""
+        n = len(self.bus_stops)
+        return (0 <= a < n and 0 <= b < n
+                and self.bus_stops[a].route == self.bus_stops[b].route)
 
     @property
     def vehicles(self) -> list[AgentState]:
@@ -143,7 +134,6 @@ class WorldState:
 
     def total_bikes(self) -> int:
         return (sum(s.available for s in self.bike_stations)
-                + self.in_transit_bikes
                 + sum(v.occupied for v in self.vehicles))
 
 
@@ -198,11 +188,16 @@ class ScenarioSpec:
                 raise ScenarioError(f"station {st['id']}: negative docks")
             if not (0 <= st.get("initial_bikes", 0) <= st["docks"]):
                 raise ScenarioError(f"station {st['id']}: initial_bikes outside [0, docks]")
+        stop_ids: set[str] = set()
         for r in self.routes:
             if len(r.get("stops", [])) < 2:
                 raise ScenarioError("route needs at least 2 stops")
             if len(set(r["stops"])) != len(r["stops"]):
                 raise ScenarioError("duplicate stop id on route")
+            for sid in r["stops"]:
+                if sid in stop_ids:
+                    raise ScenarioError(f"stop id {sid!r} on two routes")
+                stop_ids.add(sid)
             if r.get("capacity", 1) <= 0:
                 raise ScenarioError("route bus capacity must be > 0")
         for v in self.vehicles:
@@ -247,23 +242,17 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
         for s in scenario.stations
     ]
     stops: list[BusStop] = []
-    bus_protos: list[tuple[int, int]] = []  # (start stop index, capacity)
-    for route in scenario.routes:
+    agents: list[AgentState] = []
+    for r, route in enumerate(scenario.routes):
         base = len(stops)
         for pos, stop_id in enumerate(route["stops"], start=1):
-            stops.append(BusStop(id=stop_id, route_position=pos))
+            stops.append(BusStop(id=stop_id, route=r, route_position=pos))
+        capacity = int(route.get("capacity", 30))
         for _ in range(route.get("bus_count", 1)):
-            bus_protos.append((base, int(route.get("capacity", 30))))
-    agents: list[AgentState] = []
-    for base, capacity in bus_protos:
-        loc = np.zeros(len(stops), dtype=int)
-        loc[base] = 1
-        agents.append(AgentState(kind="bus", location=loc, occupied=0,
-                                 remaining=capacity, operation=OP_HALT,
-                                 capacity=capacity))
+            agents.append(AgentState(kind="bus", location=base, occupied=0,
+                                     operation=OP_HALT, capacity=capacity))
     station_ids = [s.id for s in stations]
     for v in scenario.vehicles:
-        loc = np.zeros(max(len(stations), 1), dtype=int)
         start = v.get("start")
         if start is None:
             idx = 0
@@ -271,17 +260,14 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
             idx = station_ids.index(start)
         else:
             raise ScenarioError(f"vehicle start station {start!r} unknown")
-        loc[idx] = 1
-        load = int(v.get("initial_load", 0))
-        agents.append(AgentState(kind="vehicle", location=loc, occupied=load,
-                                 remaining=int(v["capacity"]) - load, operation=0,
-                                 capacity=int(v["capacity"])))
+        agents.append(AgentState(kind="vehicle", location=idx,
+                                 occupied=int(v.get("initial_load", 0)),
+                                 operation=0, capacity=int(v["capacity"])))
     return WorldState(
         clock=clock,
         bike_stations=stations,
         bus_stops=stops,
         agents=agents,
-        in_transit_bikes=0,
         env_features=np.asarray(scenario.environment, dtype=float),
     )
 
@@ -323,10 +309,10 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     """Advance the bus system one segment.
 
     Each moving bus advances one stop per segment in its direction (clipped
-    at the route ends, which records a halt). At the visited stop it alights
-    matching passengers, then boards FIFO from the same-direction queue up
-    to remaining capacity. Returns (world, reduced_wait, drive_time) in
-    minutes.
+    at the ends of its own route, which records a halt). At the visited stop
+    it alights matching passengers, then boards FIFO from the same-direction
+    queue up to remaining capacity. Returns (world, reduced_wait,
+    drive_time) in minutes.
     """
     buses = world.buses
     if len(bus_actions) != len(buses):
@@ -350,18 +336,15 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     reduced_wait = 0.0
     drive_time = 0.0
     minutes = world.clock.segment_minutes
-    n_stops = len(world.bus_stops)
     for bus, action in zip(buses, bus_actions):
         if action == OP_HALT:
             bus.operation = OP_HALT
             continue
-        pos = bus.position
-        delta = 1 if action == OP_FORWARD else -1
-        target = pos + delta
-        if not (0 <= target < n_stops):
-            bus.operation = OP_HALT  # clipped at the terminal: effectively a halt
+        target = bus.location + (1 if action == OP_FORWARD else -1)
+        if not world.same_route(bus.location, target):
+            bus.operation = OP_HALT  # clipped at a route end: a halt
             continue
-        bus.move_to(target)
+        bus.location = target
         bus.operation = action
         drive_time += minutes
         stop = world.bus_stops[target]
@@ -369,14 +352,11 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
         alighted = len(bus.onboard) - len(staying)
         bus.onboard = staying
         bus.occupied -= alighted
-        bus.remaining += alighted
         queue = stop.queue_fwd if action == OP_FORWARD else stop.queue_bwd
         while queue and bus.remaining > 0:
             pax = queue.pop(0)
-            pax.boarded = True
             bus.onboard.append(pax)
             bus.occupied += 1
-            bus.remaining -= 1
             reduced_wait += pax.wait_segments(now) * minutes
         if action == OP_FORWARD:
             stop.last_bus_fwd = 0
@@ -400,18 +380,16 @@ def apply_reposition(world: WorldState, vehicle_id: int, target_station: int,
         raise ScenarioError(f"unknown station index {target_station}")
     vehicle = vehicles[vehicle_id]
     station = world.bike_stations[target_station]
-    vehicle.move_to(target_station)
+    vehicle.location = target_station
     if quantity > 0:
         moved = min(quantity, station.available, vehicle.remaining)
         station.available -= moved
         vehicle.occupied += moved
-        vehicle.remaining -= moved
         vehicle.operation = moved
     elif quantity < 0:
         moved = min(-quantity, vehicle.occupied, station.free_docks)
         station.available += moved
         vehicle.occupied -= moved
-        vehicle.remaining += moved
         vehicle.operation = -moved
     else:
         vehicle.operation = 0

@@ -143,7 +143,7 @@ def _passive_served(scenario, seed: int, episodes: int) -> int:
     served = 0
     for _ in range(episodes):
         env.reset()
-        home = env.world.vehicles[0].position
+        home = env.world.vehicles[0].location
         done = False
         while not done:
             _, _, done, info = env.step((home, 0))
@@ -252,7 +252,7 @@ def test_acceptance_8_conservation_fuzz(acceptance):
             for s in world.bike_stations:
                 assert 0 <= s.available <= s.docks
             for agent in world.agents:
-                assert int(np.sum(agent.location)) == 1
+                assert 0 <= agent.location < n
                 assert agent.occupied + agent.remaining == agent.capacity
                 assert agent.occupied >= 0 and agent.remaining >= 0
     elapsed = time.time() - start

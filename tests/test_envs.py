@@ -10,7 +10,8 @@ from urbansched.envs import (
 from urbansched.world import ScenarioSpec, build_world
 
 
-def mixed_scenario(joint=None, initial_bikes=(3, 0), docks=(5, 5)):
+def mixed_scenario(joint=None, initial_bikes=(3, 0), docks=(5, 5),
+                   bus_count=1, vehicles=None):
     return ScenarioSpec.from_dict({
         "clock": {"segment_minutes": 15, "episode_length": 4},
         "stations": [
@@ -19,9 +20,10 @@ def mixed_scenario(joint=None, initial_bikes=(3, 0), docks=(5, 5)):
             {"id": "B", "x": 3.0, "y": 4.0, "docks": docks[1],
              "initial_bikes": initial_bikes[1]},
         ],
-        "routes": [{"stops": ["S1", "S2", "S3"], "bus_count": 1,
+        "routes": [{"stops": ["S1", "S2", "S3"], "bus_count": bus_count,
                     "capacity": 20}],
-        "vehicles": [{"capacity": 10, "start": "A", "initial_load": 2}],
+        "vehicles": vehicles or [{"capacity": 10, "start": "A",
+                                  "initial_load": 2}],
         "environment": [0.5],
         "demand_script": [],
         "joint": joint,
@@ -42,16 +44,19 @@ def bus_only_scenario(bus_script, episode_length=6):
 
 
 class TestObservations:
+    # Flat layouts (bike_observe docstring), n places, horizon L:
+    # bike: b1 n, b2 n, L x (c1 n, c2 n), g L x 2n, own (n+3), peers, H, O
+    # bus: b1 n, b2 n, L x (c1 n, c2 n), own (n+3), peers, H, O
+
     def test_bike_one_hot_and_g_length(self):
         scenario = resolve_scenario("fig1a")
         world = build_world(scenario)
         L, n = 2, 3
         zeros = np.zeros((L, n))
-        obs = bike_observe(world, zeros, zeros, np.zeros((L, 2 * n)), 0,
-                           None, L)
-        np.testing.assert_array_equal(obs.self_state[:3], [1, 0, 0])
-        assert obs.g.shape == (L, 2 * n)
-        flat = obs.flatten()
+        g = np.arange(1.0, 1 + L * 2 * n).reshape(L, 2 * n)
+        flat = bike_observe(world, zeros, zeros, g, 0, None, L)
+        np.testing.assert_array_equal(flat[18:30], g.reshape(-1))
+        np.testing.assert_array_equal(flat[30:33], [1, 0, 0])
         # b1 + b2 + L*(c1+c2) + L*2n + self(3+3) + others(0) + H(1)
         assert flat.size == 3 + 3 + 2 * (3 + 3) + 2 * 6 + 6 + 0 + 1
 
@@ -59,18 +64,17 @@ class TestObservations:
         world = build_world(mixed_scenario())
         zeros = np.zeros((2, 2))
         g = np.zeros((2, 4))
-        without = bike_observe(world, zeros, zeros, g, 0, None, 2).flatten()
+        without = bike_observe(world, zeros, zeros, g, 0, None, 2)
         O = joint_features(world, "vehicle", 2)
-        with_o = bike_observe(world, zeros, zeros, g, 0, O, 2).flatten()
+        with_o = bike_observe(world, zeros, zeros, g, 0, O, 2)
         assert with_o.size - without.size == O.size
 
     def test_bus_zero_world_observation(self):
         world = build_world(bus_only_scenario([]))
         zeros = np.zeros((2, 3))
-        obs = bus_observe(world, zeros, zeros, 0, None, 2)
-        np.testing.assert_array_equal(obs.self_state[:3], [1, 0, 0])
-        assert obs.self_state[3] == 0  # empty bus
-        flat = obs.flatten()
+        flat = bus_observe(world, zeros, zeros, 0, None, 2)
+        np.testing.assert_array_equal(flat[18:21], [1, 0, 0])
+        assert flat[21] == 0  # empty bus
         assert np.count_nonzero(flat) == 2  # one-hot d1 and capacity e1
 
     def test_two_buses_see_each_other(self):
@@ -80,13 +84,70 @@ class TestObservations:
         zeros = np.zeros((2, 3))
         a = bus_observe(world, zeros, zeros, 0, None, 2)
         b = bus_observe(world, zeros, zeros, 1, None, 2)
-        np.testing.assert_array_equal(a.others, b.self_state)
-        np.testing.assert_array_equal(b.others, a.self_state)
+        own, peer = slice(18, 24), slice(24, 30)
+        np.testing.assert_array_equal(a[peer], b[own])
+        np.testing.assert_array_equal(b[peer], a[own])
 
     def test_short_horizon_rejected(self):
         world = build_world(bus_only_scenario([]))
         with pytest.raises(ValueError, match="horizon"):
             bus_observe(world, np.zeros((1, 3)), np.zeros((1, 3)), 0, None, 2)
+
+    def test_bike_feature_order_pinned(self):
+        world = build_world(mixed_scenario(vehicles=[
+            {"capacity": 10, "start": "A", "initial_load": 2},
+            {"capacity": 4, "start": "B", "initial_load": 1}]))
+        W.apply_reposition(world, 1, 0, 2)
+        world.bus_stops[1].last_bus_fwd = 3
+        world.bus_stops[2].queue_bwd.append(W.Passenger("S3", "S1", 0))
+        c1 = [[1.0, 2.0], [3.0, 4.0]]
+        c2 = [[5.0, 6.0], [7.0, 8.0]]
+        g = np.arange(8.0).reshape(2, 4) + 0.5
+        O = joint_features(world, "vehicle", 2)
+        flat = bike_observe(world, c1, c2, g, 1, O, 2)
+        assert flat.tolist() == [
+            1.0, 0.0, 4.0, 5.0,  # b1, b2
+            1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0,  # c1, c2 per segment
+            0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5,  # g
+            1.0, 0.0, 3.0, 1.0, 2.0,  # vehicle 1: at A, 3 on, 1 free, +2
+            1.0, 0.0, 2.0, 8.0, 0.0,  # vehicle 0
+            0.5,  # H
+            0.0, 0.0, 3.0, 0.0, 0.0, 0.0,  # O
+        ]
+
+    def test_bus_feature_order_pinned(self):
+        world = build_world(mixed_scenario(bus_count=2))
+        W.step_bus_world(world, [W.OP_HALT, W.OP_HALT], [("S2", "S3", 1)])
+        W.step_bus_world(world, [W.OP_FORWARD, W.OP_HALT], [])
+        O = joint_features(world, "bus", 2)
+        flat = bus_observe(world, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                           [[0.5, 0.0, 0.25], [0.0, 1.5, 0.0]], 1, O, 2)
+        assert flat.tolist() == [
+            2.0, 0.0, 2.0, 2.0, 2.0, 2.0,  # b1, b2
+            1.0, 2.0, 3.0, 0.5, 0.0, 0.25,  # c1, c2 of segment 1
+            4.0, 5.0, 6.0, 0.0, 1.5, 0.0,  # c1, c2 of segment 2
+            1.0, 0.0, 0.0, 0.0, 20.0, 0.0,  # bus 1: at S1, empty, halted
+            0.0, 1.0, 0.0, 1.0, 19.0, 1.0,  # bus 0: at S2, 1 on, forward
+            0.5,  # H
+            3.0, 2.0, 0.0, 5.0,  # O
+        ]
+
+
+class TestDemandChannel:
+    def test_horizon_slice_matches_row_loop(self):
+        env = BikeEnv(scenario=mixed_scenario())
+        env.reset()
+        arr = np.arange(1.0, 13.0).reshape(4, 3)
+        for start in (0, 2):
+            for current in range(start, start + 6):
+                for L in (0, 1, 2, 5):
+                    first = current - start + 1
+                    want = [arr[t] if 0 <= t < 4 else np.zeros(3)
+                            for t in range(first, first + L)]
+                    got = env.channel.horizon_slice(arr, current, start, L)
+                    assert got.shape == (L, 3)
+                    np.testing.assert_array_equal(got,
+                                                  np.reshape(want, (L, 3)))
 
 
 class TestJointFeatures:

@@ -4,6 +4,7 @@ import pytest
 
 from urbansched import harness
 from urbansched.cli import cli, resolve_scenario
+from urbansched.envs import BusEnv
 from urbansched.world import ScenarioSpec
 
 
@@ -124,6 +125,25 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             harness.evaluate("trained", scenario, 1, [0], policy=None)
 
+    def test_headway_turns_at_its_own_route_end(self):
+        # route 1 is S1, S2 and route 2 is T1, T2, T3
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 6},
+            "stations": [], "vehicles": [], "environment": [0.0],
+            "routes": [{"stops": ["S1", "S2"]},
+                       {"stops": ["T1", "T2", "T3"]}],
+            "demand_script": [],
+        }
+        env = BusEnv(scenario=ScenarioSpec.from_dict(doc))
+        env.reset()
+        policy = harness.StaticHeadwayPolicy()
+        policy.begin_episode(None)
+        visited = []
+        for _ in range(4):
+            env.step(policy.action_for(env))
+            visited.append(env.world.buses[0].location)
+        assert visited == [1, 0, 1, 0]
+
     def test_reports_csv(self, tmp_path):
         reports = harness.evaluate("greedy", resolve_scenario("fig1a"), 1,
                                    [0])
@@ -200,6 +220,29 @@ class TestCli:
                     str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "episode" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("doc", [{"episodes": "3"}, {"episodes": 3.0},
+                                     {"tau": "0.1"}, {"tau": True}])
+    def test_train_config_bad_value_type_exit_1(self, doc, tmp_path,
+                                                capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert next(iter(doc)) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_stop_on_two_routes_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2"]}, {"stops": ["S2", "S3"]}],
+            "vehicles": [{"capacity": 5}], "environment": [0.0],
+        }))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        assert "S2" in capsys.readouterr().err
 
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -43,7 +43,6 @@ class TestBuildWorld:
         world = build_world(make_scenario(vehicle_load=10))
         assert [s.available for s in world.bike_stations] == [0, 0, 0]
         assert world.vehicles[0].occupied == 10
-        assert world.in_transit_bikes == 0
         assert world.clock.current == world.clock.episode_start
 
     def test_zero_dock_station_stays_empty(self):
@@ -75,6 +74,16 @@ class TestBuildWorld:
             "routes": [], "vehicles": [], "environment": [],
         }
         with pytest.raises(ScenarioError, match="coordinates"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_stop_id_on_two_routes_rejected(self):
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 1},
+            "stations": [],
+            "routes": [{"stops": ["A", "B"]}, {"stops": ["B", "C"]}],
+            "vehicles": [], "environment": [],
+        }
+        with pytest.raises(ScenarioError, match="two routes"):
             ScenarioSpec.from_dict(doc)
 
 
@@ -165,7 +174,7 @@ class TestStepBusWorld:
         _, reduced, drive = step_bus_world(world, [OP_FORWARD], [])
         assert reduced == 0
         assert drive == world.clock.segment_minutes
-        assert world.buses[0].position == 1
+        assert world.buses[0].location == 1
 
     def test_fifo_boarding_maximizes_reduced_wait(self):
         world = build_world(bus_scenario(capacity=2))
@@ -184,10 +193,8 @@ class TestStepBusWorld:
         world = build_world(bus_scenario(capacity=1))
         bus = world.buses[0]
         now = world.clock.current
-        pax = W.Passenger("S1", "S2", now)
-        pax.boarded = True
-        bus.onboard.append(pax)
-        bus.occupied, bus.remaining = 1, 0
+        bus.onboard.append(W.Passenger("S1", "S2", now))
+        bus.occupied = 1
         world.bus_stops[1].queue_fwd.append(W.Passenger("S2", "S4", now))
         step_bus_world(world, [OP_FORWARD], [])
         assert bus.occupied == 1  # alighted one, boarded one
@@ -197,8 +204,45 @@ class TestStepBusWorld:
         world = build_world(bus_scenario())
         _, _, drive = step_bus_world(world, [OP_BACKWARD], [])
         assert drive == 0
-        assert world.buses[0].position == 0
+        assert world.buses[0].location == 0
         assert world.buses[0].operation == OP_HALT
+
+    def test_bus_stays_on_its_route(self):
+        # route 1 is A, B and route 2 is C, D: driving on from B or back
+        # from C is clipped like a move past a terminal
+        world = build_world(ScenarioSpec.from_dict({
+            "clock": {"segment_minutes": 15, "episode_length": 8},
+            "stations": [], "vehicles": [], "environment": [0.0],
+            "routes": [{"stops": ["A", "B"]}, {"stops": ["C", "D"]}]}))
+        first, second = world.buses
+        assert (first.location, second.location) == (0, 2)
+        step_bus_world(world, [OP_FORWARD, OP_BACKWARD], [])
+        assert (first.location, second.location) == (1, 2)
+        assert (first.operation, second.operation) == (OP_FORWARD, OP_HALT)
+        _, _, drive = step_bus_world(world, [OP_FORWARD, OP_HALT], [])
+        assert drive == 0
+        assert first.location == 1
+        assert first.operation == OP_HALT
+        assert world.bus_stops[2].last_bus_fwd == 2  # never visited
+
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           st.lists(st.sampled_from([OP_BACKWARD, OP_HALT, OP_FORWARD]),
+                    min_size=30, max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_buses_never_leave_their_route(self, lengths, moves):
+        routes = [{"stops": [f"R{r}S{i}" for i in range(n)], "bus_count": 2}
+                  for r, n in enumerate(lengths)]
+        world = build_world(ScenarioSpec.from_dict({
+            "clock": {"episode_length": len(moves)}, "stations": [],
+            "routes": routes, "vehicles": [], "environment": []}))
+        home = [world.bus_stops[b.location].route for b in world.buses]
+        for move in moves:
+            # even buses take the drawn move, odd buses its mirror
+            actions = [-move if i % 2 else move
+                       for i in range(len(world.buses))]
+            step_bus_world(world, actions, [])
+            assert [world.bus_stops[b.location].route
+                    for b in world.buses] == home
 
     def test_timer_reset_on_visit(self):
         world = build_world(bus_scenario())
@@ -223,7 +267,7 @@ class TestApplyReposition:
     def test_zero_quantity_moves_only(self):
         world = build_world(make_scenario(initial_bikes=(5, 0, 0)))
         apply_reposition(world, 0, 2, 0)
-        assert world.vehicles[0].position == 2
+        assert world.vehicles[0].location == 2
         assert world.bike_stations[0].available == 5
         assert world.vehicles[0].operation == 0
 
@@ -267,7 +311,7 @@ class TestInvariants:
             for s in world.bike_stations:
                 assert 0 <= s.available <= s.docks
             for a in world.agents:
-                assert int(np.sum(a.location)) == 1
+                assert 0 <= a.location < len(world.bike_stations)
                 assert a.occupied + a.remaining == a.capacity
                 assert a.occupied >= 0 and a.remaining >= 0
 
