@@ -8,11 +8,14 @@ log the forecasters consume.
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .rng import PortableRng
+from .rng import PortableRng, invert_poisson, poisson_leaves
 from .world import ScenarioError, SegmentClock
 
 Trip = tuple[str, str, int]
@@ -20,7 +23,11 @@ Trip = tuple[str, str, int]
 
 @dataclass
 class DemandProfile:
-    """Piecewise-constant per-station arrival rates plus OD propensities."""
+    """Piecewise-constant per-station arrival rates plus OD propensities.
+
+    Nothing mutates a profile after construction, so the sampling tables
+    are built once here.
+    """
 
     station_ids: list[str]
     rates: np.ndarray  # (n_stations, segments_per_day) expected departures
@@ -39,23 +46,41 @@ class DemandProfile:
             raise ScenarioError("rates and od_weights must be nonnegative")
         if np.any(np.diag(self.od_weights) != 0):
             raise ScenarioError("od_weights diagonal must be zero")
+        # Sampling tables. Python floats and sequential sums, so a draw
+        # compares exactly what a scalar weighted choice would.
+        self._day_rates = self.rates.T.tolist()  # [day position][station]
+        rows = self.od_weights.tolist()
+        self._od_cum = [list(accumulate(row)) for row in rows]
+        self._od_total = [sum(row) for row in rows]
+        # expected_od divides by numpy's row sums, which can differ from
+        # the sequential ones in the last place
+        self._od_rowsum = self.od_weights.sum(axis=1)
+        # Bus ODs in sorted order, each rate expanded into the Poisson
+        # leaves its draw inverts, one uniform per leaf.
+        self._bus_ods: list[tuple[str, str]] = []
+        leaves: list[float] = []
+        starts: list[int] = []
+        for od, rate in sorted(self.bus_rates.items()):
+            split = poisson_leaves(rate)
+            if split:
+                self._bus_ods.append(od)
+                starts.append(len(leaves))
+                leaves += split
+        self._bus_leaves = np.array(leaves, dtype=float)
+        self._bus_leaf_exp = np.array([math.exp(-leaf) for leaf in leaves],
+                                      dtype=float)
+        self._bus_starts = np.array(starts, dtype=np.intp)
 
     @property
     def segments_per_day(self) -> int:
         return self.rates.shape[1]
 
-    def rate_at(self, station: int, segment: int) -> float:
-        return float(self.rates[station, segment % self.segments_per_day])
-
     def expected_od(self, segment: int) -> np.ndarray:
         """Expected OD matrix for one segment (rates split by propensity)."""
-        n = len(self.station_ids)
-        out = np.zeros((n, n))
-        for i in range(n):
-            row = self.od_weights[i]
-            total = row.sum()
-            if total > 0:
-                out[i] = self.rate_at(i, segment) * row / total
+        rate = self.rates[:, segment % self.segments_per_day, None]
+        total = self._od_rowsum[:, None]
+        out = np.zeros_like(self.od_weights)
+        np.divide(rate * self.od_weights, total, out=out, where=total > 0)
         return out
 
     @classmethod
@@ -77,29 +102,36 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     """Draw one segment of bike trips and bus arrivals from the profile.
 
     Reproducible for a fixed rng state; counts are Poisson via inversion on
-    the portable stream.
+    the portable stream. Each trip's destination is the first whose
+    cumulative OD weight exceeds a uniform scaled by the row total (the
+    last one if none does); bus leaves take one block of uniforms.
     """
-    segment = clock.current
+    ids = profile.station_ids
+    last = len(ids) - 1
+    rates = profile._day_rates[clock.current % profile.segments_per_day]
+    poisson, uniform = rng.poisson, rng.uniform
     trips: list[Trip] = []
-    n = len(profile.station_ids)
-    for i, sid in enumerate(profile.station_ids):
-        count = rng.poisson(profile.rate_at(i, segment))
+    for i, sid in enumerate(ids):
+        count = poisson(rates[i])
         if count == 0:
             continue
-        weights = profile.od_weights[i]
-        if weights.sum() <= 0:
+        total = profile._od_total[i]
+        if total <= 0:
             continue
-        per_dest = [0] * n
+        cum = profile._od_cum[i]
+        per_dest: dict[int, int] = {}
         for _ in range(count):
-            per_dest[rng.choice(list(weights))] += 1
-        for j, c in enumerate(per_dest):
-            if c > 0:
-                trips.append((sid, profile.station_ids[j], c))
+            j = min(bisect_right(cum, uniform() * total), last)
+            per_dest[j] = per_dest.get(j, 0) + 1
+        trips.extend((sid, ids[j], c) for j, c in sorted(per_dest.items()))
     bus_arrivals: list[Trip] = []
-    for (origin, dest), rate in sorted(profile.bus_rates.items()):
-        count = rng.poisson(rate)
-        if count > 0:
-            bus_arrivals.append((origin, dest, count))
+    if profile._bus_ods:
+        u = rng.uniforms(len(profile._bus_leaves))
+        leaf_counts = invert_poisson(u, profile._bus_leaves,
+                                     profile._bus_leaf_exp)
+        counts = np.add.reduceat(leaf_counts, profile._bus_starts)
+        bus_arrivals = [(origin, dest, count) for (origin, dest), count
+                        in zip(profile._bus_ods, counts.tolist()) if count > 0]
     return trips, bus_arrivals
 
 
@@ -115,9 +147,6 @@ class DemandScript:
 
     def bus_at(self, segment: int) -> list[Trip]:
         return list(self.bus_by_segment.get(segment, []))
-
-    def total_demand(self) -> int:
-        return sum(c for trips in self.by_segment.values() for _, _, c in trips)
 
 
 def scripted_demand(script: list[dict], station_ids: list[str],
@@ -157,9 +186,12 @@ class HistoryLog:
     departures: list[np.ndarray] = field(default_factory=list)  # per segment, (n,)
     od_counts: list[np.ndarray] = field(default_factory=list)  # per segment, (n, n)
 
+    def __post_init__(self):
+        self._index = {sid: i for i, sid in enumerate(self.station_ids)}
+
     def record_trips(self, trips: list[Trip]):
         n = len(self.station_ids)
-        index = {sid: i for i, sid in enumerate(self.station_ids)}
+        index = self._index
         od = np.zeros((n, n), dtype=int)
         for origin, dest, count in trips:
             od[index[origin], index[dest]] += count

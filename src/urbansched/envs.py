@@ -142,19 +142,22 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Demand/forecast channel shared by both envs
+# Demand shared by both envs: a forecast per env, a realisation per episode
 
 @dataclass
-class _DemandChannel:
-    """Per-episode realized and expected demand, indexed by 1-based segment."""
+class _Forecast:
+    """Expected demand of a scenario, row t for episode segment t + 1, and
+    the profile or script that realisations are drawn from. It depends on
+    the scenario alone, so an env builds it once; the arrays are
+    read-only."""
 
-    trips: dict[int, list]  # realized bike trips
-    bus_arrivals: dict[int, list]
     c1: np.ndarray  # (T, n) expected bike departures
     c2: np.ndarray  # (T, n) expected bike arrivals
     g: np.ndarray  # (T, 2n) expected flow encodings
     bus_c1: np.ndarray  # (T, n_stops) expected forward boardings
     bus_c2: np.ndarray
+    profile: DemandProfile | None = None
+    script: DemandScript | None = None
 
     def horizon_slice(self, arr: np.ndarray, current: int, start: int,
                       L: int) -> np.ndarray:
@@ -167,15 +170,12 @@ class _DemandChannel:
         return out
 
 
-def _build_channel(scenario: W.ScenarioSpec, rng: PortableRng,
-                   extra_trips: list[dict] | None = None) -> _DemandChannel:
+def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     station_ids = scenario.station_ids()
     stop_ids = [sid for r in scenario.routes for sid in r["stops"]]
     n = len(station_ids)
     n_stops = len(stop_ids)
     T = scenario.episode_length
-    trips: dict[int, list] = {}
-    bus_arrivals: dict[int, list] = {}
     c1 = np.zeros((T, max(n, 1)))
     c2 = np.zeros((T, max(n, 1)))
     g = np.zeros((T, 2 * max(n, 1)))
@@ -183,46 +183,62 @@ def _build_channel(scenario: W.ScenarioSpec, rng: PortableRng,
     bus_c2 = np.zeros((T, max(n_stops, 1)))
     sindex = {sid: i for i, sid in enumerate(station_ids)}
     pindex = {sid: i for i, sid in enumerate(stop_ids)}
-
-    def od_of(trip_list):
-        od = np.zeros((max(n, 1), max(n, 1)))
-        for origin, dest, count in trip_list:
-            od[sindex[origin], sindex[dest]] += count
-        return od
+    profile = script = None
 
     if scenario.demand_script is not None:
         script = scripted_demand(scenario.demand_script, station_ids, T,
                                  stop_ids, scenario.bus_script)
         for seg in range(1, T + 1):
-            trips[seg] = script.trips_at(seg)
-            bus_arrivals[seg] = script.bus_at(seg)
-            od = od_of(trips[seg])
+            od = np.zeros((max(n, 1), max(n, 1)))
+            for origin, dest, count in script.trips_at(seg):
+                od[sindex[origin], sindex[dest]] += count
             c1[seg - 1] = od.sum(axis=1)[:n] if n else 0
             c2[seg - 1] = od.sum(axis=0)[:n] if n else 0
             g[seg - 1] = encode_flow(od) if n else 0
-            for origin, dest, count in bus_arrivals[seg]:
+            for origin, dest, count in script.bus_at(seg):
                 if pindex[dest] > pindex[origin]:
                     bus_c1[seg - 1, pindex[origin]] += count
                 else:
                     bus_c2[seg - 1, pindex[origin]] += count
     elif scenario.demand_profile is not None:
         profile = DemandProfile.from_dict(scenario.demand_profile, station_ids)
-        clock = W.SegmentClock(0, T, 0, scenario.segment_minutes)
         for seg in range(1, T + 1):
-            clock.current = seg - 1  # day position of the sampled segment
-            drawn, bus_drawn = sample_segment(profile, clock, rng)
-            trips[seg] = drawn
-            bus_arrivals[seg] = bus_drawn
-            expected = profile.expected_od(clock.current)
+            expected = profile.expected_od(seg - 1)  # its day position
             c1[seg - 1] = expected.sum(axis=1)
             c2[seg - 1] = expected.sum(axis=0)
             g[seg - 1] = encode_flow(expected)
-            for (origin, dest), rate in sorted(profile.bus_rates.items()):
-                if origin in pindex and dest in pindex:
-                    if pindex[dest] > pindex[origin]:
-                        bus_c1[seg - 1, pindex[origin]] += rate
-                    else:
-                        bus_c2[seg - 1, pindex[origin]] += rate
+        # bus rates are constant over the day: one row, summed in OD order
+        for (origin, dest), rate in sorted(profile.bus_rates.items()):
+            if origin in pindex and dest in pindex:
+                if pindex[dest] > pindex[origin]:
+                    bus_c1[0, pindex[origin]] += rate
+                else:
+                    bus_c2[0, pindex[origin]] += rate
+        bus_c1[1:] = bus_c1[0]
+        bus_c2[1:] = bus_c2[0]
+    for arr in (c1, c2, g, bus_c1, bus_c2):
+        arr.flags.writeable = False
+    return _Forecast(c1=c1, c2=c2, g=g, bus_c1=bus_c1, bus_c2=bus_c2,
+                     profile=profile, script=script)
+
+
+def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
+             rng: PortableRng, extra_trips: list[dict] | None = None
+             ) -> tuple[dict[int, list], dict[int, list]]:
+    """One episode's bike trips and bus arrivals by 1-based segment."""
+    T = scenario.episode_length
+    trips: dict[int, list] = {}
+    bus_arrivals: dict[int, list] = {}
+    if forecast.script is not None:
+        for seg in range(1, T + 1):
+            trips[seg] = forecast.script.trips_at(seg)
+            bus_arrivals[seg] = forecast.script.bus_at(seg)
+    elif forecast.profile is not None:
+        clock = W.SegmentClock(0, T, 0, scenario.segment_minutes)
+        for seg in range(1, T + 1):
+            clock.current = seg - 1  # day position of the sampled segment
+            trips[seg], bus_arrivals[seg] = sample_segment(
+                forecast.profile, clock, rng)
     else:
         for seg in range(1, T + 1):
             trips[seg] = []
@@ -234,8 +250,7 @@ def _build_channel(scenario: W.ScenarioSpec, rng: PortableRng,
         if 1 <= seg <= T:
             trips.setdefault(seg, []).append(
                 (entry["origin"], entry["destination"], int(entry["count"])))
-    return _DemandChannel(trips=trips, bus_arrivals=bus_arrivals, c1=c1, c2=c2,
-                          g=g, bus_c1=bus_c1, bus_c2=bus_c2)
+    return trips, bus_arrivals
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +284,7 @@ class BikeEnv:
         self._outage_mode = joint.get("bus_outage", False)
         self._outage_trips = joint.get("outage_trips", [])
         self._episode_counter = 0
+        self.forecast: _Forecast | None = None
         self.world: W.WorldState | None = None
 
     @property
@@ -293,7 +309,10 @@ class BikeEnv:
         self.outage = (self._outage_active(rng) if force_outage is None
                        else force_outage)
         extra = self._outage_trips if self.outage else None
-        self.channel = _build_channel(self.scenario, rng, extra)
+        if self.forecast is None:
+            self.forecast = _build_forecast(self.scenario)
+        self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
+                                                 rng, extra)
         self.world = W.build_world(self.scenario)
         self.done = False
         self.served = 0
@@ -306,9 +325,10 @@ class BikeEnv:
         w = self.world
         cur = w.clock.current
         start = w.clock.episode_start
-        c1 = self.channel.horizon_slice(self.channel.c1, cur, start, self.horizon)
-        c2 = self.channel.horizon_slice(self.channel.c2, cur, start, self.horizon)
-        g = self.channel.horizon_slice(self.channel.g, cur, start, self.horizon)
+        f = self.forecast
+        c1 = f.horizon_slice(f.c1, cur, start, self.horizon)
+        c2 = f.horizon_slice(f.c2, cur, start, self.horizon)
+        g = f.horizon_slice(f.g, cur, start, self.horizon)
         O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
              if self.joint_enabled else None)
         return bike_observe(w, c1, c2, g, 0, O, self.horizon)
@@ -333,7 +353,7 @@ class BikeEnv:
                 self.distance += float(np.linalg.norm(a - b))
             self.overflow += undockable
         segment = w.clock.current - w.clock.episode_start + 1
-        _, served, lost = W.step_bike_world(w, self.channel.trips.get(segment, []))
+        _, served, lost = W.step_bike_world(w, self.trips.get(segment, []))
         self.served += served
         self.lost += lost
         self._tick_bus_scenery()
@@ -388,6 +408,7 @@ class BusEnv:
         if self.joint_k is None:
             self.joint_k = int(joint.get("k", 2))
         self._episode_counter = 0
+        self.forecast: _Forecast | None = None
         self.world: W.WorldState | None = None
 
     @property
@@ -399,7 +420,10 @@ class BusEnv:
             self.seed = seed
         self._episode_counter += 1
         rng = PortableRng((self.seed << 16) ^ self._episode_counter)
-        self.channel = _build_channel(self.scenario, rng)
+        if self.forecast is None:
+            self.forecast = _build_forecast(self.scenario)
+        self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
+                                                 rng)
         self.world = W.build_world(self.scenario)
         self.done = False
         self.reduced_wait = 0.0
@@ -410,10 +434,9 @@ class BusEnv:
         w = self.world
         cur = w.clock.current
         start = w.clock.episode_start
-        c1 = self.channel.horizon_slice(self.channel.bus_c1, cur, start,
-                                        self.horizon)
-        c2 = self.channel.horizon_slice(self.channel.bus_c2, cur, start,
-                                        self.horizon)
+        f = self.forecast
+        c1 = f.horizon_slice(f.bus_c1, cur, start, self.horizon)
+        c2 = f.horizon_slice(f.bus_c2, cur, start, self.horizon)
         O = (joint_features(w, "bus", self.joint_k)
              if self.joint_enabled else None)
         return bus_observe(w, c1, c2, 0, O, self.horizon)
@@ -433,7 +456,7 @@ class BusEnv:
             raise ValueError(f"invalid bus action {action!r}")
         w = self.world
         segment = w.clock.current - w.clock.episode_start + 1
-        arrivals = self.channel.bus_arrivals.get(segment, [])
+        arrivals = self.bus_arrivals.get(segment, [])
         actions = [W.OP_HALT] * len(w.buses)
         actions[0] = action
         _, reduced, drive = W.step_bus_world(w, actions, arrivals)

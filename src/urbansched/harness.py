@@ -78,7 +78,7 @@ def first_segment_departures(scenario: W.ScenarioSpec,
                              seed: int = 0) -> np.ndarray:
     env = BikeEnv(scenario=scenario, seed=seed)
     env.reset(seed=seed)
-    return env.channel.c1[0].copy()
+    return env.forecast.c1[0].copy()
 
 
 def run_greedy_bike(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:

@@ -7,6 +7,7 @@ instead of raising, since RL exploration emits infeasible actions constantly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,16 +189,16 @@ class ScenarioSpec:
                 raise ScenarioError(f"station {st['id']}: negative docks")
             if not (0 <= st.get("initial_bikes", 0) <= st["docks"]):
                 raise ScenarioError(f"station {st['id']}: initial_bikes outside [0, docks]")
-        stop_ids: set[str] = set()
-        for r in self.routes:
+        stop_route: dict[str, int] = {}
+        for i, r in enumerate(self.routes):
             if len(r.get("stops", [])) < 2:
                 raise ScenarioError("route needs at least 2 stops")
             if len(set(r["stops"])) != len(r["stops"]):
                 raise ScenarioError("duplicate stop id on route")
             for sid in r["stops"]:
-                if sid in stop_ids:
+                if sid in stop_route:
                     raise ScenarioError(f"stop id {sid!r} on two routes")
-                stop_ids.add(sid)
+                stop_route[sid] = i
             if r.get("capacity", 1) <= 0:
                 raise ScenarioError("route bus capacity must be > 0")
         for v in self.vehicles:
@@ -210,6 +211,33 @@ class ScenarioSpec:
             raise ScenarioError("clock segment_minutes must be > 0")
         if ck.get("episode_length", 1) < 1:
             raise ScenarioError("clock episode_length must be >= 1")
+        profile = self.demand_profile
+        if profile is not None:
+            self._validate_profile(profile, stop_route)
+        for entry in self.bus_script or []:
+            _validate_bus_od(entry, stop_route, "bus_script")
+
+    def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
+        ids = self.station_ids()
+        rates = profile.get("rates", {})
+        lengths = set()
+        for sid in ids:
+            if sid not in rates:
+                raise ScenarioError(f"demand_profile has no rates for "
+                                    f"station {sid!r}")
+            lengths.add(len(rates[sid]))
+        if len(lengths) > 1 or 0 in lengths:
+            raise ScenarioError("demand_profile rate rows must be non-empty "
+                                "and of equal length")
+        od = profile.get("od_weights", [])
+        if len(od) != len(ids) or any(len(row) != len(ids) for row in od):
+            raise ScenarioError("demand_profile od_weights must be n x n")
+        for entry in profile.get("bus_rates", []):
+            _validate_bus_od(entry, stop_route, "bus_rates")
+            rate = entry.get("rate")
+            if not (isinstance(rate, (int, float)) and 0 <= rate < math.inf):
+                raise ScenarioError(f"bus_rates rate {rate!r} must be a "
+                                    f"finite number >= 0")
 
     @property
     def episode_length(self) -> int:
@@ -221,6 +249,20 @@ class ScenarioSpec:
 
     def station_ids(self) -> list[str]:
         return [s["id"] for s in self.stations]
+
+
+def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):
+    """A bus OD must join two distinct stops of one route: no bus can carry
+    a passenger between routes."""
+    origin, dest = entry.get("origin"), entry.get("destination")
+    for sid in (origin, dest):
+        if sid not in stop_route:
+            raise ScenarioError(f"{where} references unknown stop {sid!r}")
+    if origin == dest:
+        raise ScenarioError(f"{where} OD {origin!r} starts where it ends")
+    if stop_route[origin] != stop_route[dest]:
+        raise ScenarioError(f"{where} OD {origin!r}->{dest!r} joins stops "
+                            f"on different routes")
 
 
 def build_world(scenario: ScenarioSpec) -> WorldState:

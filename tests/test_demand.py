@@ -1,9 +1,15 @@
+import hashlib
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from urbansched import envs
+from urbansched.cli import _history_from_scenario, resolve_scenario
 from urbansched.demand import (
-    DemandProfile, DemandScript, HistoryLog, sample_segment, scripted_demand,
+    DemandProfile, HistoryLog, sample_segment, scripted_demand,
 )
 from urbansched.rng import PortableRng
 from urbansched.world import ScenarioError, SegmentClock
@@ -19,6 +25,63 @@ def make_profile(rates=None, od=None, bus_rates=None):
         od = np.ones((3, 3)) - np.eye(3)
     return DemandProfile(station_ids=IDS, rates=rates, od_weights=od,
                          bus_rates=bus_rates or {})
+
+
+# Reference implementations: the scalar sampling path that the profile
+# tables and the block draws replace. The fast path must match them draw
+# for draw, state included.
+
+def ref_choice(rng: PortableRng, weights: list[float]) -> int:
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("choice needs positive total weight")
+    u = rng.uniform() * total
+    cum = 0.0
+    for i, w in enumerate(weights):
+        cum += w
+        if u < cum:
+            return i
+    return len(weights) - 1
+
+
+def ref_rate_at(profile: DemandProfile, station: int, segment: int) -> float:
+    return float(profile.rates[station, segment % profile.segments_per_day])
+
+
+def ref_expected_od(profile: DemandProfile, segment: int) -> np.ndarray:
+    n = len(profile.station_ids)
+    out = np.zeros((n, n))
+    for i in range(n):
+        row = profile.od_weights[i]
+        total = row.sum()
+        if total > 0:
+            out[i] = ref_rate_at(profile, i, segment) * row / total
+    return out
+
+
+def ref_sample_segment(profile, clock, rng):
+    segment = clock.current
+    trips = []
+    n = len(profile.station_ids)
+    for i, sid in enumerate(profile.station_ids):
+        count = rng.poisson(ref_rate_at(profile, i, segment))
+        if count == 0:
+            continue
+        weights = profile.od_weights[i]
+        if weights.sum() <= 0:
+            continue
+        per_dest = [0] * n
+        for _ in range(count):
+            per_dest[ref_choice(rng, list(weights))] += 1
+        for j, c in enumerate(per_dest):
+            if c > 0:
+                trips.append((sid, profile.station_ids[j], c))
+    bus_arrivals = []
+    for (origin, dest), rate in sorted(profile.bus_rates.items()):
+        count = rng.poisson(rate)
+        if count > 0:
+            bus_arrivals.append((origin, dest, count))
+    return trips, bus_arrivals
 
 
 class TestPortableRng:
@@ -47,9 +110,29 @@ class TestPortableRng:
 
     def test_choice_respects_weights(self):
         rng = PortableRng(9)
-        picks = [rng.choice([0.0, 1.0, 3.0]) for _ in range(2000)]
+        picks = [ref_choice(rng, [0.0, 1.0, 3.0]) for _ in range(2000)]
         assert 0 not in picks
         assert abs(picks.count(2) / 2000 - 0.75) < 0.05
+
+    @given(seed=st.one_of(st.integers(0, 2 ** 64 - 1),
+                          st.integers(2 ** 64 - 40, 2 ** 64 - 1)),
+           n=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_uniforms_equal_single_draws(self, seed, n):
+        block, single = PortableRng(seed), PortableRng(seed)
+        got = block.uniforms(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tolist() == [single.uniform() for _ in range(n)]
+        assert block.state == single.state
+        assert block.uniform() == single.uniform()
+
+    def test_uniforms_wrap_past_2_64(self):
+        block, single = PortableRng(2 ** 64 - 1), PortableRng(2 ** 64 - 1)
+        assert block.uniforms(3).tolist() == [single.uniform()
+                                              for _ in range(3)]
+        assert block.state == single.state < 2 ** 64 - 1
+        empty = PortableRng(5)
+        assert empty.uniforms(0).size == 0 and empty.state == 5
 
 
 class TestDemandProfile:
@@ -65,8 +148,13 @@ class TestDemandProfile:
     def test_rates_wrap_daily(self):
         rates = np.arange(12, dtype=float).reshape(3, 4)
         profile = make_profile(rates=rates)
-        assert profile.rate_at(1, 0) == profile.rate_at(1, 4)
-        assert profile.rate_at(2, 3) == rates[2, 3]
+        assert ref_rate_at(profile, 1, 0) == ref_rate_at(profile, 1, 4)
+        assert ref_rate_at(profile, 2, 3) == rates[2, 3]
+        np.testing.assert_array_equal(profile.rates, rates)
+        # segment 4 replays segment 0 of the 4-segment day
+        draws = [sample_segment(profile, SegmentClock(0, 8, seg, 15),
+                                PortableRng(21)) for seg in (0, 4)]
+        assert draws[0] == draws[1]
 
     def test_expected_od_row_sums(self):
         profile = make_profile(rates=np.array([[3.0], [5.0], [0.0]]),
@@ -75,6 +163,19 @@ class TestDemandProfile:
         exp = profile.expected_od(0)
         np.testing.assert_allclose(exp.sum(axis=1), [3.0, 5.0, 0.0])
         np.testing.assert_allclose(exp[0], [0.0, 1.5, 1.5])
+
+    def test_expected_od_matches_row_loop(self):
+        n = 12  # long enough that numpy's pairwise row sums kick in
+        gen = np.random.default_rng(4)
+        od = gen.uniform(0.0, 3.0, (n, n)).round(4)
+        od[3] = 0.0
+        np.fill_diagonal(od, 0.0)
+        profile = DemandProfile(station_ids=[f"S{i:02d}" for i in range(n)],
+                                rates=gen.uniform(0.0, 9.0, (n, 5)),
+                                od_weights=od)
+        for segment in range(11):
+            np.testing.assert_array_equal(profile.expected_od(segment),
+                                          ref_expected_od(profile, segment))
 
     def test_sampling_reproducible_and_mean(self):
         profile = make_profile(rates=np.full((3, 1), 3.0))
@@ -108,6 +209,180 @@ class TestDemandProfile:
         assert abs(total / 500 - 2.0) < 0.3
 
 
+RATES = st.one_of(st.sampled_from([0.0, 0.3, 4.0, 50.0, 50.5, 99.0, 100.5,
+                                   260.0]),
+                  st.floats(0.0, 240.0))
+STOPS = ["P0", "P1", "P2", "P3"]
+
+
+@st.composite
+def profiles(draw):
+    n = draw(st.integers(1, 5))
+    per_day = draw(st.integers(1, 3))
+    rates = np.array(draw(st.lists(RATES, min_size=n * per_day,
+                                   max_size=n * per_day))).reshape(n, per_day)
+    od = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
+                                min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(od, 0.0)
+    if draw(st.booleans()):
+        od[0] = 0.0  # an all-zero weight row
+    pairs = [(o, d) for o in STOPS for d in STOPS if o != d]
+    bus_rates = draw(st.dictionaries(st.sampled_from(pairs), RATES,
+                                     max_size=6))
+    return DemandProfile(station_ids=[f"S{i}" for i in range(n)],
+                         rates=rates, od_weights=od, bus_rates=bus_rates)
+
+
+class TestSamplingMatchesReference:
+    @given(profile=profiles(), seed=st.integers(0, 2 ** 64 - 1),
+           first=st.integers(0, 7), segments=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_same_trips_arrivals_and_state(self, profile, seed, first,
+                                           segments):
+        fast, ref = PortableRng(seed), PortableRng(seed)
+        clock = SegmentClock(0, first + segments, first, 15)
+        for seg in range(first, first + segments):  # runs past one day
+            clock.current = seg
+            assert (sample_segment(profile, clock, fast)
+                    == ref_sample_segment(profile, clock, ref))
+            assert fast.state == ref.state
+
+    def test_edge_rates_and_rows(self):
+        od = np.array([[0, 0, 0], [0, 0, 2.0], [1.0, 0, 0]])
+        profile = make_profile(
+            rates=np.array([[60.0, 0.0], [120.0, 0.5], [7.0, 230.0]]), od=od,
+            bus_rates={("P0", "P1"): 0.0, ("P1", "P0"): 101.0,
+                       ("P2", "P3"): 49.0, ("P3", "P2"): 0.2})
+        fast, ref = PortableRng(2 ** 64 - 2), PortableRng(2 ** 64 - 2)
+        clock = SegmentClock(0, 6, 0, 15)
+        for seg in range(6):
+            clock.current = seg
+            got = sample_segment(profile, clock, fast)
+            assert got == ref_sample_segment(profile, clock, ref)
+            assert fast.state == ref.state
+            assert all(o != "A" for o, _, _ in got[0])  # zero weight row
+            assert ("P0", "P1") not in [(o, d) for o, d, _ in got[1]]
+
+
+class ScriptedRng(PortableRng):
+    """Hands out scripted uniforms, to single and block draws alike."""
+
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self.script = deque(uniforms)
+
+    def uniform(self):
+        return self.script.popleft()
+
+    def uniforms(self, m):
+        return np.array([self.script.popleft() for _ in range(m)])
+
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+
+
+class TestSamplingBoundaries:
+    """Uniforms that land on a cumulative sum, or an ulp either side of
+    it: the fast path must compare exactly what the scalar path does."""
+
+    def test_poisson_cumulative_sums(self):
+        rates = np.random.default_rng(0).uniform(0.01, 50.0, 200).round(6)
+        profile = make_profile(
+            rates=np.zeros((3, 1)),
+            bus_rates={(f"P{i:03d}", "Q"): r for i, r in enumerate(rates)})
+        cums = []  # the scalar loop's cumulative sums, per rate
+        for rate in rates:
+            p = cum = math.exp(-rate)
+            row = [cum]
+            for k in range(1, 4):
+                p *= rate / k
+                cum += p
+                row.append(cum)
+            cums.append(row)
+        clock = SegmentClock(0, 1, 0, 15)
+        for j in range(4):
+            for side in range(3):
+                us = [_around(row[j])[side] for row in cums]
+                assert (sample_segment(profile, clock, ScriptedRng(us))
+                        == ref_sample_segment(profile, clock,
+                                              ScriptedRng(us)))
+
+    def test_od_cumulative_sums(self):
+        n = 12  # long enough that numpy's pairwise sum differs
+        od = np.random.default_rng(1).uniform(0.0, 3.0, (n, n)).round(4)
+        np.fill_diagonal(od, 0.0)
+        clock = SegmentClock(0, 1, 0, 15)
+        for i in range(n):  # station i alone departs
+            profile = DemandProfile(
+                station_ids=[f"S{k:02d}" for k in range(n)],
+                rates=np.eye(n)[:, i:i + 1], od_weights=od)
+            weights = od[i].tolist()
+            total = sum(weights)
+            cum = 0.0
+            for w in weights:
+                cum += w
+                for u in _around(cum / total):
+                    script = [0.5, u]  # a count of 1, then its destination
+                    assert (sample_segment(profile, clock,
+                                           ScriptedRng(script))
+                            == ref_sample_segment(profile, clock,
+                                                  ScriptedRng(script)))
+
+    def test_fallbacks_at_the_top_of_the_range(self):
+        # u = 1.0 meets no cumulative sum: each Poisson draw stops at its
+        # cap and each destination falls back to the last station
+        profile = make_profile(rates=np.array([[0.5], [0.0], [0.0]]),
+                               od=np.array([[0, 1.0, 2.0], [1.0, 0, 0],
+                                            [1.0, 0, 0]]),
+                               bus_rates={("P0", "P1"): 2.0})
+        clock = SegmentClock(0, 1, 0, 15)
+        draws = 1 + 10_000 + 1
+        want = ([("A", "C", 10_000)], [("P0", "P1", 10_000)])
+        assert ref_sample_segment(profile, clock,
+                                  ScriptedRng([1.0] * draws)) == want
+        rng = ScriptedRng([1.0] * draws)
+        assert sample_segment(profile, clock, rng) == want
+        assert not rng.script
+
+
+def _channel_sha256(env, resets: int) -> str:
+    digest = hashlib.sha256()
+    for _ in range(resets):
+        env.reset()
+        f = env.forecast
+        digest.update(repr(sorted(env.trips.items())).encode())
+        digest.update(repr(sorted(env.bus_arrivals.items())).encode())
+        for a in (f.c1, f.c2, f.g, f.bus_c1, f.bus_c2):
+            digest.update(repr((a.shape, a.dtype.str)).encode())
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedDemand:
+    """Demand histories and channels are byte-identical to those of the
+    scalar sampler; the literals were produced by it. A change to the
+    demand path that moves one of them changes every sampled history."""
+
+    @pytest.mark.parametrize("name, want", [
+        ("bike5",
+         "b5eebac89085fa53ef9033045d8c85698de7767bbed34c8ba4722a417110e271"),
+        ("outage",
+         "2ae845c93e6c0746f0652436ed5c1895cc2b8fc8154bdafdcd3d928089bb6726"),
+    ])
+    def test_history_csv(self, name, want, tmp_path):
+        log = _history_from_scenario(resolve_scenario(name), days=2, seed=7)
+        path = tmp_path / "history.csv"
+        log.save_trips_csv(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+    def test_bike5_channel(self):
+        env = envs.BikeEnv(scenario=resolve_scenario("bike5"), seed=3)
+        assert _channel_sha256(env, 3) == (
+            "e46f951690c44df77aa10930f5edee74241fe8514dd057177585d799dac9774c")
+        assert not env.forecast.c1.flags.writeable
+
+
 class TestScriptedDemand:
     def test_exact_replay(self):
         script = [
@@ -119,7 +394,8 @@ class TestScriptedDemand:
         assert ds.trips_at(1) == [("A", "B", 10), ("B", "C", 15)]
         assert ds.trips_at(2) == [("B", "C", 10)]
         assert ds.trips_at(3) == []
-        assert ds.total_demand() == 35
+        assert sum(c for trips in ds.by_segment.values()
+                   for _, _, c in trips) == 35
 
     def test_segment_bounds_checked(self):
         bad = [{"segment": 3, "origin": "A", "destination": "B", "count": 1}]

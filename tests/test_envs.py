@@ -144,10 +144,36 @@ class TestDemandChannel:
                     first = current - start + 1
                     want = [arr[t] if 0 <= t < 4 else np.zeros(3)
                             for t in range(first, first + L)]
-                    got = env.channel.horizon_slice(arr, current, start, L)
+                    got = env.forecast.horizon_slice(arr, current, start, L)
                     assert got.shape == (L, 3)
                     np.testing.assert_array_equal(got,
                                                   np.reshape(want, (L, 3)))
+
+
+    def test_profile_bus_forecast_every_row(self):
+        rates = {("S1", "S2"): 0.5, ("S1", "S3"): 1.25, ("S2", "S3"): 2.0,
+                 ("S3", "S1"): 0.75, ("S3", "S2"): 0.25}
+        scenario = ScenarioSpec.from_dict({
+            "clock": {"segment_minutes": 15, "episode_length": 5},
+            "stations": [{"id": "A", "x": 0.0, "y": 0.0, "docks": 5},
+                         {"id": "B", "x": 1.0, "y": 0.0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2", "S3"]}],
+            "vehicles": [], "environment": [0.0],
+            "demand_profile": {
+                "rates": {"A": [1.0, 2.0], "B": [0.5, 0.0]},
+                "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+                "bus_rates": [{"origin": o, "destination": d, "rate": r}
+                              for (o, d), r in rates.items()]},
+        })
+        env = BusEnv(scenario=scenario)
+        env.reset()
+        np.testing.assert_array_equal(env.forecast.bus_c1,
+                                      [[1.75, 2.0, 0.0]] * 5)
+        np.testing.assert_array_equal(env.forecast.bus_c2,
+                                      [[0.0, 0.0, 1.0]] * 5)
+        np.testing.assert_array_equal(env.forecast.c1,
+                                      [[1.0, 0.5], [2.0, 0.0]] * 2
+                                      + [[1.0, 0.5]])
 
 
 class TestJointFeatures:

@@ -244,6 +244,44 @@ class TestCli:
                     "--policy", "none"]) == 1
         assert "S2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["demand_profile"]["rates"].pop("B"), "'B'"),
+        (lambda d: d["demand_profile"]["rates"]["B"].pop(), "equal length"),
+        (lambda d: d["demand_profile"]["bus_rates"].append(
+            {"origin": "S1", "destination": "X9", "rate": 1.0}), "'X9'"),
+        (lambda d: d.update(bus_script=[{"segment": 1, "origin": "X9",
+                                         "destination": "S1", "count": 1}]),
+         "'X9'"),
+        (lambda d: d["demand_profile"]["bus_rates"].append(
+            {"origin": "S2", "destination": "T2", "rate": 1.0}),
+         "different routes"),
+        (lambda d: d.update(bus_script=[{"segment": 1, "origin": "T1",
+                                         "destination": "S3", "count": 1}]),
+         "different routes"),
+    ])
+    def test_bad_demand_exit_1(self, edit, message, tmp_path, capsys):
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2", "S3"]},
+                       {"stops": ["T1", "T2"]}],
+            "vehicles": [{"capacity": 5}], "environment": [0.0],
+            "demand_profile": {
+                "rates": {"A": [1.0, 2.0], "B": [0.5, 0.5]},
+                "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+                "bus_rates": [{"origin": "S1", "destination": "S3",
+                               "rate": 1.0}]},
+        }
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        for command in (["simulate", "--policy", "headway"],
+                        ["forecast", "--epochs", "1"]):
+            assert cli([*command, "--scenario", str(path),
+                        "--out", str(tmp_path / "out")]) == 1
+            assert message in capsys.readouterr().err
+
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"version": 1, "meta": {}, "arrays": {}}))
