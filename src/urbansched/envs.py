@@ -442,12 +442,12 @@ class BusEnv:
         return bus_observe(w, c1, c2, 0, O, self.horizon)
 
     def _max_wait(self) -> int:
+        """Longest wait in segments; a queue's head has waited longest."""
         w = self.world
-        cur = w.clock.current
-        waits = [p.wait_segments(cur)
-                 for stop in w.bus_stops
-                 for p in stop.queue_fwd + stop.queue_bwd]
-        return max(waits, default=0)
+        return max((w.clock.current - q[0].arrival_segment
+                    for stop in w.bus_stops
+                    for q in (stop.queue_fwd, stop.queue_bwd) if q),
+                   default=0)
 
     def step(self, action: int):
         if self.done:
@@ -464,7 +464,8 @@ class BusEnv:
         self.drive_time += drive
         reward = 0.0 if action == W.OP_HALT else (
             reduced - self.reward.alpha * drive)
-        self.done = w.clock.at_end or self._max_wait() >= self.reward.patience
+        max_wait = self._max_wait()
+        self.done = w.clock.at_end or max_wait >= self.reward.patience
         info = {"reduced_wait": reduced, "drive_time": drive,
-                "max_wait": self._max_wait()}
+                "max_wait": max_wait}
         return self._observe(), reward, self.done, info

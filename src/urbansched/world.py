@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,18 +47,12 @@ class SegmentClock:
         self.current += 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Passenger:
-    origin: str
+    """A waiting or riding passenger; its origin is the queue it waits in."""
+
     destination: str
     arrival_segment: int
-
-    def __post_init__(self):
-        if self.origin == self.destination:
-            raise ScenarioError("passenger origin equals destination")
-
-    def wait_segments(self, current: int) -> int:
-        return current - self.arrival_segment
 
 
 @dataclass
@@ -81,8 +76,9 @@ class BusStop:
     id: str
     route: int  # index of the route the stop belongs to
     route_position: int
-    queue_fwd: list[Passenger] = field(default_factory=list)
-    queue_bwd: list[Passenger] = field(default_factory=list)
+    # FIFO queues in arrival order: the head is the longest-waiting passenger
+    queue_fwd: deque[Passenger] = field(default_factory=deque)
+    queue_bwd: deque[Passenger] = field(default_factory=deque)
     last_bus_fwd: int = 0
     last_bus_bwd: int = 0
 
@@ -113,11 +109,14 @@ class WorldState:
     agents: list[AgentState]
     env_features: np.ndarray
 
+    def __post_init__(self):
+        self._stop_index = {s.id: i for i, s in enumerate(self.bus_stops)}
+
     def stop_index(self, stop_id: str) -> int:
-        for i, s in enumerate(self.bus_stops):
-            if s.id == stop_id:
-                return i
-        raise ScenarioError(f"unknown bus stop {stop_id!r}")
+        try:
+            return self._stop_index[stop_id]
+        except KeyError:
+            raise ScenarioError(f"unknown bus stop {stop_id!r}") from None
 
     def same_route(self, a: int, b: int) -> bool:
         """Whether stop indices a and b both exist and lie on one route."""
@@ -158,7 +157,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
-        spec = cls(
+        return cls(
             stations=doc.get("stations", []),
             routes=doc.get("routes", []),
             vehicles=doc.get("vehicles", []),
@@ -169,8 +168,9 @@ class ScenarioSpec:
             bus_script=doc.get("bus_script"),
             joint=doc.get("joint"),
         )
-        spec.validate()
-        return spec
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if len(self.stations) + sum(len(r.get("stops", [])) for r in self.routes) < 2:
@@ -206,6 +206,9 @@ class ScenarioSpec:
                 raise ScenarioError("vehicle capacity must be > 0")
             if not (0 <= v.get("initial_load", 0) <= v["capacity"]):
                 raise ScenarioError("vehicle initial_load outside [0, capacity]")
+            start = v.get("start")
+            if start is not None and start not in seen:
+                raise ScenarioError(f"vehicle start station {start!r} unknown")
         ck = self.clock
         if ck.get("segment_minutes", 15) <= 0:
             raise ScenarioError("clock segment_minutes must be > 0")
@@ -267,7 +270,6 @@ def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):
 
 def build_world(scenario: ScenarioSpec) -> WorldState:
     """Materialize a validated scenario at episode start."""
-    scenario.validate()
     clock = SegmentClock(
         episode_start=scenario.clock.get("episode_start", 0),
         episode_length=scenario.episode_length,
@@ -296,12 +298,7 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
     station_ids = [s.id for s in stations]
     for v in scenario.vehicles:
         start = v.get("start")
-        if start is None:
-            idx = 0
-        elif start in station_ids:
-            idx = station_ids.index(start)
-        else:
-            raise ScenarioError(f"vehicle start station {start!r} unknown")
+        idx = 0 if start is None else station_ids.index(start)
         agents.append(AgentState(kind="vehicle", location=idx,
                                  occupied=int(v.get("initial_load", 0)),
                                  operation=0, capacity=int(v["capacity"])))
@@ -367,11 +364,12 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     for origin, dest, count in boarding_demand:
         oi = world.stop_index(origin)
         di = world.stop_index(dest)
+        if oi == di:
+            raise ScenarioError(f"bus arrival OD {origin!r} starts where it ends")
         stop = world.bus_stops[oi]
         forward = world.bus_stops[di].route_position > stop.route_position
-        for _ in range(count):
-            pax = Passenger(origin=origin, destination=dest, arrival_segment=now)
-            (stop.queue_fwd if forward else stop.queue_bwd).append(pax)
+        queue = stop.queue_fwd if forward else stop.queue_bwd
+        queue.extend([Passenger(dest, now)] * count)
     for stop in world.bus_stops:
         stop.last_bus_fwd += 1
         stop.last_bus_bwd += 1
@@ -395,11 +393,11 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
         bus.onboard = staying
         bus.occupied -= alighted
         queue = stop.queue_fwd if action == OP_FORWARD else stop.queue_bwd
-        while queue and bus.remaining > 0:
-            pax = queue.pop(0)
+        for _ in range(min(len(queue), bus.remaining)):
+            pax = queue.popleft()
             bus.onboard.append(pax)
             bus.occupied += 1
-            reduced_wait += pax.wait_segments(now) * minutes
+            reduced_wait += (now - pax.arrival_segment) * minutes
         if action == OP_FORWARD:
             stop.last_bus_fwd = 0
         else:

@@ -7,6 +7,7 @@ from urbansched.envs import (
     BikeEnv, BusEnv, EpisodeDone, RewardConfig, bike_observe, bus_observe,
     joint_features,
 )
+from urbansched.harness import StaticHeadwayPolicy
 from urbansched.world import ScenarioSpec, build_world
 
 
@@ -99,7 +100,7 @@ class TestObservations:
             {"capacity": 4, "start": "B", "initial_load": 1}]))
         W.apply_reposition(world, 1, 0, 2)
         world.bus_stops[1].last_bus_fwd = 3
-        world.bus_stops[2].queue_bwd.append(W.Passenger("S3", "S1", 0))
+        world.bus_stops[2].queue_bwd.append(W.Passenger("S1", 0))
         c1 = [[1.0, 2.0], [3.0, 4.0]]
         c2 = [[5.0, 6.0], [7.0, 8.0]]
         g = np.arange(8.0).reshape(2, 4) + 0.5
@@ -214,7 +215,63 @@ class TestJointFeatures:
             joint_features(world, "tram", 2)
 
 
+def profile_bus_scenario(episode_length=12):
+    """Five stops, a bus of capacity 3 and Poisson bus demand both ways."""
+    rates = [("S1", "S4", 0.9), ("S2", "S5", 1.6), ("S3", "S1", 1.2),
+             ("S5", "S2", 0.7), ("S4", "S3", 2.3), ("S2", "S3", 0.4)]
+    return ScenarioSpec.from_dict({
+        "clock": {"segment_minutes": 15, "episode_length": episode_length},
+        "stations": [{"id": "A", "x": 0.0, "y": 0.0, "docks": 5},
+                     {"id": "B", "x": 1.0, "y": 0.0, "docks": 5}],
+        "routes": [{"stops": ["S1", "S2", "S3", "S4", "S5"],
+                    "bus_count": 1, "capacity": 3}],
+        "vehicles": [], "environment": [0.0],
+        "demand_profile": {
+            "rates": {"A": [0.0], "B": [0.0]},
+            "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+            "bus_rates": [{"origin": o, "destination": d, "rate": r}
+                          for o, d, r in rates]},
+    })
+
+
+def headway_rollout(patience):
+    """Per-step (reward, reduced_wait, drive_time, max_wait, done) and the
+    final (forward, backward) queue lengths per stop of one episode."""
+    env = BusEnv(scenario=profile_bus_scenario(), seed=4,
+                 reward=RewardConfig(alpha=0.2, patience=patience))
+    policy = StaticHeadwayPolicy()
+    policy.begin_episode(env.reset())
+    steps = []
+    done = False
+    while not done:
+        _, reward, done, info = env.step(policy.action_for(env))
+        steps.append((reward, info["reduced_wait"], info["drive_time"],
+                      info["max_wait"], done))
+    queues = [(len(s.queue_fwd), len(s.queue_bwd))
+              for s in env.world.bus_stops]
+    return steps, queues
+
+
 class TestBusEnv:
+    # literals produced by the code that scanned every queued passenger
+    def test_headway_rollout_pinned(self):
+        steps, queues = headway_rollout(patience=13)
+        idle = (-3.0, 0.0, 15.0)
+        assert steps == [
+            (*idle, 0, False), (*idle, 1, False), (*idle, 2, False),
+            (*idle, 3, False), (72.0, 75.0, 15.0, 4, False),
+            (147.0, 150.0, 15.0, 5, False), (*idle, 6, False),
+            (*idle, 7, False), (312.0, 315.0, 15.0, 8, False),
+            (*idle, 9, False), (*idle, 10, False), (*idle, 11, True)]
+        assert queues == [(10, 0), (26, 0), (0, 14), (0, 22), (0, 9)]
+
+    def test_headway_rollout_ends_on_patience(self):
+        steps, queues = headway_rollout(patience=3)
+        idle = (-3.0, 0.0, 15.0)
+        assert steps == [(*idle, 0, False), (*idle, 1, False),
+                         (*idle, 2, False), (*idle, 3, True)]
+        assert queues == [(3, 0), (11, 0), (0, 5), (0, 4), (0, 3)]
+
     def test_halt_reward_exactly_zero(self):
         env = BusEnv(scenario=bus_only_scenario(
             [{"segment": 1, "origin": "S2", "destination": "S3", "count": 1}]))

@@ -232,6 +232,19 @@ class TestCli:
         assert next(iter(doc)) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_vehicle_start_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [], "vehicles": [{"capacity": 5, "start": "Z"}],
+            "environment": [0.0],
+        }))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        assert "'Z'" in capsys.readouterr().err
+
     def test_stop_on_two_routes_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({

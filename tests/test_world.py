@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urbansched import world as W
+from urbansched.envs import BusEnv
 from urbansched.world import (
     OP_BACKWARD, OP_FORWARD, OP_HALT, ScenarioError, ScenarioSpec,
     apply_reposition, build_world, step_bike_world, step_bus_world,
@@ -86,6 +87,17 @@ class TestBuildWorld:
         with pytest.raises(ScenarioError, match="two routes"):
             ScenarioSpec.from_dict(doc)
 
+    def test_unknown_vehicle_start_rejected_at_load(self):
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 1},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [], "vehicles": [{"capacity": 5, "start": "Z"}],
+            "environment": [],
+        }
+        with pytest.raises(ScenarioError, match="'Z'"):
+            ScenarioSpec.from_dict(doc)
+
 
 def brute_force_segment(avail, docks, trips):
     """Unit-granularity re-simulation of one segment's settlement rule."""
@@ -153,6 +165,16 @@ class TestStepBikeWorld:
         assert world.total_bikes() == before
 
 
+def full_scan_max_wait(world):
+    """Reference for BusEnv._max_wait: the longest wait found by reading
+    every queued passenger."""
+    cur = world.clock.current
+    waits = [cur - p.arrival_segment
+             for stop in world.bus_stops
+             for p in stop.queue_fwd + stop.queue_bwd]
+    return max(waits, default=0)
+
+
 def enumerate_best_boarding(waiters, capacity, minutes):
     best = 0.0
     for size in range(min(capacity, len(waiters)) + 1):
@@ -183,7 +205,7 @@ class TestStepBusWorld:
         stop = world.bus_stops[1]
         now = world.clock.current
         for age in (2, 1, 0):
-            stop.queue_fwd.append(W.Passenger("S2", "S4", now - age))
+            stop.queue_fwd.append(W.Passenger("S4", now - age))
         _, reduced, _ = step_bus_world(world, [OP_FORWARD], [])
         assert reduced == (2 + 1) * minutes
         assert reduced == enumerate_best_boarding([2, 1, 0], 2, minutes)
@@ -193,9 +215,9 @@ class TestStepBusWorld:
         world = build_world(bus_scenario(capacity=1))
         bus = world.buses[0]
         now = world.clock.current
-        bus.onboard.append(W.Passenger("S1", "S2", now))
+        bus.onboard.append(W.Passenger("S2", now))
         bus.occupied = 1
-        world.bus_stops[1].queue_fwd.append(W.Passenger("S2", "S4", now))
+        world.bus_stops[1].queue_fwd.append(W.Passenger("S4", now))
         step_bus_world(world, [OP_FORWARD], [])
         assert bus.occupied == 1  # alighted one, boarded one
         assert bus.onboard[0].destination == "S4"
@@ -243,6 +265,52 @@ class TestStepBusWorld:
             step_bus_world(world, actions, [])
             assert [world.bus_stops[b.location].route
                     for b in world.buses] == home
+
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           st.integers(1, 4),
+           st.lists(st.tuples(
+               st.sampled_from([OP_BACKWARD, OP_HALT, OP_FORWARD]),
+               st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                  st.integers(1, 3), st.integers(0, 4)),
+                        max_size=4)),
+               min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_queues_stay_in_arrival_order(self, lengths, capacity, script):
+        routes = [{"stops": [f"R{r}S{i}" for i in range(n)], "bus_count": 2,
+                   "capacity": capacity} for r, n in enumerate(lengths)]
+        spec = ScenarioSpec.from_dict({
+            "clock": {"episode_length": len(script)}, "stations": [],
+            "routes": routes, "vehicles": [], "environment": []})
+        env = BusEnv(scenario=spec)
+        env.world = world = build_world(spec)
+        for move, draws in script:
+            arrivals = []
+            for r, origin, hop, count in draws:
+                r %= len(lengths)
+                origin %= lengths[r]
+                dest = (origin + hop) % lengths[r]
+                if origin != dest:
+                    arrivals.append((f"R{r}S{origin}", f"R{r}S{dest}", count))
+            actions = [-move if i % 2 else move
+                       for i in range(len(world.buses))]
+            step_bus_world(world, actions, arrivals)
+            for stop in world.bus_stops:
+                for queue in (stop.queue_fwd, stop.queue_bwd):
+                    arrived = [p.arrival_segment for p in queue]
+                    assert arrived == sorted(arrived)
+            for bus in world.buses:
+                assert bus.occupied == len(bus.onboard)
+            assert env._max_wait() == full_scan_max_wait(world)
+
+    def test_self_loop_arrival_rejected(self):
+        world = build_world(bus_scenario())
+        with pytest.raises(ScenarioError, match="'S2'"):
+            step_bus_world(world, [OP_HALT], [("S2", "S2", 1)])
+
+    def test_unknown_stop_rejected(self):
+        world = build_world(bus_scenario())
+        with pytest.raises(ScenarioError, match="unknown bus stop 'X9'"):
+            step_bus_world(world, [OP_HALT], [("S1", "X9", 1)])
 
     def test_timer_reset_on_visit(self):
         world = build_world(bus_scenario())
