@@ -125,7 +125,7 @@ class ActorNet:
         head_grads, dh_last = nn.mlp_backward(self.head, head_tape, dscores)
         dh = np.zeros_like(lstm_tape.h[1:])
         dh[-1] = dh_last
-        lstm_grads, _ = nn.lstm_backward(self.lstm, lstm_tape, dh)
+        lstm_grads = nn.lstm_backward(self.lstm, lstm_tape, dh)
         return lstm_grads.arrays() + head_grads.arrays()
 
 

@@ -15,7 +15,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .rng import PortableRng, invert_poisson, poisson_leaves
+from .rng import (
+    POISSON_SPLIT, PortableRng, invert_poisson, poisson_count, poisson_leaves,
+)
 from .world import ScenarioError, SegmentClock
 
 Trip = tuple[str, str, int]
@@ -42,16 +44,31 @@ class DemandProfile:
             raise ScenarioError("rates row count must match station count")
         if self.od_weights.shape != (n, n):
             raise ScenarioError("od_weights must be n x n")
-        if np.any(self.rates < 0) or np.any(self.od_weights < 0):
-            raise ScenarioError("rates and od_weights must be nonnegative")
+        if not (np.all(np.isfinite(self.rates)) and np.all(self.rates >= 0)
+                and np.all(np.isfinite(self.od_weights))
+                and np.all(self.od_weights >= 0)):
+            raise ScenarioError("rates and od_weights must be finite and "
+                                "nonnegative")
         if np.any(np.diag(self.od_weights) != 0):
             raise ScenarioError("od_weights diagonal must be zero")
         # Sampling tables. Python floats and sequential sums, so a draw
         # compares exactly what a scalar weighted choice would.
         self._day_rates = self.rates.T.tolist()  # [day position][station]
+        self._day_exp = [[math.exp(-rate) for rate in row]
+                         for row in self._day_rates]
         rows = self.od_weights.tolist()
         self._od_cum = [list(accumulate(row)) for row in rows]
         self._od_total = [sum(row) for row in rows]
+        # Uniforms per block: a day position's draws take one per nonzero
+        # rate plus one per trip that has a destination row; four standard
+        # deviations above that mean make a refill rare. 0 draws no block.
+        self._day_block = []
+        for row in self._day_rates:
+            trips = sum(rate for rate, total in zip(row, self._od_total)
+                        if total > 0)
+            nonzero = sum(rate > 0 for rate in row)
+            self._day_block.append(
+                nonzero and nonzero + math.ceil(trips + 4 * math.sqrt(trips)))
         # expected_od divides by numpy's row sums, which can differ from
         # the sequential ones in the last place
         self._od_rowsum = self.od_weights.sum(axis=1)
@@ -104,26 +121,59 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     Reproducible for a fixed rng state; counts are Poisson via inversion on
     the portable stream. Each trip's destination is the first whose
     cumulative OD weight exceeds a uniform scaled by the row total (the
-    last one if none does); bus leaves take one block of uniforms.
+    last one if none does).
+
+    Bike draws come from one block of uniforms per segment, read in the
+    order single draws would be made: each station's Poisson leaves, then
+    its destinations. A draw that runs past the block appends a new one.
+    The unread rest of the block is handed back (`PortableRng.give_back`),
+    so the stream ends where single draws leave it. A day position whose
+    rates are all zero draws no block. Bus leaves then take one block of
+    uniforms, all of it read.
     """
     ids = profile.station_ids
     last = len(ids) - 1
-    rates = profile._day_rates[clock.current % profile.segments_per_day]
-    poisson, uniform = rng.poisson, rng.uniform
+    pos = clock.current % profile.segments_per_day
+    block = profile._day_block[pos]
     trips: list[Trip] = []
-    for i, sid in enumerate(ids):
-        count = poisson(rates[i])
-        if count == 0:
-            continue
-        total = profile._od_total[i]
-        if total <= 0:
-            continue
-        cum = profile._od_cum[i]
-        per_dest: dict[int, int] = {}
-        for _ in range(count):
-            j = min(bisect_right(cum, uniform() * total), last)
-            per_dest[j] = per_dest.get(j, 0) + 1
-        trips.extend((sid, ids[j], c) for j, c in sorted(per_dest.items()))
+    if block:
+        rates, exps = profile._day_rates[pos], profile._day_exp[pos]
+        u = rng.uniforms(block).tolist()
+        k, m = 0, block  # next unread uniform, uniforms held
+        for i, sid in enumerate(ids):
+            rate = rates[i]
+            if rate == 0:
+                continue
+            if rate <= POISSON_SPLIT:
+                if k == m:
+                    u, k = _refill(rng, u, k, 1, block), 0
+                    m = len(u)
+                count = poisson_count(u[k], rate, exps[i])
+                k += 1
+            else:  # split as PortableRng.poisson splits it
+                count = 0
+                for leaf in poisson_leaves(rate):
+                    if k == m:
+                        u, k = _refill(rng, u, k, 1, block), 0
+                        m = len(u)
+                    count += poisson_count(u[k], leaf, math.exp(-leaf))
+                    k += 1
+            if count == 0:
+                continue
+            total = profile._od_total[i]
+            if total <= 0:
+                continue
+            if k + count > m:
+                u, k = _refill(rng, u, k, count, block), 0
+                m = len(u)
+            cum = profile._od_cum[i]
+            per_dest: dict[int, int] = {}
+            for x in u[k:k + count]:
+                j = min(bisect_right(cum, x * total), last)
+                per_dest[j] = per_dest.get(j, 0) + 1
+            k += count
+            trips.extend((sid, ids[j], c) for j, c in sorted(per_dest.items()))
+        rng.give_back(m - k)
     bus_arrivals: list[Trip] = []
     if profile._bus_ods:
         u = rng.uniforms(len(profile._bus_leaves))
@@ -133,6 +183,12 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
         bus_arrivals = [(origin, dest, count) for (origin, dest), count
                         in zip(profile._bus_ods, counts.tolist()) if count > 0]
     return trips, bus_arrivals
+
+
+def _refill(rng: PortableRng, u: list[float], k: int, need: int,
+            block: int) -> list[float]:
+    """The unread uniforms u[k:] followed by at least `need` in all."""
+    return u[k:] + rng.uniforms(max(block, need - (len(u) - k))).tolist()
 
 
 @dataclass

@@ -101,7 +101,7 @@ class DepartureModel:
                                                   err[:, None])
             dh = np.zeros_like(hs)
             dh[-1] = dh_last
-            lstm_grads, _ = nn.lstm_backward(self.lstm, tape, dh)
+            lstm_grads = nn.lstm_backward(self.lstm, tape, dh)
             nn.optimizer_step(self.lstm.arrays() + self.head.arrays(),
                               lstm_grads.arrays() + head_grads.arrays(), config)
         self.trained = True

@@ -174,12 +174,11 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
     """Exact BPTT through the tape.
 
     dh_out holds dLoss/dh_t per step, shaped like the forward hs output
-    ((N, hidden) or (N, B, hidden)). Returns (grads, dx) where grads is an
-    LstmParams of gradients and dx matches the input sequence shape.
+    ((N, hidden) or (N, B, hidden)). Returns an LstmParams of gradients;
+    the gradient with respect to the inputs is not computed.
     """
     dh_out = np.asarray(dh_out, dtype=float)
-    squeeze = dh_out.ndim == 2
-    if squeeze:
+    if dh_out.ndim == 2:
         dh_out = dh_out[:, None, :]
     n_steps, batch, input_size = tape.xs.shape
     H = params.hidden_size
@@ -187,7 +186,6 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
         raise ShapeError("output gradient shape does not match the tape")
     p_i, p_f, p_o = params.peep
     grads = LstmParams.zeros(input_size, H)
-    dx = np.empty_like(tape.xs)
     dh_rec = np.zeros((batch, H))
     dc_rec = np.zeros((batch, H))
     d = np.empty((batch, 4 * H))  # gradient of the gate pre-activations
@@ -211,12 +209,9 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
         grads.peep[0] += (d[:, :H] * c_prev).sum(axis=0)
         grads.peep[1] += (d[:, H:2 * H] * c_prev).sum(axis=0)
         grads.peep[2] += (d_o * c).sum(axis=0)
-        dx[t] = d @ params.W_x.T
         dh_rec = d @ params.W_h.T
         dc_rec = dc * f + d[:, :H] * p_i + d[:, H:2 * H] * p_f
-    if squeeze:
-        dx = dx[:, 0, :]
-    return grads, dx
+    return grads
 
 
 # ---------------------------------------------------------------------------

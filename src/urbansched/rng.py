@@ -17,7 +17,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_POISSON_SPLIT = 50  # larger rates split in two, so inversion stays stable
+POISSON_SPLIT = 50  # larger rates split in two, so inversion stays stable
 _POISSON_MAX_K = 10_000
 
 
@@ -49,12 +49,17 @@ class PortableRng:
         self.state = (self.state + m * _GAMMA) & _MASK64
         return (z >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))
 
+    def give_back(self, n: int):
+        """Return the last n draws to the stream unused: the next n draws
+        repeat them, as if they had never been made."""
+        self.state = (self.state - n * _GAMMA) & _MASK64
+
     def poisson(self, rate: float) -> int:
         if rate < 0:
             raise ValueError("poisson rate must be >= 0")
         if rate == 0:
             return 0
-        if rate > _POISSON_SPLIT:
+        if rate > POISSON_SPLIT:
             half = self.poisson(rate / 2.0)
             return half + self.poisson(rate - rate / 2.0)
         u = self.uniform()
@@ -75,9 +80,21 @@ def poisson_leaves(rate: float) -> list[float]:
         raise ValueError("poisson rate must be >= 0")
     if rate == 0:
         return []
-    if rate > _POISSON_SPLIT:
+    if rate > POISSON_SPLIT:
         return poisson_leaves(rate / 2.0) + poisson_leaves(rate - rate / 2.0)
     return [rate]
+
+
+def poisson_count(u: float, rate: float, exp_neg: float) -> int:
+    """The count `PortableRng.poisson` inverts from uniform u for a leaf
+    rate (at most POISSON_SPLIT) with exp_neg = math.exp(-rate)."""
+    p = cum = exp_neg
+    k = 0
+    while u >= cum and k < _POISSON_MAX_K:
+        k += 1
+        p *= rate / k
+        cum += p
+    return k
 
 
 def invert_poisson(u: np.ndarray, rates: np.ndarray,

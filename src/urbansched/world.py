@@ -228,17 +228,25 @@ class ScenarioSpec:
             if sid not in rates:
                 raise ScenarioError(f"demand_profile has no rates for "
                                     f"station {sid!r}")
-            lengths.add(len(rates[sid]))
+            row = rates[sid]
+            if not (isinstance(row, list) and all(map(_is_rate, row))):
+                raise ScenarioError(f"demand_profile rates of station {sid!r} "
+                                    f"must be a list of finite numbers >= 0")
+            lengths.add(len(row))
         if len(lengths) > 1 or 0 in lengths:
             raise ScenarioError("demand_profile rate rows must be non-empty "
                                 "and of equal length")
         od = profile.get("od_weights", [])
-        if len(od) != len(ids) or any(len(row) != len(ids) for row in od):
+        if len(od) != len(ids) or any(not isinstance(row, list)
+                                      or len(row) != len(ids) for row in od):
             raise ScenarioError("demand_profile od_weights must be n x n")
+        if not all(_is_rate(w) for row in od for w in row):
+            raise ScenarioError("demand_profile od_weights entries must be "
+                                "finite numbers >= 0")
         for entry in profile.get("bus_rates", []):
             _validate_bus_od(entry, stop_route, "bus_rates")
             rate = entry.get("rate")
-            if not (isinstance(rate, (int, float)) and 0 <= rate < math.inf):
+            if not _is_rate(rate):
                 raise ScenarioError(f"bus_rates rate {rate!r} must be a "
                                     f"finite number >= 0")
 
@@ -252,6 +260,11 @@ class ScenarioSpec:
 
     def station_ids(self) -> list[str]:
         return [s["id"] for s in self.stations]
+
+
+def _is_rate(x) -> bool:
+    """A demand rate or weight: a finite number >= 0 (NaN fails too)."""
+    return isinstance(x, (int, float)) and 0 <= x < math.inf
 
 
 def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):

@@ -141,6 +141,13 @@ class TestDemandProfile:
             make_profile(od=np.ones((3, 3)))
         with pytest.raises(ScenarioError, match="nonnegative"):
             make_profile(rates=np.full((3, 4), -1.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ScenarioError, match="finite"):
+                make_profile(rates=np.full((3, 4), bad))
+            od = np.ones((3, 3)) - np.eye(3)
+            od[0, 1] = bad
+            with pytest.raises(ScenarioError, match="finite"):
+                make_profile(od=od)
         with pytest.raises(ScenarioError, match="row count"):
             DemandProfile(station_ids=IDS, rates=np.ones((2, 4)),
                           od_weights=np.zeros((3, 3)))
@@ -247,6 +254,24 @@ class TestSamplingMatchesReference:
                     == ref_sample_segment(profile, clock, ref))
             assert fast.state == ref.state
 
+    @given(rates=st.lists(st.floats(50.0, 400.0, exclude_min=True),
+                          min_size=6, max_size=6),
+           zero_row=st.integers(0, 2), seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_split_rates(self, rates, zero_row, seed):
+        # every station's draw is split into leaves, and one station's
+        # trips have no destination row
+        od = np.ones((3, 3)) - np.eye(3)
+        od[zero_row] = 0.0
+        profile = make_profile(rates=np.array(rates).reshape(3, 2), od=od)
+        fast, ref = PortableRng(seed), PortableRng(seed)
+        clock = SegmentClock(0, 2, 0, 15)
+        for seg in range(2):
+            clock.current = seg
+            assert (sample_segment(profile, clock, fast)
+                    == ref_sample_segment(profile, clock, ref))
+            assert fast.state == ref.state
+
     def test_edge_rates_and_rows(self):
         od = np.array([[0, 0, 0], [0, 0, 2.0], [1.0, 0, 0]])
         profile = make_profile(
@@ -265,17 +290,32 @@ class TestSamplingMatchesReference:
 
 
 class ScriptedRng(PortableRng):
-    """Hands out scripted uniforms, to single and block draws alike."""
+    """Hands out scripted uniforms, to single and block draws alike. A
+    block that runs past the end of the script is padded with NaN, which
+    the sampler must hand back unread; handed-back uniforms return to the
+    front of the script."""
 
     def __init__(self, uniforms):
         super().__init__(0)
         self.script = deque(uniforms)
+        self.handed: list[float] = []  # block draws, newest last
+        self.blocks = 0
 
     def uniform(self):
         return self.script.popleft()
 
     def uniforms(self, m):
-        return np.array([self.script.popleft() for _ in range(m)])
+        out = [self.script.popleft() if self.script else math.nan
+               for _ in range(m)]
+        self.handed += out
+        self.blocks += 1
+        return np.array(out)
+
+    def give_back(self, n):
+        for _ in range(n):
+            u = self.handed.pop()
+            if not math.isnan(u):
+                self.script.appendleft(u)
 
 
 def _around(x: float) -> list[float]:
@@ -346,6 +386,59 @@ class TestSamplingBoundaries:
         assert not rng.script
 
 
+def _u_for_count(rate: float, count: int) -> float:
+    """A uniform that the scalar Poisson inversion turns into `count`."""
+    p = cum = math.exp(-rate)
+    lo = 0.0
+    for k in range(1, count + 1):
+        lo = cum
+        p *= rate / k
+        cum += p
+    return (lo + cum) / 2
+
+
+class TestBlockRefills:
+    """Scripts whose draws run past the first block of uniforms: the
+    refill and the hand-back must keep the scalar path's draw order."""
+
+    # A departs at rate 3; B's rate 120 splits into four leaves and its
+    # trips have no destination row; C departs at rate 0.5.
+    PROFILE = dict(rates=np.array([[3.0], [120.0], [0.5]]),
+                   od=np.array([[0, 1.0, 2.0], [0, 0, 0], [1.0, 1.0, 0]]))
+
+    @pytest.mark.parametrize("a_reads, where", [
+        (-2, "in the middle of B's leaves"),
+        (0, "at B's first leaf"),
+        (3, "in the middle of A's destinations"),
+    ])
+    def test_refill_matches_scalar(self, a_reads, where):
+        profile = make_profile(**self.PROFILE)
+        block = profile._day_block[0]
+        count = block - 1 + a_reads  # A reads block + a_reads uniforms
+        script = ([_u_for_count(3.0, count)]
+                  + [(0.1 + 0.37 * i) % 1.0 for i in range(count)]
+                  + [0.2, 0.9, 0.5, 0.7]  # B's leaves
+                  + [_u_for_count(0.5, 1), 0.6, 0.25, 0.75])
+        clock = SegmentClock(0, 1, 0, 15)
+        rng, ref = ScriptedRng(script), ScriptedRng(script)
+        got = sample_segment(profile, clock, rng)
+        assert got == ref_sample_segment(profile, clock, ref), where
+        assert sum(c for o, _, c in got[0] if o == "A") == count
+        assert rng.blocks == 2
+        assert list(rng.script) == list(ref.script) == [0.25, 0.75]
+
+    def test_all_zero_position_draws_nothing(self):
+        rates = np.array([[2.0, 0.0], [0.0, 0.0], [70.0, 0.0]])
+        profile = make_profile(rates=rates)
+        clock = SegmentClock(0, 2, 1, 15)
+        rng = PortableRng(2 ** 64 - 3)
+        assert sample_segment(profile, clock, rng) == ([], [])
+        assert rng.state == 2 ** 64 - 3
+        scripted = ScriptedRng([0.5])
+        assert sample_segment(profile, clock, scripted) == ([], [])
+        assert scripted.blocks == 0 and list(scripted.script) == [0.5]
+
+
 def _channel_sha256(env, resets: int) -> str:
     digest = hashlib.sha256()
     for _ in range(resets):
@@ -381,6 +474,43 @@ class TestPinnedDemand:
         assert _channel_sha256(env, 3) == (
             "e46f951690c44df77aa10930f5edee74241fe8514dd057177585d799dac9774c")
         assert not env.forecast.c1.flags.writeable
+
+
+def _city_profile() -> DemandProfile:
+    """A seeded 50-station, 96-segment profile drawn from the portable
+    stream: rates below 2, a few above the Poisson split threshold, and
+    one station whose OD weight row is all zero."""
+    gen = PortableRng(2024)
+    n, per_day = 50, 96
+    rates = np.array([[round(gen.uniform() * 2.0, 3) for _ in range(per_day)]
+                      for _ in range(n)])
+    rates[7, 30:34] = [55.0, 80.5, 120.0, 260.0]
+    rates[40, 80] = 64.25
+    od = np.array([[0.0 if i == j else round(gen.uniform() * 3.0, 4)
+                    for j in range(n)] for i in range(n)])
+    od[11] = 0.0
+    return DemandProfile(station_ids=[f"S{i:02d}" for i in range(n)],
+                         rates=rates, od_weights=od)
+
+
+class TestPinnedCitySampling:
+    """A 2-day history of a city-scale profile, byte-identical to the one
+    the scalar sampler drew; the literal was produced by it."""
+
+    def test_two_day_history(self, tmp_path):
+        profile = _city_profile()
+        rng = PortableRng(7)
+        clock = SegmentClock(0, 2 * 96, 0, 15)
+        log = HistoryLog(station_ids=profile.station_ids)
+        for seg in range(2 * 96):
+            clock.current = seg
+            log.record_trips(sample_segment(profile, clock, rng)[0])
+        path = tmp_path / "history.csv"
+        log.save_trips_csv(str(path))
+        digest = hashlib.sha256(path.read_bytes())
+        digest.update(str(rng.state).encode())
+        assert digest.hexdigest() == (
+            "a39ef76ee78bd26b77c6f18c625efbc2673d7104a3cbc89c88020f56729e8dcd")
 
 
 class TestScriptedDemand:

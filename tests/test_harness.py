@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -271,6 +272,14 @@ class TestCli:
         (lambda d: d.update(bus_script=[{"segment": 1, "origin": "T1",
                                          "destination": "S3", "count": 1}]),
          "different routes"),
+        (lambda d: d["demand_profile"]["rates"].update(B=0.5),
+         "rates of station 'B'"),
+        (lambda d: d["demand_profile"]["rates"]["A"].__setitem__(
+            1, math.inf), "rates of station 'A'"),
+        (lambda d: d["demand_profile"]["rates"]["B"].__setitem__(
+            0, math.nan), "rates of station 'B'"),
+        (lambda d: d["demand_profile"]["od_weights"][0].__setitem__(
+            1, math.nan), "od_weights entries"),
     ])
     def test_bad_demand_exit_1(self, edit, message, tmp_path, capsys):
         doc = {
