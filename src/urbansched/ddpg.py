@@ -9,12 +9,27 @@ through the continuous scores, isolated behind decode_action.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .world import OP_BACKWARD, OP_FORWARD, OP_HALT
+
+
+# The closed range of each bounded DdpgConfig value; floats must also be
+# finite.
+_CONFIG_RANGES = {
+    **dict.fromkeys(("history_window", "batch_size", "buffer_capacity",
+                     "lstm_hidden", "actor_hidden", "critic_hidden",
+                     "eval_every"), (1, math.inf)),
+    **dict.fromkeys(("episodes", "warmup_episodes",
+                     "train_steps_per_episode"), (0, math.inf)),
+    "tau": (0.0, 1.0),
+    "discount": (0.0, 1.0),
+}
 
 
 @dataclass
@@ -42,6 +57,16 @@ class DdpgConfig:
     train_steps_per_episode: int = 8
     eval_every: int = 25
     seed: int = 0
+
+    def __post_init__(self):
+        """Reject values training cannot run with."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low, high = _CONFIG_RANGES.get(f.name, (-math.inf, math.inf))
+            if (not low <= value <= high
+                    or f.type == "float" and not math.isfinite(value)):
+                raise ValueError(f"DDPG config {f.name} must be a finite "
+                                 f"number in [{low}, {high}], not {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DdpgConfig":
@@ -76,8 +101,21 @@ def desk_config(seed: int = 0, episodes: int = 1000, **overrides) -> DdpgConfig:
 
 @dataclass
 class ActorNet:
+    """LSTM over an observation window plus a dense head.
+
+    The parameters, and the gradients backward writes, are views into one
+    vector each (`params`, `grads`; see nn.FlatParams).
+    """
+
     lstm: nn.LstmParams
     head: nn.MlpParams
+
+    def __post_init__(self):
+        self.params = nn.FlatParams.pack(self.arrays())
+        self.lstm, self.head = self.params.view_as([self.lstm, self.head])
+        self.grads = self.params.zeros_like()
+        self._lstm_grads, self._head_grads = self.grads.view_as(
+            [self.lstm, self.head])
 
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, config: DdpgConfig,
@@ -93,24 +131,22 @@ class ActorNet:
         return self.lstm.arrays() + self.head.arrays()
 
     def copy(self) -> "ActorNet":
-        return ActorNet(lstm=self.lstm.copy(), head=self.head.copy())
+        return ActorNet(lstm=self.lstm, head=self.head)  # packs a copy
 
-    def forward(self, windows: np.ndarray):
+    def forward(self, windows: np.ndarray, start=None):
         """windows: (B, W, obs) or (W, obs). Returns (scores, tapes).
 
-        Leading all-zero rows are episode-start padding: each sample's
-        recurrence starts at its first nonzero row, so a length-1 window and
-        its zero-padded equivalent score identically. Real observations are
-        never all-zero (they carry a one-hot location).
+        start holds, per window (a single index for one (W, obs) window),
+        the row of the episode's first observation: the rows before it are
+        episode-start padding, and the recurrence starts at it, so a
+        length-1 window and its padded equivalent score identically. None
+        means every row is real.
         """
         windows = np.asarray(windows, dtype=float)
         squeeze = windows.ndim == 2
         if squeeze:
             windows = windows[None, :, :]
-        length = windows.shape[1]
-        nonzero = np.any(windows != 0, axis=2)  # (B, W)
-        start = np.where(nonzero.any(axis=1),
-                         nonzero.argmax(axis=1), length - 1)
+            start = None if start is None else [start]
         hs, lstm_tape = nn.lstm_forward(
             self.lstm, np.transpose(windows, (1, 0, 2)), start=start)
         scores, head_tape = nn.mlp_forward(self.head, hs[-1])
@@ -120,29 +156,43 @@ class ActorNet:
         return scores, tapes
 
     def backward(self, tapes, dscores: np.ndarray) -> list[np.ndarray]:
+        """Writes the parameter gradients into `grads` and returns its
+        arrays."""
         lstm_tape, head_tape = tapes
         dscores = np.atleast_2d(np.asarray(dscores, dtype=float))
-        head_grads, dh_last = nn.mlp_backward(self.head, head_tape, dscores)
+        dh_last = nn.mlp_backward(self.head, head_tape, dscores,
+                                  grads=self._head_grads)
         dh = np.zeros_like(lstm_tape.h[1:])
         dh[-1] = dh_last
-        lstm_grads = nn.lstm_backward(self.lstm, lstm_tape, dh)
-        return lstm_grads.arrays() + head_grads.arrays()
+        nn.lstm_backward(self.lstm, lstm_tape, dh, grads=self._lstm_grads)
+        return self.grads.arrays
 
 
-def act(actor: ActorNet, history_window: np.ndarray) -> np.ndarray:
-    """Raw action scores for one observation window (W, obs), W >= 1."""
+def act(actor: ActorNet, history_window: np.ndarray,
+        start: int = 0) -> np.ndarray:
+    """Raw action scores for one observation window (W, obs), W >= 1, whose
+    rows before start are episode-start padding."""
     history_window = np.asarray(history_window, dtype=float)
     if history_window.ndim != 2 or history_window.shape[0] < 1:
         raise ValueError("history window must be (W, obs) with W >= 1")
-    scores, _ = actor.forward(history_window)
+    scores, _ = actor.forward(history_window, start)
     return scores
 
 
 @dataclass
 class CriticNet:
+    """Dense net on (last observation, action scores); parameters and
+    gradients are views into one vector each, as in ActorNet."""
+
     net: nn.MlpParams
     obs_dim: int
     action_dim: int
+
+    def __post_init__(self):
+        self.params = nn.FlatParams.pack(self.net.arrays())
+        (self.net,) = self.params.view_as([self.net])
+        self.grads = self.params.zeros_like()
+        (self._net_grads,) = self.grads.view_as([self.net])
 
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, config: DdpgConfig,
@@ -159,66 +209,139 @@ class CriticNet:
         return self.net.arrays()
 
     def copy(self) -> "CriticNet":
-        return CriticNet(net=self.net.copy(), obs_dim=self.obs_dim,
-                         action_dim=self.action_dim)
+        return CriticNet(net=self.net, obs_dim=self.obs_dim,
+                         action_dim=self.action_dim)  # packs a copy
 
     def forward(self, obs: np.ndarray, action: np.ndarray):
         x = np.concatenate([np.atleast_2d(obs), np.atleast_2d(action)], axis=1)
         values, tape = nn.mlp_forward(self.net, x)
         return values[:, 0], tape
 
-    def backward(self, tape, dvalues: np.ndarray):
-        """Returns (grads, dobs, daction)."""
-        grads, dx = nn.mlp_backward(self.net, tape,
-                                    np.atleast_2d(dvalues).reshape(-1, 1))
-        return grads.arrays(), dx[:, :self.obs_dim], dx[:, self.obs_dim:]
+    def backward(self, tape, dvalues: np.ndarray) -> list[np.ndarray]:
+        """Writes the parameter gradients into `grads` and returns its
+        arrays; the input gradient is not computed."""
+        nn.mlp_backward(self.net, tape, np.atleast_2d(dvalues).reshape(-1, 1),
+                        grads=self._net_grads, input_grad=False)
+        return self.grads.arrays
+
+    def action_gradient(self, tape, dvalues: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the action input; the parameter
+        gradients are not computed."""
+        dx = nn.mlp_backward(self.net, tape,
+                             np.atleast_2d(dvalues).reshape(-1, 1))
+        return dx[:, self.obs_dim:]
 
 
 # ---------------------------------------------------------------------------
 # Replay, noise, decoding
 
-class ReplayBuffer:
-    """Bounded FIFO of transitions with a seeded uniform sampler."""
+class Batch(NamedTuple):
+    """Sampled transitions. start and next_start hold each window's first
+    real row (ActorNet.forward's start)."""
 
-    def __init__(self, capacity: int, seed: int = 0):
+    windows: np.ndarray  # (B, W, obs)
+    actions: np.ndarray  # (B, action)
+    rewards: np.ndarray  # (B,)
+    next_windows: np.ndarray  # (B, W, obs)
+    dones: np.ndarray  # (B,) 1.0 or 0.0
+    start: np.ndarray  # (B,)
+    next_start: np.ndarray  # (B,)
+
+
+class ReplayBuffer:
+    """Bounded FIFO of transitions with a seeded uniform sampler.
+
+    Observations are stored once, as rows of a ring: begin_episode stores
+    the first observation of an episode and push the one each transition
+    leads to. A transition keeps its action, reward, done flag, episode step
+    and the ring row of the observation it acted on; its next observation is
+    the row after. sample stacks the history_window rows ending at each
+    sampled observation, and at the one after it, as the window and next
+    window (frame stacking as in DQN's replay); rows from before the
+    episode's start read zero. Arrays are allocated when the first
+    observation and action arrive, and numpy's zero-filled allocations are
+    mapped lazily, so memory grows with what is stored, not with capacity.
+    """
+
+    def __init__(self, capacity: int, seed: int = 0, history_window: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if history_window < 1:
+            raise ValueError("history_window must be >= 1")
         self.capacity = capacity
-        self._items: list[tuple] = []
-        self._next = 0
+        self.history_window = history_window
+        # Rows the oldest kept transition still reads: the W - 1 before its
+        # own, its own, and every row written since, which is one per kept
+        # transition (its next observation) and one per episode begun after
+        # one of them, so 2 * capacity + W rows suffice. One more row, past
+        # the ring, stays zero; padding reads it.
+        self._ring = 2 * capacity + history_window
         self._rng = np.random.default_rng(seed)
+        self._size = 0
+        self._next = 0  # transition slot the next push fills
+        self._row = -1  # ring row of the latest observation
+        self._step = 0  # episode step of the next push
+        self._obs = None
+        self._actions = None
 
-    def push(self, window, action, reward, next_window, done):
-        item = (np.asarray(window, dtype=float),
-                np.asarray(action, dtype=float),
-                float(reward),
-                np.asarray(next_window, dtype=float),
-                bool(done))
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._next] = item
-        self._next = (self._next + 1) % self.capacity
+    def begin_episode(self, obs: np.ndarray):
+        """Store the first observation of an episode."""
+        obs = np.asarray(obs, dtype=float)
+        if self._obs is None:
+            self._obs = np.zeros((self._ring + 1, obs.size))
+        if self._step > 0 or self._row < 0:
+            # an episode that took no step gives its row to the next one,
+            # which keeps the row count within the ring bound above
+            self._row = (self._row + 1) % self._ring
+        self._obs[self._row] = obs
+        self._step = 0
+
+    def push(self, action, reward: float, next_obs: np.ndarray, done: bool):
+        """Store the transition from the latest observation, taking action,
+        to next_obs."""
+        if self._obs is None:
+            raise ValueError("push before the first begin_episode")
+        if self._actions is None:
+            self._actions = np.zeros((self.capacity, np.size(action)))
+            self._rewards = np.zeros(self.capacity)
+            self._dones = np.zeros(self.capacity)
+            self._steps = np.zeros(self.capacity, dtype=np.intp)
+            self._rows = np.zeros(self.capacity, dtype=np.intp)
+        slot = self._next
+        self._actions[slot] = action
+        self._rewards[slot] = reward
+        self._dones[slot] = bool(done)
+        self._steps[slot] = self._step
+        self._rows[slot] = self._row
+        self._row = (self._row + 1) % self._ring
+        self._obs[self._row] = next_obs
+        self._step += 1
+        self._next = (slot + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def as_list(self) -> list[tuple]:
-        """Items in insertion order, oldest first."""
-        if len(self._items) < self.capacity:
-            return list(self._items)
-        return self._items[self._next:] + self._items[:self._next]
-
-    def sample(self, batch_size: int):
-        if len(self._items) < batch_size:
-            raise ValueError("buffer smaller than batch size")
-        idx = self._rng.integers(0, len(self._items), size=batch_size)
-        windows = np.stack([self._items[i][0] for i in idx])
-        actions = np.stack([self._items[i][1] for i in idx])
-        rewards = np.array([self._items[i][2] for i in idx])
-        next_windows = np.stack([self._items[i][3] for i in idx])
-        dones = np.array([self._items[i][4] for i in idx], dtype=float)
-        return windows, actions, rewards, next_windows, dones
+    def sample(self, batch_size: int) -> Batch:
+        if not 1 <= batch_size <= self._size:
+            raise ValueError(f"cannot sample {batch_size} of "
+                             f"{self._size} transitions")
+        idx = self._rng.integers(0, self._size, size=batch_size)
+        W = self.history_window
+        start = np.maximum(W - 1 - self._steps[idx], 0)
+        # rows r - W + 1 .. r + 1 around each sampled observation r, time
+        # major; those before the episode's first read the zero row past
+        # the ring. The windows are (B, W, obs) views of the time-major
+        # block, which ActorNet.forward reads without a copy.
+        offsets = np.arange(-W + 1, 2)[:, None]
+        rows = (self._rows[idx] + offsets) % self._ring
+        rows[offsets + (W - 1) < start] = self._ring
+        block = self._obs[rows]
+        return Batch(windows=block[:-1].transpose(1, 0, 2),
+                     actions=self._actions[idx], rewards=self._rewards[idx],
+                     next_windows=block[1:].transpose(1, 0, 2),
+                     dones=self._dones[idx], start=start,
+                     next_start=np.maximum(start - 1, 0))
 
 
 class OuNoise:
@@ -269,16 +392,16 @@ def decode_action(scores: np.ndarray, kind: str, capacity: int = 0):
     raise ValueError(f"unknown agent kind {kind!r}")
 
 
-def soft_update(target: list[np.ndarray], online: list[np.ndarray],
-                tau: float) -> list[np.ndarray]:
-    """target <- tau * online + (1 - tau) * target, in place."""
+def soft_update(target: np.ndarray, online: np.ndarray,
+                tau: float) -> np.ndarray:
+    """target <- tau * online + (1 - tau) * target, in place; for networks,
+    pass their parameter vectors (`params.vector`)."""
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must be in [0, 1]")
-    for t, o in zip(target, online):
-        if t.shape != o.shape:
-            raise ValueError("target/online shape mismatch")
-        t *= (1.0 - tau)
-        t += tau * o
+    if target.shape != online.shape:
+        raise ValueError("target/online shape mismatch")
+    target *= (1.0 - tau)
+    target += tau * online
     return target
 
 
@@ -299,37 +422,37 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
     """One gradient step on both networks plus soft target updates."""
     if len(buffer) < config.batch_size:
         raise ValueError("buffer smaller than batch size")
-    windows, actions, rewards, next_windows, dones = buffer.sample(
-        config.batch_size)
-    last_obs = windows[:, -1, :]
-    next_last = next_windows[:, -1, :]
-    next_actions, _ = actor_target.forward(next_windows)
+    batch = buffer.sample(config.batch_size)
+    last_obs = batch.windows[:, -1, :]
+    next_last = batch.next_windows[:, -1, :]
+    next_actions, _ = actor_target.forward(batch.next_windows,
+                                           batch.next_start)
     next_q, _ = critic_target.forward(next_last, next_actions)
-    targets = rewards + config.discount * (1.0 - dones) * next_q
+    targets = batch.rewards + config.discount * (1.0 - batch.dones) * next_q
     # critic regression
-    q, critic_tape = critic.forward(last_obs, actions)
+    q, critic_tape = critic.forward(last_obs, batch.actions)
     err = q - targets
     critic_loss = float(np.mean(err ** 2))
-    critic_grads, _, _ = critic.backward(
-        critic_tape, (2.0 * err / err.size)[:, None])
+    critic.backward(critic_tape, (2.0 * err / err.size)[:, None])
     critic_cfg = nn.OptimizerConfig(step_size=config.critic_lr,
                                     clip_norm=config.clip_norm)
-    critic_norm = nn.optimizer_step(critic.arrays(), critic_grads, critic_cfg)
+    critic_norm = nn.optimizer_step(critic.params, critic.grads, critic_cfg)
     # actor ascends the critic value through the chained gradient
-    policy_actions, actor_tapes = actor.forward(windows)
+    policy_actions, actor_tapes = actor.forward(batch.windows, batch.start)
     q_pi, pi_tape = critic.forward(last_obs, policy_actions)
     actor_value = float(np.mean(q_pi))
-    _, _, daction = critic.backward(
+    daction = critic.action_gradient(
         pi_tape, np.full((q_pi.size, 1), 1.0 / q_pi.size))
     dscores = -daction
     if config.action_l2 > 0:
         dscores = dscores + 2.0 * config.action_l2 * policy_actions / q_pi.size
-    actor_grads = actor.backward(actor_tapes, dscores)
+    actor.backward(actor_tapes, dscores)
     actor_cfg = nn.OptimizerConfig(step_size=config.actor_lr,
                                    clip_norm=config.clip_norm)
-    actor_norm = nn.optimizer_step(actor.arrays(), actor_grads, actor_cfg)
-    soft_update(actor_target.arrays(), actor.arrays(), config.tau)
-    soft_update(critic_target.arrays(), critic.arrays(), config.tau)
+    actor_norm = nn.optimizer_step(actor.params, actor.grads, actor_cfg)
+    soft_update(actor_target.params.vector, actor.params.vector, config.tau)
+    soft_update(critic_target.params.vector, critic.params.vector,
+                config.tau)
     return TrainDiagnostics(critic_loss=critic_loss, actor_value=actor_value,
                             critic_grad_norm=critic_norm,
                             actor_grad_norm=actor_norm)
@@ -340,17 +463,23 @@ class HistoryWindow:
 
     def __init__(self, length: int, obs_dim: int):
         self.buffer = np.zeros((length, obs_dim))
+        self.count = 0  # observations pushed since reset
 
     def reset(self, obs: np.ndarray):
         self.buffer[:] = 0.0
+        self.count = 0
         self.push(obs)
 
     def push(self, obs: np.ndarray):
         self.buffer[:-1] = self.buffer[1:]
         self.buffer[-1] = obs
+        self.count += 1
 
-    def snapshot(self) -> np.ndarray:
-        return self.buffer.copy()
+    @property
+    def start(self) -> int:
+        """Row of the episode's first observation still in the window; the
+        rows before it are padding."""
+        return max(len(self.buffer) - self.count, 0)
 
 
 # The meta a policy checkpoint holds, with the type of each value.
@@ -370,13 +499,17 @@ class Policy:
     obs_dim: int
 
     def begin_episode(self, obs: np.ndarray):
+        obs = np.asarray(obs)
+        if obs.size != self.obs_dim:
+            raise ValueError(f"policy obs_dim {self.obs_dim} does not match "
+                             f"the scenario's observation size {obs.size}")
         self._window = HistoryWindow(self.history_window, self.obs_dim)
         self._window.reset(obs)
 
     def action(self, obs: np.ndarray | None = None):
         if obs is not None:
             self._window.push(obs)
-        scores = act(self.actor, self._window.snapshot())
+        scores = act(self.actor, self._window.buffer, self._window.start)
         return decode_action(scores, self.kind, self.capacity)
 
     def save(self, path: str):
@@ -468,7 +601,8 @@ def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
     critic = CriticNet.create(obs_dim, action_dim, config, rng)
     actor_target = actor.copy()
     critic_target = critic.copy()
-    buffer = ReplayBuffer(config.buffer_capacity, seed=config.seed)
+    buffer = ReplayBuffer(config.buffer_capacity, seed=config.seed,
+                          history_window=config.history_window)
     noise = OuNoise(action_dim, theta=config.ou_theta, sigma=config.ou_sigma,
                     mu=config.ou_mu, seed=config.seed + 1)
     policy = Policy(actor=actor, kind=kind, capacity=capacity,
@@ -480,24 +614,23 @@ def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
     for episode in range(1, config.episodes + 1):
         obs = env.reset()
         window.reset(obs)
+        buffer.begin_episode(obs)
         noise.sigma = sigma0 * (config.noise_decay ** (episode - 1))
         noise.reset()
         done = False
         ep_return = 0.0
         info = {}
         while not done:
-            snapshot = window.snapshot()
             if (episode <= config.warmup_episodes
                     or rng.uniform() < config.exploration_eps):
                 noisy = rng.uniform(-1.0, 1.0, size=action_dim)
             else:
-                scores = act(actor, snapshot)
+                scores = act(actor, window.buffer, window.start)
                 noisy = np.clip(scores + noise.sample(), -1.0, 1.0)
             decoded = decode_action(noisy, kind, capacity)
             obs, reward, done, info = env.step(decoded)
             window.push(obs)
-            buffer.push(snapshot, noisy, reward * config.reward_scale,
-                        window.snapshot(), done)
+            buffer.push(noisy, reward * config.reward_scale, obs, done)
             ep_return += reward
         if len(buffer) >= config.batch_size:
             for _ in range(config.train_steps_per_episode):

@@ -55,13 +55,25 @@ def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
 
 @dataclass
 class DepartureModel:
-    """One LSTM per station over its normalized departure series."""
+    """One LSTM per station over its normalized departure series.
+
+    The parameters, and the gradients fit writes, are views into one vector
+    each (nn.FlatParams).
+    """
 
     lstm: nn.LstmParams
     head: nn.MlpParams
     scale: float
     window: int
     trained: bool = False
+
+    def __post_init__(self):
+        self.params = nn.FlatParams.pack(self.lstm.arrays()
+                                         + self.head.arrays())
+        self.lstm, self.head = self.params.view_as([self.lstm, self.head])
+        self.grads = self.params.zeros_like()
+        self._lstm_grads, self._head_grads = self.grads.view_as(
+            [self.lstm, self.head])
 
     @classmethod
     def create(cls, window: int = 24, hidden: int = 16,
@@ -97,13 +109,12 @@ class DepartureModel:
             hs, tape = nn.lstm_forward(self.lstm, xs_all)
             out, head_tape = nn.mlp_forward(self.head, hs[-1])
             err = (out[:, 0] - targets) / n_batch
-            head_grads, dh_last = nn.mlp_backward(self.head, head_tape,
-                                                  err[:, None])
+            dh_last = nn.mlp_backward(self.head, head_tape, err[:, None],
+                                      grads=self._head_grads)
             dh = np.zeros_like(hs)
             dh[-1] = dh_last
-            lstm_grads = nn.lstm_backward(self.lstm, tape, dh)
-            nn.optimizer_step(self.lstm.arrays() + self.head.arrays(),
-                              lstm_grads.arrays() + head_grads.arrays(), config)
+            nn.lstm_backward(self.lstm, tape, dh, grads=self._lstm_grads)
+            nn.optimizer_step(self.params, self.grads, config)
         self.trained = True
 
     def predict_one(self, recent: np.ndarray) -> float:

@@ -14,13 +14,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Raised when tensor shapes do not line up."""
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # exp(-x) = inf gives the limit 0
-        return 1.0 / (1.0 + np.exp(-x))
+class ShapeError(Exception):
+    """Raised when tensor shapes do not line up: a bug in the calling code,
+    not bad input, so it is not a ValueError."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +94,9 @@ class LstmParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.W_x, self.W_h, self.b, self.peep]
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(*(a.copy() for a in self.arrays()))
+    def with_arrays(self, arrays: list[np.ndarray]) -> "LstmParams":
+        """The same layout holding arrays, in the order of arrays()."""
+        return LstmParams(*arrays)
 
 
 @dataclass
@@ -145,24 +142,27 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     xs = np.ascontiguousarray(xs)
     c = np.zeros((n_steps + 1, batch, H))
     h = np.zeros((n_steps + 1, batch, H))
-    p_i, p_f, p_o = params.peep
+    peep_if, p_o = params.peep[:2], params.peep[2]
     # one input projection for the whole sequence; each step then replaces
     # its slice with the gate activations
     gates = (xs.reshape(-1, input_size) @ params.W_x).reshape(
         n_steps, batch, 4 * H)
-    for t in range(n_steps):
-        a = gates[t]
-        z = a + h[t] @ params.W_h
-        z[:, :H] += p_i * c[t]
-        z[:, H:2 * H] += p_f * c[t]
-        z += params.b
-        a[:, :2 * H] = sigmoid(z[:, :2 * H])
-        a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
-        c[t + 1] = a[:, H:2 * H] * c[t] + a[:, :H] * a[:, 2 * H:3 * H]
-        if live is not None:
-            c[t + 1] *= live[t]  # and so h = o * tanh(0) = 0 as well
-        a[:, 3 * H:] = sigmoid(z[:, 3 * H:] + p_o * c[t + 1])
-        h[t + 1] = a[:, 3 * H:] * np.tanh(c[t + 1])
+    # sigmoid(z) = 1 / (1 + exp(-z)); exp(-z) = inf gives the limit 0
+    with np.errstate(over="ignore"):
+        for t in range(n_steps):
+            a = gates[t]
+            z = a + h[t] @ params.W_h
+            z_if = z[:, :2 * H].reshape(batch, 2, H)
+            z_if += peep_if * c[t][:, None, :]  # peepholes into i and f
+            z += params.b
+            a[:, :2 * H] = 1.0 / (1.0 + np.exp(-z[:, :2 * H]))
+            a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+            c[t + 1] = a[:, H:2 * H] * c[t] + a[:, :H] * a[:, 2 * H:3 * H]
+            if live is not None:
+                c[t + 1] *= live[t]  # and so h = o * tanh(0) = 0 as well
+            a[:, 3 * H:] = 1.0 / (1.0 + np.exp(-(z[:, 3 * H:]
+                                                 + p_o * c[t + 1])))
+            h[t + 1] = a[:, 3 * H:] * np.tanh(c[t + 1])
     tape = LstmTape(xs=xs, gates=gates, c=c, h=h, live=live)
     hs = h[1:]
     if squeeze:
@@ -170,12 +170,14 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     return hs, tape
 
 
-def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
+def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
+                  grads: LstmParams | None = None) -> LstmParams:
     """Exact BPTT through the tape.
 
     dh_out holds dLoss/dh_t per step, shaped like the forward hs output
-    ((N, hidden) or (N, B, hidden)). Returns an LstmParams of gradients;
-    the gradient with respect to the inputs is not computed.
+    ((N, hidden) or (N, B, hidden)). Writes the parameter gradients into
+    grads (fresh arrays when None) and returns it; the gradient with respect
+    to the inputs is not computed.
     """
     dh_out = np.asarray(dh_out, dtype=float)
     if dh_out.ndim == 2:
@@ -184,8 +186,12 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
     H = params.hidden_size
     if dh_out.shape != (n_steps, batch, H):
         raise ShapeError("output gradient shape does not match the tape")
+    if grads is None:
+        grads = LstmParams.zeros(input_size, H)
+    else:
+        for g in grads.arrays():
+            g[...] = 0.0
     p_i, p_f, p_o = params.peep
-    grads = LstmParams.zeros(input_size, H)
     dh_rec = np.zeros((batch, H))
     dc_rec = np.zeros((batch, H))
     d = np.empty((batch, 4 * H))  # gradient of the gate pre-activations
@@ -204,11 +210,15 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
         d[:, 2 * H:3 * H] = dc * i * (1 - g ** 2)
         d[:, 3 * H:] = d_o
         grads.W_x += tape.xs[t].T @ d
-        grads.W_h += tape.h[t].T @ d
         grads.b += d.sum(axis=0)
         grads.peep[0] += (d[:, :H] * c_prev).sum(axis=0)
         grads.peep[1] += (d[:, H:2 * H] * c_prev).sum(axis=0)
         grads.peep[2] += (d_o * c).sum(axis=0)
+        if t == 0:
+            # h_0 = 0 adds only zeros to W_h's gradient (d is finite), and
+            # no step precedes step 0
+            break
+        grads.W_h += tape.h[t].T @ d
         dh_rec = d @ params.W_h.T
         dc_rec = dc * f + d[:, :H] * p_i + d[:, H:2 * H] * p_f
     return grads
@@ -218,7 +228,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray):
 # Dense layers
 
 _ACTIVATIONS = {
-    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+    "identity": (lambda z: z, None),  # mlp_backward passes gradients through
     "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(float)),
     "tanh": (np.tanh, lambda z, a: 1 - a ** 2),
 }
@@ -250,9 +260,10 @@ class MlpParams:
     def arrays(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(weights=[w.copy() for w in self.weights],
-                         biases=[b.copy() for b in self.biases],
+    def with_arrays(self, arrays: list[np.ndarray]) -> "MlpParams":
+        """The same layout holding arrays, in the order of arrays()."""
+        n = len(self.weights)
+        return MlpParams(weights=list(arrays[:n]), biases=list(arrays[n:]),
                          activations=list(self.activations))
 
 
@@ -277,26 +288,33 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     return out, tape
 
 
-def mlp_backward(params: MlpParams, tape, dout: np.ndarray):
-    """Returns (grads, dx) for the forward tape."""
+def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
+                 grads: MlpParams | None = None, input_grad: bool = True):
+    """Backpropagate dout through the forward tape.
+
+    Writes the parameter gradients into grads' arrays when grads is given,
+    and returns the gradient with respect to the input x when input_grad is
+    set (None otherwise); what a caller does not ask for is not computed.
+    """
     pre, post = tape
     dout = np.asarray(dout, dtype=float)
     squeeze = dout.ndim == 1
     if squeeze:
         dout = dout[None, :]
-    grads = MlpParams(weights=[np.zeros_like(w) for w in params.weights],
-                      biases=[np.zeros_like(b) for b in params.biases],
-                      activations=list(params.activations))
     d = dout
     for layer in range(len(params.weights) - 1, -1, -1):
         act = params.activations[layer]
-        dz = d * _ACTIVATIONS[act][1](pre[layer], post[layer + 1])
-        grads.weights[layer] = post[layer].T @ dz
-        grads.biases[layer] = dz.sum(axis=0)
+        dz = d if act == "identity" else d * _ACTIVATIONS[act][1](
+            pre[layer], post[layer + 1])
+        if grads is not None:
+            np.matmul(post[layer].T, dz, out=grads.weights[layer])
+            np.sum(dz, axis=0, out=grads.biases[layer])
+        if layer == 0 and not input_grad:
+            return None
         d = dz @ params.weights[layer].T
     if squeeze:
         d = d[0]
-    return grads, d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +347,43 @@ def grad_check(loss_fn, params: list[np.ndarray],
     return worst
 
 
+class FlatParams:
+    """Arrays stored back to back in one float64 vector.
+
+    `arrays` are views into `vector`, in order and shape, so an elementwise
+    update of all of them is one numpy call on `vector`.
+    """
+
+    def __init__(self, vector: np.ndarray, shapes: list[tuple]):
+        self.vector = vector
+        self.arrays = []
+        at = 0
+        for shape in shapes:
+            size = int(np.prod(shape))
+            self.arrays.append(vector[at:at + size].reshape(shape))
+            at += size
+
+    @classmethod
+    def pack(cls, arrays: list[np.ndarray]) -> "FlatParams":
+        """A copy of arrays, packed."""
+        return cls(np.concatenate([np.ravel(a) for a in arrays], dtype=float),
+                   [np.shape(a) for a in arrays])
+
+    def zeros_like(self) -> "FlatParams":
+        return FlatParams(np.zeros_like(self.vector),
+                          [a.shape for a in self.arrays])
+
+    def view_as(self, blocks: list) -> list:
+        """Parameter blocks (LstmParams, MlpParams) laid out like blocks,
+        holding consecutive runs of this vector's arrays."""
+        out, at = [], 0
+        for block in blocks:
+            n = len(block.arrays())
+            out.append(block.with_arrays(self.arrays[at:at + n]))
+            at += n
+        return out
+
+
 @dataclass
 class OptimizerConfig:
     step_size: float = 0.01
@@ -336,25 +391,24 @@ class OptimizerConfig:
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g ** 2)) for g in grads)))
+    """Square root of the sum, array by array, of each array's sum of
+    squares (numpy's pairwise sum within an array)."""
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 
 
-def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
+def optimizer_step(params: FlatParams, grads: FlatParams,
                    config: OptimizerConfig) -> float:
     """In-place gradient descent with optional global-norm clipping.
 
-    Returns the global norm of grads before clipping.
+    Returns the global norm of grads before clipping, summed array by array.
     """
-    if len(params) != len(grads):
-        raise ShapeError("params/grads length mismatch")
-    norm = global_norm(grads)
+    if [p.shape for p in params.arrays] != [g.shape for g in grads.arrays]:
+        raise ShapeError("params/grads shape mismatch")
+    norm = global_norm(grads.arrays)
     scale = 1.0
     if 0 < config.clip_norm < norm:
         scale = config.clip_norm / norm
-    for p, g in zip(params, grads):
-        if p.shape != np.asarray(g).shape:
-            raise ShapeError("params/grads shape mismatch")
-        p -= config.step_size * scale * np.asarray(g)
+    params.vector -= config.step_size * scale * grads.vector
     return norm
 
 

@@ -222,6 +222,8 @@ class ScenarioSpec:
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
         ids = self.station_ids()
+        if not ids:
+            raise ScenarioError("demand_profile needs at least one station")
         rates = profile.get("rates", {})
         lengths = set()
         for sid in ids:

@@ -44,18 +44,21 @@ class TestAct:
         obs = np.random.default_rng(2).normal(size=5)
         short = obs[None, :]
         padded = np.vstack([np.zeros((3, 5)), short])
-        np.testing.assert_allclose(act(actor, short), act(actor, padded),
+        np.testing.assert_allclose(act(actor, short), act(actor, padded, 3),
                                    atol=1e-12)
 
     def test_batched_forward_matches_single(self):
         actor = small_actor()
         rng = np.random.default_rng(3)
         windows = rng.normal(size=(6, 3, 5))
-        windows[0, :2] = 0.0  # padded sample mixed into the batch
-        batch_scores, _ = actor.forward(windows)
+        windows[0, :2] = 0.0  # padded samples mixed into the batch
+        windows[3, :1] = 0.0
+        start = np.array([2, 0, 0, 1, 0, 0])
+        batch_scores, _ = actor.forward(windows, start)
         for b in range(6):
             np.testing.assert_allclose(batch_scores[b],
-                                       act(actor, windows[b]), atol=1e-12)
+                                       act(actor, windows[b], start[b]),
+                                       atol=1e-12)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +92,7 @@ class TestAct:
             return 0.5 * float(np.sum(q ** 2))
 
         q, tape = critic.forward(obs, actions)
-        grads, _, _ = critic.backward(tape, q[:, None])
+        grads = critic.backward(tape, q[:, None])
         assert nn.grad_check(loss, critic.arrays(), grads) <= 1e-5
 
 
@@ -155,46 +158,165 @@ class TestDecodeAction:
                 decode_action(rng.uniform(-1, 1, size=3), "bus"))
 
 
-class TestReplayBuffer:
-    def make_item(self, i):
-        return (np.full((2, 3), i), np.array([i]), float(i),
-                np.full((2, 3), i + 1), False)
+class ListReplay:
+    """Reference replay buffer: a list of (window, action, reward,
+    next_window, done) tuples overwritten FIFO, sampled with the same
+    seeded index draw as ReplayBuffer."""
 
+    def __init__(self, capacity, seed=0):
+        self.capacity = capacity
+        self._items = []
+        self._next = 0
+        self._rng = np.random.default_rng(seed)
+
+    def push(self, window, action, reward, next_window, done):
+        item = (np.asarray(window, dtype=float),
+                np.asarray(action, dtype=float), float(reward),
+                np.asarray(next_window, dtype=float), bool(done))
+        if len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            self._items[self._next] = item
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size):
+        idx = self._rng.integers(0, len(self._items), size=batch_size)
+        return (np.stack([self._items[i][0] for i in idx]),
+                np.stack([self._items[i][1] for i in idx]),
+                np.array([self._items[i][2] for i in idx]),
+                np.stack([self._items[i][3] for i in idx]),
+                np.array([self._items[i][4] for i in idx], dtype=float))
+
+
+def inferred_start(windows):
+    """The start a window's zero rows imply: its first row that is not all
+    zero (the last row if none is)."""
+    nonzero = np.any(windows != 0, axis=2)
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1),
+                    windows.shape[1] - 1)
+
+
+def fill(buf, rewards, obs_dim=3, episode_length=None):
+    """Push one transition per reward, all in one episode unless
+    episode_length is given; observation t is the row (t + 1, ..., t + 1)."""
+    for t, reward in enumerate(rewards):
+        if t == 0 or (episode_length and t % episode_length == 0):
+            buf.begin_episode(np.full(obs_dim, float(t)))
+        buf.push(np.array([reward]), reward, np.full(obs_dim, t + 1.0),
+                 False)
+
+
+def kept_rewards(buf):
+    """Rewards of the kept transitions, oldest first, read off the ring."""
+    return np.roll(buf._rewards[:len(buf)], -buf._next).tolist()
+
+
+class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=5, seed=0)
-        for i in range(8):
-            buf.push(*self.make_item(i))
+        fill(buf, [float(i) for i in range(8)])
         assert len(buf) == 5
-        rewards = [item[2] for item in buf.as_list()]
-        assert rewards == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert kept_rewards(buf) == [3.0, 4.0, 5.0, 6.0, 7.0]
 
-    @given(st.integers(1, 20), st.integers(0, 30))
+    @given(st.integers(1, 20), st.integers(0, 30), st.integers(1, 4),
+           st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_fifo_property(self, capacity, extra):
-        buf = ReplayBuffer(capacity=capacity, seed=0)
+    def test_fifo_property(self, capacity, extra, window, episode_length):
+        buf = ReplayBuffer(capacity=capacity, seed=0, history_window=window)
         total = capacity + extra
-        for i in range(total):
-            buf.push(*self.make_item(i))
-        rewards = [item[2] for item in buf.as_list()]
-        assert rewards == [float(i) for i in range(max(0, total - capacity),
-                                                   total)]
+        fill(buf, [float(i) for i in range(total)],
+             episode_length=episode_length)
+        kept = list(range(max(0, total - capacity), total))
+        assert kept_rewards(buf) == [float(i) for i in kept]
+        # every kept transition still reads its own rows: the newest
+        # observation of each window is that transition's observation
+        batch = buf.sample(len(buf))
+        np.testing.assert_array_equal(batch.windows[:, -1, 0] + 1,
+                                      batch.next_windows[:, -1, 0])
+        np.testing.assert_array_equal(batch.next_windows[:, -1, 0],
+                                      batch.rewards + 1)
 
     def test_sample_validation(self):
         buf = ReplayBuffer(capacity=4, seed=0)
-        buf.push(*self.make_item(0))
+        fill(buf, [0.0])
         with pytest.raises(ValueError):
             buf.sample(2)
         with pytest.raises(ValueError):
+            buf.sample(0)
+        with pytest.raises(ValueError):
             ReplayBuffer(capacity=0)
+        with pytest.raises(ValueError):
+            ReplayBuffer(capacity=4).push(np.zeros(1), 0.0, np.zeros(3),
+                                          False)
 
     def test_sample_seeded(self):
-        def fill():
-            buf = ReplayBuffer(capacity=10, seed=7)
-            for i in range(10):
-                buf.push(*self.make_item(i))
-            return buf.sample(4)[2]
+        def sample():
+            buf = ReplayBuffer(capacity=10, seed=7, history_window=3)
+            fill(buf, [float(i) for i in range(10)], episode_length=4)
+            return buf.sample(4)
 
-        np.testing.assert_array_equal(fill(), fill())
+        for a, b in zip(sample(), sample()):
+            np.testing.assert_array_equal(a, b)
+
+    @given(st.integers(1, 12), st.integers(1, 5),
+           st.lists(st.integers(0, 8), min_size=1, max_size=12),
+           st.integers(1, 8), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_list_reference(self, capacity, window, lengths, batch,
+                                    seed):
+        """Windows, next windows, actions, rewards, dones and starts equal
+        the list buffer's, across episode boundaries, episodes shorter than
+        the window (or with no step) and FIFO overwrite, sampling after
+        every episode."""
+        rng = np.random.default_rng(seed)
+        ring = ReplayBuffer(capacity, seed=seed, history_window=window)
+        ref = ListReplay(capacity, seed=seed)
+        history = HistoryWindow(window, 3)
+        for length in lengths:
+            obs = rng.uniform(0.5, 1.5, size=3)  # never all zero
+            history.reset(obs)
+            ring.begin_episode(obs)
+            for t in range(length):
+                before = history.buffer.copy()
+                action = rng.uniform(-1, 1, size=2)
+                reward = float(rng.normal())
+                obs = rng.uniform(0.5, 1.5, size=3)
+                done = t == length - 1
+                history.push(obs)
+                ref.push(before, action, reward, history.buffer.copy(), done)
+                ring.push(action, reward, obs, done)
+            size = min(batch, len(ring))
+            if size == 0:
+                continue
+            got = ring.sample(size)
+            want = ref.sample(size)
+            for name, a, b in zip(got._fields, got, want):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            np.testing.assert_array_equal(got.start, inferred_start(want[0]))
+            np.testing.assert_array_equal(got.next_start,
+                                          inferred_start(want[3]))
+
+    @pytest.mark.parametrize("scenario", ["fig1a", "bike5", "outage"])
+    def test_stored_start_matches_inference_on_env(self, scenario):
+        """On real observations, which are never all zero, the stored
+        episode step gives the start their zero rows imply."""
+        env = BikeEnv(scenario=resolve_scenario(scenario), seed=3)
+        rng = np.random.default_rng(3)
+        buf = ReplayBuffer(capacity=40, seed=3, history_window=4)
+        for _ in range(12):
+            buf.begin_episode(env.reset())
+            done = False
+            while not done:
+                scores = rng.uniform(-1, 1, size=env.action_dim)
+                obs, reward, done, _ = env.step(decode_action(
+                    scores, "vehicle", env.world.vehicles[0].capacity))
+                buf.push(scores, reward, obs, done)
+        for _ in range(5):
+            batch = buf.sample(len(buf))
+            np.testing.assert_array_equal(batch.start,
+                                          inferred_start(batch.windows))
+            np.testing.assert_array_equal(batch.next_start,
+                                          inferred_start(batch.next_windows))
 
 
 class TestOuNoise:
@@ -214,28 +336,28 @@ class TestOuNoise:
 
 class TestSoftUpdate:
     def test_endpoints_and_midpoint(self):
-        target = [np.array([2.0])]
-        soft_update(target, [np.array([4.0])], tau=0.0)
-        np.testing.assert_allclose(target[0], [2.0])
-        soft_update(target, [np.array([4.0])], tau=0.5)
-        np.testing.assert_allclose(target[0], [3.0])
-        soft_update(target, [np.array([4.0])], tau=1.0)
-        np.testing.assert_allclose(target[0], [4.0])
+        target = np.array([2.0])
+        soft_update(target, np.array([4.0]), tau=0.0)
+        np.testing.assert_allclose(target, [2.0])
+        soft_update(target, np.array([4.0]), tau=0.5)
+        np.testing.assert_allclose(target, [3.0])
+        soft_update(target, np.array([4.0]), tau=1.0)
+        np.testing.assert_allclose(target, [4.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            soft_update([np.zeros(1)], [np.zeros(1)], tau=1.5)
+            soft_update(np.zeros(1), np.zeros(1), tau=1.5)
         with pytest.raises(ValueError):
-            soft_update([np.zeros(2)], [np.zeros(3)], tau=0.5)
+            soft_update(np.zeros(2), np.zeros(3), tau=0.5)
 
     def test_contraction_toward_fixed_online(self):
         rng = np.random.default_rng(0)
-        online = [rng.normal(size=(3, 3))]
-        target = [rng.normal(size=(3, 3))]
-        dist = float(np.linalg.norm(target[0] - online[0]))
+        online = rng.normal(size=(3, 3))
+        target = rng.normal(size=(3, 3))
+        dist = float(np.linalg.norm(target - online))
         for _ in range(150):
             soft_update(target, online, tau=0.1)
-            new_dist = float(np.linalg.norm(target[0] - online[0]))
+            new_dist = float(np.linalg.norm(target - online))
             assert new_dist <= dist + 1e-12
             dist = new_dist
         assert dist < 1e-2
@@ -257,32 +379,32 @@ class TestTrainStep:
     def test_repeated_transition_converges_to_reward(self):
         actor, critic, at, ct = self.build()
         obs = np.random.default_rng(1).normal(size=4)
-        window = np.tile(obs, (3, 1))
         action = np.array([0.2, -0.1, 0.4])
         reward = 0.7
-        buf = ReplayBuffer(capacity=8, seed=0)
+        buf = ReplayBuffer(capacity=8, seed=0, history_window=3)
         for _ in range(8):
-            buf.push(window, action, reward, window, True)
+            buf.begin_episode(obs)
+            buf.push(action, reward, obs, True)
         config = DdpgConfig(lstm_hidden=6, actor_hidden=6, critic_hidden=6,
                             history_window=3, batch_size=4, critic_lr=0.05,
                             actor_lr=0.0, seed=0)
         for _ in range(600):
             diag = train_step(buf, actor, critic, at, ct, config)
-        q, _ = critic.forward(window[-1][None, :], action[None, :])
+        q, _ = critic.forward(obs[None, :], action[None, :])
         assert abs(q[0] - reward) <= 1e-2
         assert diag.critic_loss <= 1e-3
 
     def test_done_masks_bootstrap(self):
         # with discount 0 vs done=True the targets coincide: both equal r
         obs = np.zeros(4)
-        window = np.tile(obs, (3, 1))
         action = np.zeros(3)
         results = []
         for discount, done in ((0.0, False), (0.9, True)):
             actor, critic, at, ct = self.build(seed=3)
-            buf = ReplayBuffer(capacity=4, seed=0)
+            buf = ReplayBuffer(capacity=4, seed=0, history_window=3)
+            buf.begin_episode(obs)
             for _ in range(4):
-                buf.push(window, action, 1.0, window, done)
+                buf.push(action, 1.0, obs, done)
             config = DdpgConfig(lstm_hidden=6, actor_hidden=6,
                                 critic_hidden=6, history_window=3,
                                 batch_size=4, discount=discount,
@@ -294,10 +416,11 @@ class TestTrainStep:
     def test_diagnostics_finite(self):
         actor, critic, at, ct = self.build()
         rng = np.random.default_rng(2)
-        buf = ReplayBuffer(capacity=16, seed=0)
+        buf = ReplayBuffer(capacity=16, seed=0, history_window=3)
+        buf.begin_episode(rng.normal(size=4))
         for _ in range(8):
-            buf.push(rng.normal(size=(3, 4)), rng.uniform(-1, 1, 3),
-                     rng.normal(), rng.normal(size=(3, 4)), False)
+            buf.push(rng.uniform(-1, 1, 3), rng.normal(), rng.normal(size=4),
+                     False)
         diag = train_step(buf, actor, critic, at, ct, SMALL)
         for v in (diag.critic_loss, diag.actor_value, diag.critic_grad_norm,
                   diag.actor_grad_norm):
@@ -409,12 +532,12 @@ class TestHistoryWindow:
     def test_roll_and_pad(self):
         win = HistoryWindow(3, 2)
         win.reset(np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(win.snapshot(),
-                                      [[0, 0], [0, 0], [1, 1]])
+        np.testing.assert_array_equal(win.buffer, [[0, 0], [0, 0], [1, 1]])
+        assert win.start == 2
         win.push(np.array([2.0, 2.0]))
-        np.testing.assert_array_equal(win.snapshot(),
-                                      [[0, 0], [1, 1], [2, 2]])
+        np.testing.assert_array_equal(win.buffer, [[0, 0], [1, 1], [2, 2]])
+        assert win.start == 1
         win.push(np.array([3.0, 3.0]))
         win.push(np.array([4.0, 4.0]))
-        np.testing.assert_array_equal(win.snapshot(),
-                                      [[2, 2], [3, 3], [4, 4]])
+        np.testing.assert_array_equal(win.buffer, [[2, 2], [3, 3], [4, 4]])
+        assert win.start == 0

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from urbansched import harness
+from urbansched import harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.envs import BusEnv
 from urbansched.world import ScenarioSpec
@@ -232,6 +233,55 @@ class TestCli:
                     str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert next(iter(doc)) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"history_window": 0}, {"batch_size": 0}, {"tau": 2.0},
+        {"discount": -0.1}, {"buffer_capacity": 0}, {"lstm_hidden": 0},
+        {"episodes": -1}, {"train_steps_per_episode": -1}, {"eval_every": 0},
+        {"actor_lr": math.inf}, {"ou_sigma": math.nan}])
+    def test_train_config_out_of_range_exit_1(self, doc, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))  # NaN and Infinity included
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert next(iter(doc)) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_obs_dim_mismatch_exit_1(self, tmp_path, capsys):
+        config = {"episodes": 1, "lstm_hidden": 4, "actor_hidden": 4,
+                  "critic_hidden": 4, "history_window": 2}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli(["simulate", "--scenario", "bike5", "--policy", "trained",
+                    "--checkpoint", str(tmp_path / "policy.json")]) == 1
+        err = capsys.readouterr().err
+        assert "37" in err and "59" in err
+
+    def test_internal_shape_error_exit_2(self, monkeypatch, capsys):
+        def broken_train(*args, **kwargs):
+            nn.lstm_forward(nn.LstmParams.zeros(2, 3), np.zeros((4, 5)))
+
+        monkeypatch.setattr("urbansched.cli.train", broken_train)
+        assert cli(["train", "--scenario", "fig1a"]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    def test_stationless_demand_profile_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [], "routes": [{"stops": ["S1", "S2", "S3"]}],
+            "vehicles": [], "environment": [0.0],
+            "demand_profile": {
+                "rates": {}, "od_weights": [],
+                "bus_rates": [{"origin": "S1", "destination": "S3",
+                               "rate": 1.0}]},
+        }))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "headway"]) == 1
+        assert "at least one station" in capsys.readouterr().err
 
     def test_unknown_vehicle_start_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

@@ -186,7 +186,8 @@ class TestMlp:
             return 0.5 * float(np.sum((out - target) ** 2))
 
         out, tape = nn.mlp_forward(p, x)
-        grads, dx = nn.mlp_backward(p, tape, out - target)
+        grads = p.with_arrays([np.empty_like(a) for a in p.arrays()])
+        nn.mlp_backward(p, tape, out - target, grads=grads, input_grad=False)
         assert nn.grad_check(loss, p.arrays(), grads.arrays()) <= 1e-5
 
     def test_shape_error(self):
@@ -196,36 +197,42 @@ class TestMlp:
             nn.mlp_forward(p, np.zeros(3))
 
 
+def flat(*arrays):
+    return nn.FlatParams.pack([np.array(a, dtype=float) for a in arrays])
+
+
 class TestOptimizer:
     def test_plain_step(self):
-        params = [np.array([1.0, 2.0])]
-        grads = [np.array([0.5, -1.0])]
+        params = flat([1.0, 2.0])
+        grads = flat([0.5, -1.0])
         norm = nn.optimizer_step(params, grads,
                                  nn.OptimizerConfig(step_size=0.1))
-        np.testing.assert_allclose(params[0], [0.95, 2.1])
+        np.testing.assert_allclose(params.arrays[0], [0.95, 2.1])
         assert norm == pytest.approx(np.sqrt(1.25))
 
     def test_clipping_scales_globally(self):
-        params = [np.zeros(2), np.zeros(1)]
-        grads = [np.array([3.0, 0.0]), np.array([4.0])]  # norm 5
+        params = flat([0.0, 0.0], [0.0])
+        grads = flat([3.0, 0.0], [4.0])  # norm 5
         norm = nn.optimizer_step(
             params, grads, nn.OptimizerConfig(step_size=1.0, clip_norm=1.0))
         assert norm == pytest.approx(5.0)  # before clipping
-        np.testing.assert_allclose(params[0], [-0.6, 0.0])
-        np.testing.assert_allclose(params[1], [-0.8])
+        np.testing.assert_allclose(params.arrays[0], [-0.6, 0.0])
+        np.testing.assert_allclose(params.arrays[1], [-0.8])
 
     def test_no_clip_below_threshold(self):
-        params = [np.zeros(1)]
-        nn.optimizer_step(params, [np.array([0.5])],
+        params = flat([0.0])
+        nn.optimizer_step(params, flat([0.5]),
                           nn.OptimizerConfig(step_size=1.0, clip_norm=10.0))
-        np.testing.assert_allclose(params[0], [-0.5])
+        np.testing.assert_allclose(params.arrays[0], [-0.5])
 
     def test_quadratic_converges(self):
-        p = [np.array([5.0])]
+        p = flat([5.0])
+        grads = p.zeros_like()
         config = nn.OptimizerConfig(step_size=0.2)
         for _ in range(100):
-            nn.optimizer_step(p, [2 * p[0]], config)
-        assert abs(p[0][0]) < 1e-8
+            grads.vector[:] = 2 * p.vector
+            nn.optimizer_step(p, grads, config)
+        assert abs(p.vector[0]) < 1e-8
 
 
 class TestCheckpoints:
