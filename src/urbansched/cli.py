@@ -48,21 +48,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    if args.policy == "trained":
-        if not args.checkpoint:
-            raise ValueError("--checkpoint required for --policy trained")
-        policy = Policy.load(args.checkpoint)
-        report = harness.evaluate_policy(policy, scenario,
-                                         episodes=args.episodes,
-                                         seed=args.seed)
-    elif args.policy == "greedy":
-        report = harness.run_greedy_bike(scenario, seed=args.seed)
-    elif args.policy == "none":
-        report = harness.run_no_reposition(scenario, seed=args.seed)
-    elif args.policy == "headway":
-        report = harness.run_static_headway(scenario, seed=args.seed)
-    else:
-        raise ValueError(f"unknown policy {args.policy!r}")
+    if args.policy == "trained" and not args.checkpoint:
+        raise ValueError("--checkpoint required for --policy trained")
+    policy = Policy.load(args.checkpoint) if args.policy == "trained" else None
+    report = harness.evaluate(args.policy, scenario, args.episodes,
+                              [args.seed], policy)[0]
     print(f"served={report.served} lost={report.lost} "
           f"mean_return={np.mean(report.returns):.3f}")
     if args.out:
@@ -90,7 +80,11 @@ def cmd_train(args) -> int:
     config = desk_config(seed=args.seed)
     if args.config:
         with open(args.config) as fh:
-            config = DdpgConfig.from_dict({**json.load(fh), "seed": args.seed})
+            doc = json.load(fh)
+        if "seed" in doc:
+            raise ValueError("train --config takes no 'seed' key; "
+                             "pass --seed instead")
+        config = DdpgConfig.from_dict({**doc, "seed": args.seed})
     policy, curve = train(lambda: BikeEnv(scenario=scenario, seed=config.seed),
                           config)
     out = args.out or "."

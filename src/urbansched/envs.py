@@ -58,36 +58,23 @@ def _observation(world: W.WorldState, head: list, agents: list, me: int,
                            for p in parts])
 
 
-def _forecast_rows(horizon: int, *arrays) -> list[np.ndarray]:
-    """The first `horizon` rows of each forecast, as 2-D float arrays."""
-    arrays = [np.atleast_2d(np.asarray(a, dtype=float)) for a in arrays]
-    if min(a.shape[0] for a in arrays) < horizon:
-        raise ValueError("forecast horizon shorter than required L")
-    return [a[:horizon] for a in arrays]
-
-
-def bus_observe(world: W.WorldState, c1: np.ndarray, c2: np.ndarray,
-                bus_id: int, other_system: np.ndarray | None,
-                horizon: int) -> np.ndarray:
+def bus_observe(world: W.WorldState, forecast: np.ndarray, bus_id: int,
+                other_system: np.ndarray | None) -> np.ndarray:
     """Flat bus observation, in the order of `bike_observe` without g:
-    segments since the last forward and backward bus per stop, forward
-    and backward boarding forecasts, then the agent block (one-hot over
-    stops), H and O."""
-    c1, c2 = _forecast_rows(horizon, c1, c2)
+    segments since the last forward and backward bus per stop, the
+    (L, 2 * stops) forecast block of forward then backward boardings per
+    segment, then the agent block (one-hot over stops), H and O."""
     return _observation(
         world,
         [[s.last_bus_fwd for s in world.bus_stops],
-         [s.last_bus_bwd for s in world.bus_stops],
-         np.concatenate((c1, c2), axis=1)],
+         [s.last_bus_bwd for s in world.bus_stops], forecast],
         world.buses, bus_id, len(world.bus_stops), other_system)
 
 
-def bike_observe(world: W.WorldState, c1: np.ndarray, c2: np.ndarray,
-                 g: np.ndarray, vehicle_id: int,
-                 other_system: np.ndarray | None,
-                 horizon: int) -> np.ndarray:
+def bike_observe(world: W.WorldState, forecast: np.ndarray, vehicle_id: int,
+                 other_system: np.ndarray | None) -> np.ndarray:
     """Flat bike observation for `vehicle_id`, in this order (n stations,
-    L = horizon, V vehicles):
+    L forecast segments, V vehicles):
 
     - b1 (n): available bikes per station; b2 (n): free docks per station
     - for each of the L forecast segments: c1 (n) predicted departures,
@@ -97,13 +84,17 @@ def bike_observe(world: W.WorldState, c1: np.ndarray, c2: np.ndarray,
       operation; then the same for each other vehicle ((V - 1) blocks)
     - H: system features
     - O, flattened row by row, when the cross-system block is on
+
+    `forecast` is the (L, 2n) block of [c1 | c2] rows. It fills both the
+    c1/c2 section and g: `forecast_bike.encode_flow` pools a predicted OD
+    matrix into [row sums | column sums], which are c1 and c2. The layout
+    keeps g as the state's third part; dropping the copy changes every
+    observation.
     """
-    c1, c2, g = _forecast_rows(horizon, c1, c2, g)
     return _observation(
         world,
         [[s.available for s in world.bike_stations],
-         [s.free_docks for s in world.bike_stations],
-         np.concatenate((c1, c2), axis=1), g],
+         [s.free_docks for s in world.bike_stations], forecast, forecast],
         world.vehicles, vehicle_id, max(len(world.bike_stations), 1),
         other_system)
 
@@ -151,11 +142,8 @@ class _Forecast:
     the scenario alone, so an env builds it once; the arrays are
     read-only."""
 
-    c1: np.ndarray  # (T, n) expected bike departures
-    c2: np.ndarray  # (T, n) expected bike arrivals
-    g: np.ndarray  # (T, 2n) expected flow encodings
-    bus_c1: np.ndarray  # (T, n_stops) expected forward boardings
-    bus_c2: np.ndarray
+    bike: np.ndarray  # (T, 2n) expected [departures | arrivals] per station
+    bus: np.ndarray  # (T, 2 n_stops) expected [forward | backward] boardings
     profile: DemandProfile | None = None
     script: DemandScript | None = None
 
@@ -173,53 +161,40 @@ class _Forecast:
 def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     station_ids = scenario.station_ids()
     stop_ids = [sid for r in scenario.routes for sid in r["stops"]]
-    n = len(station_ids)
-    n_stops = len(stop_ids)
+    n = max(len(station_ids), 1)
     T = scenario.episode_length
-    c1 = np.zeros((T, max(n, 1)))
-    c2 = np.zeros((T, max(n, 1)))
-    g = np.zeros((T, 2 * max(n, 1)))
-    bus_c1 = np.zeros((T, max(n_stops, 1)))
-    bus_c2 = np.zeros((T, max(n_stops, 1)))
-    sindex = {sid: i for i, sid in enumerate(station_ids)}
+    bike = np.zeros((T, 2 * n))
+    bus = np.zeros((T, 2 * max(len(stop_ids), 1)))
     pindex = {sid: i for i, sid in enumerate(stop_ids)}
-    profile = script = None
 
+    def board(row: np.ndarray, origin: str, dest: str, count: float):
+        """Add boardings at `origin` to the forward half of `row` when
+        `dest` lies ahead on the route, else to the backward half."""
+        o = pindex[origin]
+        row[o if pindex[dest] > o else len(stop_ids) + o] += count
+
+    profile = script = None
     if scenario.demand_script is not None:
         script = scripted_demand(scenario.demand_script, station_ids, T,
                                  stop_ids, scenario.bus_script)
+        sindex = {sid: i for i, sid in enumerate(station_ids)}
         for seg in range(1, T + 1):
-            od = np.zeros((max(n, 1), max(n, 1)))
+            od = np.zeros((n, n))
             for origin, dest, count in script.trips_at(seg):
                 od[sindex[origin], sindex[dest]] += count
-            c1[seg - 1] = od.sum(axis=1)[:n] if n else 0
-            c2[seg - 1] = od.sum(axis=0)[:n] if n else 0
-            g[seg - 1] = encode_flow(od) if n else 0
+            bike[seg - 1] = encode_flow(od)
             for origin, dest, count in script.bus_at(seg):
-                if pindex[dest] > pindex[origin]:
-                    bus_c1[seg - 1, pindex[origin]] += count
-                else:
-                    bus_c2[seg - 1, pindex[origin]] += count
+                board(bus[seg - 1], origin, dest, count)
     elif scenario.demand_profile is not None:
         profile = DemandProfile.from_dict(scenario.demand_profile, station_ids)
-        for seg in range(1, T + 1):
-            expected = profile.expected_od(seg - 1)  # its day position
-            c1[seg - 1] = expected.sum(axis=1)
-            c2[seg - 1] = expected.sum(axis=0)
-            g[seg - 1] = encode_flow(expected)
+        for t in range(T):  # row t is day position t
+            bike[t] = encode_flow(profile.expected_od(t))
         # bus rates are constant over the day: one row, summed in OD order
         for (origin, dest), rate in sorted(profile.bus_rates.items()):
-            if origin in pindex and dest in pindex:
-                if pindex[dest] > pindex[origin]:
-                    bus_c1[0, pindex[origin]] += rate
-                else:
-                    bus_c2[0, pindex[origin]] += rate
-        bus_c1[1:] = bus_c1[0]
-        bus_c2[1:] = bus_c2[0]
-    for arr in (c1, c2, g, bus_c1, bus_c2):
-        arr.flags.writeable = False
-    return _Forecast(c1=c1, c2=c2, g=g, bus_c1=bus_c1, bus_c2=bus_c2,
-                     profile=profile, script=script)
+            board(bus[0], origin, dest, rate)
+        bus[1:] = bus[0]
+    bike.flags.writeable = bus.flags.writeable = False
+    return _Forecast(bike=bike, bus=bus, profile=profile, script=script)
 
 
 def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
@@ -244,20 +219,68 @@ def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
             trips[seg] = []
             bus_arrivals[seg] = []
     # extra demand injected by an active bus outage: realized but not
-    # forecast, since the forecasters cannot anticipate an outage
+    # forecast, since the forecasters cannot anticipate an outage; the
+    # scenario validator keeps each segment within 1..T
     for entry in extra_trips or []:
-        seg = int(entry["segment"])
-        if 1 <= seg <= T:
-            trips.setdefault(seg, []).append(
-                (entry["origin"], entry["destination"], int(entry["count"])))
+        trips[entry["segment"]].append(
+            (entry["origin"], entry["destination"], entry["count"]))
     return trips, bus_arrivals
 
 
 # ---------------------------------------------------------------------------
-# Bike MDP
+# The MDPs
+
+HORIZON = 2  # L, forecast segments in an observation
+BUS_HEADWAY = 4  # the bike env's scenery buses reset stop timers this often
+
 
 @dataclass
-class BikeEnv:
+class _Env:
+    """What both MDPs share: the scenario's forecast, built once, the
+    joint toggle (None takes the scenario's), and the episode's demand
+    stream, drawn from the seed and the episode count.
+
+    Each env defines `reset` and `step` in its own class body: perfbench's
+    tracer wraps them where the class's `__dict__` holds them.
+    """
+
+    scenario: W.ScenarioSpec
+    reward: RewardConfig = field(default_factory=RewardConfig)
+    joint_enabled: bool | None = None  # None: take the scenario's toggle
+    seed: int = 0
+
+    def __post_init__(self):
+        joint = self.scenario.joint or {}
+        if self.joint_enabled is None:
+            self.joint_enabled = joint.get("enabled", False)
+        self.joint_k: int = joint.get("k", 2)
+        self.forecast = _build_forecast(self.scenario)
+        self.world: W.WorldState | None = None
+        self._episode_counter = 0
+
+    def _episode_rng(self, seed: int | None) -> PortableRng:
+        """The next episode's demand stream; a given seed replaces the
+        env's."""
+        if seed is not None:
+            self.seed = seed
+        self._episode_counter += 1
+        return PortableRng((self.seed << 16) ^ self._episode_counter)
+
+    def _start(self, rng: PortableRng, extra_trips: list[dict] | None = None):
+        """Realise the episode's demand and build its world."""
+        self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
+                                                 rng, extra_trips)
+        self.world = W.build_world(self.scenario)
+        self.done = False
+
+    def _horizon(self, block: np.ndarray) -> np.ndarray:
+        """The (HORIZON, columns) rows of `block` for the coming segments."""
+        clock = self.world.clock
+        return self.forecast.horizon_slice(block, clock.current,
+                                           clock.episode_start, HORIZON)
+
+
+class BikeEnv(_Env):
     """Single dispatch-vehicle repositioning MDP with an episodic reward.
 
     Action: (station index, signed bike quantity). The reposition applies
@@ -267,26 +290,6 @@ class BikeEnv:
     the step info for diagnostics.
     """
 
-    scenario: W.ScenarioSpec
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    horizon: int = 2  # L, forecast segments in the observation
-    joint_enabled: bool | None = None  # None: take the scenario's toggle
-    joint_k: int | None = None
-    seed: int = 0
-    bus_headway: int = 4  # scenery buses reset stop timers this often
-
-    def __post_init__(self):
-        joint = self.scenario.joint or {}
-        if self.joint_enabled is None:
-            self.joint_enabled = bool(joint.get("enabled", False))
-        if self.joint_k is None:
-            self.joint_k = int(joint.get("k", 2))
-        self._outage_mode = joint.get("bus_outage", False)
-        self._outage_trips = joint.get("outage_trips", [])
-        self._episode_counter = 0
-        self.forecast: _Forecast | None = None
-        self.world: W.WorldState | None = None
-
     @property
     def n_stations(self) -> int:
         return len(self.scenario.stations)
@@ -295,26 +298,14 @@ class BikeEnv:
     def action_dim(self) -> int:
         return self.n_stations + 1
 
-    def _outage_active(self, rng: PortableRng) -> bool:
-        if self._outage_mode == "random":
-            return rng.uniform() < 0.5
-        return bool(self._outage_mode)
-
     def reset(self, seed: int | None = None,
               force_outage: bool | None = None) -> np.ndarray:
-        if seed is not None:
-            self.seed = seed
-        self._episode_counter += 1
-        rng = PortableRng((self.seed << 16) ^ self._episode_counter)
-        self.outage = (self._outage_active(rng) if force_outage is None
-                       else force_outage)
-        extra = self._outage_trips if self.outage else None
-        if self.forecast is None:
-            self.forecast = _build_forecast(self.scenario)
-        self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
-                                                 rng, extra)
-        self.world = W.build_world(self.scenario)
-        self.done = False
+        rng = self._episode_rng(seed)
+        joint = self.scenario.joint or {}
+        mode = (joint.get("bus_outage", False) if force_outage is None
+                else force_outage)
+        self.outage = rng.uniform() < 0.5 if mode == "random" else mode
+        self._start(rng, joint.get("outage_trips") if self.outage else None)
         self.served = 0
         self.lost = 0
         self.distance = 0.0
@@ -323,15 +314,9 @@ class BikeEnv:
 
     def _observe(self) -> np.ndarray:
         w = self.world
-        cur = w.clock.current
-        start = w.clock.episode_start
-        f = self.forecast
-        c1 = f.horizon_slice(f.c1, cur, start, self.horizon)
-        c2 = f.horizon_slice(f.c2, cur, start, self.horizon)
-        g = f.horizon_slice(f.g, cur, start, self.horizon)
         O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
              if self.joint_enabled else None)
-        return bike_observe(w, c1, c2, g, 0, O, self.horizon)
+        return bike_observe(w, self._horizon(self.forecast.bike), 0, O)
 
     def step(self, action: tuple[int, int]):
         if self.done:
@@ -377,15 +362,14 @@ class BikeEnv:
                 stop.last_bus_bwd = w.clock.episode_length
             else:
                 elapsed = w.clock.current - w.clock.episode_start
-                stop.last_bus_fwd = elapsed % self.bus_headway
-                stop.last_bus_bwd = elapsed % self.bus_headway
+                stop.last_bus_fwd = elapsed % BUS_HEADWAY
+                stop.last_bus_bwd = elapsed % BUS_HEADWAY
 
 
 # ---------------------------------------------------------------------------
 # Bus MDP
 
-@dataclass
-class BusEnv:
+class BusEnv(_Env):
     """Single controlled bus on one route; other buses halt.
 
     Reward for a move is the accumulated waiting time, in minutes, of the
@@ -394,52 +378,21 @@ class BusEnv:
     bound p, or ends with the clock.
     """
 
-    scenario: W.ScenarioSpec
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    horizon: int = 2
-    joint_enabled: bool | None = None
-    joint_k: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        joint = self.scenario.joint or {}
-        if self.joint_enabled is None:
-            self.joint_enabled = bool(joint.get("enabled", False))
-        if self.joint_k is None:
-            self.joint_k = int(joint.get("k", 2))
-        self._episode_counter = 0
-        self.forecast: _Forecast | None = None
-        self.world: W.WorldState | None = None
-
     @property
     def action_dim(self) -> int:
         return 3
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self.seed = seed
-        self._episode_counter += 1
-        rng = PortableRng((self.seed << 16) ^ self._episode_counter)
-        if self.forecast is None:
-            self.forecast = _build_forecast(self.scenario)
-        self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
-                                                 rng)
-        self.world = W.build_world(self.scenario)
-        self.done = False
+        self._start(self._episode_rng(seed))
         self.reduced_wait = 0.0
         self.drive_time = 0.0
         return self._observe()
 
     def _observe(self) -> np.ndarray:
         w = self.world
-        cur = w.clock.current
-        start = w.clock.episode_start
-        f = self.forecast
-        c1 = f.horizon_slice(f.bus_c1, cur, start, self.horizon)
-        c2 = f.horizon_slice(f.bus_c2, cur, start, self.horizon)
         O = (joint_features(w, "bus", self.joint_k)
              if self.joint_enabled else None)
-        return bus_observe(w, c1, c2, 0, O, self.horizon)
+        return bus_observe(w, self._horizon(self.forecast.bus), 0, O)
 
     def _max_wait(self) -> int:
         """Longest wait in segments; a queue's head has waited longest."""

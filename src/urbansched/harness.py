@@ -10,7 +10,7 @@ import numpy as np
 
 from . import world as W
 from .ddpg import Policy, run_episode
-from .envs import BikeEnv, BusEnv, RewardConfig
+from .envs import BikeEnv, BusEnv
 
 
 class OracleTooLarge(ValueError):
@@ -74,18 +74,16 @@ def _simulate_passive(scenario: W.ScenarioSpec, seed: int = 0):
     return served, lost
 
 
-def first_segment_departures(scenario: W.ScenarioSpec,
-                             seed: int = 0) -> np.ndarray:
-    env = BikeEnv(scenario=scenario, seed=seed)
-    env.reset(seed=seed)
-    return env.forecast.c1[0].copy()
+def first_segment_departures(scenario: W.ScenarioSpec) -> np.ndarray:
+    forecast = BikeEnv(scenario=scenario).forecast
+    return forecast.bike[0, :len(scenario.stations)]
 
 
 def run_greedy_bike(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:
     """Place every dispatchable bike at the station with the largest
     first-segment predicted departures (ties to lowest id), then never
     reposition again."""
-    departures = first_segment_departures(scenario, seed)
+    departures = first_segment_departures(scenario)
     ids = scenario.station_ids()
     order = sorted(range(len(ids)), key=lambda i: (-departures[i], ids[i]))
     target = ids[order[0]] if ids else None
@@ -165,10 +163,9 @@ class StaticHeadwayPolicy:
         return self.direction
 
 
-def run_static_headway(scenario: W.ScenarioSpec, seed: int = 0,
-                       reward: RewardConfig | None = None) -> MetricsReport:
-    env = BusEnv(scenario=scenario, seed=seed,
-                 reward=reward or RewardConfig())
+def run_static_headway(scenario: W.ScenarioSpec,
+                       seed: int = 0) -> MetricsReport:
+    env = BusEnv(scenario=scenario, seed=seed)
     env.reset(seed=seed)
     policy = StaticHeadwayPolicy()
     policy.begin_episode(None)
@@ -186,19 +183,15 @@ def run_static_headway(scenario: W.ScenarioSpec, seed: int = 0,
 
 
 def evaluate_policy(policy: Policy, scenario: W.ScenarioSpec, episodes: int,
-                    seed: int, force_outage: bool | None = None,
-                    joint_enabled: bool | None = None) -> MetricsReport:
+                    seed: int) -> MetricsReport:
     """Noise-free evaluation of a trained bike policy."""
-    kwargs = {}
-    if joint_enabled is not None:
-        kwargs["joint_enabled"] = joint_enabled
-    env = BikeEnv(scenario=scenario, seed=seed, **kwargs)
+    env = BikeEnv(scenario=scenario, seed=seed)
     served = lost = 0
     distance = 0.0
     returns = []
     for ep in range(episodes):
         env.seed = seed
-        total, info = run_episode(env, policy, force_outage=force_outage)
+        total, info = run_episode(env, policy)
         returns.append(total)
         served += info["served_total"]
         lost += info["lost_total"]

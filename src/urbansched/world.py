@@ -219,6 +219,8 @@ class ScenarioSpec:
             self._validate_profile(profile, stop_route)
         for entry in self.bus_script or []:
             _validate_bus_od(entry, stop_route, "bus_script")
+        if self.joint is not None:
+            self._validate_joint(self.joint)
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
         ids = self.station_ids()
@@ -252,6 +254,37 @@ class ScenarioSpec:
                 raise ScenarioError(f"bus_rates rate {rate!r} must be a "
                                     f"finite number >= 0")
 
+    def _validate_joint(self, joint: dict):
+        if not isinstance(joint, dict):
+            raise ScenarioError("joint must be an object")
+        if not isinstance(joint.get("enabled", False), bool):
+            raise ScenarioError("joint enabled must be true or false")
+        k = joint.get("k", 2)
+        if not _is_int(k) or k < 1:
+            raise ScenarioError(f"joint k {k!r} must be an integer >= 1")
+        outage = joint.get("bus_outage", False)
+        if not (isinstance(outage, bool) or outage == "random"):
+            raise ScenarioError(f"joint bus_outage {outage!r} must be true, "
+                                f"false or \"random\"")
+        trips = joint.get("outage_trips", [])
+        if not (isinstance(trips, list)
+                and all(isinstance(e, dict) for e in trips)):
+            raise ScenarioError("joint outage_trips must be a list of objects")
+        ids = self.station_ids()
+        for entry in trips:
+            for key in ("origin", "destination"):
+                if entry.get(key) not in ids:
+                    raise ScenarioError(f"outage_trips {key} "
+                                        f"{entry.get(key)!r} is not a station")
+            seg = entry.get("segment")
+            if not _is_int(seg) or not 1 <= seg <= self.episode_length:
+                raise ScenarioError(f"outage_trips segment {seg!r} must be "
+                                    f"an integer in 1..{self.episode_length}")
+            count = entry.get("count")
+            if not _is_int(count) or count < 0:
+                raise ScenarioError(f"outage_trips count {count!r} must be "
+                                    f"an integer >= 0")
+
     @property
     def episode_length(self) -> int:
         return self.clock.get("episode_length", 1)
@@ -267,6 +300,10 @@ class ScenarioSpec:
 def _is_rate(x) -> bool:
     """A demand rate or weight: a finite number >= 0 (NaN fails too)."""
     return isinstance(x, (int, float)) and 0 <= x < math.inf
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):

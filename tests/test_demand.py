@@ -444,9 +444,13 @@ def _channel_sha256(env, resets: int) -> str:
     for _ in range(resets):
         env.reset()
         f = env.forecast
+        n = len(env.scenario.stations)
+        m = f.bus.shape[1] // 2
         digest.update(repr(sorted(env.trips.items())).encode())
         digest.update(repr(sorted(env.bus_arrivals.items())).encode())
-        for a in (f.c1, f.c2, f.g, f.bus_c1, f.bus_c2):
+        # the former c1, c2, g, forward and backward bus channels
+        for a in (f.bike[:, :n], f.bike[:, n:], f.bike, f.bus[:, :m],
+                  f.bus[:, m:]):
             digest.update(repr((a.shape, a.dtype.str)).encode())
             digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
@@ -473,7 +477,8 @@ class TestPinnedDemand:
         env = envs.BikeEnv(scenario=resolve_scenario("bike5"), seed=3)
         assert _channel_sha256(env, 3) == (
             "e46f951690c44df77aa10930f5edee74241fe8514dd057177585d799dac9774c")
-        assert not env.forecast.c1.flags.writeable
+        assert not env.forecast.bike.flags.writeable
+        assert not env.forecast.bus.flags.writeable
 
 
 def _city_profile() -> DemandProfile:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,8 @@ def bus_only_scenario(bus_script, episode_length=6):
 
 
 class TestObservations:
-    # Flat layouts (bike_observe docstring), n places, horizon L:
+    # Flat layouts (bike_observe docstring), n places, horizon L, each
+    # forecast block (L, 2n) of rows [c1 | c2]:
     # bike: b1 n, b2 n, L x (c1 n, c2 n), g L x 2n, own (n+3), peers, H, O
     # bus: b1 n, b2 n, L x (c1 n, c2 n), own (n+3), peers, H, O
 
@@ -53,27 +56,25 @@ class TestObservations:
         scenario = resolve_scenario("fig1a")
         world = build_world(scenario)
         L, n = 2, 3
-        zeros = np.zeros((L, n))
-        g = np.arange(1.0, 1 + L * 2 * n).reshape(L, 2 * n)
-        flat = bike_observe(world, zeros, zeros, g, 0, None, L)
-        np.testing.assert_array_equal(flat[18:30], g.reshape(-1))
+        block = np.arange(1.0, 1 + L * 2 * n).reshape(L, 2 * n)
+        flat = bike_observe(world, block, 0, None)
+        np.testing.assert_array_equal(flat[6:18], block.reshape(-1))
+        np.testing.assert_array_equal(flat[18:30], block.reshape(-1))
         np.testing.assert_array_equal(flat[30:33], [1, 0, 0])
         # b1 + b2 + L*(c1+c2) + L*2n + self(3+3) + others(0) + H(1)
         assert flat.size == 3 + 3 + 2 * (3 + 3) + 2 * 6 + 6 + 0 + 1
 
     def test_joint_off_omits_o_block(self):
         world = build_world(mixed_scenario())
-        zeros = np.zeros((2, 2))
-        g = np.zeros((2, 4))
-        without = bike_observe(world, zeros, zeros, g, 0, None, 2)
+        block = np.zeros((2, 4))
+        without = bike_observe(world, block, 0, None)
         O = joint_features(world, "vehicle", 2)
-        with_o = bike_observe(world, zeros, zeros, g, 0, O, 2)
+        with_o = bike_observe(world, block, 0, O)
         assert with_o.size - without.size == O.size
 
     def test_bus_zero_world_observation(self):
         world = build_world(bus_only_scenario([]))
-        zeros = np.zeros((2, 3))
-        flat = bus_observe(world, zeros, zeros, 0, None, 2)
+        flat = bus_observe(world, np.zeros((2, 6)), 0, None)
         np.testing.assert_array_equal(flat[18:21], [1, 0, 0])
         assert flat[21] == 0  # empty bus
         assert np.count_nonzero(flat) == 2  # one-hot d1 and capacity e1
@@ -82,17 +83,12 @@ class TestObservations:
         doc = bus_only_scenario([])
         doc.routes[0]["bus_count"] = 2
         world = build_world(doc)
-        zeros = np.zeros((2, 3))
-        a = bus_observe(world, zeros, zeros, 0, None, 2)
-        b = bus_observe(world, zeros, zeros, 1, None, 2)
+        block = np.zeros((2, 6))
+        a = bus_observe(world, block, 0, None)
+        b = bus_observe(world, block, 1, None)
         own, peer = slice(18, 24), slice(24, 30)
         np.testing.assert_array_equal(a[peer], b[own])
         np.testing.assert_array_equal(b[peer], a[own])
-
-    def test_short_horizon_rejected(self):
-        world = build_world(bus_only_scenario([]))
-        with pytest.raises(ValueError, match="horizon"):
-            bus_observe(world, np.zeros((1, 3)), np.zeros((1, 3)), 0, None, 2)
 
     def test_bike_feature_order_pinned(self):
         world = build_world(mixed_scenario(vehicles=[
@@ -101,15 +97,13 @@ class TestObservations:
         W.apply_reposition(world, 1, 0, 2)
         world.bus_stops[1].last_bus_fwd = 3
         world.bus_stops[2].queue_bwd.append(W.Passenger("S1", 0))
-        c1 = [[1.0, 2.0], [3.0, 4.0]]
-        c2 = [[5.0, 6.0], [7.0, 8.0]]
-        g = np.arange(8.0).reshape(2, 4) + 0.5
+        block = [[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]]
         O = joint_features(world, "vehicle", 2)
-        flat = bike_observe(world, c1, c2, g, 1, O, 2)
+        flat = bike_observe(world, block, 1, O)
         assert flat.tolist() == [
             1.0, 0.0, 4.0, 5.0,  # b1, b2
             1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0,  # c1, c2 per segment
-            0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5,  # g
+            1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0,  # g, the same block
             1.0, 0.0, 3.0, 1.0, 2.0,  # vehicle 1: at A, 3 on, 1 free, +2
             1.0, 0.0, 2.0, 8.0, 0.0,  # vehicle 0
             0.5,  # H
@@ -121,8 +115,8 @@ class TestObservations:
         W.step_bus_world(world, [W.OP_HALT, W.OP_HALT], [("S2", "S3", 1)])
         W.step_bus_world(world, [W.OP_FORWARD, W.OP_HALT], [])
         O = joint_features(world, "bus", 2)
-        flat = bus_observe(world, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
-                           [[0.5, 0.0, 0.25], [0.0, 1.5, 0.0]], 1, O, 2)
+        flat = bus_observe(world, [[1.0, 2.0, 3.0, 0.5, 0.0, 0.25],
+                                   [4.0, 5.0, 6.0, 0.0, 1.5, 0.0]], 1, O)
         assert flat.tolist() == [
             2.0, 0.0, 2.0, 2.0, 2.0, 2.0,  # b1, b2
             1.0, 2.0, 3.0, 0.5, 0.0, 0.25,  # c1, c2 of segment 1
@@ -168,11 +162,9 @@ class TestDemandChannel:
         })
         env = BusEnv(scenario=scenario)
         env.reset()
-        np.testing.assert_array_equal(env.forecast.bus_c1,
-                                      [[1.75, 2.0, 0.0]] * 5)
-        np.testing.assert_array_equal(env.forecast.bus_c2,
-                                      [[0.0, 0.0, 1.0]] * 5)
-        np.testing.assert_array_equal(env.forecast.c1,
+        np.testing.assert_array_equal(env.forecast.bus,
+                                      [[1.75, 2.0, 0.0, 0.0, 0.0, 1.0]] * 5)
+        np.testing.assert_array_equal(env.forecast.bike[:, :2],
                                       [[1.0, 0.5], [2.0, 0.0]] * 2
                                       + [[1.0, 0.5]])
 
@@ -424,6 +416,61 @@ class TestBikeEnv:
             _, _, done, _ = env.step((0, 0))
         with pytest.raises(EpisodeDone):
             env.step((0, 0))
+
+
+def _rollout_bytes(env, act, **reset):
+    """Bytes of one episode's observations, rewards and infos."""
+    obs = env.reset(**reset)
+    parts = [repr((obs.shape, obs.dtype.str)).encode(), obs.tobytes()]
+    done = False
+    t = 0
+    while not done:
+        obs, reward, done, info = env.step(act(env, t))
+        t += 1
+        parts += [obs.tobytes(), repr((reward, done)).encode(),
+                  repr(sorted(info.items())).encode()]
+    return b"".join(parts)
+
+
+class TestPinnedObservationStream:
+    """Observation, reward and info streams of bike and bus rollouts; the
+    literal was produced by the env that kept c1, c2 and g apart. A change
+    to the observation layout or the forecast rows moves it."""
+
+    def test_stream_sha256(self):
+        digest = hashlib.sha256()
+
+        def dispatch(env, t):
+            return (t * 3) % env.n_stations, (t % 5) - 2
+
+        bike5 = BikeEnv(scenario=resolve_scenario("bike5"), seed=3)
+        for seed in (0, 1):
+            digest.update(_rollout_bytes(bike5, dispatch, seed=seed))
+        outage = BikeEnv(scenario=resolve_scenario("outage"),
+                         joint_enabled=True, seed=2)
+        for force in (True, False, None):
+            digest.update(_rollout_bytes(outage, dispatch,
+                                         force_outage=force))
+        bus = BusEnv(scenario=profile_bus_scenario(), seed=4,
+                     reward=RewardConfig(patience=13))
+        policy = StaticHeadwayPolicy()
+        for _ in range(2):
+            digest.update(_rollout_bytes(
+                bus, lambda env, t: policy.action_for(env)))
+        # scripted demand, a scripted bus and a bus agent that sees O
+        digest.update(_rollout_bytes(
+            BikeEnv(scenario=resolve_scenario("fig1a")), dispatch))
+        script = [{"segment": s, "origin": o, "destination": d, "count": c}
+                  for s, o, d, c in [(1, "S1", "S3", 2), (2, "S3", "S2", 1),
+                                     (2, "S2", "S3", 4), (5, "S1", "S2", 1)]]
+        for scenario in (bus_only_scenario(script),
+                         mixed_scenario(joint={"enabled": True, "k": 3})):
+            digest.update(_rollout_bytes(
+                BusEnv(scenario=scenario, reward=RewardConfig(patience=9)),
+                lambda env, t: (W.OP_FORWARD, W.OP_HALT,
+                                W.OP_BACKWARD)[t % 3]))
+        assert digest.hexdigest() == (
+            "97314676ca43d85121153c7f9653a5319da2558681e71f3fd52df5f2f741b945")
 
 
 class TestRewardConfig:

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from urbansched import harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.envs import BusEnv
-from urbansched.world import ScenarioSpec
+from urbansched.world import ScenarioError, ScenarioSpec
 
 
 def scripted_scenario(script, initial_bikes=(0, 0, 0), load=6,
@@ -156,6 +157,11 @@ class TestEvaluate:
         assert len(lines) == 2
 
 
+def _trip(doc: dict) -> dict:
+    """The first outage trip of a scenario document."""
+    return doc["joint"]["outage_trips"][0]
+
+
 class TestCli:
     def test_oracle_fig1a(self, capsys):
         assert cli(["oracle", "--scenario", "fig1a"]) == 0
@@ -221,6 +227,14 @@ class TestCli:
         assert cli(["train", "--scenario", "fig1a", "--config",
                     str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "episode" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_config_seed_key_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"episodes": 3, "seed": 5}))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("doc", [{"episodes": "3"}, {"episodes": 3.0},
@@ -354,12 +368,45 @@ class TestCli:
                         "--out", str(tmp_path / "out")]) == 1
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(joint=[]), "joint must be an object"),
+        (lambda d: d["joint"].update(enabled="yes"), "enabled"),
+        (lambda d: d["joint"].update(k=0), "joint k 0"),
+        (lambda d: d["joint"].update(k=2.0), "joint k 2.0"),
+        (lambda d: d["joint"].update(bus_outage="sometimes"), "'sometimes'"),
+        (lambda d: d["joint"].update(outage_trips={}), "list of objects"),
+        (lambda d: _trip(d).update(origin="Z9"), "origin 'Z9'"),
+        (lambda d: _trip(d).update(destination="Z9"), "destination 'Z9'"),
+        (lambda d: _trip(d).update(segment=0), "segment 0"),
+        (lambda d: _trip(d).update(segment=7), "segment 7"),
+        (lambda d: _trip(d).update(segment="2"), "segment '2'"),
+        (lambda d: _trip(d).update(count=-1), "count -1"),
+        (lambda d: _trip(d).update(count=1.5), "count 1.5"),
+    ])
+    def test_bad_joint_exit_1(self, edit, message, tmp_path, capsys):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        edit(doc)
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioSpec.from_dict(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "greedy"]) == 1
+        assert message in capsys.readouterr().err
+
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"version": 1, "meta": {}, "arrays": {}}))
         assert cli(["eval", "--scenario", "fig1a",
                     "--checkpoint", str(path)]) == 1
         assert "obs_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["none", "greedy", "headway"])
+    def test_simulate_zero_episodes_exit_1(self, policy, capsys):
+        assert cli(["simulate", "--scenario", "fig1a", "--policy", policy,
+                    "--episodes", "0"]) == 1
+        assert "episodes must be >= 1" in capsys.readouterr().err
 
     def test_trained_without_checkpoint_exit_1(self, capsys):
         assert cli(["simulate", "--scenario", "fig1a",
