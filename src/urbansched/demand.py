@@ -1,8 +1,9 @@
 """Synthetic demand generation and history recording.
 
-Profiles produce Poisson trip counts with a daily periodic rate pattern;
-scripts replay an explicit trip list exactly. Both feed the same history
-log the forecasters consume.
+Profiles produce Poisson trip counts with a daily periodic rate pattern,
+and a history log records realized trips for the forecasters. A
+scenario's explicit trip lists are checked by `world.ScenarioSpec` and
+added to the sample by the envs.
 """
 
 from __future__ import annotations
@@ -189,49 +190,6 @@ def _refill(rng: PortableRng, u: list[float], k: int, need: int,
             block: int) -> list[float]:
     """The unread uniforms u[k:] followed by at least `need` in all."""
     return u[k:] + rng.uniforms(max(block, need - (len(u) - k))).tolist()
-
-
-@dataclass
-class DemandScript:
-    """Exact per-segment trip replay. Segments are 1-based within the episode."""
-
-    by_segment: dict[int, list[Trip]]
-    bus_by_segment: dict[int, list[Trip]]
-
-    def trips_at(self, segment: int) -> list[Trip]:
-        return list(self.by_segment.get(segment, []))
-
-    def bus_at(self, segment: int) -> list[Trip]:
-        return list(self.bus_by_segment.get(segment, []))
-
-
-def scripted_demand(script: list[dict], station_ids: list[str],
-                    episode_length: int, stop_ids: list[str] | None = None,
-                    bus_script: list[dict] | None = None) -> DemandScript:
-    """Validate and index an explicit trip script."""
-    by_segment: dict[int, list[Trip]] = {}
-    known = set(station_ids)
-    for entry in script:
-        seg = int(entry["segment"])
-        if not (1 <= seg <= episode_length):
-            raise ScenarioError(f"script segment {seg} outside episode 1..{episode_length}")
-        if entry["origin"] not in known or entry["destination"] not in known:
-            raise ScenarioError(f"script references unknown station "
-                                f"{entry['origin']!r} or {entry['destination']!r}")
-        by_segment.setdefault(seg, []).append(
-            (entry["origin"], entry["destination"], int(entry["count"])))
-    bus_by_segment: dict[int, list[Trip]] = {}
-    if bus_script:
-        known_stops = set(stop_ids or [])
-        for entry in bus_script:
-            seg = int(entry["segment"])
-            if not (1 <= seg <= episode_length):
-                raise ScenarioError(f"bus script segment {seg} outside episode")
-            if entry["origin"] not in known_stops or entry["destination"] not in known_stops:
-                raise ScenarioError("bus script references unknown stop")
-            bus_by_segment.setdefault(seg, []).append(
-                (entry["origin"], entry["destination"], int(entry["count"])))
-    return DemandScript(by_segment=by_segment, bus_by_segment=bus_by_segment)
 
 
 @dataclass

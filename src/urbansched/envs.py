@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as W
-from .demand import DemandProfile, DemandScript, sample_segment, scripted_demand
+from .demand import DemandProfile, sample_segment
 from .forecast_bike import encode_flow
 from .rng import PortableRng
 
@@ -138,14 +138,12 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 @dataclass
 class _Forecast:
     """Expected demand of a scenario, row t for episode segment t + 1, and
-    the profile or script that realisations are drawn from. It depends on
-    the scenario alone, so an env builds it once; the arrays are
-    read-only."""
+    the profile that samples are drawn from. It depends on the scenario
+    alone, so an env builds it once; the arrays are read-only."""
 
     bike: np.ndarray  # (T, 2n) expected [departures | arrivals] per station
     bus: np.ndarray  # (T, 2 n_stops) expected [forward | backward] boardings
     profile: DemandProfile | None = None
-    script: DemandScript | None = None
 
     def horizon_slice(self, arr: np.ndarray, current: int, start: int,
                       L: int) -> np.ndarray:
@@ -159,6 +157,8 @@ class _Forecast:
 
 
 def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
+    """The profile's expected demand plus the scripted trips. Outage trips
+    stay unforecast: the forecasters cannot anticipate an outage."""
     station_ids = scenario.station_ids()
     stop_ids = [sid for r in scenario.routes for sid in r["stops"]]
     n = max(len(station_ids), 1)
@@ -173,19 +173,8 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
         o = pindex[origin]
         row[o if pindex[dest] > o else len(stop_ids) + o] += count
 
-    profile = script = None
-    if scenario.demand_script is not None:
-        script = scripted_demand(scenario.demand_script, station_ids, T,
-                                 stop_ids, scenario.bus_script)
-        sindex = {sid: i for i, sid in enumerate(station_ids)}
-        for seg in range(1, T + 1):
-            od = np.zeros((n, n))
-            for origin, dest, count in script.trips_at(seg):
-                od[sindex[origin], sindex[dest]] += count
-            bike[seg - 1] = encode_flow(od)
-            for origin, dest, count in script.bus_at(seg):
-                board(bus[seg - 1], origin, dest, count)
-    elif scenario.demand_profile is not None:
+    profile = None
+    if scenario.demand_profile is not None:
         profile = DemandProfile.from_dict(scenario.demand_profile, station_ids)
         for t in range(T):  # row t is day position t
             bike[t] = encode_flow(profile.expected_od(t))
@@ -193,37 +182,43 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
         for (origin, dest), rate in sorted(profile.bus_rates.items()):
             board(bus[0], origin, dest, rate)
         bus[1:] = bus[0]
+    if scenario.demand_script:
+        sindex = {sid: i for i, sid in enumerate(station_ids)}
+        od = np.zeros((T, n, n))
+        for e in scenario.demand_script:
+            od[e["segment"] - 1, sindex[e["origin"]],
+               sindex[e["destination"]]] += e["count"]
+        bike += [encode_flow(m) for m in od]
+    for e in scenario.bus_script or []:
+        board(bus[e["segment"] - 1], e["origin"], e["destination"],
+              e["count"])
     bike.flags.writeable = bus.flags.writeable = False
-    return _Forecast(bike=bike, bus=bus, profile=profile, script=script)
+    return _Forecast(bike=bike, bus=bus, profile=profile)
 
 
 def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
-             rng: PortableRng, extra_trips: list[dict] | None = None
+             rng: PortableRng, outage: bool = False
              ) -> tuple[dict[int, list], dict[int, list]]:
-    """One episode's bike trips and bus arrivals by 1-based segment."""
+    """One episode's bike trips and bus arrivals by 1-based segment: each
+    segment's profile sample, then its scripted trips, then, under an
+    outage, its outage trips. The validator keeps every segment in 1..T."""
     T = scenario.episode_length
-    trips: dict[int, list] = {}
-    bus_arrivals: dict[int, list] = {}
-    if forecast.script is not None:
-        for seg in range(1, T + 1):
-            trips[seg] = forecast.script.trips_at(seg)
-            bus_arrivals[seg] = forecast.script.bus_at(seg)
-    elif forecast.profile is not None:
+    trips: dict[int, list] = {seg: [] for seg in range(1, T + 1)}
+    bus_arrivals: dict[int, list] = {seg: [] for seg in range(1, T + 1)}
+    if forecast.profile is not None:
         clock = W.SegmentClock(0, T, 0, scenario.segment_minutes)
         for seg in range(1, T + 1):
             clock.current = seg - 1  # day position of the sampled segment
             trips[seg], bus_arrivals[seg] = sample_segment(
                 forecast.profile, clock, rng)
-    else:
-        for seg in range(1, T + 1):
-            trips[seg] = []
-            bus_arrivals[seg] = []
-    # extra demand injected by an active bus outage: realized but not
-    # forecast, since the forecasters cannot anticipate an outage; the
-    # scenario validator keeps each segment within 1..T
-    for entry in extra_trips or []:
-        trips[entry["segment"]].append(
-            (entry["origin"], entry["destination"], entry["count"]))
+    joint = scenario.joint or {}
+    for entries, out in ((scenario.demand_script, trips),
+                         (scenario.bus_script, bus_arrivals),
+                         (joint.get("outage_trips") if outage else None,
+                          trips)):
+        for e in entries or []:
+            out[e["segment"]].append(
+                (e["origin"], e["destination"], e["count"]))
     return trips, bus_arrivals
 
 
@@ -266,10 +261,10 @@ class _Env:
         self._episode_counter += 1
         return PortableRng((self.seed << 16) ^ self._episode_counter)
 
-    def _start(self, rng: PortableRng, extra_trips: list[dict] | None = None):
+    def _start(self, rng: PortableRng, outage: bool = False):
         """Realise the episode's demand and build its world."""
         self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
-                                                 rng, extra_trips)
+                                                 rng, outage)
         self.world = W.build_world(self.scenario)
         self.done = False
 
@@ -305,7 +300,7 @@ class BikeEnv(_Env):
         mode = (joint.get("bus_outage", False) if force_outage is None
                 else force_outage)
         self.outage = rng.uniform() < 0.5 if mode == "random" else mode
-        self._start(rng, joint.get("outage_trips") if self.outage else None)
+        self._start(rng, self.outage)
         self.served = 0
         self.lost = 0
         self.distance = 0.0
@@ -377,6 +372,11 @@ class BusEnv(_Env):
     exactly 0. The episode fails when any passenger has waited the patience
     bound p, or ends with the clock.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not any(r.get("bus_count", 1) for r in self.scenario.routes):
+            raise ValueError("a BusEnv needs a route that runs a bus")
 
     @property
     def action_dim(self) -> int:

@@ -183,12 +183,12 @@ class ScenarioSpec:
             if st["id"] in seen:
                 raise ScenarioError(f"duplicate station id {st['id']!r}")
             seen.add(st["id"])
-            if not (np.isfinite(st["x"]) and np.isfinite(st["y"])):
-                raise ScenarioError(f"station {st['id']}: non-finite coordinates")
-            if st["docks"] < 0:
-                raise ScenarioError(f"station {st['id']}: negative docks")
-            if not (0 <= st.get("initial_bikes", 0) <= st["docks"]):
-                raise ScenarioError(f"station {st['id']}: initial_bikes outside [0, docks]")
+            if not (_is_number(st["x"]) and _is_number(st["y"])):
+                raise ScenarioError(f"station {st['id']}: coordinates must "
+                                    f"be finite numbers")
+            _check_count(f"station {st['id']}: docks", st["docks"], 0)
+            _check_count(f"station {st['id']}: initial_bikes",
+                         st.get("initial_bikes", 0), 0, st["docks"])
         stop_route: dict[str, int] = {}
         for i, r in enumerate(self.routes):
             if len(r.get("stops", [])) < 2:
@@ -199,28 +199,59 @@ class ScenarioSpec:
                 if sid in stop_route:
                     raise ScenarioError(f"stop id {sid!r} on two routes")
                 stop_route[sid] = i
-            if r.get("capacity", 1) <= 0:
-                raise ScenarioError("route bus capacity must be > 0")
+            _check_count("route bus capacity", r.get("capacity", 30), 1)
+            _check_count("route bus_count", r.get("bus_count", 1), 0)
         for v in self.vehicles:
-            if v.get("capacity", 0) <= 0:
-                raise ScenarioError("vehicle capacity must be > 0")
-            if not (0 <= v.get("initial_load", 0) <= v["capacity"]):
-                raise ScenarioError("vehicle initial_load outside [0, capacity]")
+            _check_count("vehicle capacity", v.get("capacity"), 1)
+            _check_count("vehicle initial_load", v.get("initial_load", 0), 0,
+                         v["capacity"])
             start = v.get("start")
             if start is not None and start not in seen:
                 raise ScenarioError(f"vehicle start station {start!r} unknown")
         ck = self.clock
-        if ck.get("segment_minutes", 15) <= 0:
-            raise ScenarioError("clock segment_minutes must be > 0")
-        if ck.get("episode_length", 1) < 1:
-            raise ScenarioError("clock episode_length must be >= 1")
+        minutes = ck.get("segment_minutes", 15)
+        if not (_is_number(minutes) and minutes > 0):
+            raise ScenarioError(f"clock segment_minutes {minutes!r} must be "
+                                f"a finite number > 0")
+        _check_count("clock episode_length", ck.get("episode_length", 1), 1)
+        episode_start = ck.get("episode_start", 0)
+        if not _is_int(episode_start):
+            raise ScenarioError(f"clock episode_start {episode_start!r} must "
+                                f"be an integer")
+        if not (isinstance(self.environment, list)
+                and all(map(_is_number, self.environment))):
+            raise ScenarioError("environment must be a list of finite "
+                                "numbers")
         profile = self.demand_profile
         if profile is not None:
             self._validate_profile(profile, stop_route)
-        for entry in self.bus_script or []:
-            _validate_bus_od(entry, stop_route, "bus_script")
+        if self.demand_script is not None:
+            self._validate_trips("demand_script", self.demand_script, seen,
+                                 "station")
+        if self.bus_script is not None:
+            self._validate_trips("bus_script", self.bus_script,
+                                 set(stop_route), "stop")
+            for entry in self.bus_script:
+                _validate_bus_od(entry, stop_route, "bus_script")
         if self.joint is not None:
             self._validate_joint(self.joint)
+
+    def _validate_trips(self, where: str, trips: list[dict],
+                        places: set[str], kind: str):
+        """A trip list: objects with a known origin and destination, an
+        integer segment in 1..T and an integer count >= 0."""
+        if not (isinstance(trips, list)
+                and all(isinstance(e, dict) for e in trips)):
+            raise ScenarioError(f"{where} must be a list of objects")
+        for entry in trips:
+            for key in ("origin", "destination"):
+                place = entry.get(key)
+                if not (isinstance(place, str) and place in places):
+                    raise ScenarioError(f"{where} {key} {place!r} is not a "
+                                        f"{kind}")
+            _check_count(f"{where} segment", entry.get("segment"), 1,
+                         self.episode_length)
+            _check_count(f"{where} count", entry.get("count"), 0)
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
         ids = self.station_ids()
@@ -266,24 +297,8 @@ class ScenarioSpec:
         if not (isinstance(outage, bool) or outage == "random"):
             raise ScenarioError(f"joint bus_outage {outage!r} must be true, "
                                 f"false or \"random\"")
-        trips = joint.get("outage_trips", [])
-        if not (isinstance(trips, list)
-                and all(isinstance(e, dict) for e in trips)):
-            raise ScenarioError("joint outage_trips must be a list of objects")
-        ids = self.station_ids()
-        for entry in trips:
-            for key in ("origin", "destination"):
-                if entry.get(key) not in ids:
-                    raise ScenarioError(f"outage_trips {key} "
-                                        f"{entry.get(key)!r} is not a station")
-            seg = entry.get("segment")
-            if not _is_int(seg) or not 1 <= seg <= self.episode_length:
-                raise ScenarioError(f"outage_trips segment {seg!r} must be "
-                                    f"an integer in 1..{self.episode_length}")
-            count = entry.get("count")
-            if not _is_int(count) or count < 0:
-                raise ScenarioError(f"outage_trips count {count!r} must be "
-                                    f"an integer >= 0")
+        self._validate_trips("outage_trips", joint.get("outage_trips", []),
+                             set(self.station_ids()), "station")
 
     @property
     def episode_length(self) -> int:
@@ -297,13 +312,26 @@ class ScenarioSpec:
         return [s["id"] for s in self.stations]
 
 
+def _is_number(x) -> bool:
+    """A finite int or float; NaN and booleans fail."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def _is_rate(x) -> bool:
-    """A demand rate or weight: a finite number >= 0 (NaN fails too)."""
-    return isinstance(x, (int, float)) and 0 <= x < math.inf
+    """A demand rate or weight: a finite number >= 0."""
+    return _is_number(x) and x >= 0
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_count(what: str, x, low: int, high: int | None = None):
+    """Raise unless x is an integer in low..high (high None: unbounded)."""
+    if not _is_int(x) or x < low or (high is not None and x > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ScenarioError(f"{what} {x!r} must be an integer {bound}")
 
 
 def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):
@@ -332,8 +360,8 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
         BikeStation(
             id=s["id"],
             coord=(float(s["x"]), float(s["y"])),
-            docks=int(s["docks"]),
-            available=int(s.get("initial_bikes", 0)),
+            docks=s["docks"],
+            available=s.get("initial_bikes", 0),
         )
         for s in scenario.stations
     ]
@@ -343,7 +371,7 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
         base = len(stops)
         for pos, stop_id in enumerate(route["stops"], start=1):
             stops.append(BusStop(id=stop_id, route=r, route_position=pos))
-        capacity = int(route.get("capacity", 30))
+        capacity = route.get("capacity", 30)
         for _ in range(route.get("bus_count", 1)):
             agents.append(AgentState(kind="bus", location=base, occupied=0,
                                      operation=OP_HALT, capacity=capacity))
@@ -352,8 +380,8 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
         start = v.get("start")
         idx = 0 if start is None else station_ids.index(start)
         agents.append(AgentState(kind="vehicle", location=idx,
-                                 occupied=int(v.get("initial_load", 0)),
-                                 operation=0, capacity=int(v["capacity"])))
+                                 occupied=v.get("initial_load", 0),
+                                 operation=0, capacity=v["capacity"]))
     return WorldState(
         clock=clock,
         bike_stations=stations,

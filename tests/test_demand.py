@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from urbansched import envs
 from urbansched.cli import _history_from_scenario, resolve_scenario
-from urbansched.demand import (
-    DemandProfile, HistoryLog, sample_segment, scripted_demand,
-)
+from urbansched.demand import DemandProfile, HistoryLog, sample_segment
 from urbansched.rng import PortableRng
-from urbansched.world import ScenarioError, SegmentClock
+from urbansched.world import ScenarioError, ScenarioSpec, SegmentClock
 
 
 IDS = ["A", "B", "C"]
@@ -518,6 +516,18 @@ class TestPinnedCitySampling:
             "a39ef76ee78bd26b77c6f18c625efbc2673d7104a3cbc89c88020f56729e8dcd")
 
 
+def script_scenario(script):
+    return ScenarioSpec.from_dict({
+        "clock": {"segment_minutes": 15, "episode_length": 2},
+        "stations": [{"id": sid, "x": float(i), "y": 0.0, "docks": 20}
+                     for i, sid in enumerate(IDS)],
+        "routes": [],
+        "vehicles": [{"capacity": 10, "start": "A"}],
+        "environment": [0.0],
+        "demand_script": script,
+    })
+
+
 class TestScriptedDemand:
     def test_exact_replay(self):
         script = [
@@ -525,22 +535,23 @@ class TestScriptedDemand:
             {"segment": 1, "origin": "B", "destination": "C", "count": 15},
             {"segment": 2, "origin": "B", "destination": "C", "count": 10},
         ]
-        ds = scripted_demand(script, IDS, episode_length=2)
-        assert ds.trips_at(1) == [("A", "B", 10), ("B", "C", 15)]
-        assert ds.trips_at(2) == [("B", "C", 10)]
-        assert ds.trips_at(3) == []
-        assert sum(c for trips in ds.by_segment.values()
+        env = envs.BikeEnv(scenario=script_scenario(script))
+        env.reset()
+        assert env.trips == {1: [("A", "B", 10), ("B", "C", 15)],
+                             2: [("B", "C", 10)]}
+        assert sum(c for trips in env.trips.values()
                    for _, _, c in trips) == 35
 
     def test_segment_bounds_checked(self):
         bad = [{"segment": 3, "origin": "A", "destination": "B", "count": 1}]
-        with pytest.raises(ScenarioError, match="outside episode"):
-            scripted_demand(bad, IDS, episode_length=2)
+        with pytest.raises(ScenarioError, match=r"segment 3 .* in 1\.\.2"):
+            script_scenario(bad)
 
     def test_unknown_station_rejected(self):
         bad = [{"segment": 1, "origin": "A", "destination": "Z", "count": 1}]
-        with pytest.raises(ScenarioError, match="unknown station"):
-            scripted_demand(bad, IDS, episode_length=2)
+        with pytest.raises(ScenarioError,
+                           match="destination 'Z' is not a station"):
+            script_scenario(bad)
 
 
 class TestHistoryLog:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from urbansched.envs import (
     BikeEnv, BusEnv, EpisodeDone, RewardConfig, bike_observe, bus_observe,
     joint_features,
 )
+from urbansched.forecast_bike import encode_flow
 from urbansched.harness import StaticHeadwayPolicy
 from urbansched.world import ScenarioSpec, build_world
 
@@ -41,7 +44,6 @@ def bus_only_scenario(bus_script, episode_length=6):
                     "capacity": 20}],
         "vehicles": [],
         "environment": [0.0],
-        "demand_script": [],
         "bus_script": bus_script,
     })
 
@@ -167,6 +169,60 @@ class TestDemandChannel:
         np.testing.assert_array_equal(env.forecast.bike[:, :2],
                                       [[1.0, 0.5], [2.0, 0.0]] * 2
                                       + [[1.0, 0.5]])
+
+
+class TestTripLists:
+    """Scripted and outage trips add to the profile's sample, in that
+    order; scripted trips are forecast, outage trips are not."""
+
+    BUS_SCRIPT = [{"segment": s, "origin": o, "destination": d, "count": c}
+                  for s, o, d, c in [(1, "S1", "S3", 2), (2, "S3", "S2", 1),
+                                     (2, "S2", "S3", 4), (5, "S1", "S2", 1)]]
+
+    def test_bus_script_alone_realised_and_forecast(self):
+        env = BusEnv(scenario=bus_only_scenario(self.BUS_SCRIPT))
+        env.reset()
+        assert env.bus_arrivals == {
+            1: [("S1", "S3", 2)], 2: [("S3", "S2", 1), ("S2", "S3", 4)],
+            3: [], 4: [], 5: [("S1", "S2", 1)], 6: []}
+        # rows of [forward | backward] boardings at S1, S2, S3
+        expected = np.zeros((6, 6))
+        expected[0, 0] = 2
+        expected[1, 5] = 1
+        expected[1, 1] = 4
+        expected[4, 0] = 1
+        np.testing.assert_array_equal(env.forecast.bus, expected)
+        env.step(W.OP_HALT)
+        assert len(env.world.bus_stops[0].queue_fwd) == 2
+
+    def test_profile_script_outage_order(self):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        script = [(1, "B3", "B1", 3), (1, "N1", "N2", 1), (4, "B2", "B1", 2),
+                  (1, "N2", "N1", 5)]
+        doc["demand_script"] = [
+            {"segment": s, "origin": o, "destination": d, "count": c}
+            for s, o, d, c in script]
+        outage = doc["joint"]["outage_trips"]
+        full = BikeEnv(scenario=ScenarioSpec.from_dict(doc), seed=3)
+        full.reset(force_outage=True)
+        del doc["demand_script"], doc["joint"]
+        profile_only = BikeEnv(scenario=ScenarioSpec.from_dict(doc), seed=3)
+        profile_only.reset()
+        assert all(profile_only.trips.values())  # every segment sampled
+        for seg in range(1, 7):
+            assert full.trips[seg] == (
+                profile_only.trips[seg]
+                + [(o, d, c) for s, o, d, c in script if s == seg]
+                + [(e["origin"], e["destination"], e["count"])
+                   for e in outage if e["segment"] == seg])
+        ids = profile_only.scenario.station_ids()
+        od = np.zeros((6, len(ids), len(ids)))
+        for s, o, d, c in script:
+            od[s - 1, ids.index(o), ids.index(d)] += c
+        np.testing.assert_array_equal(
+            full.forecast.bike,
+            profile_only.forecast.bike + [encode_flow(m) for m in od])
 
 
 class TestJointFeatures:
@@ -305,6 +361,10 @@ class TestBusEnv:
         env.reset()
         with pytest.raises(ValueError, match="invalid bus action"):
             env.step(2)
+
+    def test_needs_a_bus(self):
+        with pytest.raises(ValueError, match="needs a route that runs a bus"):
+            BusEnv(scenario=mixed_scenario(bus_count=0))
 
     def test_step_after_done(self):
         env = BusEnv(scenario=bus_only_scenario([], episode_length=1))

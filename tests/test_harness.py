@@ -395,6 +395,94 @@ class TestCli:
                     "--policy", "greedy"]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["demand_script", "bus_script",
+                                       "outage_trips"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("count", -1, "count -1"),
+        ("count", 2.5, "count 2.5"),
+        ("count", True, "count True"),
+        ("segment", 0, "segment 0"),
+        ("segment", 3, "segment 3"),
+        ("origin", "Z9", "origin 'Z9'"),
+    ])
+    def test_bad_trip_list_exit_1(self, where, field, value, message,
+                                  tmp_path, capsys):
+        trip = {"segment": 1, "origin": "A", "destination": "B", "count": 1}
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2"]}],
+            "vehicles": [{"capacity": 5}], "environment": [0.0],
+            "demand_script": [dict(trip)],
+            "bus_script": [dict(trip, origin="S1", destination="S2")],
+            "joint": {"bus_outage": True, "outage_trips": [dict(trip)]},
+        }
+        lists = {"demand_script": doc["demand_script"],
+                 "bus_script": doc["bus_script"],
+                 "outage_trips": doc["joint"]["outage_trips"]}
+        lists[where][0][field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        assert f"{where} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["routes"][0].update(bus_count=2.5), "bus_count 2.5"),
+        (lambda d: d["routes"][0].update(bus_count="2"), "bus_count '2'"),
+        (lambda d: d["routes"][0].update(bus_count=True), "bus_count True"),
+        (lambda d: d["routes"][0].update(capacity="x"), "capacity 'x'"),
+        (lambda d: d["routes"][0].update(capacity=2.5), "capacity 2.5"),
+        (lambda d: d["vehicles"][0].update(capacity=20.5), "capacity 20.5"),
+        (lambda d: d["vehicles"][0].update(initial_load=0.5),
+         "initial_load 0.5"),
+        (lambda d: d["stations"][0].update(docks="30"), "docks '30'"),
+        (lambda d: d["stations"][0].update(docks=7.5), "docks 7.5"),
+        (lambda d: d["stations"][0].update(initial_bikes=1.5),
+         "initial_bikes 1.5"),
+        (lambda d: d["stations"][0].update(x="a"), "coordinates"),
+        (lambda d: d["clock"].update(segment_minutes="15"),
+         "segment_minutes '15'"),
+        (lambda d: d["clock"].update(episode_length=2.5),
+         "episode_length 2.5"),
+        (lambda d: d["clock"].update(episode_start="a"),
+         "episode_start 'a'"),
+        (lambda d: d.update(environment=[math.nan]), "environment"),
+        (lambda d: d["demand_profile"]["rates"].update(B=[True, True]),
+         "rates of station 'B'"),
+        (lambda d: d["demand_profile"]["bus_rates"][0].update(rate=True),
+         "rate True"),
+    ])
+    def test_bad_field_type_exit_1(self, edit, message, tmp_path, capsys):
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5,
+                          "initial_bikes": 1},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2"], "bus_count": 1,
+                        "capacity": 10}],
+            "vehicles": [{"capacity": 5, "start": "A", "initial_load": 1}],
+            "environment": [0.5],
+            "demand_profile": {
+                "rates": {"A": [1.0, 2.0], "B": [0.5, 0.5]},
+                "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+                "bus_rates": [{"origin": "S1", "destination": "S2",
+                               "rate": 1.0}]},
+        }
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["fig1a", "bike5"])
+    def test_headway_without_bus_exit_1(self, scenario, capsys):
+        assert cli(["simulate", "--scenario", scenario,
+                    "--policy", "headway"]) == 1
+        assert "needs a route that runs a bus" in capsys.readouterr().err
+
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"version": 1, "meta": {}, "arrays": {}}))
