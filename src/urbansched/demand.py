@@ -74,20 +74,23 @@ class DemandProfile:
         # the sequential ones in the last place
         self._od_rowsum = self.od_weights.sum(axis=1)
         # Bus ODs in sorted order, each rate expanded into the Poisson
-        # leaves its draw inverts, one uniform per leaf.
-        self._bus_ods: list[tuple[str, str]] = []
+        # leaves its draw inverts, one uniform per leaf; a split OD's leaves
+        # are adjacent and share their owner, the OD's index.
+        self._bus_origin: list[str] = []
+        self._bus_dest: list[str] = []
         leaves: list[float] = []
-        starts: list[int] = []
-        for od, rate in sorted(self.bus_rates.items()):
+        owner: list[int] = []
+        for (origin, dest), rate in sorted(self.bus_rates.items()):
             split = poisson_leaves(rate)
             if split:
-                self._bus_ods.append(od)
-                starts.append(len(leaves))
+                owner += [len(self._bus_origin)] * len(split)
+                self._bus_origin.append(origin)
+                self._bus_dest.append(dest)
                 leaves += split
         self._bus_leaves = np.array(leaves, dtype=float)
         self._bus_leaf_exp = np.array([math.exp(-leaf) for leaf in leaves],
                                       dtype=float)
-        self._bus_starts = np.array(starts, dtype=np.intp)
+        self._bus_leaf_od = np.array(owner, dtype=np.intp)
 
     @property
     def segments_per_day(self) -> int:
@@ -130,7 +133,8 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     The unread rest of the block is handed back (`PortableRng.give_back`),
     so the stream ends where single draws leave it. A day position whose
     rates are all zero draws no block. Bus leaves then take one block of
-    uniforms, all of it read.
+    uniforms, all of it read; only the leaves that drew a passenger are
+    inverted, and a split OD's leaves are summed into one arrival.
     """
     ids = profile.station_ids
     last = len(ids) - 1
@@ -176,13 +180,23 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
             trips.extend((sid, ids[j], c) for j, c in sorted(per_dest.items()))
         rng.give_back(m - k)
     bus_arrivals: list[Trip] = []
-    if profile._bus_ods:
+    if profile._bus_origin:
         u = rng.uniforms(len(profile._bus_leaves))
-        leaf_counts = invert_poisson(u, profile._bus_leaves,
-                                     profile._bus_leaf_exp)
-        counts = np.add.reduceat(leaf_counts, profile._bus_starts)
-        bus_arrivals = [(origin, dest, count) for (origin, dest), count
-                        in zip(profile._bus_ods, counts.tolist()) if count > 0]
+        exps = profile._bus_leaf_exp
+        # a leaf below exp(-rate) counts 0, as the inversion's first
+        # comparison says, so only the hits are inverted and listed
+        hit = np.flatnonzero(u >= exps)
+        if hit.size:
+            counts = invert_poisson(u[hit], profile._bus_leaves[hit],
+                                    exps[hit])
+            origin, dest = profile._bus_origin, profile._bus_dest
+            prev = -1
+            for od, count in zip(profile._bus_leaf_od[hit].tolist(),
+                                 counts.tolist()):
+                if od == prev:  # another leaf of a split OD
+                    count += bus_arrivals.pop()[2]
+                bus_arrivals.append((origin[od], dest[od], count))
+                prev = od
     return trips, bus_arrivals
 
 

@@ -44,9 +44,9 @@ def _observation(world: W.WorldState, head: list, agents: list, me: int,
 
     The agent block holds agent `me` first, then each peer in world order,
     each as a one-hot location over `places`, occupied, remaining and
-    operation.
+    operation. Without agents the block is empty.
     """
-    order = [agents[me]] + agents[:me] + agents[me + 1:]
+    order = [agents[me]] + agents[:me] + agents[me + 1:] if agents else []
     block = np.zeros((len(order), places + 3))
     for row, agent in zip(block, order):
         row[agent.location] = 1.0

@@ -21,6 +21,11 @@ POISSON_SPLIT = 50  # larger rates split in two, so inversion stays stable
 _POISSON_MAX_K = 10_000
 
 
+# (1, 2, ..., m) * gamma modulo 2**64, the offsets of a block's m draws
+# from the state, made once for blocks up to this long
+_GAMMA_RAMP = np.arange(1, 4097, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
 class PortableRng:
     """splitmix64 stream with uniform and Poisson draws."""
 
@@ -41,8 +46,9 @@ class PortableRng:
     def uniforms(self, m: int) -> np.ndarray:
         """The next m uniforms as one array, equal to m `uniform()` calls
         and leaving the same state."""
-        z = (np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-             + np.uint64(self.state))  # wraps modulo 2**64
+        ramp = (_GAMMA_RAMP[:m] if m <= _GAMMA_RAMP.size else
+                np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+        z = ramp + np.uint64(self.state)  # wraps modulo 2**64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))

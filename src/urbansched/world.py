@@ -173,6 +173,13 @@ class ScenarioSpec:
         self.validate()
 
     def validate(self):
+        for where in ("stations", "routes", "vehicles"):
+            _check_objects(where, getattr(self, where))
+        for r in self.routes:
+            stops = r.get("stops", [])
+            if not (isinstance(stops, list)
+                    and all(isinstance(sid, str) for sid in stops)):
+                raise ScenarioError("route stops must be a list of strings")
         if len(self.stations) + sum(len(r.get("stops", [])) for r in self.routes) < 2:
             raise ScenarioError("scenario needs at least 2 stations or stops")
         seen: set[str] = set()
@@ -180,6 +187,9 @@ class ScenarioSpec:
             for key in ("id", "x", "y", "docks"):
                 if key not in st:
                     raise ScenarioError(f"station missing field {key!r}")
+            if not isinstance(st["id"], str):
+                raise ScenarioError(f"station id {st['id']!r} must be a "
+                                    f"string")
             if st["id"] in seen:
                 raise ScenarioError(f"duplicate station id {st['id']!r}")
             seen.add(st["id"])
@@ -206,9 +216,12 @@ class ScenarioSpec:
             _check_count("vehicle initial_load", v.get("initial_load", 0), 0,
                          v["capacity"])
             start = v.get("start")
-            if start is not None and start not in seen:
+            if start is not None and not (isinstance(start, str)
+                                          and start in seen):
                 raise ScenarioError(f"vehicle start station {start!r} unknown")
         ck = self.clock
+        if not isinstance(ck, dict):
+            raise ScenarioError("clock must be an object")
         minutes = ck.get("segment_minutes", 15)
         if not (_is_number(minutes) and minutes > 0):
             raise ScenarioError(f"clock segment_minutes {minutes!r} must be "
@@ -240,9 +253,7 @@ class ScenarioSpec:
                         places: set[str], kind: str):
         """A trip list: objects with a known origin and destination, an
         integer segment in 1..T and an integer count >= 0."""
-        if not (isinstance(trips, list)
-                and all(isinstance(e, dict) for e in trips)):
-            raise ScenarioError(f"{where} must be a list of objects")
+        _check_objects(where, trips)
         for entry in trips:
             for key in ("origin", "destination"):
                 place = entry.get(key)
@@ -254,10 +265,14 @@ class ScenarioSpec:
             _check_count(f"{where} count", entry.get("count"), 0)
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
+        if not isinstance(profile, dict):
+            raise ScenarioError("demand_profile must be an object")
         ids = self.station_ids()
         if not ids:
             raise ScenarioError("demand_profile needs at least one station")
         rates = profile.get("rates", {})
+        if not isinstance(rates, dict):
+            raise ScenarioError("demand_profile rates must be an object")
         lengths = set()
         for sid in ids:
             if sid not in rates:
@@ -272,13 +287,16 @@ class ScenarioSpec:
             raise ScenarioError("demand_profile rate rows must be non-empty "
                                 "and of equal length")
         od = profile.get("od_weights", [])
-        if len(od) != len(ids) or any(not isinstance(row, list)
-                                      or len(row) != len(ids) for row in od):
+        if not (isinstance(od, list) and len(od) == len(ids)
+                and all(isinstance(row, list) and len(row) == len(ids)
+                        for row in od)):
             raise ScenarioError("demand_profile od_weights must be n x n")
         if not all(_is_rate(w) for row in od for w in row):
             raise ScenarioError("demand_profile od_weights entries must be "
                                 "finite numbers >= 0")
-        for entry in profile.get("bus_rates", []):
+        bus_rates = profile.get("bus_rates", [])
+        _check_objects("bus_rates", bus_rates)
+        for entry in bus_rates:
             _validate_bus_od(entry, stop_route, "bus_rates")
             rate = entry.get("rate")
             if not _is_rate(rate):
@@ -334,12 +352,19 @@ def _check_count(what: str, x, low: int, high: int | None = None):
         raise ScenarioError(f"{what} {x!r} must be an integer {bound}")
 
 
+def _check_objects(where: str, items):
+    """Raise unless items is a list of objects."""
+    if not (isinstance(items, list)
+            and all(isinstance(e, dict) for e in items)):
+        raise ScenarioError(f"{where} must be a list of objects")
+
+
 def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):
     """A bus OD must join two distinct stops of one route: no bus can carry
     a passenger between routes."""
     origin, dest = entry.get("origin"), entry.get("destination")
     for sid in (origin, dest):
-        if sid not in stop_route:
+        if not (isinstance(sid, str) and sid in stop_route):
             raise ScenarioError(f"{where} references unknown stop {sid!r}")
     if origin == dest:
         raise ScenarioError(f"{where} OD {origin!r} starts where it ends")

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,18 @@ class TestPortableRng:
         empty = PortableRng(5)
         assert empty.uniforms(0).size == 0 and empty.state == 5
 
+    @pytest.mark.parametrize("m", [4095, 4096, 4097, 6000])
+    def test_uniforms_past_the_cached_ramp(self, m):
+        # blocks up to 4096 long slice one kept ramp of offsets, longer
+        # ones make their own; a short block after a long one reads the
+        # kept ramp unchanged
+        seed = 2 ** 64 - 2000
+        block, single = PortableRng(seed), PortableRng(seed)
+        for n in (m, 5):
+            assert block.uniforms(n).tolist() == [single.uniform()
+                                                  for _ in range(n)]
+            assert block.state == single.state
+
 
 class TestDemandProfile:
     def test_validation(self):
@@ -218,6 +232,7 @@ RATES = st.one_of(st.sampled_from([0.0, 0.3, 4.0, 50.0, 50.5, 99.0, 100.5,
                                    260.0]),
                   st.floats(0.0, 240.0))
 STOPS = ["P0", "P1", "P2", "P3"]
+STOPS_12 = [f"Q{i:02d}" for i in range(12)]
 
 
 @st.composite
@@ -265,6 +280,29 @@ class TestSamplingMatchesReference:
         fast, ref = PortableRng(seed), PortableRng(seed)
         clock = SegmentClock(0, 2, 0, 15)
         for seg in range(2):
+            clock.current = seg
+            assert (sample_segment(profile, clock, fast)
+                    == ref_sample_segment(profile, clock, ref))
+            assert fast.state == ref.state
+
+    @given(bus_rates=st.dictionaries(
+               st.sampled_from([(o, d) for o in STOPS_12 for d in STOPS_12
+                                if o != d]),
+               st.one_of(st.sampled_from([0.0, 0.05, 0.3, 2.0, 50.0, 50.5,
+                                          260.0]),
+                         st.floats(0.0, 300.0)),
+               min_size=50, max_size=80),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_many_bus_ods(self, bus_rates, seed):
+        # bus leaves are inverted only where they draw a passenger, and a
+        # split OD's leaves are summed into one arrival
+        profile = make_profile(rates=np.array([[0.4, 0.0], [0.0, 0.0],
+                                               [3.0, 0.0]]),
+                               bus_rates=bus_rates)
+        fast, ref = PortableRng(seed), PortableRng(seed)
+        clock = SegmentClock(0, 3, 0, 15)
+        for seg in range(3):
             clock.current = seg
             assert (sample_segment(profile, clock, fast)
                     == ref_sample_segment(profile, clock, ref))
@@ -382,6 +420,32 @@ class TestSamplingBoundaries:
         rng = ScriptedRng([1.0] * draws)
         assert sample_segment(profile, clock, rng) == want
         assert not rng.script
+
+    def test_bus_leaf_boundaries(self):
+        # a uniform equal to exp(-rate) draws a passenger, one an ulp below
+        # it does not, and the NaN padding past the script draws none; the
+        # 60.0 OD splits into two leaves of 30.0
+        profile = make_profile(rates=np.zeros((3, 1)), bus_rates={
+            ("P0", "P1"): 0.5, ("P0", "P2"): 2.0, ("P1", "P0"): 60.0,
+            ("P2", "P0"): 0.7, ("P3", "P0"): 1.0})
+        clock = SegmentClock(0, 1, 0, 15)
+        at, below = math.exp(-30.0), math.nextafter(math.exp(-30.0), 0.0)
+        cases = [
+            ([math.exp(-0.5), math.nextafter(math.exp(-2.0), 0.0), at, at],
+             [("P0", "P1", 1), ("P1", "P0", 2)]),
+            ([math.nextafter(math.exp(-0.5), 0.0), math.exp(-2.0), below,
+              at, math.exp(-0.7), 0.0],
+             [("P0", "P2", 1), ("P1", "P0", 1), ("P2", "P0", 1)]),
+            ([0.0, 0.0, at, below], [("P1", "P0", 1)]),
+            ([], []),
+        ]
+        for script, want in cases:
+            rng = ScriptedRng(script)
+            assert sample_segment(profile, clock, rng) == ([], want)
+            assert rng.blocks == 1 and not rng.script
+            if len(script) == 6:  # no padding: the scalar path agrees
+                assert ref_sample_segment(profile, clock,
+                                          ScriptedRng(script)) == ([], want)
 
 
 def _u_for_count(rate: float, count: int) -> float:
@@ -514,6 +578,38 @@ class TestPinnedCitySampling:
         digest.update(str(rng.state).encode())
         assert digest.hexdigest() == (
             "a39ef76ee78bd26b77c6f18c625efbc2673d7104a3cbc89c88020f56729e8dcd")
+
+
+GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+
+
+class TestPinnedCorridorSampling:
+    """96 segments of the benchmark corridor's bus arrivals for seeds 0-2,
+    byte-identical to those the inversion of every leaf drew; the literal
+    was produced by it. This reads perfbench, never edits it."""
+
+    def test_three_seeds(self):
+        spec = importlib.util.spec_from_file_location("perfbench_scenarios",
+                                                      GENERATORS)
+        generators = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generators)
+        digest = hashlib.sha256()
+        arrivals = 0
+        for seed in range(3):
+            scenario = ScenarioSpec.from_dict(generators.corridor(seed))
+            profile = DemandProfile.from_dict(scenario.demand_profile,
+                                              scenario.station_ids())
+            rng = PortableRng(seed + 1)
+            clock = SegmentClock(0, 96, 0, scenario.segment_minutes)
+            for seg in range(96):
+                clock.current = seg
+                out = sample_segment(profile, clock, rng)
+                arrivals += len(out[1])
+                digest.update(repr(out).encode())
+            digest.update(str(rng.state).encode())
+        assert arrivals == 24312
+        assert digest.hexdigest() == (
+            "c61ce9852faaaff019e935a1f6948a71ff9fcce1ca126948dde76fb03531a079")
 
 
 def script_scenario(script):

@@ -477,6 +477,68 @@ class TestCli:
                     "--policy", "none"]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(clock=[]), "clock must be an object"),
+        (lambda d: d["demand_profile"]["bus_rates"].append(3),
+         "bus_rates must be a list of objects"),
+        (lambda d: d["stations"][0].update(id=["A"]),
+         "station id ['A'] must be a string"),
+        (lambda d: d["stations"].append(3),
+         "stations must be a list of objects"),
+        (lambda d: d["routes"].append("T1"),
+         "routes must be a list of objects"),
+        (lambda d: d["routes"][0]["stops"].append(["S3"]),
+         "route stops must be a list of strings"),
+        (lambda d: d["vehicles"][0].update(start=["A"]),
+         "vehicle start station ['A'] unknown"),
+        (lambda d: d.update(demand_profile=[]),
+         "demand_profile must be an object"),
+        (lambda d: d["demand_profile"].update(od_weights=5),
+         "od_weights must be n x n"),
+    ])
+    def test_bad_structure_exit_1(self, edit, message, tmp_path, capsys):
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2"]}],
+            "vehicles": [{"capacity": 5, "start": "B"}],
+            "environment": [0.5],
+            "demand_profile": {
+                "rates": {"A": [1.0, 2.0], "B": [0.5, 0.5]},
+                "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+                "bus_rates": [{"origin": "S1", "destination": "S2",
+                               "rate": 1.0}]},
+        }
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        (["simulate", "--policy", "none"], "served=3 lost=0"),
+        (["simulate", "--policy", "greedy"], "served=3 lost=0"),
+        (["oracle"], "best_served=3"),
+        (["eval", "--policy", "greedy", "--seeds", "0,1"], "min=3 max=3"),
+    ])
+    def test_bike_world_without_vehicles_runs(self, command, out, tmp_path,
+                                              capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 3},
+            "stations": [{"id": sid, "x": float(i), "y": 0.0, "docks": 10,
+                          "initial_bikes": 5}
+                         for i, sid in enumerate(["A", "B"])],
+            "routes": [], "vehicles": [], "environment": [0.0],
+            "demand_script": [{"segment": 1, "origin": "A",
+                               "destination": "B", "count": 3}],
+        }))
+        assert cli([*command, "--scenario", str(path),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert out in capsys.readouterr().out
+
     @pytest.mark.parametrize("scenario", ["fig1a", "bike5"])
     def test_headway_without_bus_exit_1(self, scenario, capsys):
         assert cli(["simulate", "--scenario", scenario,
