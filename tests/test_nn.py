@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urbansched import nn
+from urbansched import forecast_bike, nn
 
 
 def manual_lstm_step(p, x, h_prev, c_prev):
@@ -166,6 +168,56 @@ class TestLstmBackward:
                 a += g
         for a, g in zip(acc.arrays(), grads.arrays()):
             np.testing.assert_allclose(a, g, atol=1e-10)
+
+
+def _lstm_bits_sha256(n_steps, batch, n_in, hidden, start=None):
+    """SHA-256 over hs and the four gradient arrays of one seeded
+    forward/backward pass."""
+    rng = np.random.default_rng([n_steps, batch, n_in, hidden])
+    p = nn.LstmParams.init(n_in, hidden, rng)
+    xs = rng.normal(size=(n_steps, batch, n_in))
+    dh = rng.normal(size=(n_steps, batch, hidden))
+    hs, tape = nn.lstm_forward(p, xs, start=start)
+    digest = hashlib.sha256(np.ascontiguousarray(hs).tobytes())
+    for g in nn.lstm_backward(p, tape, dh).arrays():
+        digest.update(g.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedLstmBits:
+    """The LSTM kernels' outputs, bit for bit, at the forecaster's shape
+    (N, B, I, H) = (24, 360, 1, 16), the actor's (4, 64, 59, 32) with a
+    start mask, a single window and a hidden size that is not a multiple
+    of 8. The literals were produced by the kernels of the (N, B, 4H)
+    gate layout; a reassociated product moves them."""
+
+    def test_forecaster_shape(self):
+        assert _lstm_bits_sha256(24, 360, 1, 16) == (
+            "c90c208a1d1fa815546411310f077c2acbdda91359a13df08abb47fa7115110c")
+
+    def test_actor_shape_with_start(self):
+        start = np.arange(64) % 5  # 0, the full length 4 and all between
+        assert _lstm_bits_sha256(4, 64, 59, 32, start=start) == (
+            "073fdbc8cbe2677f8718369f65af5304b8eeaf88dd6821905161a95972697a97")
+
+    def test_single_window(self):
+        assert _lstm_bits_sha256(4, 1, 59, 32) == (
+            "bb8235224ed26e3c426e56fb07305e0e399016e34753c1313e970b4694a28ac0")
+
+    def test_hidden_size_not_a_multiple_of_8(self):
+        # BLAS may sum a per-gate product in another order than the packed
+        # one at such sizes, so this case pins the packed products
+        assert _lstm_bits_sha256(6, 33, 17, 20) == (
+            "bc90d567e4645eb4d8999ea46753d6d34c69c76735cb6c20e2194a90e3fd93cf")
+
+    def test_forecast_departures(self):
+        rng = np.random.default_rng(12)
+        rates = 4.0 + 3.0 * np.sin(2 * np.pi * np.arange(384) / 96)
+        series = rng.poisson(rates).astype(float)
+        out = forecast_bike.forecast_departures(series, 4, window=24,
+                                                epochs=30)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "894a8b4046237ec322d1ae7cacbba8f3e350d7cef9b5938a9d6679f7206392c6")
 
 
 class TestMlp:
