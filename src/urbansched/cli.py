@@ -115,6 +115,10 @@ def _history_from_scenario(scenario: ScenarioSpec, days: int,
 
 
 def cmd_forecast(args) -> int:
+    for flag, value in (("--days", args.days), ("--horizon", args.horizon),
+                        ("--epochs", args.epochs)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     scenario = resolve_scenario(args.scenario)
     log = _history_from_scenario(scenario, days=args.days, seed=args.seed)
     out = args.out or "."

@@ -94,6 +94,8 @@ class DepartureModel:
 
     def fit(self, series: np.ndarray, epochs: int = 60, lr: float = 0.05,
             clip: float = 1.0):
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         series = np.asarray(series, dtype=float)
         if series.size < self.window + 1:
             raise ValueError("history shorter than the training window")
@@ -127,6 +129,8 @@ class DepartureModel:
 
     def forecast(self, series: np.ndarray, horizon: int) -> np.ndarray:
         """Roll the model forward, feeding predictions back as inputs."""
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
         if horizon == 0:
             return np.zeros(0)
         if not self.trained:

@@ -101,13 +101,35 @@ class LstmParams:
 
 @dataclass
 class LstmTape:
-    """Activations cached by the forward pass for BPTT."""
+    """Activations cached by the forward pass for BPTT.
+
+    gates is gate-major within each step: gates[t, k] is one contiguous
+    (B, H) block holding the activation of gate k (i, f, g, o) at step t,
+    so the elementwise math of a step runs on contiguous blocks instead of
+    (B, H) slices strided inside a (B, 4H) row. tanh_c keeps tanh(c_t) for
+    the backward pass.
+    """
 
     xs: np.ndarray  # (N, B, input)
-    gates: np.ndarray  # (N, B, 4H): activations of i, f, g, o per step
+    gates: np.ndarray  # (N, 4, B, H): activations of i, f, g, o per step
     c: np.ndarray  # (N + 1, B, H): c_0 .. c_N
     h: np.ndarray  # (N + 1, B, H): h_0 .. h_N
+    tanh_c: np.ndarray  # (N, B, H): tanh(c_1) .. tanh(c_N)
     live: np.ndarray | None  # (N, B, 1): 1.0 from each sample's start on
+
+
+def _per_sample(rows: np.ndarray, batch: int) -> np.ndarray:
+    """(K, batch, H) copy of K rows of length H, each repeated per sample,
+    so that products with (batch, H) blocks need no broadcasting."""
+    out = np.empty((rows.shape[0], batch, rows.shape[1]))
+    out[...] = rows[:, None, :]
+    return out
+
+
+def _by_gate(packed: np.ndarray) -> np.ndarray:
+    """(4, B, H) view of a (B, 4H) array packed by gate."""
+    batch, width = packed.shape
+    return packed.reshape(batch, 4, width // 4).transpose(1, 0, 2)
 
 
 def lstm_forward(params: LstmParams, xs: np.ndarray,
@@ -119,6 +141,19 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     so its recurrence runs over steps start..N-1 only.
     Returns (hs, tape) with hs the per-step hidden states in the matching
     shape.
+
+    The tape is gate-major (LstmTape); the bits do not depend on it:
+    - the input projection is one BLAS product of all N * B inputs with
+      the packed W_x, written packed (B, 4H) into each step's block of
+      gates, and each step reads its block before it overwrites it with
+      the activations;
+    - the recurrent term is one (B, H) x (H, 4H) product with the packed
+      W_h per step, added to the projection and then copied into
+      contiguous gate blocks. A product per gate, or a projection per
+      step, can round differently, since BLAS may sum in another order
+      for other shapes;
+    - every elementwise expression keeps its association order, written
+      in place into buffers allocated once per call.
     """
     xs = np.asarray(xs, dtype=float)
     squeeze = xs.ndim == 2
@@ -142,28 +177,49 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     xs = np.ascontiguousarray(xs)
     c = np.zeros((n_steps + 1, batch, H))
     h = np.zeros((n_steps + 1, batch, H))
-    peep_if, p_o = params.peep[:2], params.peep[2]
-    # one input projection for the whole sequence; each step then replaces
-    # its slice with the gate activations
-    gates = (xs.reshape(-1, input_size) @ params.W_x).reshape(
-        n_steps, batch, 4 * H)
+    tanh_c = np.empty((n_steps, batch, H))
+    gates = np.empty((n_steps, 4, batch, H))
+    # one input projection for the whole sequence, packed (B, 4H) in each
+    # step's block; the step reads it before it writes the activations there
+    np.matmul(xs.reshape(-1, input_size), params.W_x,
+              out=gates.reshape(-1, 4 * H))
+    b = _per_sample(params.b.reshape(4, H), batch)
+    peep = _per_sample(params.peep, batch)
+    hw = np.empty((batch, 4 * H))  # a + h_t @ W_h, packed
+    z = np.empty((4, batch, H))  # the step's gate pre-activations
+    z_if, z_g, z_o = z[:2], z[2], z[3]
+    tmp = np.empty((2, batch, H))
     # sigmoid(z) = 1 / (1 + exp(-z)); exp(-z) = inf gives the limit 0
     with np.errstate(over="ignore"):
         for t in range(n_steps):
             a = gates[t]
-            z = a + h[t] @ params.W_h
-            z_if = z[:, :2 * H].reshape(batch, 2, H)
-            z_if += peep_if * c[t][:, None, :]  # peepholes into i and f
-            z += params.b
-            a[:, :2 * H] = 1.0 / (1.0 + np.exp(-z[:, :2 * H]))
-            a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
-            c[t + 1] = a[:, H:2 * H] * c[t] + a[:, :H] * a[:, 2 * H:3 * H]
+            i, f, g, o = a
+            c_prev, c_next = c[t], c[t + 1]
+            np.matmul(h[t], params.W_h, out=hw)
+            hw += a.reshape(batch, 4 * H)  # the packed input projection
+            np.copyto(z, _by_gate(hw))
+            np.multiply(peep[:2], c_prev, out=tmp)  # peepholes into i and f
+            z_if += tmp
+            z += b
+            np.negative(z_if, out=z_if)
+            np.exp(z_if, out=z_if)
+            z_if += 1.0
+            np.divide(1.0, z_if, out=a[:2])
+            np.tanh(z_g, out=g)
+            np.multiply(f, c_prev, out=c_next)
+            np.multiply(i, g, out=tmp[0])
+            c_next += tmp[0]
             if live is not None:
-                c[t + 1] *= live[t]  # and so h = o * tanh(0) = 0 as well
-            a[:, 3 * H:] = 1.0 / (1.0 + np.exp(-(z[:, 3 * H:]
-                                                 + p_o * c[t + 1])))
-            h[t + 1] = a[:, 3 * H:] * np.tanh(c[t + 1])
-    tape = LstmTape(xs=xs, gates=gates, c=c, h=h, live=live)
+                c_next *= live[t]  # and so h = o * tanh(0) = 0 as well
+            np.multiply(peep[2], c_next, out=tmp[0])
+            z_o += tmp[0]
+            np.negative(z_o, out=z_o)
+            np.exp(z_o, out=z_o)
+            z_o += 1.0
+            np.divide(1.0, z_o, out=o)
+            np.tanh(c_next, out=tanh_c[t])
+            np.multiply(o, tanh_c[t], out=h[t + 1])
+    tape = LstmTape(xs=xs, gates=gates, c=c, h=h, tanh_c=tanh_c, live=live)
     hs = h[1:]
     if squeeze:
         hs = hs[:, 0, :]
@@ -178,6 +234,15 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     ((N, hidden) or (N, B, hidden)). Writes the parameter gradients into
     grads (fresh arrays when None) and returns it; the gradient with respect
     to the inputs is not computed.
+
+    The gate gradients are computed gate-major, in contiguous (B, H)
+    blocks, with each expression in its association order and tanh(c_t)
+    read from the tape. They are then copied packed into one (B, 4H)
+    array, on which the three products run as in the packed layout: the
+    W_x and W_h gradients, and dh_rec as one K=4H product with W_h.T,
+    since four per-gate products summed would round differently. The
+    bias and peephole gradients are column sums over the batch, in batch
+    order.
     """
     dh_out = np.asarray(dh_out, dtype=float)
     if dh_out.ndim == 2:
@@ -191,36 +256,76 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     else:
         for g in grads.arrays():
             g[...] = 0.0
-    p_i, p_f, p_o = params.peep
+    peep = _per_sample(params.peep, batch)
+    W_h_T = params.W_h.T
     dh_rec = np.zeros((batch, H))
     dc_rec = np.zeros((batch, H))
-    d = np.empty((batch, 4 * H))  # gradient of the gate pre-activations
+    dh = np.empty((batch, H))
+    dc = np.empty((batch, H))
+    tmp2 = np.empty((2, batch, H))
+    tmp = tmp2[0]
+    dgates = np.empty((4, batch, H))  # gradient of the gate pre-activations
+    d_i, d_f, d_g, d_o = dgates
+    d_if = dgates[:2]
+    d = np.empty((batch, 4 * H))  # the same, packed
+    d_by_gate = _by_gate(d)
+    one_minus = np.empty((4, batch, H))  # 1 - a for each gate a
+    peep_terms = np.empty((3, batch, H))  # d_i * c_prev, d_f * c_prev, d_o * c
+    dW_x = np.empty_like(grads.W_x)
+    dW_h = np.empty_like(grads.W_h)
+    db = np.empty_like(grads.b)
+    dpeep = np.empty_like(grads.peep)
     for t in range(n_steps - 1, -1, -1):
         a = tape.gates[t]
-        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-        c_prev, c = tape.c[t], tape.c[t + 1]
-        tanh_c = np.tanh(c)
-        dh = dh_out[t] + dh_rec
-        d_o = dh * tanh_c * o * (1 - o)
-        dc = dh * o * (1 - tanh_c ** 2) + dc_rec + d_o * p_o
+        i, f, g, o = a
+        c_prev, c, tanh_c = tape.c[t], tape.c[t + 1], tape.tanh_c[t]
+        np.subtract(1, a, out=one_minus)
+        np.add(dh_out[t], dh_rec, out=dh)
+        # d_o = dh * tanh_c * o * (1 - o)
+        np.multiply(dh, tanh_c, out=d_o)
+        d_o *= o
+        d_o *= one_minus[3]
+        # dc = dh * o * (1 - tanh_c ** 2) + dc_rec + d_o * p_o
+        np.multiply(dh, o, out=dc)
+        np.square(tanh_c, out=tmp)
+        np.subtract(1, tmp, out=tmp)
+        dc *= tmp
+        dc += dc_rec
+        np.multiply(d_o, peep[2], out=tmp)
+        dc += tmp
         if tape.live is not None:
             dc *= tape.live[t]
-        d[:, :H] = dc * g * i * (1 - i)
-        d[:, H:2 * H] = dc * c_prev * f * (1 - f)
-        d[:, 2 * H:3 * H] = dc * i * (1 - g ** 2)
-        d[:, 3 * H:] = d_o
-        grads.W_x += tape.xs[t].T @ d
-        grads.b += d.sum(axis=0)
-        grads.peep[0] += (d[:, :H] * c_prev).sum(axis=0)
-        grads.peep[1] += (d[:, H:2 * H] * c_prev).sum(axis=0)
-        grads.peep[2] += (d_o * c).sum(axis=0)
+        # d_i = dc * g * i * (1 - i), d_f = dc * c_prev * f * (1 - f)
+        np.multiply(dc, g, out=d_i)
+        np.multiply(dc, c_prev, out=d_f)
+        d_if *= a[:2]
+        d_if *= one_minus[:2]
+        # d_g = dc * i * (1 - g ** 2)
+        np.multiply(dc, i, out=d_g)
+        np.square(g, out=tmp)
+        np.subtract(1, tmp, out=tmp)
+        d_g *= tmp
+        d_by_gate[...] = dgates
+        np.matmul(tape.xs[t].T, d, out=dW_x)
+        grads.W_x += dW_x
+        np.sum(d, axis=0, out=db)
+        grads.b += db
+        np.multiply(dgates[:2], c_prev, out=peep_terms[:2])
+        np.multiply(d_o, c, out=peep_terms[2])
+        np.sum(peep_terms, axis=1, out=dpeep)
+        grads.peep += dpeep
         if t == 0:
             # h_0 = 0 adds only zeros to W_h's gradient (d is finite), and
             # no step precedes step 0
             break
-        grads.W_h += tape.h[t].T @ d
-        dh_rec = d @ params.W_h.T
-        dc_rec = dc * f + d[:, :H] * p_i + d[:, H:2 * H] * p_f
+        np.matmul(tape.h[t].T, d, out=dW_h)
+        grads.W_h += dW_h
+        np.matmul(d, W_h_T, out=dh_rec)
+        # dc_rec = dc * f + d_i * p_i + d_f * p_f
+        np.multiply(dc, f, out=dc_rec)
+        np.multiply(d_if, peep[:2], out=tmp2)
+        dc_rec += tmp2[0]
+        dc_rec += tmp2[1]
     return grads
 
 

@@ -80,6 +80,19 @@ class TestDepartureModel:
         with pytest.raises(ValueError, match="shorter"):
             model.fit(np.zeros(5))
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_no_epochs_rejected(self, epochs):
+        model = fb.DepartureModel.create(window=5)
+        with pytest.raises(ValueError, match="epochs"):
+            model.fit(np.zeros(10), epochs=epochs)
+        assert not model.trained
+
+    def test_negative_horizon_rejected(self):
+        model = fb.DepartureModel.create(window=5, hidden=4, seed=0)
+        model.fit(np.ones(10), epochs=1)
+        with pytest.raises(ValueError, match="horizon"):
+            model.forecast(np.ones(10), -1)
+
     def test_forecast_nonnegative_and_sized(self):
         rng = np.random.default_rng(1)
         series = np.maximum(rng.normal(3.0, 1.0, size=60), 0.0)

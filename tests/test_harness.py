@@ -563,6 +563,17 @@ class TestCli:
                     "--policy", "trained"]) == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--days", "-2"), ("--days", "0"), ("--horizon", "-1"),
+        ("--horizon", "0"), ("--epochs", "-3"), ("--epochs", "0"),
+    ])
+    def test_forecast_count_below_1_exit_1(self, flag, value, tmp_path,
+                                           capsys):
+        assert cli(["forecast", "--scenario", "bike5", flag, value,
+                    "--out", str(tmp_path)]) == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "history.csv").exists()
+
     def test_forecast_emits_csvs(self, tmp_path, capsys):
         assert cli(["forecast", "--scenario", "bike5", "--days", "4",
                     "--horizon", "2", "--epochs", "5",

@@ -78,7 +78,7 @@ class TestLstmForward:
         xs = rng.normal(scale=5.0, size=(6, 2))
         hs, tape = nn.lstm_forward(p, xs)
         for t in range(6):
-            i, f, g, o = np.split(tape.gates[t], 4, axis=1)
+            i, f, g, o = tape.gates[t]
             for gate in (i, f, o):
                 assert np.all((gate > 0) & (gate < 1))
             assert np.all(np.abs(g) <= 1)
