@@ -257,7 +257,6 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
         for g in grads.arrays():
             g[...] = 0.0
     peep = _per_sample(params.peep, batch)
-    W_h_T = params.W_h.T
     dh_rec = np.zeros((batch, H))
     dc_rec = np.zeros((batch, H))
     dh = np.empty((batch, H))
@@ -320,7 +319,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
             break
         np.matmul(tape.h[t].T, d, out=dW_h)
         grads.W_h += dW_h
-        np.matmul(d, W_h_T, out=dh_rec)
+        np.matmul(d, params.W_h.T, out=dh_rec)
         # dc_rec = dc * f + d_i * p_i + d_f * p_f
         np.multiply(dc, f, out=dc_rec)
         np.multiply(d_if, peep[:2], out=tmp2)
