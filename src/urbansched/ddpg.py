@@ -133,14 +133,16 @@ class ActorNet:
     def copy(self) -> "ActorNet":
         return ActorNet(lstm=self.lstm, head=self.head)  # packs a copy
 
-    def forward(self, windows: np.ndarray, start=None):
+    def forward(self, windows: np.ndarray, start=None, reuse=None):
         """windows: (B, W, obs) or (W, obs). Returns (scores, tapes).
 
         start holds, per window (a single index for one (W, obs) window),
         the row of the episode's first observation: the rows before it are
         episode-start padding, and the recurrence starts at it, so a
         length-1 window and its padded equivalent score identically. None
-        means every row is real.
+        means every row is real. reuse, if given, is the tapes of an
+        earlier forward that nothing reads any more; the LSTM writes into
+        its arrays (nn.lstm_forward).
         """
         windows = np.asarray(windows, dtype=float)
         squeeze = windows.ndim == 2
@@ -148,7 +150,8 @@ class ActorNet:
             windows = windows[None, :, :]
             start = None if start is None else [start]
         hs, lstm_tape = nn.lstm_forward(
-            self.lstm, np.transpose(windows, (1, 0, 2)), start=start)
+            self.lstm, np.transpose(windows, (1, 0, 2)), start=start,
+            reuse=None if reuse is None else reuse[0])
         scores, head_tape = nn.mlp_forward(self.head, hs[-1])
         tapes = (lstm_tape, head_tape)
         if squeeze:
@@ -418,15 +421,25 @@ class TrainDiagnostics:
 
 def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
                actor_target: ActorNet, critic_target: CriticNet,
-               config: DdpgConfig) -> TrainDiagnostics:
-    """One gradient step on both networks plus soft target updates."""
+               config: DdpgConfig, tapes: dict | None = None
+               ) -> TrainDiagnostics:
+    """One gradient step on both networks plus soft target updates.
+
+    Both actor forwards write into one set of tape arrays: the target's
+    tape is dead once its scores are out, and the actor's once its
+    backward has run. tapes, if given, keeps that set from one call to
+    the next (train passes one for its whole loop), so that later calls
+    allocate no tapes. The results do not depend on it.
+    """
     if len(buffer) < config.batch_size:
         raise ValueError("buffer smaller than batch size")
+    if tapes is None:
+        tapes = {}
     batch = buffer.sample(config.batch_size)
     last_obs = batch.windows[:, -1, :]
     next_last = batch.next_windows[:, -1, :]
-    next_actions, _ = actor_target.forward(batch.next_windows,
-                                           batch.next_start)
+    next_actions, target_tapes = actor_target.forward(
+        batch.next_windows, batch.next_start, reuse=tapes.get("actor"))
     next_q, _ = critic_target.forward(next_last, next_actions)
     targets = batch.rewards + config.discount * (1.0 - batch.dones) * next_q
     # critic regression
@@ -438,7 +451,9 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
                                     clip_norm=config.clip_norm)
     critic_norm = nn.optimizer_step(critic.params, critic.grads, critic_cfg)
     # actor ascends the critic value through the chained gradient
-    policy_actions, actor_tapes = actor.forward(batch.windows, batch.start)
+    policy_actions, actor_tapes = actor.forward(
+        batch.windows, batch.start, reuse=target_tapes)
+    tapes["actor"] = actor_tapes
     q_pi, pi_tape = critic.forward(last_obs, policy_actions)
     actor_value = float(np.mean(q_pi))
     daction = critic.action_gradient(
@@ -611,6 +626,7 @@ def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
     window = HistoryWindow(config.history_window, obs_dim)
     sigma0 = config.ou_sigma
     diag = TrainDiagnostics(0.0, 0.0, 0.0, 0.0)
+    tapes = {}  # train_step's actor tapes, reused from one update to the next
     for episode in range(1, config.episodes + 1):
         obs = env.reset()
         window.reset(obs)
@@ -635,7 +651,7 @@ def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
         if len(buffer) >= config.batch_size:
             for _ in range(config.train_steps_per_episode):
                 diag = train_step(buffer, actor, critic, actor_target,
-                                  critic_target, config)
+                                  critic_target, config, tapes)
         curve.append((episode, ep_return, info.get("served_total", 0),
                       info.get("lost_total", 0), diag.critic_loss,
                       diag.actor_value))

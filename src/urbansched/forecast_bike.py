@@ -107,8 +107,9 @@ class DepartureModel:
         config = nn.OptimizerConfig(step_size=lr, clip_norm=clip)
         n_batch = windows.shape[0]
         xs_all = windows.T[:, :, None]  # (window, n_batch, 1)
+        tape = None  # each epoch writes into the arrays of the last
         for _ in range(epochs):
-            hs, tape = nn.lstm_forward(self.lstm, xs_all)
+            hs, tape = nn.lstm_forward(self.lstm, xs_all, reuse=tape)
             out, head_tape = nn.mlp_forward(self.head, hs[-1])
             err = (out[:, 0] - targets) / n_batch
             dh_last = nn.mlp_backward(self.head, head_tape, err[:, None],

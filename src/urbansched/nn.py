@@ -9,7 +9,7 @@ backward pass needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,6 +99,29 @@ class LstmParams:
         return LstmParams(*arrays)
 
 
+# Tape arrays of at least this many bytes get a mapping of their own.
+_MAPPED_BYTES = 1 << 16
+
+
+def _tape_array(shape: tuple) -> np.ndarray:
+    """An uninitialised float array for a tape.
+
+    A large one lives in an anonymous mapping of its own, outside malloc's
+    heap. A tape that a training loop reuses lives as long as the loop;
+    in the heap it would pin what is allocated above it, so that the heap
+    could neither reuse nor return that memory (with ddpg.train's tapes in
+    the heap, two bike5 training runs in one process left 6.5 MB of it
+    free but resident, against 1.0 MB). A mapping goes back to the system
+    whole when the tape goes. Small arrays stay in the heap, since a
+    mapping costs system calls and whole pages.
+    """
+    size = int(np.prod(shape)) * 8
+    if size < _MAPPED_BYTES:
+        return np.empty(shape)
+    import mmap  # here, so that importing nn loads no extension module
+    return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
+
+
 @dataclass
 class LstmTape:
     """Activations cached by the forward pass for BPTT.
@@ -108,6 +131,10 @@ class LstmTape:
     so the elementwise math of a step runs on contiguous blocks instead of
     (B, H) slices strided inside a (B, 4H) row. tanh_c keeps tanh(c_t) for
     the backward pass.
+
+    The tape also owns the working arrays of the forward and backward
+    passes run on it (`scratch`), so that a forward given this tape as
+    `reuse` allocates nothing.
     """
 
     xs: np.ndarray  # (N, B, input)
@@ -116,14 +143,23 @@ class LstmTape:
     h: np.ndarray  # (N + 1, B, H): h_0 .. h_N
     tanh_c: np.ndarray  # (N, B, H): tanh(c_1) .. tanh(c_N)
     live: np.ndarray | None  # (N, B, 1): 1.0 from each sample's start on
+    scratch: dict = field(default_factory=dict, repr=False)
 
+    def work(self, name: str, shape: tuple) -> np.ndarray:
+        """The working array `name`, allocated on first use and kept for
+        the passes of later calls that reuse this tape."""
+        array = self.scratch.get(name)
+        if array is None or array.shape != shape:
+            array = self.scratch[name] = _tape_array(shape)
+        return array
 
-def _per_sample(rows: np.ndarray, batch: int) -> np.ndarray:
-    """(K, batch, H) copy of K rows of length H, each repeated per sample,
-    so that products with (batch, H) blocks need no broadcasting."""
-    out = np.empty((rows.shape[0], batch, rows.shape[1]))
-    out[...] = rows[:, None, :]
-    return out
+    def per_sample(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """(K, B, H) working copy of K rows of length H, each repeated per
+        sample, so that products with (B, H) blocks need no broadcasting."""
+        batch = self.h.shape[1]
+        out = self.work(name, (rows.shape[0], batch, rows.shape[1]))
+        out[...] = rows[:, None, :]
+        return out
 
 
 def _by_gate(packed: np.ndarray) -> np.ndarray:
@@ -133,7 +169,8 @@ def _by_gate(packed: np.ndarray) -> np.ndarray:
 
 
 def lstm_forward(params: LstmParams, xs: np.ndarray,
-                 start: np.ndarray | None = None):
+                 start: np.ndarray | None = None,
+                 reuse: LstmTape | None = None):
     """Run the gate recurrences over a sequence from zero state.
 
     xs has shape (N, input) or (N, B, input). start, if given, holds one
@@ -141,6 +178,13 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     so its recurrence runs over steps start..N-1 only.
     Returns (hs, tape) with hs the per-step hidden states in the matching
     shape.
+
+    reuse, if given, is the tape of an earlier call that nothing reads any
+    more, nor the hs that call returned. When its N, B and H match, this
+    call writes into its arrays and returns it as the tape, so that a
+    training loop that hands each step the previous step's tape allocates
+    nothing after its first step. Fresh arrays would be returned to the
+    system and faulted in again on every step.
 
     The tape is gate-major (LstmTape); the bits do not depend on it:
     - the input projection is one BLAS product of all N * B inputs with
@@ -153,7 +197,7 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
       step, can round differently, since BLAS may sum in another order
       for other shapes;
     - every elementwise expression keeps its association order, written
-      in place into buffers allocated once per call.
+      in place into buffers allocated once per tape.
     """
     xs = np.asarray(xs, dtype=float)
     squeeze = xs.ndim == 2
@@ -175,20 +219,27 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
             raise ShapeError("start needs one step index per sample")
         live = (np.arange(n_steps)[:, None] >= start).astype(float)[:, :, None]
     xs = np.ascontiguousarray(xs)
-    c = np.zeros((n_steps + 1, batch, H))
-    h = np.zeros((n_steps + 1, batch, H))
-    tanh_c = np.empty((n_steps, batch, H))
-    gates = np.empty((n_steps, 4, batch, H))
+    if reuse is not None and reuse.gates.shape == (n_steps, 4, batch, H):
+        tape = reuse
+        tape.xs, tape.live = xs, live
+    else:
+        tape = LstmTape(xs=xs, gates=_tape_array((n_steps, 4, batch, H)),
+                        c=_tape_array((n_steps + 1, batch, H)),
+                        h=_tape_array((n_steps + 1, batch, H)),
+                        tanh_c=_tape_array((n_steps, batch, H)), live=live)
+    gates, c, h, tanh_c = tape.gates, tape.c, tape.h, tape.tanh_c
+    c[0] = 0.0  # every later row is written by its step
+    h[0] = 0.0
     # one input projection for the whole sequence, packed (B, 4H) in each
     # step's block; the step reads it before it writes the activations there
     np.matmul(xs.reshape(-1, input_size), params.W_x,
               out=gates.reshape(-1, 4 * H))
-    b = _per_sample(params.b.reshape(4, H), batch)
-    peep = _per_sample(params.peep, batch)
-    hw = np.empty((batch, 4 * H))  # a + h_t @ W_h, packed
-    z = np.empty((4, batch, H))  # the step's gate pre-activations
+    b = tape.per_sample("b", params.b.reshape(4, H))
+    peep = tape.per_sample("peep", params.peep)
+    hw = tape.work("hw", (batch, 4 * H))  # a + h_t @ W_h, packed
+    z = tape.work("z", (4, batch, H))  # the step's gate pre-activations
     z_if, z_g, z_o = z[:2], z[2], z[3]
-    tmp = np.empty((2, batch, H))
+    tmp = tape.work("tmp", (2, batch, H))
     # sigmoid(z) = 1 / (1 + exp(-z)); exp(-z) = inf gives the limit 0
     with np.errstate(over="ignore"):
         for t in range(n_steps):
@@ -219,7 +270,6 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
             np.divide(1.0, z_o, out=o)
             np.tanh(c_next, out=tanh_c[t])
             np.multiply(o, tanh_c[t], out=h[t + 1])
-    tape = LstmTape(xs=xs, gates=gates, c=c, h=h, tanh_c=tanh_c, live=live)
     hs = h[1:]
     if squeeze:
         hs = hs[:, 0, :]
@@ -256,24 +306,29 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     else:
         for g in grads.arrays():
             g[...] = 0.0
-    peep = _per_sample(params.peep, batch)
-    dh_rec = np.zeros((batch, H))
-    dc_rec = np.zeros((batch, H))
-    dh = np.empty((batch, H))
-    dc = np.empty((batch, H))
-    tmp2 = np.empty((2, batch, H))
+    work = tape.work
+    peep = tape.per_sample("peep", params.peep)
+    dh_rec = work("dh_rec", (batch, H))
+    dh_rec[...] = 0.0
+    dc_rec = work("dc_rec", (batch, H))
+    dc_rec[...] = 0.0
+    dh = work("dh", (batch, H))
+    dc = work("dc", (batch, H))
+    tmp2 = work("tmp", (2, batch, H))
     tmp = tmp2[0]
-    dgates = np.empty((4, batch, H))  # gradient of the gate pre-activations
+    # gradient of the gate pre-activations
+    dgates = work("dgates", (4, batch, H))
     d_i, d_f, d_g, d_o = dgates
     d_if = dgates[:2]
-    d = np.empty((batch, 4 * H))  # the same, packed
+    d = work("d", (batch, 4 * H))  # the same, packed
     d_by_gate = _by_gate(d)
-    one_minus = np.empty((4, batch, H))  # 1 - a for each gate a
-    peep_terms = np.empty((3, batch, H))  # d_i * c_prev, d_f * c_prev, d_o * c
-    dW_x = np.empty_like(grads.W_x)
-    dW_h = np.empty_like(grads.W_h)
-    db = np.empty_like(grads.b)
-    dpeep = np.empty_like(grads.peep)
+    one_minus = work("one_minus", (4, batch, H))  # 1 - a for each gate a
+    # d_i * c_prev, d_f * c_prev, d_o * c
+    peep_terms = work("peep_terms", (3, batch, H))
+    dW_x = work("dW_x", grads.W_x.shape)
+    dW_h = work("dW_h", grads.W_h.shape)
+    db = work("db", grads.b.shape)
+    dpeep = work("dpeep", grads.peep.shape)
     for t in range(n_steps - 1, -1, -1):
         a = tape.gates[t]
         i, f, g, o = a

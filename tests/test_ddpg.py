@@ -413,6 +413,26 @@ class TestTrainStep:
             results.append(diag.critic_loss)
         assert results[0] == pytest.approx(results[1])
 
+    def test_kept_tapes_change_no_bits(self):
+        config = DdpgConfig(lstm_hidden=6, actor_hidden=6, critic_hidden=6,
+                            history_window=3, batch_size=8, seed=0)
+        outcomes = []
+        for tapes in (None, {}):
+            actor, critic, at, ct = self.build(seed=4)
+            rng = np.random.default_rng(5)
+            buf = ReplayBuffer(capacity=32, seed=0, history_window=3)
+            buf.begin_episode(rng.normal(size=4))
+            for k in range(20):
+                buf.push(rng.uniform(-1, 1, 3), rng.normal(),
+                         rng.normal(size=4), k % 7 == 6)
+                if k % 7 == 6:
+                    buf.begin_episode(rng.normal(size=4))
+            diags = [train_step(buf, actor, critic, at, ct, config, tapes)
+                     for _ in range(5)]
+            outcomes.append((diags, [n.params.vector.tobytes()
+                                     for n in (actor, critic, at, ct)]))
+        assert outcomes[0] == outcomes[1]
+
     def test_diagnostics_finite(self):
         actor, critic, at, ct = self.build()
         rng = np.random.default_rng(2)

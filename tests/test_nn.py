@@ -170,14 +170,15 @@ class TestLstmBackward:
             np.testing.assert_allclose(a, g, atol=1e-10)
 
 
-def _lstm_bits_sha256(n_steps, batch, n_in, hidden, start=None):
+def _lstm_bits_sha256(n_steps, batch, n_in, hidden, start=None,
+                      reuse=None):
     """SHA-256 over hs and the four gradient arrays of one seeded
     forward/backward pass."""
     rng = np.random.default_rng([n_steps, batch, n_in, hidden])
     p = nn.LstmParams.init(n_in, hidden, rng)
     xs = rng.normal(size=(n_steps, batch, n_in))
     dh = rng.normal(size=(n_steps, batch, hidden))
-    hs, tape = nn.lstm_forward(p, xs, start=start)
+    hs, tape = nn.lstm_forward(p, xs, start=start, reuse=reuse)
     digest = hashlib.sha256(np.ascontiguousarray(hs).tobytes())
     for g in nn.lstm_backward(p, tape, dh).arrays():
         digest.update(g.tobytes())
@@ -218,6 +219,45 @@ class TestPinnedLstmBits:
                                                 epochs=30)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "894a8b4046237ec322d1ae7cacbba8f3e350d7cef9b5938a9d6679f7206392c6")
+
+
+def _used_tape(n_steps, batch, n_in, hidden, start=None):
+    """A tape whose arrays, scratch included, hold another pass's values."""
+    rng = np.random.default_rng(99)
+    p = nn.LstmParams.init(n_in, hidden, rng)
+    _, tape = nn.lstm_forward(p, rng.normal(size=(n_steps, batch, n_in)),
+                              start=start)
+    nn.lstm_backward(p, tape, rng.normal(size=(n_steps, batch, hidden)))
+    return tape
+
+
+class TestLstmReuse:
+    """A forward given an earlier tape as `reuse` writes into its arrays
+    and keeps the pinned bits."""
+
+    def test_forward_writes_into_a_matching_tape(self):
+        old = _used_tape(4, 8, 3, 5)
+        p = nn.LstmParams.init(3, 5, np.random.default_rng(0))
+        xs = np.random.default_rng(1).normal(size=(4, 8, 3))
+        _, tape = nn.lstm_forward(p, xs, reuse=old)
+        assert tape is old and tape.xs is xs and tape.live is None
+        for other in (xs[:, :4], xs[:3], xs[:, None, 0]):
+            _, tape = nn.lstm_forward(p, other, reuse=old)
+            assert tape is not old
+
+    def test_actor_shape_with_start(self):
+        # the tape was used without a start mask and with another input
+        # size, so its W_x gradient scratch has another shape
+        start = np.arange(64) % 5
+        assert _lstm_bits_sha256(4, 64, 59, 32, start=start,
+                                 reuse=_used_tape(4, 64, 7, 32)) == (
+            "073fdbc8cbe2677f8718369f65af5304b8eeaf88dd6821905161a95972697a97")
+
+    def test_forecaster_shape(self):
+        start = np.arange(360) % 25
+        assert _lstm_bits_sha256(24, 360, 1, 16,
+                                 reuse=_used_tape(24, 360, 1, 16, start)) == (
+            "c90c208a1d1fa815546411310f077c2acbdda91359a13df08abb47fa7115110c")
 
 
 class TestMlp:
