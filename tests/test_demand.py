@@ -501,6 +501,57 @@ class TestBlockRefills:
         assert scripted.blocks == 0 and list(scripted.script) == [0.5]
 
 
+class TestStationBranches:
+    """The bike loop's shortcuts, each against the scalar path: a station
+    whose uniform counts 0, a one-trip station, and a station whose
+    trips share destinations."""
+
+    # A and C depart, B never does; A's trips may go to B or C, C's to A
+    PROFILE = dict(rates=np.array([[3.0], [0.0], [0.5]]),
+                   od=np.array([[0, 1.0, 1.0], [1.0, 0, 1.0],
+                                [1.0, 0, 0]]))
+
+    def _check(self, script, want):
+        profile = make_profile(**self.PROFILE)
+        clock = SegmentClock(0, 1, 0, 15)
+        rng = ScriptedRng(script)
+        got = sample_segment(profile, clock, rng)
+        assert got == (want, [])
+        assert got == ref_sample_segment(profile, clock, ScriptedRng(script))
+        assert not rng.script
+        return rng
+
+    def test_uniform_at_exp_minus_rate_draws_a_trip(self):
+        a, c = math.exp(-3.0), math.exp(-0.5)
+        self._check([a, 0.75, c, 0.3], [("A", "C", 1), ("C", "A", 1)])
+        self._check([math.nextafter(a, 0.0), math.nextafter(c, 0.0)], [])
+
+    def test_one_trip_destination_opens_a_refill(self):
+        # A's trips read all but the block's last uniform, C's count takes
+        # that one, so C's one destination is the first uniform of a refill
+        block = make_profile(**self.PROFILE)._day_block[0]
+        count = block - 2
+        script = ([_u_for_count(3.0, count)] + [0.25] * count
+                  + [_u_for_count(0.5, 1), 0.4])
+        rng = self._check(script, [("A", "B", count), ("C", "A", 1)])
+        assert rng.blocks == 2
+
+    def test_shared_destinations_grouped_in_ascending_order(self):
+        script = [_u_for_count(3.0, 5), 0.75, 0.25, 0.9, 0.1, 0.6,
+                  math.exp(-0.5) / 2]
+        self._check(script, [("A", "B", 2), ("A", "C", 3)])
+
+    def test_nan_padding_counts_zero(self):
+        # the script ends inside A's destinations: the NaN padding sends
+        # A's second trip to the last station, with the first, and counts
+        # C's departures 0, drawing no destination for them
+        profile = make_profile(**self.PROFILE)
+        rng = ScriptedRng([_u_for_count(3.0, 2), 0.75])
+        got = sample_segment(profile, SegmentClock(0, 1, 0, 15), rng)
+        assert got == ([("A", "C", 2)], [])
+        assert not rng.script and rng.blocks == 1
+
+
 def _channel_sha256(env, resets: int) -> str:
     digest = hashlib.sha256()
     for _ in range(resets):

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,18 @@ from urbansched.envs import (
 from urbansched.forecast_bike import encode_flow
 from urbansched.harness import StaticHeadwayPolicy
 from urbansched.world import ScenarioSpec, build_world
+
+GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+
+
+def bench_scenario(kind: str, seed: int) -> ScenarioSpec:
+    """A scenario from perfbench's generators, `city` or `corridor`. This
+    reads perfbench, never edits it."""
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios",
+                                                  GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return ScenarioSpec.from_dict(getattr(module, kind)(seed))
 
 
 def mixed_scenario(joint=None, initial_bikes=(3, 0), docks=(5, 5),
@@ -531,6 +545,59 @@ class TestPinnedObservationStream:
                                 W.OP_BACKWARD)[t % 3]))
         assert digest.hexdigest() == (
             "97314676ca43d85121153c7f9653a5319da2558681e71f3fd52df5f2f741b945")
+
+
+class TestPinnedCityRollouts:
+    """World-level streams at benchmark scale; the literals were produced
+    by the world that served bike trips through per-step dicts keyed by
+    station id and joined each bus arrival with two stop lookups."""
+
+    def test_bike_city_sha256(self):
+        # 50 stations whose docks fill: the bike5 and fig1a streams never
+        # reach a full dock, so the dock reservation is pinned here
+        env = BikeEnv(scenario=bench_scenario("city", 0), seed=5)
+        n = env.n_stations
+        digest = hashlib.sha256()
+        full = 0
+        for _ in range(3):
+            obs = env.reset()
+            digest.update(obs.tobytes())
+            done = False
+            t = 0
+            while not done:
+                obs, _, done, info = env.step(((t * 7) % n,
+                                               20 if t % 2 else -20))
+                t += 1
+                digest.update(obs.tobytes())
+                digest.update(repr([info[k] for k in (
+                    "served", "lost", "distance_total",
+                    "overflow_total")]).encode())
+                full += sum(s.available == s.docks
+                            for s in env.world.bike_stations)
+        assert full > 0
+        assert digest.hexdigest() == (
+            "0a965ec62242713c0b5027865923bd9404db9336388bf6754cb536b261ccb93c")
+
+    def test_corridor_queues_sha256(self):
+        env = BusEnv(scenario=bench_scenario("corridor", 0), seed=0,
+                     reward=RewardConfig(patience=97))
+        policy = StaticHeadwayPolicy()
+        digest = hashlib.sha256()
+        for _ in range(2):
+            policy.begin_episode(env.reset())
+            done = False
+            while not done:
+                _, _, done, _ = env.step(policy.action_for(env))
+                w = env.world
+                for stop in w.bus_stops:
+                    for queue in (stop.queue_fwd, stop.queue_bwd):
+                        digest.update(repr([(p.destination, p.arrival_segment)
+                                            for p in queue]).encode())
+                for bus in w.buses:
+                    digest.update(repr([(p.destination, p.arrival_segment)
+                                        for p in bus.onboard]).encode())
+        assert digest.hexdigest() == (
+            "49ea749a5b3ea0711057145bcd92d9f0db16fe8781c021c0257f2693c5bb6d5b")
 
 
 class TestRewardConfig:

@@ -175,6 +175,30 @@ def full_scan_max_wait(world):
     return max(waits, default=0)
 
 
+def per_triple_join(world, arrivals):
+    """Reference for the arrival join of step_bus_world: each triple's
+    stops looked up on their own and a Passenger made per triple, as the
+    world did before it kept a per-world (origin, dest) table."""
+    index = {s.id: i for i, s in enumerate(world.bus_stops)}
+    now = world.clock.current
+    for origin, dest, count in arrivals:
+        stop = world.bus_stops[index[origin]]
+        forward = (world.bus_stops[index[dest]].route_position
+                   > stop.route_position)
+        queue = stop.queue_fwd if forward else stop.queue_bwd
+        queue.extend([W.Passenger(dest, now)] * count)
+
+
+def passengers(world):
+    """Every queue and every bus's riders as (destination, arrival)
+    sequences."""
+    def listed(seq):
+        return [(p.destination, p.arrival_segment) for p in seq]
+    return ([(listed(s.queue_fwd), listed(s.queue_bwd))
+             for s in world.bus_stops]
+            + [listed(b.onboard) for b in world.buses])
+
+
 def enumerate_best_boarding(waiters, capacity, minutes):
     best = 0.0
     for size in range(min(capacity, len(waiters)) + 1):
@@ -301,6 +325,47 @@ class TestStepBusWorld:
             for bus in world.buses:
                 assert bus.occupied == len(bus.onboard)
             assert env._max_wait() == full_scan_max_wait(world)
+
+    @given(st.lists(st.integers(2, 5), min_size=1, max_size=3),
+           st.integers(1, 6),
+           st.lists(st.tuples(
+               st.sampled_from([OP_BACKWARD, OP_HALT, OP_FORWARD]),
+               st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                                  st.integers(1, 4), st.integers(0, 4)),
+                        max_size=8)),
+               min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_arrival_join_matches_per_triple_join(self, lengths, capacity,
+                                                  script):
+        routes = [{"stops": [f"R{r}S{i}" for i in range(n)], "bus_count": 2,
+                   "capacity": capacity} for r, n in enumerate(lengths)]
+        spec = ScenarioSpec.from_dict({
+            "clock": {"episode_length": len(script)}, "stations": [],
+            "routes": routes, "vehicles": [], "environment": []})
+        world, ref = build_world(spec), build_world(spec)
+        for move, draws in script:
+            arrivals = []
+            for r, origin, hop, count in draws:
+                r %= len(lengths)
+                origin %= lengths[r]
+                dest = (origin + hop) % lengths[r]
+                if origin != dest:
+                    arrivals.append((f"R{r}S{origin}", f"R{r}S{dest}", count))
+            arrivals += arrivals[:2]  # repeated ODs within one segment
+            actions = [-move if i % 2 else move
+                       for i in range(len(world.buses))]
+            got = step_bus_world(world, actions, arrivals)[1:]
+            per_triple_join(ref, arrivals)
+            assert got == step_bus_world(ref, actions, [])[1:]
+            assert passengers(world) == passengers(ref)
+
+    def test_bad_arrival_rejected_every_time(self):
+        world = build_world(bus_scenario())
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="'S2'"):
+                step_bus_world(world, [OP_HALT], [("S2", "S2", 1)])
+            with pytest.raises(ScenarioError, match="unknown bus stop 'X9'"):
+                step_bus_world(world, [OP_HALT], [("X9", "S1", 1)])
 
     def test_self_loop_arrival_rejected(self):
         world = build_world(bus_scenario())
