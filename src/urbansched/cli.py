@@ -116,7 +116,8 @@ def _history_from_scenario(scenario: ScenarioSpec, days: int,
 
 def cmd_forecast(args) -> int:
     for flag, value in (("--days", args.days), ("--horizon", args.horizon),
-                        ("--epochs", args.epochs)):
+                        ("--epochs", args.epochs),
+                        ("--clusters", args.clusters)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     scenario = resolve_scenario(args.scenario)
@@ -126,7 +127,7 @@ def cmd_forecast(args) -> int:
     log.save_trips_csv(os.path.join(out, "history.csv"))
     ids = scenario.station_ids()
     coords = np.array([[s["x"], s["y"]] for s in scenario.stations])
-    k = max(1, min(args.clusters, len(ids)))
+    k = min(args.clusters, len(ids))
     clusters = forecast_bike.cluster_stations(ids, coords, k, seed=args.seed)
     od = forecast_bike.od_probabilities(log.total_od(), ids, clusters)
     flows = []

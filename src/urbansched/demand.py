@@ -153,8 +153,12 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
                 if k == m:
                     u, k = _refill(rng, u, k, 1, block), 0
                     m = len(u)
-                count = poisson_count(u[k], rate, exps[i])
+                x = u[k]
                 k += 1
+                # below exp(-rate) the inversion counts 0; so does NaN
+                if not x >= exps[i]:
+                    continue
+                count = poisson_count(x, rate, exps[i])
             else:  # split as PortableRng.poisson splits it
                 count = 0
                 for leaf in poisson_leaves(rate):
@@ -163,8 +167,8 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
                         m = len(u)
                     count += poisson_count(u[k], leaf, math.exp(-leaf))
                     k += 1
-            if count == 0:
-                continue
+                if count == 0:
+                    continue
             total = profile._od_total[i]
             if total <= 0:
                 continue
@@ -172,12 +176,22 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
                 u, k = _refill(rng, u, k, count, block), 0
                 m = len(u)
             cum = profile._od_cum[i]
-            per_dest: dict[int, int] = {}
-            for x in u[k:k + count]:
-                j = min(bisect_right(cum, x * total), last)
-                per_dest[j] = per_dest.get(j, 0) + 1
+            if count == 1:
+                trips.append((sid, ids[min(bisect_right(cum, u[k] * total),
+                                           last)], 1))
+                k += 1
+                continue
+            # destinations in ascending order, one triple per run
+            dests = sorted([min(bisect_right(cum, x * total), last)
+                            for x in u[k:k + count]])
             k += count
-            trips.extend((sid, ids[j], c) for j, c in sorted(per_dest.items()))
+            j, c = dests[0], 0
+            for d in dests:
+                if d != j:
+                    trips.append((sid, ids[j], c))
+                    j, c = d, 0
+                c += 1
+            trips.append((sid, ids[j], c))
         rng.give_back(m - k)
     bus_arrivals: list[Trip] = []
     if profile._bus_origin:

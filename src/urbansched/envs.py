@@ -37,25 +37,43 @@ class EpisodeDone(RuntimeError):
 # Observations
 
 
-def _observation(world: W.WorldState, head: list, agents: list, me: int,
+def _observation(world: W.WorldState, columns: tuple[list, ...],
+                 forecast: np.ndarray, copies: int, agents: list, me: int,
                  places: int, O: np.ndarray | None) -> np.ndarray:
-    """Flat vector of `head` (station info and forecasts), the agent block,
-    the system features H and, when given, O.
+    """Flat vector of the per-place `columns`, `copies` copies of the
+    forecast block, the agent block, the system features H and, when
+    given, O.
 
     The agent block holds agent `me` first, then each peer in world order,
     each as a one-hot location over `places`, occupied, remaining and
-    operation. Without agents the block is empty.
+    operation. Without agents the block is empty. The vector is filled by
+    slices and is a new array on every call: callers keep observations.
     """
-    order = [agents[me]] + agents[:me] + agents[me + 1:] if agents else []
-    block = np.zeros((len(order), places + 3))
-    for row, agent in zip(block, order):
-        row[agent.location] = 1.0
-        row[places:] = (agent.occupied, agent.remaining, agent.operation)
-    parts = [*head, block, world.env_features]
+    forecast = np.asarray(forecast, dtype=float).reshape(-1)
+    features = world.env_features
+    width = places + 3
+    n = len(columns[0])
+    out = np.zeros(len(columns) * n + copies * forecast.size
+                   + len(agents) * width + features.size
+                   + (0 if O is None else O.size))
+    at = 0
+    for column in columns:
+        out[at:at + n] = column
+        at += n
+    for _ in range(copies):
+        out[at:at + forecast.size] = forecast
+        at += forecast.size
+    if agents:
+        for agent in [agents[me]] + agents[:me] + agents[me + 1:]:
+            out[at + agent.location] = 1.0
+            out[at + places] = agent.occupied
+            out[at + places + 1] = agent.remaining
+            out[at + places + 2] = agent.operation
+            at += width
+    out[at:at + features.size] = features
     if O is not None:
-        parts.append(O)
-    return np.concatenate([np.asarray(p, dtype=float).reshape(-1)
-                           for p in parts])
+        out[at + features.size:] = O.reshape(-1)
+    return out
 
 
 def bus_observe(world: W.WorldState, forecast: np.ndarray, bus_id: int,
@@ -64,11 +82,11 @@ def bus_observe(world: W.WorldState, forecast: np.ndarray, bus_id: int,
     segments since the last forward and backward bus per stop, the
     (L, 2 * stops) forecast block of forward then backward boardings per
     segment, then the agent block (one-hot over stops), H and O."""
+    stops = world.bus_stops
     return _observation(
-        world,
-        [[s.last_bus_fwd for s in world.bus_stops],
-         [s.last_bus_bwd for s in world.bus_stops], forecast],
-        world.buses, bus_id, len(world.bus_stops), other_system)
+        world, ([s.last_bus_fwd for s in stops],
+                [s.last_bus_bwd for s in stops]), forecast, 1,
+        world.buses, bus_id, len(stops), other_system)
 
 
 def bike_observe(world: W.WorldState, forecast: np.ndarray, vehicle_id: int,
@@ -91,12 +109,11 @@ def bike_observe(world: W.WorldState, forecast: np.ndarray, vehicle_id: int,
     keeps g as the state's third part; dropping the copy changes every
     observation.
     """
+    stations = world.bike_stations
     return _observation(
-        world,
-        [[s.available for s in world.bike_stations],
-         [s.free_docks for s in world.bike_stations], forecast, forecast],
-        world.vehicles, vehicle_id, max(len(world.bike_stations), 1),
-        other_system)
+        world, ([s.available for s in stations],
+                [s.docks - s.available for s in stations]), forecast, 2,
+        world.vehicles, vehicle_id, max(len(stations), 1), other_system)
 
 
 def joint_features(world: W.WorldState, for_agent: str, k: int,
@@ -135,25 +152,42 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 # ---------------------------------------------------------------------------
 # Demand shared by both envs: a forecast per env, a realisation per episode
 
+HORIZON = 2  # L, forecast segments in an observation
+
+
 @dataclass
 class _Forecast:
     """Expected demand of a scenario, row t for episode segment t + 1, and
     the profile that samples are drawn from. It depends on the scenario
-    alone, so an env builds it once; the arrays are read-only."""
+    alone, so an env builds it once; the arrays are read-only.
 
-    bike: np.ndarray  # (T, 2n) expected [departures | arrivals] per station
-    bus: np.ndarray  # (T, 2 n_stops) expected [forward | backward] boardings
+    Each block is kept with HORIZON + 1 zero rows after its T rows, so the
+    rows an observation reads at any clock position are one slice
+    (`horizon_slice`); `bike` and `bus` are views of the T rows."""
+
+    # (T + HORIZON + 1, 2n) expected [departures | arrivals] per station
+    padded_bike: np.ndarray
+    # (T + HORIZON + 1, 2 n_stops) expected [forward | backward] boardings
+    padded_bus: np.ndarray
+    T: int
     profile: DemandProfile | None = None
 
-    def horizon_slice(self, arr: np.ndarray, current: int, start: int,
+    @property
+    def bike(self) -> np.ndarray:
+        return self.padded_bike[:self.T]
+
+    @property
+    def bus(self) -> np.ndarray:
+        return self.padded_bus[:self.T]
+
+    @staticmethod
+    def horizon_slice(padded: np.ndarray, current: int, start: int,
                       L: int) -> np.ndarray:
-        """Forecast rows for segments current+1..current+L, zero-padded."""
+        """Rows for segments current+1..current+L of a block followed by
+        at least L + 1 zero rows, as a view; the clock never passes the
+        block's T rows, so the zero rows cover every position."""
         first = current - start + 1
-        lo, hi = max(first, 0), min(first + L, arr.shape[0])
-        out = np.zeros((L, arr.shape[1]))
-        if lo < hi:
-            out[lo - first:hi - first] = arr[lo:hi]
-        return out
+        return padded[first:first + L]
 
 
 def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
@@ -163,8 +197,9 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     stop_ids = [sid for r in scenario.routes for sid in r["stops"]]
     n = max(len(station_ids), 1)
     T = scenario.episode_length
-    bike = np.zeros((T, 2 * n))
-    bus = np.zeros((T, 2 * max(len(stop_ids), 1)))
+    padded_bike = np.zeros((T + HORIZON + 1, 2 * n))
+    padded_bus = np.zeros((T + HORIZON + 1, 2 * max(len(stop_ids), 1)))
+    bike, bus = padded_bike[:T], padded_bus[:T]
     pindex = {sid: i for i, sid in enumerate(stop_ids)}
 
     def board(row: np.ndarray, origin: str, dest: str, count: float):
@@ -192,8 +227,8 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     for e in scenario.bus_script or []:
         board(bus[e["segment"] - 1], e["origin"], e["destination"],
               e["count"])
-    bike.flags.writeable = bus.flags.writeable = False
-    return _Forecast(bike=bike, bus=bus, profile=profile)
+    padded_bike.flags.writeable = padded_bus.flags.writeable = False
+    return _Forecast(padded_bike, padded_bus, T, profile)
 
 
 def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
@@ -225,7 +260,6 @@ def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
 # ---------------------------------------------------------------------------
 # The MDPs
 
-HORIZON = 2  # L, forecast segments in an observation
 BUS_HEADWAY = 4  # the bike env's scenery buses reset stop timers this often
 
 
@@ -268,10 +302,11 @@ class _Env:
         self.world = W.build_world(self.scenario)
         self.done = False
 
-    def _horizon(self, block: np.ndarray) -> np.ndarray:
-        """The (HORIZON, columns) rows of `block` for the coming segments."""
+    def _horizon(self, padded: np.ndarray) -> np.ndarray:
+        """The (HORIZON, columns) rows of a padded forecast block for the
+        coming segments."""
         clock = self.world.clock
-        return self.forecast.horizon_slice(block, clock.current,
+        return self.forecast.horizon_slice(padded, clock.current,
                                            clock.episode_start, HORIZON)
 
 
@@ -284,6 +319,11 @@ class BikeEnv(_Env):
     gamma_overflow * undockable bikes; per-step accumulators are exposed in
     the step info for diagnostics.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        # [a][b]: distance from station a to b, None until first driven
+        self._distances: list[list[float | None]] | None = None
 
     @property
     def n_stations(self) -> int:
@@ -311,7 +351,7 @@ class BikeEnv(_Env):
         w = self.world
         O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
              if self.joint_enabled else None)
-        return bike_observe(w, self._horizon(self.forecast.bike), 0, O)
+        return bike_observe(w, self._horizon(self.forecast.padded_bike), 0, O)
 
     def step(self, action: tuple[int, int]):
         if self.done:
@@ -328,9 +368,7 @@ class BikeEnv(_Env):
             W.apply_reposition(w, 0, station_idx, quantity)
             after = vehicle.location
             if before != after:
-                a = np.array(w.bike_stations[before].coord)
-                b = np.array(w.bike_stations[after].coord)
-                self.distance += float(np.linalg.norm(a - b))
+                self.distance += self._distance(before, after)
             self.overflow += undockable
         segment = w.clock.current - w.clock.episode_start + 1
         _, served, lost = W.step_bike_world(w, self.trips.get(segment, []))
@@ -348,6 +386,18 @@ class BikeEnv(_Env):
                 "overflow_total": self.overflow,
                 "outage": self.outage}
         return self._observe(), reward, self.done, info
+
+    def _distance(self, a: int, b: int) -> float:
+        """Distance between stations a and b, computed the first time the
+        vehicle drives between them."""
+        stations = self.world.bike_stations
+        if self._distances is None:
+            self._distances = [[None] * len(stations) for _ in stations]
+        row = self._distances[a]
+        if row[b] is None:
+            row[b] = float(np.linalg.norm(np.array(stations[a].coord)
+                                          - np.array(stations[b].coord)))
+        return row[b]
 
     def _tick_bus_scenery(self):
         w = self.world
@@ -392,7 +442,7 @@ class BusEnv(_Env):
         w = self.world
         O = (joint_features(w, "bus", self.joint_k)
              if self.joint_enabled else None)
-        return bus_observe(w, self._horizon(self.forecast.bus), 0, O)
+        return bus_observe(w, self._horizon(self.forecast.padded_bus), 0, O)
 
     def _max_wait(self) -> int:
         """Longest wait in segments; a queue's head has waited longest."""

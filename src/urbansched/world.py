@@ -110,13 +110,34 @@ class WorldState:
     env_features: np.ndarray
 
     def __post_init__(self):
+        # place ids resolved once per world: trips name places by id
+        self._station_index = {s.id: i
+                               for i, s in enumerate(self.bike_stations)}
         self._stop_index = {s.id: i for i, s in enumerate(self.bus_stops)}
+        # (origin, dest) -> the queue its bus arrivals join, filled on first
+        # sight; a stop's queues are mutated, never replaced
+        self._arrival_queues: dict[tuple[str, str], deque[Passenger]] = {}
 
     def stop_index(self, stop_id: str) -> int:
         try:
             return self._stop_index[stop_id]
         except KeyError:
             raise ScenarioError(f"unknown bus stop {stop_id!r}") from None
+
+    def _arrival_queue(self, origin: str, dest: str) -> deque[Passenger]:
+        """Resolve and store the queue that bus arrivals from `origin` to
+        `dest` join: the origin's forward queue when `dest` lies ahead on
+        the route, else its backward queue."""
+        oi = self.stop_index(origin)
+        di = self.stop_index(dest)
+        if oi == di:
+            raise ScenarioError(f"bus arrival OD {origin!r} starts where "
+                                f"it ends")
+        stop = self.bus_stops[oi]
+        forward = self.bus_stops[di].route_position > stop.route_position
+        queue = stop.queue_fwd if forward else stop.queue_bwd
+        self._arrival_queues[(origin, dest)] = queue
+        return queue
 
     def same_route(self, a: int, b: int) -> bool:
         """Whether stop indices a and b both exist and lie on one route."""
@@ -426,24 +447,30 @@ def step_bike_world(world: WorldState, realized_trips: list[tuple[str, str, int]
 
     Returns (world, served, lost).
     """
-    avail = {s.id: s.available for s in world.bike_stations}
-    docks = {s.id: s.docks for s in world.bike_stations}
-    incoming = {s.id: 0 for s in world.bike_stations}
+    stations = world.bike_stations
+    index = world._station_index
+    avail = [s.available for s in stations]
+    # free docks less the docks reserved by this segment's arrivals
+    room = [s.docks - s.available for s in stations]
+    incoming = [0] * len(stations)
     served = 0
     lost = 0
     for origin, dest, count in realized_trips:
-        if origin not in avail or dest not in avail:
+        o = index.get(origin)
+        d = index.get(dest)
+        if o is None or d is None:
             raise ScenarioError(f"trip references unknown station {origin!r}->{dest!r}")
         if count < 0:
             raise ScenarioError("trip count must be >= 0")
-        free = docks[dest] - avail[dest] - incoming[dest]
-        take = min(count, avail[origin], max(free, 0))
-        avail[origin] -= take
-        incoming[dest] += take
+        take = min(count, avail[o], max(room[d], 0))
+        avail[o] -= take
+        room[o] += take
+        incoming[d] += take
+        room[d] -= take
         served += take
         lost += count - take
-    for s in world.bike_stations:
-        s.available = avail[s.id] + incoming[s.id]
+    for s, a, i in zip(stations, avail, incoming):
+        s.available = a + i
     world.clock.advance()
     return world, served, lost
 
@@ -465,16 +492,18 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
         if a not in (OP_FORWARD, OP_HALT, OP_BACKWARD):
             raise ScenarioError(f"invalid bus action {a!r}")
     now = world.clock.current
-    # new arrivals join their queues first
+    # new arrivals join their queues first; passengers are frozen, so the
+    # segment's arrivals to one destination share one
+    queues = world._arrival_queues
+    riders: dict[str, Passenger] = {}
     for origin, dest, count in boarding_demand:
-        oi = world.stop_index(origin)
-        di = world.stop_index(dest)
-        if oi == di:
-            raise ScenarioError(f"bus arrival OD {origin!r} starts where it ends")
-        stop = world.bus_stops[oi]
-        forward = world.bus_stops[di].route_position > stop.route_position
-        queue = stop.queue_fwd if forward else stop.queue_bwd
-        queue.extend([Passenger(dest, now)] * count)
+        queue = queues.get((origin, dest))
+        if queue is None:
+            queue = world._arrival_queue(origin, dest)
+        rider = riders.get(dest)
+        if rider is None:
+            rider = riders[dest] = Passenger(dest, now)
+        queue.extend([rider] * count)
     for stop in world.bus_stops:
         stop.last_bus_fwd += 1
         stop.last_bus_bwd += 1

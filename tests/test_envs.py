@@ -10,8 +10,8 @@ import pytest
 from urbansched import world as W
 from urbansched.cli import resolve_scenario
 from urbansched.envs import (
-    BikeEnv, BusEnv, EpisodeDone, RewardConfig, bike_observe, bus_observe,
-    joint_features,
+    HORIZON, BikeEnv, BusEnv, EpisodeDone, RewardConfig, bike_observe,
+    bus_observe, joint_features,
 )
 from urbansched.forecast_bike import encode_flow
 from urbansched.harness import StaticHeadwayPolicy
@@ -150,15 +150,24 @@ class TestDemandChannel:
         env.reset()
         arr = np.arange(1.0, 13.0).reshape(4, 3)
         for start in (0, 2):
-            for current in range(start, start + 6):
+            # every clock position of a 4-segment episode
+            for current in range(start, start + 5):
                 for L in (0, 1, 2, 5):
                     first = current - start + 1
                     want = [arr[t] if 0 <= t < 4 else np.zeros(3)
                             for t in range(first, first + L)]
-                    got = env.forecast.horizon_slice(arr, current, start, L)
+                    padded = np.vstack([arr, np.zeros((L + 1, 3))])
+                    got = env.forecast.horizon_slice(padded, current, start,
+                                                     L)
                     assert got.shape == (L, 3)
                     np.testing.assert_array_equal(got,
                                                   np.reshape(want, (L, 3)))
+        T = env.scenario.episode_length
+        for padded, block in ((env.forecast.padded_bike, env.forecast.bike),
+                              (env.forecast.padded_bus, env.forecast.bus)):
+            assert padded.shape[0] == T + HORIZON + 1
+            assert block.shape[0] == T and block.base is padded
+            assert not padded[T:].any() and not padded.flags.writeable
 
 
     def test_profile_bus_forecast_every_row(self):

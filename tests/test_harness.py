@@ -566,6 +566,7 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--days", "-2"), ("--days", "0"), ("--horizon", "-1"),
         ("--horizon", "0"), ("--epochs", "-3"), ("--epochs", "0"),
+        ("--clusters", "0"), ("--clusters", "-5"),
     ])
     def test_forecast_count_below_1_exit_1(self, flag, value, tmp_path,
                                            capsys):
