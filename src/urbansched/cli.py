@@ -46,13 +46,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    scenario = resolve_scenario(args.scenario)
+def _load_policy(args) -> Policy | None:
+    """The --checkpoint policy, which --policy trained requires."""
     if args.policy == "trained" and not args.checkpoint:
         raise ValueError("--checkpoint required for --policy trained")
-    policy = Policy.load(args.checkpoint) if args.policy == "trained" else None
+    return Policy.load(args.checkpoint) if args.checkpoint else None
+
+
+def cmd_simulate(args) -> int:
+    scenario = resolve_scenario(args.scenario)
     report = harness.evaluate(args.policy, scenario, args.episodes,
-                              [args.seed], policy)[0]
+                              [args.seed], _load_policy(args))[0]
     print(f"served={report.served} lost={report.lost} "
           f"mean_return={np.mean(report.returns):.3f}")
     if args.out:
@@ -63,9 +67,8 @@ def cmd_simulate(args) -> int:
 def cmd_eval(args) -> int:
     scenario = resolve_scenario(args.scenario)
     seeds = [int(s) for s in args.seeds.split(",")]
-    policy = Policy.load(args.checkpoint) if args.checkpoint else None
     reports = harness.evaluate(args.policy, scenario, args.episodes, seeds,
-                               policy=policy)
+                               _load_policy(args))
     served = [r.served for r in reports]
     print(f"policy={args.policy} seeds={len(seeds)} "
           f"served mean={np.mean(served):.2f} median={np.median(served):.2f} "

@@ -519,11 +519,10 @@ class Policy:
             raise ValueError(f"policy obs_dim {self.obs_dim} does not match "
                              f"the scenario's observation size {obs.size}")
         self._window = HistoryWindow(self.history_window, self.obs_dim)
-        self._window.reset(obs)
 
-    def action(self, obs: np.ndarray | None = None):
-        if obs is not None:
-            self._window.push(obs)
+    def action_for(self, env):
+        """The action for the env's current observation, `env.obs`."""
+        self._window.push(env.obs)
         scores = act(self.actor, self._window.buffer, self._window.start)
         return decode_action(scores, self.kind, self.capacity)
 
@@ -580,21 +579,19 @@ class Policy:
                    obs_dim=meta["obs_dim"])
 
 
-def run_episode(env, policy: Policy, force_outage: bool | None = None):
-    """Noise-free rollout; returns (total_reward, info of the final step)."""
+def run_episode(env, policy, force_outage: bool | None = None):
+    """Noise-free rollout of any policy that speaks the protocol:
+    `begin_episode(obs)` once, then `action_for(env)` each step. Returns
+    (total_reward, info of the final step)."""
     kwargs = {}
     if force_outage is not None:
         kwargs["force_outage"] = force_outage
-    obs = env.reset(**kwargs)
-    policy.begin_episode(obs)
+    policy.begin_episode(env.reset(**kwargs))
     total = 0.0
     info = {}
     done = False
-    first = True
     while not done:
-        action = policy.action(None if first else obs)
-        first = False
-        obs, reward, done, info = env.step(action)
+        _, reward, done, info = env.step(policy.action_for(env))
         total += reward
     return total, info
 

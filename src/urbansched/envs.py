@@ -285,6 +285,7 @@ class _Env:
         self.joint_k: int = joint.get("k", 2)
         self.forecast = _build_forecast(self.scenario)
         self.world: W.WorldState | None = None
+        self.obs: np.ndarray | None = None  # what reset or step last returned
         self._episode_counter = 0
 
     def _episode_rng(self, seed: int | None) -> PortableRng:
@@ -351,7 +352,9 @@ class BikeEnv(_Env):
         w = self.world
         O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
              if self.joint_enabled else None)
-        return bike_observe(w, self._horizon(self.forecast.padded_bike), 0, O)
+        self.obs = bike_observe(w, self._horizon(self.forecast.padded_bike),
+                                0, O)
+        return self.obs
 
     def step(self, action: tuple[int, int]):
         if self.done:
@@ -442,7 +445,9 @@ class BusEnv(_Env):
         w = self.world
         O = (joint_features(w, "bus", self.joint_k)
              if self.joint_enabled else None)
-        return bus_observe(w, self._horizon(self.forecast.padded_bus), 0, O)
+        self.obs = bus_observe(w, self._horizon(self.forecast.padded_bus),
+                               0, O)
+        return self.obs
 
     def _max_wait(self) -> int:
         """Longest wait in segments; a queue's head has waited longest."""

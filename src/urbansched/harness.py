@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class MetricsReport:
     bus_drive_time: float
     returns: list[float]
     seed: int
-    total_demand: int = 0
 
     def as_row(self) -> dict:
         return {
@@ -60,47 +59,29 @@ def _with_placement(scenario: W.ScenarioSpec,
     return replace(scenario, stations=stations, vehicles=vehicles)
 
 
-def _simulate_passive(scenario: W.ScenarioSpec, seed: int = 0):
-    """Run the episode with no repositioning; returns (served, lost)."""
-    env = BikeEnv(scenario=scenario, seed=seed)
-    env.reset(seed=seed)
-    served = lost = 0
-    done = False
-    home = env.world.vehicles[0].location if env.world.vehicles else 0
-    while not done:
-        _, _, done, info = env.step((home, 0))
-        served = info["served_total"]
-        lost = info["lost_total"]
-    return served, lost
-
-
 def first_segment_departures(scenario: W.ScenarioSpec) -> np.ndarray:
     forecast = BikeEnv(scenario=scenario).forecast
     return forecast.bike[0, :len(scenario.stations)]
 
 
-def run_greedy_bike(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:
-    """Place every dispatchable bike at the station with the largest
-    first-segment predicted departures (ties to lowest id), then never
-    reposition again."""
+def greedy_placement(scenario: W.ScenarioSpec) -> W.ScenarioSpec:
+    """Scenario copy with every dispatchable bike at the station with the
+    largest first-segment predicted departures (ties to lowest id)."""
     departures = first_segment_departures(scenario)
     ids = scenario.station_ids()
     order = sorted(range(len(ids)), key=lambda i: (-departures[i], ids[i]))
     target = ids[order[0]] if ids else None
     placement = {target: _dispatchable_bikes(scenario)} if target else {}
-    served, lost = _simulate_passive(_with_placement(scenario, placement), seed)
-    return MetricsReport(served=served, lost=lost, mean_wait_minutes=0.0,
-                         vehicle_distance=0.0, bus_drive_time=0.0,
-                         returns=[float(served)], seed=seed,
-                         total_demand=served + lost)
+    return _with_placement(scenario, placement)
+
+
+def run_greedy_bike(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:
+    """The greedy placement, then never reposition again."""
+    return run_no_reposition(greedy_placement(scenario), seed)
 
 
 def run_no_reposition(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:
-    served, lost = _simulate_passive(scenario, seed)
-    return MetricsReport(served=served, lost=lost, mean_wait_minutes=0.0,
-                         vehicle_distance=0.0, bus_drive_time=0.0,
-                         returns=[float(served)], seed=seed,
-                         total_demand=served + lost)
+    return evaluate_policy(NoReposition(), scenario, 1, seed)
 
 
 def _compositions(total: int, bins: int):
@@ -135,20 +116,38 @@ def run_exhaustive_bike(scenario: W.ScenarioSpec, seed: int = 0):
         if not feasible:
             continue
         placement = dict(zip(ids, split))
-        served, _ = _simulate_passive(_with_placement(scenario, placement),
-                                      seed)
+        served = run_no_reposition(_with_placement(scenario, placement),
+                                   seed).served
         if served > best_served:
             best_served = served
             best_placement = placement
     return best_placement, best_served
 
 
-@dataclass
+# Every policy speaks one protocol: `begin_episode(obs)` with the reset
+# observation, then `action_for(env)` on each step; `kind` picks the env
+# that `evaluate_policy` builds ("bus" a BusEnv, anything else a BikeEnv).
+
+class NoReposition:
+    """Bike baseline: the dispatch vehicle stays where it starts and moves
+    no bikes."""
+
+    kind = "vehicle"
+
+    def begin_episode(self, obs):
+        pass
+
+    def action_for(self, env: BikeEnv) -> tuple[int, int]:
+        vehicles = env.world.vehicles
+        return (vehicles[0].location if vehicles else 0, 0)
+
+
 class StaticHeadwayPolicy:
     """Bus baseline: drive forward to the terminal of the bus's route, then
     back, forever."""
 
-    direction: int = W.OP_FORWARD
+    kind = "bus"
+    direction = W.OP_FORWARD
 
     def begin_episode(self, obs):
         self.direction = W.OP_FORWARD
@@ -165,41 +164,29 @@ class StaticHeadwayPolicy:
 
 def run_static_headway(scenario: W.ScenarioSpec,
                        seed: int = 0) -> MetricsReport:
-    env = BusEnv(scenario=scenario, seed=seed)
-    env.reset(seed=seed)
-    policy = StaticHeadwayPolicy()
-    policy.begin_episode(None)
-    done = False
-    total = 0.0
-    while not done:
-        _, r, done, _ = env.step(policy.action_for(env))
-        total += r
-    return MetricsReport(served=0, lost=0,
-                         mean_wait_minutes=0.0,
-                         vehicle_distance=0.0,
-                         bus_drive_time=env.drive_time,
-                         returns=[total], seed=seed,
-                         total_demand=0)
+    return evaluate_policy(StaticHeadwayPolicy(), scenario, 1, seed)
 
 
-def evaluate_policy(policy: Policy, scenario: W.ScenarioSpec, episodes: int,
+def evaluate_policy(policy, scenario: W.ScenarioSpec, episodes: int,
                     seed: int) -> MetricsReport:
-    """Noise-free evaluation of a trained bike policy."""
-    env = BikeEnv(scenario=scenario, seed=seed)
+    """Noise-free evaluation of any policy: `episodes` episodes of one env
+    seeded with `seed`, summed."""
+    make_env = BusEnv if policy.kind == "bus" else BikeEnv
+    env = make_env(scenario=scenario, seed=seed)
     served = lost = 0
-    distance = 0.0
+    distance = drive_time = 0.0
     returns = []
-    for ep in range(episodes):
+    for _ in range(episodes):
         env.seed = seed
         total, info = run_episode(env, policy)
         returns.append(total)
-        served += info["served_total"]
-        lost += info["lost_total"]
-        distance += info["distance_total"]
+        served += info.get("served_total", 0)
+        lost += info.get("lost_total", 0)
+        distance += info.get("distance_total", 0.0)
+        drive_time += getattr(env, "drive_time", 0.0)
     return MetricsReport(served=served, lost=lost, mean_wait_minutes=0.0,
-                         vehicle_distance=distance, bus_drive_time=0.0,
-                         returns=returns, seed=seed,
-                         total_demand=served + lost)
+                         vehicle_distance=distance, bus_drive_time=drive_time,
+                         returns=returns, seed=seed)
 
 
 def evaluate(policy_kind: str, scenario: W.ScenarioSpec, episodes: int,
@@ -207,21 +194,19 @@ def evaluate(policy_kind: str, scenario: W.ScenarioSpec, episodes: int,
     """Run a named baseline or a trained policy across seeds."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    reports = []
-    for seed in seeds:
+    if policy_kind == "trained":
+        if policy is None:
+            raise ValueError("trained evaluation needs a policy")
+    elif policy_kind in ("none", "greedy"):
+        policy = NoReposition()
         if policy_kind == "greedy":
-            reports.append(run_greedy_bike(scenario, seed))
-        elif policy_kind == "none":
-            reports.append(run_no_reposition(scenario, seed))
-        elif policy_kind == "headway":
-            reports.append(run_static_headway(scenario, seed))
-        elif policy_kind == "trained":
-            if policy is None:
-                raise ValueError("trained evaluation needs a policy")
-            reports.append(evaluate_policy(policy, scenario, episodes, seed))
-        else:
-            raise ValueError(f"unknown policy kind {policy_kind!r}")
-    return reports
+            scenario = greedy_placement(scenario)
+    elif policy_kind == "headway":
+        policy = StaticHeadwayPolicy()
+    else:
+        raise ValueError(f"unknown policy kind {policy_kind!r}")
+    return [evaluate_policy(policy, scenario, episodes, seed)
+            for seed in seeds]
 
 
 def save_reports_csv(path: str, reports: list[MetricsReport]):

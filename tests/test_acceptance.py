@@ -138,19 +138,6 @@ def test_acceptance_5_forecast_skill(acceptance):
            f"(ratio {ratio:.3f} <= 0.8), {elapsed:.0f}s")
 
 
-def _passive_served(scenario, seed: int, episodes: int) -> int:
-    env = BikeEnv(scenario=scenario, seed=seed)
-    served = 0
-    for _ in range(episodes):
-        env.reset()
-        home = env.world.vehicles[0].location
-        done = False
-        while not done:
-            _, _, done, info = env.step((home, 0))
-        served += info["served_total"]
-    return served
-
-
 def test_acceptance_6_repositioning_gain(acceptance):
     scenario = resolve_scenario("bike5")
     start = time.time()
@@ -163,7 +150,8 @@ def test_acceptance_6_repositioning_gain(acceptance):
                           config)
         trained = harness.evaluate_policy(policy, scenario, episodes=20,
                                           seed=seed + 1000).served
-        baseline = _passive_served(scenario, seed + 1000, 20)
+        baseline = harness.evaluate_policy(harness.NoReposition(), scenario,
+                                           episodes=20, seed=seed + 1000).served
         ratio = trained / max(baseline, 1)
         ratios.append(round(ratio, 2))
         if ratio >= 1.15:

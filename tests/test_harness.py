@@ -31,7 +31,7 @@ class TestGreedyBaseline:
     def test_fig1a_places_at_b_serves_ten(self):
         report = harness.run_greedy_bike(resolve_scenario("fig1a"))
         assert report.served == 10
-        assert report.served + report.lost == report.total_demand == 35
+        assert report.served + report.lost == 35
 
     def test_zero_demand(self):
         report = harness.run_greedy_bike(scripted_scenario([]))
@@ -146,6 +146,20 @@ class TestEvaluate:
             env.step(policy.action_for(env))
             visited.append(env.world.buses[0].location)
         assert visited == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("kind, name", [
+        ("none", "bike5"), ("greedy", "bike5"), ("headway", "outage")])
+    def test_baselines_run_every_episode(self, kind, name):
+        scenario = resolve_scenario(name)
+        report = harness.evaluate(kind, scenario, 3, [0])[0]
+        assert len(report.returns) == 3
+        # episodes 1 to 3 of one env seeded 0, summed
+        assert report == harness.evaluate(kind, scenario, 3, [0])[0]
+
+    def test_no_reposition_sums_its_episodes(self):
+        report = harness.evaluate("none", resolve_scenario("bike5"), 3, [0])[0]
+        assert report.served == 4 + 4 + 5
+        assert report.returns == [4.0, 4.0, 5.0]
 
     def test_reports_csv(self, tmp_path):
         reports = harness.evaluate("greedy", resolve_scenario("fig1a"), 1,
@@ -562,6 +576,20 @@ class TestCli:
         assert cli(["simulate", "--scenario", "fig1a",
                     "--policy", "trained"]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_eval_trained_without_checkpoint_exit_1(self, capsys):
+        assert cli(["eval", "--scenario", "fig1a", "--policy", "trained"]) == 1
+        assert ("--checkpoint required for --policy trained"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, out", [
+        (["simulate"], "served=13 lost=74"),
+        (["eval", "--seeds", "0"], "served mean=13.00"),
+    ])
+    def test_baseline_episodes_option(self, command, out, capsys):
+        assert cli([*command, "--scenario", "bike5", "--policy", "none",
+                    "--episodes", "3"]) == 0
+        assert out in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [
         ("--days", "-2"), ("--days", "0"), ("--horizon", "-1"),
