@@ -153,6 +153,11 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+EPISODES_HELP = ("episodes per seed; served, lost, vehicle_distance and "
+                 "bus_drive_time are summed over them, mean_return is "
+                 "their mean")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urbansched",
@@ -176,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="none",
                    choices=["none", "greedy", "headway", "trained"])
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=int, default=1, help=EPISODES_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="metrics across seeds")
     common(p)
     p.add_argument("--policy", default="none")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=int, default=1, help=EPISODES_HELP)
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=cmd_eval)
 

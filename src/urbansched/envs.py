@@ -109,11 +109,11 @@ def bike_observe(world: W.WorldState, forecast: np.ndarray, vehicle_id: int,
     keeps g as the state's third part; dropping the copy changes every
     observation.
     """
-    stations = world.bike_stations
+    avail = world.available
     return _observation(
-        world, ([s.available for s in stations],
-                [s.docks - s.available for s in stations]), forecast, 2,
-        world.vehicles, vehicle_id, max(len(stations), 1), other_system)
+        world, (avail, [d - a for d, a in zip(world.docks, avail)]),
+        forecast, 2, world.vehicles, vehicle_id, max(len(avail), 1),
+        other_system)
 
 
 def joint_features(world: W.WorldState, for_agent: str, k: int,
@@ -136,8 +136,8 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
             rows.append([fwd, bwd, len(stop.queue_fwd), len(stop.queue_bwd)])
         n = len(world.bus_stops)
     elif for_agent == "bus":
-        rows = [[s.available, s.free_docks] for s in world.bike_stations]
-        n = len(world.bike_stations)
+        rows = [[a, d - a] for a, d in zip(world.available, world.docks)]
+        n = len(world.available)
     else:
         raise ValueError(f"unknown agent kind {for_agent!r}")
     if n == 0:
@@ -323,8 +323,11 @@ class BikeEnv(_Env):
 
     def __post_init__(self):
         super().__post_init__()
+        self._coords = np.array([(float(s["x"]), float(s["y"]))
+                                 for s in self.scenario.stations])
         # [a][b]: distance from station a to b, None until first driven
-        self._distances: list[list[float | None]] | None = None
+        self._distances: list[list[float | None]] = [
+            [None] * len(self._coords) for _ in self._coords]
 
     @property
     def n_stations(self) -> int:
@@ -364,15 +367,13 @@ class BikeEnv(_Env):
         if w.vehicles:
             vehicle = w.vehicles[0]
             before = vehicle.location
-            undockable = 0
-            if quantity < 0:
-                undockable = max(0, min(-quantity, vehicle.occupied)
-                                 - w.bike_stations[station_idx].free_docks)
+            unload = min(-quantity, vehicle.occupied)  # <= 0 unless unloading
             W.apply_reposition(w, 0, station_idx, quantity)
             after = vehicle.location
             if before != after:
                 self.distance += self._distance(before, after)
-            self.overflow += undockable
+            # bikes the station could not dock; operation is -docked
+            self.overflow += max(0, unload + vehicle.operation)
         segment = w.clock.current - w.clock.episode_start + 1
         _, served, lost = W.step_bike_world(w, self.trips.get(segment, []))
         self.served += served
@@ -393,25 +394,20 @@ class BikeEnv(_Env):
     def _distance(self, a: int, b: int) -> float:
         """Distance between stations a and b, computed the first time the
         vehicle drives between them."""
-        stations = self.world.bike_stations
-        if self._distances is None:
-            self._distances = [[None] * len(stations) for _ in stations]
         row = self._distances[a]
         if row[b] is None:
-            row[b] = float(np.linalg.norm(np.array(stations[a].coord)
-                                          - np.array(stations[b].coord)))
+            row[b] = float(np.linalg.norm(self._coords[a] - self._coords[b]))
         return row[b]
 
     def _tick_bus_scenery(self):
+        """Reset the stop timers on the scenery buses' headway. Under an
+        outage no bus runs and O reads the sentinel, not the timers."""
+        if self.outage:
+            return
         w = self.world
+        elapsed = w.clock.current - w.clock.episode_start
         for stop in w.bus_stops:
-            if self.outage:
-                stop.last_bus_fwd = w.clock.episode_length
-                stop.last_bus_bwd = w.clock.episode_length
-            else:
-                elapsed = w.clock.current - w.clock.episode_start
-                stop.last_bus_fwd = elapsed % BUS_HEADWAY
-                stop.last_bus_bwd = elapsed % BUS_HEADWAY
+            stop.last_bus_fwd = stop.last_bus_bwd = elapsed % BUS_HEADWAY
 
 
 # ---------------------------------------------------------------------------

@@ -56,22 +56,6 @@ class Passenger:
 
 
 @dataclass
-class BikeStation:
-    id: str
-    coord: tuple[float, float]
-    docks: int
-    available: int
-
-    def __post_init__(self):
-        if not (0 <= self.available <= self.docks):
-            raise ScenarioError(f"station {self.id}: available outside [0, docks]")
-
-    @property
-    def free_docks(self) -> int:
-        return self.docks - self.available
-
-
-@dataclass
 class BusStop:
     id: str
     route: int  # index of the route the stop belongs to
@@ -85,7 +69,6 @@ class BusStop:
 
 @dataclass
 class AgentState:
-    kind: str  # "bus" or "vehicle"
     location: int  # stop index (bus) or station index (vehicle)
     occupied: int
     operation: int
@@ -104,15 +87,18 @@ class AgentState:
 @dataclass
 class WorldState:
     clock: SegmentClock
-    bike_stations: list[BikeStation]
+    # per-station lists in scenario order: ids, bikes docked, dock count
+    station_ids: list[str]
+    available: list[int]
+    docks: list[int]
     bus_stops: list[BusStop]
-    agents: list[AgentState]
+    vehicles: list[AgentState]
+    buses: list[AgentState]
     env_features: np.ndarray
 
     def __post_init__(self):
         # place ids resolved once per world: trips name places by id
-        self._station_index = {s.id: i
-                               for i, s in enumerate(self.bike_stations)}
+        self._station_index = {sid: i for i, sid in enumerate(self.station_ids)}
         self._stop_index = {s.id: i for i, s in enumerate(self.bus_stops)}
         # (origin, dest) -> the queue its bus arrivals join, filled on first
         # sight; a stop's queues are mutated, never replaced
@@ -145,17 +131,8 @@ class WorldState:
         return (0 <= a < n and 0 <= b < n
                 and self.bus_stops[a].route == self.bus_stops[b].route)
 
-    @property
-    def vehicles(self) -> list[AgentState]:
-        return [a for a in self.agents if a.kind == "vehicle"]
-
-    @property
-    def buses(self) -> list[AgentState]:
-        return [a for a in self.agents if a.kind == "bus"]
-
     def total_bikes(self) -> int:
-        return (sum(s.available for s in self.bike_stations)
-                + sum(v.occupied for v in self.vehicles))
+        return sum(self.available) + sum(v.occupied for v in self.vehicles)
 
 
 @dataclass
@@ -315,10 +292,19 @@ class ScenarioSpec:
         if not all(_is_rate(w) for row in od for w in row):
             raise ScenarioError("demand_profile od_weights entries must be "
                                 "finite numbers >= 0")
+        if any(od[i][i] for i in range(len(ids))):
+            raise ScenarioError("demand_profile od_weights diagonal must be "
+                                "zero")
         bus_rates = profile.get("bus_rates", [])
         _check_objects("bus_rates", bus_rates)
+        seen_ods: set[tuple[str, str]] = set()
         for entry in bus_rates:
             _validate_bus_od(entry, stop_route, "bus_rates")
+            od_key = (entry["origin"], entry["destination"])
+            if od_key in seen_ods:
+                raise ScenarioError(f"bus_rates lists OD {od_key[0]!r}->"
+                                    f"{od_key[1]!r} twice")
+            seen_ods.add(od_key)
             rate = entry.get("rate")
             if not _is_rate(rate):
                 raise ScenarioError(f"bus_rates rate {rate!r} must be a "
@@ -402,37 +388,32 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
         current=scenario.clock.get("episode_start", 0),
         segment_minutes=scenario.segment_minutes,
     )
-    stations = [
-        BikeStation(
-            id=s["id"],
-            coord=(float(s["x"]), float(s["y"])),
-            docks=s["docks"],
-            available=s.get("initial_bikes", 0),
-        )
-        for s in scenario.stations
-    ]
     stops: list[BusStop] = []
-    agents: list[AgentState] = []
+    buses: list[AgentState] = []
     for r, route in enumerate(scenario.routes):
         base = len(stops)
         for pos, stop_id in enumerate(route["stops"], start=1):
             stops.append(BusStop(id=stop_id, route=r, route_position=pos))
         capacity = route.get("capacity", 30)
         for _ in range(route.get("bus_count", 1)):
-            agents.append(AgentState(kind="bus", location=base, occupied=0,
-                                     operation=OP_HALT, capacity=capacity))
-    station_ids = [s.id for s in stations]
+            buses.append(AgentState(location=base, occupied=0,
+                                    operation=OP_HALT, capacity=capacity))
+    station_ids = scenario.station_ids()
+    vehicles = []
     for v in scenario.vehicles:
         start = v.get("start")
         idx = 0 if start is None else station_ids.index(start)
-        agents.append(AgentState(kind="vehicle", location=idx,
-                                 occupied=v.get("initial_load", 0),
-                                 operation=0, capacity=v["capacity"]))
+        vehicles.append(AgentState(location=idx,
+                                   occupied=v.get("initial_load", 0),
+                                   operation=0, capacity=v["capacity"]))
     return WorldState(
         clock=clock,
-        bike_stations=stations,
+        station_ids=station_ids,
+        available=[s.get("initial_bikes", 0) for s in scenario.stations],
+        docks=[s["docks"] for s in scenario.stations],
         bus_stops=stops,
-        agents=agents,
+        vehicles=vehicles,
+        buses=buses,
         env_features=np.asarray(scenario.environment, dtype=float),
     )
 
@@ -443,16 +424,18 @@ def step_bike_world(world: WorldState, realized_trips: list[tuple[str, str, int]
     Trips are served in list order. Departures take effect immediately;
     arrivals land at segment end but reserve destination docks greedily in
     trip order. Demand that cannot be served (empty origin or full
-    destination) converts to lost demand, never to failure.
+    destination) converts to lost demand, never to failure. A trip naming
+    an unknown station, or with a negative count, raises and leaves the
+    segment half served.
 
     Returns (world, served, lost).
     """
-    stations = world.bike_stations
     index = world._station_index
-    avail = [s.available for s in stations]
-    # free docks less the docks reserved by this segment's arrivals
-    room = [s.docks - s.available for s in stations]
-    incoming = [0] * len(stations)
+    avail = world.available
+    docks = world.docks
+    # free docks less the docks reserved by this segment's arrivals, so a
+    # station ends the segment holding docks - room bikes
+    room = [d - a for d, a in zip(docks, avail)]
     served = 0
     lost = 0
     for origin, dest, count in realized_trips:
@@ -465,12 +448,10 @@ def step_bike_world(world: WorldState, realized_trips: list[tuple[str, str, int]
         take = min(count, avail[o], max(room[d], 0))
         avail[o] -= take
         room[o] += take
-        incoming[d] += take
         room[d] -= take
         served += take
         lost += count - take
-    for s, a, i in zip(stations, avail, incoming):
-        s.available = a + i
+    avail[:] = [d - r for d, r in zip(docks, room)]
     world.clock.advance()
     return world, served, lost
 
@@ -550,19 +531,20 @@ def apply_reposition(world: WorldState, vehicle_id: int, target_station: int,
     vehicles = world.vehicles
     if not (0 <= vehicle_id < len(vehicles)):
         raise ScenarioError(f"unknown vehicle {vehicle_id}")
-    if not (0 <= target_station < len(world.bike_stations)):
+    avail = world.available
+    if not (0 <= target_station < len(avail)):
         raise ScenarioError(f"unknown station index {target_station}")
     vehicle = vehicles[vehicle_id]
-    station = world.bike_stations[target_station]
     vehicle.location = target_station
     if quantity > 0:
-        moved = min(quantity, station.available, vehicle.remaining)
-        station.available -= moved
+        moved = min(quantity, avail[target_station], vehicle.remaining)
+        avail[target_station] -= moved
         vehicle.occupied += moved
         vehicle.operation = moved
     elif quantity < 0:
-        moved = min(-quantity, vehicle.occupied, station.free_docks)
-        station.available += moved
+        moved = min(-quantity, vehicle.occupied,
+                    world.docks[target_station] - avail[target_station])
+        avail[target_station] += moved
         vehicle.occupied -= moved
         vehicle.operation = -moved
     else:

@@ -237,9 +237,9 @@ def test_acceptance_8_conservation_fuzz(acceptance):
                 step_bike_world(world, trips)
             actions += 1
             assert world.total_bikes() == total
-            for s in world.bike_stations:
-                assert 0 <= s.available <= s.docks
-            for agent in world.agents:
+            for avail, docks in zip(world.available, world.docks):
+                assert 0 <= avail <= docks
+            for agent in world.vehicles:
                 assert 0 <= agent.location < n
                 assert agent.occupied + agent.remaining == agent.capacity
                 assert agent.occupied >= 0 and agent.remaining >= 0

@@ -452,6 +452,13 @@ class TestBikeEnv:
             _, reward, done, _ = env.step((1, 0))
         assert reward == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("quantity", [1, 0, -1])
+    def test_unknown_station_rejected(self, quantity):
+        env = BikeEnv(scenario=mixed_scenario())
+        env.reset()
+        with pytest.raises(W.ScenarioError, match="unknown station index"):
+            env.step((env.n_stations, quantity))
+
     def test_scripted_episode_deterministic(self):
         runs = []
         for _ in range(2):
@@ -581,8 +588,8 @@ class TestPinnedCityRollouts:
                 digest.update(repr([info[k] for k in (
                     "served", "lost", "distance_total",
                     "overflow_total")]).encode())
-                full += sum(s.available == s.docks
-                            for s in env.world.bike_stations)
+                full += sum(a == d for a, d in zip(env.world.available,
+                                                   env.world.docks))
         assert full > 0
         assert digest.hexdigest() == (
             "0a965ec62242713c0b5027865923bd9404db9336388bf6754cb536b261ccb93c")

@@ -358,6 +358,9 @@ class TestCli:
             0, math.nan), "rates of station 'B'"),
         (lambda d: d["demand_profile"]["od_weights"][0].__setitem__(
             1, math.nan), "od_weights entries"),
+        (lambda d: d["demand_profile"]["bus_rates"].append(
+            {"origin": "S1", "destination": "S3", "rate": 50.0}),
+         "OD 'S1'->'S3' twice"),
     ])
     def test_bad_demand_exit_1(self, edit, message, tmp_path, capsys):
         doc = {

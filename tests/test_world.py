@@ -42,16 +42,16 @@ def bus_scenario(n_stops=4, capacity=30, episode_length=8):
 class TestBuildWorld:
     def test_three_empty_stations(self):
         world = build_world(make_scenario(vehicle_load=10))
-        assert [s.available for s in world.bike_stations] == [0, 0, 0]
+        assert world.available == [0, 0, 0]
         assert world.vehicles[0].occupied == 10
         assert world.clock.current == world.clock.episode_start
 
     def test_zero_dock_station_stays_empty(self):
         scenario = make_scenario(docks=(0, 20, 20))
         world = build_world(scenario)
-        assert world.bike_stations[0].available == 0
+        assert world.available[0] == 0
         step_bike_world(world, [("B", "A", 3)])
-        assert world.bike_stations[0].available == 0
+        assert world.available[0] == 0
 
     def test_duplicate_station_ids_rejected(self):
         doc = {
@@ -98,6 +98,18 @@ class TestBuildWorld:
         with pytest.raises(ScenarioError, match="'Z'"):
             ScenarioSpec.from_dict(doc)
 
+    def test_od_weights_diagonal_rejected_at_load(self):
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 1},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [], "vehicles": [], "environment": [],
+            "demand_profile": {"rates": {"A": [1.0], "B": [1.0]},
+                               "od_weights": [[0.0, 1.0], [1.0, 0.5]]},
+        }
+        with pytest.raises(ScenarioError, match="diagonal"):
+            ScenarioSpec.from_dict(doc)
+
 
 def brute_force_segment(avail, docks, trips):
     """Unit-granularity re-simulation of one segment's settlement rule."""
@@ -123,8 +135,8 @@ class TestStepBikeWorld:
         world = build_world(make_scenario(initial_bikes=(10, 0, 0)))
         _, served, lost = step_bike_world(world, [("A", "B", 10)])
         assert (served, lost) == (10, 0)
-        assert world.bike_stations[0].available == 0
-        assert world.bike_stations[1].available == 10
+        assert world.available[0] == 0
+        assert world.available[1] == 10
 
     def test_empty_station_loses_demand(self):
         world = build_world(make_scenario())
@@ -140,7 +152,7 @@ class TestStepBikeWorld:
         avail, bf_served, bf_lost = brute_force_segment(
             {"A": 10, "B": 0, "C": 0}, {"A": 20, "B": 20, "C": 20}, trips)
         assert served == bf_served and lost == bf_lost
-        assert {s.id: s.available for s in world.bike_stations} == avail
+        assert dict(zip(world.station_ids, world.available)) == avail
 
     def test_unknown_station_rejected(self):
         world = build_world(make_scenario())
@@ -161,7 +173,7 @@ class TestStepBikeWorld:
             {"A": initial[0], "B": initial[1], "C": initial[2]},
             {"A": 10, "B": 10, "C": 10}, trips)
         assert served == bf_served and lost == bf_lost
-        assert {s.id: s.available for s in world.bike_stations} == avail
+        assert dict(zip(world.station_ids, world.available)) == avail
         assert world.total_bikes() == before
 
 
@@ -393,7 +405,7 @@ class TestApplyReposition:
     def test_full_load(self):
         world = build_world(make_scenario(initial_bikes=(10, 0, 0)))
         apply_reposition(world, 0, 0, 10)
-        assert world.bike_stations[0].available == 0
+        assert world.available[0] == 0
         assert world.vehicles[0].occupied == 10
         assert world.vehicles[0].operation == 10
 
@@ -401,7 +413,7 @@ class TestApplyReposition:
         world = build_world(make_scenario(initial_bikes=(5, 0, 0)))
         apply_reposition(world, 0, 2, 0)
         assert world.vehicles[0].location == 2
-        assert world.bike_stations[0].available == 5
+        assert world.available[0] == 5
         assert world.vehicles[0].operation == 0
 
     def test_unload_clips_to_free_docks(self):
@@ -410,7 +422,7 @@ class TestApplyReposition:
         world = build_world(scenario)
         apply_reposition(world, 0, 1, -7)
         assert world.vehicles[0].operation == -2
-        assert world.bike_stations[1].available == 20
+        assert world.available[1] == 20
         assert world.vehicles[0].occupied == 5
 
     def test_unknown_vehicle_rejected(self):
@@ -441,12 +453,74 @@ class TestInvariants:
                 trips = [(o, d, c) for o, d, c in trips if o != d]
                 step_bike_world(world, trips)
             assert world.total_bikes() == total
-            for s in world.bike_stations:
-                assert 0 <= s.available <= s.docks
-            for a in world.agents:
-                assert 0 <= a.location < len(world.bike_stations)
+            for avail, docks in zip(world.available, world.docks):
+                assert 0 <= avail <= docks
+            for a in world.vehicles:
+                assert 0 <= a.location < len(world.available)
                 assert a.occupied + a.remaining == a.capacity
                 assert a.occupied >= 0 and a.remaining >= 0
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    min_size=2, max_size=4),
+           st.lists(st.tuples(st.integers(1, 8), st.integers(0, 8)),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(2, 4), st.integers(1, 2)),
+                    min_size=1, max_size=2),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_world_invariants(self, stations, vehicles, routes, seed):
+        # vehicles and buses in one world, each kind driven only through
+        # its own list while bike and bus steps interleave
+        rng = np.random.default_rng(seed)
+        ids = [f"B{i}" for i in range(len(stations))]
+        stops = [[f"R{r}S{i}" for i in range(n)]
+                 for r, (n, _) in enumerate(routes)]
+        world = build_world(ScenarioSpec.from_dict({
+            "clock": {"episode_length": 10 ** 6},
+            "stations": [{"id": sid, "x": float(i), "y": 0.0, "docks": docks,
+                          "initial_bikes": min(bikes, docks)}
+                         for i, (sid, (docks, bikes))
+                         in enumerate(zip(ids, stations))],
+            "vehicles": [{"capacity": cap, "initial_load": min(load, cap),
+                          "start": ids[int(rng.integers(0, len(ids)))]}
+                         for cap, load in vehicles],
+            "routes": [{"stops": names, "bus_count": count, "capacity": 3}
+                       for names, (_, count) in zip(stops, routes)],
+            "environment": []}))
+        assert len(world.vehicles) == len(vehicles)
+        assert len(world.buses) == sum(count for _, count in routes)
+        home = [world.bus_stops[b.location].route for b in world.buses]
+        total = world.total_bikes()
+        for _ in range(60):
+            op = rng.uniform()
+            if op < 0.4:
+                apply_reposition(world, int(rng.integers(0, len(vehicles))),
+                                 int(rng.integers(0, len(ids))),
+                                 int(rng.integers(-9, 10)))
+            elif op < 0.7:
+                trips = [(ids[a], ids[b], int(rng.integers(0, 6)))
+                         for a, b in rng.integers(0, len(ids), size=(3, 2))]
+                step_bike_world(world, trips)
+            else:
+                arrivals = []
+                for _ in range(int(rng.integers(0, 4))):
+                    names = stops[int(rng.integers(0, len(stops)))]
+                    o, d = rng.choice(len(names), size=2, replace=False)
+                    arrivals.append((names[o], names[d],
+                                     int(rng.integers(0, 4))))
+                step_bus_world(world, [int(a) for a in rng.integers(
+                    -1, 2, size=len(world.buses))], arrivals)
+            assert world.total_bikes() == total
+            for avail, docks in zip(world.available, world.docks):
+                assert 0 <= avail <= docks
+            for v in world.vehicles:
+                assert v.occupied + v.remaining == v.capacity
+                assert 0 <= v.occupied <= v.capacity
+                assert 0 <= v.location < len(ids)
+            assert [world.bus_stops[b.location].route
+                    for b in world.buses] == home
+            for bus in world.buses:
+                assert bus.occupied == len(bus.onboard) <= bus.capacity
 
     def test_determinism(self):
         results = []
@@ -455,6 +529,5 @@ class TestInvariants:
             apply_reposition(world, 0, 1, 2)
             _, served, lost = step_bike_world(
                 world, [("A", "C", 4), ("B", "A", 2)])
-            results.append((served, lost,
-                            tuple(s.available for s in world.bike_stations)))
+            results.append((served, lost, tuple(world.available)))
         assert results[0] == results[1]
