@@ -155,7 +155,8 @@ def cmd_forecast(args) -> int:
 
 EPISODES_HELP = ("episodes per seed; served, lost, vehicle_distance and "
                  "bus_drive_time are summed over them, mean_return is "
-                 "their mean")
+                 "their mean, and mean_wait_minutes is their total "
+                 "reduced wait over their total boardings")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -80,9 +80,6 @@ class DdpgConfig:
                 raise ValueError(f"DDPG config key {key!r} must be {kind}, "
                                  f"not {value!r}")
         return cls(**doc)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def desk_config(seed: int = 0, episodes: int = 1000, **overrides) -> DdpgConfig:
@@ -582,25 +579,22 @@ class Policy:
 def run_episode(env, policy, force_outage: bool | None = None):
     """Noise-free rollout of any policy that speaks the protocol:
     `begin_episode(obs)` once, then `action_for(env)` each step. Returns
-    (total_reward, info of the final step)."""
+    the env's `EpisodeRecord`."""
     kwargs = {}
     if force_outage is not None:
         kwargs["force_outage"] = force_outage
     policy.begin_episode(env.reset(**kwargs))
-    total = 0.0
-    info = {}
-    done = False
-    while not done:
-        _, reward, done, info = env.step(policy.action_for(env))
-        total += reward
-    return total, info
+    while not env.done:
+        env.step(policy.action_for(env))
+    return env.record
 
 
 def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
           progress=None):
     """Full DDPG loop: episode collection with OU exploration, replay
     updates, periodic noise-free evaluation. Returns (policy, curve) where
-    curve rows are (episode, return, served, lost, critic_loss, actor_value).
+    curve rows are (episode, return, served, lost, critic_loss, actor_value):
+    the episode's `EpisodeRecord`, then the last update's diagnostics.
     """
     env = env_factory()
     obs = env.reset(seed=config.seed)
@@ -631,8 +625,6 @@ def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
         noise.sigma = sigma0 * (config.noise_decay ** (episode - 1))
         noise.reset()
         done = False
-        ep_return = 0.0
-        info = {}
         while not done:
             if (episode <= config.warmup_episodes
                     or rng.uniform() < config.exploration_eps):
@@ -641,17 +633,16 @@ def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
                 scores = act(actor, window.buffer, window.start)
                 noisy = np.clip(scores + noise.sample(), -1.0, 1.0)
             decoded = decode_action(noisy, kind, capacity)
-            obs, reward, done, info = env.step(decoded)
+            obs, reward, done, _ = env.step(decoded)
             window.push(obs)
             buffer.push(noisy, reward * config.reward_scale, obs, done)
-            ep_return += reward
         if len(buffer) >= config.batch_size:
             for _ in range(config.train_steps_per_episode):
                 diag = train_step(buffer, actor, critic, actor_target,
                                   critic_target, config, tapes)
-        curve.append((episode, ep_return, info.get("served_total", 0),
-                      info.get("lost_total", 0), diag.critic_loss,
-                      diag.actor_value))
+        record = env.record
+        curve.append((episode, record.total_reward, record.served,
+                      record.lost, diag.critic_loss, diag.actor_value))
         if progress is not None and episode % config.eval_every == 0:
             if progress(episode, policy):
                 break

@@ -159,7 +159,7 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
                 if not x >= exps[i]:
                     continue
                 count = poisson_count(x, rate, exps[i])
-            else:  # split as PortableRng.poisson splits it
+            else:  # the sum of its leaves' counts, a uniform each
                 count = 0
                 for leaf in poisson_leaves(rate):
                     if k == m:
@@ -263,16 +263,3 @@ class HistoryLog:
                     for j, dest in enumerate(self.station_ids):
                         if od[i, j] > 0:
                             writer.writerow([seg, origin, dest, int(od[i, j])])
-
-    @classmethod
-    def load_trips_csv(cls, path: str, station_ids: list[str]) -> "HistoryLog":
-        log = cls(station_ids=station_ids)
-        rows: dict[int, list[Trip]] = {}
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                seg = int(row["segment"])
-                rows.setdefault(seg, []).append(
-                    (row["origin"], row["destination"], int(row["count"])))
-        for seg in range(1, max(rows, default=0) + 1):
-            log.record_trips(rows.get(seg, []))
-        return log

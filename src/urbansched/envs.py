@@ -33,6 +33,24 @@ class EpisodeDone(RuntimeError):
     """Raised when stepping a finished environment."""
 
 
+@dataclass(frozen=True)
+class EpisodeRecord:
+    """The outcome of one episode, built by its env at the step that ends
+    it. A bike record leaves the bus fields at 0 and a bus record the bike
+    fields."""
+
+    total_reward: float
+    # bike: trips served and lost, repositioning distance, undockable bikes
+    served: int = 0
+    lost: int = 0
+    distance: float = 0.0
+    overflow: int = 0
+    # bus: passengers boarded, their waits in minutes, driving minutes
+    boardings: int = 0
+    reduced_wait: float = 0.0
+    drive_time: float = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Observations
 
@@ -286,6 +304,7 @@ class _Env:
         self.forecast = _build_forecast(self.scenario)
         self.world: W.WorldState | None = None
         self.obs: np.ndarray | None = None  # what reset or step last returned
+        self.record: EpisodeRecord | None = None  # set when an episode ends
         self._episode_counter = 0
 
     def _episode_rng(self, seed: int | None) -> PortableRng:
@@ -302,6 +321,7 @@ class _Env:
                                                  rng, outage)
         self.world = W.build_world(self.scenario)
         self.done = False
+        self.record = None
 
     def _horizon(self, padded: np.ndarray) -> np.ndarray:
         """The (HORIZON, columns) rows of a padded forecast block for the
@@ -318,7 +338,7 @@ class BikeEnv(_Env):
     before the segment's demand flows. The reward is 0 until the episode
     ends, where it settles to served - beta * travel distance -
     gamma_overflow * undockable bikes; per-step accumulators are exposed in
-    the step info for diagnostics.
+    the step info for diagnostics, and the episode's in `record`.
     """
 
     def __post_init__(self):
@@ -384,6 +404,9 @@ class BikeEnv(_Env):
         if self.done:
             reward = (self.served - self.reward.beta * self.distance
                       - self.reward.gamma_overflow * self.overflow)
+            self.record = EpisodeRecord(reward, served=self.served,
+                                        lost=self.lost, distance=self.distance,
+                                        overflow=self.overflow)
         info = {"served": served, "lost": lost,
                 "served_total": self.served, "lost_total": self.lost,
                 "distance_total": self.distance,
@@ -419,7 +442,7 @@ class BusEnv(_Env):
     Reward for a move is the accumulated waiting time, in minutes, of the
     passengers who board, minus alpha times the driving time; halting is
     exactly 0. The episode fails when any passenger has waited the patience
-    bound p, or ends with the clock.
+    bound p, or ends with the clock; `record` then holds its outcome.
     """
 
     def __post_init__(self):
@@ -435,6 +458,7 @@ class BusEnv(_Env):
         self._start(self._episode_rng(seed))
         self.reduced_wait = 0.0
         self.drive_time = 0.0
+        self.total_reward = 0.0
         return self._observe()
 
     def _observe(self) -> np.ndarray:
@@ -468,8 +492,13 @@ class BusEnv(_Env):
         self.drive_time += drive
         reward = 0.0 if action == W.OP_HALT else (
             reduced - self.reward.alpha * drive)
+        self.total_reward += reward
         max_wait = self._max_wait()
         self.done = w.clock.at_end or max_wait >= self.reward.patience
+        if self.done:
+            self.record = EpisodeRecord(
+                self.total_reward, boardings=w.boardings,
+                reduced_wait=self.reduced_wait, drive_time=self.drive_time)
         info = {"reduced_wait": reduced, "drive_time": drive,
                 "max_wait": max_wait}
         return self._observe(), reward, self.done, info

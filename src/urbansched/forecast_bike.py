@@ -6,7 +6,7 @@ the dispatcher state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +16,6 @@ from . import nn
 @dataclass
 class ClusterAssignment:
     labels: dict[str, int]
-    centroids: np.ndarray
-
-    def members(self, cluster_id: int) -> list[str]:
-        return [sid for sid, c in self.labels.items() if c == cluster_id]
 
 
 def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
@@ -45,9 +41,7 @@ def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
             if mask.any():
                 centroids[c] = coords[mask].mean(axis=0)
     return ClusterAssignment(
-        labels={sid: int(c) for sid, c in zip(station_ids, labels)},
-        centroids=centroids,
-    )
+        labels={sid: int(c) for sid, c in zip(station_ids, labels)})
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +154,6 @@ def forecast_departures(history: np.ndarray, horizon: int, window: int = 24,
 
 @dataclass
 class OdFrequencyTable:
-    station_ids: list[str]
-    counts: np.ndarray
     probabilities: np.ndarray
 
 
@@ -194,8 +186,7 @@ def od_probabilities(counts: np.ndarray, station_ids: list[str],
                 mates = [j for j in range(n) if j != i]
             if mates:
                 probs[i, mates] = 1.0 / len(mates)
-    return OdFrequencyTable(station_ids=station_ids, counts=counts,
-                            probabilities=probs)
+    return OdFrequencyTable(probabilities=probs)
 
 
 @dataclass

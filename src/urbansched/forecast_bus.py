@@ -7,17 +7,9 @@ sum to the total exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def summing_matrix(n: int) -> np.ndarray:
-    """(1+n) x n matrix: first row all ones, remaining rows identity."""
-    if n < 1:
-        raise ValueError("need at least one bottom-level series")
-    return np.vstack([np.ones((1, n)), np.eye(n)])
 
 
 @dataclass
@@ -102,14 +94,3 @@ def forecast_bus(histories: dict[str, dict[str, np.ndarray]], horizon: int,
             rows.append(reconcile(base)[1:])
         out[direction] = np.maximum(np.array(rows), 0.0)
     return out
-
-
-def save_forecast_csv(path: str, forecasts: dict[str, np.ndarray],
-                      stop_ids: list[str]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "stop", "direction", "value"])
-        for direction, rows in forecasts.items():
-            for seg, row in enumerate(rows, start=1):
-                for stop, value in zip(stop_ids, row):
-                    writer.writerow([seg, stop, direction, f"{value:.6f}"])

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import world as W
 from .ddpg import Policy, run_episode
-from .envs import BikeEnv, BusEnv
+from .envs import BikeEnv, BusEnv, EpisodeRecord
 
 
 class OracleTooLarge(ValueError):
@@ -22,6 +22,11 @@ PLACEMENT_BOUND = 10 ** 6
 
 @dataclass
 class MetricsReport:
+    """A seed's episodes: served, lost, vehicle_distance and bus_drive_time
+    are their sums, returns their total rewards (mean_return the mean), and
+    mean_wait_minutes their summed reduced wait over their summed
+    boardings, 0 without boardings (as in every bike run)."""
+
     served: int
     lost: int
     mean_wait_minutes: float
@@ -29,6 +34,17 @@ class MetricsReport:
     bus_drive_time: float
     returns: list[float]
     seed: int
+
+    @classmethod
+    def of(cls, records: list[EpisodeRecord], seed: int) -> "MetricsReport":
+        boardings = sum(r.boardings for r in records)
+        wait = sum(r.reduced_wait for r in records)
+        return cls(served=sum(r.served for r in records),
+                   lost=sum(r.lost for r in records),
+                   mean_wait_minutes=wait / boardings if boardings else 0.0,
+                   vehicle_distance=sum(r.distance for r in records),
+                   bus_drive_time=sum(r.drive_time for r in records),
+                   returns=[r.total_reward for r in records], seed=seed)
 
     def as_row(self) -> dict:
         return {
@@ -162,31 +178,14 @@ class StaticHeadwayPolicy:
         return self.direction
 
 
-def run_static_headway(scenario: W.ScenarioSpec,
-                       seed: int = 0) -> MetricsReport:
-    return evaluate_policy(StaticHeadwayPolicy(), scenario, 1, seed)
-
-
 def evaluate_policy(policy, scenario: W.ScenarioSpec, episodes: int,
                     seed: int) -> MetricsReport:
     """Noise-free evaluation of any policy: `episodes` episodes of one env
-    seeded with `seed`, summed."""
+    seeded with `seed`, reported by `MetricsReport.of`."""
     make_env = BusEnv if policy.kind == "bus" else BikeEnv
     env = make_env(scenario=scenario, seed=seed)
-    served = lost = 0
-    distance = drive_time = 0.0
-    returns = []
-    for _ in range(episodes):
-        env.seed = seed
-        total, info = run_episode(env, policy)
-        returns.append(total)
-        served += info.get("served_total", 0)
-        lost += info.get("lost_total", 0)
-        distance += info.get("distance_total", 0.0)
-        drive_time += getattr(env, "drive_time", 0.0)
-    return MetricsReport(served=served, lost=lost, mean_wait_minutes=0.0,
-                         vehicle_distance=distance, bus_drive_time=drive_time,
-                         returns=returns, seed=seed)
+    return MetricsReport.of([run_episode(env, policy)
+                             for _ in range(episodes)], seed)
 
 
 def evaluate(policy_kind: str, scenario: W.ScenarioSpec, episodes: int,

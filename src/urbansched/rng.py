@@ -9,8 +9,6 @@ be computed at once and equals the same number of single draws.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -18,7 +16,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 POISSON_SPLIT = 50  # larger rates split in two, so inversion stays stable
-_POISSON_MAX_K = 10_000
+_POISSON_MAX_K = 10_000  # the largest count one inversion returns
 
 
 # (1, 2, ..., m) * gamma modulo 2**64, the offsets of a block's m draws
@@ -27,7 +25,8 @@ _GAMMA_RAMP = np.arange(1, 4097, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 class PortableRng:
-    """splitmix64 stream with uniform and Poisson draws."""
+    """splitmix64 stream of uniform draws. A Poisson draw inverts them
+    through `poisson_leaves` and `poisson_count` below."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -60,28 +59,13 @@ class PortableRng:
         repeat them, as if they had never been made."""
         self.state = (self.state - n * _GAMMA) & _MASK64
 
-    def poisson(self, rate: float) -> int:
-        if rate < 0:
-            raise ValueError("poisson rate must be >= 0")
-        if rate == 0:
-            return 0
-        if rate > POISSON_SPLIT:
-            half = self.poisson(rate / 2.0)
-            return half + self.poisson(rate - rate / 2.0)
-        u = self.uniform()
-        p = math.exp(-rate)
-        cum = p
-        k = 0
-        while u >= cum and k < _POISSON_MAX_K:
-            k += 1
-            p *= rate / k
-            cum += p
-        return k
-
 
 def poisson_leaves(rate: float) -> list[float]:
-    """The rates `PortableRng.poisson(rate)` inverts, in draw order: one
-    uniform each, and their counts sum to the draw."""
+    """The leaf rates of a Poisson(rate) draw, in draw order. A rate above
+    POISSON_SPLIT splits into rate / 2 and rate - rate / 2, each split
+    again the same way, first half first; every leaf inverts one uniform
+    (`poisson_count`), and the draw is the sum of the leaves' counts. Rate
+    0 has no leaves: it draws 0 without a uniform."""
     if rate < 0:
         raise ValueError("poisson rate must be >= 0")
     if rate == 0:
@@ -92,8 +76,11 @@ def poisson_leaves(rate: float) -> list[float]:
 
 
 def poisson_count(u: float, rate: float, exp_neg: float) -> int:
-    """The count `PortableRng.poisson` inverts from uniform u for a leaf
-    rate (at most POISSON_SPLIT) with exp_neg = math.exp(-rate)."""
+    """The Poisson count of uniform u for a leaf rate (at most
+    POISSON_SPLIT), with exp_neg = math.exp(-rate): the least k, at most
+    _POISSON_MAX_K, whose cumulative probability exceeds u. The terms
+    p_0 = exp_neg and p_k = p_{k-1} * (rate / k) are summed in order in
+    floats, so the comparisons are exact and portable."""
     p = cum = exp_neg
     k = 0
     while u >= cum and k < _POISSON_MAX_K:
@@ -105,10 +92,10 @@ def poisson_count(u: float, rate: float, exp_neg: float) -> int:
 
 def invert_poisson(u: np.ndarray, rates: np.ndarray,
                    exp_neg: np.ndarray) -> np.ndarray:
-    """Element-wise `PortableRng.poisson` inversion of uniforms `u` for
-    leaf rates (at most the split threshold) with `exp_neg` = exp(-rate)
-    taken from `math.exp`. numpy's *, / and + round like Python's, so each
-    count equals the scalar loop's."""
+    """Element-wise `poisson_count` of uniforms `u` for leaf rates (at
+    most POISSON_SPLIT) with `exp_neg` = exp(-rate) taken from `math.exp`.
+    numpy's *, / and + round like Python's, so each count equals the
+    scalar loop's."""
     p = exp_neg.copy()
     cum = p.copy()
     k = np.zeros(u.shape, dtype=np.int64)

@@ -103,6 +103,7 @@ class WorldState:
         # (origin, dest) -> the queue its bus arrivals join, filled on first
         # sight; a stop's queues are mutated, never replaced
         self._arrival_queues: dict[tuple[str, str], deque[Passenger]] = {}
+        self.boardings = 0  # passengers boarded since the world was built
 
     def stop_index(self, stop_id: str) -> int:
         try:
@@ -249,8 +250,10 @@ class ScenarioSpec:
 
     def _validate_trips(self, where: str, trips: list[dict],
                         places: set[str], kind: str):
-        """A trip list: objects with a known origin and destination, an
-        integer segment in 1..T and an integer count >= 0."""
+        """A trip list: objects with a known origin, a known destination
+        that differs from it (a trip that starts where it ends moves no
+        bike or passenger), an integer segment in 1..T and an integer
+        count >= 0."""
         _check_objects(where, trips)
         for entry in trips:
             for key in ("origin", "destination"):
@@ -258,6 +261,9 @@ class ScenarioSpec:
                 if not (isinstance(place, str) and place in places):
                     raise ScenarioError(f"{where} {key} {place!r} is not a "
                                         f"{kind}")
+            if entry["origin"] == entry["destination"]:
+                raise ScenarioError(f"{where} OD {entry['origin']!r} starts "
+                                    f"where it ends")
             _check_count(f"{where} segment", entry.get("segment"), 1,
                          self.episode_length)
             _check_count(f"{where} count", entry.get("count"), 0)
@@ -463,8 +469,8 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     Each moving bus advances one stop per segment in its direction (clipped
     at the ends of its own route, which records a halt). At the visited stop
     it alights matching passengers, then boards FIFO from the same-direction
-    queue up to remaining capacity. Returns (world, reduced_wait,
-    drive_time) in minutes.
+    queue up to remaining capacity, adding them to `world.boardings`.
+    Returns (world, reduced_wait, drive_time) in minutes.
     """
     buses = world.buses
     if len(bus_actions) != len(buses):
@@ -508,7 +514,9 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
         bus.onboard = staying
         bus.occupied -= alighted
         queue = stop.queue_fwd if action == OP_FORWARD else stop.queue_bwd
-        for _ in range(min(len(queue), bus.remaining)):
+        boarding = min(len(queue), bus.remaining)
+        world.boardings += boarding
+        for _ in range(boarding):
             pax = queue.popleft()
             bus.onboard.append(pax)
             bus.occupied += 1

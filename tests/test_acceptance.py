@@ -44,16 +44,15 @@ def test_acceptance_2_long_term_learning(acceptance):
         eval_env = BikeEnv(scenario=scenario, seed=seed + 1000)
 
         def solved(episode, policy):
-            _, info = run_episode(eval_env, policy)
-            return info["served_total"] == 20
+            return run_episode(eval_env, policy).served == 20
 
         config = desk_config(seed=seed, episodes=1000)
         policy, _ = train(lambda: BikeEnv(scenario=scenario, seed=seed),
                           config, progress=solved)
-        _, info = run_episode(BikeEnv(scenario=scenario, seed=seed + 2000),
-                              policy)
-        finals.append(info["served_total"])
-        if info["served_total"] == 20:
+        record = run_episode(BikeEnv(scenario=scenario, seed=seed + 2000),
+                             policy)
+        finals.append(record.served)
+        if record.served == 20:
             wins += 1
     elapsed = time.time() - start
     ok = wins >= 3 and elapsed < 300.0
@@ -168,8 +167,7 @@ def _outage_served_per_episode(policy, scenario, joint_enabled, seed,
                   seed=seed + 1000)
     served = []
     for _ in range(episodes):
-        _, info = run_episode(env, policy, force_outage=True)
-        served.append(info["served_total"])
+        served.append(run_episode(env, policy, force_outage=True).served)
     return served
 
 

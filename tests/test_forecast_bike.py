@@ -56,7 +56,7 @@ class TestClusterStations:
         coords = np.array([[0.0, 0], [0.0, 0], [9.0, 9], [9.0, 9]])
         out = fb.cluster_stations(IDS, coords, k=2, seed=0)
         for cid in (0, 1):
-            members = out.members(cid)
+            members = [sid for sid, c in out.labels.items() if c == cid]
             assert members in (["A", "B"], ["C", "D"])
 
 

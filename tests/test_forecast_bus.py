@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urbansched.forecast_bus import (
-    fit_base, fit_line, forecast_bus, reconcile, save_forecast_csv,
-    summing_matrix,
-)
+from urbansched.forecast_bus import fit_base, fit_line, forecast_bus, reconcile
+
+
+def summing_matrix(n: int) -> np.ndarray:
+    """(1+n) x n matrix: first row all ones, remaining rows identity."""
+    if n < 1:
+        raise ValueError("need at least one bottom-level series")
+    return np.vstack([np.ones((1, n)), np.eye(n)])
 
 
 def reconcile_normal_equations(base):
@@ -125,11 +129,3 @@ class TestForecastBus:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             forecast_bus({"fwd": {"S1": np.arange(5.0)}}, horizon=0)
-
-    def test_csv_export(self, tmp_path):
-        out = {"fwd": np.array([[1.0, 2.0]])}
-        path = tmp_path / "f.csv"
-        save_forecast_csv(str(path), out, ["S1", "S2"])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "segment,stop,direction,value"
-        assert len(lines) == 3

@@ -114,10 +114,32 @@ class TestEvaluate:
                         "capacity": 10}],
             "demand_script": [],
         }
-        report = harness.run_static_headway(ScenarioSpec.from_dict(doc))
+        report = harness.evaluate_policy(harness.StaticHeadwayPolicy(),
+                                         ScenarioSpec.from_dict(doc), 1, 0)
         assert report.bus_drive_time > 0
         assert report.returns[0] == pytest.approx(
             -0.2 * report.bus_drive_time)
+        assert report.mean_wait_minutes == 0.0
+
+    def test_headway_mean_wait_is_wait_over_boardings(self):
+        # the bus drives S1 -> S2 -> S3 -> S2: at S2 it boards the forward
+        # rider at once, then the backward riders after 2, 2 and 1 segments
+        trips = [(1, "S2", "S3", 1), (1, "S2", "S1", 2), (2, "S2", "S1", 1)]
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 3},
+            "stations": [], "vehicles": [], "environment": [0.0],
+            "routes": [{"stops": ["S1", "S2", "S3"]}],
+            "bus_script": [{"segment": seg, "origin": o, "destination": d,
+                            "count": n} for seg, o, d, n in trips],
+        }
+        policy = harness.StaticHeadwayPolicy()
+        report = harness.evaluate_policy(policy, ScenarioSpec.from_dict(doc),
+                                         2, 0)
+        wait = 0 + 2 * 30 + 15
+        # two episodes: 2 * wait minutes over 2 * 4 boardings
+        assert report.mean_wait_minutes == wait / 4
+        assert report.as_row()["mean_wait_minutes"] == "18.750"
+        assert report.returns == [wait - 0.2 * 45] * 2
 
     def test_validation(self):
         scenario = resolve_scenario("fig1a")
@@ -444,6 +466,24 @@ class TestCli:
         assert cli(["simulate", "--scenario", str(path),
                     "--policy", "none"]) == 1
         assert f"{where} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["demand_script", "outage_trips"])
+    def test_self_loop_bike_trip_exit_1(self, where, tmp_path, capsys):
+        # a trip from A to A would count as served though no bike moves
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "fig1a.json").read_text())
+        trip = {"segment": 1, "origin": "A", "destination": "A", "count": 7}
+        if where == "demand_script":
+            doc["demand_script"].append(trip)
+        else:
+            doc["joint"] = {"bus_outage": True, "outage_trips": [trip]}
+        with pytest.raises(ScenarioError, match="starts where it ends"):
+            ScenarioSpec.from_dict(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        assert f"{where} OD 'A' starts where it ends" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["routes"][0].update(bus_count=2.5), "bus_count 2.5"),

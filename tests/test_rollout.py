@@ -4,7 +4,8 @@
 The loops it replaced are kept here as references: the passive loop of the
 no-reposition and greedy baselines, the static-headway loop, and the
 rollout whose first step skipped the window push. On the same env each must
-give the same actions, total reward and final info as the one loop.
+give the same actions as the one loop, and its total reward and final
+totals must equal the `EpisodeRecord` that the one loop returns.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ from urbansched.ddpg import (
     HistoryWindow, Policy, act, decode_action, desk_config, run_episode,
     train,
 )
-from urbansched.envs import BikeEnv, BusEnv, RewardConfig
+from urbansched.envs import BikeEnv, BusEnv, EpisodeRecord, RewardConfig
 from urbansched.world import ScenarioSpec
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -33,6 +34,14 @@ def corridor(seed: int) -> ScenarioSpec:
     return ScenarioSpec.from_dict(module.corridor(seed))
 
 
+def bike_record(total, info) -> EpisodeRecord:
+    """A bike reference's total reward and the totals of its final info."""
+    return EpisodeRecord(total, served=info["served_total"],
+                         lost=info["lost_total"],
+                         distance=info["distance_total"],
+                         overflow=info["overflow_total"])
+
+
 def passive_reference(scenario, seed):
     """The former `harness._simulate_passive`."""
     env = BikeEnv(scenario=scenario, seed=seed)
@@ -45,23 +54,32 @@ def passive_reference(scenario, seed):
         actions.append((home, 0))
         _, reward, done, info = env.step(actions[-1])
         total += reward
-    return total, info, actions
+    return bike_record(total, info), actions
 
 
 def headway_reference(scenario, seed, reward=RewardConfig()):
-    """The former loop of `harness.run_static_headway`."""
+    """The former loop of the static-headway baseline. Its totals are the
+    sums of the step infos; its boardings are the arrivals of the played
+    segments less the passengers still queued."""
     env = BusEnv(scenario=scenario, seed=seed, reward=reward)
     env.reset(seed=seed)
     policy = harness.StaticHeadwayPolicy()
     policy.begin_episode(None)
     done = False
-    total = 0.0
+    total = wait = drive = 0.0
     actions = []
     while not done:
         actions.append(policy.action_for(env))
         _, reward, done, info = env.step(actions[-1])
         total += reward
-    return total, info, actions
+        wait += info["reduced_wait"]
+        drive += info["drive_time"]
+    arrived = sum(n for seg in range(1, len(actions) + 1)
+                  for _, _, n in env.bus_arrivals[seg])
+    queued = sum(len(s.queue_fwd) + len(s.queue_bwd)
+                 for s in env.world.bus_stops)
+    return EpisodeRecord(total, boardings=arrived - queued,
+                         reduced_wait=wait, drive_time=drive), actions
 
 
 def first_flag_reference(env, policy: Policy, force_outage=None):
@@ -86,7 +104,7 @@ def first_flag_reference(env, policy: Policy, force_outage=None):
         actions.append(decode_action(scores, policy.kind, policy.capacity))
         obs, reward, done, info = env.step(actions[-1])
         total += reward
-    return total, info, actions
+    return bike_record(total, info), actions
 
 
 class Recording:
@@ -107,8 +125,8 @@ class Recording:
 
 def one_loop(env, policy, force_outage=None):
     recording = Recording(policy)
-    total, info = run_episode(env, recording, force_outage)
-    return total, info, recording.actions
+    record = run_episode(env, recording, force_outage)
+    return record, recording.actions
 
 
 def reloaded_policy(tmp_path, factory) -> Policy:
@@ -131,19 +149,19 @@ class TestOneLoopMatchesTheOldOnes:
                         harness.NoReposition()) == expected
         report = harness.run_no_reposition(scenario, seed)
         assert (report.served, report.lost, report.returns) == (
-            expected[1]["served_total"], expected[1]["lost_total"],
-            [expected[0]])
+            expected[0].served, expected[0].lost, [expected[0].total_reward])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_static_headway_on_the_corridor(self, seed):
         scenario = corridor(0)
         expected = headway_reference(scenario, seed)
-        assert harness.run_static_headway(scenario, seed).returns == [
-            expected[0]]
+        report = harness.evaluate_policy(harness.StaticHeadwayPolicy(),
+                                         scenario, 1, seed)
+        assert report.returns == [expected[0].total_reward]
         # a patience past the day plays all 96 segments
         reward = RewardConfig(patience=97)
         expected = headway_reference(scenario, seed, reward)
-        assert len(expected[2]) == 96
+        assert len(expected[1]) == 96
         assert one_loop(BusEnv(scenario=scenario, seed=seed, reward=reward),
                         harness.StaticHeadwayPolicy()) == expected
 
@@ -170,3 +188,4 @@ class TestOneLoopMatchesTheOldOnes:
         for force in (True, False, None, None):
             assert one_loop(new, policy, force) == first_flag_reference(
                 old, policy, force)
+            assert new.outage == old.outage
