@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from importlib import resources
@@ -256,6 +257,29 @@ class TestCli:
         assert cli(["simulate", "--scenario", "fig1a", "--policy", "trained",
                     "--checkpoint", str(tmp_path / "policy.json")]) == 0
         assert "served=" in capsys.readouterr().out
+
+    def test_train_bike5_pinned_outputs(self, tmp_path, capsys):
+        """The trained weights and curve of one short seeded training, byte
+        for byte, and what the trained policy then serves."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"episodes": 30}))
+        assert cli(["train", "--scenario", "bike5", "--config",
+                    str(cfg_path), "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in ("policy.json", "curve.csv")}
+        assert digests == {
+            "policy.json": "3606562bb5e83ecb5c19d04142cff3c0"
+                           "ff96c8642d553580e9ef4da8f7890d01",
+            "curve.csv": "e35fcc54610ec4a7cc4cf20aa1f14abd"
+                         "de0be64cac5cc3aed5644109e60152be",
+        }
+        assert capsys.readouterr().out == (
+            "episodes=30 final_return=3.100 final_served=4\n")
+        assert cli(["simulate", "--scenario", "bike5", "--policy", "trained",
+                    "--checkpoint", str(tmp_path / "policy.json"),
+                    "--episodes", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "served=13 lost=74 mean_return=4.233\n")
 
     def test_train_config_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
