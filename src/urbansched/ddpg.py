@@ -96,39 +96,18 @@ def desk_config(seed: int = 0, episodes: int = 1000, **overrides) -> DdpgConfig:
     return DdpgConfig(**base)
 
 
-@dataclass
-class ActorNet:
-    """LSTM over an observation window plus a dense head.
-
-    The parameters, and the gradients backward writes, are views into one
-    vector each (`params`, `grads`; see nn.FlatParams).
+class ActorNet(nn.LstmNet):
+    """LSTM over an observation window plus a dense head with tanh scores
+    (an nn.LstmNet). forward and backward are defined in this class body:
+    perfbench's tracer wraps them where the class's `__dict__` holds them.
     """
-
-    lstm: nn.LstmParams
-    head: nn.MlpParams
-
-    def __post_init__(self):
-        self.params = nn.FlatParams.pack(self.arrays())
-        self.lstm, self.head = self.params.view_as([self.lstm, self.head])
-        self.grads = self.params.zeros_like()
-        self._lstm_grads, self._head_grads = self.grads.view_as(
-            [self.lstm, self.head])
 
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, config: DdpgConfig,
                rng: np.random.Generator) -> "ActorNet":
-        return cls(
-            lstm=nn.LstmParams.init(obs_dim, config.lstm_hidden, rng),
-            head=nn.MlpParams.init(
-                [config.lstm_hidden, config.actor_hidden, action_dim],
-                ["relu", "tanh"], rng),
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        return self.lstm.arrays() + self.head.arrays()
-
-    def copy(self) -> "ActorNet":
-        return ActorNet(lstm=self.lstm, head=self.head)  # packs a copy
+        return cls.init(obs_dim, config.lstm_hidden,
+                        [config.actor_hidden, action_dim], ["relu", "tanh"],
+                        rng)
 
     def forward(self, windows: np.ndarray, start=None, reuse=None):
         """windows: (B, W, obs) or (W, obs). Returns (scores, tapes).
@@ -139,33 +118,19 @@ class ActorNet:
         length-1 window and its padded equivalent score identically. None
         means every row is real. reuse, if given, is the tapes of an
         earlier forward that nothing reads any more; the LSTM writes into
-        its arrays (nn.lstm_forward).
+        its arrays (nn.LstmNet.forward).
         """
         windows = np.asarray(windows, dtype=float)
-        squeeze = windows.ndim == 2
-        if squeeze:
-            windows = windows[None, :, :]
-            start = None if start is None else [start]
-        hs, lstm_tape = nn.lstm_forward(
-            self.lstm, np.transpose(windows, (1, 0, 2)), start=start,
-            reuse=None if reuse is None else reuse[0])
-        scores, head_tape = nn.mlp_forward(self.head, hs[-1])
-        tapes = (lstm_tape, head_tape)
-        if squeeze:
-            return scores[0], tapes
-        return scores, tapes
+        if windows.ndim == 2:  # one window is already time-major
+            return super().forward(windows,
+                                   None if start is None else [start], reuse)
+        return super().forward(np.transpose(windows, (1, 0, 2)), start,
+                               reuse)
 
     def backward(self, tapes, dscores: np.ndarray) -> list[np.ndarray]:
         """Writes the parameter gradients into `grads` and returns its
         arrays."""
-        lstm_tape, head_tape = tapes
-        dscores = np.atleast_2d(np.asarray(dscores, dtype=float))
-        dh_last = nn.mlp_backward(self.head, head_tape, dscores,
-                                  grads=self._head_grads)
-        dh = np.zeros_like(lstm_tape.h[1:])
-        dh[-1] = dh_last
-        nn.lstm_backward(self.lstm, lstm_tape, dh, grads=self._lstm_grads)
-        return self.grads.arrays
+        return super().backward(tapes, dscores)
 
 
 def act(actor: ActorNet, history_window: np.ndarray,
@@ -494,10 +459,17 @@ class HistoryWindow:
         return max(len(self.buffer) - self.count, 0)
 
 
-# The meta a policy checkpoint holds, with the type of each value.
-POLICY_META = {"kind": str, "capacity": int, "history_window": int,
-               "obs_dim": int, "lstm_hidden": int, "head_sizes": list,
-               "head_activations": list}
+# The integer meta keys of a policy checkpoint with their least values; the
+# others are kind, head_sizes (the first is lstm_hidden) and head_activations.
+_META_MINIMUMS = {"capacity": 0, "history_window": 1, "obs_dim": 1,
+                  "lstm_hidden": 1}
+
+
+def _named_arrays(lstm: nn.LstmParams, head: nn.MlpParams) -> dict:
+    """An actor's arrays by checkpoint name, in parameter-vector order."""
+    named = {f"lstm.{name}": arr for name, arr in vars(lstm).items()}
+    named.update((f"head.{i}", arr) for i, arr in enumerate(head.arrays()))
+    return named
 
 
 @dataclass
@@ -524,53 +496,60 @@ class Policy:
         return decode_action(scores, self.kind, self.capacity)
 
     def save(self, path: str):
-        named = {f"lstm.{name}": arr
-                 for name, arr in vars(self.actor.lstm).items()}
-        for i, arr in enumerate(self.actor.head.arrays()):
-            named[f"head.{i}"] = arr
-        nn.save_checkpoint(path, named, meta={
+        head = self.actor.head
+        nn.save_checkpoint(path, _named_arrays(self.actor.lstm, head), meta={
             "kind": self.kind, "capacity": self.capacity,
             "history_window": self.history_window, "obs_dim": self.obs_dim,
             "lstm_hidden": self.actor.lstm.hidden_size,
-            "head_sizes": [w.shape[0] for w in self.actor.head.weights]
-            + [self.actor.head.weights[-1].shape[1]],
-            "head_activations": self.actor.head.activations,
+            "head_sizes": [w.shape[0] for w in head.weights]
+            + [head.weights[-1].shape[1]],
+            "head_activations": head.activations,
         })
 
     @classmethod
     def load(cls, path: str) -> "Policy":
-        """Read a checkpoint that save wrote, of version 2 or 1.
+        """Read a checkpoint that save wrote.
 
-        Raises ValueError when a meta key is missing or mistyped or the
-        array names or shapes do not match the actor the meta describes.
+        Raises ValueError when a meta key is missing, mistyped or out of
+        range, or the array names or shapes do not match the actor the meta
+        describes.
         """
         arrays, meta = nn.load_checkpoint(path)
-        bad = [k for k, kind in POLICY_META.items()
-               if not isinstance(meta.get(k), kind)]
+        # type(x) is int: JSON true is not an integer here
+        bad = [k for k, low in _META_MINIMUMS.items()
+               if not (type(meta.get(k)) is int and meta[k] >= low)]
+        if meta.get("kind") not in ("vehicle", "bus"):
+            bad.append("kind")
+        sizes = meta.get("head_sizes")
+        activations = meta.get("head_activations")
+        if not (isinstance(sizes, list) and sizes
+                and all(type(n) is int and n >= 1 for n in sizes)):
+            bad.append("head_sizes")
+        elif not (isinstance(activations, list)
+                  and len(activations) == len(sizes) - 1):
+            bad.append("head_activations")
         if bad:
-            raise ValueError(f"checkpoint meta lacks or mistypes "
-                             f"{', '.join(bad)}")
-        if meta["history_window"] < 1:
-            raise ValueError("checkpoint history_window must be >= 1")
-        activations = meta["head_activations"]
-        n_layers = len(activations)
-        head_names = [f"head.{i}" for i in range(2 * n_layers)]
-        lstm_named = {name[len("lstm."):]: arr for name, arr in arrays.items()
-                      if name.startswith("lstm.")}
-        if {n for n in arrays if not n.startswith("lstm.")} != set(head_names):
+            raise ValueError(f"checkpoint meta has no valid {', '.join(bad)}")
+        # np.zeros leaves memory untouched until written, so blocks no array
+        # matches cost nothing; sizes no memory can hold are bad input
+        sizes = [meta["lstm_hidden"], *sizes[1:]]
+        try:
+            lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"])
+            head = nn.MlpParams(
+                weights=[np.zeros(s) for s in zip(sizes, sizes[1:])],
+                biases=[np.zeros(n) for n in sizes[1:]],
+                activations=activations)
+        except MemoryError as exc:
+            raise ValueError(f"checkpoint meta sizes: {exc}") from None
+        expected = _named_arrays(lstm, head)
+        if ({n: a.shape for n, a in arrays.items()}
+                != {n: a.shape for n, a in expected.items()}):
             raise ValueError(f"checkpoint arrays {sorted(arrays)} do not "
-                             f"match a {n_layers}-layer actor head")
-        head = nn.MlpParams(
-            weights=[arrays[name] for name in head_names[:n_layers]],
-            biases=[arrays[name] for name in head_names[n_layers:]],
-            activations=activations)
-        actor = ActorNet(lstm=nn.LstmParams.from_named(lstm_named), head=head)
-        sizes = [meta["lstm_hidden"], *meta["head_sizes"][1:]]
-        expected = ([a.shape for a in nn.LstmParams.zeros(
-            meta["obs_dim"], meta["lstm_hidden"]).arrays()]
-            + list(zip(sizes[:-1], sizes[1:])) + [(n,) for n in sizes[1:]])
-        if [a.shape for a in actor.arrays()] != expected:
-            raise ValueError("checkpoint array shapes do not match its meta")
+                             "match the names and shapes of the actor its "
+                             "meta describes")
+        actor = ActorNet(lstm=lstm, head=head)
+        for name, view in zip(expected, actor.params.arrays):
+            view[...] = arrays[name]
         return cls(actor=actor, kind=meta["kind"], capacity=meta["capacity"],
                    history_window=meta["history_window"],
                    obs_dim=meta["obs_dim"])

@@ -215,6 +215,7 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     stop_ids = [sid for r in scenario.routes for sid in r["stops"]]
     n = max(len(station_ids), 1)
     T = scenario.episode_length
+    start = scenario.clock.get("episode_start", 0)
     padded_bike = np.zeros((T + HORIZON + 1, 2 * n))
     padded_bus = np.zeros((T + HORIZON + 1, 2 * max(len(stop_ids), 1)))
     bike, bus = padded_bike[:T], padded_bus[:T]
@@ -229,8 +230,8 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     profile = None
     if scenario.demand_profile is not None:
         profile = DemandProfile.from_dict(scenario.demand_profile, station_ids)
-        for t in range(T):  # row t is day position t
-            bike[t] = encode_flow(profile.expected_od(t))
+        for t in range(T):  # row t is day position start + t
+            bike[t] = encode_flow(profile.expected_od(start + t))
         # bus rates are constant over the day: one row, summed in OD order
         for (origin, dest), rate in sorted(profile.bus_rates.items()):
             board(bus[0], origin, dest, rate)
@@ -259,9 +260,10 @@ def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
     trips: dict[int, list] = {seg: [] for seg in range(1, T + 1)}
     bus_arrivals: dict[int, list] = {seg: [] for seg in range(1, T + 1)}
     if forecast.profile is not None:
-        clock = W.SegmentClock(0, T, 0, scenario.segment_minutes)
+        start = scenario.clock.get("episode_start", 0)
+        clock = W.SegmentClock(start, T, start, scenario.segment_minutes)
         for seg in range(1, T + 1):
-            clock.current = seg - 1  # day position of the sampled segment
+            clock.current = start + seg - 1  # the sampled segment's position
             trips[seg], bus_arrivals[seg] = sample_segment(
                 forecast.profile, clock, rng)
     joint = scenario.joint or {}

@@ -49,41 +49,23 @@ def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
 
 @dataclass
 class DepartureModel:
-    """One LSTM per station over its normalized departure series.
+    """One LSTM per station over its normalized departure series: an
+    nn.LstmNet with a linear head, fed the last `window` values."""
 
-    The parameters, and the gradients fit writes, are views into one vector
-    each (nn.FlatParams).
-    """
-
-    lstm: nn.LstmParams
-    head: nn.MlpParams
+    net: nn.LstmNet
     scale: float
     window: int
     trained: bool = False
-
-    def __post_init__(self):
-        self.params = nn.FlatParams.pack(self.lstm.arrays()
-                                         + self.head.arrays())
-        self.lstm, self.head = self.params.view_as([self.lstm, self.head])
-        self.grads = self.params.zeros_like()
-        self._lstm_grads, self._head_grads = self.grads.view_as(
-            [self.lstm, self.head])
 
     @classmethod
     def create(cls, window: int = 24, hidden: int = 16,
                seed: int = 0) -> "DepartureModel":
         rng = np.random.default_rng(seed)
-        return cls(
-            lstm=nn.LstmParams.init(1, hidden, rng),
-            head=nn.MlpParams.init([hidden, 1], ["identity"], rng),
-            scale=1.0,
-            window=window,
-        )
+        return cls(net=nn.LstmNet.init(1, hidden, [1], ["identity"], rng),
+                   scale=1.0, window=window)
 
     def _predict_scaled(self, window_vals: np.ndarray) -> float:
-        xs = window_vals.reshape(-1, 1)
-        hs, _ = nn.lstm_forward(self.lstm, xs)
-        out, _ = nn.mlp_forward(self.head, hs[-1])
+        out, _ = self.net.forward(window_vals.reshape(-1, 1))
         return float(out[0])
 
     def fit(self, series: np.ndarray, epochs: int = 60, lr: float = 0.05,
@@ -101,17 +83,12 @@ class DepartureModel:
         config = nn.OptimizerConfig(step_size=lr, clip_norm=clip)
         n_batch = windows.shape[0]
         xs_all = windows.T[:, :, None]  # (window, n_batch, 1)
-        tape = None  # each epoch writes into the arrays of the last
+        tapes = None  # each epoch writes into the arrays of the last
         for _ in range(epochs):
-            hs, tape = nn.lstm_forward(self.lstm, xs_all, reuse=tape)
-            out, head_tape = nn.mlp_forward(self.head, hs[-1])
+            out, tapes = self.net.forward(xs_all, reuse=tapes)
             err = (out[:, 0] - targets) / n_batch
-            dh_last = nn.mlp_backward(self.head, head_tape, err[:, None],
-                                      grads=self._head_grads)
-            dh = np.zeros_like(hs)
-            dh[-1] = dh_last
-            nn.lstm_backward(self.lstm, tape, dh, grads=self._lstm_grads)
-            nn.optimizer_step(self.params, self.grads, config)
+            self.net.backward(tapes, err[:, None])
+            nn.optimizer_step(self.net.params, self.net.grads, config)
         self.trained = True
 
     def predict_one(self, recent: np.ndarray) -> float:

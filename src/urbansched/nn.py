@@ -1,5 +1,6 @@
 """Minimal neural kernels: peephole LSTM with exact BPTT, dense layers,
-gradient checking and a clipped gradient-descent optimizer.
+gradient checking, a clipped gradient-descent optimizer, and the one
+network made of them (LstmNet: an LSTM, then a dense head).
 
 Everything is float64 numpy so finite-difference checks stay tight.
 Forward passes never mutate parameters; tapes carry the activations the
@@ -9,7 +10,7 @@ backward pass needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +22,6 @@ class ShapeError(Exception):
 
 # ---------------------------------------------------------------------------
 # LSTM
-
-# The 15 per-gate arrays of the former layout, which checkpoint version 1
-# stores, in the order LstmParams.init draws them.
-V1_NAMES = (
-    "W_xi", "W_hi", "w_ci", "W_xf", "W_hf", "w_cf",
-    "W_xc", "W_hc", "W_xo", "W_ho", "w_co",
-    "b_i", "b_f", "b_c", "b_o",
-)
-
 
 @dataclass
 class LstmParams:
@@ -57,14 +49,23 @@ class LstmParams:
     def init(cls, input_size: int, hidden_size: int,
              rng: np.random.Generator) -> "LstmParams":
         scale = 1.0 / np.sqrt(hidden_size)
-        rows = {"W_x": input_size, "W_h": hidden_size}
-        named = {}
-        for name in V1_NAMES:  # this draw order fixes the seeded weights
-            shape = ((rows[name[:3]], hidden_size) if name[:3] in rows
-                     else (hidden_size,))
-            named[name] = rng.uniform(-scale, scale, size=shape)
-        named["b_f"] += 1.0
-        return cls.from_named(named)
+
+        def draw(*shape):
+            return rng.uniform(-scale, scale, size=shape)
+
+        p = cls.zeros(input_size, hidden_size)
+        W_x = p.W_x.reshape(input_size, 4, hidden_size)  # views by gate
+        W_h = p.W_h.reshape(hidden_size, 4, hidden_size)
+        # this draw order fixes the seeded weights: for each gate its W_x
+        # block, its W_h block and its peephole (g has none), then the biases
+        for gate, peep_row in enumerate((0, 1, None, 2)):
+            W_x[:, gate] = draw(input_size, hidden_size)
+            W_h[:, gate] = draw(hidden_size, hidden_size)
+            if peep_row is not None:
+                p.peep[peep_row] = draw(hidden_size)
+        p.b[:] = draw(4 * hidden_size)
+        p.b[hidden_size:2 * hidden_size] += 1.0  # the forget gate's
+        return p
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "LstmParams":
@@ -72,24 +73,6 @@ class LstmParams:
         return cls(W_x=np.zeros((input_size, width)),
                    W_h=np.zeros((hidden_size, width)), b=np.zeros(width),
                    peep=np.zeros((3, hidden_size)))
-
-    @classmethod
-    def from_named(cls, named: dict[str, np.ndarray]) -> "LstmParams":
-        """Build from the packed arrays by field name, or pack the 15
-        per-gate arrays of checkpoint version 1 (V1_NAMES)."""
-        if set(named) == {f.name for f in fields(cls)}:
-            return cls(**named)
-        if set(named) != set(V1_NAMES):
-            raise ValueError(f"LSTM arrays {sorted(named)} match neither "
-                             "the packed nor the version-1 layout")
-
-        def pack(prefix):
-            # np.stack rejects blocks of unequal shape
-            blocks = np.stack([named[prefix + k] for k in "ifco"], axis=-2)
-            return blocks.reshape(*blocks.shape[:-2], -1)
-
-        return cls(W_x=pack("W_x"), W_h=pack("W_h"), b=pack("b_"),
-                   peep=np.stack([named["w_c" + k] for k in "ifo"]))
 
     def arrays(self) -> list[np.ndarray]:
         return [self.W_x, self.W_h, self.b, self.peep]
@@ -544,6 +527,56 @@ class FlatParams:
 
 
 @dataclass
+class LstmNet:
+    """An LSTM over a time-major sequence, then a dense head on its last
+    hidden state. `lstm` and `head` are views into one parameter vector,
+    `params`, and the gradients backward writes into another, `grads`."""
+
+    lstm: LstmParams
+    head: MlpParams
+
+    def __post_init__(self):
+        self.params = FlatParams.pack(self.lstm.arrays() + self.head.arrays())
+        self.lstm, self.head = self.params.view_as([self.lstm, self.head])
+        self.grads = self.params.zeros_like()
+        self._lstm_grads, self._head_grads = self.grads.view_as(
+            [self.lstm, self.head])
+
+    @classmethod
+    def init(cls, input_size: int, hidden_size: int, head_sizes: list[int],
+             activations: list[str], rng: np.random.Generator) -> "LstmNet":
+        """The LSTM's weights drawn first, then the head's, which maps the
+        hidden state through head_sizes."""
+        return cls(lstm=LstmParams.init(input_size, hidden_size, rng),
+                   head=MlpParams.init([hidden_size, *head_sizes],
+                                       activations, rng))
+
+    def copy(self):
+        return type(self)(lstm=self.lstm, head=self.head)  # packs a copy
+
+    def forward(self, xs: np.ndarray, start=None, reuse=None):
+        """xs and start as lstm_forward takes them. Returns (out, tapes),
+        out being the head's output for the last step, (B, out) or (out,).
+        reuse, if given, is the tapes of an earlier forward that nothing
+        reads any more; the LSTM writes into its arrays."""
+        hs, lstm_tape = lstm_forward(
+            self.lstm, xs, start=start,
+            reuse=None if reuse is None else reuse[0])
+        out, head_tape = mlp_forward(self.head, hs[-1])
+        return out, (lstm_tape, head_tape)
+
+    def backward(self, tapes, dout: np.ndarray) -> list[np.ndarray]:
+        """Writes the parameter gradients into `grads` and returns its
+        arrays; dout is the gradient of the forward's out."""
+        lstm_tape, head_tape = tapes
+        dh = np.zeros_like(lstm_tape.h[1:])
+        dh[-1] = mlp_backward(self.head, head_tape, dout,
+                              grads=self._head_grads)
+        lstm_backward(self.lstm, lstm_tape, dh, grads=self._lstm_grads)
+        return self.grads.arrays
+
+
+@dataclass
 class OptimizerConfig:
     step_size: float = 0.01
     clip_norm: float = 0.0  # 0 disables clipping
@@ -574,8 +607,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-# Version 2 stores an LSTM as its four packed arrays; version 1 stored the
-# 15 per-gate arrays, which LstmParams.from_named packs on load.
+# Version 2 stores an LSTM as its four packed arrays.
 CHECKPOINT_VERSION = 2
 
 
@@ -594,7 +626,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     try:
         arrays = {name: np.array(entry["data"], dtype=float).reshape(

@@ -79,7 +79,7 @@ class TestAct:
             return float(np.sum(weights * (out - base)))
 
         grads = actor.backward(tapes, weights)
-        assert nn.grad_check(loss, actor.arrays(), grads) <= 1e-5
+        assert nn.grad_check(loss, actor.params.arrays, grads) <= 1e-5
 
     def test_critic_gradients_pass_grad_check(self):
         critic = CriticNet.create(4, 2, SMALL, np.random.default_rng(5))
@@ -458,7 +458,8 @@ class TestTrainLoop:
         policy_a, curve = train(factory, self.fast_config(0))
         assert curve == []
         policy_b, _ = train(factory, self.fast_config(0))
-        for a, b in zip(policy_a.actor.arrays(), policy_b.actor.arrays()):
+        for a, b in zip(policy_a.actor.params.arrays,
+                        policy_b.actor.params.arrays):
             np.testing.assert_array_equal(a, b)
 
     def test_fixed_seed_reproducible_curve(self):
@@ -492,36 +493,19 @@ class TestPolicyCheckpoint:
             "obs_dim": 5, "lstm_hidden": 6, "head_sizes": [6, 6, 4],
             "head_activations": ["relu", "tanh"]}
 
-    def write(self, path, named, meta, version):
-        nn.save_checkpoint(str(path), named, meta=meta)
-        doc = json.loads(path.read_text())
-        doc["version"] = version
-        path.write_text(json.dumps(doc))
-
-    def test_version_1_loads_into_packed_layout(self, tmp_path):
-        actor = small_actor()
-        lstm, H = actor.lstm, actor.lstm.hidden_size
-        named = {}
-        for block, gate in enumerate("ifco"):
-            cols = slice(block * H, (block + 1) * H)
-            named[f"lstm.W_x{gate}"] = lstm.W_x[:, cols]
-            named[f"lstm.W_h{gate}"] = lstm.W_h[:, cols]
-            named[f"lstm.b_{gate}"] = lstm.b[cols]
-        for row, gate in enumerate("ifo"):
-            named[f"lstm.w_c{gate}"] = lstm.peep[row]
-        for i, arr in enumerate(actor.head.arrays()):
-            named[f"head.{i}"] = arr
-        assert len(named) == 15 + 4
+    def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "v1.json"
-        self.write(path, named, self.META, version=1)
-        loaded = Policy.load(str(path))
-        windows = np.random.default_rng(9).normal(size=(6, 3, 5))
-        windows[0, :2] = 0.0
-        np.testing.assert_allclose(loaded.actor.forward(windows)[0],
-                                   actor.forward(windows)[0], atol=1e-12)
+        Policy(actor=small_actor(), kind="vehicle", capacity=10,
+               history_window=3, obs_dim=5).save(str(path))
+        Policy.load(str(path))
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match="unsupported checkpoint version 1"):
+            Policy.load(str(path))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_malformed_rejected(self, tmp_path, version):
+    def test_malformed_rejected(self, tmp_path):
         actor = small_actor()
         named = {f"lstm.{k}": v for k, v in vars(actor.lstm).items()}
         named.update((f"head.{i}", a)
@@ -536,9 +520,13 @@ class TestPolicyCheckpoint:
             (named, {**self.META, "obs_dim": "5"}),
             (named, {**self.META, "history_window": 0}),
             (named, {**self.META, "head_activations": ["relu", "bogus"]}),
+            (named, {**self.META, "history_window": True}),
+            (named, {**self.META, "capacity": -3}),
+            (named, {**self.META, "kind": "tram"}),
+            (named, {**self.META, "lstm_hidden": 10 ** 6}),
         ]
         for arrays, meta in bad_cases:
-            self.write(path, arrays, meta, version)
+            nn.save_checkpoint(str(path), arrays, meta=meta)
             with pytest.raises(ValueError):
                 Policy.load(str(path))
 

@@ -14,7 +14,7 @@ from urbansched.envs import (
     bus_observe, joint_features,
 )
 from urbansched.forecast_bike import encode_flow
-from urbansched.harness import StaticHeadwayPolicy
+from urbansched.harness import NoReposition, StaticHeadwayPolicy
 from urbansched.world import ScenarioSpec, build_world
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -169,6 +169,31 @@ class TestDemandChannel:
             assert block.shape[0] == T and block.base is padded
             assert not padded[T:].any() and not padded.flags.writeable
 
+    def test_episode_start_offsets_the_day_position(self):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "bike5.json").read_text())
+        # bike5's rates are flat over the day; give each position its own
+        rates = {sid: [r * (1 + k) for k, r in enumerate(row)]
+                 for sid, row in doc["demand_profile"]["rates"].items()}
+
+        def play(rates, start):
+            """Records and observations of three NoReposition episodes."""
+            scenario = ScenarioSpec.from_dict({
+                **doc, "clock": {**doc["clock"], "episode_start": start},
+                "demand_profile": {**doc["demand_profile"], "rates": rates}})
+            env = BikeEnv(scenario=scenario, seed=1)
+            policy, out = NoReposition(), []
+            for _ in range(3):
+                obs = [env.reset()]
+                while not env.done:
+                    obs.append(env.step(policy.action_for(env))[0])
+                out.append((env.record, np.array(obs).tobytes()))
+            return out
+
+        shifted = play(rates, 3)
+        assert shifted == play({sid: row[3:] + row[:3]
+                                for sid, row in rates.items()}, 0)
+        assert shifted != play(rates, 0)
 
     def test_profile_bus_forecast_every_row(self):
         rates = {("S1", "S2"): 0.5, ("S1", "S3"): 1.25, ("S2", "S3"): 2.0,

@@ -628,7 +628,7 @@ class TestCli:
 
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"version": 1, "meta": {}, "arrays": {}}))
+        path.write_text(json.dumps({"version": 2, "meta": {}, "arrays": {}}))
         assert cli(["eval", "--scenario", "fig1a",
                     "--checkpoint", str(path)]) == 1
         assert "obs_dim" in capsys.readouterr().err

@@ -124,17 +124,24 @@ class TestLstmForward:
         assert nn.grad_check(loss, p.arrays(), grads.arrays()) <= 1e-5
 
     def test_init_draws_the_per_gate_blocks_in_order(self):
+        # the 15 per-gate arrays in the order the seeded weights are drawn,
+        # packed by gate (i, f, g, o; "c" names g) as the reference
+        names = ("W_xi", "W_hi", "w_ci", "W_xf", "W_hf", "w_cf",
+                 "W_xc", "W_hc", "W_xo", "W_ho", "w_co",
+                 "b_i", "b_f", "b_c", "b_o")
         p = nn.LstmParams.init(3, 4, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         named = {}
-        for name in nn.V1_NAMES:
+        for name in names:
             shape = {"W_x": (3, 4), "W_h": (4, 4)}.get(name[:3], (4,))
             named[name] = rng.uniform(-0.5, 0.5, size=shape)
         named["b_f"] += 1.0
-        np.testing.assert_array_equal(p.W_x[:, 4:8], named["W_xf"])
-        np.testing.assert_array_equal(p.W_h[:, 8:12], named["W_hc"])
-        np.testing.assert_array_equal(p.b[4:8], named["b_f"])
-        np.testing.assert_array_equal(p.peep[2], named["w_co"])
+        for packed, prefix in ((p.W_x, "W_x"), (p.W_h, "W_h"), (p.b, "b_")):
+            np.testing.assert_array_equal(
+                packed, np.concatenate([named[prefix + k] for k in "ifco"],
+                                       axis=-1))
+        np.testing.assert_array_equal(
+            p.peep, np.stack([named["w_c" + k] for k in "ifo"]))
 
 
 class TestLstmBackward:
