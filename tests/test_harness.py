@@ -677,3 +677,24 @@ class TestCli:
         assert (tmp_path / "history.csv").exists()
         assert (tmp_path / "bike_flows.csv").exists()
         assert "horizon=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, stdout, flows", [
+        (["--scenario", "bike5", "--days", "4", "--horizon", "2"],
+         "37d801bc1a873e7d77862ba15ec84985a776f2a047b4c69f91f1aa69fcb7a9f7",
+         "66373f4f38b69ca98fb4ef61f5b721ae54707391ddba2af4feb82d5616b651bc"),
+        (["--scenario", "outage", "--days", "2", "--horizon", "3",
+          "--clusters", "3"],
+         "f268bdd03b353bd044ff306c9ee5987ca04df786a3f4d9f6b607edb4e887c974",
+         "534a66c2faba6a4f98b23c6fb9588251a9df88f47e08caa50df3cfb9ad6a3ba7"),
+    ])
+    def test_forecast_pinned_outputs(self, args, stdout, flows, tmp_path,
+                                     capsys):
+        """stdout and the flow CSV of two short forecasts, byte for byte.
+        Both histories have stations with no departures, whose OD rows fall
+        back to their cluster mates."""
+        assert cli(["forecast", *args, "--epochs", "5",
+                    "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == stdout
+        assert hashlib.sha256((tmp_path / "bike_flows.csv").read_bytes()
+                              ).hexdigest() == flows
