@@ -110,20 +110,16 @@ class ActorNet(nn.LstmNet):
                         rng)
 
     def forward(self, windows: np.ndarray, start=None, reuse=None):
-        """windows: (B, W, obs) or (W, obs). Returns (scores, tapes).
+        """windows: (B, W, obs). Returns (scores, tapes), scores (B, action).
 
-        start holds, per window (a single index for one (W, obs) window),
-        the row of the episode's first observation: the rows before it are
-        episode-start padding, and the recurrence starts at it, so a
-        length-1 window and its padded equivalent score identically. None
-        means every row is real. reuse, if given, is the tapes of an
-        earlier forward that nothing reads any more; the LSTM writes into
-        its arrays (nn.LstmNet.forward).
+        start holds, per window, the row of the episode's first
+        observation: the rows before it are episode-start padding, and the
+        recurrence starts at it, so a length-1 window and its padded
+        equivalent score identically. None means every row is real. reuse,
+        if given, is the tapes of an earlier forward that nothing reads any
+        more; the LSTM writes into its arrays (nn.LstmNet.forward).
         """
         windows = np.asarray(windows, dtype=float)
-        if windows.ndim == 2:  # one window is already time-major
-            return super().forward(windows,
-                                   None if start is None else [start], reuse)
         return super().forward(np.transpose(windows, (1, 0, 2)), start,
                                reuse)
 
@@ -140,8 +136,8 @@ def act(actor: ActorNet, history_window: np.ndarray,
     history_window = np.asarray(history_window, dtype=float)
     if history_window.ndim != 2 or history_window.shape[0] < 1:
         raise ValueError("history window must be (W, obs) with W >= 1")
-    scores, _ = actor.forward(history_window, start)
-    return scores
+    scores, _ = actor.forward(history_window[None], [start])
+    return scores[0]
 
 
 @dataclass
@@ -170,30 +166,27 @@ class CriticNet:
             obs_dim=obs_dim, action_dim=action_dim,
         )
 
-    def arrays(self) -> list[np.ndarray]:
-        return self.net.arrays()
-
     def copy(self) -> "CriticNet":
         return CriticNet(net=self.net, obs_dim=self.obs_dim,
                          action_dim=self.action_dim)  # packs a copy
 
     def forward(self, obs: np.ndarray, action: np.ndarray):
-        x = np.concatenate([np.atleast_2d(obs), np.atleast_2d(action)], axis=1)
+        """Values (B,) of (B, obs) observations and (B, action) actions."""
+        x = np.concatenate([obs, action], axis=1)
         values, tape = nn.mlp_forward(self.net, x)
         return values[:, 0], tape
 
     def backward(self, tape, dvalues: np.ndarray) -> list[np.ndarray]:
         """Writes the parameter gradients into `grads` and returns its
-        arrays; the input gradient is not computed."""
-        nn.mlp_backward(self.net, tape, np.atleast_2d(dvalues).reshape(-1, 1),
-                        grads=self._net_grads, input_grad=False)
+        arrays; dvalues is (B, 1), and the input gradient is not computed."""
+        nn.mlp_backward(self.net, tape, dvalues, grads=self._net_grads,
+                        input_grad=False)
         return self.grads.arrays
 
     def action_gradient(self, tape, dvalues: np.ndarray) -> np.ndarray:
         """Gradient with respect to the action input; the parameter
         gradients are not computed."""
-        dx = nn.mlp_backward(self.net, tape,
-                             np.atleast_2d(dvalues).reshape(-1, 1))
+        dx = nn.mlp_backward(self.net, tape, dvalues)
         return dx[:, self.obs_dim:]
 
 
@@ -409,9 +402,8 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
     err = q - targets
     critic_loss = float(np.mean(err ** 2))
     critic.backward(critic_tape, (2.0 * err / err.size)[:, None])
-    critic_cfg = nn.OptimizerConfig(step_size=config.critic_lr,
-                                    clip_norm=config.clip_norm)
-    critic_norm = nn.optimizer_step(critic.params, critic.grads, critic_cfg)
+    critic_norm = nn.optimizer_step(critic.params, critic.grads,
+                                    config.critic_lr, config.clip_norm)
     # actor ascends the critic value through the chained gradient
     policy_actions, actor_tapes = actor.forward(
         batch.windows, batch.start, reuse=target_tapes)
@@ -424,9 +416,8 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
     if config.action_l2 > 0:
         dscores = dscores + 2.0 * config.action_l2 * policy_actions / q_pi.size
     actor.backward(actor_tapes, dscores)
-    actor_cfg = nn.OptimizerConfig(step_size=config.actor_lr,
-                                   clip_norm=config.clip_norm)
-    actor_norm = nn.optimizer_step(actor.params, actor.grads, actor_cfg)
+    actor_norm = nn.optimizer_step(actor.params, actor.grads,
+                                   config.actor_lr, config.clip_norm)
     soft_update(actor_target.params.vector, actor.params.vector, config.tau)
     soft_update(critic_target.params.vector, critic.params.vector,
                 config.tau)
@@ -511,8 +502,8 @@ class Policy:
         """Read a checkpoint that save wrote.
 
         Raises ValueError when a meta key is missing, mistyped or out of
-        range, or the array names or shapes do not match the actor the meta
-        describes.
+        range, head_sizes does not start at lstm_hidden, or the array names
+        or shapes do not match the actor the meta describes.
         """
         arrays, meta = nn.load_checkpoint(path)
         # type(x) is int: JSON true is not an integer here
@@ -523,7 +514,8 @@ class Policy:
         sizes = meta.get("head_sizes")
         activations = meta.get("head_activations")
         if not (isinstance(sizes, list) and sizes
-                and all(type(n) is int and n >= 1 for n in sizes)):
+                and all(type(n) is int and n >= 1 for n in sizes)
+                and sizes[0] == meta.get("lstm_hidden")):
             bad.append("head_sizes")
         elif not (isinstance(activations, list)
                   and len(activations) == len(sizes) - 1):
@@ -532,7 +524,6 @@ class Policy:
             raise ValueError(f"checkpoint meta has no valid {', '.join(bad)}")
         # np.zeros leaves memory untouched until written, so blocks no array
         # matches cost nothing; sizes no memory can hold are bad input
-        sizes = [meta["lstm_hidden"], *sizes[1:]]
         try:
             lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"])
             head = nn.MlpParams(
@@ -568,14 +559,15 @@ def run_episode(env, policy, force_outage: bool | None = None):
     return env.record
 
 
-def train(env_factory, config: DdpgConfig, kind: str = "vehicle",
-          progress=None):
+def train(env_factory, config: DdpgConfig, progress=None):
     """Full DDPG loop: episode collection with OU exploration, replay
-    updates, periodic noise-free evaluation. Returns (policy, curve) where
-    curve rows are (episode, return, served, lost, critic_loss, actor_value):
-    the episode's `EpisodeRecord`, then the last update's diagnostics.
+    updates, periodic noise-free evaluation. The policy drives the env's
+    agent kind, `env.kind`. Returns (policy, curve) where curve rows are
+    (episode, return, served, lost, critic_loss, actor_value): the
+    episode's `EpisodeRecord`, then the last update's diagnostics.
     """
     env = env_factory()
+    kind = env.kind
     obs = env.reset(seed=config.seed)
     obs_dim = obs.size
     action_dim = env.action_dim

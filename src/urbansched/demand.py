@@ -225,7 +225,6 @@ class HistoryLog:
     """Realized demand per segment, the corpus the forecasters consume."""
 
     station_ids: list[str]
-    departures: list[np.ndarray] = field(default_factory=list)  # per segment, (n,)
     od_counts: list[np.ndarray] = field(default_factory=list)  # per segment, (n, n)
 
     def __post_init__(self):
@@ -238,15 +237,15 @@ class HistoryLog:
         for origin, dest, count in trips:
             od[index[origin], index[dest]] += count
         self.od_counts.append(od)
-        self.departures.append(od.sum(axis=1))
 
     @property
     def n_segments(self) -> int:
-        return len(self.departures)
+        return len(self.od_counts)
 
     def departure_series(self, station: str) -> np.ndarray:
+        """The station's departures per segment: its OD rows' sums."""
         i = self.station_ids.index(station)
-        return np.array([d[i] for d in self.departures], dtype=float)
+        return np.array([od[i].sum() for od in self.od_counts], dtype=float)
 
     def total_od(self) -> np.ndarray:
         n = len(self.station_ids)

@@ -343,6 +343,8 @@ class BikeEnv(_Env):
     the step info for diagnostics, and the episode's in `record`.
     """
 
+    kind = "vehicle"  # the agent kind a policy decodes actions for
+
     def __post_init__(self):
         super().__post_init__()
         self._coords = np.array([(float(s["x"]), float(s["y"]))
@@ -446,6 +448,8 @@ class BusEnv(_Env):
     exactly 0. The episode fails when any passenger has waited the patience
     bound p, or ends with the clock; `record` then holds its outcome.
     """
+
+    kind = "bus"
 
     def __post_init__(self):
         super().__post_init__()

@@ -13,14 +13,16 @@ import numpy as np
 from . import nn
 
 
-@dataclass
-class ClusterAssignment:
-    labels: dict[str, int]
+# Lloyd rounds of cluster_stations at most, and the global gradient norm
+# DepartureModel.fit clips to.
+_KMEANS_ROUNDS = 100
+_CLIP_NORM = 1.0
 
 
 def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
-                     seed: int = 0, max_iter: int = 100) -> ClusterAssignment:
-    """Lloyd's k-means on planar coordinates, deterministic for a seed."""
+                     seed: int = 0) -> dict[str, int]:
+    """Lloyd's k-means on planar coordinates, deterministic for a seed.
+    Returns each station's cluster label."""
     if k <= 0:
         raise ValueError("k must be >= 1")
     coords = np.asarray(coords, dtype=float)
@@ -30,7 +32,7 @@ def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
     rng = np.random.default_rng(seed)
     centroids = coords[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_ROUNDS):
         dists = np.linalg.norm(coords[:, None, :] - centroids[None, :, :], axis=2)
         new_labels = dists.argmin(axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:
@@ -40,8 +42,7 @@ def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
             mask = labels == c
             if mask.any():
                 centroids[c] = coords[mask].mean(axis=0)
-    return ClusterAssignment(
-        labels={sid: int(c) for sid, c in zip(station_ids, labels)})
+    return {sid: int(c) for sid, c in zip(station_ids, labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +66,10 @@ class DepartureModel:
                    scale=1.0, window=window)
 
     def _predict_scaled(self, window_vals: np.ndarray) -> float:
-        out, _ = self.net.forward(window_vals.reshape(-1, 1))
-        return float(out[0])
+        out, _ = self.net.forward(window_vals.reshape(-1, 1, 1))
+        return float(out[0, 0])
 
-    def fit(self, series: np.ndarray, epochs: int = 60, lr: float = 0.05,
-            clip: float = 1.0):
+    def fit(self, series: np.ndarray, epochs: int = 60, lr: float = 0.05):
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
         series = np.asarray(series, dtype=float)
@@ -80,7 +80,6 @@ class DepartureModel:
         windows = np.stack([scaled[i:i + self.window]
                             for i in range(series.size - self.window)])
         targets = scaled[self.window:]
-        config = nn.OptimizerConfig(step_size=lr, clip_norm=clip)
         n_batch = windows.shape[0]
         xs_all = windows.T[:, :, None]  # (window, n_batch, 1)
         tapes = None  # each epoch writes into the arrays of the last
@@ -88,7 +87,7 @@ class DepartureModel:
             out, tapes = self.net.forward(xs_all, reuse=tapes)
             err = (out[:, 0] - targets) / n_batch
             self.net.backward(tapes, err[:, None])
-            nn.optimizer_step(self.net.params, self.net.grads, config)
+            nn.optimizer_step(self.net.params, self.net.grads, lr, _CLIP_NORM)
         self.trained = True
 
     def predict_one(self, recent: np.ndarray) -> float:
@@ -118,10 +117,9 @@ class DepartureModel:
 
 
 def forecast_departures(history: np.ndarray, horizon: int, window: int = 24,
-                        hidden: int = 16, seed: int = 0,
-                        epochs: int = 60) -> np.ndarray:
+                        seed: int = 0, epochs: int = 60) -> np.ndarray:
     """Train a fresh station model on its departure series and forecast."""
-    model = DepartureModel.create(window=window, hidden=hidden, seed=seed)
+    model = DepartureModel.create(window=window, seed=seed)
     model.fit(np.asarray(history, dtype=float), epochs=epochs)
     return model.forecast(history, horizon)
 
@@ -129,18 +127,13 @@ def forecast_departures(history: np.ndarray, horizon: int, window: int = 24,
 # ---------------------------------------------------------------------------
 # OD splitting and flow encoding
 
-@dataclass
-class OdFrequencyTable:
-    probabilities: np.ndarray
-
-
 def od_probabilities(counts: np.ndarray, station_ids: list[str],
-                     clusters: ClusterAssignment | None = None,
-                     smoothing: float = 0.0) -> OdFrequencyTable:
-    """Row-normalize historical OD counts into destination probabilities.
+                     clusters: dict[str, int]) -> np.ndarray:
+    """Row-normalize historical OD counts into an (n, n) array of
+    destination probabilities.
 
-    Rows with no history fall back to uniform over same-cluster stations
-    (excluding self); with no cluster information, uniform over all others.
+    Rows with no history fall back to uniform over the other stations of
+    the same cluster (clusters maps station id to label).
     """
     counts = np.asarray(counts, dtype=float)
     n = len(station_ids)
@@ -148,22 +141,15 @@ def od_probabilities(counts: np.ndarray, station_ids: list[str],
     for i in range(n):
         row = counts[i].copy()
         row[i] = 0.0
-        if smoothing > 0:
-            row += smoothing
-            row[i] = 0.0
         total = row.sum()
         if total > 0:
             probs[i] = row / total
         else:
-            if clusters is not None:
-                mates = [j for j, sid in enumerate(station_ids)
-                         if j != i and clusters.labels[sid]
-                         == clusters.labels[station_ids[i]]]
-            else:
-                mates = [j for j in range(n) if j != i]
+            mates = [j for j, sid in enumerate(station_ids)
+                     if j != i and clusters[sid] == clusters[station_ids[i]]]
             if mates:
                 probs[i, mates] = 1.0 / len(mates)
-    return OdFrequencyTable(probabilities=probs)
+    return probs
 
 
 @dataclass
@@ -172,13 +158,14 @@ class FlowMatrix:
     segment: int
 
 
-def predict_flow(departures: np.ndarray, od_table: OdFrequencyTable,
+def predict_flow(departures: np.ndarray, probabilities: np.ndarray,
                  segment: int) -> FlowMatrix:
-    """G[i][j] = departures[i] * P(i -> j); row sums equal departures."""
+    """G[i][j] = departures[i] * P(i -> j), P being od_probabilities'
+    array; row sums equal departures."""
     departures = np.asarray(departures, dtype=float)
-    if departures.size != od_table.probabilities.shape[0]:
+    if departures.size != probabilities.shape[0]:
         raise ValueError("departures length does not match OD table")
-    G = departures[:, None] * od_table.probabilities
+    G = departures[:, None] * probabilities
     return FlowMatrix(G=G, segment=segment)
 
 

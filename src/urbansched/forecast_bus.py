@@ -21,12 +21,11 @@ class LinearBaseModel:
         return self.slope * t + self.intercept
 
 
-def fit_line(series: np.ndarray, t_index: np.ndarray | None = None) -> LinearBaseModel:
+def fit_line(series: np.ndarray, t_index: np.ndarray) -> LinearBaseModel:
+    """Least-squares line through series observed at times t_index."""
     series = np.asarray(series, dtype=float)
     if series.size < 2:
         raise ValueError("linear fit needs at least 2 observations")
-    if t_index is None:
-        t_index = np.arange(series.size, dtype=float)
     slope, intercept = np.polyfit(t_index, series, 1)
     return LinearBaseModel(slope=float(slope), intercept=float(intercept))
 

@@ -156,11 +156,10 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
                  reuse: LstmTape | None = None):
     """Run the gate recurrences over a sequence from zero state.
 
-    xs has shape (N, input) or (N, B, input). start, if given, holds one
-    step index per sample: before it the sample's h and c stay exactly 0,
-    so its recurrence runs over steps start..N-1 only.
-    Returns (hs, tape) with hs the per-step hidden states in the matching
-    shape.
+    xs has shape (N, B, input). start, if given, holds one step index per
+    sample: before it the sample's h and c stay exactly 0, so its
+    recurrence runs over steps start..N-1 only.
+    Returns (hs, tape) with hs the (N, B, H) per-step hidden states.
 
     reuse, if given, is the tape of an earlier call that nothing reads any
     more, nor the hs that call returned. When its N, B and H match, this
@@ -183,11 +182,8 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
       in place into buffers allocated once per tape.
     """
     xs = np.asarray(xs, dtype=float)
-    squeeze = xs.ndim == 2
-    if squeeze:
-        xs = xs[:, None, :]
     if xs.ndim != 3:
-        raise ShapeError("input sequence must be (N, input) or (N, B, input)")
+        raise ShapeError("input sequence must be (N, B, input)")
     n_steps, batch, input_size = xs.shape
     if n_steps == 0:
         raise ShapeError("input sequence is empty")
@@ -253,18 +249,15 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
             np.divide(1.0, z_o, out=o)
             np.tanh(c_next, out=tanh_c[t])
             np.multiply(o, tanh_c[t], out=h[t + 1])
-    hs = h[1:]
-    if squeeze:
-        hs = hs[:, 0, :]
-    return hs, tape
+    return h[1:], tape
 
 
 def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
                   grads: LstmParams | None = None) -> LstmParams:
     """Exact BPTT through the tape.
 
-    dh_out holds dLoss/dh_t per step, shaped like the forward hs output
-    ((N, hidden) or (N, B, hidden)). Writes the parameter gradients into
+    dh_out holds dLoss/dh_t per step, shaped like the forward hs output,
+    (N, B, hidden). Writes the parameter gradients into
     grads (fresh arrays when None) and returns it; the gradient with respect
     to the inputs is not computed.
 
@@ -278,8 +271,6 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     order.
     """
     dh_out = np.asarray(dh_out, dtype=float)
-    if dh_out.ndim == 2:
-        dh_out = dh_out[:, None, :]
     n_steps, batch, input_size = tape.xs.shape
     H = params.hidden_size
     if dh_out.shape != (n_steps, batch, H):
@@ -410,11 +401,10 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Forward through the dense stack. x is (B, in) or (in,)."""
+    """Forward through the dense stack. x is (B, in)."""
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ShapeError("layer input must be (B, in)")
     pre, post = [], [x]
     out = x
     for W, b, act in zip(params.weights, params.biases, params.activations):
@@ -424,26 +414,19 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
         out = _ACTIVATIONS[act][0](z)
         pre.append(z)
         post.append(out)
-    tape = (pre, post)
-    if squeeze:
-        return out[0], tape
-    return out, tape
+    return out, (pre, post)
 
 
 def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
                  grads: MlpParams | None = None, input_grad: bool = True):
-    """Backpropagate dout through the forward tape.
+    """Backpropagate dout, (B, out), through the forward tape.
 
     Writes the parameter gradients into grads' arrays when grads is given,
     and returns the gradient with respect to the input x when input_grad is
     set (None otherwise); what a caller does not ask for is not computed.
     """
     pre, post = tape
-    dout = np.asarray(dout, dtype=float)
-    squeeze = dout.ndim == 1
-    if squeeze:
-        dout = dout[None, :]
-    d = dout
+    d = np.asarray(dout, dtype=float)
     for layer in range(len(params.weights) - 1, -1, -1):
         act = params.activations[layer]
         dz = d if act == "identity" else d * _ACTIVATIONS[act][1](
@@ -454,8 +437,6 @@ def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
         if layer == 0 and not input_grad:
             return None
         d = dz @ params.weights[layer].T
-    if squeeze:
-        d = d[0]
     return d
 
 
@@ -556,7 +537,7 @@ class LstmNet:
 
     def forward(self, xs: np.ndarray, start=None, reuse=None):
         """xs and start as lstm_forward takes them. Returns (out, tapes),
-        out being the head's output for the last step, (B, out) or (out,).
+        out being the head's (B, out) output for the last step.
         reuse, if given, is the tapes of an earlier forward that nothing
         reads any more; the LSTM writes into its arrays."""
         hs, lstm_tape = lstm_forward(
@@ -576,21 +557,16 @@ class LstmNet:
         return self.grads.arrays
 
 
-@dataclass
-class OptimizerConfig:
-    step_size: float = 0.01
-    clip_norm: float = 0.0  # 0 disables clipping
-
-
 def global_norm(grads: list[np.ndarray]) -> float:
     """Square root of the sum, array by array, of each array's sum of
     squares (numpy's pairwise sum within an array)."""
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 
 
-def optimizer_step(params: FlatParams, grads: FlatParams,
-                   config: OptimizerConfig) -> float:
-    """In-place gradient descent with optional global-norm clipping.
+def optimizer_step(params: FlatParams, grads: FlatParams, step_size: float,
+                   clip_norm: float) -> float:
+    """In-place gradient descent, clipping grads to a global norm of at
+    most clip_norm (0 disables clipping).
 
     Returns the global norm of grads before clipping, summed array by array.
     """
@@ -598,9 +574,9 @@ def optimizer_step(params: FlatParams, grads: FlatParams,
         raise ShapeError("params/grads shape mismatch")
     norm = global_norm(grads.arrays)
     scale = 1.0
-    if 0 < config.clip_norm < norm:
-        scale = config.clip_norm / norm
-    params.vector -= config.step_size * scale * grads.vector
+    if 0 < clip_norm < norm:
+        scale = clip_norm / norm
+    params.vector -= step_size * scale * grads.vector
     return norm
 
 

@@ -92,8 +92,8 @@ def test_acceptance_4_lstm_correctness(acceptance):
         hidden = int(rng.integers(2, 5))
         steps = int(rng.integers(1, 5))
         params = nn.LstmParams.init(input_size, hidden, rng)
-        xs = rng.normal(size=(steps, input_size))
-        targets = rng.normal(size=(steps, hidden))
+        xs = rng.normal(size=(steps, 1, input_size))
+        targets = rng.normal(size=(steps, 1, hidden))
 
         def loss():
             hs, _ = nn.lstm_forward(params, xs)
@@ -105,7 +105,7 @@ def test_acceptance_4_lstm_correctness(acceptance):
                                          grads.arrays()))
     zeros = nn.LstmParams.zeros(2, 3)
     hs_zero, _ = nn.lstm_forward(zeros, np.random.default_rng(1).normal(
-        size=(4, 2)))
+        size=(4, 1, 2)))
     elapsed = time.time() - start
     ok = worst <= 1e-4 and np.all(hs_zero == 0) and elapsed < 30.0
     acceptance(4, "recurrent gradient correctness", ok,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urbansched import nn
+from urbansched import harness, nn
 from urbansched import world as W
 from urbansched.cli import resolve_scenario
 from urbansched.ddpg import (
@@ -13,6 +13,7 @@ from urbansched.ddpg import (
     save_curve_csv, soft_update, train, train_step,
 )
 from urbansched.envs import BikeEnv, BusEnv
+from test_envs import profile_bus_scenario
 
 
 SMALL = DdpgConfig(lstm_hidden=6, actor_hidden=6, critic_hidden=6,
@@ -93,7 +94,7 @@ class TestAct:
 
         q, tape = critic.forward(obs, actions)
         grads = critic.backward(tape, q[:, None])
-        assert nn.grad_check(loss, critic.arrays(), grads) <= 1e-5
+        assert nn.grad_check(loss, critic.params.arrays, grads) <= 1e-5
 
 
 class TestDecodeAction:
@@ -487,6 +488,20 @@ class TestTrainLoop:
         loaded = Policy.load(str(path))
         assert run_episode(factory(), policy) == run_episode(factory(), loaded)
 
+    def test_bus_policy_trains_evaluates_and_round_trips(self, tmp_path):
+        """train takes the agent kind from the env, so a BusEnv factory
+        yields a bus policy, which evaluates and reloads as one."""
+        scenario = profile_bus_scenario()
+        policy, curve = train(lambda: BusEnv(scenario=scenario, seed=0),
+                              self.fast_config(3))
+        assert policy.kind == "bus" and len(curve) == 3
+        report = harness.evaluate_policy(policy, scenario, 2, 0)
+        path = tmp_path / "policy.json"
+        policy.save(str(path))
+        loaded = Policy.load(str(path))
+        assert loaded.kind == "bus"
+        assert harness.evaluate_policy(loaded, scenario, 2, 0) == report
+
 
 class TestPolicyCheckpoint:
     META = {"kind": "vehicle", "capacity": 10, "history_window": 3,
@@ -517,6 +532,7 @@ class TestPolicyCheckpoint:
             ({k: v for k, v in named.items() if k != "head.3"}, self.META),
             (named, {**self.META, "obs_dim": 7}),
             (named, {**self.META, "head_sizes": [6, 6, 3]}),
+            (named, {**self.META, "head_sizes": [7, 6, 4]}),  # != lstm_hidden
             (named, {**self.META, "obs_dim": "5"}),
             (named, {**self.META, "history_window": 0}),
             (named, {**self.META, "head_activations": ["relu", "bogus"]}),

@@ -741,4 +741,5 @@ class TestHistoryLog:
         log = HistoryLog(station_ids=IDS)
         log.record_trips(trips)
         assert log.total_od().sum() == sum(c for _, _, c in trips)
-        assert log.departures[0].sum() == sum(c for _, _, c in trips)
+        assert sum(log.departure_series(sid)[0] for sid in IDS) == sum(
+            c for _, _, c in trips)

@@ -35,7 +35,7 @@ class TestSummingMatrix:
 
 class TestFitLine:
     def test_exact_line(self):
-        model = fit_line(np.array([1.0, 3.0, 5.0, 7.0]))
+        model = fit_line(np.array([1.0, 3.0, 5.0, 7.0]), np.arange(4.0))
         assert model.slope == pytest.approx(2.0)
         assert model.intercept == pytest.approx(1.0)
         assert model.predict(10) == pytest.approx(21.0)
@@ -53,7 +53,7 @@ class TestFitLine:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            fit_line(np.array([1.0]))
+            fit_line(np.array([1.0]), np.zeros(1))
 
 
 class TestFitBase:

@@ -52,13 +52,13 @@ class TestLstmForward:
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(0)
         p = nn.LstmParams.init(3, 4, rng)
-        xs = rng.normal(size=(5, 3))
+        xs = rng.normal(size=(5, 1, 3))
         hs, tape = nn.lstm_forward(p, xs)
         h = np.zeros(4)
         c = np.zeros(4)
         for t in range(5):
-            h, c = manual_lstm_step(p, xs[t], h, c)
-            np.testing.assert_allclose(hs[t], h, atol=1e-12)
+            h, c = manual_lstm_step(p, xs[t, 0], h, c)
+            np.testing.assert_allclose(hs[t, 0], h, atol=1e-12)
             np.testing.assert_allclose(tape.c[t + 1][0], c, atol=1e-12)
 
     def test_batched_equals_looped(self):
@@ -67,15 +67,15 @@ class TestLstmForward:
         xs = rng.normal(size=(4, 5, 2))
         hs, _ = nn.lstm_forward(p, xs)
         for b in range(5):
-            single, _ = nn.lstm_forward(p, xs[:, b, :])
-            np.testing.assert_allclose(hs[:, b, :], single, atol=1e-12)
+            single, _ = nn.lstm_forward(p, xs[:, b:b + 1])
+            np.testing.assert_allclose(hs[:, b:b + 1], single, atol=1e-12)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_gates_bounded(self, seed):
         rng = np.random.default_rng(seed)
         p = nn.LstmParams.init(2, 3, rng)
-        xs = rng.normal(scale=5.0, size=(6, 2))
+        xs = rng.normal(scale=5.0, size=(6, 1, 2))
         hs, tape = nn.lstm_forward(p, xs)
         for t in range(6):
             i, f, g, o = tape.gates[t]
@@ -87,9 +87,11 @@ class TestLstmForward:
     def test_shape_errors(self):
         p = nn.LstmParams.zeros(2, 3)
         with pytest.raises(nn.ShapeError):
-            nn.lstm_forward(p, np.zeros((4, 5)))
+            nn.lstm_forward(p, np.zeros((4, 2)))  # no batch axis
         with pytest.raises(nn.ShapeError):
-            nn.lstm_forward(p, np.zeros((0, 2)))
+            nn.lstm_forward(p, np.zeros((4, 1, 5)))
+        with pytest.raises(nn.ShapeError):
+            nn.lstm_forward(p, np.zeros((0, 1, 2)))
         with pytest.raises(nn.ShapeError):
             nn.lstm_forward(p, np.zeros((4, 3, 2)), start=[0, 1])
 
@@ -148,8 +150,8 @@ class TestLstmBackward:
     def test_finite_difference(self):
         rng = np.random.default_rng(2)
         p = nn.LstmParams.init(2, 3, rng)
-        xs = rng.normal(size=(4, 2))
-        targets = rng.normal(size=(4, 3))
+        xs = rng.normal(size=(4, 1, 2))
+        targets = rng.normal(size=(4, 1, 3))
 
         def loss():
             hs, _ = nn.lstm_forward(p, xs)
@@ -169,8 +171,8 @@ class TestLstmBackward:
         grads = nn.lstm_backward(p, tape, dh)
         acc = nn.LstmParams.zeros(2, 3)
         for b in range(4):
-            _, t1 = nn.lstm_forward(p, xs[:, b, :])
-            g1 = nn.lstm_backward(p, t1, dh[:, b, :])
+            _, t1 = nn.lstm_forward(p, xs[:, b:b + 1])
+            g1 = nn.lstm_backward(p, t1, dh[:, b:b + 1])
             for a, g in zip(acc.arrays(), g1.arrays()):
                 a += g
         for a, g in zip(acc.arrays(), grads.arrays()):
@@ -271,8 +273,8 @@ class TestMlp:
     def test_forward_identity_linear(self):
         p = nn.MlpParams(weights=[np.array([[2.0], [1.0]])],
                          biases=[np.array([0.5])], activations=["identity"])
-        out, _ = nn.mlp_forward(p, np.array([3.0, 4.0]))
-        assert out[0] == pytest.approx(10.5)
+        out, _ = nn.mlp_forward(p, np.array([[3.0, 4.0]]))
+        assert out[0, 0] == pytest.approx(10.5)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(5)
@@ -293,7 +295,9 @@ class TestMlp:
         rng = np.random.default_rng(6)
         p = nn.MlpParams.init([4, 2], ["identity"], rng)
         with pytest.raises(nn.ShapeError):
-            nn.mlp_forward(p, np.zeros(3))
+            nn.mlp_forward(p, np.zeros((1, 3)))
+        with pytest.raises(nn.ShapeError):
+            nn.mlp_forward(p, np.zeros(4))  # no batch axis
 
 
 def flat(*arrays):
@@ -304,33 +308,29 @@ class TestOptimizer:
     def test_plain_step(self):
         params = flat([1.0, 2.0])
         grads = flat([0.5, -1.0])
-        norm = nn.optimizer_step(params, grads,
-                                 nn.OptimizerConfig(step_size=0.1))
+        norm = nn.optimizer_step(params, grads, 0.1, 0.0)
         np.testing.assert_allclose(params.arrays[0], [0.95, 2.1])
         assert norm == pytest.approx(np.sqrt(1.25))
 
     def test_clipping_scales_globally(self):
         params = flat([0.0, 0.0], [0.0])
         grads = flat([3.0, 0.0], [4.0])  # norm 5
-        norm = nn.optimizer_step(
-            params, grads, nn.OptimizerConfig(step_size=1.0, clip_norm=1.0))
+        norm = nn.optimizer_step(params, grads, 1.0, 1.0)
         assert norm == pytest.approx(5.0)  # before clipping
         np.testing.assert_allclose(params.arrays[0], [-0.6, 0.0])
         np.testing.assert_allclose(params.arrays[1], [-0.8])
 
     def test_no_clip_below_threshold(self):
         params = flat([0.0])
-        nn.optimizer_step(params, flat([0.5]),
-                          nn.OptimizerConfig(step_size=1.0, clip_norm=10.0))
+        nn.optimizer_step(params, flat([0.5]), 1.0, 10.0)
         np.testing.assert_allclose(params.arrays[0], [-0.5])
 
     def test_quadratic_converges(self):
         p = flat([5.0])
         grads = p.zeros_like()
-        config = nn.OptimizerConfig(step_size=0.2)
         for _ in range(100):
             grads.vector[:] = 2 * p.vector
-            nn.optimizer_step(p, grads, config)
+            nn.optimizer_step(p, grads, 0.2, 0.0)
         assert abs(p.vector[0]) < 1e-8
 
 
