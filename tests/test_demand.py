@@ -615,6 +615,43 @@ class TestPinnedDemand:
         assert not env.forecast.bike.flags.writeable
         assert not env.forecast.bus.flags.writeable
 
+    def test_realised_episodes(self):
+        # B's rate of 75 splits into leaves, C departs into an all-zero OD
+        # row, day position 2 has no bike rate at all, and the episode
+        # starts at position 3, so its 9 segments wrap past the day's end
+        scenario = ScenarioSpec.from_dict({
+            "clock": {"segment_minutes": 15, "episode_length": 9,
+                      "episode_start": 3},
+            "stations": [{"id": sid, "x": float(i), "y": 0.0, "docks": 90}
+                         for i, sid in enumerate(["A", "B", "C", "D"])],
+            "routes": [{"stops": ["S1", "S2", "S3"], "bus_count": 1,
+                        "capacity": 20}],
+            "vehicles": [], "environment": [0.0],
+            "demand_profile": {
+                "rates": {"A": [2.5, 0.4, 0.0, 1.0],
+                          "B": [75.0, 3.0, 0.0, 0.0],
+                          "C": [1.5, 0.0, 0.0, 4.0],
+                          "D": [0.0, 0.7, 0.0, 0.2]},
+                "od_weights": [[0.0, 1.0, 2.0, 0.5], [1.0, 0.0, 0.0, 3.0],
+                               [0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 1.0, 0.0]],
+                "bus_rates": [
+                    {"origin": "S1", "destination": "S3", "rate": 1.3},
+                    {"origin": "S2", "destination": "S1", "rate": 0.6},
+                    {"origin": "S3", "destination": "S2", "rate": 60.0}]},
+            "demand_script": [{"segment": 2, "origin": "D",
+                               "destination": "A", "count": 2}],
+        })
+        forecast = envs._build_forecast(scenario)
+        digest = hashlib.sha256()
+        for seed in (1, 2 ** 40 + 3, 2 ** 64 - 1):
+            rng = PortableRng(seed)
+            trips, arrivals = envs._realise(scenario, forecast, rng)
+            digest.update(repr(sorted(trips.items())).encode())
+            digest.update(repr(sorted(arrivals.items())).encode())
+            digest.update(str(rng.state).encode())
+        assert digest.hexdigest() == (
+            "3314bf0daceedc7e68a9234d7a01e3837c080a03ac17e2213fb4829cead0aee9")
+
 
 def _city_profile() -> DemandProfile:
     """A seeded 50-station, 96-segment profile drawn from the portable
