@@ -11,13 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .rng import (
-    POISSON_SPLIT, PortableRng, invert_poisson, poisson_count, poisson_leaves,
+    PortableRng, ReadAhead, invert_poisson, poisson_count, poisson_leaves,
 )
 from .world import ScenarioError, SegmentClock
 
@@ -29,7 +31,10 @@ class DemandProfile:
     """Piecewise-constant per-station arrival rates plus OD propensities.
 
     Nothing mutates a profile after construction, so the sampling tables
-    are built once here.
+    are built once here: for each day position, a draw table of the
+    stations with a nonzero rate, each with its Poisson leaves and their
+    exp(-leaf) taken once, its OD total and its cumulative OD row, and the
+    block of uniforms its draws take; and the bus rates split into leaves.
     """
 
     station_ids: list[str]
@@ -54,20 +59,33 @@ class DemandProfile:
             raise ScenarioError("od_weights diagonal must be zero")
         # Sampling tables. Python floats and sequential sums, so a draw
         # compares exactly what a scalar weighted choice would.
-        self._day_rates = self.rates.T.tolist()  # [day position][station]
-        self._day_exp = [[math.exp(-rate) for rate in row]
-                         for row in self._day_rates]
         rows = self.od_weights.tolist()
-        self._od_cum = [list(accumulate(row)) for row in rows]
-        self._od_total = [sum(row) for row in rows]
+        od_cum = [list(accumulate(row)) for row in rows]
+        od_total = [sum(row) for row in rows]
+        # Draw tables: per day position, the stations with a nonzero rate,
+        # in id order, as (id, rate, exp(-rate), split, OD total,
+        # cumulative OD row). `split` is None for a rate of at most
+        # POISSON_SPLIT, which inverts one uniform; a larger rate lists its
+        # Poisson leaves as (leaf, exp(-leaf)) pairs. A station with an
+        # all-zero OD row stays: its leaves still read their uniforms.
         # Uniforms per block: a day position's draws take one per nonzero
         # rate plus one per trip that has a destination row; four standard
         # deviations above that mean make a refill rare. 0 draws no block.
-        self._day_block = []
-        for row in self._day_rates:
-            trips = sum(rate for rate, total in zip(row, self._od_total)
+        self._draw_tables: list[list[tuple]] = []
+        self._day_block: list[int] = []
+        for row in self.rates.T.tolist():  # [day position][station]
+            table = []
+            for i, rate in enumerate(row):
+                if rate > 0:
+                    leaves = [(leaf, math.exp(-leaf))
+                              for leaf in poisson_leaves(rate)]
+                    table.append((self.station_ids[i], rate, math.exp(-rate),
+                                  leaves if len(leaves) > 1 else None,
+                                  od_total[i], od_cum[i]))
+            trips = sum(rate for rate, total in zip(row, od_total)
                         if total > 0)
-            nonzero = sum(rate > 0 for rate in row)
+            nonzero = len(table)
+            self._draw_tables.append(table)
             self._day_block.append(
                 nonzero and nonzero + math.ceil(trips + 4 * math.sqrt(trips)))
         # expected_od divides by numpy's row sums, which can differ from
@@ -118,8 +136,36 @@ class DemandProfile:
         )
 
 
+@contextmanager
+def episode_stream(profile: DemandProfile, rng: PortableRng, first: int,
+                   count: int) -> Iterator[PortableRng | ReadAhead]:
+    """The stream that `count` consecutive segments, the first at day
+    position `first`, draw from, one `sample_segment` each.
+
+    When the segments draw bike trips, it is a `ReadAhead` view of `rng`
+    holding their blocks' worth of bike uniforms (`_day_block`) plus one
+    uniform per bus leaf per segment, drawn in one call; the view is
+    closed on exit, which hands its unread rest back to `rng` and drops
+    it. Segments that draw no bike block read `rng` directly: each one's
+    bus leaves are already one block of uniforms, every one read, so a
+    view would only add a copy.
+    """
+    per_day = profile.segments_per_day
+    blocks = profile._day_block
+    bike = sum(blocks[(first + s) % per_day] for s in range(count))
+    if not bike:
+        yield rng
+        return
+    view = ReadAhead(rng, bike + count * len(profile._bus_leaves))
+    try:
+        yield view
+    finally:
+        view.close()
+
+
 def sample_segment(profile: DemandProfile, clock: SegmentClock,
-                   rng: PortableRng) -> tuple[list[Trip], list[Trip]]:
+                   rng: PortableRng | ReadAhead
+                   ) -> tuple[list[Trip], list[Trip]]:
     """Draw one segment of bike trips and bus arrivals from the profile.
 
     Reproducible for a fixed rng state; counts are Poisson via inversion on
@@ -127,14 +173,21 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     cumulative OD weight exceeds a uniform scaled by the row total (the
     last one if none does).
 
-    Bike draws come from one block of uniforms per segment, read in the
-    order single draws would be made: each station's Poisson leaves, then
-    its destinations. A draw that runs past the block appends a new one.
-    The unread rest of the block is handed back (`PortableRng.give_back`),
-    so the stream ends where single draws leave it. A day position whose
-    rates are all zero draws no block. Bus leaves then take one block of
-    uniforms, all of it read; only the leaves that drew a passenger are
-    inverted, and a split OD's leaves are summed into one arrival.
+    Bike draws walk the draw table of the segment's day position (see
+    `DemandProfile`), so stations with a zero rate cost nothing. They read
+    one block of uniforms per segment, in the order single draws would be
+    made: each station's Poisson leaves, then its destinations. A draw
+    that runs past the block appends a new one. The unread rest of the
+    block is handed back (`give_back`), so the stream ends where single
+    draws leave it. A day position whose rates are all zero draws no
+    block. Bus leaves then take one block of uniforms, all of it read;
+    only the leaves that drew a passenger are inverted, and a split OD's
+    leaves are summed into one arrival.
+
+    `rng` is a `PortableRng` or the `ReadAhead` view of one that
+    `episode_stream` gives a run of segments. The view serves each block
+    as a slice of one draw made for the whole run and takes the hand-back
+    inside it, so both give the same draws and leave the same state.
     """
     ids = profile.station_ids
     last = len(ids) - 1
@@ -142,40 +195,34 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     block = profile._day_block[pos]
     trips: list[Trip] = []
     if block:
-        rates, exps = profile._day_rates[pos], profile._day_exp[pos]
         u = rng.uniforms(block).tolist()
         k, m = 0, block  # next unread uniform, uniforms held
-        for i, sid in enumerate(ids):
-            rate = rates[i]
-            if rate == 0:
-                continue
-            if rate <= POISSON_SPLIT:
+        for sid, rate, exp_neg, split, total, cum in profile._draw_tables[pos]:
+            if split is None:
                 if k == m:
                     u, k = _refill(rng, u, k, 1, block), 0
                     m = len(u)
                 x = u[k]
                 k += 1
                 # below exp(-rate) the inversion counts 0; so does NaN
-                if not x >= exps[i]:
+                if not x >= exp_neg:
                     continue
-                count = poisson_count(x, rate, exps[i])
+                count = poisson_count(x, rate, exp_neg)
             else:  # the sum of its leaves' counts, a uniform each
                 count = 0
-                for leaf in poisson_leaves(rate):
+                for leaf, exp_neg in split:
                     if k == m:
                         u, k = _refill(rng, u, k, 1, block), 0
                         m = len(u)
-                    count += poisson_count(u[k], leaf, math.exp(-leaf))
+                    count += poisson_count(u[k], leaf, exp_neg)
                     k += 1
                 if count == 0:
                     continue
-            total = profile._od_total[i]
             if total <= 0:
                 continue
             if k + count > m:
                 u, k = _refill(rng, u, k, count, block), 0
                 m = len(u)
-            cum = profile._od_cum[i]
             if count == 1:
                 trips.append((sid, ids[min(bisect_right(cum, u[k] * total),
                                            last)], 1))
@@ -214,7 +261,7 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     return trips, bus_arrivals
 
 
-def _refill(rng: PortableRng, u: list[float], k: int, need: int,
+def _refill(rng: PortableRng | ReadAhead, u: list[float], k: int, need: int,
             block: int) -> list[float]:
     """The unread uniforms u[k:] followed by at least `need` in all."""
     return u[k:] + rng.uniforms(max(block, need - (len(u) - k))).tolist()

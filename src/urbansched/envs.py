@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as W
-from .demand import DemandProfile, sample_segment
+from .demand import DemandProfile, episode_stream, sample_segment
 from .forecast_bike import encode_flow
 from .rng import PortableRng
 
@@ -262,10 +262,11 @@ def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
     if forecast.profile is not None:
         start = scenario.clock.get("episode_start", 0)
         clock = W.SegmentClock(start, T, start, scenario.segment_minutes)
-        for seg in range(1, T + 1):
-            clock.current = start + seg - 1  # the sampled segment's position
-            trips[seg], bus_arrivals[seg] = sample_segment(
-                forecast.profile, clock, rng)
+        with episode_stream(forecast.profile, rng, start, T) as stream:
+            for seg in range(1, T + 1):
+                clock.current = start + seg - 1  # the segment's position
+                trips[seg], bus_arrivals[seg] = sample_segment(
+                    forecast.profile, clock, stream)
     joint = scenario.joint or {}
     for entries, out in ((scenario.demand_script, trips),
                          (scenario.bus_script, bus_arrivals),

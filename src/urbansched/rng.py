@@ -60,6 +60,41 @@ class PortableRng:
         self.state = (self.state - n * _GAMMA) & _MASK64
 
 
+class ReadAhead:
+    """A read-ahead view of a `PortableRng`, read as the rng itself is.
+
+    It draws `n` uniforms in one `uniforms` call up front, where each
+    small draw would pay numpy's fixed cost of a call. `uniforms(m)` then
+    serves the next m as a slice of that block. A read that runs past its
+    end draws the missing uniforms from the stream and continues in a new
+    block made of the unread rest and those, so each such read costs what
+    a direct draw does. `give_back(n)` steps back over up to the last
+    `uniforms` call's draws. `close()` hands the unread rest back to the
+    rng and drops the block, so the rng's state ends where the same reads
+    made on it directly would leave it."""
+
+    def __init__(self, rng: PortableRng, n: int):
+        self.rng = rng
+        self._u = rng.uniforms(n)
+        self._k = 0  # the next unread uniform
+
+    def uniforms(self, m: int) -> np.ndarray:
+        k = self._k
+        if k + m > self._u.size:
+            self._u = np.concatenate(
+                (self._u[k:], self.rng.uniforms(k + m - self._u.size)))
+            k = 0
+        self._k = k + m
+        return self._u[k:k + m]
+
+    def give_back(self, n: int):
+        self._k -= n
+
+    def close(self):
+        self.rng.give_back(self._u.size - self._k)
+        self._u = None
+
+
 def poisson_leaves(rate: float) -> list[float]:
     """The leaf rates of a Poisson(rate) draw, in draw order. A rate above
     POISSON_SPLIT splits into rate / 2 and rate - rate / 2, each split

@@ -10,8 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from urbansched import envs
 from urbansched.cli import _history_from_scenario, resolve_scenario
-from urbansched.demand import DemandProfile, HistoryLog, sample_segment
-from urbansched.rng import _POISSON_MAX_K, POISSON_SPLIT, PortableRng
+from urbansched.demand import (
+    DemandProfile, HistoryLog, episode_stream, sample_segment,
+)
+from urbansched.rng import (
+    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, ReadAhead,
+)
 from urbansched.world import ScenarioError, ScenarioSpec, SegmentClock
 
 
@@ -521,6 +525,62 @@ class TestBlockRefills:
         scripted = ScriptedRng([0.5])
         assert sample_segment(profile, clock, scripted) == ([], [])
         assert scripted.blocks == 0 and list(scripted.script) == [0.5]
+
+
+class TestReadAhead:
+    """Consecutive segments sampled through a read-ahead view draw what
+    per-segment draws from a plain stream do, and leave its state."""
+
+    @staticmethod
+    def _draw(profile, stream, first, segments):
+        clock = SegmentClock(first, segments, first, 15)
+        out = []
+        for seg in range(first, first + segments):
+            clock.current = seg
+            out.append(sample_segment(profile, clock, stream))
+        return out
+
+    @given(profile=profiles(),
+           seed=st.one_of(st.integers(0, 2 ** 64 - 1),
+                          st.integers(2 ** 64 - 60, 2 ** 64 - 1)),
+           first=st.integers(0, 7), segments=st.integers(1, 10),
+           ahead=st.one_of(st.none(), st.integers(0, 30)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_trips_arrivals_and_state(self, profile, seed, first,
+                                           segments, ahead):
+        # ahead None takes the episode's own stream; a count draws a view
+        # that short, so reads run past its block and refill
+        direct, rng = PortableRng(seed), PortableRng(seed)
+        want = self._draw(profile, direct, first, segments)
+        if ahead is None:
+            with episode_stream(profile, rng, first, segments) as stream:
+                got = self._draw(profile, stream, first, segments)
+        else:
+            view = ReadAhead(rng, ahead)
+            got = self._draw(profile, view, first, segments)
+            view.close()
+        assert got == want
+        assert rng.state == direct.state
+
+    def test_short_view_refills_from_the_stream(self):
+        profile = _city_profile()
+        direct, rng = PortableRng(3), PortableRng(3)
+        view = ReadAhead(rng, 10)
+        assert (self._draw(profile, view, 90, 12)
+                == self._draw(profile, direct, 90, 12))
+        assert view._u.size < sum(profile._day_block)  # it refilled
+        view.close()
+        assert rng.state == direct.state and view._u is None
+
+    def test_bus_only_segments_read_the_rng_directly(self):
+        profile = make_profile(rates=np.array([[0.0, 2.0], [0.0, 0.0],
+                                               [0.0, 0.0]]),
+                               bus_rates={("P0", "P1"): 1.5})
+        rng = PortableRng(8)
+        with episode_stream(profile, rng, 0, 1) as stream:
+            assert stream is rng  # position 0 draws no bike block
+        with episode_stream(profile, rng, 0, 2) as stream:
+            assert isinstance(stream, ReadAhead)
 
 
 class TestStationBranches:

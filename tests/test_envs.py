@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urbansched import world as W
+from urbansched import envs, world as W
 from urbansched.cli import resolve_scenario
 from urbansched.envs import (
     HORIZON, BikeEnv, BusEnv, EpisodeDone, RewardConfig, bike_observe,
@@ -15,6 +15,7 @@ from urbansched.envs import (
 )
 from urbansched.forecast_bike import encode_flow
 from urbansched.harness import NoReposition, StaticHeadwayPolicy
+from urbansched.rng import PortableRng, ReadAhead
 from urbansched.world import ScenarioSpec, build_world
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -639,6 +640,34 @@ class TestPinnedCityRollouts:
                                         for p in bus.onboard]).encode())
         assert digest.hexdigest() == (
             "49ea749a5b3ea0711057145bcd92d9f0db16fe8781c021c0257f2693c5bb6d5b")
+
+
+class TestSamplerCalls:
+    """perfbench's tracer times demand sampling at the `envs.sample_segment`
+    binding, so each reset must sample through it, once per segment of
+    the episode. This reads perfbench, never edits it."""
+
+    @pytest.mark.parametrize("kind, env_class, stream", [
+        ("city", BikeEnv, ReadAhead),  # bike draws read ahead
+        ("corridor", BusEnv, PortableRng),  # bus leaves alone draw directly
+    ])
+    def test_one_call_per_segment(self, monkeypatch, kind, env_class,
+                                  stream):
+        real = envs.sample_segment
+        calls = []
+
+        def counting(profile, clock, rng):
+            calls.append((clock.current, type(rng)))
+            return real(profile, clock, rng)
+
+        monkeypatch.setattr(envs, "sample_segment", counting)
+        env = env_class(scenario=bench_scenario(kind, 0), seed=1)
+        T = env.scenario.episode_length
+        start = env.scenario.clock.get("episode_start", 0)
+        for _ in range(2):
+            env.reset()
+            assert calls == [(start + t, stream) for t in range(T)]
+            calls.clear()
 
 
 class TestRewardConfig:
