@@ -589,6 +589,53 @@ class TestPinnedObservationStream:
             "97314676ca43d85121153c7f9653a5319da2558681e71f3fd52df5f2f741b945")
 
 
+def two_route_scenario():
+    """Routes P1..P4 and Q1..Q3, one bus each, Poisson bus demand on both
+    and scripted arrivals on the second; 10 segments."""
+    rates = [("P1", "P3", 0.8), ("P2", "P4", 1.1), ("P4", "P1", 0.9),
+             ("P3", "P2", 0.6), ("Q1", "Q3", 0.7), ("Q3", "Q2", 1.3),
+             ("Q2", "Q1", 0.5)]
+    script = [(2, "Q2", "Q3", 3), (5, "Q3", "Q1", 2), (5, "Q1", "Q2", 1)]
+    return ScenarioSpec.from_dict({
+        "clock": {"segment_minutes": 15, "episode_length": 10},
+        "stations": [{"id": "A", "x": 0.0, "y": 0.0, "docks": 5},
+                     {"id": "B", "x": 1.0, "y": 0.0, "docks": 5}],
+        "routes": [{"stops": ["P1", "P2", "P3", "P4"], "bus_count": 1,
+                    "capacity": 4},
+                   {"stops": ["Q1", "Q2", "Q3"], "bus_count": 1,
+                    "capacity": 5}],
+        "vehicles": [], "environment": [0.0],
+        "demand_profile": {
+            "rates": {"A": [0.0], "B": [0.0]},
+            "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+            "bus_rates": [{"origin": o, "destination": d, "rate": r}
+                          for o, d, r in rates]},
+        "bus_script": [{"segment": s, "origin": o, "destination": d,
+                        "count": c} for s, o, d, c in script],
+    })
+
+
+def _headway_queues_sha256(env, episodes):
+    """SHA-256 over every queue and every bus's riders, as (destination,
+    arrival) lists, after each step of `episodes` headway episodes."""
+    policy = StaticHeadwayPolicy()
+    digest = hashlib.sha256()
+    for _ in range(episodes):
+        policy.begin_episode(env.reset())
+        done = False
+        while not done:
+            _, _, done, _ = env.step(policy.action_for(env))
+            w = env.world
+            for stop in w.bus_stops:
+                for queue in (stop.queue_fwd, stop.queue_bwd):
+                    digest.update(repr([(p.destination, p.arrival_segment)
+                                        for p in queue]).encode())
+            for bus in w.buses:
+                digest.update(repr([(p.destination, p.arrival_segment)
+                                    for p in bus.onboard]).encode())
+    return digest.hexdigest()
+
+
 class TestPinnedCityRollouts:
     """World-level streams at benchmark scale; the literals were produced
     by the world that served bike trips through per-step dicts keyed by
@@ -623,23 +670,16 @@ class TestPinnedCityRollouts:
     def test_corridor_queues_sha256(self):
         env = BusEnv(scenario=bench_scenario("corridor", 0), seed=0,
                      reward=RewardConfig(patience=97))
-        policy = StaticHeadwayPolicy()
-        digest = hashlib.sha256()
-        for _ in range(2):
-            policy.begin_episode(env.reset())
-            done = False
-            while not done:
-                _, _, done, _ = env.step(policy.action_for(env))
-                w = env.world
-                for stop in w.bus_stops:
-                    for queue in (stop.queue_fwd, stop.queue_bwd):
-                        digest.update(repr([(p.destination, p.arrival_segment)
-                                            for p in queue]).encode())
-                for bus in w.buses:
-                    digest.update(repr([(p.destination, p.arrival_segment)
-                                        for p in bus.onboard]).encode())
-        assert digest.hexdigest() == (
+        assert _headway_queues_sha256(env, 2) == (
             "49ea749a5b3ea0711057145bcd92d9f0db16fe8781c021c0257f2693c5bb6d5b")
+
+    def test_two_route_queues_sha256(self):
+        # the headway policy drives the route-1 bus alone, so route 2's
+        # queues, fed by its rates and its script, are never served
+        env = BusEnv(scenario=two_route_scenario(), seed=6,
+                     reward=RewardConfig(patience=11))
+        assert _headway_queues_sha256(env, 2) == (
+            "49de3940faef9b627cd57b68bf62ebb335ee38d4a4b22649d4ec548885ac2b02")
 
 
 class TestSamplerCalls:

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,18 @@ from urbansched import harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.envs import BusEnv
 from urbansched.world import ScenarioError, ScenarioSpec
+
+GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+
+
+def corridor_doc(seed: int) -> dict:
+    """perfbench's 30-stop corridor as a scenario document. This reads
+    perfbench, never edits it."""
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios",
+                                                  GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corridor(seed)
 
 
 def scripted_scenario(script, initial_bikes=(0, 0, 0), load=6,
@@ -698,3 +712,25 @@ class TestCli:
         assert hashlib.sha256(out).hexdigest() == stdout
         assert hashlib.sha256((tmp_path / "bike_flows.csv").read_bytes()
                               ).hexdigest() == flows
+
+    @pytest.mark.parametrize("args, stdout, csv", [
+        (["simulate", "--episodes", "3"],
+         "89627feffbfa5467671625f6949390c22cb47606a16533217c188e38aeaefb15",
+         "ba97102a5fabf10d1a3b763d9bb51614f7cc12f4171245929fddfe5731321cb0"),
+        (["eval", "--seeds", "0,1,2"],
+         "e96f7e42469a8d2cdad78e3c68dad27aea94428a0a4d193dd889b9bd9df2b09f",
+         "a5492dcde0f6f87c82342254e41e605ac809e585ad6291fd09fd64c9105b0d5a"),
+    ])
+    def test_bus_report_pinned_outputs(self, args, stdout, csv, tmp_path,
+                                       capsys):
+        """stdout and the report CSV of the headway policy on perfbench's
+        corridor, byte for byte: no bundled scenario carries a bus
+        passenger, so these are the CLI's only boardings and waits."""
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor_doc(0)))
+        out = tmp_path / "reports.csv"
+        assert cli([*args, "--scenario", str(path), "--policy", "headway",
+                    "--out", str(out)]) == 0
+        text = capsys.readouterr().out.encode()
+        assert hashlib.sha256(text).hexdigest() == stdout
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv
