@@ -309,6 +309,8 @@ class _Env:
         self.obs: np.ndarray | None = None  # what reset or step last returned
         self.record: EpisodeRecord | None = None  # set when an episode ends
         self._episode_counter = 0
+        # bus arrival slots and passengers, shared by every world built here
+        self._arrivals = W.ArrivalMemo()
 
     def _episode_rng(self, seed: int | None) -> PortableRng:
         """The next episode's demand stream; a given seed replaces the
@@ -322,7 +324,7 @@ class _Env:
         """Realise the episode's demand and build its world."""
         self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
                                                  rng, outage)
-        self.world = W.build_world(self.scenario)
+        self.world = W.build_world(self.scenario, self._arrivals)
         self.done = False
         self.record = None
 
@@ -479,10 +481,8 @@ class BusEnv(_Env):
     def _max_wait(self) -> int:
         """Longest wait in segments; a queue's head has waited longest."""
         w = self.world
-        return max((w.clock.current - q[0].arrival_segment
-                    for stop in w.bus_stops
-                    for q in (stop.queue_fwd, stop.queue_bwd) if q),
-                   default=0)
+        heads = [q[0].arrival_segment for q in w.queues if q]
+        return w.clock.current - min(heads) if heads else 0
 
     def step(self, action: int):
         if self.done:

@@ -47,9 +47,11 @@ class SegmentClock:
         self.current += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passenger:
-    """A waiting or riding passenger; its origin is the queue it waits in."""
+    """A waiting or riding passenger; its origin is the queue it waits in.
+    Frozen, so queues and worlds share one per arrival position and
+    destination; slotted, since an env keeps up to T x stops of them."""
 
     destination: str
     arrival_segment: int
@@ -85,7 +87,32 @@ class AgentState:
 
 
 @dataclass
+class ArrivalMemo:
+    """What the worlds of one env share about bus arrivals, filled on first
+    sight and kept for the env's later worlds.
+
+    `slots` maps an (origin, dest) OD to the index in `WorldState.queues`
+    of the queue its arrivals join; it depends on the scenario's stops
+    alone, so it holds for every world the env builds. `riders` maps a
+    clock position and a destination to the Passenger who arrives then, at
+    most T x stops of them; passengers are frozen, so worlds share them.
+    """
+
+    slots: dict[tuple[str, str], int] = field(default_factory=dict)
+    riders: dict[int, dict[str, Passenger]] = field(default_factory=dict)
+
+
+@dataclass
 class WorldState:
+    """One episode's mutable state.
+
+    `queues` lists the stops' queues, forward then backward per stop, so
+    stop i's queues sit at slots 2i and 2i + 1; a stop's queues are
+    mutated, never replaced. `arrivals` is the memo of arrival slots and
+    passengers this world shares with the other worlds of its env (a world
+    built on its own gets a fresh one).
+    """
+
     clock: SegmentClock
     # per-station lists in scenario order: ids, bikes docked, dock count
     station_ids: list[str]
@@ -95,14 +122,14 @@ class WorldState:
     vehicles: list[AgentState]
     buses: list[AgentState]
     env_features: np.ndarray
+    arrivals: ArrivalMemo
 
     def __post_init__(self):
         # place ids resolved once per world: trips name places by id
         self._station_index = {sid: i for i, sid in enumerate(self.station_ids)}
         self._stop_index = {s.id: i for i, s in enumerate(self.bus_stops)}
-        # (origin, dest) -> the queue its bus arrivals join, filled on first
-        # sight; a stop's queues are mutated, never replaced
-        self._arrival_queues: dict[tuple[str, str], deque[Passenger]] = {}
+        self.queues = [q for s in self.bus_stops
+                       for q in (s.queue_fwd, s.queue_bwd)]
         self.boardings = 0  # passengers boarded since the world was built
 
     def stop_index(self, stop_id: str) -> int:
@@ -111,20 +138,21 @@ class WorldState:
         except KeyError:
             raise ScenarioError(f"unknown bus stop {stop_id!r}") from None
 
-    def _arrival_queue(self, origin: str, dest: str) -> deque[Passenger]:
-        """Resolve and store the queue that bus arrivals from `origin` to
-        `dest` join: the origin's forward queue when `dest` lies ahead on
-        the route, else its backward queue."""
+    def _arrival_slot(self, origin: str, dest: str) -> int:
+        """Resolve and memoise the slot of the queue that bus arrivals from
+        `origin` to `dest` join: the origin's forward queue when `dest`
+        lies ahead on the route, else its backward queue. A bad OD raises
+        and is not memoised."""
         oi = self.stop_index(origin)
         di = self.stop_index(dest)
         if oi == di:
             raise ScenarioError(f"bus arrival OD {origin!r} starts where "
                                 f"it ends")
-        stop = self.bus_stops[oi]
-        forward = self.bus_stops[di].route_position > stop.route_position
-        queue = stop.queue_fwd if forward else stop.queue_bwd
-        self._arrival_queues[(origin, dest)] = queue
-        return queue
+        forward = (self.bus_stops[di].route_position
+                   > self.bus_stops[oi].route_position)
+        slot = self.arrivals.slots[(origin, dest)] = (
+            2 * oi if forward else 2 * oi + 1)
+        return slot
 
     def same_route(self, a: int, b: int) -> bool:
         """Whether stop indices a and b both exist and lie on one route."""
@@ -386,8 +414,11 @@ def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):
                             f"on different routes")
 
 
-def build_world(scenario: ScenarioSpec) -> WorldState:
-    """Materialize a validated scenario at episode start."""
+def build_world(scenario: ScenarioSpec,
+                arrivals: ArrivalMemo | None = None) -> WorldState:
+    """Materialize a validated scenario at episode start. An env passes the
+    arrival memo it keeps for all its worlds; without one the world gets a
+    fresh memo."""
     clock = SegmentClock(
         episode_start=scenario.clock.get("episode_start", 0),
         episode_length=scenario.episode_length,
@@ -421,6 +452,7 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
         vehicles=vehicles,
         buses=buses,
         env_features=np.asarray(scenario.environment, dtype=float),
+        arrivals=ArrivalMemo() if arrivals is None else arrivals,
     )
 
 
@@ -466,6 +498,13 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
                    boarding_demand: list[tuple[str, str, int]]):
     """Advance the bus system one segment.
 
+    The segment's arrivals first join their queues, in list order. Each
+    OD's queue slot and each destination's Passenger come from the world's
+    arrival memo, which the env's worlds share: an OD is resolved the first
+    time any of them sees it, and one frozen Passenger stands for every
+    arrival at one clock position to one destination. An OD naming an
+    unknown stop, or starting where it ends, raises every time.
+
     Each moving bus advances one stop per segment in its direction (clipped
     at the ends of its own route, which records a halt). At the visited stop
     it alights matching passengers, then boards FIFO from the same-direction
@@ -479,18 +518,18 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
         if a not in (OP_FORWARD, OP_HALT, OP_BACKWARD):
             raise ScenarioError(f"invalid bus action {a!r}")
     now = world.clock.current
-    # new arrivals join their queues first; passengers are frozen, so the
-    # segment's arrivals to one destination share one
-    queues = world._arrival_queues
-    riders: dict[str, Passenger] = {}
+    queues = world.queues
+    memo = world.arrivals
+    slots = memo.slots
+    riders = memo.riders.setdefault(now, {})
     for origin, dest, count in boarding_demand:
-        queue = queues.get((origin, dest))
-        if queue is None:
-            queue = world._arrival_queue(origin, dest)
+        slot = slots.get((origin, dest))
+        if slot is None:
+            slot = world._arrival_slot(origin, dest)
         rider = riders.get(dest)
         if rider is None:
             rider = riders[dest] = Passenger(dest, now)
-        queue.extend([rider] * count)
+        queues[slot].extend([rider] * count)
     for stop in world.bus_stops:
         stop.last_bus_fwd += 1
         stop.last_bus_bwd += 1
