@@ -321,7 +321,9 @@ class _Env:
         return PortableRng((self.seed << 16) ^ self._episode_counter)
 
     def _start(self, rng: PortableRng, outage: bool = False):
-        """Realise the episode's demand and build its world."""
+        """Realise the episode's demand and build its world. The last
+        episode's demand and world go first, so no reset holds two."""
+        self.world = self.trips = self.bus_arrivals = None
         self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
                                                  rng, outage)
         self.world = W.build_world(self.scenario, self._arrivals)

@@ -682,6 +682,49 @@ class TestPinnedCityRollouts:
             "49de3940faef9b627cd57b68bf62ebb335ee38d4a4b22649d4ec548885ac2b02")
 
 
+class TestArrivalMemo:
+    def test_scope_and_bounds(self):
+        """An env's worlds share one memo, bounded by T x stops passengers
+        and the ODs they stepped; another env, or a world built on its
+        own, gets its own."""
+        spec = bench_scenario("corridor", 0)
+        env = BusEnv(scenario=spec, seed=0, reward=RewardConfig(patience=97))
+        policy = StaticHeadwayPolicy()
+        stepped = set()
+        worlds = []
+        for _ in range(5):
+            policy.begin_episode(env.reset())
+            worlds.append(env.world)
+            done = False
+            while not done:
+                w = env.world
+                segment = w.clock.current - w.clock.episode_start + 1
+                stepped.update((o, d) for o, d, _ in
+                               env.bus_arrivals.get(segment, []))
+                _, _, done, _ = env.step(policy.action_for(env))
+        memo = worlds[0].arrivals
+        assert all(w.arrivals is memo for w in worlds)
+        T, stops = spec.episode_length, len(worlds[0].bus_stops)
+        riders = [(position, dest, p) for position, by_dest
+                  in memo.riders.items() for dest, p in by_dest.items()]
+        assert 0 < len(riders) <= T * stops
+        assert all((p.destination, p.arrival_segment) == (dest, position)
+                   for position, dest, p in riders)
+        assert set(memo.slots) == stepped
+        other = BusEnv(scenario=spec, seed=0, reward=RewardConfig(patience=97))
+        other.reset()
+        other.step(W.OP_FORWARD)
+        mine = other.world.arrivals
+        assert mine is not memo and mine.slots and mine.riders
+        assert mine.slots is not memo.slots and mine.riders is not memo.riders
+        assert not any(mine.riders[position] is by_dest
+                       for position, by_dest in memo.riders.items()
+                       if position in mine.riders)
+        fresh = build_world(spec).arrivals
+        assert fresh is not memo and fresh is not mine
+        assert not (fresh.slots or fresh.riders)
+
+
 class TestSamplerCalls:
     """perfbench's tracer times demand sampling at the `envs.sample_segment`
     binding, so each reset must sample through it, once per segment of

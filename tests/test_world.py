@@ -190,7 +190,8 @@ def full_scan_max_wait(world):
 def per_triple_join(world, arrivals):
     """Reference for the arrival join of step_bus_world: each triple's
     stops looked up on their own and a Passenger made per triple, as the
-    world did before it kept a per-world (origin, dest) table."""
+    world did before it kept an (origin, dest) table, and before an env's
+    worlds shared their queue slots and passengers."""
     index = {s.id: i for i, s in enumerate(world.bus_stops)}
     now = world.clock.current
     for origin, dest, count in arrivals:
@@ -199,6 +200,20 @@ def per_triple_join(world, arrivals):
                    > stop.route_position)
         queue = stop.queue_fwd if forward else stop.queue_bwd
         queue.extend([W.Passenger(dest, now)] * count)
+
+
+def drawn_arrivals(lengths, draws):
+    """Arrival triples from drawn (route, origin, hop, count) tuples on
+    routes R0, R1, ... of the given lengths; a hop back to the origin
+    draws nothing."""
+    arrivals = []
+    for r, origin, hop, count in draws:
+        r %= len(lengths)
+        origin %= lengths[r]
+        dest = (origin + hop) % lengths[r]
+        if origin != dest:
+            arrivals.append((f"R{r}S{origin}", f"R{r}S{dest}", count))
+    return arrivals
 
 
 def passengers(world):
@@ -320,13 +335,7 @@ class TestStepBusWorld:
         env = BusEnv(scenario=spec)
         env.world = world = build_world(spec)
         for move, draws in script:
-            arrivals = []
-            for r, origin, hop, count in draws:
-                r %= len(lengths)
-                origin %= lengths[r]
-                dest = (origin + hop) % lengths[r]
-                if origin != dest:
-                    arrivals.append((f"R{r}S{origin}", f"R{r}S{dest}", count))
+            arrivals = drawn_arrivals(lengths, draws)
             actions = [-move if i % 2 else move
                        for i in range(len(world.buses))]
             step_bus_world(world, actions, arrivals)
@@ -356,13 +365,7 @@ class TestStepBusWorld:
             "routes": routes, "vehicles": [], "environment": []})
         world, ref = build_world(spec), build_world(spec)
         for move, draws in script:
-            arrivals = []
-            for r, origin, hop, count in draws:
-                r %= len(lengths)
-                origin %= lengths[r]
-                dest = (origin + hop) % lengths[r]
-                if origin != dest:
-                    arrivals.append((f"R{r}S{origin}", f"R{r}S{dest}", count))
+            arrivals = drawn_arrivals(lengths, draws)
             arrivals += arrivals[:2]  # repeated ODs within one segment
             actions = [-move if i % 2 else move
                        for i in range(len(world.buses))]
@@ -370,6 +373,39 @@ class TestStepBusWorld:
             per_triple_join(ref, arrivals)
             assert got == step_bus_world(ref, actions, [])[1:]
             assert passengers(world) == passengers(ref)
+
+    @given(st.lists(st.integers(2, 5), min_size=1, max_size=3),
+           st.integers(1, 6),
+           st.lists(st.tuples(
+               st.sampled_from([OP_BACKWARD, OP_HALT, OP_FORWARD]),
+               st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                                  st.integers(1, 4), st.integers(0, 4)),
+                        max_size=8)),
+               min_size=1, max_size=20),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_arrival_join_across_worlds_matches_per_triple_join(
+            self, lengths, capacity, script, random):
+        # two consecutive worlds of one env share its arrival memo: the
+        # second finds the first's slots and passengers, in a new order
+        routes = [{"stops": [f"R{r}S{i}" for i in range(n)], "bus_count": 2,
+                   "capacity": capacity} for r, n in enumerate(lengths)]
+        spec = ScenarioSpec.from_dict({
+            "clock": {"episode_length": len(script)}, "stations": [],
+            "routes": routes, "vehicles": [], "environment": []})
+        env = BusEnv(scenario=spec)
+        for _ in range(2):
+            env.reset()
+            world, ref = env.world, build_world(spec)
+            for move, draws in script:
+                arrivals = drawn_arrivals(lengths, draws)
+                random.shuffle(arrivals)
+                actions = [-move if i % 2 else move
+                           for i in range(len(world.buses))]
+                got = step_bus_world(world, actions, arrivals)[1:]
+                per_triple_join(ref, arrivals)
+                assert got == step_bus_world(ref, actions, [])[1:]
+                assert passengers(world) == passengers(ref)
 
     def test_bad_arrival_rejected_every_time(self):
         world = build_world(bus_scenario())
