@@ -63,8 +63,8 @@ class BusStop:
     route: int  # index of the route the stop belongs to
     route_position: int
     # FIFO queues in arrival order: the head is the longest-waiting passenger
-    queue_fwd: deque[Passenger] = field(default_factory=deque)
-    queue_bwd: deque[Passenger] = field(default_factory=deque)
+    queue_fwd: deque[Passenger]
+    queue_bwd: deque[Passenger]
     last_bus_fwd: int = 0
     last_bus_bwd: int = 0
 
@@ -106,11 +106,12 @@ class ArrivalMemo:
 class WorldState:
     """One episode's mutable state.
 
-    `queues` lists the stops' queues, forward then backward per stop, so
-    stop i's queues sit at slots 2i and 2i + 1; a stop's queues are
-    mutated, never replaced. `arrivals` is the memo of arrival slots and
-    passengers this world shares with the other worlds of its env (a world
-    built on its own gets a fresh one).
+    `queues` lists the same deques as the stops' `queue_fwd` and
+    `queue_bwd`, forward then backward per stop, so stop i's queues sit at
+    slots 2i and 2i + 1; a stop's queues are mutated, never replaced.
+    `arrivals` is the memo of arrival slots and passengers this world
+    shares with the other worlds of its env (a world built on its own gets
+    a fresh one).
     """
 
     clock: SegmentClock
@@ -122,14 +123,13 @@ class WorldState:
     vehicles: list[AgentState]
     buses: list[AgentState]
     env_features: np.ndarray
+    queues: list[deque[Passenger]]
     arrivals: ArrivalMemo
 
     def __post_init__(self):
         # place ids resolved once per world: trips name places by id
         self._station_index = {sid: i for i, sid in enumerate(self.station_ids)}
         self._stop_index = {s.id: i for i, s in enumerate(self.bus_stops)}
-        self.queues = [q for s in self.bus_stops
-                       for q in (s.queue_fwd, s.queue_bwd)]
         self.boardings = 0  # passengers boarded since the world was built
 
     def stop_index(self, stop_id: str) -> int:
@@ -150,8 +150,8 @@ class WorldState:
                                 f"it ends")
         forward = (self.bus_stops[di].route_position
                    > self.bus_stops[oi].route_position)
-        slot = self.arrivals.slots[(origin, dest)] = (
-            2 * oi if forward else 2 * oi + 1)
+        slot = 2 * oi if forward else 2 * oi + 1
+        self.arrivals.slots[(origin, dest)] = slot
         return slot
 
     def same_route(self, a: int, b: int) -> bool:
@@ -426,11 +426,14 @@ def build_world(scenario: ScenarioSpec,
         segment_minutes=scenario.segment_minutes,
     )
     stops: list[BusStop] = []
+    queues: list[deque[Passenger]] = []
     buses: list[AgentState] = []
     for r, route in enumerate(scenario.routes):
         base = len(stops)
         for pos, stop_id in enumerate(route["stops"], start=1):
-            stops.append(BusStop(id=stop_id, route=r, route_position=pos))
+            fwd, bwd = deque(), deque()
+            stops.append(BusStop(stop_id, r, pos, fwd, bwd))
+            queues += (fwd, bwd)
         capacity = route.get("capacity", 30)
         for _ in range(route.get("bus_count", 1)):
             buses.append(AgentState(location=base, occupied=0,
@@ -452,6 +455,7 @@ def build_world(scenario: ScenarioSpec,
         vehicles=vehicles,
         buses=buses,
         env_features=np.asarray(scenario.environment, dtype=float),
+        queues=queues,
         arrivals=ArrivalMemo() if arrivals is None else arrivals,
     )
 
@@ -519,9 +523,8 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
             raise ScenarioError(f"invalid bus action {a!r}")
     now = world.clock.current
     queues = world.queues
-    memo = world.arrivals
-    slots = memo.slots
-    riders = memo.riders.setdefault(now, {})
+    slots = world.arrivals.slots
+    riders = world.arrivals.riders.setdefault(now, {})
     for origin, dest, count in boarding_demand:
         slot = slots.get((origin, dest))
         if slot is None:

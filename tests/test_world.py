@@ -46,6 +46,17 @@ class TestBuildWorld:
         assert world.vehicles[0].occupied == 10
         assert world.clock.current == world.clock.episode_start
 
+    def test_queue_slots_are_the_stops_queues(self):
+        world = build_world(ScenarioSpec.from_dict({
+            "clock": {"episode_length": 2}, "stations": [], "vehicles": [],
+            "routes": [{"stops": ["A", "B", "C"]}, {"stops": ["D", "E"]}],
+            "environment": []}))
+        assert len(world.queues) == 2 * len(world.bus_stops)
+        for i, stop in enumerate(world.bus_stops):
+            assert world.queues[2 * i] is stop.queue_fwd
+            assert world.queues[2 * i + 1] is stop.queue_bwd
+        assert len({id(q) for q in world.queues}) == len(world.queues)
+
     def test_zero_dock_station_stays_empty(self):
         scenario = make_scenario(docks=(0, 20, 20))
         world = build_world(scenario)
