@@ -26,7 +26,7 @@ from .world import ScenarioError, ScenarioSpec, SegmentClock
 
 
 def resolve_scenario(name_or_path: str) -> ScenarioSpec:
-    if os.path.exists(name_or_path):
+    if os.path.isfile(name_or_path):
         return ScenarioSpec.from_json(name_or_path)
     bundled = resources.files("urbansched.scenarios") / f"{name_or_path}.json"
     if bundled.is_file():

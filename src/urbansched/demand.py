@@ -2,8 +2,8 @@
 
 Profiles produce Poisson trip counts with a daily periodic rate pattern,
 and a history log records realized trips for the forecasters. A
-scenario's explicit trip lists are checked by `world.ScenarioSpec` and
-added to the sample by the envs.
+scenario's explicit trip lists are checked and resolved to station
+indices by `world.ScenarioSpec`, and added to the sample by the envs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from .rng import (
 )
 from .world import ScenarioError, SegmentClock
 
-Trip = tuple[str, str, int]
+# A bike trip is (origin index, destination index, count) in station
+# order. A bus arrival is (origin id, destination id, count): passengers
+# and the per-stop bus series name their stops by id.
+BikeTrip = tuple[int, int, int]
+BusArrival = tuple[str, str, int]
 
 
 @dataclass
@@ -63,7 +67,7 @@ class DemandProfile:
         od_cum = [list(accumulate(row)) for row in rows]
         od_total = [sum(row) for row in rows]
         # Draw tables: per day position, the stations with a nonzero rate,
-        # in id order, as (id, rate, exp(-rate), split, OD total,
+        # in index order, as (index, rate, exp(-rate), split, OD total,
         # cumulative OD row). `split` is None for a rate of at most
         # POISSON_SPLIT, which inverts one uniform; a larger rate lists its
         # Poisson leaves as (leaf, exp(-leaf)) pairs. A station with an
@@ -79,7 +83,7 @@ class DemandProfile:
                 if rate > 0:
                     leaves = [(leaf, math.exp(-leaf))
                               for leaf in poisson_leaves(rate)]
-                    table.append((self.station_ids[i], rate, math.exp(-rate),
+                    table.append((i, rate, math.exp(-rate),
                                   leaves if len(leaves) > 1 else None,
                                   od_total[i], od_cum[i]))
             trips = sum(rate for rate, total in zip(row, od_total)
@@ -165,8 +169,13 @@ def episode_stream(profile: DemandProfile, rng: PortableRng, first: int,
 
 def sample_segment(profile: DemandProfile, clock: SegmentClock,
                    rng: PortableRng | ReadAhead
-                   ) -> tuple[list[Trip], list[Trip]]:
+                   ) -> tuple[list[BikeTrip], list[BusArrival]]:
     """Draw one segment of bike trips and bus arrivals from the profile.
+
+    Bike trips are (origin index, destination index, count) triples in
+    the profile's station order, as `step_bike_world` and
+    `HistoryLog.record_trips` take them; bus arrivals are (origin id,
+    destination id, count) triples.
 
     Reproducible for a fixed rng state; counts are Poisson via inversion on
     the portable stream. Each trip's destination is the first whose
@@ -189,15 +198,14 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     as a slice of one draw made for the whole run and takes the hand-back
     inside it, so both give the same draws and leave the same state.
     """
-    ids = profile.station_ids
-    last = len(ids) - 1
+    last = len(profile.station_ids) - 1
     pos = clock.current % profile.segments_per_day
     block = profile._day_block[pos]
-    trips: list[Trip] = []
+    trips: list[BikeTrip] = []
     if block:
         u = rng.uniforms(block).tolist()
         k, m = 0, block  # next unread uniform, uniforms held
-        for sid, rate, exp_neg, split, total, cum in profile._draw_tables[pos]:
+        for i, rate, exp_neg, split, total, cum in profile._draw_tables[pos]:
             if split is None:
                 if k == m:
                     u, k = _refill(rng, u, k, 1, block), 0
@@ -224,8 +232,8 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
                 u, k = _refill(rng, u, k, count, block), 0
                 m = len(u)
             if count == 1:
-                trips.append((sid, ids[min(bisect_right(cum, u[k] * total),
-                                           last)], 1))
+                trips.append((i, min(bisect_right(cum, u[k] * total), last),
+                              1))
                 k += 1
                 continue
             # destinations in ascending order, one triple per run
@@ -235,12 +243,12 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
             j, c = dests[0], 0
             for d in dests:
                 if d != j:
-                    trips.append((sid, ids[j], c))
+                    trips.append((i, j, c))
                     j, c = d, 0
                 c += 1
-            trips.append((sid, ids[j], c))
+            trips.append((i, j, c))
         rng.give_back(m - k)
-    bus_arrivals: list[Trip] = []
+    bus_arrivals: list[BusArrival] = []
     if profile._bus_origin:
         u = rng.uniforms(len(profile._bus_leaves))
         exps = profile._bus_leaf_exp
@@ -269,20 +277,18 @@ def _refill(rng: PortableRng | ReadAhead, u: list[float], k: int, need: int,
 
 @dataclass
 class HistoryLog:
-    """Realized demand per segment, the corpus the forecasters consume."""
+    """Realized demand per segment, the corpus the forecasters consume.
+    Trips come in by station index; the station ids name the rows and
+    columns of the trips CSV."""
 
     station_ids: list[str]
     od_counts: list[np.ndarray] = field(default_factory=list)  # per segment, (n, n)
 
-    def __post_init__(self):
-        self._index = {sid: i for i, sid in enumerate(self.station_ids)}
-
-    def record_trips(self, trips: list[Trip]):
+    def record_trips(self, trips: list[BikeTrip]):
         n = len(self.station_ids)
-        index = self._index
         od = np.zeros((n, n), dtype=int)
         for origin, dest, count in trips:
-            od[index[origin], index[dest]] += count
+            od[origin, dest] += count
         self.od_counts.append(od)
 
     @property

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as W
-from .demand import DemandProfile, episode_stream, sample_segment
+from .demand import (
+    BikeTrip, BusArrival, DemandProfile, episode_stream, sample_segment,
+)
 from .forecast_bike import encode_flow
 from .rng import PortableRng
 
@@ -210,55 +212,50 @@ class _Forecast:
 
 def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     """The profile's expected demand plus the scripted trips. Outage trips
-    stay unforecast: the forecasters cannot anticipate an outage."""
-    station_ids = scenario.station_ids()
-    stop_ids = [sid for r in scenario.routes for sid in r["stops"]]
-    n = max(len(station_ids), 1)
+    stay unforecast: the forecasters cannot anticipate an outage. A bus
+    OD's expected boardings go to the column of the queue its arrivals
+    join, the scenario's `queue_slots`."""
+    n = max(len(scenario.stations), 1)
     T = scenario.episode_length
     start = scenario.clock.get("episode_start", 0)
     padded_bike = np.zeros((T + HORIZON + 1, 2 * n))
-    padded_bus = np.zeros((T + HORIZON + 1, 2 * max(len(stop_ids), 1)))
+    padded_bus = np.zeros((T + HORIZON + 1,
+                           2 * max(len(scenario.stop_index), 1)))
     bike, bus = padded_bike[:T], padded_bus[:T]
-    pindex = {sid: i for i, sid in enumerate(stop_ids)}
-
-    def board(row: np.ndarray, origin: str, dest: str, count: float):
-        """Add boardings at `origin` to the forward half of `row` when
-        `dest` lies ahead on the route, else to the backward half."""
-        o = pindex[origin]
-        row[o if pindex[dest] > o else len(stop_ids) + o] += count
-
+    slots = scenario.queue_slots
     profile = None
     if scenario.demand_profile is not None:
-        profile = DemandProfile.from_dict(scenario.demand_profile, station_ids)
+        profile = DemandProfile.from_dict(scenario.demand_profile,
+                                          scenario.station_ids())
         for t in range(T):  # row t is day position start + t
             bike[t] = encode_flow(profile.expected_od(start + t))
         # bus rates are constant over the day: one row, summed in OD order
         for (origin, dest), rate in sorted(profile.bus_rates.items()):
-            board(bus[0], origin, dest, rate)
+            bus[0, slots[origin, dest]] += rate
         bus[1:] = bus[0]
-    if scenario.demand_script:
-        sindex = {sid: i for i, sid in enumerate(station_ids)}
+    if scenario.scripted_trips:
         od = np.zeros((T, n, n))
-        for e in scenario.demand_script:
-            od[e["segment"] - 1, sindex[e["origin"]],
-               sindex[e["destination"]]] += e["count"]
+        for seg, (o, d, count) in scenario.scripted_trips:
+            od[seg - 1, o, d] += count
         bike += [encode_flow(m) for m in od]
     for e in scenario.bus_script or []:
-        board(bus[e["segment"] - 1], e["origin"], e["destination"],
-              e["count"])
+        bus[e["segment"] - 1, slots[e["origin"], e["destination"]]] += (
+            e["count"])
     padded_bike.flags.writeable = padded_bus.flags.writeable = False
     return _Forecast(padded_bike, padded_bus, T, profile)
 
 
 def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
              rng: PortableRng, outage: bool = False
-             ) -> tuple[dict[int, list], dict[int, list]]:
+             ) -> tuple[dict[int, list[BikeTrip]],
+                        dict[int, list[BusArrival]]]:
     """One episode's bike trips and bus arrivals by 1-based segment: each
     segment's profile sample, then its scripted trips, then, under an
-    outage, its outage trips. The validator keeps every segment in 1..T."""
+    outage, its outage trips; the bike trip lists come resolved from the
+    scenario. The validator keeps every segment in 1..T."""
     T = scenario.episode_length
-    trips: dict[int, list] = {seg: [] for seg in range(1, T + 1)}
-    bus_arrivals: dict[int, list] = {seg: [] for seg in range(1, T + 1)}
+    trips = {seg: [] for seg in range(1, T + 1)}
+    bus_arrivals = {seg: [] for seg in range(1, T + 1)}
     if forecast.profile is not None:
         start = scenario.clock.get("episode_start", 0)
         clock = W.SegmentClock(start, T, start, scenario.segment_minutes)
@@ -267,14 +264,12 @@ def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
                 clock.current = start + seg - 1  # the segment's position
                 trips[seg], bus_arrivals[seg] = sample_segment(
                     forecast.profile, clock, stream)
-    joint = scenario.joint or {}
-    for entries, out in ((scenario.demand_script, trips),
-                         (scenario.bus_script, bus_arrivals),
-                         (joint.get("outage_trips") if outage else None,
-                          trips)):
-        for e in entries or []:
-            out[e["segment"]].append(
-                (e["origin"], e["destination"], e["count"]))
+    for seg, trip in scenario.scripted_trips + (
+            scenario.outage_trips if outage else []):
+        trips[seg].append(trip)
+    for e in scenario.bus_script or []:
+        bus_arrivals[e["segment"]].append(
+            (e["origin"], e["destination"], e["count"]))
     return trips, bus_arrivals
 
 
@@ -309,8 +304,9 @@ class _Env:
         self.obs: np.ndarray | None = None  # what reset or step last returned
         self.record: EpisodeRecord | None = None  # set when an episode ends
         self._episode_counter = 0
-        # bus arrival slots and passengers, shared by every world built here
-        self._arrivals = W.ArrivalMemo()
+        # bus passengers by arrival position and destination, shared by
+        # every world built here
+        self._riders: dict[int, dict[str, W.Passenger]] = {}
 
     def _episode_rng(self, seed: int | None) -> PortableRng:
         """The next episode's demand stream; a given seed replaces the
@@ -326,7 +322,7 @@ class _Env:
         self.world = self.trips = self.bus_arrivals = None
         self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
                                                  rng, outage)
-        self.world = W.build_world(self.scenario, self._arrivals)
+        self.world = W.build_world(self.scenario, self._riders)
         self.done = False
         self.record = None
 

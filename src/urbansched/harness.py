@@ -86,8 +86,7 @@ def greedy_placement(scenario: W.ScenarioSpec) -> W.ScenarioSpec:
     departures = first_segment_departures(scenario)
     ids = scenario.station_ids()
     order = sorted(range(len(ids)), key=lambda i: (-departures[i], ids[i]))
-    target = ids[order[0]] if ids else None
-    placement = {target: _dispatchable_bikes(scenario)} if target else {}
+    placement = {ids[order[0]]: _dispatchable_bikes(scenario)} if ids else {}
     return _with_placement(scenario, placement)
 
 

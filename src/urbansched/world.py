@@ -61,7 +61,6 @@ class Passenger:
 class BusStop:
     id: str
     route: int  # index of the route the stop belongs to
-    route_position: int
     # FIFO queues in arrival order: the head is the longest-waiting passenger
     queue_fwd: deque[Passenger]
     queue_bwd: deque[Passenger]
@@ -87,36 +86,22 @@ class AgentState:
 
 
 @dataclass
-class ArrivalMemo:
-    """What the worlds of one env share about bus arrivals, filled on first
-    sight and kept for the env's later worlds.
-
-    `slots` maps an (origin, dest) OD to the index in `WorldState.queues`
-    of the queue its arrivals join; it depends on the scenario's stops
-    alone, so it holds for every world the env builds. `riders` maps a
-    clock position and a destination to the Passenger who arrives then, at
-    most T x stops of them; passengers are frozen, so worlds share them.
-    """
-
-    slots: dict[tuple[str, str], int] = field(default_factory=dict)
-    riders: dict[int, dict[str, Passenger]] = field(default_factory=dict)
-
-
-@dataclass
 class WorldState:
-    """One episode's mutable state.
+    """One episode's mutable state. Stations, stops and agent locations
+    are integer indices in scenario order, and bike trips name stations
+    by index; bus arrivals and passengers keep stop ids.
 
     `queues` lists the same deques as the stops' `queue_fwd` and
-    `queue_bwd`, forward then backward per stop, so stop i's queues sit at
-    slots 2i and 2i + 1; a stop's queues are mutated, never replaced.
-    `arrivals` is the memo of arrival slots and passengers this world
-    shares with the other worlds of its env (a world built on its own gets
-    a fresh one).
+    `queue_bwd`: with n stops, stop i's forward queue sits at slot i and
+    its backward queue at n + i, the slots of the scenario's
+    `queue_slots`, which `slots` is. A stop's queues are mutated, never
+    replaced. `riders` maps a clock position and a destination id to the
+    one frozen Passenger who arrives then; the worlds of one env share
+    it, at most T x stops of them.
     """
 
     clock: SegmentClock
-    # per-station lists in scenario order: ids, bikes docked, dock count
-    station_ids: list[str]
+    # per-station lists in scenario order: bikes docked, dock count
     available: list[int]
     docks: list[int]
     bus_stops: list[BusStop]
@@ -124,35 +109,11 @@ class WorldState:
     buses: list[AgentState]
     env_features: np.ndarray
     queues: list[deque[Passenger]]
-    arrivals: ArrivalMemo
+    slots: dict[tuple[str, str], int]
+    riders: dict[int, dict[str, Passenger]]
 
     def __post_init__(self):
-        # place ids resolved once per world: trips name places by id
-        self._station_index = {sid: i for i, sid in enumerate(self.station_ids)}
-        self._stop_index = {s.id: i for i, s in enumerate(self.bus_stops)}
         self.boardings = 0  # passengers boarded since the world was built
-
-    def stop_index(self, stop_id: str) -> int:
-        try:
-            return self._stop_index[stop_id]
-        except KeyError:
-            raise ScenarioError(f"unknown bus stop {stop_id!r}") from None
-
-    def _arrival_slot(self, origin: str, dest: str) -> int:
-        """Resolve and memoise the slot of the queue that bus arrivals from
-        `origin` to `dest` join: the origin's forward queue when `dest`
-        lies ahead on the route, else its backward queue. A bad OD raises
-        and is not memoised."""
-        oi = self.stop_index(origin)
-        di = self.stop_index(dest)
-        if oi == di:
-            raise ScenarioError(f"bus arrival OD {origin!r} starts where "
-                                f"it ends")
-        forward = (self.bus_stops[di].route_position
-                   > self.bus_stops[oi].route_position)
-        slot = 2 * oi if forward else 2 * oi + 1
-        self.arrivals.slots[(origin, dest)] = slot
-        return slot
 
     def same_route(self, a: int, b: int) -> bool:
         """Whether stop indices a and b both exist and lie on one route."""
@@ -166,6 +127,20 @@ class WorldState:
 
 @dataclass
 class ScenarioSpec:
+    """A scenario document, validated once, when it is made. Validation
+    also resolves, once, what the envs and worlds read by index:
+
+    - `station_index` and `stop_index` map ids to their order in the
+      scenario; stops are numbered across routes, in route order.
+    - `queue_slots` maps each bus OD the scenario declares, in `bus_rates`
+      or `bus_script`, to the slot of the queue its arrivals join. With
+      n stops it is o, the origin's forward queue, when the destination
+      lies ahead on the route, else n + o, its backward queue. The world
+      and the bus forecast both read it, so they share one direction rule.
+    - `scripted_trips` and `outage_trips` are the bike trip lists as
+      (segment, (origin index, destination index, count)) pairs.
+    """
+
     stations: list[dict]
     routes: list[dict]
     vehicles: list[dict]
@@ -209,7 +184,7 @@ class ScenarioSpec:
                 raise ScenarioError("route stops must be a list of strings")
         if len(self.stations) + sum(len(r.get("stops", [])) for r in self.routes) < 2:
             raise ScenarioError("scenario needs at least 2 stations or stops")
-        seen: set[str] = set()
+        self.station_index: dict[str, int] = {}
         for st in self.stations:
             for key in ("id", "x", "y", "docks"):
                 if key not in st:
@@ -217,9 +192,9 @@ class ScenarioSpec:
             if not isinstance(st["id"], str):
                 raise ScenarioError(f"station id {st['id']!r} must be a "
                                     f"string")
-            if st["id"] in seen:
+            if st["id"] in self.station_index:
                 raise ScenarioError(f"duplicate station id {st['id']!r}")
-            seen.add(st["id"])
+            self.station_index[st["id"]] = len(self.station_index)
             if not (_is_number(st["x"]) and _is_number(st["y"])):
                 raise ScenarioError(f"station {st['id']}: coordinates must "
                                     f"be finite numbers")
@@ -227,6 +202,7 @@ class ScenarioSpec:
             _check_count(f"station {st['id']}: initial_bikes",
                          st.get("initial_bikes", 0), 0, st["docks"])
         stop_route: dict[str, int] = {}
+        self.stop_index: dict[str, int] = {}
         for i, r in enumerate(self.routes):
             if len(r.get("stops", [])) < 2:
                 raise ScenarioError("route needs at least 2 stops")
@@ -236,6 +212,7 @@ class ScenarioSpec:
                 if sid in stop_route:
                     raise ScenarioError(f"stop id {sid!r} on two routes")
                 stop_route[sid] = i
+                self.stop_index[sid] = len(self.stop_index)
             _check_count("route bus capacity", r.get("capacity", 30), 1)
             _check_count("route bus_count", r.get("bus_count", 1), 0)
         for v in self.vehicles:
@@ -244,7 +221,7 @@ class ScenarioSpec:
                          v["capacity"])
             start = v.get("start")
             if start is not None and not (isinstance(start, str)
-                                          and start in seen):
+                                          and start in self.station_index):
                 raise ScenarioError(f"vehicle start station {start!r} unknown")
         ck = self.clock
         if not isinstance(ck, dict):
@@ -262,22 +239,25 @@ class ScenarioSpec:
                 and all(map(_is_number, self.environment))):
             raise ScenarioError("environment must be a list of finite "
                                 "numbers")
+        self.queue_slots: dict[tuple[str, str], int] = {}
+        self.scripted_trips: list[tuple[int, tuple[int, int, int]]] = []
+        self.outage_trips: list[tuple[int, tuple[int, int, int]]] = []
         profile = self.demand_profile
         if profile is not None:
             self._validate_profile(profile, stop_route)
         if self.demand_script is not None:
-            self._validate_trips("demand_script", self.demand_script, seen,
-                                 "station")
+            self.scripted_trips = self._bike_trips("demand_script",
+                                                   self.demand_script)
         if self.bus_script is not None:
             self._validate_trips("bus_script", self.bus_script,
-                                 set(stop_route), "stop")
+                                 self.stop_index, "stop")
             for entry in self.bus_script:
-                _validate_bus_od(entry, stop_route, "bus_script")
+                self._declare_bus_od(entry, stop_route, "bus_script")
         if self.joint is not None:
             self._validate_joint(self.joint)
 
     def _validate_trips(self, where: str, trips: list[dict],
-                        places: set[str], kind: str):
+                        places: dict[str, int], kind: str):
         """A trip list: objects with a known origin, a known destination
         that differs from it (a trip that starts where it ends moves no
         bike or passenger), an integer segment in 1..T and an integer
@@ -295,6 +275,35 @@ class ScenarioSpec:
             _check_count(f"{where} segment", entry.get("segment"), 1,
                          self.episode_length)
             _check_count(f"{where} count", entry.get("count"), 0)
+
+    def _bike_trips(self, where: str, trips: list[dict]
+                    ) -> list[tuple[int, tuple[int, int, int]]]:
+        """A validated bike trip list as (segment, (origin index,
+        destination index, count)) pairs, in list order."""
+        index = self.station_index
+        self._validate_trips(where, trips, index, "station")
+        return [(e["segment"], (index[e["origin"]], index[e["destination"]],
+                                e["count"])) for e in trips]
+
+    def _declare_bus_od(self, entry: dict, stop_route: dict[str, int],
+                        where: str):
+        """Check a bus OD and record its queue slot. The OD must join two
+        distinct stops of one route: no bus can carry a passenger between
+        routes."""
+        origin, dest = entry.get("origin"), entry.get("destination")
+        for sid in (origin, dest):
+            if not (isinstance(sid, str) and sid in stop_route):
+                raise ScenarioError(f"{where} references unknown stop "
+                                    f"{sid!r}")
+        if origin == dest:
+            raise ScenarioError(f"{where} OD {origin!r} starts where it ends")
+        if stop_route[origin] != stop_route[dest]:
+            raise ScenarioError(f"{where} OD {origin!r}->{dest!r} joins "
+                                f"stops on different routes")
+        # a route's stops are numbered in its order, so the destination
+        # lies ahead on it when its index is the larger
+        o, d = self.stop_index[origin], self.stop_index[dest]
+        self.queue_slots[origin, dest] = o if d > o else len(stop_route) + o
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
         if not isinstance(profile, dict):
@@ -333,7 +342,7 @@ class ScenarioSpec:
         _check_objects("bus_rates", bus_rates)
         seen_ods: set[tuple[str, str]] = set()
         for entry in bus_rates:
-            _validate_bus_od(entry, stop_route, "bus_rates")
+            self._declare_bus_od(entry, stop_route, "bus_rates")
             od_key = (entry["origin"], entry["destination"])
             if od_key in seen_ods:
                 raise ScenarioError(f"bus_rates lists OD {od_key[0]!r}->"
@@ -356,8 +365,8 @@ class ScenarioSpec:
         if not (isinstance(outage, bool) or outage == "random"):
             raise ScenarioError(f"joint bus_outage {outage!r} must be true, "
                                 f"false or \"random\"")
-        self._validate_trips("outage_trips", joint.get("outage_trips", []),
-                             set(self.station_ids()), "station")
+        self.outage_trips = self._bike_trips("outage_trips",
+                                             joint.get("outage_trips", []))
 
     @property
     def episode_length(self) -> int:
@@ -400,25 +409,12 @@ def _check_objects(where: str, items):
         raise ScenarioError(f"{where} must be a list of objects")
 
 
-def _validate_bus_od(entry: dict, stop_route: dict[str, int], where: str):
-    """A bus OD must join two distinct stops of one route: no bus can carry
-    a passenger between routes."""
-    origin, dest = entry.get("origin"), entry.get("destination")
-    for sid in (origin, dest):
-        if not (isinstance(sid, str) and sid in stop_route):
-            raise ScenarioError(f"{where} references unknown stop {sid!r}")
-    if origin == dest:
-        raise ScenarioError(f"{where} OD {origin!r} starts where it ends")
-    if stop_route[origin] != stop_route[dest]:
-        raise ScenarioError(f"{where} OD {origin!r}->{dest!r} joins stops "
-                            f"on different routes")
-
-
 def build_world(scenario: ScenarioSpec,
-                arrivals: ArrivalMemo | None = None) -> WorldState:
-    """Materialize a validated scenario at episode start. An env passes the
-    arrival memo it keeps for all its worlds; without one the world gets a
-    fresh memo."""
+                riders: dict[int, dict[str, Passenger]] | None = None
+                ) -> WorldState:
+    """Materialize a validated scenario at episode start. The world reads
+    the scenario's `queue_slots`; an env passes the riders map it keeps
+    for all its worlds, and without one the world gets a fresh map."""
     clock = SegmentClock(
         episode_start=scenario.clock.get("episode_start", 0),
         episode_length=scenario.episode_length,
@@ -426,53 +422,51 @@ def build_world(scenario: ScenarioSpec,
         segment_minutes=scenario.segment_minutes,
     )
     stops: list[BusStop] = []
-    queues: list[deque[Passenger]] = []
     buses: list[AgentState] = []
     for r, route in enumerate(scenario.routes):
         base = len(stops)
-        for pos, stop_id in enumerate(route["stops"], start=1):
-            fwd, bwd = deque(), deque()
-            stops.append(BusStop(stop_id, r, pos, fwd, bwd))
-            queues += (fwd, bwd)
+        for stop_id in route["stops"]:
+            stops.append(BusStop(stop_id, r, deque(), deque()))
         capacity = route.get("capacity", 30)
         for _ in range(route.get("bus_count", 1)):
             buses.append(AgentState(location=base, occupied=0,
                                     operation=OP_HALT, capacity=capacity))
-    station_ids = scenario.station_ids()
     vehicles = []
     for v in scenario.vehicles:
         start = v.get("start")
-        idx = 0 if start is None else station_ids.index(start)
+        idx = 0 if start is None else scenario.station_index[start]
         vehicles.append(AgentState(location=idx,
                                    occupied=v.get("initial_load", 0),
                                    operation=0, capacity=v["capacity"]))
     return WorldState(
         clock=clock,
-        station_ids=station_ids,
         available=[s.get("initial_bikes", 0) for s in scenario.stations],
         docks=[s["docks"] for s in scenario.stations],
         bus_stops=stops,
         vehicles=vehicles,
         buses=buses,
         env_features=np.asarray(scenario.environment, dtype=float),
-        queues=queues,
-        arrivals=ArrivalMemo() if arrivals is None else arrivals,
+        queues=([s.queue_fwd for s in stops]
+                + [s.queue_bwd for s in stops]),
+        slots=scenario.queue_slots,
+        riders={} if riders is None else riders,
     )
 
 
-def step_bike_world(world: WorldState, realized_trips: list[tuple[str, str, int]]):
+def step_bike_world(world: WorldState,
+                    realized_trips: list[tuple[int, int, int]]):
     """Apply one segment of bike demand and advance the clock.
 
-    Trips are served in list order. Departures take effect immediately;
-    arrivals land at segment end but reserve destination docks greedily in
-    trip order. Demand that cannot be served (empty origin or full
-    destination) converts to lost demand, never to failure. A trip naming
-    an unknown station, or with a negative count, raises and leaves the
-    segment half served.
+    Each trip is (origin index, destination index, count), as the
+    sampler and the scenario's trip lists give it; the validator has
+    checked every station and count at load. Trips are served in list
+    order. Departures take effect immediately; arrivals land at segment
+    end but reserve destination docks greedily in trip order. Demand that
+    cannot be served (empty origin or full destination) converts to lost
+    demand, never to failure.
 
     Returns (world, served, lost).
     """
-    index = world._station_index
     avail = world.available
     docks = world.docks
     # free docks less the docks reserved by this segment's arrivals, so a
@@ -480,13 +474,7 @@ def step_bike_world(world: WorldState, realized_trips: list[tuple[str, str, int]
     room = [d - a for d, a in zip(docks, avail)]
     served = 0
     lost = 0
-    for origin, dest, count in realized_trips:
-        o = index.get(origin)
-        d = index.get(dest)
-        if o is None or d is None:
-            raise ScenarioError(f"trip references unknown station {origin!r}->{dest!r}")
-        if count < 0:
-            raise ScenarioError("trip count must be >= 0")
+    for o, d, count in realized_trips:
         take = min(count, avail[o], max(room[d], 0))
         avail[o] -= take
         room[o] += take
@@ -502,12 +490,11 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
                    boarding_demand: list[tuple[str, str, int]]):
     """Advance the bus system one segment.
 
-    The segment's arrivals first join their queues, in list order. Each
-    OD's queue slot and each destination's Passenger come from the world's
-    arrival memo, which the env's worlds share: an OD is resolved the first
-    time any of them sees it, and one frozen Passenger stands for every
-    arrival at one clock position to one destination. An OD naming an
-    unknown stop, or starting where it ends, raises every time.
+    Arrivals are (origin id, destination id, count) triples; they first
+    join their queues, in list order. Each OD's queue is the slot the
+    scenario's `queue_slots` gives it, and an OD the scenario does not
+    declare raises. One frozen Passenger, from the world's `riders`,
+    stands for every arrival at one clock position to one destination.
 
     Each moving bus advances one stop per segment in its direction (clipped
     at the ends of its own route, which records a halt). At the visited stop
@@ -523,12 +510,14 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
             raise ScenarioError(f"invalid bus action {a!r}")
     now = world.clock.current
     queues = world.queues
-    slots = world.arrivals.slots
-    riders = world.arrivals.riders.setdefault(now, {})
+    slots = world.slots
+    riders = world.riders.setdefault(now, {})
     for origin, dest, count in boarding_demand:
-        slot = slots.get((origin, dest))
-        if slot is None:
-            slot = world._arrival_slot(origin, dest)
+        try:
+            slot = slots[origin, dest]
+        except KeyError:
+            raise ScenarioError(f"bus arrival OD {origin!r}->{dest!r} is "
+                                f"not declared by the scenario") from None
         rider = riders.get(dest)
         if rider is None:
             rider = riders[dest] = Passenger(dest, now)

@@ -221,15 +221,14 @@ def test_acceptance_8_conservation_fuzz(acceptance):
     while actions < 10 ** 5:
         scenario = _random_scenario(rng)
         world = build_world(scenario)
-        ids = scenario.station_ids()
-        n = len(ids)
+        n = len(scenario.stations)
         total = world.total_bikes()
         for _ in range(500):
             if rng.uniform() < 0.5:
                 apply_reposition(world, 0, int(rng.integers(0, n)),
                                  int(rng.integers(-20, 21)))
             else:
-                trips = [(ids[a], ids[b], int(rng.integers(0, 6)))
+                trips = [(int(a), int(b), int(rng.integers(0, 6)))
                          for a, b in rng.integers(0, n, size=(3, 2))
                          if a != b]
                 step_bike_world(world, trips)

@@ -5,8 +5,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "urbansched"
 
-# Used by the acceptance tests alone, which ROADMAP item 4 keeps them for
-# (acceptance 1, 3 and 4).
+# Used by the acceptance tests alone (acceptance 1, 4 and 5), whose gates
+# stay as they are (ROADMAP aim 1).
 EXEMPT = {"harness.run_greedy_bike", "forecast_bike.DepartureModel.predict_one",
           "nn.grad_check"}
 

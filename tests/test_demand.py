@@ -20,6 +20,7 @@ from urbansched.world import ScenarioError, ScenarioSpec, SegmentClock
 
 
 IDS = ["A", "B", "C"]
+A, B, C = range(3)  # their station indices, as bike trips name them
 
 
 def make_profile(rates=None, od=None, bus_rates=None):
@@ -89,7 +90,7 @@ def ref_sample_segment(profile, clock, rng):
     segment = clock.current
     trips = []
     n = len(profile.station_ids)
-    for i, sid in enumerate(profile.station_ids):
+    for i in range(n):
         count = poisson(rng, ref_rate_at(profile, i, segment))
         if count == 0:
             continue
@@ -101,7 +102,7 @@ def ref_sample_segment(profile, clock, rng):
             per_dest[ref_choice(rng, list(weights))] += 1
         for j, c in enumerate(per_dest):
             if c > 0:
-                trips.append((sid, profile.station_ids[j], c))
+                trips.append((i, j, c))
     bus_arrivals = []
     for (origin, dest), rate in sorted(profile.bus_rates.items()):
         count = poisson(rng, rate)
@@ -347,7 +348,7 @@ class TestSamplingMatchesReference:
             got = sample_segment(profile, clock, fast)
             assert got == ref_sample_segment(profile, clock, ref)
             assert fast.state == ref.state
-            assert all(o != "A" for o, _, _ in got[0])  # zero weight row
+            assert all(o != A for o, _, _ in got[0])  # zero weight row
             assert ("P0", "P1") not in [(o, d) for o, d, _ in got[1]]
 
 
@@ -440,7 +441,7 @@ class TestSamplingBoundaries:
                                bus_rates={("P0", "P1"): 2.0})
         clock = SegmentClock(0, 1, 0, 15)
         draws = 1 + 10_000 + 1
-        want = ([("A", "C", 10_000)], [("P0", "P1", 10_000)])
+        want = ([(A, C, 10_000)], [("P0", "P1", 10_000)])
         assert ref_sample_segment(profile, clock,
                                   ScriptedRng([1.0] * draws)) == want
         rng = ScriptedRng([1.0] * draws)
@@ -511,7 +512,7 @@ class TestBlockRefills:
         rng, ref = ScriptedRng(script), ScriptedRng(script)
         got = sample_segment(profile, clock, rng)
         assert got == ref_sample_segment(profile, clock, ref), where
-        assert sum(c for o, _, c in got[0] if o == "A") == count
+        assert sum(c for o, _, c in got[0] if o == A) == count
         assert rng.blocks == 2
         assert list(rng.script) == list(ref.script) == [0.25, 0.75]
 
@@ -608,7 +609,7 @@ class TestStationBranches:
 
     def test_uniform_at_exp_minus_rate_draws_a_trip(self):
         a, c = math.exp(-3.0), math.exp(-0.5)
-        self._check([a, 0.75, c, 0.3], [("A", "C", 1), ("C", "A", 1)])
+        self._check([a, 0.75, c, 0.3], [(A, C, 1), (C, A, 1)])
         self._check([math.nextafter(a, 0.0), math.nextafter(c, 0.0)], [])
 
     def test_one_trip_destination_opens_a_refill(self):
@@ -618,13 +619,13 @@ class TestStationBranches:
         count = block - 2
         script = ([_u_for_count(3.0, count)] + [0.25] * count
                   + [_u_for_count(0.5, 1), 0.4])
-        rng = self._check(script, [("A", "B", count), ("C", "A", 1)])
+        rng = self._check(script, [(A, B, count), (C, A, 1)])
         assert rng.blocks == 2
 
     def test_shared_destinations_grouped_in_ascending_order(self):
         script = [_u_for_count(3.0, 5), 0.75, 0.25, 0.9, 0.1, 0.6,
                   math.exp(-0.5) / 2]
-        self._check(script, [("A", "B", 2), ("A", "C", 3)])
+        self._check(script, [(A, B, 2), (A, C, 3)])
 
     def test_nan_padding_counts_zero(self):
         # the script ends inside A's destinations: the NaN padding sends
@@ -633,18 +634,26 @@ class TestStationBranches:
         profile = make_profile(**self.PROFILE)
         rng = ScriptedRng([_u_for_count(3.0, 2), 0.75])
         got = sample_segment(profile, SegmentClock(0, 1, 0, 15), rng)
-        assert got == ([("A", "C", 2)], [])
+        assert got == ([(A, C, 2)], [])
         assert not rng.script and rng.blocks == 1
+
+
+def _by_id(trips: dict, ids: list[str]) -> dict:
+    """Bike trips by segment with their station indices mapped back to
+    ids, as the pinned digests hash them."""
+    return {seg: [(ids[o], ids[d], c) for o, d, c in seg_trips]
+            for seg, seg_trips in trips.items()}
 
 
 def _channel_sha256(env, resets: int) -> str:
     digest = hashlib.sha256()
+    ids = env.scenario.station_ids()
     for _ in range(resets):
         env.reset()
         f = env.forecast
         n = len(env.scenario.stations)
         m = f.bus.shape[1] // 2
-        digest.update(repr(sorted(env.trips.items())).encode())
+        digest.update(repr(sorted(_by_id(env.trips, ids).items())).encode())
         digest.update(repr(sorted(env.bus_arrivals.items())).encode())
         # the former c1, c2, g, forward and backward bus channels
         for a in (f.bike[:, :n], f.bike[:, n:], f.bike, f.bus[:, :m],
@@ -709,6 +718,7 @@ class TestPinnedDemand:
         for seed in (1, 2 ** 40 + 3, 2 ** 64 - 1):
             rng = PortableRng(seed)
             trips, arrivals = envs._realise(scenario, forecast, rng)
+            trips = _by_id(trips, scenario.station_ids())
             digest.update(repr(sorted(trips.items())).encode())
             digest.update(repr(sorted(arrivals.items())).encode())
             digest.update(str(rng.state).encode())
@@ -806,8 +816,7 @@ class TestScriptedDemand:
         ]
         env = envs.BikeEnv(scenario=script_scenario(script))
         env.reset()
-        assert env.trips == {1: [("A", "B", 10), ("B", "C", 15)],
-                             2: [("B", "C", 10)]}
+        assert env.trips == {1: [(A, B, 10), (B, C, 15)], 2: [(B, C, 10)]}
         assert sum(c for trips in env.trips.values()
                    for _, _, c in trips) == 35
 
@@ -826,8 +835,8 @@ class TestScriptedDemand:
 class TestHistoryLog:
     def test_departure_series_and_totals(self):
         log = HistoryLog(station_ids=IDS)
-        log.record_trips([("A", "B", 3), ("A", "C", 1)])
-        log.record_trips([("B", "A", 2)])
+        log.record_trips([(A, B, 3), (A, C, 1)])
+        log.record_trips([(B, A, 2)])
         np.testing.assert_array_equal(log.departure_series("A"), [4.0, 0.0])
         np.testing.assert_array_equal(log.departure_series("B"), [0.0, 2.0])
         total = log.total_od()
@@ -837,7 +846,7 @@ class TestHistoryLog:
                               st.integers(1, 9)), max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_conservation_of_counts(self, raw):
-        trips = [(IDS[o], IDS[d], c) for o, d, c in raw if o != d]
+        trips = [(o, d, c) for o, d, c in raw if o != d]
         log = HistoryLog(station_ids=IDS)
         log.record_trips(trips)
         assert log.total_od().sum() == sum(c for _, _, c in trips)

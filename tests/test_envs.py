@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urbansched import envs, world as W
 from urbansched.cli import resolve_scenario
@@ -128,7 +130,10 @@ class TestObservations:
         ]
 
     def test_bus_feature_order_pinned(self):
-        world = build_world(mixed_scenario(bus_count=2))
+        world = build_world(dataclasses.replace(
+            mixed_scenario(bus_count=2), bus_script=[
+                {"segment": 1, "origin": "S2", "destination": "S3",
+                 "count": 0}]))
         W.step_bus_world(world, [W.OP_HALT, W.OP_HALT], [("S2", "S3", 1)])
         W.step_bus_world(world, [W.OP_FORWARD, W.OP_HALT], [])
         O = joint_features(world, "bus", 2)
@@ -259,13 +264,14 @@ class TestTripLists:
         profile_only = BikeEnv(scenario=ScenarioSpec.from_dict(doc), seed=3)
         profile_only.reset()
         assert all(profile_only.trips.values())  # every segment sampled
+        ids = profile_only.scenario.station_ids()
         for seg in range(1, 7):
             assert full.trips[seg] == (
                 profile_only.trips[seg]
-                + [(o, d, c) for s, o, d, c in script if s == seg]
-                + [(e["origin"], e["destination"], e["count"])
-                   for e in outage if e["segment"] == seg])
-        ids = profile_only.scenario.station_ids()
+                + [(ids.index(o), ids.index(d), c)
+                   for s, o, d, c in script if s == seg]
+                + [(ids.index(e["origin"]), ids.index(e["destination"]),
+                    e["count"]) for e in outage if e["segment"] == seg])
         od = np.zeros((6, len(ids), len(ids)))
         for s, o, d, c in script:
             od[s - 1, ids.index(o), ids.index(d)] += c
@@ -684,9 +690,9 @@ class TestPinnedCityRollouts:
 
 class TestArrivalMemo:
     def test_scope_and_bounds(self):
-        """An env's worlds share one memo, bounded by T x stops passengers
-        and the ODs they stepped; another env, or a world built on its
-        own, gets its own."""
+        """An env's worlds share one riders map, bounded by T x stops
+        passengers, and read the scenario's queue slots; another env, or a
+        world built on its own, gets riders of its own."""
         spec = bench_scenario("corridor", 0)
         env = BusEnv(scenario=spec, seed=0, reward=RewardConfig(patience=97))
         policy = StaticHeadwayPolicy()
@@ -702,27 +708,102 @@ class TestArrivalMemo:
                 stepped.update((o, d) for o, d, _ in
                                env.bus_arrivals.get(segment, []))
                 _, _, done, _ = env.step(policy.action_for(env))
-        memo = worlds[0].arrivals
-        assert all(w.arrivals is memo for w in worlds)
+        memo = worlds[0].riders
+        assert all(w.riders is memo for w in worlds)
+        assert all(w.slots is spec.queue_slots for w in worlds)
+        assert stepped and stepped <= set(spec.queue_slots)
         T, stops = spec.episode_length, len(worlds[0].bus_stops)
         riders = [(position, dest, p) for position, by_dest
-                  in memo.riders.items() for dest, p in by_dest.items()]
+                  in memo.items() for dest, p in by_dest.items()]
         assert 0 < len(riders) <= T * stops
         assert all((p.destination, p.arrival_segment) == (dest, position)
                    for position, dest, p in riders)
-        assert set(memo.slots) == stepped
         other = BusEnv(scenario=spec, seed=0, reward=RewardConfig(patience=97))
         other.reset()
         other.step(W.OP_FORWARD)
-        mine = other.world.arrivals
-        assert mine is not memo and mine.slots and mine.riders
-        assert mine.slots is not memo.slots and mine.riders is not memo.riders
-        assert not any(mine.riders[position] is by_dest
-                       for position, by_dest in memo.riders.items()
-                       if position in mine.riders)
-        fresh = build_world(spec).arrivals
-        assert fresh is not memo and fresh is not mine
-        assert not (fresh.slots or fresh.riders)
+        mine = other.world.riders
+        assert mine and mine is not memo
+        assert not any(mine[position] is by_dest
+                       for position, by_dest in memo.items()
+                       if position in mine)
+        fresh = build_world(spec)
+        assert fresh.riders == {}
+        assert fresh.riders is not memo and fresh.riders is not mine
+        assert fresh.slots is spec.queue_slots
+
+
+def _ahead(spec: ScenarioSpec, origin: str, dest: str) -> bool:
+    """Whether `dest` lies ahead of `origin` on their route, read from
+    the scenario's route lists."""
+    (stops,) = [r["stops"] for r in spec.routes if origin in r["stops"]]
+    return stops.index(dest) > stops.index(origin)
+
+
+def _lone_od(spec: ScenarioSpec, origin: str, dest: str,
+             declared_in: str) -> ScenarioSpec:
+    """`spec` with one bus OD, declared in `bus_rates` (at a rate of 50,
+    so that segment 1 draws arrivals) or in `bus_script` (one arrival at
+    segment 1), and no other demand."""
+    ids = spec.station_ids()
+    profile = script = None
+    if declared_in == "bus_rates":
+        profile = {"rates": {sid: [0.0] for sid in ids},
+                   "od_weights": [[0.0] * len(ids) for _ in ids],
+                   "bus_rates": [{"origin": origin, "destination": dest,
+                                  "rate": 50.0}]}
+    else:
+        script = [{"segment": 1, "origin": origin, "destination": dest,
+                   "count": 1}]
+    return dataclasses.replace(spec, demand_profile=profile,
+                               demand_script=None, bus_script=script,
+                               joint=None)
+
+
+class TestDirectionRule:
+    """The queue a bus arrival joins and the forecast column that takes
+    its expected boardings name the same stop and direction: forward iff
+    the destination lies ahead on its route."""
+
+    @staticmethod
+    def _check(spec: ScenarioSpec, origin: str, dest: str,
+               declared_in: str):
+        env = BusEnv(scenario=_lone_od(spec, origin, dest, declared_in))
+        env.reset()
+        stops = env.world.bus_stops
+        (column,) = np.flatnonzero(env.forecast.bus[0])
+        env.step(W.OP_HALT)
+        queued = [(s.id, forward) for s in stops for forward, queue
+                  in ((True, s.queue_fwd), (False, s.queue_bwd)) if queue]
+        forecast = (stops[column % len(stops)].id, column < len(stops))
+        assert queued == [forecast] == [(origin, _ahead(spec, origin, dest))]
+
+    @pytest.mark.parametrize("declared_in", ["bus_rates", "bus_script"])
+    def test_two_route_scenario(self, declared_in):
+        spec = two_route_scenario()
+        declared = {(e["origin"], e["destination"]) for e in
+                    spec.demand_profile["bus_rates"] + spec.bus_script}
+        assert set(spec.queue_slots) == declared
+        for origin, dest in sorted(declared):
+            self._check(spec, origin, dest, declared_in)
+
+    @given(st.lists(st.integers(2, 5), min_size=2, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                              st.integers(1, 4)), min_size=1, max_size=4),
+           st.sampled_from(["bus_rates", "bus_script"]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_multi_route_scenarios(self, lengths, draws, declared_in):
+        routes = [{"stops": [f"R{r}S{i}" for i in range(n)]}
+                  for r, n in enumerate(lengths)]
+        spec = ScenarioSpec.from_dict({
+            "clock": {"episode_length": 2},
+            "stations": [{"id": "A", "x": 0.0, "y": 0.0, "docks": 1}],
+            "routes": routes, "vehicles": [], "environment": []})
+        for r, origin, hop in draws:
+            stops = routes[r % len(routes)]["stops"]
+            origin %= len(stops)
+            dest = (origin + hop) % len(stops)
+            if origin != dest:
+                self._check(spec, stops[origin], stops[dest], declared_in)
 
 
 class TestSamplerCalls:

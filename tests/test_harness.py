@@ -61,6 +61,21 @@ class TestGreedyBaseline:
         report = harness.run_greedy_bike(scripted_scenario(script, load=4))
         assert report.served == 4  # all bikes at B serve B's demand
 
+    def test_empty_station_id_gets_the_bikes(self):
+        # the validator accepts "" as a station id; the busiest station's
+        # id being false must not drop the placement
+        scenario = ScenarioSpec.from_dict({
+            "clock": {"segment_minutes": 15, "episode_length": 1},
+            "stations": [{"id": "", "x": 0.0, "y": 0.0, "docks": 5},
+                         {"id": "B", "x": 1.0, "y": 0.0, "docks": 5}],
+            "routes": [], "vehicles": [{"capacity": 5, "initial_load": 5}],
+            "environment": [0.0],
+            "demand_script": [{"segment": 1, "origin": "",
+                               "destination": "B", "count": 5}]})
+        greedy = harness.greedy_placement(scenario)
+        assert [s["initial_bikes"] for s in greedy.stations] == [5, 0]
+        assert harness.run_greedy_bike(scenario).served == 5
+
 
 class TestExhaustiveOracle:
     def test_fig1a_best_is_all_at_a(self):
@@ -233,6 +248,20 @@ class TestCli:
     def test_missing_scenario_exit_1(self, capsys):
         assert cli(["oracle", "--scenario", "no_such_file.json"]) == 1
         assert "no_such_file.json" in capsys.readouterr().err
+
+    def test_directory_is_not_a_scenario(self, tmp_path, monkeypatch,
+                                         capsys):
+        # a directory named like a bundled scenario leaves the bundled one
+        # found; one named like nothing bundled is a bad argument
+        assert cli(["simulate", "--scenario", "bike5"]) == 0
+        bundled = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bike5").mkdir()
+        (tmp_path / "nowhere").mkdir()
+        assert cli(["simulate", "--scenario", "bike5"]) == 0
+        assert capsys.readouterr().out == bundled
+        assert cli(["simulate", "--scenario", "nowhere"]) == 1
+        assert "scenario not found: nowhere" in capsys.readouterr().err
 
     def test_unknown_subcommand_exit_1(self):
         assert cli(["frobnicate"]) == 1

@@ -12,6 +12,17 @@ from urbansched.world import (
 )
 
 
+A, B, C = range(3)  # the station indices of make_scenario's A, B and C
+
+
+def every_od(routes):
+    """A zero-count bus_script entry for each OD of each route: a world
+    joins only the bus ODs its scenario declares."""
+    return [{"segment": 1, "origin": o, "destination": d, "count": 0}
+            for r in routes for o in r["stops"] for d in r["stops"]
+            if o != d]
+
+
 def make_scenario(initial_bikes=(0, 0, 0), docks=(20, 20, 20),
                   vehicle_load=0, episode_length=4, routes=None):
     return ScenarioSpec.from_dict({
@@ -29,13 +40,15 @@ def make_scenario(initial_bikes=(0, 0, 0), docks=(20, 20, 20),
 
 
 def bus_scenario(n_stops=4, capacity=30, episode_length=8):
+    routes = [{"stops": [f"S{i}" for i in range(1, n_stops + 1)],
+               "bus_count": 1, "capacity": capacity}]
     return ScenarioSpec.from_dict({
         "clock": {"segment_minutes": 15, "episode_length": episode_length},
         "stations": [],
-        "routes": [{"stops": [f"S{i}" for i in range(1, n_stops + 1)],
-                    "bus_count": 1, "capacity": capacity}],
+        "routes": routes,
         "vehicles": [],
         "environment": [0.0],
+        "bus_script": every_od(routes),
     })
 
 
@@ -51,17 +64,18 @@ class TestBuildWorld:
             "clock": {"episode_length": 2}, "stations": [], "vehicles": [],
             "routes": [{"stops": ["A", "B", "C"]}, {"stops": ["D", "E"]}],
             "environment": []}))
-        assert len(world.queues) == 2 * len(world.bus_stops)
+        n = len(world.bus_stops)
+        assert len(world.queues) == 2 * n
         for i, stop in enumerate(world.bus_stops):
-            assert world.queues[2 * i] is stop.queue_fwd
-            assert world.queues[2 * i + 1] is stop.queue_bwd
+            assert world.queues[i] is stop.queue_fwd
+            assert world.queues[n + i] is stop.queue_bwd
         assert len({id(q) for q in world.queues}) == len(world.queues)
 
     def test_zero_dock_station_stays_empty(self):
         scenario = make_scenario(docks=(0, 20, 20))
         world = build_world(scenario)
         assert world.available[0] == 0
-        step_bike_world(world, [("B", "A", 3)])
+        step_bike_world(world, [(B, A, 3)])
         assert world.available[0] == 0
 
     def test_duplicate_station_ids_rejected(self):
@@ -144,33 +158,28 @@ def brute_force_segment(avail, docks, trips):
 class TestStepBikeWorld:
     def test_fig1a_first_trip(self):
         world = build_world(make_scenario(initial_bikes=(10, 0, 0)))
-        _, served, lost = step_bike_world(world, [("A", "B", 10)])
+        _, served, lost = step_bike_world(world, [(A, B, 10)])
         assert (served, lost) == (10, 0)
         assert world.available[0] == 0
         assert world.available[1] == 10
 
     def test_empty_station_loses_demand(self):
         world = build_world(make_scenario())
-        _, served, lost = step_bike_world(world, [("A", "B", 15)])
+        _, served, lost = step_bike_world(world, [(A, B, 15)])
         assert (served, lost) == (0, 15)
 
     def test_segment_end_settlement(self):
         # inflow to B lands at segment end, so B->C in the same segment fails
         world = build_world(make_scenario(initial_bikes=(10, 0, 0)))
-        trips = [("A", "B", 10), ("B", "C", 15)]
+        trips = [(A, B, 10), (B, C, 15)]
         _, served, lost = step_bike_world(world, trips)
         assert (served, lost) == (10, 15)
         avail, bf_served, bf_lost = brute_force_segment(
-            {"A": 10, "B": 0, "C": 0}, {"A": 20, "B": 20, "C": 20}, trips)
+            {A: 10, B: 0, C: 0}, {A: 20, B: 20, C: 20}, trips)
         assert served == bf_served and lost == bf_lost
-        assert dict(zip(world.station_ids, world.available)) == avail
+        assert dict(enumerate(world.available)) == avail
 
-    def test_unknown_station_rejected(self):
-        world = build_world(make_scenario())
-        with pytest.raises(ScenarioError, match="unknown station"):
-            step_bike_world(world, [("A", "Z", 1)])
-
-    @given(st.lists(st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC"),
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                               st.integers(0, 8)), max_size=6),
            st.lists(st.integers(0, 10), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -181,10 +190,9 @@ class TestStepBikeWorld:
         before = world.total_bikes()
         _, served, lost = step_bike_world(world, trips)
         avail, bf_served, bf_lost = brute_force_segment(
-            {"A": initial[0], "B": initial[1], "C": initial[2]},
-            {"A": 10, "B": 10, "C": 10}, trips)
+            dict(enumerate(initial)), {A: 10, B: 10, C: 10}, trips)
         assert served == bf_served and lost == bf_lost
-        assert dict(zip(world.station_ids, world.available)) == avail
+        assert dict(enumerate(world.available)) == avail
         assert world.total_bikes() == before
 
 
@@ -200,15 +208,18 @@ def full_scan_max_wait(world):
 
 def per_triple_join(world, arrivals):
     """Reference for the arrival join of step_bus_world: each triple's
-    stops looked up on their own and a Passenger made per triple, as the
-    world did before it kept an (origin, dest) table, and before an env's
-    worlds shared their queue slots and passengers."""
-    index = {s.id: i for i, s in enumerate(world.bus_stops)}
+    stops and their places on the route looked up on their own and a
+    Passenger made per triple, as the world did before it read the
+    scenario's queue slots, and before an env's worlds shared their
+    passengers."""
+    stops = world.bus_stops
+    index = {s.id: i for i, s in enumerate(stops)}
+    place = {s.id: sum(t.route == s.route for t in stops[:i])
+             for i, s in enumerate(stops)}
     now = world.clock.current
     for origin, dest, count in arrivals:
-        stop = world.bus_stops[index[origin]]
-        forward = (world.bus_stops[index[dest]].route_position
-                   > stop.route_position)
+        stop = stops[index[origin]]
+        forward = place[dest] > place[origin]
         queue = stop.queue_fwd if forward else stop.queue_bwd
         queue.extend([W.Passenger(dest, now)] * count)
 
@@ -342,7 +353,8 @@ class TestStepBusWorld:
                    "capacity": capacity} for r, n in enumerate(lengths)]
         spec = ScenarioSpec.from_dict({
             "clock": {"episode_length": len(script)}, "stations": [],
-            "routes": routes, "vehicles": [], "environment": []})
+            "routes": routes, "vehicles": [], "environment": [],
+            "bus_script": every_od(routes)})
         env = BusEnv(scenario=spec)
         env.world = world = build_world(spec)
         for move, draws in script:
@@ -373,7 +385,8 @@ class TestStepBusWorld:
                    "capacity": capacity} for r, n in enumerate(lengths)]
         spec = ScenarioSpec.from_dict({
             "clock": {"episode_length": len(script)}, "stations": [],
-            "routes": routes, "vehicles": [], "environment": []})
+            "routes": routes, "vehicles": [], "environment": [],
+            "bus_script": every_od(routes)})
         world, ref = build_world(spec), build_world(spec)
         for move, draws in script:
             arrivals = drawn_arrivals(lengths, draws)
@@ -403,7 +416,8 @@ class TestStepBusWorld:
                    "capacity": capacity} for r, n in enumerate(lengths)]
         spec = ScenarioSpec.from_dict({
             "clock": {"episode_length": len(script)}, "stations": [],
-            "routes": routes, "vehicles": [], "environment": []})
+            "routes": routes, "vehicles": [], "environment": [],
+            "bus_script": every_od(routes)})
         env = BusEnv(scenario=spec)
         for _ in range(2):
             env.reset()
@@ -423,7 +437,8 @@ class TestStepBusWorld:
         for _ in range(2):
             with pytest.raises(ScenarioError, match="'S2'"):
                 step_bus_world(world, [OP_HALT], [("S2", "S2", 1)])
-            with pytest.raises(ScenarioError, match="unknown bus stop 'X9'"):
+            with pytest.raises(ScenarioError,
+                               match="'X9'->'S1' is not declared"):
                 step_bus_world(world, [OP_HALT], [("X9", "S1", 1)])
 
     def test_self_loop_arrival_rejected(self):
@@ -433,7 +448,7 @@ class TestStepBusWorld:
 
     def test_unknown_stop_rejected(self):
         world = build_world(bus_scenario())
-        with pytest.raises(ScenarioError, match="unknown bus stop 'X9'"):
+        with pytest.raises(ScenarioError, match="'S1'->'X9' is not declared"):
             step_bus_world(world, [OP_HALT], [("S1", "X9", 1)])
 
     def test_timer_reset_on_visit(self):
@@ -489,13 +504,12 @@ class TestInvariants:
             docks=(10, 10, 10), vehicle_load=int(rng.integers(0, 10)),
             episode_length=10 ** 6))
         total = world.total_bikes()
-        ids = ["A", "B", "C"]
         for _ in range(200):
             if rng.uniform() < 0.5:
                 apply_reposition(world, 0, int(rng.integers(0, 3)),
                                  int(rng.integers(-12, 13)))
             else:
-                trips = [(ids[rng.integers(0, 3)], ids[rng.integers(0, 3)],
+                trips = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)),
                           int(rng.integers(0, 6))) for _ in range(3)]
                 trips = [(o, d, c) for o, d, c in trips if o != d]
                 step_bike_world(world, trips)
@@ -533,6 +547,7 @@ class TestInvariants:
                          for cap, load in vehicles],
             "routes": [{"stops": names, "bus_count": count, "capacity": 3}
                        for names, (_, count) in zip(stops, routes)],
+            "bus_script": every_od([{"stops": names} for names in stops]),
             "environment": []}))
         assert len(world.vehicles) == len(vehicles)
         assert len(world.buses) == sum(count for _, count in routes)
@@ -545,7 +560,7 @@ class TestInvariants:
                                  int(rng.integers(0, len(ids))),
                                  int(rng.integers(-9, 10)))
             elif op < 0.7:
-                trips = [(ids[a], ids[b], int(rng.integers(0, 6)))
+                trips = [(int(a), int(b), int(rng.integers(0, 6)))
                          for a, b in rng.integers(0, len(ids), size=(3, 2))]
                 step_bike_world(world, trips)
             else:
@@ -575,6 +590,6 @@ class TestInvariants:
             world = build_world(make_scenario(initial_bikes=(5, 3, 1)))
             apply_reposition(world, 0, 1, 2)
             _, served, lost = step_bike_world(
-                world, [("A", "C", 4), ("B", "A", 2)])
+                world, [(A, C, 4), (B, A, 2)])
             results.append((served, lost, tuple(world.available)))
         assert results[0] == results[1]
