@@ -220,7 +220,7 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
     start = scenario.clock.get("episode_start", 0)
     padded_bike = np.zeros((T + HORIZON + 1, 2 * n))
     padded_bus = np.zeros((T + HORIZON + 1,
-                           2 * max(len(scenario.stop_index), 1)))
+                           2 * max(len(scenario.stop_indices), 1)))
     bike, bus = padded_bike[:T], padded_bus[:T]
     slots = scenario.queue_slots
     profile = None
@@ -239,8 +239,8 @@ def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
             od[seg - 1, o, d] += count
         bike += [encode_flow(m) for m in od]
     for e in scenario.bus_script or []:
-        bus[e["segment"] - 1, slots[e["origin"], e["destination"]]] += (
-            e["count"])
+        slot = slots[e["origin"], e["destination"]]
+        bus[e["segment"] - 1, slot] += e["count"]
     padded_bike.flags.writeable = padded_bus.flags.writeable = False
     return _Forecast(padded_bike, padded_bus, T, profile)
 

@@ -130,7 +130,7 @@ class ScenarioSpec:
     """A scenario document, validated once, when it is made. Validation
     also resolves, once, what the envs and worlds read by index:
 
-    - `station_index` and `stop_index` map ids to their order in the
+    - `station_indices` and `stop_indices` map ids to their order in the
       scenario; stops are numbered across routes, in route order.
     - `queue_slots` maps each bus OD the scenario declares, in `bus_rates`
       or `bus_script`, to the slot of the queue its arrivals join. With
@@ -184,7 +184,7 @@ class ScenarioSpec:
                 raise ScenarioError("route stops must be a list of strings")
         if len(self.stations) + sum(len(r.get("stops", [])) for r in self.routes) < 2:
             raise ScenarioError("scenario needs at least 2 stations or stops")
-        self.station_index: dict[str, int] = {}
+        self.station_indices: dict[str, int] = {}
         for st in self.stations:
             for key in ("id", "x", "y", "docks"):
                 if key not in st:
@@ -192,9 +192,9 @@ class ScenarioSpec:
             if not isinstance(st["id"], str):
                 raise ScenarioError(f"station id {st['id']!r} must be a "
                                     f"string")
-            if st["id"] in self.station_index:
+            if st["id"] in self.station_indices:
                 raise ScenarioError(f"duplicate station id {st['id']!r}")
-            self.station_index[st["id"]] = len(self.station_index)
+            self.station_indices[st["id"]] = len(self.station_indices)
             if not (_is_number(st["x"]) and _is_number(st["y"])):
                 raise ScenarioError(f"station {st['id']}: coordinates must "
                                     f"be finite numbers")
@@ -202,7 +202,7 @@ class ScenarioSpec:
             _check_count(f"station {st['id']}: initial_bikes",
                          st.get("initial_bikes", 0), 0, st["docks"])
         stop_route: dict[str, int] = {}
-        self.stop_index: dict[str, int] = {}
+        self.stop_indices: dict[str, int] = {}
         for i, r in enumerate(self.routes):
             if len(r.get("stops", [])) < 2:
                 raise ScenarioError("route needs at least 2 stops")
@@ -212,7 +212,7 @@ class ScenarioSpec:
                 if sid in stop_route:
                     raise ScenarioError(f"stop id {sid!r} on two routes")
                 stop_route[sid] = i
-                self.stop_index[sid] = len(self.stop_index)
+                self.stop_indices[sid] = len(self.stop_indices)
             _check_count("route bus capacity", r.get("capacity", 30), 1)
             _check_count("route bus_count", r.get("bus_count", 1), 0)
         for v in self.vehicles:
@@ -221,7 +221,7 @@ class ScenarioSpec:
                          v["capacity"])
             start = v.get("start")
             if start is not None and not (isinstance(start, str)
-                                          and start in self.station_index):
+                                          and start in self.station_indices):
                 raise ScenarioError(f"vehicle start station {start!r} unknown")
         ck = self.clock
         if not isinstance(ck, dict):
@@ -250,7 +250,7 @@ class ScenarioSpec:
                                                    self.demand_script)
         if self.bus_script is not None:
             self._validate_trips("bus_script", self.bus_script,
-                                 self.stop_index, "stop")
+                                 self.stop_indices, "stop")
             for entry in self.bus_script:
                 self._declare_bus_od(entry, stop_route, "bus_script")
         if self.joint is not None:
@@ -280,7 +280,7 @@ class ScenarioSpec:
                     ) -> list[tuple[int, tuple[int, int, int]]]:
         """A validated bike trip list as (segment, (origin index,
         destination index, count)) pairs, in list order."""
-        index = self.station_index
+        index = self.station_indices
         self._validate_trips(where, trips, index, "station")
         return [(e["segment"], (index[e["origin"]], index[e["destination"]],
                                 e["count"])) for e in trips]
@@ -302,7 +302,7 @@ class ScenarioSpec:
                                 f"stops on different routes")
         # a route's stops are numbered in its order, so the destination
         # lies ahead on it when its index is the larger
-        o, d = self.stop_index[origin], self.stop_index[dest]
+        o, d = self.stop_indices[origin], self.stop_indices[dest]
         self.queue_slots[origin, dest] = o if d > o else len(stop_route) + o
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
@@ -434,7 +434,7 @@ def build_world(scenario: ScenarioSpec,
     vehicles = []
     for v in scenario.vehicles:
         start = v.get("start")
-        idx = 0 if start is None else scenario.station_index[start]
+        idx = 0 if start is None else scenario.station_indices[start]
         vehicles.append(AgentState(location=idx,
                                    occupied=v.get("initial_load", 0),
                                    operation=0, capacity=v["capacity"]))
