@@ -69,6 +69,16 @@ class DepartureModel:
         out, _ = self.net.forward(window_vals.reshape(-1, 1, 1))
         return float(out[0, 0])
 
+    def _last_window(self, values: np.ndarray) -> np.ndarray:
+        """The last `window` of values, scaled, from a trained model."""
+        if not self.trained:
+            raise ValueError("model has not been trained")
+        values = np.asarray(values, dtype=float)
+        if values.size < self.window:
+            raise ValueError(f"need the last {self.window} values, "
+                             f"got {values.size}")
+        return values[-self.window:] / self.scale
+
     def fit(self, series: np.ndarray, epochs: int = 60, lr: float = 0.05):
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -77,11 +87,11 @@ class DepartureModel:
             raise ValueError("history shorter than the training window")
         self.scale = max(float(series.max()), 1.0)
         scaled = series / self.scale
-        windows = np.stack([scaled[i:i + self.window]
-                            for i in range(series.size - self.window)])
+        # (window, n_batch, 1) view of the series: xs_all[t, b] = scaled[t + b]
+        xs_all = np.lib.stride_tricks.sliding_window_view(
+            scaled[:-1, None], self.window, axis=0).transpose(2, 0, 1)
         targets = scaled[self.window:]
-        n_batch = windows.shape[0]
-        xs_all = windows.T[:, :, None]  # (window, n_batch, 1)
+        n_batch = targets.size
         tapes = None  # each epoch writes into the arrays of the last
         for _ in range(epochs):
             out, tapes = self.net.forward(xs_all, reuse=tapes)
@@ -92,10 +102,7 @@ class DepartureModel:
 
     def predict_one(self, recent: np.ndarray) -> float:
         """One-step-ahead prediction from the last `window` observations."""
-        if not self.trained:
-            raise ValueError("model has not been trained")
-        recent = np.asarray(recent, dtype=float)[-self.window:]
-        raw = self._predict_scaled(recent / self.scale)
+        raw = self._predict_scaled(self._last_window(recent))
         return max(raw, 0.0) * self.scale
 
     def forecast(self, series: np.ndarray, horizon: int) -> np.ndarray:
@@ -104,10 +111,7 @@ class DepartureModel:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         if horizon == 0:
             return np.zeros(0)
-        if not self.trained:
-            raise ValueError("model has not been trained")
-        series = np.asarray(series, dtype=float)
-        window_vals = list(series[-self.window:] / self.scale)
+        window_vals = list(self._last_window(series))
         preds = []
         for _ in range(horizon):
             raw = self._predict_scaled(np.array(window_vals))

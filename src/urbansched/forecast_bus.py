@@ -8,6 +8,7 @@ sum to the total exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,22 +32,23 @@ def fit_line(series: np.ndarray, t_index: np.ndarray) -> LinearBaseModel:
 
 
 def fit_base(histories: dict[str, np.ndarray], window: int) -> dict[str, LinearBaseModel]:
-    """Fit a trailing-window line per series, plus the aggregate series."""
+    """Fit a trailing-window line per series, plus the aggregate series.
+
+    The series share one time axis, so they must be equally long and at
+    least one must be given.
+    """
     if window < 2:
         raise ValueError("window must be >= 2")
-    models: dict[str, LinearBaseModel] = {}
-    total = None
-    for name, series in histories.items():
-        series = np.asarray(series, dtype=float)
-        if series.size == 0:
-            raise ValueError(f"series {name!r} is empty")
-        tail = series[-window:]
-        t0 = series.size - tail.size
-        models[name] = fit_line(tail, np.arange(t0, series.size, dtype=float))
-        total = tail.copy() if total is None else total + tail
-    if total is not None:
-        t0 = max(s.size for s in map(np.asarray, histories.values())) - total.size
-        models["__total__"] = fit_line(total, np.arange(t0, t0 + total.size, dtype=float))
+    arrays = {name: np.asarray(s, dtype=float) for name, s in histories.items()}
+    lengths = {s.size for s in arrays.values()}
+    if len(lengths) != 1:
+        raise ValueError("no series given" if not lengths else
+                         f"series differ in length: {sorted(lengths)}")
+    (length,) = lengths
+    t_index = np.arange(max(length - window, 0), length, dtype=float)
+    models = {name: fit_line(s[-window:], t_index) for name, s in arrays.items()}
+    total = reduce(np.add, (s[-window:] for s in arrays.values()))
+    models["__total__"] = fit_line(total, t_index)
     return models
 
 
@@ -83,7 +85,10 @@ def forecast_bus(histories: dict[str, dict[str, np.ndarray]], horizon: int,
     out: dict[str, np.ndarray] = {}
     for direction, series_map in histories.items():
         stops = list(series_map)
-        models = fit_base(series_map, window)
+        try:
+            models = fit_base(series_map, window)
+        except ValueError as exc:
+            raise ValueError(f"direction {direction!r}: {exc}") from exc
         length = np.asarray(series_map[stops[0]]).size
         rows = []
         for step in range(1, horizon + 1):

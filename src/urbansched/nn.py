@@ -120,7 +120,10 @@ class LstmTape:
     `reuse` allocates nothing.
     """
 
-    xs: np.ndarray  # (N, B, input)
+    # (N, B, input): the forward's input, not copied when it is contiguous
+    # or a sliding view of one series (see lstm_forward), so it may be the
+    # caller's array, which the backward reads
+    xs: np.ndarray
     gates: np.ndarray  # (N, 4, B, H): activations of i, f, g, o per step
     c: np.ndarray  # (N + 1, B, H): c_0 .. c_N
     h: np.ndarray  # (N + 1, B, H): h_0 .. h_N
@@ -161,6 +164,12 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     recurrence runs over steps start..N-1 only.
     Returns (hs, tape) with hs the (N, B, H) per-step hidden states.
 
+    Windows that slide over one series may come as a view: input size 1
+    and xs.strides[0] == xs.strides[1] == 8, so that xs[t, b] is value
+    t + b of a contiguous series (np.lib.stride_tricks.sliding_window_view
+    and a transpose make one). The tape then keeps the view, not a copy,
+    and the input projection takes each of the N + B - 1 values once.
+
     reuse, if given, is the tape of an earlier call that nothing reads any
     more, nor the hs that call returned. When its N, B and H match, this
     call writes into its arrays and returns it as the tape, so that a
@@ -172,7 +181,12 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     - the input projection is one BLAS product of all N * B inputs with
       the packed W_x, written packed (B, 4H) into each step's block of
       gates, and each step reads its block before it overwrites it with
-      the activations;
+      the activations. For a sliding view it is one (N + B - 1, 1) x
+      (1, 4H) product, and step t reads its rows t .. t + B - 1: with
+      K = 1 there is no sum to reorder, so each row has the bits of the
+      N * B product's rows for that value. A view strided otherwise is
+      copied, since the backward's W_x products on it can round
+      differently;
     - the recurrent term is one (B, H) x (H, 4H) product with the packed
       W_h per step, added to the projection and then copied into
       contiguous gate blocks. A product per gate, or a projection per
@@ -197,7 +211,12 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
         if start.shape != (batch,):
             raise ShapeError("start needs one step index per sample")
         live = (np.arange(n_steps)[:, None] >= start).astype(float)[:, :, None]
-    xs = np.ascontiguousarray(xs)
+    # a sliding view: xs[t, b] is value t + b of a contiguous series, and
+    # each xs[t] is strided as in a contiguous copy
+    sliding = (input_size == 1
+               and xs.strides[0] == xs.strides[1] == xs.itemsize)
+    if not sliding:
+        xs = np.ascontiguousarray(xs)
     if reuse is not None and reuse.gates.shape == (n_steps, 4, batch, H):
         tape = reuse
         tape.xs, tape.live = xs, live
@@ -209,13 +228,20 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     gates, c, h, tanh_c = tape.gates, tape.c, tape.h, tape.tanh_c
     c[0] = 0.0  # every later row is written by its step
     h[0] = 0.0
-    # one input projection for the whole sequence, packed (B, 4H) in each
-    # step's block; the step reads it before it writes the activations there
-    np.matmul(xs.reshape(-1, input_size), params.W_x,
-              out=gates.reshape(-1, 4 * H))
+    # one input projection for the whole sequence, whose rows
+    # t * shift .. t * shift + B - 1 are step t's. Sliding windows project
+    # the series' N + B - 1 values once; any other input projects its
+    # N * B rows, packed (B, 4H) into each step's block of gates, which
+    # the step reads before it writes the activations there.
+    if sliding:
+        shift, proj = 1, tape.work("proj", (n_steps + batch - 1, 4 * H))
+        np.matmul(np.concatenate((xs[0], xs[1:, -1])), params.W_x, out=proj)
+    else:
+        shift, proj = batch, gates.reshape(-1, 4 * H)
+        np.matmul(xs.reshape(-1, input_size), params.W_x, out=proj)
     b = tape.per_sample("b", params.b.reshape(4, H))
     peep = tape.per_sample("peep", params.peep)
-    hw = tape.work("hw", (batch, 4 * H))  # a + h_t @ W_h, packed
+    hw = tape.work("hw", (batch, 4 * H))  # projection + h_t @ W_h, packed
     z = tape.work("z", (4, batch, H))  # the step's gate pre-activations
     z_if, z_g, z_o = z[:2], z[2], z[3]
     tmp = tape.work("tmp", (2, batch, H))
@@ -226,7 +252,7 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
             i, f, g, o = a
             c_prev, c_next = c[t], c[t + 1]
             np.matmul(h[t], params.W_h, out=hw)
-            hw += a.reshape(batch, 4 * H)  # the packed input projection
+            hw += proj[t * shift:t * shift + batch]
             np.copyto(z, _by_gate(hw))
             np.multiply(peep[:2], c_prev, out=tmp)  # peepholes into i and f
             z_if += tmp
@@ -550,7 +576,10 @@ class LstmNet:
         """Writes the parameter gradients into `grads` and returns its
         arrays; dout is the gradient of the forward's out."""
         lstm_tape, head_tape = tapes
-        dh = np.zeros_like(lstm_tape.h[1:])
+        dh = lstm_tape.scratch.get("dh_out")
+        if dh is None:  # only the last row is written; the others stay 0
+            dh = lstm_tape.work("dh_out", lstm_tape.h[1:].shape)
+            dh[...] = 0.0
         dh[-1] = mlp_backward(self.head, head_tape, dout,
                               grads=self._head_grads)
         lstm_backward(self.lstm, lstm_tape, dh, grads=self._lstm_grads)

@@ -80,6 +80,20 @@ class TestDepartureModel:
         with pytest.raises(ValueError, match="shorter"):
             model.fit(np.zeros(5))
 
+    @pytest.mark.parametrize("recent", [np.ones(4), np.zeros(0)])
+    def test_input_shorter_than_the_window_rejected(self, recent):
+        model = fb.DepartureModel.create(window=5, hidden=4, seed=0)
+        with pytest.raises(ValueError, match="trained"):
+            model.predict_one(recent)
+        with pytest.raises(ValueError, match="trained"):
+            model.forecast(recent, 2)
+        model.fit(np.ones(10), epochs=1)
+        with pytest.raises(ValueError, match="last 5 values"):
+            model.predict_one(recent)
+        with pytest.raises(ValueError, match="last 5 values"):
+            model.forecast(recent, 2)
+        assert model.forecast(np.ones(5), 2).shape == (2,)
+
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_no_epochs_rejected(self, epochs):
         model = fb.DepartureModel.create(window=5)

@@ -126,6 +126,23 @@ class TestForecastBus:
         out = forecast_bus(histories, horizon=4, window=5)
         assert np.all(out["fwd"] >= 0)
 
+    @pytest.mark.parametrize("lengths", [(30, 20), (40, 30)])
+    def test_series_of_different_lengths_rejected(self, lengths):
+        # below the window this was a broadcast error; at or above it the
+        # stops were fitted on their own time axes but forecast on A's
+        histories = {"fwd": {"A": np.arange(4.0)}, "bwd": {
+            "A": np.arange(float(lengths[0])),
+            "B": np.arange(float(lengths[1]))}}
+        with pytest.raises(ValueError, match="'bwd'.*differ in length"):
+            forecast_bus(histories, horizon=2)
+        with pytest.raises(ValueError, match="differ in length"):
+            fit_base(histories["bwd"], window=24)
+
+    def test_empty_direction_rejected(self):
+        histories = {"fwd": {"A": np.arange(30.0)}, "bwd": {}}
+        with pytest.raises(ValueError, match="'bwd'.*no series"):
+            forecast_bus(histories, horizon=2)
+
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             forecast_bus({"fwd": {"S1": np.arange(5.0)}}, horizon=0)

@@ -269,6 +269,68 @@ class TestLstmReuse:
             "c90c208a1d1fa815546411310f077c2acbdda91359a13df08abb47fa7115110c")
 
 
+def _pass_bytes(p, xs, dh, start, reuse):
+    """hs and the four gradient arrays of one pass, as bytes."""
+    hs, tape = nn.lstm_forward(p, xs, start=start, reuse=reuse)
+    out = [np.ascontiguousarray(hs).tobytes()]
+    out += [g.tobytes() for g in nn.lstm_backward(p, tape, dh).arrays()]
+    return out, tape
+
+
+class TestSlidingWindows:
+    """Input-size-1 windows that slide over one contiguous series (xs[t, b]
+    is value t + b) project each series value once; the bits are those of
+    the same windows copied out, also for a series read with another
+    step, which is copied."""
+
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 20),
+           st.sampled_from([1, 2, -1]), st.booleans(), st.booleans(),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_view_matches_its_copy(self, n_steps, batch, hidden, step,
+                                   masked, reused, seed):
+        rng = np.random.default_rng(seed)
+        p = nn.LstmParams.init(1, hidden, rng)
+        series = rng.normal(size=2 * (n_steps + batch - 1))
+        series[rng.random(series.size) < 0.5] = 0.0
+        series[rng.random(series.size) < 0.2] = -0.0
+        series = series[::step][:n_steps + batch - 1]
+        view = np.lib.stride_tricks.sliding_window_view(
+            series[:, None], n_steps, axis=0).transpose(2, 0, 1)
+        copy = np.ascontiguousarray(view)
+        dh = rng.normal(size=(n_steps, batch, hidden))
+        start = rng.integers(0, n_steps + 1, size=batch) if masked else None
+        reuse = _used_tape(n_steps, batch, 1, hidden) if reused else None
+        got, tape = _pass_bytes(p, view, dh, start, reuse)
+        want, _ = _pass_bytes(p, copy, dh, start, None)
+        assert got == want
+        if step == 1:
+            assert "proj" in tape.scratch  # the one-series projection ran
+
+    def test_fit_trains_on_a_view_of_the_series(self, monkeypatch):
+        # every epoch's tape holds the windows as one view of the scaled
+        # series, (series.size - 1) values, not as window copies
+        tapes = []
+        lstm_forward = nn.lstm_forward
+
+        def spy(params, xs, **kwargs):
+            hs, tape = lstm_forward(params, xs, **kwargs)
+            tapes.append(tape)
+            return hs, tape
+
+        monkeypatch.setattr(nn, "lstm_forward", spy)
+        series = np.random.default_rng(3).poisson(4.0, size=120).astype(float)
+        model = forecast_bike.DepartureModel.create(window=24, hidden=4)
+        model.fit(series, epochs=2)
+        windows = np.stack([series[i:i + 24] for i in range(96)]) / model.scale
+        for tape in tapes:
+            xs = tape.xs
+            assert np.array_equal(xs[:, :, 0], windows.T)
+            assert np.shares_memory(xs[0], xs[-1])
+            low, high = np.lib.array_utils.byte_bounds(xs)
+            assert high - low == (series.size - 1) * xs.itemsize
+
+
 class TestMlp:
     def test_forward_identity_linear(self):
         p = nn.MlpParams(weights=[np.array([[2.0], [1.0]])],
