@@ -104,10 +104,10 @@ def cmd_train(args) -> int:
 
 def _history_from_scenario(scenario: ScenarioSpec, days: int,
                            seed: int) -> HistoryLog:
-    ids = scenario.station_ids()
-    log = HistoryLog(station_ids=ids)
     if scenario.demand_profile is None:
         raise ScenarioError("forecast needs a demand_profile scenario")
+    ids = scenario.station_ids()
+    log = HistoryLog(station_ids=ids)
     profile = DemandProfile.from_dict(scenario.demand_profile, ids)
     rng = PortableRng(seed)
     per_day = profile.segments_per_day
@@ -137,19 +137,15 @@ def cmd_forecast(args) -> int:
     k = min(args.clusters, len(ids))
     clusters = forecast_bike.cluster_stations(ids, coords, k, seed=args.seed)
     od = forecast_bike.od_probabilities(log.total_od(), ids, clusters)
-    flows = []
-    for sid in ids:
+    departures = np.zeros((args.horizon, len(ids)))
+    for i, sid in enumerate(ids):
         series = log.departure_series(sid)
         window = min(24, max(2, series.size // 4))
-        preds = forecast_bike.forecast_departures(
+        departures[:, i] = forecast_bike.forecast_departures(
             series, args.horizon, window=window, seed=args.seed,
             epochs=args.epochs)
-        for t in range(args.horizon):
-            if len(flows) <= t:
-                flows.append(np.zeros(len(ids)))
-            flows[t][ids.index(sid)] = preds[t]
     flow_mats = [forecast_bike.predict_flow(dep, od, t + 1)
-                 for t, dep in enumerate(flows)]
+                 for t, dep in enumerate(departures)]
     forecast_bike.save_flows_csv(os.path.join(out, "bike_flows.csv"),
                                  flow_mats, ids)
     print(f"history_segments={log.n_segments} horizon={args.horizon} "

@@ -275,43 +275,81 @@ def _refill(rng: PortableRng | ReadAhead, u: list[float], k: int, need: int,
     return u[k:] + rng.uniforms(max(block, need - (len(u) - k))).tolist()
 
 
-@dataclass
 class HistoryLog:
     """Realized demand per segment, the corpus the forecasters consume.
-    Trips come in by station index; the station ids name the rows and
-    columns of the trips CSV."""
 
-    station_ids: list[str]
-    od_counts: list[np.ndarray] = field(default_factory=list)  # per segment, (n, n)
+    Trips come in by station index. Each segment keeps its trips summed
+    by OD cell (origin index * n + destination index, ascending, so in
+    row-major order) and its departures per station; a running total OD
+    matrix sums every segment. So memory grows with trips and with
+    stations x segments, not with stations^2 x segments. The station ids
+    name the rows and columns of the trips CSV."""
+
+    def __init__(self, station_ids: list[str]):
+        n = len(station_ids)
+        self.station_ids = station_ids
+        self._index = {sid: i for i, sid in enumerate(station_ids)}
+        self._cells: list[np.ndarray] = []  # per segment, OD cells
+        self._counts: list[np.ndarray] = []  # per segment, trips per cell
+        # (segments held, n) departures, grown by doubling
+        self._departures = np.zeros((0, n))
+        self._total = np.zeros((n, n), dtype=np.int64)
 
     def record_trips(self, trips: list[BikeTrip]):
         n = len(self.station_ids)
-        od = np.zeros((n, n), dtype=int)
+        summed: dict[int, int] = {}  # OD cell -> trips
         for origin, dest, count in trips:
-            od[origin, dest] += count
-        self.od_counts.append(od)
+            if not (0 <= origin < n and 0 <= dest < n):
+                raise ValueError(f"trip station index outside 0..{n - 1}")
+            if count < 1:
+                raise ValueError("trip counts must be >= 1")
+            cell = origin * n + dest
+            summed[cell] = summed.get(cell, 0) + count
+        order = sorted(summed)
+        cells = np.array(order, dtype=np.int64)
+        counts = np.array([summed[cell] for cell in order], dtype=np.int64)
+        seg = len(self._cells)
+        if seg == len(self._departures):
+            grown = np.zeros((max(2 * seg, 16), n))
+            grown[:seg] = self._departures
+            self._departures = grown
+        self._departures[seg] = np.bincount(cells // n, weights=counts,
+                                            minlength=n)
+        self._total.ravel()[cells] += counts
+        self._cells.append(cells)
+        self._counts.append(counts)
 
     @property
     def n_segments(self) -> int:
-        return len(self.od_counts)
+        return len(self._cells)
+
+    @property
+    def od_counts(self) -> Iterator[np.ndarray]:
+        """Each segment's (n, n) OD count matrix, built one at a time."""
+        n = len(self.station_ids)
+        for cells, counts in zip(self._cells, self._counts):
+            od = np.zeros(n * n, dtype=np.int64)
+            od[cells] = counts
+            yield od.reshape(n, n)
 
     def departure_series(self, station: str) -> np.ndarray:
-        """The station's departures per segment: its OD rows' sums."""
-        i = self.station_ids.index(station)
-        return np.array([od[i].sum() for od in self.od_counts], dtype=float)
+        """The station's departures per segment."""
+        i = self._index.get(station)
+        if i is None:
+            raise ValueError(f"unknown station {station!r}")
+        return self._departures[:self.n_segments, i].copy()
 
     def total_od(self) -> np.ndarray:
-        n = len(self.station_ids)
-        if not self.od_counts:
-            return np.zeros((n, n), dtype=int)
-        return np.sum(self.od_counts, axis=0)
+        return self._total.copy()
 
     def save_trips_csv(self, path: str):
+        ids = self.station_ids
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["segment", "origin", "destination", "count"])
-            for seg, od in enumerate(self.od_counts, start=1):
-                for i, origin in enumerate(self.station_ids):
-                    for j, dest in enumerate(self.station_ids):
-                        if od[i, j] > 0:
-                            writer.writerow([seg, origin, dest, int(od[i, j])])
+            for seg, (cells, counts) in enumerate(
+                    zip(self._cells, self._counts), start=1):
+                origin, dest = np.divmod(cells, len(ids))
+                writer.writerows(
+                    (seg, ids[i], ids[j], c) for i, j, c in zip(
+                        origin.tolist(), dest.tolist(), counts.tolist()))

@@ -109,8 +109,6 @@ class DepartureModel:
         """Roll the model forward, feeding predictions back as inputs."""
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
-        if horizon == 0:
-            return np.zeros(0)
         window_vals = list(self._last_window(series))
         preds = []
         for _ in range(horizon):

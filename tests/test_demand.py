@@ -1,6 +1,9 @@
+import csv
 import hashlib
 import importlib.util
 import math
+import tempfile
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urbansched import envs
+from urbansched import cli, envs
 from urbansched.cli import _history_from_scenario, resolve_scenario
 from urbansched.demand import (
     DemandProfile, HistoryLog, episode_stream, sample_segment,
@@ -852,3 +855,134 @@ class TestHistoryLog:
         assert log.total_od().sum() == sum(c for _, _, c in trips)
         assert sum(log.departure_series(sid)[0] for sid in IDS) == sum(
             c for _, _, c in trips)
+
+    def test_unknown_station_named(self):
+        log = HistoryLog(station_ids=IDS)
+        log.record_trips([(A, B, 1)])
+        with pytest.raises(ValueError, match="unknown station 'Z'"):
+            log.departure_series("Z")
+
+    @pytest.mark.parametrize("trips, match", [
+        ([(A, 3, 1)], "outside 0..2"),
+        ([(-1, B, 1)], "outside 0..2"),
+        ([(A, B, 2), (B, C, 0)], ">= 1"),
+    ])
+    def test_bad_trips_rejected(self, trips, match):
+        log = HistoryLog(station_ids=IDS)
+        with pytest.raises(ValueError, match=match):
+            log.record_trips(trips)
+        assert log.n_segments == 0
+        assert not log.total_od().any()
+
+
+class DenseHistory:
+    """Reference: the history as one dense (n, n) OD matrix per segment,
+    read by full scans, as the log kept it before it kept trips."""
+
+    def __init__(self, station_ids):
+        self.station_ids = station_ids
+        self.od_counts = []
+
+    def record_trips(self, trips):
+        n = len(self.station_ids)
+        od = np.zeros((n, n), dtype=np.int64)
+        for origin, dest, count in trips:
+            od[origin, dest] += count
+        self.od_counts.append(od)
+
+    def departure_series(self, station):
+        i = self.station_ids.index(station)
+        return np.array([od[i].sum() for od in self.od_counts], dtype=float)
+
+    def total_od(self):
+        n = len(self.station_ids)
+        return sum(self.od_counts, np.zeros((n, n), dtype=np.int64))
+
+    def save_trips_csv(self, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["segment", "origin", "destination", "count"])
+            for seg, od in enumerate(self.od_counts, start=1):
+                for i, origin in enumerate(self.station_ids):
+                    for j, dest in enumerate(self.station_ids):
+                        if od[i, j] > 0:
+                            writer.writerow([seg, origin, dest, int(od[i, j])])
+
+
+@st.composite
+def trip_histories(draw):
+    """(station count, per-segment trip lists): 1 to 30 stations, empty
+    segments, and ODs repeated within a segment."""
+    n = draw(st.integers(1, 30))
+    station = st.integers(0, n - 1)
+    trip = st.tuples(station, station, st.integers(1, 40))
+    segments = []
+    for trips in draw(st.lists(st.lists(trip, max_size=15), max_size=8)):
+        if trips:
+            trips += draw(st.lists(st.sampled_from(trips), max_size=6))
+            trips = draw(st.permutations(trips))
+        segments.append(trips)
+    return n, segments
+
+
+class TestHistoryStore:
+    """The log's trip store reads as the dense per-segment matrices do."""
+
+    @given(trip_histories())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_reference(self, history):
+        n, segments = history
+        ids = [f"S{i}" for i in range(n)]
+        log, dense = HistoryLog(station_ids=ids), DenseHistory(ids)
+        for trips in segments:
+            log.record_trips(trips)
+            dense.record_trips(trips)
+        assert log.n_segments == len(segments)
+        for sid in ids:
+            series = log.departure_series(sid)
+            assert series.dtype == np.float64
+            np.testing.assert_array_equal(series, dense.departure_series(sid))
+        total = log.total_od()
+        assert total.dtype == np.int64
+        np.testing.assert_array_equal(total, dense.total_od())
+        matrices = list(log.od_counts)
+        assert len(matrices) == len(segments)
+        for got, want in zip(matrices, dense.od_counts):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        with tempfile.TemporaryDirectory() as tmp:
+            log.save_trips_csv(f"{tmp}/log.csv")
+            dense.save_trips_csv(f"{tmp}/dense.csv")
+            assert (Path(tmp, "log.csv").read_bytes()
+                    == Path(tmp, "dense.csv").read_bytes())
+
+    def test_memory_grows_with_trips(self):
+        """96 segments of 25 trips on 300 stations, read back whole: one
+        dense matrix per segment would need 96 x 300^2 x 8 bytes (69 MB)."""
+        n = 300
+        gen = PortableRng(11)
+        segments = [[(int(gen.uniform() * n), int(gen.uniform() * n), 1)
+                     for _ in range(25)] for _ in range(96)]
+        ids = [f"S{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            log = HistoryLog(station_ids=ids)
+            for trips in segments:
+                log.record_trips(trips)
+            total = log.total_od()
+            departures = sum(log.departure_series(sid).sum() for sid in ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total.sum() == departures == 96 * 25
+        assert peak < 4 * 2 ** 20
+
+
+def test_forecast_checks_the_scenario_before_building(monkeypatch):
+    """A scenario without a demand profile is rejected before any log."""
+    def no_log(**_):
+        raise AssertionError("built a HistoryLog")
+
+    monkeypatch.setattr(cli, "HistoryLog", no_log)
+    with pytest.raises(ScenarioError, match="demand_profile"):
+        _history_from_scenario(resolve_scenario("fig1a"), days=1, seed=0)

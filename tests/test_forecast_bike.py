@@ -94,6 +94,15 @@ class TestDepartureModel:
             model.forecast(recent, 2)
         assert model.forecast(np.ones(5), 2).shape == (2,)
 
+    def test_horizon_zero_checks_its_input(self):
+        model = fb.DepartureModel.create(window=5, hidden=4, seed=0)
+        with pytest.raises(ValueError, match="trained"):
+            model.forecast(np.ones(5), 0)
+        model.fit(np.ones(10), epochs=1)
+        with pytest.raises(ValueError, match="last 5 values"):
+            model.forecast(np.ones(2), 0)
+        assert model.forecast(np.ones(5), 0).shape == (0,)
+
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_no_epochs_rejected(self, epochs):
         model = fb.DepartureModel.create(window=5)
