@@ -296,6 +296,9 @@ class HistoryLog:
         self._total = np.zeros((n, n), dtype=np.int64)
 
     def record_trips(self, trips: list[BikeTrip]):
+        """Add one segment's trips. A station index outside the log would
+        alias another OD cell, and a count below 1 would store a cell the
+        trips CSV never lists, so both raise `ValueError`."""
         n = len(self.station_ids)
         summed: dict[int, int] = {}  # OD cell -> trips
         for origin, dest, count in trips:
