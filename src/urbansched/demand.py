@@ -18,9 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .rng import (
-    PortableRng, ReadAhead, invert_poisson, poisson_count, poisson_leaves,
-)
+from .rng import PortableRng, ReadAhead, poisson_count, poisson_leaves
 from .world import ScenarioError, SegmentClock
 
 # A bike trip is (origin index, destination index, count) in station
@@ -38,7 +36,11 @@ class DemandProfile:
     are built once here: for each day position, a draw table of the
     stations with a nonzero rate, each with its Poisson leaves and their
     exp(-leaf) taken once, its OD total and its cumulative OD row, and the
-    block of uniforms its draws take; and the bus rates split into leaves.
+    block of uniforms its draws take; and the bus rates split into leaves,
+    each with the two thresholds that decide a count of 0 or 1 without an
+    inversion: exp(-leaf) and exp(-leaf) + exp(-leaf) * leaf. A rate, OD
+    weight or bus rate that is negative or not finite raises
+    `ScenarioError`.
     """
 
     station_ids: list[str]
@@ -61,6 +63,9 @@ class DemandProfile:
                                 "nonnegative")
         if np.any(np.diag(self.od_weights) != 0):
             raise ScenarioError("od_weights diagonal must be zero")
+        if not all(math.isfinite(rate) and rate >= 0
+                   for rate in self.bus_rates.values()):
+            raise ScenarioError("bus rates must be finite and nonnegative")
         # Sampling tables. Python floats and sequential sums, so a draw
         # compares exactly what a scalar weighted choice would.
         rows = self.od_weights.tolist()
@@ -95,23 +100,29 @@ class DemandProfile:
         # expected_od divides by numpy's row sums, which can differ from
         # the sequential ones in the last place
         self._od_rowsum = self.od_weights.sum(axis=1)
-        # Bus ODs in sorted order, each rate expanded into the Poisson
+        # Bus ODs in sorted order, each with the (origin, dest, 1) arrival
+        # its count of 1 reuses, and each rate expanded into the Poisson
         # leaves its draw inverts, one uniform per leaf; a split OD's leaves
         # are adjacent and share their owner, the OD's index.
-        self._bus_origin: list[str] = []
-        self._bus_dest: list[str] = []
-        leaves: list[float] = []
+        self._bus_ones: list[BusArrival] = []
+        self._bus_leaves: list[float] = []
         owner: list[int] = []
         for (origin, dest), rate in sorted(self.bus_rates.items()):
             split = poisson_leaves(rate)
             if split:
-                owner += [len(self._bus_origin)] * len(split)
-                self._bus_origin.append(origin)
-                self._bus_dest.append(dest)
-                leaves += split
-        self._bus_leaves = np.array(leaves, dtype=float)
-        self._bus_leaf_exp = np.array([math.exp(-leaf) for leaf in leaves],
-                                      dtype=float)
+                owner += [len(self._bus_ones)] * len(split)
+                self._bus_ones.append((origin, dest, 1))
+                self._bus_leaves += split
+        self._bus_split = len(self._bus_leaves) > len(self._bus_ones)
+        # Per leaf, exp(-leaf) and the inversion's first cumulative sum,
+        # exp(-leaf) + exp(-leaf) * leaf: `poisson_count`'s first step, the
+        # same float operations in the same order. A uniform below the
+        # first counts 0, one below the second counts 1.
+        exp_neg = [math.exp(-leaf) for leaf in self._bus_leaves]
+        self._bus_leaf_exp = np.array(exp_neg, dtype=float)
+        self._bus_leaf_one = np.array(
+            [e + e * leaf for e, leaf in zip(exp_neg, self._bus_leaves)],
+            dtype=float)
         self._bus_leaf_od = np.array(owner, dtype=np.intp)
 
     @property
@@ -189,9 +200,14 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     that runs past the block appends a new one. The unread rest of the
     block is handed back (`give_back`), so the stream ends where single
     draws leave it. A day position whose rates are all zero draws no
-    block. Bus leaves then take one block of uniforms, all of it read;
-    only the leaves that drew a passenger are inverted, and a split OD's
-    leaves are summed into one arrival.
+    block. Bus leaves then take one block of uniforms, all of it read.
+    Each leaf's uniform is compared with the leaf's two thresholds (see
+    `DemandProfile`): below exp(-leaf) it counts 0, as a NaN does, and
+    below the first cumulative sum it counts 1 and lists its OD's shared
+    (origin, dest, 1) arrival. Only a leaf at or above both, one in about
+    seventeen of those that drew a passenger on the perfbench corridor,
+    is inverted by `poisson_count`. A split OD's leaves are summed into
+    one arrival.
 
     `rng` is a `PortableRng` or the `ReadAhead` view of one that
     `episode_stream` gives a run of segments. The view serves each block
@@ -249,23 +265,34 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
             trips.append((i, j, c))
         rng.give_back(m - k)
     bus_arrivals: list[BusArrival] = []
-    if profile._bus_origin:
+    if profile._bus_ones:
         u = rng.uniforms(len(profile._bus_leaves))
         exps = profile._bus_leaf_exp
-        # a leaf below exp(-rate) counts 0, as the inversion's first
-        # comparison says, so only the hits are inverted and listed
+        # the inversion's first two comparisons, made against the leaves'
+        # thresholds: below exp(-leaf) a leaf counts 0, and so does NaN;
+        # below its first cumulative sum it counts 1. Only the rest invert.
         hit = np.flatnonzero(u >= exps)
         if hit.size:
-            counts = invert_poisson(u[hit], profile._bus_leaves[hit],
-                                    exps[hit])
-            origin, dest = profile._bus_origin, profile._bus_dest
-            prev = -1
-            for od, count in zip(profile._bus_leaf_od[hit].tolist(),
-                                 counts.tolist()):
-                if od == prev:  # another leaf of a split OD
-                    count += bus_arrivals.pop()[2]
-                bus_arrivals.append((origin[od], dest[od], count))
-                prev = od
+            ones = profile._bus_ones
+            ods = profile._bus_leaf_od[hit].tolist()
+            bus_arrivals = [ones[od] for od in ods]
+            leaves = profile._bus_leaves
+            for j in np.flatnonzero(
+                    u[hit] >= profile._bus_leaf_one[hit]).tolist():
+                h = int(hit[j])
+                origin, dest, _ = ones[ods[j]]
+                bus_arrivals[j] = (origin, dest, poisson_count(
+                    float(u[h]), leaves[h], float(exps[h])))
+            if profile._bus_split:  # sum a split OD's leaves into one
+                summed: list[BusArrival] = []
+                prev = -1
+                for od, arrival in zip(ods, bus_arrivals):
+                    if od == prev:
+                        origin, dest, count = summed.pop()
+                        arrival = (origin, dest, count + arrival[2])
+                    summed.append(arrival)
+                    prev = od
+                bus_arrivals = summed
     return trips, bus_arrivals
 
 

@@ -9,6 +9,8 @@ be computed at once and equals the same number of single draws.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -22,6 +24,9 @@ _POISSON_MAX_K = 10_000  # the largest count one inversion returns
 # (1, 2, ..., m) * gamma modulo 2**64, the offsets of a block's m draws
 # from the state, made once for blocks up to this long
 _GAMMA_RAMP = np.arange(1, 4097, dtype=np.uint64) * np.uint64(_GAMMA)
+# the block rounds' constants as numpy scalars, made once
+_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
+_S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 
 class PortableRng:
@@ -47,12 +52,18 @@ class PortableRng:
         and leaving the same state."""
         ramp = (_GAMMA_RAMP[:m] if m <= _GAMMA_RAMP.size else
                 np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA))
-        z = ramp + np.uint64(self.state)  # wraps modulo 2**64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = ramp + np.uint64(self.state)  # a new array; wraps modulo 2**64
+        # the splitmix rounds, in place on z
+        z ^= z >> _S30
+        z *= _MIX1_U64
+        z ^= z >> _S27
+        z *= _MIX2_U64
+        z ^= z >> _S31
+        z >>= _S11
         self.state = (self.state + m * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))
+        u = z.astype(float)
+        u *= 1.0 / (1 << 53)
+        return u
 
     def give_back(self, n: int):
         """Return the last n draws to the stream unused: the next n draws
@@ -101,6 +112,8 @@ def poisson_leaves(rate: float) -> list[float]:
     again the same way, first half first; every leaf inverts one uniform
     (`poisson_count`), and the draw is the sum of the leaves' counts. Rate
     0 has no leaves: it draws 0 without a uniform."""
+    if not math.isfinite(rate):
+        raise ValueError("poisson rate must be finite")
     if rate < 0:
         raise ValueError("poisson rate must be >= 0")
     if rate == 0:
@@ -122,25 +135,4 @@ def poisson_count(u: float, rate: float, exp_neg: float) -> int:
         k += 1
         p *= rate / k
         cum += p
-    return k
-
-
-def invert_poisson(u: np.ndarray, rates: np.ndarray,
-                   exp_neg: np.ndarray) -> np.ndarray:
-    """Element-wise `poisson_count` of uniforms `u` for leaf rates (at
-    most POISSON_SPLIT) with `exp_neg` = exp(-rate) taken from `math.exp`.
-    numpy's *, / and + round like Python's, so each count equals the
-    scalar loop's."""
-    p = exp_neg.copy()
-    cum = p.copy()
-    k = np.zeros(u.shape, dtype=np.int64)
-    active = u >= cum
-    step = 0
-    # p >= 0, so cum never falls: an element that stopped stays stopped
-    while step < _POISSON_MAX_K and active.any():
-        step += 1
-        k += active
-        p *= rates / step
-        cum += p
-        active = u >= cum
     return k

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -17,7 +18,7 @@ from urbansched.demand import (
     DemandProfile, HistoryLog, episode_stream, sample_segment,
 )
 from urbansched.rng import (
-    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, ReadAhead,
+    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, ReadAhead, poisson_leaves,
 )
 from urbansched.world import ScenarioError, ScenarioSpec, SegmentClock
 
@@ -138,6 +139,16 @@ class TestPortableRng:
         rng = PortableRng(1)
         assert poisson(rng, 0.0) == 0
 
+    def test_poisson_leaves_reject_bad_rates(self):
+        # an infinite rate would split without end, and NaN passes every
+        # comparison
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                poisson_leaves(bad)
+        with pytest.raises(ValueError, match=">= 0"):
+            poisson_leaves(-0.5)
+        assert poisson_leaves(120.0) == [30.0] * 4
+
     def test_choice_respects_weights(self):
         rng = PortableRng(9)
         picks = [ref_choice(rng, [0.0, 1.0, 3.0]) for _ in range(2000)]
@@ -193,6 +204,12 @@ class TestDemandProfile:
         with pytest.raises(ScenarioError, match="row count"):
             DemandProfile(station_ids=IDS, rates=np.ones((2, 4)),
                           od_weights=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_bus_rate_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="bus rates must be finite "
+                                                "and nonnegative"):
+            make_profile(bus_rates={("P0", "P1"): 2.0, ("P1", "P0"): bad})
 
     def test_rates_wrap_daily(self):
         rates = np.arange(12, dtype=float).reshape(3, 4)
@@ -476,6 +493,57 @@ class TestSamplingBoundaries:
             if len(script) == 6:  # no padding: the scalar path agrees
                 assert ref_sample_segment(profile, clock,
                                           ScriptedRng(script)) == ([], want)
+
+
+    def test_split_od_thresholds(self):
+        # every leaf of every split OD at its first three cumulative sums
+        # and an ulp either side, each leaf of a pair at its own point: a
+        # leaf that counts 1 by its thresholds and a sibling that counts 2
+        # or more by inversion are summed into one arrival
+        bus_rates = {("P0", "P1"): 60.0, ("P1", "P0"): 77.7,
+                     ("P1", "P2"): 101.0, ("P2", "P3"): 0.3,
+                     ("P3", "P0"): 50.5}
+        profile = make_profile(rates=np.zeros((3, 1)), bus_rates=bus_rates)
+        leaves = [leaf for _, rate in sorted(bus_rates.items())
+                  for leaf in poisson_leaves(rate)]
+        assert len(leaves) == 11 and max(leaves) <= POISSON_SPLIT
+        cums = []  # the scalar loop's first three cumulative sums, per leaf
+        for leaf in leaves:
+            p = cum = math.exp(-leaf)
+            row = [cum]
+            for k in range(1, 3):
+                p *= leaf / k
+                cum += p
+                row.append(cum)
+            cums.append(row)
+        clock = SegmentClock(0, 1, 0, 15)
+        points = list(itertools.product(range(3), range(3)))  # (sum, side)
+        for first, second in itertools.product(points, repeat=2):
+            us = [_around(row[j])[side] for row, (j, side) in zip(
+                cums, itertools.cycle([first, second]))]
+            rng = ScriptedRng(us)
+            got = sample_segment(profile, clock, rng)
+            assert got == ref_sample_segment(profile, clock, ScriptedRng(us))
+            assert rng.blocks == 1 and not rng.script
+        # 60.0's leaves are 30.0 each: one ulp below the first leaf's second
+        # sum counts 1, the second leaf at its second sum counts 2
+        below, at = _around(cums[0][1])[0], cums[1][1]
+        us = [below, at] + [0.0] * 9
+        assert sample_segment(profile, clock, ScriptedRng(us)) == (
+            [], [("P0", "P1", 3)])
+
+    def test_nan_bus_uniform_counts_zero(self):
+        # a NaN inside the bus block, on a one-leaf OD and on one leaf of a
+        # split OD whose sibling counts 2
+        profile = make_profile(rates=np.zeros((3, 1)), bus_rates={
+            ("P0", "P1"): 0.5, ("P1", "P0"): 60.0, ("P2", "P0"): 0.7})
+        clock = SegmentClock(0, 1, 0, 15)
+        us = [math.nan, _u_for_count(30.0, 2), math.nan, math.exp(-0.7)]
+        want = ([], [("P1", "P0", 2), ("P2", "P0", 1)])
+        rng = ScriptedRng(us)
+        assert sample_segment(profile, clock, rng) == want
+        assert rng.blocks == 1 and not rng.script
+        assert ref_sample_segment(profile, clock, ScriptedRng(us)) == want
 
 
 def _u_for_count(rate: float, count: int) -> float:
