@@ -17,9 +17,7 @@ import numpy as np
 
 from . import forecast_bike, harness
 from .ddpg import DdpgConfig, Policy, desk_config, save_curve_csv, train
-from .demand import (
-    DemandProfile, HistoryLog, episode_stream, sample_segment,
-)
+from .demand import DemandProfile, HistoryLog, sample_segment
 from .envs import BikeEnv
 from .rng import PortableRng
 from .world import ScenarioError, ScenarioSpec, SegmentClock
@@ -110,14 +108,12 @@ def _history_from_scenario(scenario: ScenarioSpec, days: int,
     log = HistoryLog(station_ids=ids)
     profile = DemandProfile.from_dict(scenario.demand_profile, ids)
     rng = PortableRng(seed)
-    per_day = profile.segments_per_day
-    clock = SegmentClock(0, days * per_day, 0, scenario.segment_minutes)
-    for day in range(days):  # one read-ahead stream a day
-        with episode_stream(profile, rng, 0, per_day) as stream:
-            for seg in range(day * per_day, (day + 1) * per_day):
-                clock.current = seg
-                trips, _ = sample_segment(profile, clock, stream)
-                log.record_trips(trips)
+    segments = days * profile.segments_per_day
+    clock = SegmentClock(0, segments, 0, scenario.segment_minutes)
+    for seg in range(segments):
+        clock.current = seg
+        trips, _ = sample_segment(profile, clock, rng)
+        log.record_trips(trips)
     return log
 
 

@@ -12,13 +12,12 @@ import csv
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .rng import PortableRng, ReadAhead, poisson_count, poisson_leaves
+from .rng import PortableRng, poisson_count, poisson_leaves
 from .world import ScenarioError, SegmentClock
 
 # A bike trip is (origin index, destination index, count) in station
@@ -151,35 +150,8 @@ class DemandProfile:
         )
 
 
-@contextmanager
-def episode_stream(profile: DemandProfile, rng: PortableRng, first: int,
-                   count: int) -> Iterator[PortableRng | ReadAhead]:
-    """The stream that `count` consecutive segments, the first at day
-    position `first`, draw from, one `sample_segment` each.
-
-    When the segments draw bike trips, it is a `ReadAhead` view of `rng`
-    holding their blocks' worth of bike uniforms (`_day_block`) plus one
-    uniform per bus leaf per segment, drawn in one call; the view is
-    closed on exit, which hands its unread rest back to `rng` and drops
-    it. Segments that draw no bike block read `rng` directly: each one's
-    bus leaves are already one block of uniforms, every one read, so a
-    view would only add a copy.
-    """
-    per_day = profile.segments_per_day
-    blocks = profile._day_block
-    bike = sum(blocks[(first + s) % per_day] for s in range(count))
-    if not bike:
-        yield rng
-        return
-    view = ReadAhead(rng, bike + count * len(profile._bus_leaves))
-    try:
-        yield view
-    finally:
-        view.close()
-
-
 def sample_segment(profile: DemandProfile, clock: SegmentClock,
-                   rng: PortableRng | ReadAhead
+                   rng: PortableRng
                    ) -> tuple[list[BikeTrip], list[BusArrival]]:
     """Draw one segment of bike trips and bus arrivals from the profile.
 
@@ -209,10 +181,9 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     is inverted by `poisson_count`. A split OD's leaves are summed into
     one arrival.
 
-    `rng` is a `PortableRng` or the `ReadAhead` view of one that
-    `episode_stream` gives a run of segments. The view serves each block
-    as a slice of one draw made for the whole run and takes the hand-back
-    inside it, so both give the same draws and leave the same state.
+    Each block is a slice of the draws `rng` reads ahead, and the
+    hand-back steps its cursor back, so the segments of an episode or a
+    history share one stream without a numpy draw per block.
     """
     last = len(profile.station_ids) - 1
     pos = clock.current % profile.segments_per_day
@@ -296,7 +267,7 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     return trips, bus_arrivals
 
 
-def _refill(rng: PortableRng | ReadAhead, u: list[float], k: int, need: int,
+def _refill(rng: PortableRng, u: list[float], k: int, need: int,
             block: int) -> list[float]:
     """The unread uniforms u[k:] followed by at least `need` in all."""
     return u[k:] + rng.uniforms(max(block, need - (len(u) - k))).tolist()

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as W
-from .demand import (
-    BikeTrip, BusArrival, DemandProfile, episode_stream, sample_segment,
-)
+from .demand import BikeTrip, BusArrival, DemandProfile, sample_segment
 from .forecast_bike import encode_flow
 from .rng import PortableRng
 
@@ -259,11 +257,10 @@ def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
     if forecast.profile is not None:
         start = scenario.clock.get("episode_start", 0)
         clock = W.SegmentClock(start, T, start, scenario.segment_minutes)
-        with episode_stream(forecast.profile, rng, start, T) as stream:
-            for seg in range(1, T + 1):
-                clock.current = start + seg - 1  # the segment's position
-                trips[seg], bus_arrivals[seg] = sample_segment(
-                    forecast.profile, clock, stream)
+        for seg in range(1, T + 1):
+            clock.current = start + seg - 1  # the segment's position
+            trips[seg], bus_arrivals[seg] = sample_segment(
+                forecast.profile, clock, rng)
     for seg, trip in scenario.scripted_trips + (
             scenario.outage_trips if outage else []):
         trips[seg].append(trip)

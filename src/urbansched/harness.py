@@ -118,8 +118,10 @@ def run_exhaustive_bike(scenario: W.ScenarioSpec, seed: int = 0):
     return (best placement dict, best served). Independent oracle for the
     long-term planning claim; refuses instances beyond the bound."""
     ids = scenario.station_ids()
+    if not ids:
+        raise W.ScenarioError("oracle needs at least one station")
     total = _dispatchable_bikes(scenario)
-    count = placement_count(total, max(len(ids), 1))
+    count = placement_count(total, len(ids))
     if count > PLACEMENT_BOUND:
         raise OracleTooLarge(
             f"{count} placements exceed the bound {PLACEMENT_BOUND}")

@@ -30,80 +30,71 @@ _S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 
 class PortableRng:
-    """splitmix64 stream of uniform draws. A Poisson draw inverts them
-    through `poisson_leaves` and `poisson_count` below."""
+    """splitmix64 stream of uniform draws, read ahead. A Poisson draw
+    inverts them through `poisson_leaves` and `poisson_count` below.
+
+    The stream keeps one read-only block of draws and a cursor into it, so
+    a small read is a slice where its own draw would pay numpy's fixed
+    cost of a call. A read that runs past the end continues in a new block:
+    the unread rest, then at least a ramp's worth of fresh draws. `state`
+    is where single draws would have left the stream, so reading ahead
+    changes no draw and no state."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self._restart(seed & _MASK64)
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+    def _restart(self, state: int):
+        """Continue the stream from `state`, holding no draws."""
+        self._origin = state  # the state before the block's first draw
+        self._u = np.empty(0)
+        self._k = 0  # the next unread draw
+
+    @property
+    def state(self) -> int:
+        return (self._origin + self._k * _GAMMA) & _MASK64
 
     def uniform(self) -> float:
         # 53-bit mantissa, value in [0, 1)
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, m: int) -> np.ndarray:
-        """The next m uniforms as one array, equal to m `uniform()` calls
-        and leaving the same state."""
-        ramp = (_GAMMA_RAMP[:m] if m <= _GAMMA_RAMP.size else
-                np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA))
-        z = ramp + np.uint64(self.state)  # a new array; wraps modulo 2**64
-        # the splitmix rounds, in place on z
-        z ^= z >> _S30
-        z *= _MIX1_U64
-        z ^= z >> _S27
-        z *= _MIX2_U64
-        z ^= z >> _S31
-        z >>= _S11
-        self.state = (self.state + m * _GAMMA) & _MASK64
-        u = z.astype(float)
-        u *= 1.0 / (1 << 53)
-        return u
-
-    def give_back(self, n: int):
-        """Return the last n draws to the stream unused: the next n draws
-        repeat them, as if they had never been made."""
-        self.state = (self.state - n * _GAMMA) & _MASK64
-
-
-class ReadAhead:
-    """A read-ahead view of a `PortableRng`, read as the rng itself is.
-
-    It draws `n` uniforms in one `uniforms` call up front, where each
-    small draw would pay numpy's fixed cost of a call. `uniforms(m)` then
-    serves the next m as a slice of that block. A read that runs past its
-    end draws the missing uniforms from the stream and continues in a new
-    block made of the unread rest and those, so each such read costs what
-    a direct draw does. `give_back(n)` steps back over up to the last
-    `uniforms` call's draws. `close()` hands the unread rest back to the
-    rng and drops the block, so the rng's state ends where the same reads
-    made on it directly would leave it."""
-
-    def __init__(self, rng: PortableRng, n: int):
-        self.rng = rng
-        self._u = rng.uniforms(n)
-        self._k = 0  # the next unread uniform
-
-    def uniforms(self, m: int) -> np.ndarray:
-        k = self._k
-        if k + m > self._u.size:
-            self._u = np.concatenate(
-                (self._u[k:], self.rng.uniforms(k + m - self._u.size)))
+        """The next m uniforms as a read-only slice of the block, equal to
+        m `uniform()` calls and leaving the same state."""
+        k, held = self._k, self._u.size
+        if k + m > held:
+            fresh = _draws((self._origin + held * _GAMMA) & _MASK64,
+                           max(_GAMMA_RAMP.size, k + m - held))
+            self._origin = self.state
+            self._u = np.concatenate((self._u[k:], fresh))
+            self._u.flags.writeable = False
             k = 0
         self._k = k + m
         return self._u[k:k + m]
 
     def give_back(self, n: int):
-        self._k -= n
+        """Return the last n draws to the stream unused: the next n draws
+        repeat them, as if they had never been made."""
+        if n > self._k:
+            self._restart((self.state - n * _GAMMA) & _MASK64)
+        else:
+            self._k -= n
 
-    def close(self):
-        self.rng.give_back(self._u.size - self._k)
-        self._u = None
+
+def _draws(state: int, m: int) -> np.ndarray:
+    """The m uniforms that follow `state`, computed at once."""
+    ramp = (_GAMMA_RAMP[:m] if m <= _GAMMA_RAMP.size else
+            np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+    z = ramp + np.uint64(state)  # a new array; wraps modulo 2**64
+    # the splitmix rounds, in place on z
+    z ^= z >> _S30
+    z *= _MIX1_U64
+    z ^= z >> _S27
+    z *= _MIX2_U64
+    z ^= z >> _S31
+    z >>= _S11
+    u = z.astype(float)
+    u *= 1.0 / (1 << 53)
+    return u
 
 
 def poisson_leaves(rate: float) -> list[float]:

@@ -10,15 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urbansched import cli, envs
 from urbansched.cli import _history_from_scenario, resolve_scenario
-from urbansched.demand import (
-    DemandProfile, HistoryLog, episode_stream, sample_segment,
-)
+from urbansched.demand import DemandProfile, HistoryLog, sample_segment
 from urbansched.rng import (
-    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, ReadAhead, poisson_leaves,
+    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, poisson_leaves,
 )
 from urbansched.world import ScenarioError, ScenarioSpec, SegmentClock
 
@@ -36,9 +34,37 @@ def make_profile(rates=None, od=None, bus_rates=None):
                          bus_rates=bus_rates or {})
 
 
-# Reference implementations: the scalar sampling path that the profile
-# tables and the block draws replace. The fast path must match them draw
+# Reference implementations: the scalar splitmix64 stream that
+# `PortableRng` reads ahead, and the scalar sampling path that the profile
+# tables and the block draws replace. The fast paths must match them draw
 # for draw, state included.
+
+class RefSplitmix:
+    """splitmix64 one draw at a time, in Python integers."""
+
+    MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + self.GAMMA) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        # 53-bit mantissa, value in [0, 1)
+        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def uniforms(self, n: int) -> list[float]:
+        return [self.uniform() for _ in range(n)]
+
+    def give_back(self, n: int):
+        self.state = (self.state - n * self.GAMMA) & self.MASK
+
 
 def poisson(rng: PortableRng, rate: float) -> int:
     """The scalar Poisson draw: a rate above POISSON_SPLIT is the sum of
@@ -119,8 +145,8 @@ class TestPortableRng:
     def test_reproducible_stream(self):
         a = PortableRng(42)
         b = PortableRng(42)
-        assert [a.next_u64() for _ in range(5)] == \
-               [b.next_u64() for _ in range(5)]
+        assert [a.uniform() for _ in range(5)] == \
+               [b.uniform() for _ in range(5)]
 
     def test_uniform_range(self):
         rng = PortableRng(7)
@@ -160,32 +186,69 @@ class TestPortableRng:
            n=st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_uniforms_equal_single_draws(self, seed, n):
-        block, single = PortableRng(seed), PortableRng(seed)
+        block, single = PortableRng(seed), RefSplitmix(seed)
         got = block.uniforms(n)
         assert got.dtype == np.float64 and got.shape == (n,)
-        assert got.tolist() == [single.uniform() for _ in range(n)]
+        assert got.tolist() == single.uniforms(n)
         assert block.state == single.state
         assert block.uniform() == single.uniform()
 
     def test_uniforms_wrap_past_2_64(self):
-        block, single = PortableRng(2 ** 64 - 1), PortableRng(2 ** 64 - 1)
-        assert block.uniforms(3).tolist() == [single.uniform()
-                                              for _ in range(3)]
+        block, single = PortableRng(2 ** 64 - 1), RefSplitmix(2 ** 64 - 1)
+        assert block.uniforms(3).tolist() == single.uniforms(3)
         assert block.state == single.state < 2 ** 64 - 1
         empty = PortableRng(5)
         assert empty.uniforms(0).size == 0 and empty.state == 5
 
     @pytest.mark.parametrize("m", [4095, 4096, 4097, 6000])
     def test_uniforms_past_the_cached_ramp(self, m):
-        # blocks up to 4096 long slice one kept ramp of offsets, longer
-        # ones make their own; a short block after a long one reads the
-        # kept ramp unchanged
+        # fresh draws up to 4096 long slice one kept ramp of offsets,
+        # longer ones make their own; a short read after a long one reads
+        # the kept ramp unchanged
         seed = 2 ** 64 - 2000
-        block, single = PortableRng(seed), PortableRng(seed)
+        block, single = PortableRng(seed), RefSplitmix(seed)
         for n in (m, 5):
-            assert block.uniforms(n).tolist() == [single.uniform()
-                                                  for _ in range(n)]
+            assert block.uniforms(n).tolist() == single.uniforms(n)
             assert block.state == single.state
+
+    @given(seed=st.one_of(st.integers(0, 2 ** 64 - 1),
+                          st.integers(2 ** 64 - 9000, 2 ** 64 - 1)),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["uniforms", "uniform", "give_back"]),
+               st.one_of(st.integers(0, 40), st.integers(4000, 9000))),
+               min_size=1, max_size=10))
+    @example(seed=3, ops=[("uniforms", 40), ("uniforms", 4090),
+                          ("give_back", 4091), ("uniforms", 30)])
+    @settings(max_examples=60, deadline=None)
+    def test_reads_and_hand_backs_equal_single_draws(self, seed, ops):
+        # reads from 0 to past a ramp's worth straddle block ends and take
+        # the long-ramp path; a hand-back of up to every draw kept reaches
+        # past the start of the block that a straddling read began
+        rng, ref = PortableRng(seed), RefSplitmix(seed)
+        kept = 0  # draws made and not handed back
+        for op, m in ops:
+            if op == "uniforms":
+                assert rng.uniforms(m).tolist() == ref.uniforms(m)
+                kept += m
+            elif op == "uniform":
+                assert rng.uniform() == ref.uniform()
+                kept += 1
+            else:
+                n = min(m, kept)
+                rng.give_back(n)
+                ref.give_back(n)
+                kept -= n
+            assert rng.state == ref.state
+
+    def test_served_draws_are_read_only(self):
+        # a served slice is a view of the block that a hand-back serves
+        # again, so writing into it would change a later read
+        rng = PortableRng(6)
+        u = rng.uniforms(5)
+        with pytest.raises(ValueError):
+            u[0] = 0.5
+        rng.give_back(3)
+        assert rng.uniforms(3).tolist() == u[2:].tolist()
 
 
 class TestDemandProfile:
@@ -597,65 +660,6 @@ class TestBlockRefills:
         scripted = ScriptedRng([0.5])
         assert sample_segment(profile, clock, scripted) == ([], [])
         assert scripted.blocks == 0 and list(scripted.script) == [0.5]
-
-
-class TestReadAhead:
-    """Consecutive segments sampled through a read-ahead view draw what
-    per-segment draws from a plain stream do, and leave its state."""
-
-    @staticmethod
-    def _draw(profile, stream, first, segments):
-        clock = SegmentClock(first, segments, first, 15)
-        out = []
-        for seg in range(first, first + segments):
-            clock.current = seg
-            out.append(sample_segment(profile, clock, stream))
-        return out
-
-    @given(profile=profiles(),
-           seed=st.one_of(st.integers(0, 2 ** 64 - 1),
-                          st.integers(2 ** 64 - 60, 2 ** 64 - 1)),
-           first=st.integers(0, 7), segments=st.integers(1, 10),
-           ahead=st.one_of(st.none(), st.integers(0, 30)))
-    @settings(max_examples=150, deadline=None)
-    def test_same_trips_arrivals_and_state(self, profile, seed, first,
-                                           segments, ahead):
-        # ahead None takes the episode's own stream; a count draws a view
-        # that short, so reads run past its block and refill
-        direct, rng = PortableRng(seed), PortableRng(seed)
-        want = self._draw(profile, direct, first, segments)
-        if ahead is None:
-            with episode_stream(profile, rng, first, segments) as stream:
-                got = self._draw(profile, stream, first, segments)
-        else:
-            view = ReadAhead(rng, ahead)
-            got = self._draw(profile, view, first, segments)
-            view.close()
-        assert got == want
-        assert rng.state == direct.state
-
-    def test_short_view_refills_from_the_stream(self):
-        profile = _city_profile()
-        direct, rng = PortableRng(3), PortableRng(3)
-        view = ReadAhead(rng, 10)
-        refills = []  # the view's draws from the stream after the first
-        rng.uniforms = lambda m, block=rng.uniforms: (refills.append(m)
-                                                      or block(m))
-        assert (self._draw(profile, view, 90, 12)
-                == self._draw(profile, direct, 90, 12))
-        assert refills
-        view.close()
-        assert rng.state == direct.state and view._u is None
-
-    def test_bus_only_segments_read_the_rng_directly(self):
-        profile = make_profile(rates=np.array([[0.0, 2.0], [0.0, 0.0],
-                                               [0.0, 0.0]]),
-                               bus_rates={("P0", "P1"): 1.5})
-        rng = PortableRng(8)
-        with episode_stream(profile, rng, 0, 1) as stream:
-            assert stream is rng  # position 0 draws no bike block
-        with episode_stream(profile, rng, 0, 2) as stream:
-            assert isinstance(stream, ReadAhead)
 
 
 class TestStationBranches:

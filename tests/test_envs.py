@@ -17,7 +17,6 @@ from urbansched.envs import (
 )
 from urbansched.forecast_bike import encode_flow
 from urbansched.harness import NoReposition, StaticHeadwayPolicy
-from urbansched.rng import PortableRng, ReadAhead
 from urbansched.world import ScenarioSpec, build_world
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -811,17 +810,14 @@ class TestSamplerCalls:
     binding, so each reset must sample through it, once per segment of
     the episode. This reads perfbench, never edits it."""
 
-    @pytest.mark.parametrize("kind, env_class, stream", [
-        ("city", BikeEnv, ReadAhead),  # bike draws read ahead
-        ("corridor", BusEnv, PortableRng),  # bus leaves alone draw directly
-    ])
-    def test_one_call_per_segment(self, monkeypatch, kind, env_class,
-                                  stream):
+    @pytest.mark.parametrize("kind, env_class", [("city", BikeEnv),
+                                                 ("corridor", BusEnv)])
+    def test_one_call_per_segment(self, monkeypatch, kind, env_class):
         real = envs.sample_segment
         calls = []
 
         def counting(profile, clock, rng):
-            calls.append((clock.current, type(rng)))
+            calls.append(clock.current)
             return real(profile, clock, rng)
 
         monkeypatch.setattr(envs, "sample_segment", counting)
@@ -830,7 +826,7 @@ class TestSamplerCalls:
         start = env.scenario.clock.get("episode_start", 0)
         for _ in range(2):
             env.reset()
-            assert calls == [(start + t, stream) for t in range(T)]
+            assert calls == [start + t for t in range(T)]
             calls.clear()
 
 

@@ -400,6 +400,20 @@ class TestCli:
                     "--policy", "headway"]) == 1
         assert "at least one station" in capsys.readouterr().err
 
+    def test_stationless_oracle_exit_1(self, tmp_path, capsys):
+        # with no station there is no placement to enumerate
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [], "routes": [{"stops": ["S1", "S2", "S3"]}],
+            "vehicles": [], "environment": [0.0],
+            "bus_script": [{"segment": 1, "origin": "S1",
+                            "destination": "S3", "count": 2}],
+        }))
+        assert cli(["oracle", "--scenario", str(path)]) == 1
+        assert ("oracle needs at least one station"
+                in capsys.readouterr().err)
+
     def test_unknown_vehicle_start_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({
