@@ -54,7 +54,6 @@ class PortableRng:
         return (self._origin + self._k * _GAMMA) & _MASK64
 
     def uniform(self) -> float:
-        # 53-bit mantissa, value in [0, 1)
         return float(self.uniforms(1)[0])
 
     def uniforms(self, m: int) -> np.ndarray:
@@ -64,7 +63,7 @@ class PortableRng:
         if k + m > held:
             fresh = _draws((self._origin + held * _GAMMA) & _MASK64,
                            max(_GAMMA_RAMP.size, k + m - held))
-            self._origin = self.state
+            self._origin = self.state  # the new block starts at the cursor
             self._u = np.concatenate((self._u[k:], fresh))
             self._u.flags.writeable = False
             k = 0
@@ -81,7 +80,8 @@ class PortableRng:
 
 
 def _draws(state: int, m: int) -> np.ndarray:
-    """The m uniforms that follow `state`, computed at once."""
+    """The m uniforms that follow `state`, computed at once: each draw's
+    top 53 bits scaled into [0, 1)."""
     ramp = (_GAMMA_RAMP[:m] if m <= _GAMMA_RAMP.size else
             np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA))
     z = ramp + np.uint64(state)  # a new array; wraps modulo 2**64
