@@ -200,6 +200,67 @@ class TestDemandChannel:
                                 for sid, row in rates.items()}, 0)
         assert shifted != play(rates, 0)
 
+    BUS_SCRIPT = [(1, "S1", "S3", 2), (2, "S3", "S2", 1), (2, "S2", "S3", 4),
+                  (5, "S1", "S2", 1)]
+
+    def test_bus_script_lands_on_the_segment_played(self):
+        # the episode starts at day position 3: each scripted arrival
+        # joins its queue at the step that plays its segment, stamped with
+        # that segment's position, and the forecast rows an observation
+        # holds follow the segments played, not the day position
+        start, T = 3, 6
+        spec = bus_only_scenario([
+            {"segment": s, "origin": o, "destination": d, "count": c}
+            for s, o, d, c in self.BUS_SCRIPT], episode_length=T)
+        spec = dataclasses.replace(spec, clock={**spec.clock,
+                                                "episode_start": start})
+        stops = ["S1", "S2", "S3"]
+        rows = np.zeros((T + HORIZON + 1, 2 * len(stops)))
+        for s, o, d, c in self.BUS_SCRIPT:
+            ahead = stops.index(d) > stops.index(o)
+            rows[s - 1, stops.index(o) + (0 if ahead else len(stops))] += c
+        forecast = slice(2 * len(stops), (2 + 2 * HORIZON) * len(stops))
+        env = BusEnv(scenario=spec, reward=RewardConfig(patience=T + 1))
+        obs = env.reset()
+        for played in range(T):
+            np.testing.assert_array_equal(
+                obs[forecast], rows[played + 1:played + 1 + HORIZON].ravel())
+            obs, _, done, _ = env.step(W.OP_HALT)
+            queued = sorted(
+                (s.id, p.destination, p.arrival_segment)
+                for s in env.world.bus_stops
+                for p in list(s.queue_fwd) + list(s.queue_bwd))
+            assert queued == sorted(
+                (o, d, start + s - 1) for s, o, d, c in self.BUS_SCRIPT
+                for _ in range(c) if s <= played + 1)
+            assert done == (played + 1 == T)
+
+    @pytest.mark.parametrize("force_outage", [False, True])
+    def test_joint_bike_env_follows_the_segment_played(self, force_outage):
+        # outage's scenario from day position 3, its trips the outage
+        # trips alone: each step serves or loses its own segment's trips,
+        # and the scenery buses reset the stop timers on their headway
+        # from the episode's first segment
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        del doc["demand_profile"]
+        doc["clock"] = {**doc["clock"], "episode_start": 3}
+        env = BikeEnv(scenario=ScenarioSpec.from_dict(doc), seed=2)
+        env.reset(force_outage=force_outage)
+        demand = [0] * env.scenario.episode_length
+        if force_outage:
+            for e in doc["joint"]["outage_trips"]:
+                demand[e["segment"] - 1] += e["count"]
+        for played, want in enumerate(demand, start=1):
+            _, _, done, info = env.step(NoReposition().action_for(env))
+            assert info["served"] + info["lost"] == want
+            timers = {(s.last_bus_fwd, s.last_bus_bwd)
+                      for s in env.world.bus_stops}
+            # no bus runs under an outage: the timers keep their start
+            assert timers == {(0, 0) if force_outage
+                              else (played % envs.BUS_HEADWAY,) * 2}
+        assert done
+
     def test_profile_bus_forecast_every_row(self):
         rates = {("S1", "S2"): 0.5, ("S1", "S3"): 1.25, ("S2", "S3"): 2.0,
                  ("S3", "S1"): 0.75, ("S3", "S2"): 0.25}
