@@ -168,104 +168,71 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Demand shared by both envs: a forecast per env, a realisation per episode
+# Demand shared by both envs: expected demand per env, a realisation per
+# episode, each indexed by segments played
 
 HORIZON = 2  # L, forecast segments in an observation
 
 
-@dataclass
-class _Forecast:
-    """Expected demand of a scenario, row t for episode segment t + 1, and
-    the profile that samples are drawn from. It depends on the scenario
-    alone, so an env builds it once; the arrays are read-only.
+def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only blocks of expected bike [departures | arrivals] per
+    station, (T + HORIZON + 1, 2n), and expected bus [forward | backward]
+    boardings per stop, (T + HORIZON + 1, 2 n_stops). Row t is the segment
+    played after t segments; the HORIZON + 1 zero rows after the T rows
+    let `_Env._horizon` read any clock position as one slice.
 
-    Each block is kept with HORIZON + 1 zero rows after its T rows, so the
-    rows an observation reads at any clock position are one slice
-    (`horizon_slice`); `bike` and `bus` are views of the T rows."""
-
-    # (T + HORIZON + 1, 2n) expected [departures | arrivals] per station
-    padded_bike: np.ndarray
-    # (T + HORIZON + 1, 2 n_stops) expected [forward | backward] boardings
-    padded_bus: np.ndarray
-    T: int
-    profile: DemandProfile | None = None
-
-    @property
-    def bike(self) -> np.ndarray:
-        return self.padded_bike[:self.T]
-
-    @property
-    def bus(self) -> np.ndarray:
-        return self.padded_bus[:self.T]
-
-    @staticmethod
-    def horizon_slice(padded: np.ndarray, current: int, start: int,
-                      L: int) -> np.ndarray:
-        """Rows for segments current+1..current+L of a block followed by
-        at least L + 1 zero rows, as a view; the clock never passes the
-        block's T rows, so the zero rows cover every position."""
-        first = current - start + 1
-        return padded[first:first + L]
-
-
-def _build_forecast(scenario: W.ScenarioSpec) -> _Forecast:
-    """The profile's expected demand plus the scripted trips. Outage trips
-    stay unforecast: the forecasters cannot anticipate an outage. A bus
-    OD's expected boardings go to the column of the queue its arrivals
-    join, the scenario's `queue_slots`."""
+    The rows are the profile's expected demand plus the scripted trips.
+    Outage trips stay unforecast: the forecasters cannot anticipate an
+    outage. A bus OD's expected boardings go to the column of the queue
+    its arrivals join, the scenario's `queue_slots`."""
     n = max(len(scenario.stations), 1)
     T = scenario.episode_length
-    start = scenario.clock.get("episode_start", 0)
-    padded_bike = np.zeros((T + HORIZON + 1, 2 * n))
-    padded_bus = np.zeros((T + HORIZON + 1,
-                           2 * max(len(scenario.stop_indices), 1)))
-    bike, bus = padded_bike[:T], padded_bus[:T]
+    bike = np.zeros((T + HORIZON + 1, 2 * n))
+    bus = np.zeros((T + HORIZON + 1, 2 * max(len(scenario.stop_indices), 1)))
     slots = scenario.queue_slots
-    profile = None
-    if scenario.demand_profile is not None:
-        profile = DemandProfile.from_dict(scenario.demand_profile,
-                                          scenario.station_ids())
+    if profile is not None:
+        start = scenario.episode_start
         for t in range(T):  # row t is day position start + t
             bike[t] = encode_flow(profile.expected_od(start + t))
         # bus rates are constant over the day: one row, summed in OD order
         for (origin, dest), rate in sorted(profile.bus_rates.items()):
             bus[0, slots[origin, dest]] += rate
-        bus[1:] = bus[0]
+        bus[1:T] = bus[0]
     if scenario.scripted_trips:
         od = np.zeros((T, n, n))
         for seg, (o, d, count) in scenario.scripted_trips:
             od[seg - 1, o, d] += count
-        bike += [encode_flow(m) for m in od]
+        bike[:T] += [encode_flow(m) for m in od]
     for e in scenario.bus_script or []:
         slot = slots[e["origin"], e["destination"]]
         bus[e["segment"] - 1, slot] += e["count"]
-    padded_bike.flags.writeable = padded_bus.flags.writeable = False
-    return _Forecast(padded_bike, padded_bus, T, profile)
+    bike.flags.writeable = bus.flags.writeable = False
+    return bike, bus
 
 
-def _realise(scenario: W.ScenarioSpec, forecast: _Forecast,
+def _realise(scenario: W.ScenarioSpec, profile: DemandProfile | None,
              rng: PortableRng, outage: bool = False
-             ) -> tuple[dict[int, list[BikeTrip]],
-                        dict[int, list[BusArrival]]]:
-    """One episode's bike trips and bus arrivals by 1-based segment: each
-    segment's profile sample, then its scripted trips, then, under an
-    outage, its outage trips; the bike trip lists come resolved from the
-    scenario. The validator keeps every segment in 1..T."""
+             ) -> tuple[list[list[BikeTrip]], list[list[BusArrival]]]:
+    """One episode's bike trips and bus arrivals, item t for the segment
+    played after t segments: each segment's profile sample, then its
+    scripted trips, then, under an outage, its outage trips; the bike trip
+    lists come resolved from the scenario. The validator keeps every
+    scripted segment in 1..T."""
     T = scenario.episode_length
-    trips = {seg: [] for seg in range(1, T + 1)}
-    bus_arrivals = {seg: [] for seg in range(1, T + 1)}
-    if forecast.profile is not None:
-        start = scenario.clock.get("episode_start", 0)
+    trips = [[] for _ in range(T)]
+    bus_arrivals = [[] for _ in range(T)]
+    if profile is not None:
+        start = scenario.episode_start
         clock = W.SegmentClock(start, T, start, scenario.segment_minutes)
-        for seg in range(1, T + 1):
-            clock.current = start + seg - 1  # the segment's position
-            trips[seg], bus_arrivals[seg] = sample_segment(
-                forecast.profile, clock, rng)
+        for t in range(T):
+            clock.current = start + t
+            trips[t], bus_arrivals[t] = sample_segment(profile, clock, rng)
     for seg, trip in scenario.scripted_trips + (
             scenario.outage_trips if outage else []):
-        trips[seg].append(trip)
+        trips[seg - 1].append(trip)
     for e in scenario.bus_script or []:
-        bus_arrivals[e["segment"]].append(
+        bus_arrivals[e["segment"] - 1].append(
             (e["origin"], e["destination"], e["count"]))
     return trips, bus_arrivals
 
@@ -278,9 +245,9 @@ BUS_HEADWAY = 4  # the bike env's scenery buses reset stop timers this often
 
 @dataclass
 class _Env:
-    """What both MDPs share: the scenario's forecast, built once, the
-    joint toggle (None takes the scenario's), and the episode's demand
-    stream, drawn from the seed and the episode count.
+    """What both MDPs share: the scenario's demand profile and expected
+    demand, built once, the joint toggle (None takes the scenario's), and
+    the episode's demand stream, drawn from the seed and the episode count.
 
     Each env defines `reset` and `step` in its own class body: perfbench's
     tracer wraps them where the class's `__dict__` holds them.
@@ -296,7 +263,12 @@ class _Env:
         if self.joint_enabled is None:
             self.joint_enabled = joint.get("enabled", False)
         self.joint_k: int = joint.get("k", 2)
-        self.forecast = _build_forecast(self.scenario)
+        scenario = self.scenario
+        self.profile = (None if scenario.demand_profile is None else
+                        DemandProfile.from_dict(scenario.demand_profile,
+                                                scenario.station_ids()))
+        self.expected_bike, self.expected_bus = _expected_demand(
+            scenario, self.profile)
         self.world: W.WorldState | None = None
         self.obs: np.ndarray | None = None  # what reset or step last returned
         self.record: EpisodeRecord | None = None  # set when an episode ends
@@ -317,18 +289,18 @@ class _Env:
         """Realise the episode's demand and build its world. The last
         episode's demand and world go first, so no reset holds two."""
         self.world = self.trips = self.bus_arrivals = None
-        self.trips, self.bus_arrivals = _realise(self.scenario, self.forecast,
+        self.trips, self.bus_arrivals = _realise(self.scenario, self.profile,
                                                  rng, outage)
         self.world = W.build_world(self.scenario, self._riders)
         self.done = False
         self.record = None
 
-    def _horizon(self, padded: np.ndarray) -> np.ndarray:
-        """The (HORIZON, columns) rows of a padded forecast block for the
-        coming segments."""
-        clock = self.world.clock
-        return self.forecast.horizon_slice(padded, clock.current,
-                                           clock.episode_start, HORIZON)
+    def _horizon(self, rows: np.ndarray) -> np.ndarray:
+        """The (HORIZON, columns) rows of an expected-demand block that an
+        observation reads, as a view; the block's zero rows cover every
+        clock position."""
+        t = self.world.clock.elapsed
+        return rows[t + 1:t + 1 + HORIZON]
 
 
 class BikeEnv(_Env):
@@ -377,8 +349,7 @@ class BikeEnv(_Env):
         w = self.world
         O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
              if self.joint_enabled else None)
-        self.obs = bike_observe(w, self._horizon(self.forecast.padded_bike),
-                                0, O)
+        self.obs = bike_observe(w, self._horizon(self.expected_bike), 0, O)
         return self.obs
 
     def step(self, action: tuple[int, int]):
@@ -396,8 +367,7 @@ class BikeEnv(_Env):
                 self.distance += self._distance(before, after)
             # bikes the station could not dock; operation is -docked
             self.overflow += max(0, unload + vehicle.operation)
-        segment = w.clock.current - w.clock.episode_start + 1
-        _, served, lost = W.step_bike_world(w, self.trips.get(segment, []))
+        _, served, lost = W.step_bike_world(w, self.trips[w.clock.elapsed])
         self.served += served
         self.lost += lost
         self._tick_bus_scenery()
@@ -430,9 +400,9 @@ class BikeEnv(_Env):
         if self.outage:
             return
         w = self.world
-        elapsed = w.clock.current - w.clock.episode_start
+        timer = w.clock.elapsed % BUS_HEADWAY
         for stop in w.bus_stops:
-            stop.last_bus_fwd = stop.last_bus_bwd = elapsed % BUS_HEADWAY
+            stop.last_bus_fwd = stop.last_bus_bwd = timer
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +439,7 @@ class BusEnv(_Env):
         w = self.world
         O = (joint_features(w, "bus", self.joint_k)
              if self.joint_enabled else None)
-        self.obs = bus_observe(w, self._horizon(self.forecast.padded_bus),
-                               0, O)
+        self.obs = bus_observe(w, self._horizon(self.expected_bus), 0, O)
         return self.obs
 
     def _max_wait(self) -> int:
@@ -485,11 +454,10 @@ class BusEnv(_Env):
         if action not in (W.OP_FORWARD, W.OP_HALT, W.OP_BACKWARD):
             raise ValueError(f"invalid bus action {action!r}")
         w = self.world
-        segment = w.clock.current - w.clock.episode_start + 1
-        arrivals = self.bus_arrivals.get(segment, [])
         actions = [W.OP_HALT] * len(w.buses)
         actions[0] = action
-        _, reduced, drive = W.step_bus_world(w, actions, arrivals)
+        _, reduced, drive = W.step_bus_world(
+            w, actions, self.bus_arrivals[w.clock.elapsed])
         self.reduced_wait += reduced
         self.drive_time += drive
         reward = 0.0 if action == W.OP_HALT else (

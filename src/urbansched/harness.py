@@ -76,8 +76,8 @@ def _with_placement(scenario: W.ScenarioSpec,
 
 
 def first_segment_departures(scenario: W.ScenarioSpec) -> np.ndarray:
-    forecast = BikeEnv(scenario=scenario).forecast
-    return forecast.bike[0, :len(scenario.stations)]
+    n = len(scenario.stations)
+    return BikeEnv(scenario=scenario).expected_bike[0, :n]
 
 
 def greedy_placement(scenario: W.ScenarioSpec) -> W.ScenarioSpec:

@@ -34,12 +34,17 @@ class SegmentClock:
     def __post_init__(self):
         if self.segment_minutes <= 0:
             raise ScenarioError("segment_minutes must be > 0")
-        if not (self.episode_start <= self.current <= self.episode_start + self.episode_length):
+        if not 0 <= self.elapsed <= self.episode_length:
             raise ScenarioError("clock current outside episode bounds")
 
     @property
+    def elapsed(self) -> int:
+        """Segments of the episode played so far."""
+        return self.current - self.episode_start
+
+    @property
     def at_end(self) -> bool:
-        return self.current >= self.episode_start + self.episode_length
+        return self.elapsed >= self.episode_length
 
     def advance(self):
         if self.at_end:
@@ -231,10 +236,9 @@ class ScenarioSpec:
             raise ScenarioError(f"clock segment_minutes {minutes!r} must be "
                                 f"a finite number > 0")
         _check_count("clock episode_length", ck.get("episode_length", 1), 1)
-        episode_start = ck.get("episode_start", 0)
-        if not _is_int(episode_start):
-            raise ScenarioError(f"clock episode_start {episode_start!r} must "
-                                f"be an integer")
+        if not _is_int(self.episode_start):
+            raise ScenarioError(f"clock episode_start {self.episode_start!r} "
+                                f"must be an integer")
         if not (isinstance(self.environment, list)
                 and all(map(_is_number, self.environment))):
             raise ScenarioError("environment must be a list of finite "
@@ -373,6 +377,11 @@ class ScenarioSpec:
         return self.clock.get("episode_length", 1)
 
     @property
+    def episode_start(self) -> int:
+        """The day position of the episode's first segment."""
+        return self.clock.get("episode_start", 0)
+
+    @property
     def segment_minutes(self) -> float:
         return self.clock.get("segment_minutes", 15)
 
@@ -416,9 +425,9 @@ def build_world(scenario: ScenarioSpec,
     the scenario's `queue_slots`; an env passes the riders map it keeps
     for all its worlds, and without one the world gets a fresh map."""
     clock = SegmentClock(
-        episode_start=scenario.clock.get("episode_start", 0),
+        episode_start=scenario.episode_start,
         episode_length=scenario.episode_length,
-        current=scenario.clock.get("episode_start", 0),
+        current=scenario.episode_start,
         segment_minutes=scenario.segment_minutes,
     )
     stops: list[BusStop] = []

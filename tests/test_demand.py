@@ -713,26 +713,33 @@ class TestStationBranches:
         assert not rng.script and rng.blocks == 1
 
 
-def _by_id(trips: dict, ids: list[str]) -> dict:
-    """Bike trips by segment with their station indices mapped back to
-    ids, as the pinned digests hash them."""
+def _by_segment(lists: list) -> dict:
+    """Per-segment lists, indexed by segments played, keyed by 1-based
+    segment as the pinned digests hash them."""
+    return {t + 1: items for t, items in enumerate(lists)}
+
+
+def _by_id(trips: list, ids: list[str]) -> dict:
+    """Bike trips by 1-based segment with their station indices mapped
+    back to ids, as the pinned digests hash them."""
     return {seg: [(ids[o], ids[d], c) for o, d, c in seg_trips]
-            for seg, seg_trips in trips.items()}
+            for seg, seg_trips in _by_segment(trips).items()}
 
 
 def _channel_sha256(env, resets: int) -> str:
     digest = hashlib.sha256()
     ids = env.scenario.station_ids()
+    T = env.scenario.episode_length
     for _ in range(resets):
         env.reset()
-        f = env.forecast
+        bike, bus = env.expected_bike[:T], env.expected_bus[:T]
         n = len(env.scenario.stations)
-        m = f.bus.shape[1] // 2
+        m = bus.shape[1] // 2
         digest.update(repr(sorted(_by_id(env.trips, ids).items())).encode())
-        digest.update(repr(sorted(env.bus_arrivals.items())).encode())
+        digest.update(repr(sorted(
+            _by_segment(env.bus_arrivals).items())).encode())
         # the former c1, c2, g, forward and backward bus channels
-        for a in (f.bike[:, :n], f.bike[:, n:], f.bike, f.bus[:, :m],
-                  f.bus[:, m:]):
+        for a in (bike[:, :n], bike[:, n:], bike, bus[:, :m], bus[:, m:]):
             digest.update(repr((a.shape, a.dtype.str)).encode())
             digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
@@ -759,8 +766,8 @@ class TestPinnedDemand:
         env = envs.BikeEnv(scenario=resolve_scenario("bike5"), seed=3)
         assert _channel_sha256(env, 3) == (
             "e46f951690c44df77aa10930f5edee74241fe8514dd057177585d799dac9774c")
-        assert not env.forecast.bike.flags.writeable
-        assert not env.forecast.bus.flags.writeable
+        assert not env.expected_bike.flags.writeable
+        assert not env.expected_bus.flags.writeable
 
     def test_realised_episodes(self):
         # B's rate of 75 splits into leaves, C departs into an all-zero OD
@@ -788,14 +795,16 @@ class TestPinnedDemand:
             "demand_script": [{"segment": 2, "origin": "D",
                                "destination": "A", "count": 2}],
         })
-        forecast = envs._build_forecast(scenario)
+        profile = DemandProfile.from_dict(scenario.demand_profile,
+                                          scenario.station_ids())
         digest = hashlib.sha256()
         for seed in (1, 2 ** 40 + 3, 2 ** 64 - 1):
             rng = PortableRng(seed)
-            trips, arrivals = envs._realise(scenario, forecast, rng)
+            trips, arrivals = envs._realise(scenario, profile, rng)
             trips = _by_id(trips, scenario.station_ids())
             digest.update(repr(sorted(trips.items())).encode())
-            digest.update(repr(sorted(arrivals.items())).encode())
+            digest.update(repr(sorted(
+                _by_segment(arrivals).items())).encode())
             digest.update(str(rng.state).encode())
         assert digest.hexdigest() == (
             "3314bf0daceedc7e68a9234d7a01e3837c080a03ac17e2213fb4829cead0aee9")
@@ -891,9 +900,8 @@ class TestScriptedDemand:
         ]
         env = envs.BikeEnv(scenario=script_scenario(script))
         env.reset()
-        assert env.trips == {1: [(A, B, 10), (B, C, 15)], 2: [(B, C, 10)]}
-        assert sum(c for trips in env.trips.values()
-                   for _, _, c in trips) == 35
+        assert env.trips == [[(A, B, 10), (B, C, 15)], [(B, C, 10)]]
+        assert sum(c for trips in env.trips for _, _, c in trips) == 35
 
     def test_segment_bounds_checked(self):
         bad = [{"segment": 3, "origin": "A", "destination": "B", "count": 1}]

@@ -150,29 +150,25 @@ class TestObservations:
 
 
 class TestDemandChannel:
-    def test_horizon_slice_matches_row_loop(self):
-        env = BikeEnv(scenario=mixed_scenario())
-        env.reset()
-        arr = np.arange(1.0, 13.0).reshape(4, 3)
+    def test_horizon_matches_row_loop(self):
+        T = 4
         for start in (0, 2):
-            # every clock position of a 4-segment episode
-            for current in range(start, start + 5):
-                for L in (0, 1, 2, 5):
-                    first = current - start + 1
-                    want = [arr[t] if 0 <= t < 4 else np.zeros(3)
-                            for t in range(first, first + L)]
-                    padded = np.vstack([arr, np.zeros((L + 1, 3))])
-                    got = env.forecast.horizon_slice(padded, current, start,
-                                                     L)
-                    assert got.shape == (L, 3)
-                    np.testing.assert_array_equal(got,
-                                                  np.reshape(want, (L, 3)))
-        T = env.scenario.episode_length
-        for padded, block in ((env.forecast.padded_bike, env.forecast.bike),
-                              (env.forecast.padded_bus, env.forecast.bus)):
-            assert padded.shape[0] == T + HORIZON + 1
-            assert block.shape[0] == T and block.base is padded
-            assert not padded[T:].any() and not padded.flags.writeable
+            spec = mixed_scenario()
+            env = BikeEnv(scenario=dataclasses.replace(
+                spec, clock={**spec.clock, "episode_start": start}))
+            env.reset()
+            for rows in (env.expected_bike, env.expected_bus):
+                assert rows.shape[0] == T + HORIZON + 1
+                assert not rows[T:].any() and not rows.flags.writeable
+                arr = np.arange(1.0, 1 + rows.size).reshape(rows.shape)
+                arr[T:] = 0.0
+                for played in range(T + 1):  # every clock position
+                    env.world.clock.current = start + played
+                    want = [arr[t] for t in range(played + 1,
+                                                  played + 1 + HORIZON)]
+                    got = env._horizon(arr)
+                    assert np.shares_memory(got, arr)
+                    np.testing.assert_array_equal(got, want)
 
     def test_episode_start_offsets_the_day_position(self):
         doc = json.loads((resources.files("urbansched.scenarios")
@@ -278,9 +274,9 @@ class TestDemandChannel:
         })
         env = BusEnv(scenario=scenario)
         env.reset()
-        np.testing.assert_array_equal(env.forecast.bus,
+        np.testing.assert_array_equal(env.expected_bus[:5],
                                       [[1.75, 2.0, 0.0, 0.0, 0.0, 1.0]] * 5)
-        np.testing.assert_array_equal(env.forecast.bike[:, :2],
+        np.testing.assert_array_equal(env.expected_bike[:5, :2],
                                       [[1.0, 0.5], [2.0, 0.0]] * 2
                                       + [[1.0, 0.5]])
 
@@ -296,16 +292,16 @@ class TestTripLists:
     def test_bus_script_alone_realised_and_forecast(self):
         env = BusEnv(scenario=bus_only_scenario(self.BUS_SCRIPT))
         env.reset()
-        assert env.bus_arrivals == {
-            1: [("S1", "S3", 2)], 2: [("S3", "S2", 1), ("S2", "S3", 4)],
-            3: [], 4: [], 5: [("S1", "S2", 1)], 6: []}
+        assert env.bus_arrivals == [
+            [("S1", "S3", 2)], [("S3", "S2", 1), ("S2", "S3", 4)],
+            [], [], [("S1", "S2", 1)], []]
         # rows of [forward | backward] boardings at S1, S2, S3
         expected = np.zeros((6, 6))
         expected[0, 0] = 2
         expected[1, 5] = 1
         expected[1, 1] = 4
         expected[4, 0] = 1
-        np.testing.assert_array_equal(env.forecast.bus, expected)
+        np.testing.assert_array_equal(env.expected_bus[:6], expected)
         env.step(W.OP_HALT)
         assert len(env.world.bus_stops[0].queue_fwd) == 2
 
@@ -323,11 +319,11 @@ class TestTripLists:
         del doc["demand_script"], doc["joint"]
         profile_only = BikeEnv(scenario=ScenarioSpec.from_dict(doc), seed=3)
         profile_only.reset()
-        assert all(profile_only.trips.values())  # every segment sampled
+        assert all(profile_only.trips)  # every segment sampled
         ids = profile_only.scenario.station_ids()
         for seg in range(1, 7):
-            assert full.trips[seg] == (
-                profile_only.trips[seg]
+            assert full.trips[seg - 1] == (
+                profile_only.trips[seg - 1]
                 + [(ids.index(o), ids.index(d), c)
                    for s, o, d, c in script if s == seg]
                 + [(ids.index(e["origin"]), ids.index(e["destination"]),
@@ -336,8 +332,8 @@ class TestTripLists:
         for s, o, d, c in script:
             od[s - 1, ids.index(o), ids.index(d)] += c
         np.testing.assert_array_equal(
-            full.forecast.bike,
-            profile_only.forecast.bike + [encode_flow(m) for m in od])
+            full.expected_bike[:6],
+            profile_only.expected_bike[:6] + [encode_flow(m) for m in od])
 
 
 class TestJointFeatures:
@@ -763,10 +759,8 @@ class TestArrivalMemo:
             worlds.append(env.world)
             done = False
             while not done:
-                w = env.world
-                segment = w.clock.current - w.clock.episode_start + 1
                 stepped.update((o, d) for o, d, _ in
-                               env.bus_arrivals.get(segment, []))
+                               env.bus_arrivals[env.world.clock.elapsed])
                 _, _, done, _ = env.step(policy.action_for(env))
         memo = worlds[0].riders
         assert all(w.riders is memo for w in worlds)
@@ -830,7 +824,7 @@ class TestDirectionRule:
         env = BusEnv(scenario=_lone_od(spec, origin, dest, declared_in))
         env.reset()
         stops = env.world.bus_stops
-        (column,) = np.flatnonzero(env.forecast.bus[0])
+        (column,) = np.flatnonzero(env.expected_bus[0])
         env.step(W.OP_HALT)
         queued = [(s.id, forward) for s in stops for forward, queue
                   in ((True, s.queue_fwd), (False, s.queue_bwd)) if queue]
@@ -884,7 +878,7 @@ class TestSamplerCalls:
         monkeypatch.setattr(envs, "sample_segment", counting)
         env = env_class(scenario=bench_scenario(kind, 0), seed=1)
         T = env.scenario.episode_length
-        start = env.scenario.clock.get("episode_start", 0)
+        start = env.scenario.episode_start
         for _ in range(2):
             env.reset()
             assert calls == [start + t for t in range(T)]

@@ -74,8 +74,8 @@ def headway_reference(scenario, seed, reward=RewardConfig()):
         total += reward
         wait += info["reduced_wait"]
         drive += info["drive_time"]
-    arrived = sum(n for seg in range(1, len(actions) + 1)
-                  for _, _, n in env.bus_arrivals[seg])
+    arrived = sum(n for arrivals in env.bus_arrivals[:len(actions)]
+                  for _, _, n in arrivals)
     queued = sum(len(s.queue_fwd) + len(s.queue_bwd)
                  for s in env.world.bus_stops)
     return EpisodeRecord(total, boardings=arrived - queued,

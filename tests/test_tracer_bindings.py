@@ -65,7 +65,7 @@ def test_tracer_counts_a_bike_and_a_bus_episode():
     assert all(owner.__dict__[attr] is original
                for owner, attr, original in originals)
     metrics = tracer.layer_metrics()
-    demanded = sum(n for trips in bike.trips.values() for _, _, n in trips)
+    demanded = sum(n for trips in bike.trips for _, _, n in trips)
     assert metrics["world.bike_trips_demanded"] == demanded > 0
     assert metrics["world.bike_trips_served"] == record.served > 0
     T, bus_T = city.episode_length, corridor.episode_length
