@@ -2,7 +2,7 @@
 together.
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed
-scenario, missing file), 2 runtime failure.
+scenario, missing file, a directory named as a file), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ def cmd_train(args) -> int:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("train --config must hold an object")
         if "seed" in doc:
             raise ValueError("train --config takes no 'seed' key; "
                              "pass --seed instead")
@@ -216,7 +218,7 @@ def cli(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, ValueError,
+    except (ScenarioError, FileNotFoundError, IsADirectoryError, ValueError,
             harness.OracleTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

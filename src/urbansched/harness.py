@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -100,13 +101,12 @@ def run_no_reposition(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:
 
 
 def _compositions(total: int, bins: int):
-    """All nonnegative integer splits of total over bins."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, bins - 1):
-            yield (first,) + rest
+    """All nonnegative integer splits of total over bins, in lexicographic
+    order: stars and bars, the bins - 1 bars placed among total + bins - 1
+    slots, with each bin the stars between two bars."""
+    slots = total + bins - 1
+    for bars in itertools.combinations(range(slots), bins - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 def placement_count(total: int, bins: int) -> int:

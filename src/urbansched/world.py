@@ -164,6 +164,8 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
+        if not isinstance(doc, dict):
+            raise ScenarioError("scenario must be an object")
         return cls(
             stations=doc.get("stations", []),
             routes=doc.get("routes", []),

@@ -98,6 +98,22 @@ class TestExhaustiveOracle:
         assert best == 5
         assert placement["C"] == 5
 
+    def test_compositions_in_the_recursive_order(self):
+        def recursive(total, bins):
+            """The former recursive enumeration, one level per bin."""
+            if bins == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in recursive(total - first, bins - 1):
+                    yield (first,) + rest
+
+        for total in range(7):
+            for bins in range(1, 6):
+                got = list(harness._compositions(total, bins))
+                assert got == list(recursive(total, bins))
+                assert len(got) == harness.placement_count(total, bins)
+
     def test_refusal_bound(self):
         assert harness.placement_count(10, 3) == 66
         big = scripted_scenario([], load=10)
@@ -413,6 +429,46 @@ class TestCli:
         assert cli(["oracle", "--scenario", str(path)]) == 1
         assert ("oracle needs at least one station"
                 in capsys.readouterr().err)
+
+    def test_wide_oracle_without_bikes(self, tmp_path, capsys):
+        # one station per level of the former recursive enumeration would
+        # pass the interpreter's recursion limit; no bikes, one placement
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 1},
+            "stations": [{"id": f"S{i:04d}", "x": float(i), "y": 0.0,
+                          "docks": 1} for i in range(1100)],
+            "routes": [], "vehicles": [], "environment": [0.0],
+        }))
+        assert cli(["oracle", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out == "best_served=0 placement=-\n"
+
+    @pytest.mark.parametrize("doc", [[], ["stations"], "fig1a", 3])
+    def test_scenario_not_an_object_exit_1(self, doc, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path)]) == 1
+        assert "scenario must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[], [{"episodes": 3}], "episodes"])
+    def test_train_config_not_an_object_exit_1(self, doc, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert "--config must hold an object" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--policy", "trained", "--checkpoint"],
+        ["eval", "--checkpoint"],
+        ["train", "--config"]])
+    def test_directory_as_file_exit_1(self, args, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        assert cli([*args, str(tmp_path / "dir"), "--scenario", "fig1a",
+                    "--out", str(tmp_path / "run")]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_vehicle_start_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
