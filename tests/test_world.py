@@ -248,6 +248,98 @@ def passengers(world):
             + [listed(b.onboard) for b in world.buses])
 
 
+class ReferenceBusWorld:
+    """A plain transcription of the rules step_bus_world's docstring
+    states. Each passenger is one [destination id, arrival] list; routes,
+    stop ids and directions are read from the scenario's route lists, with
+    no slots table and no shared objects. A bus is a (route, place on the
+    route) pair."""
+
+    def __init__(self, spec):
+        self.routes = [route["stops"] for route in spec.routes]
+        self.base = [sum(map(len, self.routes[:r]))
+                     for r in range(len(self.routes))]
+        self.now = spec.episode_start
+        self.minutes = spec.segment_minutes
+        n = sum(map(len, self.routes))
+        self.forward = [[] for _ in range(n)]
+        self.backward = [[] for _ in range(n)]
+        self.timers = [[0, 0] for _ in range(n)]
+        self.buses = [{"route": r, "place": 0, "operation": OP_HALT,
+                       "capacity": route.get("capacity", 30), "onboard": []}
+                      for r, route in enumerate(spec.routes)
+                      for _ in range(route.get("bus_count", 1))]
+        self.boardings = 0
+
+    def step(self, actions, arrivals):
+        for origin, dest, count in arrivals:
+            (r,) = [r for r, stops in enumerate(self.routes)
+                    if origin in stops]
+            stops = self.routes[r]
+            at = self.base[r] + stops.index(origin)
+            ahead = stops.index(dest) > stops.index(origin)
+            for _ in range(count):
+                (self.forward if ahead else self.backward)[at].append(
+                    [dest, self.now])
+        for timer in self.timers:
+            timer[0] += 1
+            timer[1] += 1
+        reduced_wait = drive_time = 0.0
+        for bus, action in zip(self.buses, actions):
+            stops = self.routes[bus["route"]]
+            place = bus["place"] + action
+            if action == OP_HALT or not 0 <= place < len(stops):
+                bus["operation"] = OP_HALT
+                continue
+            bus["place"] = place
+            bus["operation"] = action
+            drive_time += self.minutes
+            bus["onboard"] = [p for p in bus["onboard"]
+                              if p[0] != stops[place]]
+            at = self.base[bus["route"]] + place
+            queue = (self.forward if action == OP_FORWARD
+                     else self.backward)[at]
+            while queue and len(bus["onboard"]) < bus["capacity"]:
+                passenger = queue.pop(0)
+                bus["onboard"].append(passenger)
+                self.boardings += 1
+                reduced_wait += (self.now - passenger[1]) * self.minutes
+            self.timers[at][0 if action == OP_FORWARD else 1] = 0
+        self.now += 1
+        return reduced_wait, drive_time
+
+    def state(self):
+        """What bus_state reads from a world, from the reference."""
+        def listed(seq):
+            return [tuple(p) for p in seq]
+        return {
+            "passengers": ([(listed(f), listed(b))
+                            for f, b in zip(self.forward, self.backward)]
+                           + [listed(b["onboard"]) for b in self.buses]),
+            "buses": [(self.base[b["route"]] + b["place"], b["operation"],
+                       len(b["onboard"])) for b in self.buses],
+            "timers": [tuple(t) for t in self.timers],
+            "boardings": self.boardings,
+            "now": self.now,
+        }
+
+
+def bus_state(world):
+    """The bus half of a world as plain values: every queue and every
+    bus's riders as (destination id, arrival) lists, each bus's location,
+    operation and occupied seats, the stop timers, boardings and the
+    clock."""
+    return {
+        "passengers": passengers(world),
+        "buses": [(b.location, b.operation, b.occupied)
+                  for b in world.buses],
+        "timers": [(s.last_bus_fwd, s.last_bus_bwd)
+                   for s in world.bus_stops],
+        "boardings": world.boardings,
+        "now": world.clock.current,
+    }
+
+
 def enumerate_best_boarding(waiters, capacity, minutes):
     best = 0.0
     for size in range(min(capacity, len(waiters)) + 1):
@@ -431,6 +523,41 @@ class TestStepBusWorld:
                 per_triple_join(ref, arrivals)
                 assert got == step_bus_world(ref, actions, [])[1:]
                 assert passengers(world) == passengers(ref)
+
+    @given(st.lists(st.tuples(st.integers(3, 6), st.integers(0, 2),
+                              st.integers(1, 3)), min_size=1, max_size=3),
+           st.sampled_from([15, 7.5, 0.1]),
+           st.integers(0, 5),
+           st.lists(st.tuples(
+               st.lists(st.sampled_from([OP_BACKWARD, OP_HALT, OP_FORWARD]),
+                        min_size=6, max_size=6),
+               st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                                  st.integers(1, 4), st.integers(0, 4)),
+                        max_size=8)),
+               min_size=1, max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_world(self, shapes, minutes, start, script):
+        # every bus takes its own drawn action; after each step the whole
+        # bus state and the returned figures equal the reference's, bit
+        # for bit
+        lengths = [n for n, _, _ in shapes]
+        routes = [{"stops": [f"R{r}S{i}" for i in range(n)],
+                   "bus_count": count, "capacity": capacity}
+                  for r, (n, count, capacity) in enumerate(shapes)]
+        spec = ScenarioSpec.from_dict({
+            "clock": {"episode_length": len(script), "episode_start": start,
+                      "segment_minutes": minutes},
+            "stations": [], "routes": routes, "vehicles": [],
+            "environment": [], "bus_script": every_od(routes)})
+        world, ref = build_world(spec), ReferenceBusWorld(spec)
+        assert bus_state(world) == ref.state()
+        for moves, draws in script:
+            arrivals = drawn_arrivals(lengths, draws)
+            arrivals += arrivals[:2]  # repeated ODs within one segment
+            actions = moves[:len(world.buses)]
+            got = step_bus_world(world, actions, arrivals)[1:]
+            assert got == ref.step(actions, arrivals)
+            assert bus_state(world) == ref.state()
 
     def test_bad_arrival_rejected_every_time(self):
         world = build_world(bus_scenario())
