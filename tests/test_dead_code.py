@@ -58,6 +58,33 @@ def test_every_definition_is_used_outside_itself():
     assert unused == []
 
 
+def test_every_field_is_read_outside_itself():
+    """Each annotated field of a package class is read as `.field`, or
+    passed as `field=`, in src/ or perfbench/ outside the line that
+    declares it; a field that nothing reads is carried for nothing."""
+    sources = {path: path.read_text().splitlines()
+               for path in [*sorted((ROOT / "src").rglob("*.py")),
+                            *sorted((ROOT / "perfbench").rglob("*.py"))]}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    continue
+                name = item.target.id
+                pattern = re.compile(rf"\.{name}\b|\b{name}=")
+                if not any(pattern.search(line)
+                           for source, lines in sources.items()
+                           for i, line in enumerate(lines)
+                           if not (source == path
+                                   and i == item.lineno - 1)):
+                    unread.append(f"{path.stem}.{cls.name}.{name}")
+    assert unread == []
+
+
 # Options only tests set: cli's argv (tests drive the CLI in process) and
 # three that acceptance tests set (acceptance 7, 2 and 5).
 OPTION_EXEMPT = {"cli.cli.argv", "ddpg.run_episode.force_outage",
