@@ -319,9 +319,8 @@ class BikeEnv(_Env):
         super().__post_init__()
         self._coords = np.array([(float(s["x"]), float(s["y"]))
                                  for s in self.scenario.stations])
-        # [a][b]: distance from station a to b, None until first driven
-        self._distances: list[list[float | None]] = [
-            [None] * len(self._coords) for _ in self._coords]
+        # (a, b): distance from station a to b, added when first driven
+        self._distances: dict[tuple[int, int], float] = {}
 
     @property
     def n_stations(self) -> int:
@@ -389,10 +388,11 @@ class BikeEnv(_Env):
     def _distance(self, a: int, b: int) -> float:
         """Distance between stations a and b, computed the first time the
         vehicle drives between them."""
-        row = self._distances[a]
-        if row[b] is None:
-            row[b] = float(np.linalg.norm(self._coords[a] - self._coords[b]))
-        return row[b]
+        d = self._distances.get((a, b))
+        if d is None:
+            d = self._distances[a, b] = float(
+                np.linalg.norm(self._coords[a] - self._coords[b]))
+        return d
 
     def _tick_bus_scenery(self):
         """Reset the stop timers on the scenery buses' headway. Under an

@@ -526,6 +526,30 @@ class TestBikeEnv:
             total += reward
         assert total == pytest.approx(-0.1 * 5.0)
 
+    def test_distances_cached_per_pair_driven(self):
+        # the oracle builds an env per placement, so an env holds the
+        # distances it drove, not a table over every station pair
+        n = 2000
+        env = BikeEnv(scenario=ScenarioSpec.from_dict({
+            "clock": {"episode_length": 6},
+            "stations": [{"id": f"N{i}", "x": float(i % 50),
+                          "y": float(i // 50), "docks": 5}
+                         for i in range(n)],
+            "routes": [], "vehicles": [{"capacity": 5}],
+            "environment": []}))
+        assert env._distances == {}
+        env.reset()
+        stops = [1999, 1999, 7, 1999, 0, 7]
+        done = False
+        for target in stops:
+            _, _, done, _ = env.step((target, 0))
+        assert done
+        coords = env._coords
+        assert env._distances == {
+            (a, b): float(np.linalg.norm(coords[a] - coords[b]))
+            for a, b in [(0, 1999), (1999, 7), (7, 1999), (1999, 0),
+                         (0, 7)]}
+
     def test_overflow_penalty(self):
         # station B has 5 docks, all empty; unloading 2 into a full B later
         scenario = mixed_scenario(initial_bikes=(3, 5), docks=(5, 5))
