@@ -185,7 +185,7 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
     The rows are the profile's expected demand plus the scripted trips.
     Outage trips stay unforecast: the forecasters cannot anticipate an
     outage. A bus OD's expected boardings go to the column of the queue
-    its arrivals join, the scenario's `queue_slots`."""
+    its arrivals join, the slot the scenario's `queue_slots` gives it."""
     n = max(len(scenario.stations), 1)
     T = scenario.episode_length
     bike = np.zeros((T + HORIZON + 1, 2 * n))
@@ -197,7 +197,7 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
             bike[t] = encode_flow(profile.expected_od(start + t))
         # bus rates are constant over the day: one row, summed in OD order
         for (origin, dest), rate in sorted(profile.bus_rates.items()):
-            bus[0, slots[origin, dest]] += rate
+            bus[0, slots[origin, dest][0]] += rate
         bus[1:T] = bus[0]
     if scenario.scripted_trips:
         od = np.zeros((T, n, n))
@@ -205,7 +205,7 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
             od[seg - 1, o, d] += count
         bike[:T] += [encode_flow(m) for m in od]
     for e in scenario.bus_script or []:
-        slot = slots[e["origin"], e["destination"]]
+        slot, _ = slots[e["origin"], e["destination"]]
         bus[e["segment"] - 1, slot] += e["count"]
     bike.flags.writeable = bus.flags.writeable = False
     return bike, bus
@@ -273,9 +273,6 @@ class _Env:
         self.obs: np.ndarray | None = None  # what reset or step last returned
         self.record: EpisodeRecord | None = None  # set when an episode ends
         self._episode_counter = 0
-        # bus passengers by arrival position and destination, shared by
-        # every world built here
-        self._riders: dict[int, dict[str, W.Passenger]] = {}
 
     def _episode_rng(self, seed: int | None) -> PortableRng:
         """The next episode's demand stream; a given seed replaces the
@@ -291,7 +288,7 @@ class _Env:
         self.world = self.trips = self.bus_arrivals = None
         self.trips, self.bus_arrivals = _realise(self.scenario, self.profile,
                                                  rng, outage)
-        self.world = W.build_world(self.scenario, self._riders)
+        self.world = W.build_world(self.scenario)
         self.done = False
         self.record = None
 
@@ -445,7 +442,7 @@ class BusEnv(_Env):
     def _max_wait(self) -> int:
         """Longest wait in segments; a queue's head has waited longest."""
         w = self.world
-        heads = [q[0].arrival_segment for q in w.queues if q]
+        heads = [q[0][1] for q in w.queues if q]
         return w.clock.current - min(heads) if heads else 0
 
     def step(self, action: int):

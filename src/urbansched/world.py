@@ -52,23 +52,16 @@ class SegmentClock:
         self.current += 1
 
 
-@dataclass(frozen=True, slots=True)
-class Passenger:
-    """A waiting or riding passenger; its origin is the queue it waits in.
-    Frozen, so queues and worlds share one per arrival position and
-    destination; slotted, since an env keeps up to T x stops of them."""
-
-    destination: str
-    arrival_segment: int
-
-
 @dataclass
 class BusStop:
-    id: str
+    """A stop, numbered by its index in the world's `bus_stops`. A waiting
+    passenger is a (destination stop index, arrival position) pair; their
+    origin is the queue they wait in."""
+
     route: int  # index of the route the stop belongs to
     # FIFO queues in arrival order: the head is the longest-waiting passenger
-    queue_fwd: deque[Passenger]
-    queue_bwd: deque[Passenger]
+    queue_fwd: deque[tuple[int, int]]
+    queue_bwd: deque[tuple[int, int]]
     last_bus_fwd: int = 0
     last_bus_bwd: int = 0
 
@@ -79,7 +72,8 @@ class AgentState:
     occupied: int
     operation: int
     capacity: int
-    onboard: list[Passenger] = field(default_factory=list)
+    # riding passengers as (destination stop index, arrival position)
+    onboard: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if not (0 <= self.occupied <= self.capacity):
@@ -92,17 +86,14 @@ class AgentState:
 
 @dataclass
 class WorldState:
-    """One episode's mutable state. Stations, stops and agent locations
-    are integer indices in scenario order, and bike trips name stations
-    by index; bus arrivals and passengers keep stop ids.
+    """One episode's mutable state. Stations, stops, agent locations and
+    bus passengers' destinations are integer indices in scenario order,
+    and bike trips name stations by index; bus arrivals keep stop ids.
 
     `queues` lists the same deques as the stops' `queue_fwd` and
     `queue_bwd`: with n stops, stop i's forward queue sits at slot i and
-    its backward queue at n + i, the slots of the scenario's
-    `queue_slots`, which `slots` is. A stop's queues are mutated, never
-    replaced. `riders` maps a clock position and a destination id to the
-    one frozen Passenger who arrives then; the worlds of one env share
-    it, at most T x stops of them.
+    its backward queue at n + i. `slots` is the scenario's `queue_slots`.
+    A stop's queues are mutated, never replaced.
     """
 
     clock: SegmentClock
@@ -113,9 +104,8 @@ class WorldState:
     vehicles: list[AgentState]
     buses: list[AgentState]
     env_features: np.ndarray
-    queues: list[deque[Passenger]]
-    slots: dict[tuple[str, str], int]
-    riders: dict[int, dict[str, Passenger]]
+    queues: list[deque[tuple[int, int]]]
+    slots: dict[tuple[str, str], tuple[int, int]]
 
     def __post_init__(self):
         self.boardings = 0  # passengers boarded since the world was built
@@ -138,10 +128,11 @@ class ScenarioSpec:
     - `station_indices` and `stop_indices` map ids to their order in the
       scenario; stops are numbered across routes, in route order.
     - `queue_slots` maps each bus OD the scenario declares, in `bus_rates`
-      or `bus_script`, to the slot of the queue its arrivals join. With
-      n stops it is o, the origin's forward queue, when the destination
-      lies ahead on the route, else n + o, its backward queue. The world
-      and the bus forecast both read it, so they share one direction rule.
+      or `bus_script`, to (slot, destination index): the slot of the queue
+      its arrivals join and the stop they get off at. With n stops the
+      slot is o, the origin's forward queue, when the destination lies
+      ahead on the route, else n + o, its backward queue. The world and
+      the bus forecast both read it, so they share one direction rule.
     - `scripted_trips` and `outage_trips` are the bike trip lists as
       (segment, (origin index, destination index, count)) pairs.
     """
@@ -245,7 +236,7 @@ class ScenarioSpec:
                 and all(map(_is_number, self.environment))):
             raise ScenarioError("environment must be a list of finite "
                                 "numbers")
-        self.queue_slots: dict[tuple[str, str], int] = {}
+        self.queue_slots: dict[tuple[str, str], tuple[int, int]] = {}
         self.scripted_trips: list[tuple[int, tuple[int, int, int]]] = []
         self.outage_trips: list[tuple[int, tuple[int, int, int]]] = []
         profile = self.demand_profile
@@ -293,9 +284,9 @@ class ScenarioSpec:
 
     def _declare_bus_od(self, entry: dict, stop_route: dict[str, int],
                         where: str):
-        """Check a bus OD and record its queue slot. The OD must join two
-        distinct stops of one route: no bus can carry a passenger between
-        routes."""
+        """Check a bus OD and record its queue slot and destination index.
+        The OD must join two distinct stops of one route: no bus can carry
+        a passenger between routes."""
         origin, dest = entry.get("origin"), entry.get("destination")
         for sid in (origin, dest):
             if not (isinstance(sid, str) and sid in stop_route):
@@ -309,7 +300,8 @@ class ScenarioSpec:
         # a route's stops are numbered in its order, so the destination
         # lies ahead on it when its index is the larger
         o, d = self.stop_indices[origin], self.stop_indices[dest]
-        self.queue_slots[origin, dest] = o if d > o else len(stop_route) + o
+        self.queue_slots[origin, dest] = (
+            o if d > o else len(stop_route) + o, d)
 
     def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
         if not isinstance(profile, dict):
@@ -420,12 +412,9 @@ def _check_objects(where: str, items):
         raise ScenarioError(f"{where} must be a list of objects")
 
 
-def build_world(scenario: ScenarioSpec,
-                riders: dict[int, dict[str, Passenger]] | None = None
-                ) -> WorldState:
+def build_world(scenario: ScenarioSpec) -> WorldState:
     """Materialize a validated scenario at episode start. The world reads
-    the scenario's `queue_slots`; an env passes the riders map it keeps
-    for all its worlds, and without one the world gets a fresh map."""
+    the scenario's `queue_slots`."""
     clock = SegmentClock(
         episode_start=scenario.episode_start,
         episode_length=scenario.episode_length,
@@ -436,8 +425,7 @@ def build_world(scenario: ScenarioSpec,
     buses: list[AgentState] = []
     for r, route in enumerate(scenario.routes):
         base = len(stops)
-        for stop_id in route["stops"]:
-            stops.append(BusStop(stop_id, r, deque(), deque()))
+        stops += [BusStop(r, deque(), deque()) for _ in route["stops"]]
         capacity = route.get("capacity", 30)
         for _ in range(route.get("bus_count", 1)):
             buses.append(AgentState(location=base, occupied=0,
@@ -460,7 +448,6 @@ def build_world(scenario: ScenarioSpec,
         queues=([s.queue_fwd for s in stops]
                 + [s.queue_bwd for s in stops]),
         slots=scenario.queue_slots,
-        riders={} if riders is None else riders,
     )
 
 
@@ -502,15 +489,16 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     """Advance the bus system one segment.
 
     Arrivals are (origin id, destination id, count) triples; they first
-    join their queues, in list order. Each OD's queue is the slot the
-    scenario's `queue_slots` gives it, and an OD the scenario does not
-    declare raises. One frozen Passenger, from the world's `riders`,
-    stands for every arrival at one clock position to one destination.
+    join their queues, in list order, each arrival as a (destination stop
+    index, clock position) pair. The scenario's `queue_slots` gives each
+    OD's slot and destination index, and an OD the scenario does not
+    declare raises.
 
     Each moving bus advances one stop per segment in its direction (clipped
     at the ends of its own route, which records a halt). At the visited stop
-    it alights matching passengers, then boards FIFO from the same-direction
-    queue up to remaining capacity, adding them to `world.boardings`.
+    it alights the passengers whose destination it is, then boards FIFO
+    from the same-direction queue up to remaining capacity, adding them to
+    `world.boardings`.
     Returns (world, reduced_wait, drive_time) in minutes.
     """
     buses = world.buses
@@ -522,17 +510,13 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     now = world.clock.current
     queues = world.queues
     slots = world.slots
-    riders = world.riders.setdefault(now, {})
     for origin, dest, count in boarding_demand:
         try:
-            slot = slots[origin, dest]
+            slot, d = slots[origin, dest]
         except KeyError:
             raise ScenarioError(f"bus arrival OD {origin!r}->{dest!r} is "
                                 f"not declared by the scenario") from None
-        rider = riders.get(dest)
-        if rider is None:
-            rider = riders[dest] = Passenger(dest, now)
-        queues[slot].extend([rider] * count)
+        queues[slot].extend([(d, now)] * count)
     for stop in world.bus_stops:
         stop.last_bus_fwd += 1
         stop.last_bus_bwd += 1
@@ -551,7 +535,7 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
         bus.operation = action
         drive_time += minutes
         stop = world.bus_stops[target]
-        staying = [p for p in bus.onboard if p.destination != stop.id]
+        staying = [p for p in bus.onboard if p[0] != target]
         alighted = len(bus.onboard) - len(staying)
         bus.onboard = staying
         bus.occupied -= alighted
@@ -562,7 +546,7 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
             pax = queue.popleft()
             bus.onboard.append(pax)
             bus.occupied += 1
-            reduced_wait += (now - pax.arrival_segment) * minutes
+            reduced_wait += (now - pax[1]) * minutes
         if action == OP_FORWARD:
             stop.last_bus_fwd = 0
         else:

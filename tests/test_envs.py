@@ -114,7 +114,7 @@ class TestObservations:
             {"capacity": 4, "start": "B", "initial_load": 1}]))
         W.apply_reposition(world, 1, 0, 2)
         world.bus_stops[1].last_bus_fwd = 3
-        world.bus_stops[2].queue_bwd.append(W.Passenger("S1", 0))
+        world.bus_stops[2].queue_bwd.append((0, 0))  # S3 to S1
         block = [[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]]
         O = joint_features(world, "vehicle", 2)
         flat = bike_observe(world, block, 1, O)
@@ -223,9 +223,9 @@ class TestDemandChannel:
                 obs[forecast], rows[played + 1:played + 1 + HORIZON].ravel())
             obs, _, done, _ = env.step(W.OP_HALT)
             queued = sorted(
-                (s.id, p.destination, p.arrival_segment)
-                for s in env.world.bus_stops
-                for p in list(s.queue_fwd) + list(s.queue_bwd))
+                (stops[i], stops[d], arrival)
+                for i, s in enumerate(env.world.bus_stops)
+                for d, arrival in list(s.queue_fwd) + list(s.queue_bwd))
             assert queued == sorted(
                 (o, d, start + s - 1) for s, o, d, c in self.BUS_SCRIPT
                 for _ in range(c) if s <= played + 1)
@@ -701,9 +701,15 @@ def two_route_scenario():
     })
 
 
+def _stop_ids(spec: ScenarioSpec) -> list[str]:
+    """The scenario's stop ids, in the order of the world's stop indices."""
+    return [sid for route in spec.routes for sid in route["stops"]]
+
+
 def _headway_queues_sha256(env, episodes):
-    """SHA-256 over every queue and every bus's riders, as (destination,
-    arrival) lists, after each step of `episodes` headway episodes."""
+    """SHA-256 over every queue and every bus's riders, as (destination
+    id, arrival) lists, after each step of `episodes` headway episodes."""
+    ids = _stop_ids(env.scenario)
     policy = StaticHeadwayPolicy()
     digest = hashlib.sha256()
     for _ in range(episodes):
@@ -714,11 +720,11 @@ def _headway_queues_sha256(env, episodes):
             w = env.world
             for stop in w.bus_stops:
                 for queue in (stop.queue_fwd, stop.queue_bwd):
-                    digest.update(repr([(p.destination, p.arrival_segment)
-                                        for p in queue]).encode())
+                    digest.update(repr([(ids[d], arrival)
+                                        for d, arrival in queue]).encode())
             for bus in w.buses:
-                digest.update(repr([(p.destination, p.arrival_segment)
-                                    for p in bus.onboard]).encode())
+                digest.update(repr([(ids[d], arrival)
+                                    for d, arrival in bus.onboard]).encode())
     return digest.hexdigest()
 
 
@@ -768,11 +774,10 @@ class TestPinnedCityRollouts:
             "49de3940faef9b627cd57b68bf62ebb335ee38d4a4b22649d4ec548885ac2b02")
 
 
-class TestArrivalMemo:
-    def test_scope_and_bounds(self):
-        """An env's worlds share one riders map, bounded by T x stops
-        passengers, and read the scenario's queue slots; another env, or a
-        world built on its own, gets riders of its own."""
+class TestQueueSlots:
+    def test_every_world_reads_the_scenario_slots(self):
+        """Every world of an env, and a world built on its own, reads the
+        scenario's queue slots, which declare every OD that arrives."""
         spec = bench_scenario("corridor", 0)
         env = BusEnv(scenario=spec, seed=0, reward=RewardConfig(patience=97))
         policy = StaticHeadwayPolicy()
@@ -786,28 +791,9 @@ class TestArrivalMemo:
                 stepped.update((o, d) for o, d, _ in
                                env.bus_arrivals[env.world.clock.elapsed])
                 _, _, done, _ = env.step(policy.action_for(env))
-        memo = worlds[0].riders
-        assert all(w.riders is memo for w in worlds)
         assert all(w.slots is spec.queue_slots for w in worlds)
         assert stepped and stepped <= set(spec.queue_slots)
-        T, stops = spec.episode_length, len(worlds[0].bus_stops)
-        riders = [(position, dest, p) for position, by_dest
-                  in memo.items() for dest, p in by_dest.items()]
-        assert 0 < len(riders) <= T * stops
-        assert all((p.destination, p.arrival_segment) == (dest, position)
-                   for position, dest, p in riders)
-        other = BusEnv(scenario=spec, seed=0, reward=RewardConfig(patience=97))
-        other.reset()
-        other.step(W.OP_FORWARD)
-        mine = other.world.riders
-        assert mine and mine is not memo
-        assert not any(mine[position] is by_dest
-                       for position, by_dest in memo.items()
-                       if position in mine)
-        fresh = build_world(spec)
-        assert fresh.riders == {}
-        assert fresh.riders is not memo and fresh.riders is not mine
-        assert fresh.slots is spec.queue_slots
+        assert build_world(spec).slots is spec.queue_slots
 
 
 def _ahead(spec: ScenarioSpec, origin: str, dest: str) -> bool:
@@ -847,12 +833,14 @@ class TestDirectionRule:
                declared_in: str):
         env = BusEnv(scenario=_lone_od(spec, origin, dest, declared_in))
         env.reset()
-        stops = env.world.bus_stops
+        ids = _stop_ids(spec)
         (column,) = np.flatnonzero(env.expected_bus[0])
         env.step(W.OP_HALT)
-        queued = [(s.id, forward) for s in stops for forward, queue
+        queued = [(sid, forward)
+                  for sid, s in zip(ids, env.world.bus_stops)
+                  for forward, queue
                   in ((True, s.queue_fwd), (False, s.queue_bwd)) if queue]
-        forecast = (stops[column % len(stops)].id, column < len(stops))
+        forecast = (ids[column % len(ids)], column < len(ids))
         assert queued == [forecast] == [(origin, _ahead(spec, origin, dest))]
 
     @pytest.mark.parametrize("declared_in", ["bus_rates", "bus_script"])

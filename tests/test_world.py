@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urbansched import world as W
 from urbansched.envs import BusEnv
 from urbansched.world import (
     OP_BACKWARD, OP_FORWARD, OP_HALT, ScenarioError, ScenarioSpec,
@@ -200,28 +199,32 @@ def full_scan_max_wait(world):
     """Reference for BusEnv._max_wait: the longest wait found by reading
     every queued passenger."""
     cur = world.clock.current
-    waits = [cur - p.arrival_segment
+    waits = [cur - arrival
              for stop in world.bus_stops
-             for p in stop.queue_fwd + stop.queue_bwd]
+             for _, arrival in stop.queue_fwd + stop.queue_bwd]
     return max(waits, default=0)
 
 
-def per_triple_join(world, arrivals):
+def stop_ids(spec):
+    """The scenario's stop ids, in the order of the world's stop indices."""
+    return [sid for route in spec.routes for sid in route["stops"]]
+
+
+def per_triple_join(world, ids, arrivals):
     """Reference for the arrival join of step_bus_world: each triple's
-    stops and their places on the route looked up on their own and a
-    Passenger made per triple, as the world did before it read the
-    scenario's queue slots, and before an env's worlds shared their
-    passengers."""
+    stops and their places on the route looked up on their own, and a
+    passenger made per arrival, as the world did before it read the
+    scenario's queue slots."""
     stops = world.bus_stops
-    index = {s.id: i for i, s in enumerate(stops)}
-    place = {s.id: sum(t.route == s.route for t in stops[:i])
-             for i, s in enumerate(stops)}
+    index = {sid: i for i, sid in enumerate(ids)}
+    place = {sid: sum(t.route == s.route for t in stops[:i])
+             for i, (sid, s) in enumerate(zip(ids, stops))}
     now = world.clock.current
     for origin, dest, count in arrivals:
         stop = stops[index[origin]]
         forward = place[dest] > place[origin]
         queue = stop.queue_fwd if forward else stop.queue_bwd
-        queue.extend([W.Passenger(dest, now)] * count)
+        queue.extend((index[dest], now) for _ in range(count))
 
 
 def drawn_arrivals(lengths, draws):
@@ -238,11 +241,11 @@ def drawn_arrivals(lengths, draws):
     return arrivals
 
 
-def passengers(world):
-    """Every queue and every bus's riders as (destination, arrival)
-    sequences."""
+def passengers(world, ids):
+    """Every queue and every bus's riders as (destination id, arrival)
+    sequences, each destination index mapped back to its stop id."""
     def listed(seq):
-        return [(p.destination, p.arrival_segment) for p in seq]
+        return [(ids[d], arrival) for d, arrival in seq]
     return ([(listed(s.queue_fwd), listed(s.queue_bwd))
              for s in world.bus_stops]
             + [listed(b.onboard) for b in world.buses])
@@ -324,13 +327,13 @@ class ReferenceBusWorld:
         }
 
 
-def bus_state(world):
+def bus_state(world, ids):
     """The bus half of a world as plain values: every queue and every
     bus's riders as (destination id, arrival) lists, each bus's location,
     operation and occupied seats, the stop timers, boardings and the
     clock."""
     return {
-        "passengers": passengers(world),
+        "passengers": passengers(world, ids),
         "buses": [(b.location, b.operation, b.occupied)
                   for b in world.buses],
         "timers": [(s.last_bus_fwd, s.last_bus_bwd)
@@ -370,7 +373,7 @@ class TestStepBusWorld:
         stop = world.bus_stops[1]
         now = world.clock.current
         for age in (2, 1, 0):
-            stop.queue_fwd.append(W.Passenger("S4", now - age))
+            stop.queue_fwd.append((3, now - age))
         _, reduced, _ = step_bus_world(world, [OP_FORWARD], [])
         assert reduced == (2 + 1) * minutes
         assert reduced == enumerate_best_boarding([2, 1, 0], 2, minutes)
@@ -380,12 +383,12 @@ class TestStepBusWorld:
         world = build_world(bus_scenario(capacity=1))
         bus = world.buses[0]
         now = world.clock.current
-        bus.onboard.append(W.Passenger("S2", now))
+        bus.onboard.append((1, now))  # bound for S2
         bus.occupied = 1
-        world.bus_stops[1].queue_fwd.append(W.Passenger("S4", now))
+        world.bus_stops[1].queue_fwd.append((3, now))  # S2 to S4
         step_bus_world(world, [OP_FORWARD], [])
         assert bus.occupied == 1  # alighted one, boarded one
-        assert bus.onboard[0].destination == "S4"
+        assert bus.onboard == [(3, now)]
 
     def test_clipped_at_terminal_counts_as_halt(self):
         world = build_world(bus_scenario())
@@ -456,7 +459,7 @@ class TestStepBusWorld:
             step_bus_world(world, actions, arrivals)
             for stop in world.bus_stops:
                 for queue in (stop.queue_fwd, stop.queue_bwd):
-                    arrived = [p.arrival_segment for p in queue]
+                    arrived = [arrival for _, arrival in queue]
                     assert arrived == sorted(arrived)
             for bus in world.buses:
                 assert bus.occupied == len(bus.onboard)
@@ -480,15 +483,16 @@ class TestStepBusWorld:
             "routes": routes, "vehicles": [], "environment": [],
             "bus_script": every_od(routes)})
         world, ref = build_world(spec), build_world(spec)
+        ids = stop_ids(spec)
         for move, draws in script:
             arrivals = drawn_arrivals(lengths, draws)
             arrivals += arrivals[:2]  # repeated ODs within one segment
             actions = [-move if i % 2 else move
                        for i in range(len(world.buses))]
             got = step_bus_world(world, actions, arrivals)[1:]
-            per_triple_join(ref, arrivals)
+            per_triple_join(ref, ids, arrivals)
             assert got == step_bus_world(ref, actions, [])[1:]
-            assert passengers(world) == passengers(ref)
+            assert passengers(world, ids) == passengers(ref, ids)
 
     @given(st.lists(st.integers(2, 5), min_size=1, max_size=3),
            st.integers(1, 6),
@@ -502,8 +506,8 @@ class TestStepBusWorld:
     @settings(max_examples=40, deadline=None)
     def test_arrival_join_across_worlds_matches_per_triple_join(
             self, lengths, capacity, script, random):
-        # two consecutive worlds of one env share its arrival memo: the
-        # second finds the first's slots and passengers, in a new order
+        # two consecutive worlds of one env, the second fed the same
+        # arrivals in a new order
         routes = [{"stops": [f"R{r}S{i}" for i in range(n)], "bus_count": 2,
                    "capacity": capacity} for r, n in enumerate(lengths)]
         spec = ScenarioSpec.from_dict({
@@ -511,6 +515,7 @@ class TestStepBusWorld:
             "routes": routes, "vehicles": [], "environment": [],
             "bus_script": every_od(routes)})
         env = BusEnv(scenario=spec)
+        ids = stop_ids(spec)
         for _ in range(2):
             env.reset()
             world, ref = env.world, build_world(spec)
@@ -520,9 +525,9 @@ class TestStepBusWorld:
                 actions = [-move if i % 2 else move
                            for i in range(len(world.buses))]
                 got = step_bus_world(world, actions, arrivals)[1:]
-                per_triple_join(ref, arrivals)
+                per_triple_join(ref, ids, arrivals)
                 assert got == step_bus_world(ref, actions, [])[1:]
-                assert passengers(world) == passengers(ref)
+                assert passengers(world, ids) == passengers(ref, ids)
 
     @given(st.lists(st.tuples(st.integers(3, 6), st.integers(0, 2),
                               st.integers(1, 3)), min_size=1, max_size=3),
@@ -550,14 +555,15 @@ class TestStepBusWorld:
             "stations": [], "routes": routes, "vehicles": [],
             "environment": [], "bus_script": every_od(routes)})
         world, ref = build_world(spec), ReferenceBusWorld(spec)
-        assert bus_state(world) == ref.state()
+        ids = stop_ids(spec)
+        assert bus_state(world, ids) == ref.state()
         for moves, draws in script:
             arrivals = drawn_arrivals(lengths, draws)
             arrivals += arrivals[:2]  # repeated ODs within one segment
             actions = moves[:len(world.buses)]
             got = step_bus_world(world, actions, arrivals)[1:]
             assert got == ref.step(actions, arrivals)
-            assert bus_state(world) == ref.state()
+            assert bus_state(world, ids) == ref.state()
 
     def test_bad_arrival_rejected_every_time(self):
         world = build_world(bus_scenario())
