@@ -51,7 +51,11 @@ def cluster_stations(station_ids: list[str], coords: np.ndarray, k: int,
 @dataclass
 class DepartureModel:
     """One LSTM per station over its normalized departure series: an
-    nn.LstmNet with a linear head, fed the last `window` values."""
+    nn.LstmNet with a linear head, fed the last `window` values.
+
+    The net runs in float32 (nn's kernels follow their parameters'
+    dtype): a fit moves half the bytes of a float64 one. Scaling is done
+    in float64, and forecasts come back as float64 values."""
 
     net: nn.LstmNet
     scale: float
@@ -62,7 +66,8 @@ class DepartureModel:
     def create(cls, window: int = 24, hidden: int = 16,
                seed: int = 0) -> "DepartureModel":
         rng = np.random.default_rng(seed)
-        return cls(net=nn.LstmNet.init(1, hidden, [1], ["identity"], rng),
+        return cls(net=nn.LstmNet.init(1, hidden, [1], ["identity"], rng,
+                                       dtype=np.float32),
                    scale=1.0, window=window)
 
     def _predict_scaled(self, window_vals: np.ndarray) -> float:
@@ -86,7 +91,8 @@ class DepartureModel:
         if series.size < self.window + 1:
             raise ValueError("history shorter than the training window")
         self.scale = max(float(series.max()), 1.0)
-        scaled = series / self.scale
+        # in the net's dtype, so that the kernels need not copy it
+        scaled = (series / self.scale).astype(self.net.params.vector.dtype)
         # (window, n_batch, 1) view of the series: xs_all[t, b] = scaled[t + b]
         xs_all = np.lib.stride_tricks.sliding_window_view(
             scaled[:-1, None], self.window, axis=0).transpose(2, 0, 1)

@@ -2,9 +2,13 @@
 gradient checking, a clipped gradient-descent optimizer, and the one
 network made of them (LstmNet: an LSTM, then a dense head).
 
-Everything is float64 numpy so finite-difference checks stay tight.
-Forward passes never mutate parameters; tapes carry the activations the
-backward pass needs.
+The kernels compute in the dtype of their parameters: tapes, working
+arrays and fresh gradients take it, and inputs are cast to it. The DDPG
+actor and critic and the finite-difference checks (grad_check) run in
+float64, which keeps those checks tight; the departure forecaster
+(forecast_bike) runs in float32, which moves half the bytes. Forward
+passes never mutate parameters; tapes carry the activations the backward
+pass needs.
 """
 
 from __future__ import annotations
@@ -68,11 +72,13 @@ class LstmParams:
         return p
 
     @classmethod
-    def zeros(cls, input_size: int, hidden_size: int) -> "LstmParams":
+    def zeros(cls, input_size: int, hidden_size: int,
+              dtype=np.float64) -> "LstmParams":
         width = 4 * hidden_size
-        return cls(W_x=np.zeros((input_size, width)),
-                   W_h=np.zeros((hidden_size, width)), b=np.zeros(width),
-                   peep=np.zeros((3, hidden_size)))
+        return cls(W_x=np.zeros((input_size, width), dtype),
+                   W_h=np.zeros((hidden_size, width), dtype),
+                   b=np.zeros(width, dtype),
+                   peep=np.zeros((3, hidden_size), dtype))
 
     def arrays(self) -> list[np.ndarray]:
         return [self.W_x, self.W_h, self.b, self.peep]
@@ -86,8 +92,8 @@ class LstmParams:
 _MAPPED_BYTES = 1 << 16
 
 
-def _tape_array(shape: tuple) -> np.ndarray:
-    """An uninitialised float array for a tape.
+def _tape_array(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array of dtype for a tape.
 
     A large one lives in an anonymous mapping of its own, outside malloc's
     heap. A tape that a training loop reuses lives as long as the loop;
@@ -96,13 +102,15 @@ def _tape_array(shape: tuple) -> np.ndarray:
     the heap, two bike5 training runs in one process left 6.5 MB of it
     free but resident, against 1.0 MB). A mapping goes back to the system
     whole when the tape goes. Small arrays stay in the heap, since a
-    mapping costs system calls and whole pages.
+    mapping costs system calls and whole pages. Which is which is decided
+    by bytes, so a float32 array maps from twice the elements.
     """
-    size = int(np.prod(shape)) * 8
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
     if size < _MAPPED_BYTES:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     import mmap  # here, so that importing nn loads no extension module
-    return np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
 
 
 @dataclass
@@ -117,7 +125,8 @@ class LstmTape:
 
     The tape also owns the working arrays of the forward and backward
     passes run on it (`scratch`), so that a forward given this tape as
-    `reuse` allocates nothing.
+    `reuse` allocates nothing. Every array of a tape has its parameters'
+    dtype.
     """
 
     # (N, B, input): the forward's input, not copied when it is contiguous
@@ -136,7 +145,7 @@ class LstmTape:
         the passes of later calls that reuse this tape."""
         array = self.scratch.get(name)
         if array is None or array.shape != shape:
-            array = self.scratch[name] = _tape_array(shape)
+            array = self.scratch[name] = _tape_array(shape, self.h.dtype)
         return array
 
     def per_sample(self, name: str, rows: np.ndarray) -> np.ndarray:
@@ -164,18 +173,22 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     recurrence runs over steps start..N-1 only.
     Returns (hs, tape) with hs the (N, B, H) per-step hidden states.
 
+    xs and the start mask are cast to the parameters' dtype, in which the
+    whole pass runs.
+
     Windows that slide over one series may come as a view: input size 1
-    and xs.strides[0] == xs.strides[1] == 8, so that xs[t, b] is value
-    t + b of a contiguous series (np.lib.stride_tricks.sliding_window_view
-    and a transpose make one). The tape then keeps the view, not a copy,
-    and the input projection takes each of the N + B - 1 values once.
+    and xs.strides[0] == xs.strides[1] == xs.itemsize, so that xs[t, b] is
+    value t + b of a contiguous series
+    (np.lib.stride_tricks.sliding_window_view and a transpose make one).
+    The tape then keeps the view, not a copy, and the input projection
+    takes each of the N + B - 1 values once.
 
     reuse, if given, is the tape of an earlier call that nothing reads any
-    more, nor the hs that call returned. When its N, B and H match, this
-    call writes into its arrays and returns it as the tape, so that a
-    training loop that hands each step the previous step's tape allocates
-    nothing after its first step. Fresh arrays would be returned to the
-    system and faulted in again on every step.
+    more, nor the hs that call returned. When its N, B, H and dtype
+    match, this call writes into its arrays and returns it as the tape, so
+    that a training loop that hands each step the previous step's tape
+    allocates nothing after its first step. Fresh arrays would be
+    returned to the system and faulted in again on every step.
 
     The tape is gate-major (LstmTape); the bits do not depend on it:
     - the input projection is one BLAS product of all N * B inputs with
@@ -195,7 +208,8 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     - every elementwise expression keeps its association order, written
       in place into buffers allocated once per tape.
     """
-    xs = np.asarray(xs, dtype=float)
+    dtype = params.W_h.dtype
+    xs = np.asarray(xs, dtype=dtype)
     if xs.ndim != 3:
         raise ShapeError("input sequence must be (N, B, input)")
     n_steps, batch, input_size = xs.shape
@@ -210,21 +224,24 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
         start = np.asarray(start)
         if start.shape != (batch,):
             raise ShapeError("start needs one step index per sample")
-        live = (np.arange(n_steps)[:, None] >= start).astype(float)[:, :, None]
+        live = (np.arange(n_steps)[:, None] >= start).astype(dtype)[:, :, None]
     # a sliding view: xs[t, b] is value t + b of a contiguous series, and
     # each xs[t] is strided as in a contiguous copy
     sliding = (input_size == 1
                and xs.strides[0] == xs.strides[1] == xs.itemsize)
     if not sliding:
         xs = np.ascontiguousarray(xs)
-    if reuse is not None and reuse.gates.shape == (n_steps, 4, batch, H):
+    if (reuse is not None and reuse.gates.shape == (n_steps, 4, batch, H)
+            and reuse.gates.dtype == dtype):
         tape = reuse
         tape.xs, tape.live = xs, live
     else:
-        tape = LstmTape(xs=xs, gates=_tape_array((n_steps, 4, batch, H)),
-                        c=_tape_array((n_steps + 1, batch, H)),
-                        h=_tape_array((n_steps + 1, batch, H)),
-                        tanh_c=_tape_array((n_steps, batch, H)), live=live)
+        tape = LstmTape(xs=xs,
+                        gates=_tape_array((n_steps, 4, batch, H), dtype),
+                        c=_tape_array((n_steps + 1, batch, H), dtype),
+                        h=_tape_array((n_steps + 1, batch, H), dtype),
+                        tanh_c=_tape_array((n_steps, batch, H), dtype),
+                        live=live)
     gates, c, h, tanh_c = tape.gates, tape.c, tape.h, tape.tanh_c
     c[0] = 0.0  # every later row is written by its step
     h[0] = 0.0
@@ -283,9 +300,10 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     """Exact BPTT through the tape.
 
     dh_out holds dLoss/dh_t per step, shaped like the forward hs output,
-    (N, B, hidden). Writes the parameter gradients into
-    grads (fresh arrays when None) and returns it; the gradient with respect
-    to the inputs is not computed.
+    (N, B, hidden), and is cast to the parameters' dtype. Writes the
+    parameter gradients into grads (fresh arrays of that dtype when None)
+    and returns it; the gradient with respect to the inputs is not
+    computed.
 
     The gate gradients are computed gate-major, in contiguous (B, H)
     blocks, with each expression in its association order and tanh(c_t)
@@ -296,13 +314,14 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     bias and peephole gradients are column sums over the batch, in batch
     order.
     """
-    dh_out = np.asarray(dh_out, dtype=float)
+    dtype = params.W_h.dtype
+    dh_out = np.asarray(dh_out, dtype=dtype)
     n_steps, batch, input_size = tape.xs.shape
     H = params.hidden_size
     if dh_out.shape != (n_steps, batch, H):
         raise ShapeError("output gradient shape does not match the tape")
     if grads is None:
-        grads = LstmParams.zeros(input_size, H)
+        grads = LstmParams.zeros(input_size, H, dtype)
     else:
         for g in grads.arrays():
             g[...] = 0.0
@@ -388,7 +407,8 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
 
 _ACTIVATIONS = {
     "identity": (lambda z: z, None),  # mlp_backward passes gradients through
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(float)),
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda z, a: (z > 0).astype(z.dtype)),
     "tanh": (np.tanh, lambda z, a: 1 - a ** 2),
 }
 
@@ -427,8 +447,9 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Forward through the dense stack. x is (B, in)."""
-    x = np.asarray(x, dtype=float)
+    """Forward through the dense stack. x is (B, in), cast to the weights'
+    dtype."""
+    x = np.asarray(x, dtype=params.weights[0].dtype)
     if x.ndim != 2:
         raise ShapeError("layer input must be (B, in)")
     pre, post = [], [x]
@@ -450,9 +471,10 @@ def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
     Writes the parameter gradients into grads' arrays when grads is given,
     and returns the gradient with respect to the input x when input_grad is
     set (None otherwise); what a caller does not ask for is not computed.
+    dout is cast to the weights' dtype.
     """
     pre, post = tape
-    d = np.asarray(dout, dtype=float)
+    d = np.asarray(dout, dtype=params.weights[0].dtype)
     for layer in range(len(params.weights) - 1, -1, -1):
         act = params.activations[layer]
         dz = d if act == "identity" else d * _ACTIVATIONS[act][1](
@@ -497,7 +519,7 @@ def grad_check(loss_fn, params: list[np.ndarray],
 
 
 class FlatParams:
-    """Arrays stored back to back in one float64 vector.
+    """Arrays stored back to back in one vector.
 
     `arrays` are views into `vector`, in order and shape, so an elementwise
     update of all of them is one numpy call on `vector`.
@@ -514,8 +536,10 @@ class FlatParams:
 
     @classmethod
     def pack(cls, arrays: list[np.ndarray]) -> "FlatParams":
-        """A copy of arrays, packed."""
-        return cls(np.concatenate([np.ravel(a) for a in arrays], dtype=float),
+        """A copy of arrays, packed in the dtype they share
+        (np.result_type)."""
+        return cls(np.concatenate([np.ravel(a) for a in arrays],
+                                  dtype=np.result_type(*arrays)),
                    [np.shape(a) for a in arrays])
 
     def zeros_like(self) -> "FlatParams":
@@ -551,12 +575,18 @@ class LstmNet:
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int, head_sizes: list[int],
-             activations: list[str], rng: np.random.Generator) -> "LstmNet":
+             activations: list[str], rng: np.random.Generator,
+             dtype=np.float64) -> "LstmNet":
         """The LSTM's weights drawn first, then the head's, which maps the
-        hidden state through head_sizes."""
-        return cls(lstm=LstmParams.init(input_size, hidden_size, rng),
-                   head=MlpParams.init([hidden_size, *head_sizes],
-                                       activations, rng))
+        hidden state through head_sizes. The draws are float64 whatever
+        dtype is, and then cast to it: a float32 net starts from the
+        rounded draws of the float64 net of the same seed."""
+        blocks = (LstmParams.init(input_size, hidden_size, rng),
+                  MlpParams.init([hidden_size, *head_sizes], activations,
+                                 rng))
+        return cls(*(block.with_arrays([a.astype(dtype, copy=False)
+                                        for a in block.arrays()])
+                     for block in blocks))
 
     def copy(self):
         return type(self)(lstm=self.lstm, head=self.head)  # packs a copy

@@ -798,7 +798,7 @@ class TestCli:
         (["--scenario", "outage", "--days", "2", "--horizon", "3",
           "--clusters", "3"],
          "f268bdd03b353bd044ff306c9ee5987ca04df786a3f4d9f6b607edb4e887c974",
-         "534a66c2faba6a4f98b23c6fb9588251a9df88f47e08caa50df3cfb9ad6a3ba7"),
+         "b7ec6c73b57a0c1eb7c0f836db5f9beae22a50b910b1c66a86d83f85d6e8a965"),
     ])
     def test_forecast_pinned_outputs(self, args, stdout, flows, tmp_path,
                                      capsys):

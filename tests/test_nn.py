@@ -227,7 +227,7 @@ class TestPinnedLstmBits:
         out = forecast_bike.forecast_departures(series, 4, window=24,
                                                 epochs=30)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "894a8b4046237ec322d1ae7cacbba8f3e350d7cef9b5938a9d6679f7206392c6")
+            "650ce937f7213f3df49c4c163fdca887e6e9b7de4199117bf49706717a26dc5b")
 
 
 def _used_tape(n_steps, batch, n_in, hidden, start=None):
@@ -253,6 +253,9 @@ class TestLstmReuse:
         for other in (xs[:, :4], xs[:3], xs[:, None, 0]):
             _, tape = nn.lstm_forward(p, other, reuse=old)
             assert tape is not old
+        p32 = p.with_arrays([a.astype(np.float32) for a in p.arrays()])
+        _, tape = nn.lstm_forward(p32, xs, reuse=old)  # another dtype
+        assert tape is not old and tape.h.dtype == np.float32
 
     def test_actor_shape_with_start(self):
         # the tape was used without a start mask and with another input
@@ -308,8 +311,9 @@ class TestSlidingWindows:
             assert "proj" in tape.scratch  # the one-series projection ran
 
     def test_fit_trains_on_a_view_of_the_series(self, monkeypatch):
-        # every epoch's tape holds the windows as one view of the scaled
-        # series, (series.size - 1) values, not as window copies
+        # every epoch's tape holds the windows as one view of the series,
+        # scaled in float64 and cast to the net's float32, (series.size - 1)
+        # values, not as window copies
         tapes = []
         lstm_forward = nn.lstm_forward
 
@@ -322,13 +326,102 @@ class TestSlidingWindows:
         series = np.random.default_rng(3).poisson(4.0, size=120).astype(float)
         model = forecast_bike.DepartureModel.create(window=24, hidden=4)
         model.fit(series, epochs=2)
-        windows = np.stack([series[i:i + 24] for i in range(96)]) / model.scale
+        windows = (np.stack([series[i:i + 24] for i in range(96)])
+                   / model.scale).astype(np.float32)
         for tape in tapes:
             xs = tape.xs
             assert np.array_equal(xs[:, :, 0], windows.T)
             assert np.shares_memory(xs[0], xs[-1])
             low, high = np.lib.array_utils.byte_bounds(xs)
             assert high - low == (series.size - 1) * xs.itemsize
+
+
+def _mapped(array):
+    """Whether array lives in an anonymous mapping of its own."""
+    import mmap
+    while isinstance(array, np.ndarray):
+        array = array.base
+    if isinstance(array, memoryview):  # np.frombuffer's base
+        array = array.obj
+    return isinstance(array, mmap.mmap)
+
+
+def _sliding(series, window):
+    """(window, series.size - window + 1, 1) windows as one view."""
+    return np.lib.stride_tricks.sliding_window_view(
+        series[:, None], window, axis=0).transpose(2, 0, 1)
+
+
+class TestDtype:
+    """The kernels compute in their parameters' dtype. The float64 pins
+    above hold the float64 path; these guard the float32 one."""
+
+    def test_float32_net_stays_float32(self):
+        rng = np.random.default_rng(21)
+        net = nn.LstmNet.init(3, 5, [4, 2], ["relu", "identity"], rng,
+                              dtype=np.float32)
+        xs = rng.normal(size=(6, 7, 3))  # float64 input, cast on entry
+        start = np.arange(7) % 4
+        tapes = None
+        for _ in range(2):  # the second pass writes into the first's tapes
+            out, tapes = net.forward(xs, start=start, reuse=tapes)
+            net.backward(tapes, rng.normal(size=out.shape))
+            nn.optimizer_step(net.params, net.grads, 0.1, 1.0)
+        lstm_tape, (pre, post) = tapes
+        arrays = {"out": out, "params": net.params.vector,
+                  "grads": net.grads.vector}
+        for name in ("xs", "gates", "c", "h", "tanh_c", "live"):
+            arrays[name] = getattr(lstm_tape, name)
+        arrays.update(("scratch " + k, v)
+                      for k, v in lstm_tape.scratch.items())
+        arrays.update((f"head pre {k}", v) for k, v in enumerate(pre))
+        arrays.update((f"head post {k}", v) for k, v in enumerate(post))
+        assert "dW_x" in lstm_tape.scratch and "dh_out" in lstm_tape.scratch
+        assert {k: v.dtype for k, v in arrays.items()} == {
+            k: np.dtype(np.float32) for k in arrays}
+        fresh = nn.lstm_backward(net.lstm, lstm_tape,
+                                 np.ones(lstm_tape.h[1:].shape))
+        assert {g.dtype for g in fresh.arrays()} == {np.dtype(np.float32)}
+
+    def test_float32_net_starts_from_the_rounded_float64_draws(self):
+        args = (3, 5, [4, 2], ["relu", "identity"])
+        net64 = nn.LstmNet.init(*args, np.random.default_rng(4))
+        net32 = nn.LstmNet.init(*args, np.random.default_rng(4),
+                                dtype=np.float32)
+        assert net64.params.vector.dtype == np.float64
+        assert np.array_equal(net32.params.vector,
+                              net64.params.vector.astype(np.float32))
+
+    def test_tape_arrays_map_by_bytes(self):
+        n = nn._MAPPED_BYTES // 8  # float64 elements at the threshold
+        for count, dtype, mapped in ((n, np.float32, False),
+                                     (2 * n, np.float32, True),
+                                     (n - 1, np.float64, False),
+                                     (n, np.float64, True)):
+            array = nn._tape_array((count,), dtype)
+            assert array.dtype == dtype and array.shape == (count,)
+            assert _mapped(array) == mapped, (count, dtype)
+
+    def test_float32_bptt_matches_float64(self):
+        # the forecaster's shape and sliding input; both nets hold the same
+        # float32-rounded weights and read the same float32-rounded series
+        # and output gradient, so what differs is float32 arithmetic only
+        window, batch, hidden = 24, 360, 16
+        args = (1, hidden, [1], ["identity"], np.random.default_rng(5))
+        net32 = nn.LstmNet.init(*args, dtype=np.float32)
+        net64 = nn.LstmNet.init(*args)
+        net64.params.vector[:] = net32.params.vector
+        rng = np.random.default_rng(6)
+        series = (rng.poisson(4.0, size=window + batch - 1) / 9.0).astype(
+            np.float32)
+        dout = (rng.normal(size=(batch, 1)) / batch).astype(np.float32)
+        for net, values in ((net32, series), (net64, series.astype(float))):
+            _, tapes = net.forward(_sliding(values, window))
+            assert "proj" in tapes[0].scratch  # the sliding path ran
+            net.backward(tapes, dout)
+        want = net64.grads.vector
+        err = np.max(np.abs(net32.grads.vector - want)) / np.max(np.abs(want))
+        assert err <= 1e-5
 
 
 class TestMlp:
