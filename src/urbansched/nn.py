@@ -581,12 +581,12 @@ class LstmNet:
         hidden state through head_sizes. The draws are float64 whatever
         dtype is, and then cast to it: a float32 net starts from the
         rounded draws of the float64 net of the same seed."""
-        blocks = (LstmParams.init(input_size, hidden_size, rng),
-                  MlpParams.init([hidden_size, *head_sizes], activations,
-                                 rng))
-        return cls(*(block.with_arrays([a.astype(dtype, copy=False)
-                                        for a in block.arrays()])
-                     for block in blocks))
+        lstm = LstmParams.init(input_size, hidden_size, rng)
+        head = MlpParams.init([hidden_size, *head_sizes], activations, rng)
+        lstm, head = (block.with_arrays([a.astype(dtype, copy=False)
+                                         for a in block.arrays()])
+                      for block in (lstm, head))
+        return cls(lstm=lstm, head=head)
 
     def copy(self):
         return type(self)(lstm=self.lstm, head=self.head)  # packs a copy

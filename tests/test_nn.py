@@ -280,6 +280,12 @@ def _pass_bytes(p, xs, dh, start, reuse):
     return out, tape
 
 
+def _sliding(series, window):
+    """(window, series.size - window + 1, 1) windows as one view."""
+    return np.lib.stride_tricks.sliding_window_view(
+        series[:, None], window, axis=0).transpose(2, 0, 1)
+
+
 class TestSlidingWindows:
     """Input-size-1 windows that slide over one contiguous series (xs[t, b]
     is value t + b) project each series value once; the bits are those of
@@ -298,8 +304,7 @@ class TestSlidingWindows:
         series[rng.random(series.size) < 0.5] = 0.0
         series[rng.random(series.size) < 0.2] = -0.0
         series = series[::step][:n_steps + batch - 1]
-        view = np.lib.stride_tricks.sliding_window_view(
-            series[:, None], n_steps, axis=0).transpose(2, 0, 1)
+        view = _sliding(series, n_steps)
         copy = np.ascontiguousarray(view)
         dh = rng.normal(size=(n_steps, batch, hidden))
         start = rng.integers(0, n_steps + 1, size=batch) if masked else None
@@ -344,12 +349,6 @@ def _mapped(array):
     if isinstance(array, memoryview):  # np.frombuffer's base
         array = array.obj
     return isinstance(array, mmap.mmap)
-
-
-def _sliding(series, window):
-    """(window, series.size - window + 1, 1) windows as one view."""
-    return np.lib.stride_tricks.sliding_window_view(
-        series[:, None], window, axis=0).transpose(2, 0, 1)
 
 
 class TestDtype:
