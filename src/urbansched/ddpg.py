@@ -222,10 +222,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, seed: int = 0, history_window: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if history_window < 1:
-            raise ValueError("history_window must be >= 1")
         self.capacity = capacity
         self.history_window = history_window
         # Rows the oldest kept transition still reads: the W - 1 before its
@@ -354,10 +350,6 @@ def soft_update(target: np.ndarray, online: np.ndarray,
                 tau: float) -> np.ndarray:
     """target <- tau * online + (1 - tau) * target, in place; for networks,
     pass their parameter vectors (`params.vector`)."""
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError("tau must be in [0, 1]")
-    if target.shape != online.shape:
-        raise ValueError("target/online shape mismatch")
     target *= (1.0 - tau)
     target += tau * online
     return target
@@ -386,8 +378,6 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
     the next (train passes one for its whole loop), so that later calls
     allocate no tapes. The results do not depend on it.
     """
-    if len(buffer) < config.batch_size:
-        raise ValueError("buffer smaller than batch size")
     if tapes is None:
         tapes = {}
     batch = buffer.sample(config.batch_size)

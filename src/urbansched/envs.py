@@ -140,11 +140,9 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 
     For the bike agent: per-bus-stop (last_bus_fwd, last_bus_bwd, queue
     lengths), truncated or zero-padded to k columns; under a bus outage the
-    recency columns carry the episode-length sentinel. For the bus agent:
-    per-bike-station (available, free docks) likewise.
+    recency columns carry the episode-length sentinel. For the bus agent
+    (any other kind): per-bike-station (available, free docks) likewise.
     """
-    if k < 1:
-        raise ValueError("joint mode needs k >= 1")
     sentinel = world.clock.episode_length
     if for_agent == "vehicle":
         rows = []
@@ -153,11 +151,9 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
             bwd = sentinel if outage else stop.last_bus_bwd
             rows.append([fwd, bwd, len(stop.queue_fwd), len(stop.queue_bwd)])
         n = len(world.bus_stops)
-    elif for_agent == "bus":
+    else:
         rows = [[a, d - a] for a, d in zip(world.available, world.docks)]
         n = len(world.available)
-    else:
-        raise ValueError(f"unknown agent kind {for_agent!r}")
     if n == 0:
         return np.zeros((0, k))
     full = np.array(rows, dtype=float)

@@ -116,7 +116,9 @@ def placement_count(total: int, bins: int) -> int:
 def run_exhaustive_bike(scenario: W.ScenarioSpec, seed: int = 0):
     """Enumerate every initial placement of the dispatchable bikes and
     return (best placement dict, best served). Independent oracle for the
-    long-term planning claim; refuses instances beyond the bound."""
+    long-term planning claim; refuses instances beyond the bound. No
+    placement changes the episode's demand, so it is realised once and
+    each placement replays it, as `NoReposition` would play it."""
     ids = scenario.station_ids()
     if not ids:
         raise W.ScenarioError("oracle needs at least one station")
@@ -125,19 +127,21 @@ def run_exhaustive_bike(scenario: W.ScenarioSpec, seed: int = 0):
     if count > PLACEMENT_BOUND:
         raise OracleTooLarge(
             f"{count} placements exceed the bound {PLACEMENT_BOUND}")
+    env = BikeEnv(scenario=scenario, seed=seed)
+    env.reset()
+    world = env.world
     best_served = -1
     best_placement: dict[str, int] = {}
     for split in _compositions(total, len(ids)):
-        feasible = all(c <= s["docks"]
-                       for c, s in zip(split, scenario.stations))
-        if not feasible:
+        if any(c > d for c, d in zip(split, world.docks)):
             continue
-        placement = dict(zip(ids, split))
-        served = run_no_reposition(_with_placement(scenario, placement),
-                                   seed).served
+        world.available[:] = split
+        world.clock.current = scenario.episode_start
+        served = sum(W.step_bike_world(world, trips)[1]
+                     for trips in env.trips)
         if served > best_served:
             best_served = served
-            best_placement = placement
+            best_placement = dict(zip(ids, split))
     return best_placement, best_served
 
 
@@ -191,19 +195,17 @@ def evaluate_policy(policy, scenario: W.ScenarioSpec, episodes: int,
 
 def evaluate(policy_kind: str, scenario: W.ScenarioSpec, episodes: int,
              seeds: list[int], policy: Policy | None = None) -> list[MetricsReport]:
-    """Run a named baseline or a trained policy across seeds."""
+    """Run a named baseline or a trained policy across seeds. "trained"
+    runs `policy`, which the CLI loads from the checkpoint it requires."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if policy_kind == "trained":
-        if policy is None:
-            raise ValueError("trained evaluation needs a policy")
-    elif policy_kind in ("none", "greedy"):
+    if policy_kind in ("none", "greedy"):
         policy = NoReposition()
         if policy_kind == "greedy":
             scenario = greedy_placement(scenario)
     elif policy_kind == "headway":
         policy = StaticHeadwayPolicy()
-    else:
+    elif policy_kind != "trained":
         raise ValueError(f"unknown policy kind {policy_kind!r}")
     return [evaluate_policy(policy, scenario, episodes, seed)
             for seed in seeds]

@@ -9,8 +9,6 @@ be computed at once and equals the same number of single draws.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -102,11 +100,8 @@ def poisson_leaves(rate: float) -> list[float]:
     POISSON_SPLIT splits into rate / 2 and rate - rate / 2, each split
     again the same way, first half first; every leaf inverts one uniform
     (`poisson_count`), and the draw is the sum of the leaves' counts. Rate
-    0 has no leaves: it draws 0 without a uniform."""
-    if not math.isfinite(rate):
-        raise ValueError("poisson rate must be finite")
-    if rate < 0:
-        raise ValueError("poisson rate must be >= 0")
+    0 has no leaves: it draws 0 without a uniform. `DemandProfile`
+    rejects a rate that is negative or not finite before any draw."""
     if rate == 0:
         return []
     if rate > POISSON_SPLIT:

@@ -31,12 +31,6 @@ class SegmentClock:
     current: int
     segment_minutes: float
 
-    def __post_init__(self):
-        if self.segment_minutes <= 0:
-            raise ScenarioError("segment_minutes must be > 0")
-        if not 0 <= self.elapsed <= self.episode_length:
-            raise ScenarioError("clock current outside episode bounds")
-
     @property
     def elapsed(self) -> int:
         """Segments of the episode played so far."""
@@ -47,8 +41,6 @@ class SegmentClock:
         return self.elapsed >= self.episode_length
 
     def advance(self):
-        if self.at_end:
-            raise ScenarioError("clock already at episode end")
         self.current += 1
 
 
@@ -74,10 +66,6 @@ class AgentState:
     capacity: int
     # riding passengers as (destination stop index, arrival position)
     onboard: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (0 <= self.occupied <= self.capacity):
-            raise ScenarioError("agent occupancy outside [0, capacity]")
 
     @property
     def remaining(self) -> int:
@@ -491,8 +479,8 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     Arrivals are (origin id, destination id, count) triples; they first
     join their queues, in list order, each arrival as a (destination stop
     index, clock position) pair. The scenario's `queue_slots` gives each
-    OD's slot and destination index, and an OD the scenario does not
-    declare raises.
+    OD's slot and destination index; the validator declares every OD that
+    arrives. `bus_actions` holds one operation code per bus.
 
     Each moving bus advances one stop per segment in its direction (clipped
     at the ends of its own route, which records a halt). At the visited stop
@@ -501,21 +489,11 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     `world.boardings`.
     Returns (world, reduced_wait, drive_time) in minutes.
     """
-    buses = world.buses
-    if len(bus_actions) != len(buses):
-        raise ScenarioError("bus_actions length does not match bus count")
-    for a in bus_actions:
-        if a not in (OP_FORWARD, OP_HALT, OP_BACKWARD):
-            raise ScenarioError(f"invalid bus action {a!r}")
     now = world.clock.current
     queues = world.queues
     slots = world.slots
     for origin, dest, count in boarding_demand:
-        try:
-            slot, d = slots[origin, dest]
-        except KeyError:
-            raise ScenarioError(f"bus arrival OD {origin!r}->{dest!r} is "
-                                f"not declared by the scenario") from None
+        slot, d = slots[origin, dest]
         queues[slot].extend([(d, now)] * count)
     for stop in world.bus_stops:
         stop.last_bus_fwd += 1
@@ -523,7 +501,7 @@ def step_bus_world(world: WorldState, bus_actions: list[int],
     reduced_wait = 0.0
     drive_time = 0.0
     minutes = world.clock.segment_minutes
-    for bus, action in zip(buses, bus_actions):
+    for bus, action in zip(world.buses, bus_actions):
         if action == OP_HALT:
             bus.operation = OP_HALT
             continue

@@ -245,8 +245,6 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(0)
         with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0)
-        with pytest.raises(ValueError):
             ReplayBuffer(capacity=4).push(np.zeros(1), 0.0, np.zeros(3),
                                           False)
 
@@ -344,12 +342,6 @@ class TestSoftUpdate:
         np.testing.assert_allclose(target, [3.0])
         soft_update(target, np.array([4.0]), tau=1.0)
         np.testing.assert_allclose(target, [4.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            soft_update(np.zeros(1), np.zeros(1), tau=1.5)
-        with pytest.raises(ValueError):
-            soft_update(np.zeros(2), np.zeros(3), tau=0.5)
 
     def test_contraction_toward_fixed_online(self):
         rng = np.random.default_rng(0)

@@ -366,13 +366,6 @@ class TestJointFeatures:
         world = build_world(bus_only_scenario([]))
         assert joint_features(world, "bus", 2).shape == (0, 2)
 
-    def test_validation(self):
-        world = build_world(mixed_scenario())
-        with pytest.raises(ValueError):
-            joint_features(world, "vehicle", 0)
-        with pytest.raises(ValueError):
-            joint_features(world, "tram", 2)
-
 
 def profile_bus_scenario(episode_length=12):
     """Five stops, a bus of capacity 3 and Poisson bus demand both ways."""

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urbansched import harness, nn
+from urbansched import envs, harness, nn
 from urbansched.cli import cli, resolve_scenario
-from urbansched.envs import BusEnv
+from urbansched.envs import BikeEnv, BusEnv
 from urbansched.world import ScenarioError, ScenarioSpec
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -77,7 +77,72 @@ class TestGreedyBaseline:
         assert harness.run_greedy_bike(scenario).served == 5
 
 
+def per_placement_oracle(scenario, seed):
+    """The oracle as one `NoReposition` rollout per placement, each on a
+    scenario copy with the placement's bikes at its stations: the
+    reference for the oracle's single-episode replay."""
+    ids = scenario.station_ids()
+    best_served, best_placement = -1, {}
+    for split in harness._compositions(harness._dispatchable_bikes(scenario),
+                                       len(ids)):
+        if any(c > s["docks"] for c, s in zip(split, scenario.stations)):
+            continue
+        placement = dict(zip(ids, split))
+        served = harness.run_no_reposition(
+            harness._with_placement(scenario, placement), seed).served
+        if served > best_served:
+            best_served, best_placement = served, placement
+    return best_placement, best_served
+
+
+def random_outage_scenario():
+    """Four stations of unequal docks, Poisson bike demand on a day of four
+    segments, a scripted trip, a loaded vehicle, and a bus outage with its
+    own trips that each episode draws at random."""
+    ids = ["A", "B", "C", "D"]
+    return ScenarioSpec.from_dict({
+        "clock": {"segment_minutes": 15, "episode_length": 4,
+                  "episode_start": 2},
+        "stations": [{"id": sid, "x": float(i), "y": float(i % 2),
+                      "docks": docks, "initial_bikes": bikes}
+                     for i, (sid, docks, bikes) in enumerate(
+                         zip(ids, (4, 6, 2, 5), (2, 1, 0, 0)))],
+        "routes": [{"stops": ["S1", "S2"]}],
+        "vehicles": [{"capacity": 5, "start": "B", "initial_load": 3}],
+        "environment": [0.0],
+        "demand_profile": {
+            "rates": {"A": [1.5, 0.5, 2.0, 1.0], "B": [0.2, 2.5, 0.8, 1.2],
+                      "C": [1.0, 1.0, 0.0, 3.0], "D": [0.0, 0.7, 1.9, 0.4]},
+            "od_weights": [[0, 1, 2, 1], [1, 0, 1, 3], [2, 1, 0, 1],
+                           [1, 1, 1, 0]]},
+        "demand_script": [{"segment": 2, "origin": "C", "destination": "A",
+                           "count": 2}],
+        "joint": {"enabled": True, "bus_outage": "random",
+                  "outage_trips": [{"segment": 1, "origin": "D",
+                                    "destination": "B", "count": 3}]},
+    })
+
+
 class TestExhaustiveOracle:
+    def test_replay_matches_a_rollout_per_placement(self):
+        script = [
+            {"segment": 1, "origin": "A", "destination": "C", "count": 3},
+            {"segment": 2, "origin": "B", "destination": "C", "count": 4},
+            {"segment": 3, "origin": "C", "destination": "A", "count": 2},
+        ]
+        outages = set()
+        for scenario in (random_outage_scenario(),
+                         scripted_scenario(script, initial_bikes=(1, 2, 0),
+                                           load=4)):
+            for seed in range(6):
+                assert (harness.run_exhaustive_bike(scenario, seed)
+                        == per_placement_oracle(scenario, seed))
+                if scenario.joint:
+                    env = BikeEnv(scenario=scenario, seed=seed)
+                    env.reset()
+                    outages.add(env.outage)
+        assert outages == {False, True}  # both outage draws replayed
+
     def test_fig1a_best_is_all_at_a(self):
         placement, best = harness.run_exhaustive_bike(
             resolve_scenario("fig1a"))
@@ -193,8 +258,6 @@ class TestEvaluate:
             harness.evaluate("none", scenario, 0, [0])
         with pytest.raises(ValueError):
             harness.evaluate("mystery", scenario, 1, [0])
-        with pytest.raises(ValueError):
-            harness.evaluate("trained", scenario, 1, [0], policy=None)
 
     def test_headway_turns_at_its_own_route_end(self):
         # route 1 is S1, S2 and route 2 is T1, T2, T3
@@ -757,6 +820,32 @@ class TestCli:
                     "--policy", "trained"]) == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_internal_fault_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A fault of the program behind the loader is a runtime failure,
+        not a validation error: here the sampler emits a bus OD that the
+        scenario does not declare, and the queue join fails."""
+        sample_segment = envs.sample_segment
+
+        def faulty(profile, clock, rng):
+            trips, arrivals = sample_segment(profile, clock, rng)
+            return trips, arrivals + [("S2", "S1", 1)]
+
+        monkeypatch.setattr(envs, "sample_segment", faulty)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2"]}], "vehicles": [],
+            "environment": [0.0],
+            "demand_profile": {
+                "rates": {"A": [1.0]}, "od_weights": [[0.0]],
+                "bus_rates": [{"origin": "S1", "destination": "S2",
+                               "rate": 1.0}]},
+        }))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "headway"]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
     def test_eval_trained_without_checkpoint_exit_1(self, capsys):
         assert cli(["eval", "--scenario", "fig1a", "--policy", "trained"]) == 1
         assert ("--checkpoint required for --policy trained"
@@ -799,7 +888,7 @@ class TestCli:
           "--clusters", "3"],
          "f268bdd03b353bd044ff306c9ee5987ca04df786a3f4d9f6b607edb4e887c974",
          "b7ec6c73b57a0c1eb7c0f836db5f9beae22a50b910b1c66a86d83f85d6e8a965"),
-    ])
+    ], ids=["bike5", "outage"])
     def test_forecast_pinned_outputs(self, args, stdout, flows, tmp_path,
                                      capsys):
         """stdout and the flow CSV of two short forecasts, byte for byte.
@@ -819,7 +908,7 @@ class TestCli:
         (["eval", "--seeds", "0,1,2"],
          "e96f7e42469a8d2cdad78e3c68dad27aea94428a0a4d193dd889b9bd9df2b09f",
          "a5492dcde0f6f87c82342254e41e605ac809e585ad6291fd09fd64c9105b0d5a"),
-    ])
+    ], ids=["simulate", "eval"])
     def test_bus_report_pinned_outputs(self, args, stdout, csv, tmp_path,
                                        capsys):
         """stdout and the report CSV of the headway policy on perfbench's

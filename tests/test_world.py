@@ -565,35 +565,11 @@ class TestStepBusWorld:
             assert got == ref.step(actions, arrivals)
             assert bus_state(world, ids) == ref.state()
 
-    def test_bad_arrival_rejected_every_time(self):
-        world = build_world(bus_scenario())
-        for _ in range(2):
-            with pytest.raises(ScenarioError, match="'S2'"):
-                step_bus_world(world, [OP_HALT], [("S2", "S2", 1)])
-            with pytest.raises(ScenarioError,
-                               match="'X9'->'S1' is not declared"):
-                step_bus_world(world, [OP_HALT], [("X9", "S1", 1)])
-
-    def test_self_loop_arrival_rejected(self):
-        world = build_world(bus_scenario())
-        with pytest.raises(ScenarioError, match="'S2'"):
-            step_bus_world(world, [OP_HALT], [("S2", "S2", 1)])
-
-    def test_unknown_stop_rejected(self):
-        world = build_world(bus_scenario())
-        with pytest.raises(ScenarioError, match="'S1'->'X9' is not declared"):
-            step_bus_world(world, [OP_HALT], [("S1", "X9", 1)])
-
     def test_timer_reset_on_visit(self):
         world = build_world(bus_scenario())
         step_bus_world(world, [OP_FORWARD], [])
         assert world.bus_stops[1].last_bus_fwd == 0
         assert world.bus_stops[0].last_bus_fwd == 1
-
-    def test_bad_action_rejected(self):
-        world = build_world(bus_scenario())
-        with pytest.raises(ScenarioError, match="invalid bus action"):
-            step_bus_world(world, [2], [])
 
 
 class TestApplyReposition:
