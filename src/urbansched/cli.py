@@ -1,8 +1,9 @@
 """Command-line entry points tying forecasting, simulation and training
 together.
 
-Exit codes: 0 success, 1 validation error (bad arguments, malformed
-scenario, missing file, a directory named as a file), 2 runtime failure.
+Exit codes: 0 success; 1 bad input (an InputError, a missing file, a
+directory named as a file, a file that is not UTF-8 JSON); 2 any other
+exception, a fault of the program or of the run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .ddpg import DdpgConfig, Policy, desk_config, save_curve_csv, train
 from .demand import DemandProfile, HistoryLog, sample_segment
 from .envs import BikeEnv
 from .rng import PortableRng
-from .world import ScenarioError, ScenarioSpec, SegmentClock
+from .world import InputError, ScenarioError, ScenarioSpec, SegmentClock
 
 
 def resolve_scenario(name_or_path: str) -> ScenarioSpec:
@@ -49,7 +50,7 @@ def cmd_oracle(args) -> int:
 def _load_policy(args) -> Policy | None:
     """The --checkpoint policy, which --policy trained requires."""
     if args.policy == "trained" and not args.checkpoint:
-        raise ValueError("--checkpoint required for --policy trained")
+        raise InputError("--checkpoint required for --policy trained")
     return Policy.load(args.checkpoint) if args.checkpoint else None
 
 
@@ -66,7 +67,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_eval(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise InputError(f"--seeds must be comma-separated integers, "
+                         f"got {args.seeds!r}") from None
     reports = harness.evaluate(args.policy, scenario, args.episodes, seeds,
                                _load_policy(args))
     served = [r.served for r in reports]
@@ -85,9 +90,9 @@ def cmd_train(args) -> int:
         with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
-            raise ValueError("train --config must hold an object")
+            raise InputError("train --config must hold an object")
         if "seed" in doc:
-            raise ValueError("train --config takes no 'seed' key; "
+            raise InputError("train --config takes no 'seed' key; "
                              "pass --seed instead")
         config = DdpgConfig.from_dict({**doc, "seed": args.seed})
     policy, curve = train(lambda: BikeEnv(scenario=scenario, seed=config.seed),
@@ -120,13 +125,18 @@ def _history_from_scenario(scenario: ScenarioSpec, days: int,
 
 
 def cmd_forecast(args) -> int:
-    for flag, value in (("--days", args.days), ("--horizon", args.horizon),
-                        ("--epochs", args.epochs),
-                        ("--clusters", args.clusters)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for flag, value, least in (
+            ("--days", args.days, 1), ("--horizon", args.horizon, 1),
+            ("--epochs", args.epochs, 1), ("--clusters", args.clusters, 1),
+            ("--seed", args.seed, 0)):
+        if value < least:
+            raise InputError(f"{flag} must be >= {least}, got {value}")
     scenario = resolve_scenario(args.scenario)
     log = _history_from_scenario(scenario, days=args.days, seed=args.seed)
+    # a fit takes windows of at least 2 segments, each with a next one
+    if log.n_segments < 3:
+        raise InputError(f"forecast needs at least 3 history segments, "
+                         f"got {log.n_segments}; raise --days")
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     log.save_trips_csv(os.path.join(out, "history.csv"))
@@ -218,11 +228,11 @@ def cli(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, IsADirectoryError, ValueError,
-            harness.OracleTooLarge) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ through the continuous scores, isolated behind decode_action.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .world import OP_BACKWARD, OP_FORWARD, OP_HALT
+from .world import OP_BACKWARD, OP_FORWARD, OP_HALT, InputError
 
 
 # The closed range of each bounded DdpgConfig value; floats must also be
@@ -26,7 +27,7 @@ _CONFIG_RANGES = {
                      "lstm_hidden", "actor_hidden", "critic_hidden",
                      "eval_every"), (1, math.inf)),
     **dict.fromkeys(("episodes", "warmup_episodes",
-                     "train_steps_per_episode"), (0, math.inf)),
+                     "train_steps_per_episode", "seed"), (0, math.inf)),
     "tau": (0.0, 1.0),
     "discount": (0.0, 1.0),
 }
@@ -65,19 +66,19 @@ class DdpgConfig:
             low, high = _CONFIG_RANGES.get(f.name, (-math.inf, math.inf))
             if (not low <= value <= high
                     or f.type == "float" and not math.isfinite(value)):
-                raise ValueError(f"DDPG config {f.name} must be a finite "
+                raise InputError(f"DDPG config {f.name} must be a finite "
                                  f"number in [{low}, {high}], not {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DdpgConfig":
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
-            raise ValueError(f"unknown DDPG config keys: {', '.join(unknown)}")
+            raise InputError(f"unknown DDPG config keys: {', '.join(unknown)}")
         for key, value in doc.items():
             kind = cls.__dataclass_fields__[key].type
             allowed = int if kind == "int" else (int, float)
             if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"DDPG config key {key!r} must be {kind}, "
+                raise InputError(f"DDPG config key {key!r} must be {kind}, "
                                  f"not {value!r}")
         return cls(**doc)
 
@@ -147,7 +148,6 @@ class CriticNet:
 
     net: nn.MlpParams
     obs_dim: int
-    action_dim: int
 
     def __post_init__(self):
         self.params = nn.FlatParams.pack(self.net.arrays())
@@ -163,12 +163,11 @@ class CriticNet:
                 [obs_dim + action_dim, config.critic_hidden,
                  config.critic_hidden, 1],
                 ["relu", "relu", "identity"], rng),
-            obs_dim=obs_dim, action_dim=action_dim,
+            obs_dim=obs_dim,
         )
 
     def copy(self) -> "CriticNet":
-        return CriticNet(net=self.net, obs_dim=self.obs_dim,
-                         action_dim=self.action_dim)  # packs a copy
+        return CriticNet(net=self.net, obs_dim=self.obs_dim)  # packs a copy
 
     def forward(self, obs: np.ndarray, action: np.ndarray):
         """Values (B,) of (B, obs) observations and (B, action) actions."""
@@ -440,6 +439,9 @@ class HistoryWindow:
         return max(len(self.buffer) - self.count, 0)
 
 
+# Version 2 stores an LSTM as its four packed arrays.
+CHECKPOINT_VERSION = 2
+
 # The integer meta keys of a policy checkpoint with their least values; the
 # others are kind, head_sizes (the first is lstm_hidden) and head_activations.
 _META_MINIMUMS = {"capacity": 0, "history_window": 1, "obs_dim": 1,
@@ -466,7 +468,7 @@ class Policy:
     def begin_episode(self, obs: np.ndarray):
         obs = np.asarray(obs)
         if obs.size != self.obs_dim:
-            raise ValueError(f"policy obs_dim {self.obs_dim} does not match "
+            raise InputError(f"policy obs_dim {self.obs_dim} does not match "
                              f"the scenario's observation size {obs.size}")
         self._window = HistoryWindow(self.history_window, self.obs_dim)
 
@@ -477,25 +479,43 @@ class Policy:
         return decode_action(scores, self.kind, self.capacity)
 
     def save(self, path: str):
+        """Write the JSON checkpoint that load reads."""
         head = self.actor.head
-        nn.save_checkpoint(path, _named_arrays(self.actor.lstm, head), meta={
+        meta = {
             "kind": self.kind, "capacity": self.capacity,
             "history_window": self.history_window, "obs_dim": self.obs_dim,
             "lstm_hidden": self.actor.lstm.hidden_size,
             "head_sizes": [w.shape[0] for w in head.weights]
             + [head.weights[-1].shape[1]],
             "head_activations": head.activations,
-        })
+        }
+        arrays = {name: {"shape": list(arr.shape),
+                         "data": arr.reshape(-1).tolist()}
+                  for name, arr in _named_arrays(self.actor.lstm,
+                                                 head).items()}
+        with open(path, "w") as fh:
+            json.dump({"version": CHECKPOINT_VERSION, "meta": meta,
+                       "arrays": arrays}, fh)
 
     @classmethod
     def load(cls, path: str) -> "Policy":
-        """Read a checkpoint that save wrote.
-
-        Raises ValueError when a meta key is missing, mistyped or out of
-        range, head_sizes does not start at lstm_hidden, or the array names
-        or shapes do not match the actor the meta describes.
+        """Read a checkpoint that save wrote. Raises InputError unless its
+        version, meta and arrays describe one finite actor memory can hold.
         """
-        arrays, meta = nn.load_checkpoint(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise InputError(f"unsupported checkpoint version {version!r}")
+        try:
+            arrays = {name: np.array(entry["data"], dtype=float).reshape(
+                entry["shape"]) for name, entry in doc["arrays"].items()}
+        except (KeyError, TypeError, AttributeError, ValueError,
+                OverflowError) as exc:
+            raise InputError(f"malformed checkpoint arrays: {exc!r}") from None
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise InputError("checkpoint meta is not an object")
         # type(x) is int: JSON true is not an integer here
         bad = [k for k, low in _META_MINIMUMS.items()
                if not (type(meta.get(k)) is int and meta[k] >= low)]
@@ -508,29 +528,35 @@ class Policy:
                 and sizes[0] == meta.get("lstm_hidden")):
             bad.append("head_sizes")
         elif not (isinstance(activations, list)
-                  and len(activations) == len(sizes) - 1):
+                  and len(activations) == len(sizes) - 1
+                  and all(isinstance(a, str) and a in nn.ACTIVATIONS
+                          for a in activations)):
             bad.append("head_activations")
         if bad:
-            raise ValueError(f"checkpoint meta has no valid {', '.join(bad)}")
+            raise InputError(f"checkpoint meta has no valid {', '.join(bad)}")
         # np.zeros leaves memory untouched until written, so blocks no array
-        # matches cost nothing; sizes no memory can hold are bad input
+        # matches cost nothing. Sizes past memory or past numpy's largest
+        # array are bad input, those of begin_episode's window too.
         try:
             lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"])
             head = nn.MlpParams(
                 weights=[np.zeros(s) for s in zip(sizes, sizes[1:])],
                 biases=[np.zeros(n) for n in sizes[1:]],
                 activations=activations)
-        except MemoryError as exc:
-            raise ValueError(f"checkpoint meta sizes: {exc}") from None
+            HistoryWindow(meta["history_window"], meta["obs_dim"])
+        except (MemoryError, ValueError) as exc:
+            raise InputError(f"checkpoint meta sizes: {exc}") from None
         expected = _named_arrays(lstm, head)
         if ({n: a.shape for n, a in arrays.items()}
                 != {n: a.shape for n, a in expected.items()}):
-            raise ValueError(f"checkpoint arrays {sorted(arrays)} do not "
+            raise InputError(f"checkpoint arrays {sorted(arrays)} do not "
                              "match the names and shapes of the actor its "
                              "meta describes")
         actor = ActorNet(lstm=lstm, head=head)
         for name, view in zip(expected, actor.params.arrays):
             view[...] = arrays[name]
+        if not np.isfinite(actor.params.vector).all():
+            raise InputError("checkpoint weights must be finite")
         return cls(actor=actor, kind=meta["kind"], capacity=meta["capacity"],
                    history_window=meta["history_window"],
                    obs_dim=meta["obs_dim"])
@@ -550,11 +576,13 @@ def run_episode(env, policy, force_outage: bool | None = None):
 
 
 def train(env_factory, config: DdpgConfig, progress=None):
-    """Full DDPG loop: episode collection with OU exploration, replay
-    updates, periodic noise-free evaluation. The policy drives the env's
-    agent kind, `env.kind`. Returns (policy, curve) where curve rows are
-    (episode, return, served, lost, critic_loss, actor_value): the
-    episode's `EpisodeRecord`, then the last update's diagnostics.
+    """Full DDPG loop: episode collection with OU exploration and replay
+    updates. It evaluates nothing itself: every eval_every episodes it
+    calls progress(episode, policy), if given, and stops when that returns
+    true. The policy drives the env's agent kind, `env.kind`. Returns
+    (policy, curve) where curve rows are (episode, return, served, lost,
+    critic_loss, actor_value): the episode's `EpisodeRecord`, then the
+    last update's diagnostics.
     """
     env = env_factory()
     kind = env.kind

@@ -415,7 +415,7 @@ class BusEnv(_Env):
     def __post_init__(self):
         super().__post_init__()
         if not any(r.get("bus_count", 1) for r in self.scenario.routes):
-            raise ValueError("a BusEnv needs a route that runs a bus")
+            raise W.InputError("a BusEnv needs a route that runs a bus")
 
     @property
     def action_dim(self) -> int:

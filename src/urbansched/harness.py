@@ -14,7 +14,7 @@ from .ddpg import Policy, run_episode
 from .envs import BikeEnv, BusEnv, EpisodeRecord
 
 
-class OracleTooLarge(ValueError):
+class OracleTooLarge(W.InputError):
     """Raised when the exhaustive placement space exceeds the refusal bound."""
 
 
@@ -198,7 +198,7 @@ def evaluate(policy_kind: str, scenario: W.ScenarioSpec, episodes: int,
     """Run a named baseline or a trained policy across seeds. "trained"
     runs `policy`, which the CLI loads from the checkpoint it requires."""
     if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+        raise W.InputError("episodes must be >= 1")
     if policy_kind in ("none", "greedy"):
         policy = NoReposition()
         if policy_kind == "greedy":
@@ -206,7 +206,7 @@ def evaluate(policy_kind: str, scenario: W.ScenarioSpec, episodes: int,
     elif policy_kind == "headway":
         policy = StaticHeadwayPolicy()
     elif policy_kind != "trained":
-        raise ValueError(f"unknown policy kind {policy_kind!r}")
+        raise W.InputError(f"unknown policy kind {policy_kind!r}")
     return [evaluate_policy(policy, scenario, episodes, seed)
             for seed in seeds]
 

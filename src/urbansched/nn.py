@@ -13,15 +13,9 @@ pass needs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class ShapeError(Exception):
-    """Raised when tensor shapes do not line up: a bug in the calling code,
-    not bad input, so it is not a ValueError."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +34,6 @@ class LstmParams:
     W_h: np.ndarray
     b: np.ndarray
     peep: np.ndarray
-
-    @property
-    def input_size(self) -> int:
-        return self.W_x.shape[0]
 
     @property
     def hidden_size(self) -> int:
@@ -210,20 +200,10 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     """
     dtype = params.W_h.dtype
     xs = np.asarray(xs, dtype=dtype)
-    if xs.ndim != 3:
-        raise ShapeError("input sequence must be (N, B, input)")
     n_steps, batch, input_size = xs.shape
-    if n_steps == 0:
-        raise ShapeError("input sequence is empty")
-    if input_size != params.input_size:
-        raise ShapeError(f"input size {input_size} != params input_size "
-                         f"{params.input_size}")
     H = params.hidden_size
     live = None
     if start is not None:
-        start = np.asarray(start)
-        if start.shape != (batch,):
-            raise ShapeError("start needs one step index per sample")
         live = (np.arange(n_steps)[:, None] >= start).astype(dtype)[:, :, None]
     # a sliding view: xs[t, b] is value t + b of a contiguous series, and
     # each xs[t] is strided as in a contiguous copy
@@ -318,8 +298,6 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     dh_out = np.asarray(dh_out, dtype=dtype)
     n_steps, batch, input_size = tape.xs.shape
     H = params.hidden_size
-    if dh_out.shape != (n_steps, batch, H):
-        raise ShapeError("output gradient shape does not match the tape")
     if grads is None:
         grads = LstmParams.zeros(input_size, H, dtype)
     else:
@@ -405,7 +383,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
 # ---------------------------------------------------------------------------
 # Dense layers
 
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "identity": (lambda z: z, None),  # mlp_backward passes gradients through
     "relu": (lambda z: np.maximum(z, 0.0),
              lambda z, a: (z > 0).astype(z.dtype)),
@@ -419,16 +397,9 @@ class MlpParams:
     biases: list[np.ndarray]
     activations: list[str]
 
-    def __post_init__(self):
-        if not all(isinstance(a, str) and a in _ACTIVATIONS
-                   for a in self.activations):
-            raise ValueError(f"unknown activation in {self.activations}")
-
     @classmethod
     def init(cls, sizes: list[int], activations: list[str],
              rng: np.random.Generator) -> "MlpParams":
-        if len(activations) != len(sizes) - 1:
-            raise ShapeError("need one activation per layer")
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = 1.0 / np.sqrt(fan_in)
@@ -450,15 +421,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward through the dense stack. x is (B, in), cast to the weights'
     dtype."""
     x = np.asarray(x, dtype=params.weights[0].dtype)
-    if x.ndim != 2:
-        raise ShapeError("layer input must be (B, in)")
     pre, post = [], [x]
     out = x
     for W, b, act in zip(params.weights, params.biases, params.activations):
-        if out.shape[1] != W.shape[0]:
-            raise ShapeError(f"layer input {out.shape[1]} != weight rows {W.shape[0]}")
         z = out @ W + b
-        out = _ACTIVATIONS[act][0](z)
+        out = ACTIVATIONS[act][0](z)
         pre.append(z)
         post.append(out)
     return out, (pre, post)
@@ -477,7 +444,7 @@ def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
     d = np.asarray(dout, dtype=params.weights[0].dtype)
     for layer in range(len(params.weights) - 1, -1, -1):
         act = params.activations[layer]
-        dz = d if act == "identity" else d * _ACTIVATIONS[act][1](
+        dz = d if act == "identity" else d * ACTIVATIONS[act][1](
             pre[layer], post[layer + 1])
         if grads is not None:
             np.matmul(post[layer].T, dz, out=grads.weights[layer])
@@ -629,8 +596,6 @@ def optimizer_step(params: FlatParams, grads: FlatParams, step_size: float,
 
     Returns the global norm of grads before clipping, summed array by array.
     """
-    if [p.shape for p in params.arrays] != [g.shape for g in grads.arrays]:
-        raise ShapeError("params/grads shape mismatch")
     norm = global_norm(grads.arrays)
     scale = 1.0
     if 0 < clip_norm < norm:
@@ -638,37 +603,3 @@ def optimizer_step(params: FlatParams, grads: FlatParams, step_size: float,
     params.vector -= step_size * scale * grads.vector
     return norm
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-# Version 2 stores an LSTM as its four packed arrays.
-CHECKPOINT_VERSION = 2
-
-
-def save_checkpoint(path: str, named_arrays: dict[str, np.ndarray],
-                    meta: dict | None = None):
-    doc = {"version": CHECKPOINT_VERSION, "meta": meta or {}, "arrays": {}}
-    for name, arr in named_arrays.items():
-        arr = np.asarray(arr, dtype=float)
-        doc["arrays"][name] = {"shape": list(arr.shape),
-                               "data": arr.reshape(-1).tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    try:
-        arrays = {name: np.array(entry["data"], dtype=float).reshape(
-            entry["shape"]) for name, entry in doc["arrays"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed checkpoint arrays: {exc!r}") from exc
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError("checkpoint meta is not an object")
-    return arrays, meta

@@ -20,7 +20,12 @@ OP_HALT = 0
 OP_BACKWARD = -1
 
 
-class ScenarioError(ValueError):
+class InputError(ValueError):
+    """Bad input (a scenario, config, checkpoint or flag), raised where it
+    enters the program; the CLI exits 1 on it, 2 on any other exception."""
+
+
+class ScenarioError(InputError):
     """Raised when a scenario document fails validation."""
 
 

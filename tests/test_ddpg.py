@@ -13,6 +13,7 @@ from urbansched.ddpg import (
     save_curve_csv, soft_update, train, train_step,
 )
 from urbansched.envs import BikeEnv, BusEnv
+from urbansched.world import InputError
 from test_envs import profile_bus_scenario
 
 
@@ -478,6 +479,8 @@ class TestTrainLoop:
         path = tmp_path / "policy.json"
         policy.save(str(path))
         loaded = Policy.load(str(path))
+        np.testing.assert_array_equal(loaded.actor.params.vector,
+                                      policy.actor.params.vector)
         assert run_episode(factory(), policy) == run_episode(factory(), loaded)
 
     def test_bus_policy_trains_evaluates_and_round_trips(self, tmp_path):
@@ -512,6 +515,14 @@ class TestPolicyCheckpoint:
                            match="unsupported checkpoint version 1"):
             Policy.load(str(path))
 
+    @staticmethod
+    def write(path, arrays, meta):
+        """A checkpoint file in Policy.save's format."""
+        path.write_text(json.dumps({"version": 2, "meta": meta, "arrays": {
+            name: {"shape": list(np.shape(a)),
+                   "data": np.ravel(a).tolist()}
+            for name, a in arrays.items()}}))
+
     def test_malformed_rejected(self, tmp_path):
         actor = small_actor()
         named = {f"lstm.{k}": v for k, v in vars(actor.lstm).items()}
@@ -528,14 +539,18 @@ class TestPolicyCheckpoint:
             (named, {**self.META, "obs_dim": "5"}),
             (named, {**self.META, "history_window": 0}),
             (named, {**self.META, "head_activations": ["relu", "bogus"]}),
+            (named, {**self.META, "head_activations": ["relu", {}]}),
+            ({**named, "head.0": np.full((6, 6), np.nan)}, self.META),
             (named, {**self.META, "history_window": True}),
             (named, {**self.META, "capacity": -3}),
             (named, {**self.META, "kind": "tram"}),
             (named, {**self.META, "lstm_hidden": 10 ** 6}),
         ]
+        self.write(path, named, self.META)
+        Policy.load(str(path))
         for arrays, meta in bad_cases:
-            nn.save_checkpoint(str(path), arrays, meta=meta)
-            with pytest.raises(ValueError):
+            self.write(path, arrays, meta)
+            with pytest.raises(InputError):
                 Policy.load(str(path))
 
 

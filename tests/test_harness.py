@@ -464,6 +464,97 @@ class TestCli:
         assert cli(["train", "--scenario", "fig1a"]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_internal_value_error_exit_2(self, monkeypatch, capsys):
+        """numpy reports a program fault as a ValueError, which is not bad
+        input: only an InputError exits 1."""
+        def broken_train(*args, **kwargs):
+            return np.ones((2, 3)) @ np.ones((4, 5))
+
+        monkeypatch.setattr("urbansched.cli.train", broken_train)
+        assert cli(["train", "--scenario", "fig1a"]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "episodes": 1, "lstm_hidden": 4, "actor_hidden": 4,
+            "critic_hidden": 4, "history_window": 2}))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "policy.json"
+        doc = json.loads(path.read_text())
+        doc["arrays"]["head.0"]["data"][0] = math.nan
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli(["simulate", "--scenario", "fig1a", "--policy", "trained",
+                    "--checkpoint", str(path)]) == 1
+        assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obs_dim, hidden, window", [
+        (10 ** 12, 4 * 10 ** 6, 2), (37, 4, 10 ** 18)])
+    def test_checkpoint_sizes_past_numpy_exit_1(self, obs_dim, hidden, window,
+                                                tmp_path, capsys):
+        """Consistent meta sizes of which numpy refuses an array, the
+        actor's or the history window's, before it takes any memory."""
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"version": 2, "arrays": {}, "meta": {
+            "kind": "vehicle", "capacity": 10, "history_window": window,
+            "obs_dim": obs_dim, "lstm_hidden": hidden,
+            "head_sizes": [hidden, 4, 11],
+            "head_activations": ["relu", "tanh"]}}))
+        assert cli(["simulate", "--scenario", "fig1a", "--policy", "trained",
+                    "--checkpoint", str(path)]) == 1
+        assert "checkpoint meta sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0,x", "", "1.5"])
+    def test_eval_bad_seeds_exit_1(self, seeds, capsys):
+        assert cli(["eval", "--scenario", "fig1a", f"--seeds={seeds}"]) == 1
+        assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    def test_negative_seed_exit_1(self, command, tmp_path, capsys):
+        """Both seed numpy's generators, which take no negative seed."""
+        assert cli([command, "--scenario", "bike5", "--seed", "-1",
+                    "--out", str(tmp_path / "run")]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("days, code", [(1, 1), (2, 1), (3, 0)])
+    def test_forecast_needs_3_history_segments(self, days, code, tmp_path,
+                                               capsys):
+        """A fit takes windows of 2 segments and the segment after each;
+        this profile has one segment a day."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 1},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [], "vehicles": [], "environment": [0.0],
+            "demand_profile": {"rates": {"A": [1.0], "B": [1.0]},
+                               "od_weights": [[0.0, 1.0], [1.0, 0.0]]},
+        }))
+        assert cli(["forecast", "--scenario", str(path), "--days", str(days),
+                    "--epochs", "1", "--out", str(tmp_path / "out")]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "at least 3 history segments" in captured.err
+        else:
+            assert "history_segments=3" in captured.out
+
+    @pytest.mark.parametrize("content", [b'{"clock": ', b"\xff\xfe{}"])
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--scenario"],
+        ["simulate", "--scenario", "fig1a", "--policy", "trained",
+         "--checkpoint"],
+        ["train", "--scenario", "fig1a", "--config"]])
+    def test_file_not_utf8_json_exit_1(self, args, content, tmp_path,
+                                       capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert cli([*args, str(path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
     def test_stationless_demand_profile_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({

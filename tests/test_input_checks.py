@@ -1,6 +1,9 @@
 import ast
+import importlib
 from fnmatch import fnmatch
 from pathlib import Path
+
+from urbansched.world import InputError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "urbansched"
 
@@ -15,30 +18,78 @@ SCENARIO_CHECKS = ["world.ScenarioSpec.*", "world._check_*",
                    "harness.run_exhaustive_bike",
                    "cli._history_from_scenario"]
 
+# Where every other input enters: a DDPG config, a checkpoint and the
+# scenario its policy runs on, an evaluation request, a bus scenario for a
+# BusEnv, and the flags each command reads.
+INPUT_CHECKS = SCENARIO_CHECKS + [
+    "ddpg.DdpgConfig.__post_init__", "ddpg.DdpgConfig.from_dict",
+    "ddpg.Policy.load", "ddpg.Policy.begin_episode", "harness.evaluate",
+    "envs.BusEnv.__post_init__", "cli._load_policy", "cli.cmd_eval",
+    "cli.cmd_train", "cli.cmd_forecast"]
 
-def _raises_scenario_error(node: ast.AST) -> bool:
+
+def input_error_names() -> set[str]:
+    """InputError and each class of the package derived from it."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"urbansched.{path.stem}")
+        names.update(name for name, obj in vars(module).items()
+                     if isinstance(obj, type) and issubclass(obj, InputError))
+    return names
+
+
+def _raises(node: ast.AST, names: set[str]) -> bool:
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return (isinstance(exc, ast.Name) and exc.id == "ScenarioError"
-            or isinstance(exc, ast.Attribute) and exc.attr == "ScenarioError")
+    return (isinstance(exc, ast.Name) and exc.id in names
+            or isinstance(exc, ast.Attribute) and exc.attr in names)
 
 
-def scenario_error_sites():
+def error_sites(names: set[str]):
     """module.name of each top-level function, or class.member, that
-    contains a `raise ScenarioError`."""
+    contains a `raise` of one of the exception classes names."""
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             members = ([(f"{top.name}.{getattr(m, 'name', '?')}", m)
                         for m in top.body] if isinstance(top, ast.ClassDef)
                        else [(getattr(top, "name", "?"), top)])
             for name, member in members:
-                if any(map(_raises_scenario_error, ast.walk(member))):
+                if any(_raises(node, names) for node in ast.walk(member)):
                     yield f"{path.stem}.{name}"
 
 
 def test_scenario_errors_raise_only_where_input_enters():
-    sites = set(scenario_error_sites())
+    sites = set(error_sites({"ScenarioError"}))
     assert "world.ScenarioSpec.validate" in sites
     assert sorted(site for site in sites
                   if not any(fnmatch(site, p) for p in SCENARIO_CHECKS)) == []
+
+
+def test_input_errors_raise_only_where_input_enters():
+    names = input_error_names()
+    assert {"InputError", "ScenarioError", "OracleTooLarge"} <= names
+    sites = set(error_sites(names))
+    assert {"ddpg.Policy.load", "cli.cmd_forecast"} <= sites
+    assert sorted(site for site in sites
+                  if not any(fnmatch(site, p) for p in INPUT_CHECKS)) == []
+
+
+def test_cli_exits_1_on_bad_input_alone():
+    """The handler of cli.cli that returns 1 names InputError and the
+    errors of reading an input file, never ValueError or Exception, so
+    that a fault of the program exits 2."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    cli = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "cli")
+    handlers = [handler for node in ast.walk(cli)
+                if isinstance(node, ast.Try) for handler in node.handlers
+                if any(isinstance(n, ast.Return)
+                       and isinstance(n.value, ast.Constant)
+                       and n.value.value == 1 for n in ast.walk(handler))]
+    assert len(handlers) == 1
+    caught = handlers[0].type
+    assert isinstance(caught, ast.Tuple)
+    assert sorted(map(ast.unparse, caught.elts)) == sorted([
+        "InputError", "FileNotFoundError", "IsADirectoryError",
+        "json.JSONDecodeError", "UnicodeDecodeError"])
