@@ -95,10 +95,13 @@ def cmd_train(args) -> int:
             raise InputError("train --config takes no 'seed' key; "
                              "pass --seed instead")
         config = DdpgConfig.from_dict({**doc, "seed": args.seed})
+    out = args.out or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InputError(f"--out must name a directory: {exc}") from None
     policy, curve = train(lambda: BikeEnv(scenario=scenario, seed=config.seed),
                           config)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     policy.save(os.path.join(out, "policy.json"))
     save_curve_csv(os.path.join(out, "curve.csv"), curve)
     last = curve[-1] if curve else (0, 0.0, 0, 0, 0.0, 0.0)
@@ -132,13 +135,16 @@ def cmd_forecast(args) -> int:
         if value < least:
             raise InputError(f"{flag} must be >= {least}, got {value}")
     scenario = resolve_scenario(args.scenario)
+    out = args.out or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InputError(f"--out must name a directory: {exc}") from None
     log = _history_from_scenario(scenario, days=args.days, seed=args.seed)
     # a fit takes windows of at least 2 segments, each with a next one
     if log.n_segments < 3:
         raise InputError(f"forecast needs at least 3 history segments, "
                          f"got {log.n_segments}; raise --days")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     log.save_trips_csv(os.path.join(out, "history.csv"))
     ids = scenario.station_ids()
     coords = np.array([[s["x"], s["y"]] for s in scenario.stations])

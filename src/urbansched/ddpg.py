@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -97,6 +98,9 @@ def desk_config(seed: int = 0, episodes: int = 1000, **overrides) -> DdpgConfig:
     return DdpgConfig(**base)
 
 
+HEAD_ACTIVATIONS = ("relu", "tanh")
+
+
 class ActorNet(nn.LstmNet):
     """LSTM over an observation window plus a dense head with tanh scores
     (an nn.LstmNet). forward and backward are defined in this class body:
@@ -107,7 +111,7 @@ class ActorNet(nn.LstmNet):
     def create(cls, obs_dim: int, action_dim: int, config: DdpgConfig,
                rng: np.random.Generator) -> "ActorNet":
         return cls.init(obs_dim, config.lstm_hidden,
-                        [config.actor_hidden, action_dim], ["relu", "tanh"],
+                        [config.actor_hidden, action_dim], HEAD_ACTIVATIONS,
                         rng)
 
     def forward(self, windows: np.ndarray, start=None, reuse=None):
@@ -134,9 +138,6 @@ def act(actor: ActorNet, history_window: np.ndarray,
         start: int = 0) -> np.ndarray:
     """Raw action scores for one observation window (W, obs), W >= 1, whose
     rows before start are episode-start padding."""
-    history_window = np.asarray(history_window, dtype=float)
-    if history_window.ndim != 2 or history_window.shape[0] < 1:
-        raise ValueError("history window must be (W, obs) with W >= 1")
     scores, _ = actor.forward(history_window[None], [start])
     return scores[0]
 
@@ -439,20 +440,13 @@ class HistoryWindow:
         return max(len(self.buffer) - self.count, 0)
 
 
-# Version 2 stores an LSTM as its four packed arrays.
-CHECKPOINT_VERSION = 2
+# Version 3 stores the actor as its packed parameter vector.
+CHECKPOINT_VERSION = 3
 
 # The integer meta keys of a policy checkpoint with their least values; the
-# others are kind, head_sizes (the first is lstm_hidden) and head_activations.
+# one other key is kind.
 _META_MINIMUMS = {"capacity": 0, "history_window": 1, "obs_dim": 1,
-                  "lstm_hidden": 1}
-
-
-def _named_arrays(lstm: nn.LstmParams, head: nn.MlpParams) -> dict:
-    """An actor's arrays by checkpoint name, in parameter-vector order."""
-    named = {f"lstm.{name}": arr for name, arr in vars(lstm).items()}
-    named.update((f"head.{i}", arr) for i, arr in enumerate(head.arrays()))
-    return named
+                  "action_dim": 1, "lstm_hidden": 1, "actor_hidden": 1}
 
 
 @dataclass
@@ -463,14 +457,14 @@ class Policy:
     kind: str
     capacity: int
     history_window: int
-    obs_dim: int
 
     def begin_episode(self, obs: np.ndarray):
+        obs_dim = self.actor.lstm.W_x.shape[0]
         obs = np.asarray(obs)
-        if obs.size != self.obs_dim:
-            raise InputError(f"policy obs_dim {self.obs_dim} does not match "
+        if obs.size != obs_dim:
+            raise InputError(f"policy obs_dim {obs_dim} does not match "
                              f"the scenario's observation size {obs.size}")
-        self._window = HistoryWindow(self.history_window, self.obs_dim)
+        self._window = HistoryWindow(self.history_window, obs_dim)
 
     def action_for(self, env):
         """The action for the env's current observation, `env.obs`."""
@@ -480,39 +474,30 @@ class Policy:
 
     def save(self, path: str):
         """Write the JSON checkpoint that load reads."""
-        head = self.actor.head
+        lstm, head = self.actor.lstm, self.actor.head
         meta = {
             "kind": self.kind, "capacity": self.capacity,
-            "history_window": self.history_window, "obs_dim": self.obs_dim,
-            "lstm_hidden": self.actor.lstm.hidden_size,
-            "head_sizes": [w.shape[0] for w in head.weights]
-            + [head.weights[-1].shape[1]],
-            "head_activations": head.activations,
+            "history_window": self.history_window,
+            "obs_dim": lstm.W_x.shape[0],
+            "action_dim": head.weights[-1].shape[1],
+            "lstm_hidden": lstm.hidden_size,
+            "actor_hidden": head.weights[0].shape[1],
         }
-        arrays = {name: {"shape": list(arr.shape),
-                         "data": arr.reshape(-1).tolist()}
-                  for name, arr in _named_arrays(self.actor.lstm,
-                                                 head).items()}
         with open(path, "w") as fh:
             json.dump({"version": CHECKPOINT_VERSION, "meta": meta,
-                       "arrays": arrays}, fh)
+                       "params": self.actor.params.vector.tolist()}, fh)
 
     @classmethod
     def load(cls, path: str) -> "Policy":
         """Read a checkpoint that save wrote. Raises InputError unless its
-        version, meta and arrays describe one finite actor memory can hold.
+        version and meta describe an actor memory can hold and its params
+        are that actor's finite parameter vector.
         """
         with open(path) as fh:
             doc = json.load(fh)
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != CHECKPOINT_VERSION:
             raise InputError(f"unsupported checkpoint version {version!r}")
-        try:
-            arrays = {name: np.array(entry["data"], dtype=float).reshape(
-                entry["shape"]) for name, entry in doc["arrays"].items()}
-        except (KeyError, TypeError, AttributeError, ValueError,
-                OverflowError) as exc:
-            raise InputError(f"malformed checkpoint arrays: {exc!r}") from None
         meta = doc.get("meta", {})
         if not isinstance(meta, dict):
             raise InputError("checkpoint meta is not an object")
@@ -521,45 +506,34 @@ class Policy:
                if not (type(meta.get(k)) is int and meta[k] >= low)]
         if meta.get("kind") not in ("vehicle", "bus"):
             bad.append("kind")
-        sizes = meta.get("head_sizes")
-        activations = meta.get("head_activations")
-        if not (isinstance(sizes, list) and sizes
-                and all(type(n) is int and n >= 1 for n in sizes)
-                and sizes[0] == meta.get("lstm_hidden")):
-            bad.append("head_sizes")
-        elif not (isinstance(activations, list)
-                  and len(activations) == len(sizes) - 1
-                  and all(isinstance(a, str) and a in nn.ACTIVATIONS
-                          for a in activations)):
-            bad.append("head_activations")
         if bad:
             raise InputError(f"checkpoint meta has no valid {', '.join(bad)}")
-        # np.zeros leaves memory untouched until written, so blocks no array
-        # matches cost nothing. Sizes past memory or past numpy's largest
-        # array are bad input, those of begin_episode's window too.
+        # np.zeros leaves memory untouched, and the actor packs these blocks
+        # only once params fills them. Sizes past memory or past numpy's
+        # largest array are bad input, begin_episode's window's too.
+        sizes = [meta["lstm_hidden"], meta["actor_hidden"], meta["action_dim"]]
         try:
             lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"])
             head = nn.MlpParams(
                 weights=[np.zeros(s) for s in zip(sizes, sizes[1:])],
                 biases=[np.zeros(n) for n in sizes[1:]],
-                activations=activations)
+                activations=list(HEAD_ACTIVATIONS))
             HistoryWindow(meta["history_window"], meta["obs_dim"])
         except (MemoryError, ValueError) as exc:
             raise InputError(f"checkpoint meta sizes: {exc}") from None
-        expected = _named_arrays(lstm, head)
-        if ({n: a.shape for n, a in arrays.items()}
-                != {n: a.shape for n, a in expected.items()}):
-            raise InputError(f"checkpoint arrays {sorted(arrays)} do not "
-                             "match the names and shapes of the actor its "
-                             "meta describes")
+        size = sum(a.size for a in lstm.arrays() + head.arrays())
+        params = doc.get("params")
+        # checked before the copy, which would broadcast one number; a
+        # float's range leaves out NaN, inf and ints too large to convert
+        if not (isinstance(params, list) and len(params) == size
+                and all(type(x) in (int, float)
+                        and abs(x) <= sys.float_info.max for x in params)):
+            raise InputError(f"checkpoint params must be a list of the {size} "
+                             "finite numbers of the actor its meta describes")
         actor = ActorNet(lstm=lstm, head=head)
-        for name, view in zip(expected, actor.params.arrays):
-            view[...] = arrays[name]
-        if not np.isfinite(actor.params.vector).all():
-            raise InputError("checkpoint weights must be finite")
+        actor.params.vector[:] = params
         return cls(actor=actor, kind=meta["kind"], capacity=meta["capacity"],
-                   history_window=meta["history_window"],
-                   obs_dim=meta["obs_dim"])
+                   history_window=meta["history_window"])
 
 
 def run_episode(env, policy, force_outage: bool | None = None):
@@ -601,7 +575,7 @@ def train(env_factory, config: DdpgConfig, progress=None):
     noise = OuNoise(action_dim, theta=config.ou_theta, sigma=config.ou_sigma,
                     mu=config.ou_mu, seed=config.seed + 1)
     policy = Policy(actor=actor, kind=kind, capacity=capacity,
-                    history_window=config.history_window, obs_dim=obs_dim)
+                    history_window=config.history_window)
     curve = []
     window = HistoryWindow(config.history_window, obs_dim)
     sigma0 = config.ou_sigma

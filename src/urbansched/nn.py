@@ -383,7 +383,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
 # ---------------------------------------------------------------------------
 # Dense layers
 
-ACTIVATIONS = {
+_ACTIVATIONS = {
     "identity": (lambda z: z, None),  # mlp_backward passes gradients through
     "relu": (lambda z: np.maximum(z, 0.0),
              lambda z, a: (z > 0).astype(z.dtype)),
@@ -425,7 +425,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     out = x
     for W, b, act in zip(params.weights, params.biases, params.activations):
         z = out @ W + b
-        out = ACTIVATIONS[act][0](z)
+        out = _ACTIVATIONS[act][0](z)
         pre.append(z)
         post.append(out)
     return out, (pre, post)
@@ -444,7 +444,7 @@ def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
     d = np.asarray(dout, dtype=params.weights[0].dtype)
     for layer in range(len(params.weights) - 1, -1, -1):
         act = params.activations[layer]
-        dz = d if act == "identity" else d * ACTIVATIONS[act][1](
+        dz = d if act == "identity" else d * _ACTIVATIONS[act][1](
             pre[layer], post[layer + 1])
         if grads is not None:
             np.matmul(post[layer].T, dz, out=grads.weights[layer])

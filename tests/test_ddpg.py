@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urbansched import harness, nn
+from urbansched import ddpg, harness, nn
 from urbansched import world as W
 from urbansched.cli import resolve_scenario
 from urbansched.ddpg import (
@@ -61,10 +61,6 @@ class TestAct:
             np.testing.assert_allclose(batch_scores[b],
                                        act(actor, windows[b], start[b]),
                                        atol=1e-12)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            act(small_actor(), np.zeros(5))
 
     def test_actor_gradients_pass_grad_check(self):
         actor = small_actor(obs_dim=3, action_dim=2)
@@ -500,58 +496,84 @@ class TestTrainLoop:
 
 class TestPolicyCheckpoint:
     META = {"kind": "vehicle", "capacity": 10, "history_window": 3,
-            "obs_dim": 5, "lstm_hidden": 6, "head_sizes": [6, 6, 4],
-            "head_activations": ["relu", "tanh"]}
+            "obs_dim": 5, "action_dim": 4, "lstm_hidden": 6,
+            "actor_hidden": 6}
 
     def test_version_1_rejected(self, tmp_path):
-        path = tmp_path / "v1.json"
+        """Neither version 1 nor version 2, which stored named arrays,
+        loads."""
+        path = tmp_path / "old.json"
         Policy(actor=small_actor(), kind="vehicle", capacity=10,
-               history_window=3, obs_dim=5).save(str(path))
+               history_window=3).save(str(path))
         Policy.load(str(path))
         doc = json.loads(path.read_text())
-        doc["version"] = 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError,
-                           match="unsupported checkpoint version 1"):
-            Policy.load(str(path))
+        for version in (1, 2):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InputError, match="unsupported checkpoint "
+                               f"version {version}"):
+                Policy.load(str(path))
+
+    def test_meta_keys_saved_are_the_keys_loaded(self, tmp_path):
+        path = tmp_path / "policy.json"
+        Policy(actor=small_actor(), kind="vehicle", capacity=10,
+               history_window=3).save(str(path))
+        meta = json.loads(path.read_text())["meta"]
+        assert meta == self.META
+        assert set(meta) == set(ddpg._META_MINIMUMS) | {"kind"}
+
+    @pytest.mark.parametrize("kind, action_dim", [("vehicle", 4), ("bus", 3)])
+    def test_save_load_save_same_bytes(self, kind, action_dim, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        Policy(actor=small_actor(action_dim=action_dim), kind=kind,
+               capacity=10 if kind == "vehicle" else 0,
+               history_window=3).save(str(first))
+        Policy.load(str(first)).save(str(second))
+        assert first.read_bytes() == second.read_bytes()
 
     @staticmethod
-    def write(path, arrays, meta):
+    def write(path, meta, **fields):
         """A checkpoint file in Policy.save's format."""
-        path.write_text(json.dumps({"version": 2, "meta": meta, "arrays": {
-            name: {"shape": list(np.shape(a)),
-                   "data": np.ravel(a).tolist()}
-            for name, a in arrays.items()}}))
+        path.write_text(json.dumps({"version": 3, "meta": meta, **fields}))
 
     def test_malformed_rejected(self, tmp_path):
-        actor = small_actor()
-        named = {f"lstm.{k}": v for k, v in vars(actor.lstm).items()}
-        named.update((f"head.{i}", a)
-                     for i, a in enumerate(actor.head.arrays()))
+        params = small_actor().params.vector.tolist()
         path = tmp_path / "bad.json"
         bad_cases = [
-            (named, {k: v for k, v in self.META.items() if k != "obs_dim"}),
-            ({**named, "lstm.W_xi": np.zeros((5, 6))}, self.META),
-            ({k: v for k, v in named.items() if k != "head.3"}, self.META),
-            (named, {**self.META, "obs_dim": 7}),
-            (named, {**self.META, "head_sizes": [6, 6, 3]}),
-            (named, {**self.META, "head_sizes": [7, 6, 4]}),  # != lstm_hidden
-            (named, {**self.META, "obs_dim": "5"}),
-            (named, {**self.META, "history_window": 0}),
-            (named, {**self.META, "head_activations": ["relu", "bogus"]}),
-            (named, {**self.META, "head_activations": ["relu", {}]}),
-            ({**named, "head.0": np.full((6, 6), np.nan)}, self.META),
-            (named, {**self.META, "history_window": True}),
-            (named, {**self.META, "capacity": -3}),
-            (named, {**self.META, "kind": "tram"}),
-            (named, {**self.META, "lstm_hidden": 10 ** 6}),
+            *(({k: v for k, v in self.META.items() if k != key},
+               {"params": params}) for key in self.META),
+            *(({**self.META, key: value}, {"params": params})
+              for key, value in [
+                  ("obs_dim", 7), ("obs_dim", "5"), ("obs_dim", 0),
+                  ("action_dim", 3), ("action_dim", 0), ("action_dim", 4.0),
+                  ("lstm_hidden", 7), ("actor_hidden", 5),
+                  ("actor_hidden", None), ("history_window", 0),
+                  ("history_window", True), ("capacity", -3),
+                  ("kind", "tram"), ("kind", None), ("lstm_hidden", 10 ** 6)]),
+            (self.META, {}),  # no params
+            (self.META, {"params": params[:-1]}),
+            (self.META, {"params": params + [0.0]}),
+            (self.META, {"params": [0.1]}),  # numpy would broadcast it
+            (self.META, {"params": {"data": params}}),
+            (self.META, {"params": params[:-1] + ["0.5"]}),
+            (self.META, {"params": params[:-1] + [True]}),
+            (self.META, {"params": params[:-1] + [None]}),
+            (self.META, {"params": params[:-1] + [[0.5]]}),  # nested
+            (self.META, {"params": [params]}),
+            (self.META, {"params": params[:-1] + [float("nan")]}),
+            (self.META, {"params": [float("inf")] + params[1:]}),
+            (self.META, {"params": [-float("inf")] + params[1:]}),
+            (self.META, {"params": [10 ** 400] + params[1:]}),
         ]
-        self.write(path, named, self.META)
+        self.write(path, self.META, params=params)
         Policy.load(str(path))
-        for arrays, meta in bad_cases:
-            self.write(path, arrays, meta)
+        for meta, fields in bad_cases:
+            self.write(path, meta, **fields)
             with pytest.raises(InputError):
                 Policy.load(str(path))
+        self.write(path, [], params=params)
+        with pytest.raises(InputError, match="meta is not an object"):
+            Policy.load(str(path))
 
 
 class TestHistoryWindow:

@@ -390,8 +390,8 @@ class TestCli:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in ("policy.json", "curve.csv")}
         assert digests == {
-            "policy.json": "3606562bb5e83ecb5c19d04142cff3c0"
-                           "ff96c8642d553580e9ef4da8f7890d01",
+            "policy.json": "644ca910b827d4237412291aec49a7df"
+                           "84e554a911fe61f71d38b5b5da957785",
             "curve.csv": "e35fcc54610ec4a7cc4cf20aa1f14abd"
                          "de0be64cac5cc3aed5644109e60152be",
         }
@@ -483,12 +483,51 @@ class TestCli:
                     str(cfg_path), "--out", str(tmp_path)]) == 0
         path = tmp_path / "policy.json"
         doc = json.loads(path.read_text())
-        doc["arrays"]["head.0"]["data"][0] = math.nan
+        doc["params"][-1] = math.nan
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli(["simulate", "--scenario", "fig1a", "--policy", "trained",
                     "--checkpoint", str(path)]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_params_exit_1(self, tmp_path, capsys):
+        """A version-2 file, and params missing, of the wrong length (one
+        number included, which numpy would broadcast) or not numbers."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "episodes": 1, "lstm_hidden": 4, "actor_hidden": 4,
+            "critic_hidden": 4, "history_window": 2}))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "policy.json"
+        doc = json.loads(path.read_text())
+        params = doc.pop("params")
+        for edit in [{"version": 2, "params": params}, {}, {"params": [0.1]},
+                     {"params": params[1:]}, {"params": params + [0.0]},
+                     {"params": ["0.1"] + params[1:]}]:
+            path.write_text(json.dumps({**doc, **edit}))
+            capsys.readouterr()
+            assert cli(["simulate", "--scenario", "fig1a", "--policy",
+                        "trained", "--checkpoint", str(path)]) == 1
+            assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    @pytest.mark.parametrize("command, work", [
+        ("train", "train"), ("forecast", "_history_from_scenario")],
+        ids=["train", "forecast"])
+    def test_out_not_a_directory_exit_1(self, command, work, under, tmp_path,
+                                        monkeypatch, capsys):
+        """--out naming a file, or a path under one, exits 1 before the
+        command starts its work."""
+        def started(*args, **kwargs):
+            raise AssertionError(f"{command} started")
+
+        monkeypatch.setattr(f"urbansched.cli.{work}", started)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "run" if under else tmp_path / "file"
+        assert cli([command, "--scenario", "bike5", "--out", str(out)]) == 1
+        assert "--out must name a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("obs_dim, hidden, window", [
         (10 ** 12, 4 * 10 ** 6, 2), (37, 4, 10 ** 18)])
@@ -497,11 +536,10 @@ class TestCli:
         """Consistent meta sizes of which numpy refuses an array, the
         actor's or the history window's, before it takes any memory."""
         path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"version": 2, "arrays": {}, "meta": {
+        path.write_text(json.dumps({"version": 3, "params": [], "meta": {
             "kind": "vehicle", "capacity": 10, "history_window": window,
-            "obs_dim": obs_dim, "lstm_hidden": hidden,
-            "head_sizes": [hidden, 4, 11],
-            "head_activations": ["relu", "tanh"]}}))
+            "obs_dim": obs_dim, "action_dim": 11, "lstm_hidden": hidden,
+            "actor_hidden": 4}}))
         assert cli(["simulate", "--scenario", "fig1a", "--policy", "trained",
                     "--checkpoint", str(path)]) == 1
         assert "checkpoint meta sizes" in capsys.readouterr().err
@@ -895,7 +933,7 @@ class TestCli:
 
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"version": 2, "meta": {}, "arrays": {}}))
+        path.write_text(json.dumps({"version": 3, "meta": {}, "params": []}))
         assert cli(["eval", "--scenario", "fig1a",
                     "--checkpoint", str(path)]) == 1
         assert "obs_dim" in capsys.readouterr().err

@@ -90,7 +90,8 @@ def first_flag_reference(env, policy: Policy, force_outage=None):
     if force_outage is not None:
         kwargs["force_outage"] = force_outage
     obs = env.reset(**kwargs)
-    window = HistoryWindow(policy.history_window, policy.obs_dim)
+    window = HistoryWindow(policy.history_window,
+                           policy.actor.lstm.W_x.shape[0])
     window.reset(obs)
     total = 0.0
     done = False
