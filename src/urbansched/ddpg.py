@@ -4,6 +4,10 @@ Actor = LSTM over the recent observation window + dense head with tanh
 scores; critic = dense net on (last observation, raw action scores). The
 environment consumes decoded discrete/hybrid actions while gradients flow
 through the continuous scores, isolated behind decode_action.
+
+The learner runs in one dtype, DTYPE (float32): the actor's and critic's
+parameters, gradients and tapes, the replay ring's observations and
+actions, and the observation windows the actor reads.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -100,6 +103,9 @@ def desk_config(seed: int = 0, episodes: int = 1000, **overrides) -> DdpgConfig:
 
 HEAD_ACTIVATIONS = ("relu", "tanh")
 
+# The learner's dtype (see the module docstring).
+DTYPE = np.float32
+
 
 class ActorNet(nn.LstmNet):
     """LSTM over an observation window plus a dense head with tanh scores
@@ -110,9 +116,10 @@ class ActorNet(nn.LstmNet):
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, config: DdpgConfig,
                rng: np.random.Generator) -> "ActorNet":
+        """A DTYPE actor: the float64 draws of the seed, rounded."""
         return cls.init(obs_dim, config.lstm_hidden,
                         [config.actor_hidden, action_dim], HEAD_ACTIVATIONS,
-                        rng)
+                        rng, dtype=DTYPE)
 
     def forward(self, windows: np.ndarray, start=None, reuse=None):
         """windows: (B, W, obs). Returns (scores, tapes), scores (B, action).
@@ -123,8 +130,9 @@ class ActorNet(nn.LstmNet):
         equivalent score identically. None means every row is real. reuse,
         if given, is the tapes of an earlier forward that nothing reads any
         more; the LSTM writes into its arrays (nn.LstmNet.forward).
+        windows are cast to the parameters' dtype.
         """
-        windows = np.asarray(windows, dtype=float)
+        windows = np.asarray(windows, dtype=self.params.vector.dtype)
         return super().forward(np.transpose(windows, (1, 0, 2)), start,
                                reuse)
 
@@ -159,13 +167,13 @@ class CriticNet:
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, config: DdpgConfig,
                rng: np.random.Generator) -> "CriticNet":
-        return cls(
-            net=nn.MlpParams.init(
-                [obs_dim + action_dim, config.critic_hidden,
-                 config.critic_hidden, 1],
-                ["relu", "relu", "identity"], rng),
-            obs_dim=obs_dim,
-        )
+        """A DTYPE critic: the float64 draws of the seed, rounded."""
+        net = nn.MlpParams.init(
+            [obs_dim + action_dim, config.critic_hidden,
+             config.critic_hidden, 1], ["relu", "relu", "identity"], rng)
+        return cls(net=net.with_arrays([a.astype(DTYPE)
+                                        for a in net.arrays()]),
+                   obs_dim=obs_dim)
 
     def copy(self) -> "CriticNet":
         return CriticNet(net=self.net, obs_dim=self.obs_dim)  # packs a copy
@@ -216,9 +224,10 @@ class ReplayBuffer:
     the row after. sample stacks the history_window rows ending at each
     sampled observation, and at the one after it, as the window and next
     window (frame stacking as in DQN's replay); rows from before the
-    episode's start read zero. Arrays are allocated when the first
-    observation and action arrive, and numpy's zero-filled allocations are
-    mapped lazily, so memory grows with what is stored, not with capacity.
+    episode's start read zero. Observations and actions are stored as
+    DTYPE. Arrays are allocated when the first observation and action
+    arrive, each in a zero mapping of its own (nn.mapped_zeros), so memory
+    grows with what is stored, not with capacity.
     """
 
     def __init__(self, capacity: int, seed: int = 0, history_window: int = 1):
@@ -240,9 +249,9 @@ class ReplayBuffer:
 
     def begin_episode(self, obs: np.ndarray):
         """Store the first observation of an episode."""
-        obs = np.asarray(obs, dtype=float)
+        obs = np.asarray(obs)
         if self._obs is None:
-            self._obs = np.zeros((self._ring + 1, obs.size))
+            self._obs = nn.mapped_zeros((self._ring + 1, obs.size), DTYPE)
         if self._step > 0 or self._row < 0:
             # an episode that took no step gives its row to the next one,
             # which keeps the row count within the ring bound above
@@ -256,11 +265,12 @@ class ReplayBuffer:
         if self._obs is None:
             raise ValueError("push before the first begin_episode")
         if self._actions is None:
-            self._actions = np.zeros((self.capacity, np.size(action)))
-            self._rewards = np.zeros(self.capacity)
-            self._dones = np.zeros(self.capacity)
-            self._steps = np.zeros(self.capacity, dtype=np.intp)
-            self._rows = np.zeros(self.capacity, dtype=np.intp)
+            self._actions = nn.mapped_zeros((self.capacity, np.size(action)),
+                                            DTYPE)
+            self._rewards = nn.mapped_zeros(self.capacity, float)
+            self._dones = nn.mapped_zeros(self.capacity, float)
+            self._steps = nn.mapped_zeros(self.capacity, np.intp)
+            self._rows = nn.mapped_zeros(self.capacity, np.intp)
         slot = self._next
         self._actions[slot] = action
         self._rewards[slot] = reward
@@ -417,10 +427,11 @@ def train_step(buffer: ReplayBuffer, actor: ActorNet, critic: CriticNet,
 
 
 class HistoryWindow:
-    """Fixed-length observation window, zero-padded at episode start."""
+    """Fixed-length observation window, zero-padded at episode start, held
+    as DTYPE so that the actor reads it without a cast."""
 
     def __init__(self, length: int, obs_dim: int):
-        self.buffer = np.zeros((length, obs_dim))
+        self.buffer = np.zeros((length, obs_dim), DTYPE)
         self.count = 0  # observations pushed since reset
 
     def reset(self, obs: np.ndarray):
@@ -440,8 +451,13 @@ class HistoryWindow:
         return max(len(self.buffer) - self.count, 0)
 
 
-# Version 3 stores the actor as its packed parameter vector.
-CHECKPOINT_VERSION = 3
+# Version 4 stores the actor as its packed parameter vector, of DTYPE
+# values (version 3 held float64 ones).
+CHECKPOINT_VERSION = 4
+
+# The largest magnitude a DTYPE parameter holds; a checkpoint number past
+# it would load as inf.
+_PARAM_MAX = float(np.finfo(DTYPE).max)
 
 # The integer meta keys of a policy checkpoint with their least values; the
 # one other key is kind.
@@ -467,7 +483,14 @@ class Policy:
         self._window = HistoryWindow(self.history_window, obs_dim)
 
     def action_for(self, env):
-        """The action for the env's current observation, `env.obs`."""
+        """The action for the env's current observation, `env.obs`. The
+        episode's first call checks the env's action size."""
+        if self._window.count == 0:
+            action_dim = self.actor.head.weights[-1].shape[1]
+            if env.action_dim != action_dim:
+                raise InputError(f"policy action_dim {action_dim} does not "
+                                 "match the scenario's action size "
+                                 f"{env.action_dim}")
         self._window.push(env.obs)
         scores = act(self.actor, self._window.buffer, self._window.start)
         return decode_action(scores, self.kind, self.capacity)
@@ -491,7 +514,9 @@ class Policy:
     def load(cls, path: str) -> "Policy":
         """Read a checkpoint that save wrote. Raises InputError unless its
         version and meta describe an actor memory can hold and its params
-        are that actor's finite parameter vector.
+        are that actor's parameter vector, each number within DTYPE's
+        finite range. The actor is DTYPE, so a policy saved and loaded acts
+        bit for bit as the one saved.
         """
         with open(path) as fh:
             doc = json.load(fh)
@@ -513,23 +538,25 @@ class Policy:
         # largest array are bad input, begin_episode's window's too.
         sizes = [meta["lstm_hidden"], meta["actor_hidden"], meta["action_dim"]]
         try:
-            lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"])
+            lstm = nn.LstmParams.zeros(meta["obs_dim"], meta["lstm_hidden"],
+                                       DTYPE)
             head = nn.MlpParams(
-                weights=[np.zeros(s) for s in zip(sizes, sizes[1:])],
-                biases=[np.zeros(n) for n in sizes[1:]],
+                weights=[np.zeros(s, DTYPE) for s in zip(sizes, sizes[1:])],
+                biases=[np.zeros(n, DTYPE) for n in sizes[1:]],
                 activations=list(HEAD_ACTIVATIONS))
             HistoryWindow(meta["history_window"], meta["obs_dim"])
         except (MemoryError, ValueError) as exc:
             raise InputError(f"checkpoint meta sizes: {exc}") from None
         size = sum(a.size for a in lstm.arrays() + head.arrays())
         params = doc.get("params")
-        # checked before the copy, which would broadcast one number; a
-        # float's range leaves out NaN, inf and ints too large to convert
+        # checked before the copy, which would broadcast one number; the
+        # range leaves out NaN, inf and numbers the cast would make inf
         if not (isinstance(params, list) and len(params) == size
-                and all(type(x) in (int, float)
-                        and abs(x) <= sys.float_info.max for x in params)):
+                and all(type(x) in (int, float) and abs(x) <= _PARAM_MAX
+                        for x in params)):
             raise InputError(f"checkpoint params must be a list of the {size} "
-                             "finite numbers of the actor its meta describes")
+                             "numbers of the actor its meta describes, each "
+                             f"of magnitude at most {_PARAM_MAX:g}")
         actor = ActorNet(lstm=lstm, head=head)
         actor.params.vector[:] = params
         return cls(actor=actor, kind=meta["kind"], capacity=meta["capacity"],
@@ -549,6 +576,7 @@ def run_episode(env, policy, force_outage: bool | None = None):
     return env.record
 
 
+@nn.one_blas_thread()
 def train(env_factory, config: DdpgConfig, progress=None):
     """Full DDPG loop: episode collection with OU exploration and replay
     updates. It evaluates nothing itself: every eval_every episodes it
@@ -556,7 +584,8 @@ def train(env_factory, config: DdpgConfig, progress=None):
     true. The policy drives the env's agent kind, `env.kind`. Returns
     (policy, curve) where curve rows are (episode, return, served, lost,
     critic_loss, actor_value): the episode's `EpisodeRecord`, then the
-    last update's diagnostics.
+    last update's diagnostics. It runs with one BLAS thread
+    (nn.one_blas_thread).
     """
     env = env_factory()
     kind = env.kind

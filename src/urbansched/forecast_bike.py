@@ -84,7 +84,10 @@ class DepartureModel:
                              f"got {values.size}")
         return values[-self.window:] / self.scale
 
+    @nn.one_blas_thread()
     def fit(self, series: np.ndarray, epochs: int = 60, lr: float = 0.05):
+        """Gradient descent on the one-step errors of every window of
+        series, with one BLAS thread (nn.one_blas_thread)."""
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
         series = np.asarray(series, dtype=float)

@@ -4,15 +4,17 @@ network made of them (LstmNet: an LSTM, then a dense head).
 
 The kernels compute in the dtype of their parameters: tapes, working
 arrays and fresh gradients take it, and inputs are cast to it. The DDPG
-actor and critic and the finite-difference checks (grad_check) run in
-float64, which keeps those checks tight; the departure forecaster
-(forecast_bike) runs in float32, which moves half the bytes. Forward
-passes never mutate parameters; tapes carry the activations the backward
-pass needs.
+actor and critic (ddpg) and the departure forecaster (forecast_bike) run
+in float32, which moves half the bytes of float64; the finite-difference
+checks (grad_check) run on float64 networks, which keeps them tight.
+Forward passes never mutate parameters; tapes carry the activations the
+backward pass needs.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,25 +84,44 @@ class LstmParams:
 _MAPPED_BYTES = 1 << 16
 
 
+def mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zero array of dtype in an anonymous mapping of its own, outside
+    malloc's heap.
+
+    The system maps each page in when it is first written, so the memory
+    the array holds grows with the pages written, not with its size, and
+    the mapping goes back to the system whole when the array goes. An
+    array from np.zeros is mapped so only while malloc gives it a mapping
+    of its own, and glibc raises that size threshold (up to 32 MB) each
+    time it frees such a block: the next np.zeros of that size can then
+    come from the heap, where calloc clears, and so touches, every byte
+    of the memory it reuses.
+    """
+    import mmap  # here, so that importing nn loads no extension module
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
 def _tape_array(shape: tuple, dtype) -> np.ndarray:
     """An uninitialised array of dtype for a tape.
 
-    A large one lives in an anonymous mapping of its own, outside malloc's
-    heap. A tape that a training loop reuses lives as long as the loop;
-    in the heap it would pin what is allocated above it, so that the heap
-    could neither reuse nor return that memory (with ddpg.train's tapes in
-    the heap, two bike5 training runs in one process left 6.5 MB of it
-    free but resident, against 1.0 MB). A mapping goes back to the system
-    whole when the tape goes. Small arrays stay in the heap, since a
-    mapping costs system calls and whole pages. Which is which is decided
-    by bytes, so a float32 array maps from twice the elements.
+    A large one lives in an anonymous mapping of its own (mapped_zeros),
+    outside malloc's heap. A tape that a training loop reuses lives as
+    long as the loop; in the heap it would pin what is allocated above it,
+    so that the heap could neither reuse nor return that memory (with
+    ddpg.train's tapes in the heap, two bike5 training runs in one process
+    left 6.5 MB of it free but resident, against 1.0 MB). A mapping goes
+    back to the system whole when the tape goes. Small arrays stay in the
+    heap, since a mapping costs system calls and whole pages. Which is
+    which is decided by bytes, so a float32 array maps from twice the
+    elements.
     """
     dtype = np.dtype(dtype)
     size = int(np.prod(shape)) * dtype.itemsize
     if size < _MAPPED_BYTES:
         return np.empty(shape, dtype)
-    import mmap  # here, so that importing nn loads no extension module
-    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
+    return mapped_zeros(shape, dtype)
 
 
 @dataclass
@@ -581,6 +602,53 @@ class LstmNet:
                               grads=self._head_grads)
         lstm_backward(self.lstm, lstm_tape, dh, grads=self._lstm_grads)
         return self.grads.arrays
+
+
+@functools.cache
+def _blas_thread_calls():
+    """OpenBLAS's thread-count getter and setter in the library numpy
+    loaded, or None when none is found there."""
+    import ctypes
+    import glob
+    import os
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the count it
+    had; with no OpenBLAS setter found, run it as it is.
+
+    The training and fitting loops multiply small matrices, for which
+    further threads only spin on the other cores: a bike5 training used
+    twice its wall time in CPU with the default count, and no less wall
+    time. The bits do not depend on the count: OpenBLAS splits a matrix
+    product's rows and columns among its threads, not its sums, and a
+    bike5 training writes the same policy.json either way.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:

@@ -15,6 +15,7 @@ from urbansched.ddpg import (
 from urbansched.envs import BikeEnv, BusEnv
 from urbansched.world import InputError
 from test_envs import profile_bus_scenario
+from test_nn import _mapped
 
 
 SMALL = DdpgConfig(lstm_hidden=6, actor_hidden=6, critic_hidden=6,
@@ -63,7 +64,11 @@ class TestAct:
                                        atol=1e-12)
 
     def test_actor_gradients_pass_grad_check(self):
-        actor = small_actor(obs_dim=3, action_dim=2)
+        # a float64 actor of small_actor's layout: the finite differences
+        # need float64's precision, which the learner's float32 has not
+        actor = ActorNet.init(3, SMALL.lstm_hidden, [SMALL.actor_hidden, 2],
+                              ddpg.HEAD_ACTIVATIONS, np.random.default_rng(0))
+        assert actor.params.vector.dtype == np.float64
         rng = np.random.default_rng(4)
         windows = rng.normal(size=(4, 3, 3))
         weights = rng.normal(size=(4, 2))
@@ -80,7 +85,12 @@ class TestAct:
         assert nn.grad_check(loss, actor.params.arrays, grads) <= 1e-5
 
     def test_critic_gradients_pass_grad_check(self):
-        critic = CriticNet.create(4, 2, SMALL, np.random.default_rng(5))
+        # a float64 critic of CriticNet.create's layout, as above
+        hidden = SMALL.critic_hidden
+        critic = CriticNet(net=nn.MlpParams.init(
+            [4 + 2, hidden, hidden, 1], ["relu", "relu", "identity"],
+            np.random.default_rng(5)), obs_dim=4)
+        assert critic.params.vector.dtype == np.float64
         rng = np.random.default_rng(6)
         obs = rng.normal(size=(3, 4))
         actions = rng.normal(size=(3, 2))
@@ -263,7 +273,9 @@ class TestReplayBuffer:
         """Windows, next windows, actions, rewards, dones and starts equal
         the list buffer's, across episode boundaries, episodes shorter than
         the window (or with no step) and FIFO overwrite, sampling after
-        every episode."""
+        every episode. The reference is given the float32 values the ring
+        stores: its windows come from a HistoryWindow, and its actions are
+        rounded."""
         rng = np.random.default_rng(seed)
         ring = ReplayBuffer(capacity, seed=seed, history_window=window)
         ref = ListReplay(capacity, seed=seed)
@@ -274,7 +286,7 @@ class TestReplayBuffer:
             ring.begin_episode(obs)
             for t in range(length):
                 before = history.buffer.copy()
-                action = rng.uniform(-1, 1, size=2)
+                action = rng.uniform(-1, 1, size=2).astype(np.float32)
                 reward = float(rng.normal())
                 obs = rng.uniform(0.5, 1.5, size=3)
                 done = t == length - 1
@@ -291,6 +303,19 @@ class TestReplayBuffer:
             np.testing.assert_array_equal(got.start, inferred_start(want[0]))
             np.testing.assert_array_equal(got.next_start,
                                           inferred_start(want[3]))
+
+    def test_small_ring_is_mapped(self):
+        """Every array of the ring, however small, is a zero mapping of its
+        own, which the system fills in page by page as rows are written:
+        a small one from np.zeros could come from malloc's heap, where
+        calloc touches all of it."""
+        buf = ReplayBuffer(capacity=3, seed=0, history_window=2)
+        fill(buf, [1.0, 2.0])
+        arrays = [buf._obs, buf._actions, buf._rewards, buf._dones,
+                  buf._steps, buf._rows]
+        assert all(_mapped(a) for a in arrays)
+        assert buf._obs[-1].tolist() == [0.0] * 3  # the padding row
+        assert kept_rewards(buf) == [1.0, 2.0]
 
     @pytest.mark.parametrize("scenario", ["fig1a", "bike5", "outage"])
     def test_stored_start_matches_inference_on_env(self, scenario):
@@ -423,6 +448,33 @@ class TestTrainStep:
                                      for n in (actor, critic, at, ct)]))
         assert outcomes[0] == outcomes[1]
 
+    def test_learner_stays_float32(self):
+        """Parameters, gradients, tapes, the ring, the sampled windows and
+        actions, the history window and the scores all keep the learner's
+        dtype, including through a train_step that reuses its tapes."""
+        actor, critic, at, ct = self.build(seed=4)
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(capacity=16, seed=0, history_window=3)
+        buf.begin_episode(rng.normal(size=4))
+        for k in range(10):
+            buf.push(rng.uniform(-1, 1, 3), rng.normal(), rng.normal(size=4),
+                     False)
+        tapes = {}
+        for _ in range(2):
+            train_step(buf, actor, critic, at, ct, SMALL, tapes)
+        batch = buf.sample(4)
+        window = HistoryWindow(3, 4).buffer
+        arrays = [buf._obs, buf._actions, batch.windows, batch.actions,
+                  batch.next_windows, window, act(actor, window)]
+        for net in (actor, critic, at, ct):
+            arrays += [net.params.vector, net.grads.vector]
+        lstm_tape, (pre, post) = tapes["actor"]
+        arrays += [lstm_tape.gates, lstm_tape.c, lstm_tape.h,
+                   lstm_tape.tanh_c, *lstm_tape.scratch.values(), *pre,
+                   *post]
+        assert ddpg.DTYPE == np.float32
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
     def test_diagnostics_finite(self):
         actor, critic, at, ct = self.build()
         rng = np.random.default_rng(2)
@@ -479,6 +531,44 @@ class TestTrainLoop:
                                       policy.actor.params.vector)
         assert run_episode(factory(), policy) == run_episode(factory(), loaded)
 
+    def test_reloaded_policy_scores_bit_for_bit(self, tmp_path):
+        """A policy saved and loaded scores a window with the bits of the
+        trained actor: both are float32, and the checkpoint's numbers
+        are the float32 values."""
+        factory = lambda: BikeEnv(scenario=resolve_scenario("bike5"))
+        policy, _ = train(factory, self.fast_config(12))
+        path = tmp_path / "policy.json"
+        policy.save(str(path))
+        loaded = Policy.load(str(path))
+        assert loaded.actor.params.vector.dtype == np.float32
+        obs_dim = policy.actor.lstm.W_x.shape[0]
+        windows = np.random.default_rng(9).uniform(0, 5, size=(6, 4, obs_dim))
+        for start in (0, 2):
+            for window in windows:
+                assert (act(loaded.actor, window, start).tobytes()
+                        == act(policy.actor, window, start).tobytes())
+
+    def test_one_blas_thread_changes_no_bits(self, monkeypatch):
+        """train runs with one BLAS thread and puts the count back; the
+        trained weights are those of a run at the default count."""
+        calls = nn._blas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        get, _ = calls
+        before = get()
+        with nn.one_blas_thread():
+            assert get() == 1
+        assert get() == before
+        factory = lambda: BikeEnv(scenario=resolve_scenario("bike5"))
+        config = desk_config(seed=3, episodes=12, warmup_episodes=2,
+                             batch_size=16)
+        one, _ = train(factory, config)
+        assert get() == before
+        monkeypatch.setattr(nn, "_blas_thread_calls", lambda: None)
+        default, _ = train(factory, config)
+        assert (one.actor.params.vector.tobytes()
+                == default.actor.params.vector.tobytes())
+
     def test_bus_policy_trains_evaluates_and_round_trips(self, tmp_path):
         """train takes the agent kind from the env, so a BusEnv factory
         yields a bus policy, which evaluates and reloads as one."""
@@ -500,14 +590,14 @@ class TestPolicyCheckpoint:
             "actor_hidden": 6}
 
     def test_version_1_rejected(self, tmp_path):
-        """Neither version 1 nor version 2, which stored named arrays,
-        loads."""
+        """Neither version 1 nor version 2, which stored named arrays, nor
+        version 3, which stored float64 numbers, loads."""
         path = tmp_path / "old.json"
         Policy(actor=small_actor(), kind="vehicle", capacity=10,
                history_window=3).save(str(path))
         Policy.load(str(path))
         doc = json.loads(path.read_text())
-        for version in (1, 2):
+        for version in (1, 2, 3):
             doc["version"] = version
             path.write_text(json.dumps(doc))
             with pytest.raises(InputError, match="unsupported checkpoint "
@@ -534,7 +624,8 @@ class TestPolicyCheckpoint:
     @staticmethod
     def write(path, meta, **fields):
         """A checkpoint file in Policy.save's format."""
-        path.write_text(json.dumps({"version": 3, "meta": meta, **fields}))
+        path.write_text(json.dumps({"version": ddpg.CHECKPOINT_VERSION,
+                                    "meta": meta, **fields}))
 
     def test_malformed_rejected(self, tmp_path):
         params = small_actor().params.vector.tolist()
@@ -564,8 +655,15 @@ class TestPolicyCheckpoint:
             (self.META, {"params": [float("inf")] + params[1:]}),
             (self.META, {"params": [-float("inf")] + params[1:]}),
             (self.META, {"params": [10 ** 400] + params[1:]}),
+            # past float32's range, which the actor would read as inf
+            (self.META, {"params": [1e39] + params[1:]}),
+            (self.META, {"params": params[:-1] + [-(10 ** 39)]}),
         ]
         self.write(path, self.META, params=params)
+        Policy.load(str(path))
+        # float32's largest number still loads
+        self.write(path, self.META,
+                   params=[float(np.finfo(np.float32).max)] + params[1:])
         Policy.load(str(path))
         for meta, fields in bad_cases:
             self.write(path, meta, **fields)

@@ -10,6 +10,7 @@ import pytest
 
 from urbansched import envs, harness, nn
 from urbansched.cli import cli, resolve_scenario
+from urbansched.ddpg import ActorNet, DdpgConfig, Policy
 from urbansched.envs import BikeEnv, BusEnv
 from urbansched.world import ScenarioError, ScenarioSpec
 
@@ -390,10 +391,10 @@ class TestCli:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in ("policy.json", "curve.csv")}
         assert digests == {
-            "policy.json": "644ca910b827d4237412291aec49a7df"
-                           "84e554a911fe61f71d38b5b5da957785",
-            "curve.csv": "e35fcc54610ec4a7cc4cf20aa1f14abd"
-                         "de0be64cac5cc3aed5644109e60152be",
+            "policy.json": "f7d7d131ae8a46b224803ef3438fa646"
+                           "cd3d927b436aa29277ba5e0b43cdff7e",
+            "curve.csv": "7367b2a30cd97d9dc882d3c84fc3931d"
+                         "df9e39f79713955cb0f3baaccf8b7bae",
         }
         assert capsys.readouterr().out == (
             "episodes=30 final_return=3.100 final_served=4\n")
@@ -491,8 +492,9 @@ class TestCli:
         assert "checkpoint" in capsys.readouterr().err
 
     def test_checkpoint_params_exit_1(self, tmp_path, capsys):
-        """A version-2 file, and params missing, of the wrong length (one
-        number included, which numpy would broadcast) or not numbers."""
+        """A version-2 or version-3 file, and params missing, of the wrong
+        length (one number included, which numpy would broadcast), not
+        numbers, or past float32's range."""
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "episodes": 1, "lstm_hidden": 4, "actor_hidden": 4,
@@ -502,14 +504,34 @@ class TestCli:
         path = tmp_path / "policy.json"
         doc = json.loads(path.read_text())
         params = doc.pop("params")
-        for edit in [{"version": 2, "params": params}, {}, {"params": [0.1]},
+        for edit in [{"version": 2, "params": params},
+                     {"version": 3, "params": params}, {}, {"params": [0.1]},
                      {"params": params[1:]}, {"params": params + [0.0]},
-                     {"params": ["0.1"] + params[1:]}]:
+                     {"params": ["0.1"] + params[1:]},
+                     {"params": [1e39] + params[1:]}]:
             path.write_text(json.dumps({**doc, **edit}))
             capsys.readouterr()
             assert cli(["simulate", "--scenario", "fig1a", "--policy",
                         "trained", "--checkpoint", str(path)]) == 1
             assert "checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_action_dim_exit_1(self, tmp_path, capsys):
+        """A vehicle checkpoint whose obs_dim fits fig1a but whose action
+        size does not exits 1, naming both sizes, when its episode begins."""
+        env = envs.BikeEnv(scenario=resolve_scenario("fig1a"))
+        obs_dim = env.reset().size
+        path = tmp_path / "policy.json"
+        for action_dim in (1, env.action_dim + 2):
+            actor = ActorNet.create(obs_dim, action_dim,
+                                    DdpgConfig(lstm_hidden=4, actor_hidden=4),
+                                    np.random.default_rng(0))
+            Policy(actor=actor, kind="vehicle", capacity=10,
+                   history_window=2).save(str(path))
+            assert cli(["simulate", "--scenario", "fig1a", "--policy",
+                        "trained", "--checkpoint", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: policy action_dim {action_dim} does not match the "
+                f"scenario's action size {env.action_dim}\n")
 
     @pytest.mark.parametrize("under", [False, True],
                              ids=["file", "under-file"])
@@ -536,7 +558,7 @@ class TestCli:
         """Consistent meta sizes of which numpy refuses an array, the
         actor's or the history window's, before it takes any memory."""
         path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"version": 3, "params": [], "meta": {
+        path.write_text(json.dumps({"version": 4, "params": [], "meta": {
             "kind": "vehicle", "capacity": 10, "history_window": window,
             "obs_dim": obs_dim, "action_dim": 11, "lstm_hidden": hidden,
             "actor_hidden": 4}}))
@@ -933,7 +955,7 @@ class TestCli:
 
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"version": 3, "meta": {}, "params": []}))
+        path.write_text(json.dumps({"version": 4, "meta": {}, "params": []}))
         assert cli(["eval", "--scenario", "fig1a",
                     "--checkpoint", str(path)]) == 1
         assert "obs_dim" in capsys.readouterr().err

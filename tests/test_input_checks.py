@@ -23,7 +23,8 @@ SCENARIO_CHECKS = ["world.ScenarioSpec.*", "world._check_*",
 # BusEnv, and the flags each command reads.
 INPUT_CHECKS = SCENARIO_CHECKS + [
     "ddpg.DdpgConfig.__post_init__", "ddpg.DdpgConfig.from_dict",
-    "ddpg.Policy.load", "ddpg.Policy.begin_episode", "harness.evaluate",
+    "ddpg.Policy.load", "ddpg.Policy.begin_episode",
+    "ddpg.Policy.action_for", "harness.evaluate",
     "envs.BusEnv.__post_init__", "cli._load_policy", "cli.cmd_eval",
     "cli.cmd_train", "cli.cmd_forecast"]
 
