@@ -54,8 +54,22 @@ def _load_policy(args) -> Policy | None:
     return Policy.load(args.checkpoint) if args.checkpoint else None
 
 
+def _check_out_file(out: str | None):
+    """Raise InputError unless --out, if given, can name a file to write:
+    not a directory, in a directory that exists."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise InputError(f"--out must name a file, not the directory {out!r}")
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise InputError(f"--out must name a file in an existing directory: "
+                         f"{folder!r} is not one")
+
+
 def cmd_simulate(args) -> int:
     scenario = resolve_scenario(args.scenario)
+    _check_out_file(args.out)
     report = harness.evaluate(args.policy, scenario, args.episodes,
                               [args.seed], _load_policy(args))[0]
     print(f"served={report.served} lost={report.lost} "
@@ -67,6 +81,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_eval(args) -> int:
     scenario = resolve_scenario(args.scenario)
+    _check_out_file(args.out)
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:

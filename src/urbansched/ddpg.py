@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +25,21 @@ from .world import OP_BACKWARD, OP_FORWARD, OP_HALT, InputError
 
 
 # The closed range of each bounded DdpgConfig value; floats must also be
-# finite.
+# finite. Each size has an upper bound, so that no size alone asks for
+# arrays past numpy's dimensions or past memory:
 _CONFIG_RANGES = {
-    **dict.fromkeys(("history_window", "batch_size", "buffer_capacity",
-                     "lstm_hidden", "actor_hidden", "critic_hidden",
-                     "eval_every"), (1, math.inf)),
+    # rows: each actor forward steps its LSTM through them one by one
+    "history_window": (1, 256),
+    # samples: each actor tape array holds history_window * batch_size rows
+    "batch_size": (1, 4096),
+    # transitions: the ring maps 2 * capacity + history_window observation
+    # rows, 472 MB of address space on bike5 at this bound
+    "buffer_capacity": (1, 10 ** 6),
+    # units: W_h holds 4 * lstm_hidden ** 2 parameters, 16 MB here
+    "lstm_hidden": (1, 1024),
+    # units: the critic's middle layer holds critic_hidden ** 2 parameters
+    **dict.fromkeys(("actor_hidden", "critic_hidden"), (1, 1024)),
+    "eval_every": (1, math.inf),
     **dict.fromkeys(("episodes", "warmup_episodes",
                      "train_steps_per_episode", "seed"), (0, math.inf)),
     "tau": (0.0, 1.0),
@@ -72,6 +82,11 @@ class DdpgConfig:
                     or f.type == "float" and not math.isfinite(value)):
                 raise InputError(f"DDPG config {f.name} must be a finite "
                                  f"number in [{low}, {high}], not {value!r}")
+        if self.batch_size > self.buffer_capacity:
+            raise InputError(f"DDPG config batch_size {self.batch_size} "
+                             "exceeds buffer_capacity "
+                             f"{self.buffer_capacity}: the buffer never "
+                             "holds a batch, so no update would run")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DdpgConfig":
@@ -142,11 +157,20 @@ class ActorNet(nn.LstmNet):
         return super().backward(tapes, dscores)
 
 
-def act(actor: ActorNet, history_window: np.ndarray,
-        start: int = 0) -> np.ndarray:
+def act(actor: ActorNet, history_window: np.ndarray, start: int = 0,
+        tapes: dict | None = None) -> np.ndarray:
     """Raw action scores for one observation window (W, obs), W >= 1, whose
-    rows before start are episode-start padding."""
-    scores, _ = actor.forward(history_window[None], [start])
+    rows before start are episode-start padding.
+
+    tapes, if given, keeps the forward's tapes from one call to the next,
+    as train_step's does: each call writes into the last one's arrays, so
+    that an episode's acting allocates no tapes after its first step. The
+    scores do not depend on it.
+    """
+    reuse = None if tapes is None else tapes.get("actor")
+    scores, used = actor.forward(history_window[None], [start], reuse=reuse)
+    if tapes is not None:
+        tapes["actor"] = used
     return scores[0]
 
 
@@ -473,6 +497,9 @@ class Policy:
     kind: str
     capacity: int
     history_window: int
+    # act's tapes, reused from one call to the next
+    _tapes: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def begin_episode(self, obs: np.ndarray):
         obs_dim = self.actor.lstm.W_x.shape[0]
@@ -492,7 +519,8 @@ class Policy:
                                  "match the scenario's action size "
                                  f"{env.action_dim}")
         self._window.push(env.obs)
-        scores = act(self.actor, self._window.buffer, self._window.start)
+        scores = act(self.actor, self._window.buffer, self._window.start,
+                     self._tapes)
         return decode_action(scores, self.kind, self.capacity)
 
     def save(self, path: str):
@@ -610,6 +638,7 @@ def train(env_factory, config: DdpgConfig, progress=None):
     sigma0 = config.ou_sigma
     diag = TrainDiagnostics(0.0, 0.0, 0.0, 0.0)
     tapes = {}  # train_step's actor tapes, reused from one update to the next
+    act_tapes = {}  # and act's, from one step to the next
     for episode in range(1, config.episodes + 1):
         obs = env.reset()
         window.reset(obs)
@@ -622,7 +651,7 @@ def train(env_factory, config: DdpgConfig, progress=None):
                     or rng.uniform() < config.exploration_eps):
                 noisy = rng.uniform(-1.0, 1.0, size=action_dim)
             else:
-                scores = act(actor, window.buffer, window.start)
+                scores = act(actor, window.buffer, window.start, act_tapes)
                 noisy = np.clip(scores + noise.sample(), -1.0, 1.0)
             decoded = decode_action(noisy, kind, capacity)
             obs, reward, done, _ = env.step(decoded)

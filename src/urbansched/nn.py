@@ -168,10 +168,10 @@ class LstmTape:
         return out
 
 
-def _by_gate(packed: np.ndarray) -> np.ndarray:
-    """(4, B, H) view of a (B, 4H) array packed by gate."""
-    batch, width = packed.shape
-    return packed.reshape(batch, 4, width // 4).transpose(1, 0, 2)
+def _gate_major(packed: np.ndarray) -> np.ndarray:
+    """(4, rows, H) view of a (rows, 4H) array packed by gate."""
+    rows, width = packed.shape
+    return packed.reshape(rows, 4, width // 4).transpose(1, 0, 2)
 
 
 def lstm_forward(params: LstmParams, xs: np.ndarray,
@@ -201,23 +201,22 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     allocates nothing after its first step. Fresh arrays would be
     returned to the system and faulted in again on every step.
 
-    The tape is gate-major (LstmTape); the bits do not depend on it:
-    - the input projection is one BLAS product of all N * B inputs with
-      the packed W_x, written packed (B, 4H) into each step's block of
-      gates, and each step reads its block before it overwrites it with
-      the activations. For a sliding view it is one (N + B - 1, 1) x
-      (1, 4H) product, and step t reads its rows t .. t + B - 1: with
-      K = 1 there is no sum to reorder, so each row has the bits of the
-      N * B product's rows for that value. A view strided otherwise is
-      copied, since the backward's W_x products on it can round
-      differently;
-    - the recurrent term is one (B, H) x (H, 4H) product with the packed
-      W_h per step, added to the projection and then copied into
-      contiguous gate blocks. A product per gate, or a projection per
-      step, can round differently, since BLAS may sum in another order
-      for other shapes;
-    - every elementwise expression keeps its association order, written
-      in place into buffers allocated once per tape.
+    Every product is gate-major, so each writes contiguous (B, H) gate
+    blocks and no step copies between layouts:
+    - the input projection is one product of the inputs' rows with W_x
+      viewed as (4, input, H), into a (4, rows, H) array to which b is
+      added once. Step t reads its rows t * shift .. t * shift + B - 1:
+      shift is B for the N * B rows of other inputs, and 1 for the
+      N + B - 1 values of a sliding view. With input size 1 a product
+      sums nothing, so a sliding view and its copy have the same bits. A
+      view strided otherwise is copied, since the backward's W_x
+      products on it can round differently;
+    - the recurrent term is one batched product of h_t with a gate-major
+      (4, H, H) copy of W_h, written straight into the pre-activations,
+      to which the step's projection rows and the peephole terms are
+      then added;
+    - the elementwise expressions are written in place into buffers
+      allocated once per tape.
     """
     dtype = params.W_h.dtype
     xs = np.asarray(xs, dtype=dtype)
@@ -246,20 +245,16 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     gates, c, h, tanh_c = tape.gates, tape.c, tape.h, tape.tanh_c
     c[0] = 0.0  # every later row is written by its step
     h[0] = 0.0
-    # one input projection for the whole sequence, whose rows
-    # t * shift .. t * shift + B - 1 are step t's. Sliding windows project
-    # the series' N + B - 1 values once; any other input projects its
-    # N * B rows, packed (B, 4H) into each step's block of gates, which
-    # the step reads before it writes the activations there.
     if sliding:
-        shift, proj = 1, tape.work("proj", (n_steps + batch - 1, 4 * H))
-        np.matmul(np.concatenate((xs[0], xs[1:, -1])), params.W_x, out=proj)
+        shift, rows = 1, np.concatenate((xs[0], xs[1:, -1]))
     else:
-        shift, proj = batch, gates.reshape(-1, 4 * H)
-        np.matmul(xs.reshape(-1, input_size), params.W_x, out=proj)
-    b = tape.per_sample("b", params.b.reshape(4, H))
+        shift, rows = batch, xs.reshape(-1, input_size)
+    proj = tape.work("proj", (4, rows.shape[0], H))
+    np.matmul(rows, _gate_major(params.W_x), out=proj)
+    proj += params.b.reshape(4, 1, H)
+    W_h = tape.work("W_h", (4, H, H))
+    np.copyto(W_h, _gate_major(params.W_h))
     peep = tape.per_sample("peep", params.peep)
-    hw = tape.work("hw", (batch, 4 * H))  # projection + h_t @ W_h, packed
     z = tape.work("z", (4, batch, H))  # the step's gate pre-activations
     z_if, z_g, z_o = z[:2], z[2], z[3]
     tmp = tape.work("tmp", (2, batch, H))
@@ -269,12 +264,10 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
             a = gates[t]
             i, f, g, o = a
             c_prev, c_next = c[t], c[t + 1]
-            np.matmul(h[t], params.W_h, out=hw)
-            hw += proj[t * shift:t * shift + batch]
-            np.copyto(z, _by_gate(hw))
+            np.matmul(h[t], W_h, out=z)
+            z += proj[:, t * shift:t * shift + batch]
             np.multiply(peep[:2], c_prev, out=tmp)  # peepholes into i and f
             z_if += tmp
-            z += b
             np.negative(z_if, out=z_if)
             np.exp(z_if, out=z_if)
             z_if += 1.0
@@ -296,6 +289,22 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     return h[1:], tape
 
 
+@functools.cache
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only vector of n ones of dtype."""
+    ones = np.ones(n, dtype)
+    ones.flags.writeable = False
+    return ones
+
+
+def _batch_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of a, (..., B, K), over its batch axis into out, (..., K):
+    one product with a vector of ones, the one way the kernels sum over a
+    batch. BLAS reads each (B, K) block once, where np.sum along the batch
+    axis reduces it row by row."""
+    return np.matmul(_ones(a.shape[-2], a.dtype), a, out=out)
+
+
 def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
                   grads: LstmParams | None = None) -> LstmParams:
     """Exact BPTT through the tape.
@@ -307,13 +316,12 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     computed.
 
     The gate gradients are computed gate-major, in contiguous (B, H)
-    blocks, with each expression in its association order and tanh(c_t)
-    read from the tape. They are then copied packed into one (B, 4H)
-    array, on which the three products run as in the packed layout: the
-    W_x and W_h gradients, and dh_rec as one K=4H product with W_h.T,
-    since four per-gate products summed would round differently. The
-    bias and peephole gradients are column sums over the batch, in batch
-    order.
+    blocks, with tanh(c_t) read from the tape. They are then copied
+    packed into one (B, 4H) array, on which the three products run: the
+    W_x and W_h gradients, and dh_rec as one K=4H product with W_h.T.
+    The bias and peephole gradients are sums over the batch, taken as
+    products with a vector of ones (_batch_sum): the bias one from the
+    packed array, the peephole one batched over its three (B, H) terms.
     """
     dtype = params.W_h.dtype
     dh_out = np.asarray(dh_out, dtype=dtype)
@@ -339,7 +347,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     d_i, d_f, d_g, d_o = dgates
     d_if = dgates[:2]
     d = work("d", (batch, 4 * H))  # the same, packed
-    d_by_gate = _by_gate(d)
+    d_by_gate = _gate_major(d)
     one_minus = work("one_minus", (4, batch, H))  # 1 - a for each gate a
     # d_i * c_prev, d_f * c_prev, d_o * c
     peep_terms = work("peep_terms", (3, batch, H))
@@ -380,11 +388,11 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
         d_by_gate[...] = dgates
         np.matmul(tape.xs[t].T, d, out=dW_x)
         grads.W_x += dW_x
-        np.sum(d, axis=0, out=db)
+        _batch_sum(d, out=db)
         grads.b += db
         np.multiply(dgates[:2], c_prev, out=peep_terms[:2])
         np.multiply(d_o, c, out=peep_terms[2])
-        np.sum(peep_terms, axis=1, out=dpeep)
+        _batch_sum(peep_terms, out=dpeep)
         grads.peep += dpeep
         if t == 0:
             # h_0 = 0 adds only zeros to W_h's gradient (d is finite), and
@@ -469,7 +477,7 @@ def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
             pre[layer], post[layer + 1])
         if grads is not None:
             np.matmul(post[layer].T, dz, out=grads.weights[layer])
-            np.sum(dz, axis=0, out=grads.biases[layer])
+            _batch_sum(dz, out=grads.biases[layer])
         if layer == 0 and not input_grad:
             return None
         d = dz @ params.weights[layer].T

@@ -63,6 +63,48 @@ class TestAct:
                                        act(actor, windows[b], start[b]),
                                        atol=1e-12)
 
+    def test_kept_tapes_change_no_bits(self):
+        """An episode's windows, as HistoryWindow rolls them, score the
+        same bits with one kept tape set as with fresh tapes; every call
+        after the first writes into the first call's LSTM tape."""
+        actor = small_actor()
+        rng = np.random.default_rng(4)
+        window = HistoryWindow(SMALL.history_window, 5)
+        window.reset(rng.normal(size=5))
+        tapes = {}
+        for step in range(6):
+            kept = act(actor, window.buffer, window.start, tapes)
+            if step == 0:
+                lstm_tape = tapes["actor"][0]
+            assert tapes["actor"][0] is lstm_tape
+            fresh = act(actor, window.buffer, window.start)
+            assert kept.tobytes() == fresh.tobytes()
+            window.push(rng.normal(size=5))
+
+    def test_policy_keeps_its_tapes(self, monkeypatch):
+        """A Policy acts through one tape set across its episodes, and its
+        episodes are those of a policy that acts on fresh tapes."""
+        scenario = resolve_scenario("bike5")
+        probe = BikeEnv(scenario=scenario)
+        config = DdpgConfig(lstm_hidden=6, actor_hidden=6, history_window=3)
+        actor = ActorNet.create(probe.reset().size, probe.action_dim, config,
+                                np.random.default_rng(6))
+        env = BikeEnv(scenario=scenario, seed=0)
+        policy = Policy(actor=actor, kind="vehicle", capacity=10,
+                        history_window=3)
+        kept = [run_episode(env, policy)]
+        lstm_tape = policy._tapes["actor"][0]
+        kept.append(run_episode(env, policy))
+        assert policy._tapes["actor"][0] is lstm_tape
+        fresh_act = ddpg.act
+        monkeypatch.setattr(ddpg, "act", lambda actor, window, start, tapes:
+                            fresh_act(actor, window, start))
+        env = BikeEnv(scenario=scenario, seed=0)
+        fresh = Policy(actor=actor, kind="vehicle", capacity=10,
+                       history_window=3)
+        assert [run_episode(env, fresh) for _ in range(2)] == kept
+        assert fresh._tapes == {}
+
     def test_actor_gradients_pass_grad_check(self):
         # a float64 actor of small_actor's layout: the finite differences
         # need float64's precision, which the learner's float32 has not
@@ -569,6 +611,28 @@ class TestTrainLoop:
         assert (one.actor.params.vector.tobytes()
                 == default.actor.params.vector.tobytes())
 
+    def test_acting_with_kept_tapes_changes_no_bits(self, monkeypatch):
+        """train's acting loop keeps one tape set for act; the curve and
+        the trained weights are those of acting on fresh tapes."""
+        factory = lambda: BikeEnv(scenario=resolve_scenario("bike5"))
+        config = self.fast_config(8)
+        kept_tapes = []
+        real_act = ddpg.act
+
+        def spy(actor, window, start, tapes):
+            kept_tapes.append(tapes)
+            return real_act(actor, window, start, tapes)
+
+        monkeypatch.setattr(ddpg, "act", spy)
+        kept, kept_curve = train(factory, config)
+        assert kept_tapes and all(t is kept_tapes[0] for t in kept_tapes)
+        monkeypatch.setattr(ddpg, "act", lambda actor, window, start, tapes:
+                            real_act(actor, window, start))
+        fresh, fresh_curve = train(factory, config)
+        assert kept_curve == fresh_curve
+        assert (kept.actor.params.vector.tobytes()
+                == fresh.actor.params.vector.tobytes())
+
     def test_bus_policy_trains_evaluates_and_round_trips(self, tmp_path):
         """train takes the agent kind from the env, so a BusEnv factory
         yields a bus policy, which evaluates and reloads as one."""
@@ -672,6 +736,26 @@ class TestPolicyCheckpoint:
         self.write(path, [], params=params)
         with pytest.raises(InputError, match="meta is not an object"):
             Policy.load(str(path))
+
+
+class TestConfig:
+    def test_each_size_accepts_its_bound_and_rejects_past_it(self):
+        sizes = [k for k, (_, high) in ddpg._CONFIG_RANGES.items()
+                 if high != float("inf") and isinstance(high, int)]
+        assert sorted(sizes) == sorted([
+            "history_window", "batch_size", "buffer_capacity",
+            "lstm_hidden", "actor_hidden", "critic_hidden"])
+        for key in sizes:
+            high = ddpg._CONFIG_RANGES[key][1]
+            room = {"buffer_capacity": 10 ** 6} if key == "batch_size" else {}
+            DdpgConfig(**{key: high, **room})
+            with pytest.raises(InputError, match=key):
+                DdpgConfig(**{key: high + 1, **room})
+
+    def test_batch_within_buffer(self):
+        DdpgConfig(batch_size=8, buffer_capacity=8)
+        with pytest.raises(InputError, match="exceeds buffer_capacity 7"):
+            DdpgConfig(batch_size=8, buffer_capacity=7)
 
 
 class TestHistoryWindow:

@@ -391,10 +391,10 @@ class TestCli:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in ("policy.json", "curve.csv")}
         assert digests == {
-            "policy.json": "f7d7d131ae8a46b224803ef3438fa646"
-                           "cd3d927b436aa29277ba5e0b43cdff7e",
-            "curve.csv": "7367b2a30cd97d9dc882d3c84fc3931d"
-                         "df9e39f79713955cb0f3baaccf8b7bae",
+            "policy.json": "1b914f1e2344291eab46e129b16c3ce1"
+                           "cd7275bcf02edd9f814a8e0af5ed2631",
+            "curve.csv": "e9ae5dbc33ea127ac2806e304a263e7e"
+                         "a7b97181c0a0f0f2466815cfede89caf",
         }
         assert capsys.readouterr().out == (
             "episodes=30 final_return=3.100 final_served=4\n")
@@ -550,6 +550,53 @@ class TestCli:
         out = tmp_path / "file" / "run" if under else tmp_path / "file"
         assert cli([command, "--scenario", "bike5", "--out", str(out)]) == 1
         assert "--out must name a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["dir", "file/r.csv", "none/r.csv"],
+                             ids=["directory", "under-file", "under-nothing"])
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_out_not_a_file_path_exit_1(self, command, out, tmp_path,
+                                        monkeypatch, capsys):
+        """simulate and eval --out naming a directory, or a file under a
+        file or under no directory, exit 1 before the command starts its
+        work and print no result."""
+        def started(*args, **kwargs):
+            raise AssertionError(f"{command} started")
+
+        monkeypatch.setattr("urbansched.harness.evaluate", started)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        assert cli([command, "--scenario", "bike5", "--policy", "greedy",
+                    "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert "--out must name a file" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"buffer_capacity": 10 ** 20}, {"history_window": 10 ** 30},
+        {"lstm_hidden": 10 ** 10}, {"actor_hidden": 10 ** 10},
+        {"critic_hidden": 10 ** 10}, {"batch_size": 10 ** 5}])
+    def test_train_config_size_past_its_bound_exit_1(self, doc, tmp_path,
+                                                     capsys):
+        """Sizes that no run can allocate exit 1 at the config's gate, not
+        2 mid-setup."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert next(iter(doc)) in err and "must be a finite number" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_batch_past_buffer_exit_1(self, tmp_path, capsys):
+        """A batch larger than the buffer would never update: exit 1."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"batch_size": 64,
+                                        "buffer_capacity": 63}))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert ("batch_size 64 exceeds buffer_capacity 63"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("obs_dim, hidden, window", [
         (10 ** 12, 4 * 10 ** 6, 2), (37, 4, 10 ** 18)])

@@ -20,13 +20,14 @@ SCENARIO_CHECKS = ["world.ScenarioSpec.*", "world._check_*",
 
 # Where every other input enters: a DDPG config, a checkpoint and the
 # scenario its policy runs on, an evaluation request, a bus scenario for a
-# BusEnv, and the flags each command reads.
+# BusEnv, the --out file of simulate and eval, and the flags each command
+# reads.
 INPUT_CHECKS = SCENARIO_CHECKS + [
     "ddpg.DdpgConfig.__post_init__", "ddpg.DdpgConfig.from_dict",
     "ddpg.Policy.load", "ddpg.Policy.begin_episode",
     "ddpg.Policy.action_for", "harness.evaluate",
-    "envs.BusEnv.__post_init__", "cli._load_policy", "cli.cmd_eval",
-    "cli.cmd_train", "cli.cmd_forecast"]
+    "envs.BusEnv.__post_init__", "cli._load_policy", "cli._check_out_file",
+    "cli.cmd_eval", "cli.cmd_train", "cli.cmd_forecast"]
 
 
 def input_error_names() -> set[str]:

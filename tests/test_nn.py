@@ -168,6 +168,138 @@ class TestLstmBackward:
             np.testing.assert_allclose(a, g, atol=1e-10)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_lstm_grads(p, xs, dh_out, start):
+    """BPTT transcribed sample by sample and gate by gate, float64: the
+    gradients of sum(dh_out * hs) with respect to W_x, W_h, b and peep,
+    each sample's recurrence running from its start step. Every sum over
+    samples is a plain Python accumulation."""
+    n_steps, batch, _ = xs.shape
+    H = p.hidden_size
+    W_x = np.split(p.W_x, 4, axis=1)  # i, f, g, o
+    W_h = np.split(p.W_h, 4, axis=1)
+    b = np.split(p.b, 4)
+    p_i, p_f, p_o = p.peep
+    dW_x = [np.zeros_like(w) for w in W_x]
+    dW_h = [np.zeros_like(w) for w in W_h]
+    db = [np.zeros(H) for _ in range(4)]
+    dp = [np.zeros(H) for _ in range(3)]
+    for s in range(batch):
+        first = int(start[s])
+        h, c, steps = np.zeros(H), np.zeros(H), []
+        for t in range(first, n_steps):
+            x = xs[t, s]
+            i = _sigmoid(x @ W_x[0] + h @ W_h[0] + b[0] + p_i * c)
+            f = _sigmoid(x @ W_x[1] + h @ W_h[1] + b[1] + p_f * c)
+            g = np.tanh(x @ W_x[2] + h @ W_h[2] + b[2])
+            c_next = f * c + i * g
+            o = _sigmoid(x @ W_x[3] + h @ W_h[3] + b[3] + p_o * c_next)
+            steps.append((x, h, c, i, f, g, o, c_next))
+            h, c = o * np.tanh(c_next), c_next
+        dh_next, dc_next = np.zeros(H), np.zeros(H)
+        for t in range(n_steps - 1, first - 1, -1):
+            x, h_prev, c_prev, i, f, g, o, c = steps[t - first]
+            dh = dh_out[t, s] + dh_next
+            tanh_c = np.tanh(c)
+            d_o = dh * tanh_c * o * (1 - o)
+            dc = dh * o * (1 - tanh_c ** 2) + dc_next + d_o * p_o
+            d_i = dc * g * i * (1 - i)
+            d_f = dc * c_prev * f * (1 - f)
+            d_g = dc * i * (1 - g ** 2)
+            for k, d in enumerate((d_i, d_f, d_g, d_o)):
+                dW_x[k] += np.outer(x, d)
+                dW_h[k] += np.outer(h_prev, d)
+                db[k] += d
+            dp[0] += d_i * c_prev
+            dp[1] += d_f * c_prev
+            dp[2] += d_o * c
+            dh_next = sum(d @ W_h[k].T
+                          for k, d in enumerate((d_i, d_f, d_g, d_o)))
+            dc_next = dc * f + d_i * p_i + d_f * p_f
+    return [np.concatenate(dW_x, axis=1), np.concatenate(dW_h, axis=1),
+            np.concatenate(db), np.stack(dp)]
+
+
+def reference_mlp_grads(p, x, dout):
+    """Dense backpropagation transcribed sample by sample, float64: the
+    weight, bias and input gradients of sum(dout * out)."""
+    weights = [np.zeros_like(w) for w in p.weights]
+    biases = [np.zeros_like(b) for b in p.biases]
+    dx = np.zeros_like(x)
+    for s in range(x.shape[0]):
+        post = [x[s]]
+        for W, b, act in zip(p.weights, p.biases, p.activations):
+            post.append(nn._ACTIVATIONS[act][0](post[-1] @ W + b))
+        d = dout[s]
+        for layer in range(len(p.weights) - 1, -1, -1):
+            act, out = p.activations[layer], post[layer + 1]
+            if act == "relu":
+                d = d * (out > 0)
+            elif act == "tanh":
+                d = d * (1 - out ** 2)
+            weights[layer] += np.outer(post[layer], d)
+            biases[layer] += d
+            d = d @ p.weights[layer].T
+        dx[s] = d
+    return weights + biases, dx
+
+
+def _assert_close(got, want):
+    """Each array within 1e-10 of its largest reference magnitude."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        scale = max(float(np.abs(w).max()), 1e-300)
+        assert float(np.abs(g - w).max()) <= 1e-10 * scale
+
+
+class TestReferenceGradients:
+    """The float64 kernels against per-sample, per-gate transcriptions, so
+    that the batched products and the batch-axis sums are checked by code
+    that shares neither with them."""
+
+    @given(st.integers(1, 8), st.integers(1, 40), st.integers(1, 5),
+           st.integers(1, 20), st.booleans(), st.booleans(),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_lstm_backward(self, n_steps, batch, n_in, hidden, masked,
+                           sliding, seed):
+        rng = np.random.default_rng(seed)
+        if sliding:
+            n_in = 1
+            xs = _sliding(rng.normal(size=n_steps + batch - 1), n_steps)
+        else:
+            xs = rng.normal(size=(n_steps, batch, n_in))
+        p = nn.LstmParams.init(n_in, hidden, rng)
+        p.peep[...] = rng.normal(size=p.peep.shape)  # every term in play
+        dh = rng.normal(size=(n_steps, batch, hidden))
+        start = (rng.integers(0, n_steps + 1, size=batch) if masked
+                 else np.zeros(batch, int))
+        _, tape = nn.lstm_forward(p, xs, start=start if masked else None)
+        grads = nn.lstm_backward(p, tape, dh)
+        _assert_close(grads.arrays(), reference_lstm_grads(p, xs, dh, start))
+
+    @given(st.integers(1, 40), st.lists(st.integers(1, 20), min_size=2,
+                                        max_size=4),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_mlp_backward(self, batch, sizes, seed):
+        rng = np.random.default_rng(seed)
+        acts = list(rng.choice(["relu", "tanh", "identity"],
+                               size=len(sizes) - 1))
+        p = nn.MlpParams.init(sizes, acts, rng)
+        p.biases[:] = [rng.normal(size=b.shape) for b in p.biases]
+        x = rng.normal(size=(batch, sizes[0]))
+        dout = rng.normal(size=(batch, sizes[-1]))
+        _, tape = nn.mlp_forward(p, x)
+        grads = p.with_arrays([np.empty_like(a) for a in p.arrays()])
+        dx = nn.mlp_backward(p, tape, dout, grads=grads)
+        want, want_dx = reference_mlp_grads(p, x, dout)
+        _assert_close(grads.arrays() + [dx], want + [want_dx])
+
+
 def _lstm_bits_sha256(n_steps, batch, n_in, hidden, start=None,
                       reuse=None):
     """SHA-256 over hs and the four gradient arrays of one seeded
@@ -187,27 +319,29 @@ class TestPinnedLstmBits:
     """The LSTM kernels' outputs, bit for bit, at the forecaster's shape
     (N, B, I, H) = (24, 360, 1, 16), the actor's (4, 64, 59, 32) with a
     start mask, a single window and a hidden size that is not a multiple
-    of 8. The literals were produced by the kernels of the (N, B, 4H)
-    gate layout; a reassociated product moves them."""
+    of 8. The literals were produced by the gate-major kernels: per-gate
+    input and recurrent products, the bias added to the projection, and
+    batch-axis sums as products with a vector of ones. A product or sum
+    taken in another order moves them."""
 
     def test_forecaster_shape(self):
         assert _lstm_bits_sha256(24, 360, 1, 16) == (
-            "c90c208a1d1fa815546411310f077c2acbdda91359a13df08abb47fa7115110c")
+            "f2fd882058d5b259e21448b8561c5be8354d9cf747e90981d1223d7000d12e27")
 
     def test_actor_shape_with_start(self):
         start = np.arange(64) % 5  # 0, the full length 4 and all between
         assert _lstm_bits_sha256(4, 64, 59, 32, start=start) == (
-            "073fdbc8cbe2677f8718369f65af5304b8eeaf88dd6821905161a95972697a97")
+            "fcf223970ef35a5e0fe3258beafe25086cbd9dae777e065389fd545b3ef54d56")
 
     def test_single_window(self):
         assert _lstm_bits_sha256(4, 1, 59, 32) == (
-            "bb8235224ed26e3c426e56fb07305e0e399016e34753c1313e970b4694a28ac0")
+            "5e4084737ed34de19cceee114274b3d21ecd70ddd6584733ed43895f709e48f7")
 
     def test_hidden_size_not_a_multiple_of_8(self):
-        # BLAS may sum a per-gate product in another order than the packed
-        # one at such sizes, so this case pins the packed products
+        # BLAS may sum a product in another order at such sizes, so this
+        # case pins the per-gate products there
         assert _lstm_bits_sha256(6, 33, 17, 20) == (
-            "bc90d567e4645eb4d8999ea46753d6d34c69c76735cb6c20e2194a90e3fd93cf")
+            "fcc3dabe32e503ec64cefc87f9163394aad1b3eff469c9588e7652ffd0617a83")
 
     def test_forecast_departures(self):
         rng = np.random.default_rng(12)
@@ -216,7 +350,7 @@ class TestPinnedLstmBits:
         out = forecast_bike.forecast_departures(series, 4, window=24,
                                                 epochs=30)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "650ce937f7213f3df49c4c163fdca887e6e9b7de4199117bf49706717a26dc5b")
+            "8ed46d5feb51b8ffcbf51737a8a9f3c556d476766ec4e7e9502f4629f37eb827")
 
 
 def _used_tape(n_steps, batch, n_in, hidden, start=None):
@@ -252,13 +386,13 @@ class TestLstmReuse:
         start = np.arange(64) % 5
         assert _lstm_bits_sha256(4, 64, 59, 32, start=start,
                                  reuse=_used_tape(4, 64, 7, 32)) == (
-            "073fdbc8cbe2677f8718369f65af5304b8eeaf88dd6821905161a95972697a97")
+            "fcf223970ef35a5e0fe3258beafe25086cbd9dae777e065389fd545b3ef54d56")
 
     def test_forecaster_shape(self):
         start = np.arange(360) % 25
         assert _lstm_bits_sha256(24, 360, 1, 16,
                                  reuse=_used_tape(24, 360, 1, 16, start)) == (
-            "c90c208a1d1fa815546411310f077c2acbdda91359a13df08abb47fa7115110c")
+            "f2fd882058d5b259e21448b8561c5be8354d9cf747e90981d1223d7000d12e27")
 
 
 def _pass_bytes(p, xs, dh, start, reuse):
@@ -301,8 +435,9 @@ class TestSlidingWindows:
         got, tape = _pass_bytes(p, view, dh, start, reuse)
         want, _ = _pass_bytes(p, copy, dh, start, None)
         assert got == want
-        if step == 1:
-            assert "proj" in tape.scratch  # the one-series projection ran
+        if step == 1:  # the one-series projection ran, on N + B - 1 rows
+            assert tape.scratch["proj"].shape == (4, n_steps + batch - 1,
+                                                  hidden)
 
     def test_fit_trains_on_a_view_of_the_series(self, monkeypatch):
         # every epoch's tape holds the windows as one view of the series,
@@ -405,7 +540,8 @@ class TestDtype:
         dout = (rng.normal(size=(batch, 1)) / batch).astype(np.float32)
         for net, values in ((net32, series), (net64, series.astype(float))):
             _, tapes = net.forward(_sliding(values, window))
-            assert "proj" in tapes[0].scratch  # the sliding path ran
+            # the sliding path ran: it projects N + B - 1 rows
+            assert tapes[0].scratch["proj"].shape[1] == window + batch - 1
             net.backward(tapes, dout)
         want = net64.grads.vector
         err = np.max(np.abs(net32.grads.vector - want)) / np.max(np.abs(want))
