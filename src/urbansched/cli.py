@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -25,12 +26,12 @@ from .world import InputError, ScenarioError, ScenarioSpec, SegmentClock
 
 
 def resolve_scenario(name_or_path: str) -> ScenarioSpec:
+    path = resources.files("urbansched.scenarios") / f"{name_or_path}.json"
     if os.path.isfile(name_or_path):
-        return ScenarioSpec.from_json(name_or_path)
-    bundled = resources.files("urbansched.scenarios") / f"{name_or_path}.json"
-    if bundled.is_file():
-        return ScenarioSpec.from_dict(json.loads(bundled.read_text()))
-    raise FileNotFoundError(f"scenario not found: {name_or_path}")
+        path = Path(name_or_path)
+    elif not path.is_file():
+        raise FileNotFoundError(f"scenario not found: {name_or_path}")
+    return ScenarioSpec.from_dict(json.loads(path.read_text()))
 
 
 def _placement_str(placement: dict[str, int]) -> str:
@@ -65,6 +66,17 @@ def _check_out_file(out: str | None):
     if not os.path.isdir(folder):
         raise InputError(f"--out must name a file in an existing directory: "
                          f"{folder!r} is not one")
+
+
+def _make_out_dir(out: str | None) -> str:
+    """Make and return the --out directory of train and forecast (default
+    "."); raise InputError if it names a file or lies under one."""
+    out = out or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InputError(f"--out must name a directory: {exc}") from None
+    return out
 
 
 def cmd_simulate(args) -> int:
@@ -110,11 +122,7 @@ def cmd_train(args) -> int:
             raise InputError("train --config takes no 'seed' key; "
                              "pass --seed instead")
         config = DdpgConfig.from_dict({**doc, "seed": args.seed})
-    out = args.out or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise InputError(f"--out must name a directory: {exc}") from None
+    out = _make_out_dir(args.out)
     policy, curve = train(lambda: BikeEnv(scenario=scenario, seed=config.seed),
                           config)
     policy.save(os.path.join(out, "policy.json"))
@@ -150,11 +158,7 @@ def cmd_forecast(args) -> int:
         if value < least:
             raise InputError(f"{flag} must be >= {least}, got {value}")
     scenario = resolve_scenario(args.scenario)
-    out = args.out or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise InputError(f"--out must name a directory: {exc}") from None
+    out = _make_out_dir(args.out)
     log = _history_from_scenario(scenario, days=args.days, seed=args.seed)
     # a fit takes windows of at least 2 segments, each with a next one
     if log.n_segments < 3:
@@ -162,7 +166,7 @@ def cmd_forecast(args) -> int:
                          f"got {log.n_segments}; raise --days")
     log.save_trips_csv(os.path.join(out, "history.csv"))
     ids = scenario.station_ids()
-    coords = np.array([[s["x"], s["y"]] for s in scenario.stations])
+    coords = np.array(scenario.coords)
     k = min(args.clusters, len(ids))
     clusters = forecast_bike.cluster_stations(ids, coords, k, seed=args.seed)
     od = forecast_bike.od_probabilities(log.total_od(), ids, clusters)

@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .rng import PortableRng, poisson_count, poisson_leaves
-from .world import ScenarioError, SegmentClock
+from .world import MAX_RATE, ScenarioError, SegmentClock
 
 # A bike trip is (origin index, destination index, count) in station
 # order. A bus arrival is (origin id, destination id, count): passengers
@@ -38,8 +38,8 @@ class DemandProfile:
     block of uniforms its draws take; and the bus rates split into leaves,
     each with the two thresholds that decide a count of 0 or 1 without an
     inversion: exp(-leaf) and exp(-leaf) + exp(-leaf) * leaf. A rate, OD
-    weight or bus rate that is negative or not finite raises
-    `ScenarioError`.
+    weight or bus rate that is negative or not finite, or a rate or bus
+    rate above `world.MAX_RATE`, raises `ScenarioError`.
     """
 
     station_ids: list[str]
@@ -55,16 +55,16 @@ class DemandProfile:
             raise ScenarioError("rates row count must match station count")
         if self.od_weights.shape != (n, n):
             raise ScenarioError("od_weights must be n x n")
-        if not (np.all(np.isfinite(self.rates)) and np.all(self.rates >= 0)
+        if not (np.all((self.rates >= 0) & (self.rates <= MAX_RATE))
                 and np.all(np.isfinite(self.od_weights))
                 and np.all(self.od_weights >= 0)):
-            raise ScenarioError("rates and od_weights must be finite and "
-                                "nonnegative")
+            raise ScenarioError(f"rates and od_weights must be finite and "
+                                f"nonnegative, rates at most {MAX_RATE}")
         if np.any(np.diag(self.od_weights) != 0):
             raise ScenarioError("od_weights diagonal must be zero")
-        if not all(math.isfinite(rate) and rate >= 0
-                   for rate in self.bus_rates.values()):
-            raise ScenarioError("bus rates must be finite and nonnegative")
+        if not all(0 <= rate <= MAX_RATE for rate in self.bus_rates.values()):
+            raise ScenarioError(f"bus rates must be finite and nonnegative, "
+                                f"at most {MAX_RATE}")
         # Sampling tables. Python floats and sequential sums, so a draw
         # compares exactly what a scalar weighted choice would.
         rows = self.od_weights.tolist()

@@ -182,7 +182,7 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
     Outage trips stay unforecast: the forecasters cannot anticipate an
     outage. A bus OD's expected boardings go to the column of the queue
     its arrivals join, the slot the scenario's `queue_slots` gives it."""
-    n = max(len(scenario.stations), 1)
+    n = max(len(scenario.station_indices), 1)
     T = scenario.episode_length
     bike = np.zeros((T + HORIZON + 1, 2 * n))
     bus = np.zeros((T + HORIZON + 1, 2 * max(len(scenario.stop_indices), 1)))
@@ -200,9 +200,8 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
         for seg, (o, d, count) in scenario.scripted_trips:
             od[seg - 1, o, d] += count
         bike[:T] += [encode_flow(m) for m in od]
-    for e in scenario.bus_script or []:
-        slot, _ = slots[e["origin"], e["destination"]]
-        bus[e["segment"] - 1, slot] += e["count"]
+    for seg, (origin, dest, count) in scenario.scripted_arrivals:
+        bus[seg - 1, slots[origin, dest][0]] += count
     bike.flags.writeable = bus.flags.writeable = False
     return bike, bus
 
@@ -212,7 +211,7 @@ def _realise(scenario: W.ScenarioSpec, profile: DemandProfile | None,
              ) -> tuple[list[list[BikeTrip]], list[list[BusArrival]]]:
     """One episode's bike trips and bus arrivals, item t for the segment
     played after t segments: each segment's profile sample, then its
-    scripted trips, then, under an outage, its outage trips; the bike trip
+    scripted trips, then, under an outage, its outage trips; the trip
     lists come resolved from the scenario. The validator keeps every
     scripted segment in 1..T."""
     T = scenario.episode_length
@@ -227,9 +226,8 @@ def _realise(scenario: W.ScenarioSpec, profile: DemandProfile | None,
     for seg, trip in scenario.scripted_trips + (
             scenario.outage_trips if outage else []):
         trips[seg - 1].append(trip)
-    for e in scenario.bus_script or []:
-        bus_arrivals[e["segment"] - 1].append(
-            (e["origin"], e["destination"], e["count"]))
+    for seg, arrival in scenario.scripted_arrivals:
+        bus_arrivals[seg - 1].append(arrival)
     return trips, bus_arrivals
 
 
@@ -255,11 +253,10 @@ class _Env:
     seed: int = 0
 
     def __post_init__(self):
-        joint = self.scenario.joint or {}
-        if self.joint_enabled is None:
-            self.joint_enabled = joint.get("enabled", False)
-        self.joint_k: int = joint.get("k", 2)
         scenario = self.scenario
+        if self.joint_enabled is None:
+            self.joint_enabled = scenario.joint_enabled
+        self.joint_k = scenario.joint_k
         self.profile = (None if scenario.demand_profile is None else
                         DemandProfile.from_dict(scenario.demand_profile,
                                                 scenario.station_ids()))
@@ -310,14 +307,13 @@ class BikeEnv(_Env):
 
     def __post_init__(self):
         super().__post_init__()
-        self._coords = np.array([(float(s["x"]), float(s["y"]))
-                                 for s in self.scenario.stations])
+        self._coords = np.array(self.scenario.coords, dtype=float)
         # (a, b): distance from station a to b, added when first driven
         self._distances: dict[tuple[int, int], float] = {}
 
     @property
     def n_stations(self) -> int:
-        return len(self.scenario.stations)
+        return len(self.scenario.station_indices)
 
     @property
     def action_dim(self) -> int:
@@ -326,8 +322,7 @@ class BikeEnv(_Env):
     def reset(self, seed: int | None = None,
               force_outage: bool | None = None) -> np.ndarray:
         rng = self._episode_rng(seed)
-        joint = self.scenario.joint or {}
-        mode = (joint.get("bus_outage", False) if force_outage is None
+        mode = (self.scenario.bus_outage if force_outage is None
                 else force_outage)
         self.outage = rng.uniform() < 0.5 if mode == "random" else mode
         self._start(rng, self.outage)
@@ -414,7 +409,7 @@ class BusEnv(_Env):
 
     def __post_init__(self):
         super().__post_init__()
-        if not any(r.get("bus_count", 1) for r in self.scenario.routes):
+        if not self.scenario.bus_fleet:
             raise W.InputError("a BusEnv needs a route that runs a bus")
 
     @property

@@ -60,18 +60,15 @@ class MetricsReport:
 
 
 def _dispatchable_bikes(scenario: W.ScenarioSpec) -> int:
-    return (sum(v.get("initial_load", 0) for v in scenario.vehicles)
-            + sum(s.get("initial_bikes", 0) for s in scenario.stations))
+    return (sum(load for _, load, _ in scenario.vehicle_fleet)
+            + sum(scenario.initial_bikes))
 
 
 def _with_placement(scenario: W.ScenarioSpec,
                     placement: dict[str, int]) -> W.ScenarioSpec:
     """Scenario copy with all dispatchable bikes pre-placed at stations."""
-    stations = []
-    for s in scenario.stations:
-        s = dict(s)
-        s["initial_bikes"] = placement.get(s["id"], 0)
-        stations.append(s)
+    stations = [dict(s, initial_bikes=placement.get(s["id"], 0))
+                for s in scenario.stations]
     vehicles = [dict(v, initial_load=0) for v in scenario.vehicles]
     return replace(scenario, stations=stations, vehicles=vehicles)
 

@@ -6,7 +6,6 @@ instead of raising, since RL exploration emits infeasible actions constantly.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -113,13 +112,27 @@ class WorldState:
         return sum(self.available) + sum(v.occupied for v in self.vehicles)
 
 
+# The largest station or bus rate a scenario may declare: a Poisson draw
+# splits its rate into leaves of at most rng.POISSON_SPLIT (50), one
+# uniform each, so a draw takes at most 256 leaves.
+MAX_RATE = 10 ** 4
+
+
 @dataclass
 class ScenarioSpec:
-    """A scenario document, validated once, when it is made. Validation
-    also resolves, once, what the envs and worlds read by index:
+    """A scenario document, validated once, when it is made. Apart from
+    the demand profile, whose format `DemandProfile.from_dict` owns, this
+    class alone reads the document and its defaults: validation resolves,
+    once, each fact the envs and worlds read.
 
+    - The clock: `episode_length`, `episode_start`, `segment_minutes`.
+    - Per station, in scenario order: `initial_bikes`, `docks`, `coords`.
     - `station_indices` and `stop_indices` map ids to their order in the
-      scenario; stops are numbered across routes, in route order.
+      scenario; stops are numbered across routes, in route order, and
+      `stop_routes` lists each stop's route index.
+    - `bus_fleet` lists each bus as (start stop, capacity), and
+      `vehicle_fleet` each dispatch vehicle as (station, load, capacity).
+    - The joint settings: `joint_enabled`, `joint_k`, `bus_outage`.
     - `queue_slots` maps each bus OD the scenario declares, in `bus_rates`
       or `bus_script`, to (slot, destination index): the slot of the queue
       its arrivals join and the stop they get off at. With n stops the
@@ -127,7 +140,11 @@ class ScenarioSpec:
       ahead on the route, else n + o, its backward queue. The world and
       the bus forecast both read it, so they share one direction rule.
     - `scripted_trips` and `outage_trips` are the bike trip lists as
-      (segment, (origin index, destination index, count)) pairs.
+      (segment, (origin index, destination index, count)) pairs, and
+      `scripted_arrivals` the bus script as (segment, arrival) pairs.
+
+    The document is never written; `dataclasses.replace` validates a
+    changed copy.
     """
 
     stations: list[dict]
@@ -139,12 +156,6 @@ class ScenarioSpec:
     demand_profile: dict | None = None
     bus_script: list[dict] | None = None
     joint: dict | None = None
-
-    @classmethod
-    def from_json(cls, path: str) -> "ScenarioSpec":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
@@ -176,6 +187,7 @@ class ScenarioSpec:
         if len(self.stations) + sum(len(r.get("stops", [])) for r in self.routes) < 2:
             raise ScenarioError("scenario needs at least 2 stations or stops")
         self.station_indices: dict[str, int] = {}
+        self.initial_bikes: list[int] = []
         for st in self.stations:
             for key in ("id", "x", "y", "docks"):
                 if key not in st:
@@ -190,38 +202,54 @@ class ScenarioSpec:
                 raise ScenarioError(f"station {st['id']}: coordinates must "
                                     f"be finite numbers")
             _check_count(f"station {st['id']}: docks", st["docks"], 0)
-            _check_count(f"station {st['id']}: initial_bikes",
-                         st.get("initial_bikes", 0), 0, st["docks"])
-        stop_route: dict[str, int] = {}
+            bikes = st.get("initial_bikes", 0)
+            _check_count(f"station {st['id']}: initial_bikes", bikes, 0,
+                         st["docks"])
+            self.initial_bikes.append(bikes)
+        self.docks = [st["docks"] for st in self.stations]
+        self.coords = [(st["x"], st["y"]) for st in self.stations]
         self.stop_indices: dict[str, int] = {}
+        self.stop_routes: list[int] = []
+        self.bus_fleet: list[tuple[int, int]] = []
         for i, r in enumerate(self.routes):
             if len(r.get("stops", [])) < 2:
                 raise ScenarioError("route needs at least 2 stops")
             if len(set(r["stops"])) != len(r["stops"]):
                 raise ScenarioError("duplicate stop id on route")
+            first = len(self.stop_indices)
             for sid in r["stops"]:
-                if sid in stop_route:
+                if sid in self.stop_indices:
                     raise ScenarioError(f"stop id {sid!r} on two routes")
-                stop_route[sid] = i
                 self.stop_indices[sid] = len(self.stop_indices)
-            _check_count("route bus capacity", r.get("capacity", 30), 1)
-            _check_count("route bus_count", r.get("bus_count", 1), 0)
+                self.stop_routes.append(i)
+            capacity, count = r.get("capacity", 30), r.get("bus_count", 1)
+            _check_count("route bus capacity", capacity, 1)
+            _check_count("route bus_count", count, 0)
+            self.bus_fleet += [(first, capacity)] * count
+        self.vehicle_fleet: list[tuple[int, int, int]] = []
         for v in self.vehicles:
-            _check_count("vehicle capacity", v.get("capacity"), 1)
-            _check_count("vehicle initial_load", v.get("initial_load", 0), 0,
-                         v["capacity"])
+            capacity, load = v.get("capacity"), v.get("initial_load", 0)
+            _check_count("vehicle capacity", capacity, 1)
+            _check_count("vehicle initial_load", load, 0, capacity)
             start = v.get("start")
+            if start is None and not self.stations:
+                raise ScenarioError("a vehicle without a start starts at "
+                                    "station 0, and there is no station")
             if start is not None and not (isinstance(start, str)
                                           and start in self.station_indices):
                 raise ScenarioError(f"vehicle start station {start!r} unknown")
+            self.vehicle_fleet.append(
+                (self.station_indices.get(start, 0), load, capacity))
         ck = self.clock
         if not isinstance(ck, dict):
             raise ScenarioError("clock must be an object")
-        minutes = ck.get("segment_minutes", 15)
+        minutes = self.segment_minutes = ck.get("segment_minutes", 15)
         if not (_is_number(minutes) and minutes > 0):
             raise ScenarioError(f"clock segment_minutes {minutes!r} must be "
                                 f"a finite number > 0")
-        _check_count("clock episode_length", ck.get("episode_length", 1), 1)
+        self.episode_length = ck.get("episode_length", 1)
+        _check_count("clock episode_length", self.episode_length, 1)
+        self.episode_start = ck.get("episode_start", 0)
         if not _is_int(self.episode_start):
             raise ScenarioError(f"clock episode_start {self.episode_start!r} "
                                 f"must be an integer")
@@ -231,20 +259,22 @@ class ScenarioSpec:
                                 "numbers")
         self.queue_slots: dict[tuple[str, str], tuple[int, int]] = {}
         self.scripted_trips: list[tuple[int, tuple[int, int, int]]] = []
-        self.outage_trips: list[tuple[int, tuple[int, int, int]]] = []
+        self.scripted_arrivals: list[tuple[int, tuple[str, str, int]]] = []
         profile = self.demand_profile
         if profile is not None:
-            self._validate_profile(profile, stop_route)
+            self._validate_profile(profile)
         if self.demand_script is not None:
             self.scripted_trips = self._bike_trips("demand_script",
                                                    self.demand_script)
         if self.bus_script is not None:
             self._validate_trips("bus_script", self.bus_script,
                                  self.stop_indices, "stop")
-            for entry in self.bus_script:
-                self._declare_bus_od(entry, stop_route, "bus_script")
-        if self.joint is not None:
-            self._validate_joint(self.joint)
+            for e in self.bus_script:
+                self._declare_bus_od(e, "bus_script")
+                self.scripted_arrivals.append(
+                    (e["segment"], (e["origin"], e["destination"],
+                                    e["count"])))
+        self._validate_joint({} if self.joint is None else self.joint)
 
     def _validate_trips(self, where: str, trips: list[dict],
                         places: dict[str, int], kind: str):
@@ -275,28 +305,27 @@ class ScenarioSpec:
         return [(e["segment"], (index[e["origin"]], index[e["destination"]],
                                 e["count"])) for e in trips]
 
-    def _declare_bus_od(self, entry: dict, stop_route: dict[str, int],
-                        where: str):
+    def _declare_bus_od(self, entry: dict, where: str):
         """Check a bus OD and record its queue slot and destination index.
         The OD must join two distinct stops of one route: no bus can carry
         a passenger between routes."""
         origin, dest = entry.get("origin"), entry.get("destination")
         for sid in (origin, dest):
-            if not (isinstance(sid, str) and sid in stop_route):
+            if not (isinstance(sid, str) and sid in self.stop_indices):
                 raise ScenarioError(f"{where} references unknown stop "
                                     f"{sid!r}")
         if origin == dest:
             raise ScenarioError(f"{where} OD {origin!r} starts where it ends")
-        if stop_route[origin] != stop_route[dest]:
+        o, d = self.stop_indices[origin], self.stop_indices[dest]
+        if self.stop_routes[o] != self.stop_routes[d]:
             raise ScenarioError(f"{where} OD {origin!r}->{dest!r} joins "
                                 f"stops on different routes")
         # a route's stops are numbered in its order, so the destination
         # lies ahead on it when its index is the larger
-        o, d = self.stop_indices[origin], self.stop_indices[dest]
         self.queue_slots[origin, dest] = (
-            o if d > o else len(stop_route) + o, d)
+            o if d > o else len(self.stop_routes) + o, d)
 
-    def _validate_profile(self, profile: dict, stop_route: dict[str, int]):
+    def _validate_profile(self, profile: dict):
         if not isinstance(profile, dict):
             raise ScenarioError("demand_profile must be an object")
         ids = self.station_ids()
@@ -311,9 +340,11 @@ class ScenarioSpec:
                 raise ScenarioError(f"demand_profile has no rates for "
                                     f"station {sid!r}")
             row = rates[sid]
-            if not (isinstance(row, list) and all(map(_is_rate, row))):
+            if not (isinstance(row, list)
+                    and all(_is_rate(r) and r <= MAX_RATE for r in row)):
                 raise ScenarioError(f"demand_profile rates of station {sid!r} "
-                                    f"must be a list of finite numbers >= 0")
+                                    f"must be a list of finite numbers in "
+                                    f"0..{MAX_RATE}")
             lengths.add(len(row))
         if len(lengths) > 1 or 0 in lengths:
             raise ScenarioError("demand_profile rate rows must be non-empty "
@@ -333,44 +364,32 @@ class ScenarioSpec:
         _check_objects("bus_rates", bus_rates)
         seen_ods: set[tuple[str, str]] = set()
         for entry in bus_rates:
-            self._declare_bus_od(entry, stop_route, "bus_rates")
+            self._declare_bus_od(entry, "bus_rates")
             od_key = (entry["origin"], entry["destination"])
             if od_key in seen_ods:
                 raise ScenarioError(f"bus_rates lists OD {od_key[0]!r}->"
                                     f"{od_key[1]!r} twice")
             seen_ods.add(od_key)
             rate = entry.get("rate")
-            if not _is_rate(rate):
+            if not (_is_rate(rate) and rate <= MAX_RATE):
                 raise ScenarioError(f"bus_rates rate {rate!r} must be a "
-                                    f"finite number >= 0")
+                                    f"finite number in 0..{MAX_RATE}")
 
     def _validate_joint(self, joint: dict):
         if not isinstance(joint, dict):
             raise ScenarioError("joint must be an object")
-        if not isinstance(joint.get("enabled", False), bool):
+        enabled = self.joint_enabled = joint.get("enabled", False)
+        if not isinstance(enabled, bool):
             raise ScenarioError("joint enabled must be true or false")
-        k = joint.get("k", 2)
+        k = self.joint_k = joint.get("k", 2)
         if not _is_int(k) or k < 1:
             raise ScenarioError(f"joint k {k!r} must be an integer >= 1")
-        outage = joint.get("bus_outage", False)
+        outage = self.bus_outage = joint.get("bus_outage", False)
         if not (isinstance(outage, bool) or outage == "random"):
             raise ScenarioError(f"joint bus_outage {outage!r} must be true, "
                                 f"false or \"random\"")
         self.outage_trips = self._bike_trips("outage_trips",
                                              joint.get("outage_trips", []))
-
-    @property
-    def episode_length(self) -> int:
-        return self.clock.get("episode_length", 1)
-
-    @property
-    def episode_start(self) -> int:
-        """The day position of the episode's first segment."""
-        return self.clock.get("episode_start", 0)
-
-    @property
-    def segment_minutes(self) -> float:
-        return self.clock.get("segment_minutes", 15)
 
     def station_ids(self) -> list[str]:
         return [s["id"] for s in self.stations]
@@ -406,37 +425,20 @@ def _check_objects(where: str, items):
 
 
 def build_world(scenario: ScenarioSpec) -> WorldState:
-    """Materialize a validated scenario at episode start. The world reads
-    the scenario's `queue_slots`."""
-    clock = SegmentClock(
-        episode_start=scenario.episode_start,
-        episode_length=scenario.episode_length,
-        current=scenario.episode_start,
-        segment_minutes=scenario.segment_minutes,
-    )
-    stops: list[BusStop] = []
-    buses: list[AgentState] = []
-    for r, route in enumerate(scenario.routes):
-        base = len(stops)
-        stops += [BusStop(r, deque(), deque()) for _ in route["stops"]]
-        capacity = route.get("capacity", 30)
-        for _ in range(route.get("bus_count", 1)):
-            buses.append(AgentState(location=base, occupied=0,
-                                    operation=OP_HALT, capacity=capacity))
-    vehicles = []
-    for v in scenario.vehicles:
-        start = v.get("start")
-        idx = 0 if start is None else scenario.station_indices[start]
-        vehicles.append(AgentState(location=idx,
-                                   occupied=v.get("initial_load", 0),
-                                   operation=0, capacity=v["capacity"]))
+    """Materialize a validated scenario at episode start from the facts
+    it resolved; the world reads the scenario's `queue_slots`."""
+    start = scenario.episode_start
+    stops = [BusStop(r, deque(), deque()) for r in scenario.stop_routes]
     return WorldState(
-        clock=clock,
-        available=[s.get("initial_bikes", 0) for s in scenario.stations],
-        docks=[s["docks"] for s in scenario.stations],
+        clock=SegmentClock(start, scenario.episode_length, start,
+                           scenario.segment_minutes),
+        available=list(scenario.initial_bikes),
+        docks=list(scenario.docks),
         bus_stops=stops,
-        vehicles=vehicles,
-        buses=buses,
+        vehicles=[AgentState(at, load, 0, capacity)
+                  for at, load, capacity in scenario.vehicle_fleet],
+        buses=[AgentState(at, 0, OP_HALT, capacity)
+               for at, capacity in scenario.bus_fleet],
         env_features=np.asarray(scenario.environment, dtype=float),
         queues=([s.queue_fwd for s in stops]
                 + [s.queue_bwd for s in stops]),

@@ -18,7 +18,9 @@ from urbansched.demand import DemandProfile, HistoryLog, sample_segment
 from urbansched.rng import (
     _POISSON_MAX_K, POISSON_SPLIT, PortableRng, poisson_leaves,
 )
-from urbansched.world import ScenarioError, ScenarioSpec, SegmentClock
+from urbansched.world import (
+    MAX_RATE, ScenarioError, ScenarioSpec, SegmentClock,
+)
 
 
 IDS = ["A", "B", "C"]
@@ -263,6 +265,14 @@ class TestDemandProfile:
         with pytest.raises(ScenarioError, match="row count"):
             DemandProfile(station_ids=IDS, rates=np.ones((2, 4)),
                           od_weights=np.zeros((3, 3)))
+
+    def test_rates_capped(self):
+        make_profile(rates=np.full((3, 4), float(MAX_RATE)),
+                     bus_rates={("P0", "P1"): float(MAX_RATE)})
+        with pytest.raises(ScenarioError, match=f"at most {MAX_RATE}"):
+            make_profile(rates=np.full((3, 4), MAX_RATE + 1.0))
+        with pytest.raises(ScenarioError, match=f"at most {MAX_RATE}"):
+            make_profile(bus_rates={("P0", "P1"): MAX_RATE + 1.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_bus_rate_rejected(self, bad):

@@ -99,8 +99,8 @@ class TestObservations:
 
     def test_two_buses_see_each_other(self):
         doc = bus_only_scenario([])
-        doc.routes[0]["bus_count"] = 2
-        world = build_world(doc)
+        world = build_world(dataclasses.replace(
+            doc, routes=[{**doc.routes[0], "bus_count": 2}]))
         block = np.zeros((2, 6))
         a = bus_observe(world, block, 0, None)
         b = bus_observe(world, block, 1, None)

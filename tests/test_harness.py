@@ -12,7 +12,7 @@ from urbansched import envs, harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.ddpg import ActorNet, DdpgConfig, Policy
 from urbansched.envs import BikeEnv, BusEnv
-from urbansched.world import ScenarioError, ScenarioSpec
+from urbansched.world import MAX_RATE, ScenarioError, ScenarioSpec
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
@@ -183,7 +183,6 @@ class TestExhaustiveOracle:
     def test_refusal_bound(self):
         assert harness.placement_count(10, 3) == 66
         big = scripted_scenario([], load=10)
-        big.vehicles[0]["initial_load"] = 10
         # force a tiny bound to exercise the refusal path
         original = harness.PLACEMENT_BOUND
         harness.PLACEMENT_BOUND = 10
@@ -743,6 +742,67 @@ class TestCli:
         assert cli(["simulate", "--scenario", str(path),
                     "--policy", "none"]) == 1
         assert "'Z'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate", "--policy", "none"],
+                                         ["train"]])
+    def test_vehicle_without_station_exit_1(self, command, tmp_path,
+                                            capsys):
+        # a vehicle without a start starts at station 0: here there is none
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [], "routes": [{"stops": ["S1", "S2"]}],
+            "vehicles": [{"capacity": 5}], "environment": [0.0],
+        }))
+        out = tmp_path / "run"
+        assert cli([*command, "--scenario", str(path),
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no station" in captured.err
+        assert not out.exists()
+
+    @staticmethod
+    def capped_doc(rate, where):
+        """A scenario with a station and a bus rate; `where` sets one."""
+        doc = {
+            "clock": {"segment_minutes": 15, "episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 5},
+                         {"id": "B", "x": 1, "y": 0, "docks": 5}],
+            "routes": [{"stops": ["S1", "S2"]}],
+            "vehicles": [{"capacity": 5}], "environment": [0.0],
+            "demand_profile": {
+                "rates": {"A": [1.0, 2.0], "B": [0.5, 0.5]},
+                "od_weights": [[0.0, 1.0], [1.0, 0.0]],
+                "bus_rates": [{"origin": "S1", "destination": "S2",
+                               "rate": 1.0}]},
+        }
+        if where == "station":
+            doc["demand_profile"]["rates"]["A"][1] = rate
+        else:
+            doc["demand_profile"]["bus_rates"][0]["rate"] = rate
+        return doc
+
+    @pytest.mark.parametrize("where", ["station", "bus"])
+    @pytest.mark.parametrize("rate", [1e300, MAX_RATE + 1])
+    def test_rate_past_its_cap_exit_1(self, rate, where, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.capped_doc(rate, where)))
+        out = tmp_path / "report.csv"
+        assert cli(["simulate", "--scenario", str(path), "--policy",
+                    "greedy", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"0..{MAX_RATE}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["station", "bus"])
+    def test_rate_at_its_cap_runs(self, where, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.capped_doc(MAX_RATE, where)))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "greedy"]) == 0
+        assert capsys.readouterr().out.startswith("served=")
 
     def test_stop_on_two_routes_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

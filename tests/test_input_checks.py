@@ -27,7 +27,29 @@ INPUT_CHECKS = SCENARIO_CHECKS + [
     "ddpg.Policy.load", "ddpg.Policy.begin_episode",
     "ddpg.Policy.action_for", "harness.evaluate",
     "envs.BusEnv.__post_init__", "cli._load_policy", "cli._check_out_file",
+    "cli._make_out_dir",
     "cli.cmd_eval", "cli.cmd_train", "cli.cmd_forecast"]
+
+
+# The keys of a scenario document outside its demand profile, whose
+# format `DemandProfile.from_dict` owns. `world.ScenarioSpec` reads them
+# and resolves each default once; the other modules read what it resolved.
+SCENARIO_KEYS = {
+    "stations", "routes", "vehicles", "clock", "environment",
+    "demand_script", "demand_profile", "bus_script", "joint", "id", "x",
+    "y", "docks", "initial_bikes", "stops", "capacity", "bus_count",
+    "start", "initial_load", "segment_minutes", "episode_length",
+    "episode_start", "enabled", "k", "bus_outage", "outage_trips"}
+
+
+def scenario_key_gets(tree: ast.AST) -> list[str]:
+    """`.get` calls in tree whose first argument is a scenario key."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in SCENARIO_KEYS]
 
 
 def input_error_names() -> set[str]:
@@ -95,3 +117,16 @@ def test_cli_exits_1_on_bad_input_alone():
     assert sorted(map(ast.unparse, caught.elts)) == sorted([
         "InputError", "FileNotFoundError", "IsADirectoryError",
         "json.JSONDecodeError", "UnicodeDecodeError"])
+
+
+def test_scenario_keys_are_read_in_world_alone():
+    """No module but world.py reads a scenario key with `.get`, so each
+    optional key's default is written once, where the document is
+    validated."""
+    assert scenario_key_gets(ast.parse(
+        "joint.get('k', 2) + route.get('bus_count', 1) + d.get('rate')")
+    ) == ["joint.get('k', 2)", "route.get('bus_count', 1)"]
+    reads = {path.stem: scenario_key_gets(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert reads.pop("world")
+    assert {stem: gets for stem, gets in reads.items() if gets} == {}

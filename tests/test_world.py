@@ -1,13 +1,17 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scenario_docs import scenario_docs, transcribe
 
-from urbansched.envs import BusEnv
+from urbansched.envs import BikeEnv, BusEnv
+from urbansched.harness import _dispatchable_bikes
 from urbansched.world import (
-    OP_BACKWARD, OP_FORWARD, OP_HALT, ScenarioError, ScenarioSpec,
-    apply_reposition, build_world, step_bike_world, step_bus_world,
+    OP_BACKWARD, OP_FORWARD, OP_HALT, InputError, ScenarioError,
+    ScenarioSpec, apply_reposition, build_world, step_bike_world,
+    step_bus_world,
 )
 
 
@@ -122,6 +126,13 @@ class TestBuildWorld:
         with pytest.raises(ScenarioError, match="'Z'"):
             ScenarioSpec.from_dict(doc)
 
+    def test_vehicle_without_station_rejected_at_load(self):
+        # a vehicle without a start starts at station 0
+        doc = {"stations": [], "routes": [{"stops": ["S1", "S2"]}],
+               "vehicles": [{"capacity": 5}]}
+        with pytest.raises(ScenarioError, match="no station"):
+            ScenarioSpec.from_dict(doc)
+
     def test_od_weights_diagonal_rejected_at_load(self):
         doc = {
             "clock": {"segment_minutes": 15, "episode_length": 1},
@@ -133,6 +144,55 @@ class TestBuildWorld:
         }
         with pytest.raises(ScenarioError, match="diagonal"):
             ScenarioSpec.from_dict(doc)
+
+
+class TestResolvedScenario:
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_docs())
+    def test_matches_a_transcription_of_the_document(self, doc):
+        """What the scenario resolves, as a world, its clock, an env's
+        joint settings and the dispatchable bikes, equals the document
+        read directly at README.md's defaults; nothing writes the
+        document, and two worlds share no station list."""
+        original = copy.deepcopy(doc)
+        spec = ScenarioSpec.from_dict(doc)
+        want = transcribe(doc)
+        world = build_world(spec)
+        clock = world.clock
+        start, length, minutes = want["clock"]
+        assert (clock.episode_start, clock.episode_length, clock.current,
+                clock.segment_minutes) == (start, length, start, minutes)
+        assert world.available == want["available"]
+        assert world.docks == want["docks"]
+        assert [s.route for s in world.bus_stops] == want["stop_routes"]
+        assert len(world.queues) == 2 * len(world.bus_stops)
+        assert not any(world.queues)
+        assert [(b.location, b.occupied, b.operation, b.capacity, b.onboard)
+                for b in world.buses] == [(at, 0, OP_HALT, capacity, [])
+                                          for at, capacity in want["buses"]]
+        assert [(v.location, v.occupied, v.operation, v.capacity)
+                for v in world.vehicles] == [(at, load, 0, capacity)
+                                             for at, load, capacity
+                                             in want["vehicles"]]
+        assert world.env_features.tolist() == want["environment"]
+        assert _dispatchable_bikes(spec) == (
+            sum(want["available"])
+            + sum(load for _, load, _ in want["vehicles"]))
+        env = BikeEnv(scenario=spec)
+        enabled, k, outage = want["joint"]
+        assert (env.joint_enabled, env.joint_k) == (enabled, k)
+        assert [tuple(c) for c in env._coords.tolist()] == want["coords"]
+        env.reset()
+        assert env.outage == outage or outage == "random"
+        env.step((0, 1))
+        if want["buses"]:
+            BusEnv(scenario=spec).reset()
+        else:
+            with pytest.raises(InputError, match="runs a bus"):
+                BusEnv(scenario=spec)
+        world.available[:] = [a + 1 for a in world.available]
+        assert build_world(spec).available == want["available"]
+        assert doc == original
 
 
 def brute_force_segment(avail, docks, trips):
