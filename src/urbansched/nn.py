@@ -134,6 +134,11 @@ class LstmTape:
     (B, H) slices strided inside a (B, 4H) row. tanh_c keeps tanh(c_t) for
     the backward pass.
 
+    The start mask is kept full width, (N, B, H), and rewritten by each
+    forward given a start, so that no step multiplies by a (B, 1) column
+    that broadcasts. Each step's views of these arrays are built once, in
+    `steps`, so that neither pass indexes a tape array per step.
+
     The tape also owns the working arrays of the forward and backward
     passes run on it (`scratch`), so that a forward given this tape as
     `reuse` allocates nothing. Every array of a tape has its parameters'
@@ -148,8 +153,18 @@ class LstmTape:
     c: np.ndarray  # (N + 1, B, H): c_0 .. c_N
     h: np.ndarray  # (N + 1, B, H): h_0 .. h_N
     tanh_c: np.ndarray  # (N, B, H): tanh(c_1) .. tanh(c_N)
-    live: np.ndarray | None  # (N, B, 1): 1.0 from each sample's start on
+    mask: np.ndarray  # (N, B, H): the start mask's kept array
+    live: np.ndarray | None = None  # mask, once written for a start; or None
     scratch: dict = field(default_factory=dict, repr=False)
+    # per step t: gates[t], its i and f blocks, i, f, g, o, c[t], c[t + 1],
+    # h[t], h[t + 1], tanh_c[t] and mask[t]
+    steps: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c, h = self.c, self.h
+        self.steps = [(a, a[:2], *a, c[t], c[t + 1], h[t], h[t + 1],
+                       self.tanh_c[t], self.mask[t])
+                      for t, a in enumerate(self.gates)]
 
     def work(self, name: str, shape: tuple) -> np.ndarray:
         """The working array `name`, allocated on first use and kept for
@@ -222,9 +237,6 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     xs = np.asarray(xs, dtype=dtype)
     n_steps, batch, input_size = xs.shape
     H = params.hidden_size
-    live = None
-    if start is not None:
-        live = (np.arange(n_steps)[:, None] >= start).astype(dtype)[:, :, None]
     # a sliding view: xs[t, b] is value t + b of a contiguous series, and
     # each xs[t] is strided as in a contiguous copy
     sliding = (input_size == 1
@@ -234,17 +246,23 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     if (reuse is not None and reuse.gates.shape == (n_steps, 4, batch, H)
             and reuse.gates.dtype == dtype):
         tape = reuse
-        tape.xs, tape.live = xs, live
+        tape.xs = xs
     else:
+        shape = (n_steps, batch, H)
         tape = LstmTape(xs=xs,
                         gates=_tape_array((n_steps, 4, batch, H), dtype),
                         c=_tape_array((n_steps + 1, batch, H), dtype),
                         h=_tape_array((n_steps + 1, batch, H), dtype),
-                        tanh_c=_tape_array((n_steps, batch, H), dtype),
-                        live=live)
-    gates, c, h, tanh_c = tape.gates, tape.c, tape.h, tape.tanh_c
-    c[0] = 0.0  # every later row is written by its step
-    h[0] = 0.0
+                        tanh_c=_tape_array(shape, dtype),
+                        mask=_tape_array(shape, dtype))
+    live = tape.live = None if start is None else tape.mask
+    if live is not None:  # 1.0 from each sample's start step on
+        # widened from (N, B) in the tape's dtype: a comparison written
+        # straight into the (N, B, H) mask casts every element
+        started = np.arange(n_steps)[:, None] >= start
+        live[...] = started.astype(dtype)[:, :, None]
+    tape.c[0] = 0.0  # every later row is written by its step
+    tape.h[0] = 0.0
     if sliding:
         shift, rows = 1, np.concatenate((xs[0], xs[1:, -1]))
     else:
@@ -255,38 +273,38 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     W_h = tape.work("W_h", (4, H, H))
     np.copyto(W_h, _gate_major(params.W_h))
     peep = tape.per_sample("peep", params.peep)
+    peep_if, peep_o = peep[:2], peep[2]
     z = tape.work("z", (4, batch, H))  # the step's gate pre-activations
     z_if, z_g, z_o = z[:2], z[2], z[3]
-    tmp = tape.work("tmp", (2, batch, H))
+    tmp2 = tape.work("tmp", (2, batch, H))
+    tmp = tmp2[0]
     # sigmoid(z) = 1 / (1 + exp(-z)); exp(-z) = inf gives the limit 0
     with np.errstate(over="ignore"):
-        for t in range(n_steps):
-            a = gates[t]
-            i, f, g, o = a
-            c_prev, c_next = c[t], c[t + 1]
-            np.matmul(h[t], W_h, out=z)
+        for t, (a, a_if, i, f, g, o, c_prev, c_next, h_prev, h_next, tanh_c,
+                live_t) in enumerate(tape.steps):
+            np.matmul(h_prev, W_h, out=z)
             z += proj[:, t * shift:t * shift + batch]
-            np.multiply(peep[:2], c_prev, out=tmp)  # peepholes into i and f
-            z_if += tmp
+            np.multiply(peep_if, c_prev, out=tmp2)  # peepholes into i and f
+            z_if += tmp2
             np.negative(z_if, out=z_if)
             np.exp(z_if, out=z_if)
             z_if += 1.0
-            np.divide(1.0, z_if, out=a[:2])
+            np.divide(1.0, z_if, out=a_if)
             np.tanh(z_g, out=g)
             np.multiply(f, c_prev, out=c_next)
-            np.multiply(i, g, out=tmp[0])
-            c_next += tmp[0]
+            np.multiply(i, g, out=tmp)
+            c_next += tmp
             if live is not None:
-                c_next *= live[t]  # and so h = o * tanh(0) = 0 as well
-            np.multiply(peep[2], c_next, out=tmp[0])
-            z_o += tmp[0]
+                c_next *= live_t  # and so h = o * tanh(0) = 0 as well
+            np.multiply(peep_o, c_next, out=tmp)
+            z_o += tmp
             np.negative(z_o, out=z_o)
             np.exp(z_o, out=z_o)
             z_o += 1.0
             np.divide(1.0, z_o, out=o)
-            np.tanh(c_next, out=tanh_c[t])
-            np.multiply(o, tanh_c[t], out=h[t + 1])
-    return h[1:], tape
+            np.tanh(c_next, out=tanh_c)
+            np.multiply(o, tanh_c, out=h_next)
+    return tape.h[1:], tape
 
 
 @functools.cache
@@ -334,6 +352,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
             g[...] = 0.0
     work = tape.work
     peep = tape.per_sample("peep", params.peep)
+    peep_if, peep_o = peep[:2], peep[2]
     dh_rec = work("dh_rec", (batch, H))
     dh_rec[...] = 0.0
     dc_rec = work("dc_rec", (batch, H))
@@ -341,7 +360,7 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     dh = work("dh", (batch, H))
     dc = work("dc", (batch, H))
     tmp2 = work("tmp", (2, batch, H))
-    tmp = tmp2[0]
+    tmp, tmp_f = tmp2
     # gradient of the gate pre-activations
     dgates = work("dgates", (4, batch, H))
     d_i, d_f, d_g, d_o = dgates
@@ -349,74 +368,76 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     d = work("d", (batch, 4 * H))  # the same, packed
     d_by_gate = _gate_major(d)
     one_minus = work("one_minus", (4, batch, H))  # 1 - a for each gate a
+    one_minus_if, one_minus_o = one_minus[:2], one_minus[3]
     # d_i * c_prev, d_f * c_prev, d_o * c
     peep_terms = work("peep_terms", (3, batch, H))
+    peep_terms_if, peep_terms_o = peep_terms[:2], peep_terms[2]
     dW_x = work("dW_x", grads.W_x.shape)
     dW_h = work("dW_h", grads.W_h.shape)
     db = work("db", grads.b.shape)
     dpeep = work("dpeep", grads.peep.shape)
+    live, xs, W_h_T = tape.live, tape.xs, params.W_h.T
     for t in range(n_steps - 1, -1, -1):
-        a = tape.gates[t]
-        i, f, g, o = a
-        c_prev, c, tanh_c = tape.c[t], tape.c[t + 1], tape.tanh_c[t]
+        a, a_if, i, f, g, o, c_prev, c, h_prev, _, tanh_c, live_t = (
+            tape.steps[t])
         np.subtract(1, a, out=one_minus)
         np.add(dh_out[t], dh_rec, out=dh)
         # d_o = dh * tanh_c * o * (1 - o)
         np.multiply(dh, tanh_c, out=d_o)
         d_o *= o
-        d_o *= one_minus[3]
+        d_o *= one_minus_o
         # dc = dh * o * (1 - tanh_c ** 2) + dc_rec + d_o * p_o
         np.multiply(dh, o, out=dc)
         np.square(tanh_c, out=tmp)
         np.subtract(1, tmp, out=tmp)
         dc *= tmp
         dc += dc_rec
-        np.multiply(d_o, peep[2], out=tmp)
+        np.multiply(d_o, peep_o, out=tmp)
         dc += tmp
-        if tape.live is not None:
-            dc *= tape.live[t]
+        if live is not None:
+            dc *= live_t
         # d_i = dc * g * i * (1 - i), d_f = dc * c_prev * f * (1 - f)
         np.multiply(dc, g, out=d_i)
         np.multiply(dc, c_prev, out=d_f)
-        d_if *= a[:2]
-        d_if *= one_minus[:2]
+        d_if *= a_if
+        d_if *= one_minus_if
         # d_g = dc * i * (1 - g ** 2)
         np.multiply(dc, i, out=d_g)
         np.square(g, out=tmp)
         np.subtract(1, tmp, out=tmp)
         d_g *= tmp
         d_by_gate[...] = dgates
-        np.matmul(tape.xs[t].T, d, out=dW_x)
+        np.matmul(xs[t].T, d, out=dW_x)
         grads.W_x += dW_x
         _batch_sum(d, out=db)
         grads.b += db
-        np.multiply(dgates[:2], c_prev, out=peep_terms[:2])
-        np.multiply(d_o, c, out=peep_terms[2])
+        np.multiply(d_if, c_prev, out=peep_terms_if)
+        np.multiply(d_o, c, out=peep_terms_o)
         _batch_sum(peep_terms, out=dpeep)
         grads.peep += dpeep
         if t == 0:
             # h_0 = 0 adds only zeros to W_h's gradient (d is finite), and
             # no step precedes step 0
             break
-        np.matmul(tape.h[t].T, d, out=dW_h)
+        np.matmul(h_prev.T, d, out=dW_h)
         grads.W_h += dW_h
-        np.matmul(d, params.W_h.T, out=dh_rec)
+        np.matmul(d, W_h_T, out=dh_rec)
         # dc_rec = dc * f + d_i * p_i + d_f * p_f
         np.multiply(dc, f, out=dc_rec)
-        np.multiply(d_if, peep[:2], out=tmp2)
-        dc_rec += tmp2[0]
-        dc_rec += tmp2[1]
+        np.multiply(d_if, peep_if, out=tmp2)
+        dc_rec += tmp
+        dc_rec += tmp_f
     return grads
 
 
 # ---------------------------------------------------------------------------
 # Dense layers
 
+# Each activation applies itself in place to a layer's output.
 _ACTIVATIONS = {
-    "identity": (lambda z: z, None),  # mlp_backward passes gradients through
-    "relu": (lambda z: np.maximum(z, 0.0),
-             lambda z, a: (z > 0).astype(z.dtype)),
-    "tanh": (np.tanh, lambda z, a: 1 - a ** 2),
+    "identity": lambda a: a,
+    "relu": lambda a: np.maximum(a, 0.0, out=a),
+    "tanh": lambda a: np.tanh(a, out=a),
 }
 
 
@@ -448,39 +469,45 @@ class MlpParams:
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward through the dense stack. x is (B, in), cast to the weights'
-    dtype."""
-    x = np.asarray(x, dtype=params.weights[0].dtype)
-    pre, post = [], [x]
-    out = x
+    dtype.
+
+    The tape is the list of the input and each layer's output, each
+    activation applied in place: the backward reads every derivative from
+    a layer's output alone.
+    """
+    out = np.asarray(x, dtype=params.weights[0].dtype)
+    tape = [out]
     for W, b, act in zip(params.weights, params.biases, params.activations):
-        z = out @ W + b
-        out = _ACTIVATIONS[act][0](z)
-        pre.append(z)
-        post.append(out)
-    return out, (pre, post)
+        out = out @ W
+        out += b
+        _ACTIVATIONS[act](out)
+        tape.append(out)
+    return out, tape
 
 
-def mlp_backward(params: MlpParams, tape, dout: np.ndarray,
+def mlp_backward(params: MlpParams, tape: list[np.ndarray], dout: np.ndarray,
                  grads: MlpParams | None = None, input_grad: bool = True):
     """Backpropagate dout, (B, out), through the forward tape.
 
     Writes the parameter gradients into grads' arrays when grads is given,
     and returns the gradient with respect to the input x when input_grad is
     set (None otherwise); what a caller does not ask for is not computed.
-    dout is cast to the weights' dtype.
+    dout is cast to the weights' dtype. relu's derivative is taken where
+    its output a > 0, which is where its input z > 0.
     """
-    pre, post = tape
     d = np.asarray(dout, dtype=params.weights[0].dtype)
     for layer in range(len(params.weights) - 1, -1, -1):
-        act = params.activations[layer]
-        dz = d if act == "identity" else d * _ACTIVATIONS[act][1](
-            pre[layer], post[layer + 1])
+        act, a = params.activations[layer], tape[layer + 1]
+        if act == "relu":
+            d = d * (a > 0)
+        elif act == "tanh":
+            d = d * (1 - a ** 2)
         if grads is not None:
-            np.matmul(post[layer].T, dz, out=grads.weights[layer])
-            _batch_sum(dz, out=grads.biases[layer])
+            np.matmul(tape[layer].T, d, out=grads.weights[layer])
+            _batch_sum(d, out=grads.biases[layer])
         if layer == 0 and not input_grad:
             return None
-        d = dz @ params.weights[layer].T
+        d = d @ params.weights[layer].T
     return d
 
 
@@ -523,10 +550,12 @@ class FlatParams:
 
     def __init__(self, vector: np.ndarray, shapes: list[tuple]):
         self.vector = vector
+        self.spans = []  # each array's slice of vector
         self.arrays = []
         at = 0
         for shape in shapes:
             size = int(np.prod(shape))
+            self.spans.append(slice(at, at + size))
             self.arrays.append(vector[at:at + size].reshape(shape))
             at += size
 
@@ -659,10 +688,13 @@ def one_blas_thread():
         set_(before)
 
 
-def global_norm(grads: list[np.ndarray]) -> float:
+def global_norm(grads: FlatParams) -> float:
     """Square root of the sum, array by array, of each array's sum of
-    squares (numpy's pairwise sum within an array)."""
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    squares. The vector is squared once, and each array's slice of the
+    squares summed: numpy's pairwise sum, as over the array itself."""
+    squares = grads.vector * grads.vector
+    return float(np.sqrt(sum(float(squares[span].sum())
+                             for span in grads.spans)))
 
 
 def optimizer_step(params: FlatParams, grads: FlatParams, step_size: float,
@@ -672,7 +704,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams, step_size: float,
 
     Returns the global norm of grads before clipping, summed array by array.
     """
-    norm = global_norm(grads.arrays)
+    norm = global_norm(grads)
     scale = 1.0
     if 0 < clip_norm < norm:
         scale = clip_norm / norm

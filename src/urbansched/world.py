@@ -117,6 +117,17 @@ class WorldState:
 # uniform each, so a draw takes at most 256 leaves.
 MAX_RATE = 10 ** 4
 
+# The longest episode a scenario may declare, in segments: an env keeps
+# expected demand in blocks of episode_length + 3 rows of two float64
+# columns per station or stop, which the cap holds to 16 MB per station
+# or stop. The world fuzz of acceptance 8 runs clocks this long.
+MAX_EPISODE_LENGTH = 10 ** 6
+
+# The largest joint k: the widest row of the cross-system observation O,
+# a bus stop's (its last bus each way and its two queue lengths), has 4
+# columns, and a larger k only pads every row with zeros.
+MAX_JOINT_K = 4
+
 
 @dataclass
 class ScenarioSpec:
@@ -248,7 +259,8 @@ class ScenarioSpec:
             raise ScenarioError(f"clock segment_minutes {minutes!r} must be "
                                 f"a finite number > 0")
         self.episode_length = ck.get("episode_length", 1)
-        _check_count("clock episode_length", self.episode_length, 1)
+        _check_count("clock episode_length", self.episode_length, 1,
+                     MAX_EPISODE_LENGTH)
         self.episode_start = ck.get("episode_start", 0)
         if not _is_int(self.episode_start):
             raise ScenarioError(f"clock episode_start {self.episode_start!r} "
@@ -381,9 +393,8 @@ class ScenarioSpec:
         enabled = self.joint_enabled = joint.get("enabled", False)
         if not isinstance(enabled, bool):
             raise ScenarioError("joint enabled must be true or false")
-        k = self.joint_k = joint.get("k", 2)
-        if not _is_int(k) or k < 1:
-            raise ScenarioError(f"joint k {k!r} must be an integer >= 1")
+        self.joint_k = joint.get("k", 2)
+        _check_count("joint k", self.joint_k, 1, MAX_JOINT_K)
         outage = self.bus_outage = joint.get("bus_outage", False)
         if not (isinstance(outage, bool) or outage == "random"):
             raise ScenarioError(f"joint bus_outage {outage!r} must be true, "
@@ -396,9 +407,14 @@ class ScenarioSpec:
 
 
 def _is_number(x) -> bool:
-    """A finite int or float; NaN and booleans fail."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A finite int or float; NaN, booleans and an int past a float's
+    range fail."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large to convert to a float
+        return False
 
 
 def _is_rate(x) -> bool:

@@ -9,6 +9,8 @@ this one by name, as pytest puts `tests/` on the import path.
 
 from hypothesis import strategies as st
 
+from urbansched.world import MAX_JOINT_K
+
 # README.md's "Scenario JSON" defaults, written once for the tests.
 DEFAULTS = {"initial_bikes": 0, "initial_load": 0, "capacity": 30,
             "bus_count": 1, "segment_minutes": 15, "episode_length": 1,
@@ -116,7 +118,7 @@ def scenario_docs(draw) -> dict:
 
     joint: dict = {}
     _maybe(draw, joint, "enabled", st.booleans())
-    _maybe(draw, joint, "k", st.integers(1, 6))
+    _maybe(draw, joint, "k", st.integers(1, MAX_JOINT_K))
     _maybe(draw, joint, "bus_outage", st.sampled_from([True, False,
                                                        "random"]))
     _maybe(draw, joint, "outage_trips", _trips(ids, length))

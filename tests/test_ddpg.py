@@ -510,10 +510,10 @@ class TestTrainStep:
                   batch.next_windows, window, act(actor, window)]
         for net in (actor, critic, at, ct):
             arrays += [net.params.vector, net.grads.vector]
-        lstm_tape, (pre, post) = tapes["actor"]
+        lstm_tape, head_tape = tapes["actor"]
         arrays += [lstm_tape.gates, lstm_tape.c, lstm_tape.h,
-                   lstm_tape.tanh_c, *lstm_tape.scratch.values(), *pre,
-                   *post]
+                   lstm_tape.tanh_c, lstm_tape.mask,
+                   *lstm_tape.scratch.values(), *head_tape]
         assert ddpg.DTYPE == np.float32
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 

@@ -12,7 +12,8 @@ from urbansched import envs, harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.ddpg import ActorNet, DdpgConfig, Policy
 from urbansched.envs import BikeEnv, BusEnv
-from urbansched.world import MAX_RATE, ScenarioError, ScenarioSpec
+from urbansched.world import (MAX_EPISODE_LENGTH, MAX_JOINT_K, MAX_RATE,
+                              ScenarioError, ScenarioSpec)
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
@@ -800,6 +801,57 @@ class TestCli:
     def test_rate_at_its_cap_runs(self, where, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(self.capped_doc(MAX_RATE, where)))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "greedy"]) == 0
+        assert capsys.readouterr().out.startswith("served=")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["stations"][0].update(x=10 ** 400), "coordinates must"),
+        (lambda d: d["clock"].update(segment_minutes=10 ** 400),
+         "segment_minutes"),
+    ])
+    def test_int_past_a_float_exit_1(self, edit, message, tmp_path, capsys):
+        # an integer too large to convert to a float is no finite number
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "bike5.json").read_text())
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "greedy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["clock"].update(episode_length=MAX_EPISODE_LENGTH + 1),
+         f"episode_length {MAX_EPISODE_LENGTH + 1} must be an integer in "
+         f"1..{MAX_EPISODE_LENGTH}"),
+        (lambda d: d["clock"].update(episode_length=10 ** 12),
+         f"1..{MAX_EPISODE_LENGTH}"),
+        (lambda d: d["joint"].update(k=MAX_JOINT_K + 1),
+         f"joint k {MAX_JOINT_K + 1} must be an integer in 1..{MAX_JOINT_K}"),
+        (lambda d: d["joint"].update(k=10 ** 10), f"1..{MAX_JOINT_K}"),
+    ])
+    def test_size_past_its_cap_exit_1(self, edit, message, tmp_path, capsys):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        for command in (["simulate", "--policy", "greedy"],
+                        ["forecast", "--epochs", "1"]):
+            assert cli([*command, "--scenario", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+    def test_joint_k_at_its_cap_runs(self, tmp_path, capsys):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        doc["joint"]["k"] = MAX_JOINT_K
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
         assert cli(["simulate", "--scenario", str(path),
                     "--policy", "greedy"]) == 0
         assert capsys.readouterr().out.startswith("served=")

@@ -232,7 +232,9 @@ def reference_mlp_grads(p, x, dout):
     for s in range(x.shape[0]):
         post = [x[s]]
         for W, b, act in zip(p.weights, p.biases, p.activations):
-            post.append(nn._ACTIVATIONS[act][0](post[-1] @ W + b))
+            z = post[-1] @ W + b
+            post.append({"identity": z, "relu": np.maximum(z, 0.0),
+                         "tanh": np.tanh(z)}[act])
         d = dout[s]
         for layer in range(len(p.weights) - 1, -1, -1):
             act, out = p.activations[layer], post[layer + 1]
@@ -395,6 +397,41 @@ class TestLstmReuse:
             "f2fd882058d5b259e21448b8561c5be8354d9cf747e90981d1223d7000d12e27")
 
 
+class TestKeptWorkspaces:
+    """A tape keeps its start mask, its per-step views and its working
+    arrays from one call to the next. Whatever the calls before it did,
+    each pass on it must give a fresh tape's bits."""
+
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 4),
+           st.integers(1, 6), st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_reused_tape_matches_a_fresh_one(self, n_steps, batch, n_in,
+                                             hidden, dtype, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.LstmNet.init(n_in, hidden, [3, 2], ["relu", "tanh"], rng,
+                              dtype=dtype)
+        fresh = net.copy()
+        # one start, another that masks a step of every sample, then none
+        starts = [rng.integers(0, n_steps + 1, size=batch),
+                  rng.integers(1, n_steps + 1, size=batch), None]
+        tapes = None
+        for start in starts:
+            xs = rng.normal(size=(n_steps, batch, n_in))
+            dout = rng.normal(size=(batch, 2))
+            runs = []
+            for model, reuse in ((net, tapes), (fresh, None)):
+                out, used = model.forward(xs, start=start, reuse=reuse)
+                grads = model.backward(used, dout)
+                runs.append([used[0].h[1:].tobytes(),
+                             *(a.tobytes() for a in used[1]),
+                             *(g.tobytes() for g in grads)])
+                if model is net:
+                    assert reuse is None or used[0] is reuse[0]
+                    tapes = used
+            assert runs[0] == runs[1]
+
+
 def _pass_bytes(p, xs, dh, start, reuse):
     """hs and the four gradient arrays of one pass, as bytes."""
     hs, tape = nn.lstm_forward(p, xs, start=start, reuse=reuse)
@@ -490,15 +527,14 @@ class TestDtype:
             out, tapes = net.forward(xs, start=start, reuse=tapes)
             net.backward(tapes, rng.normal(size=out.shape))
             nn.optimizer_step(net.params, net.grads, 0.1, 1.0)
-        lstm_tape, (pre, post) = tapes
+        lstm_tape, head_tape = tapes
         arrays = {"out": out, "params": net.params.vector,
                   "grads": net.grads.vector}
-        for name in ("xs", "gates", "c", "h", "tanh_c", "live"):
+        for name in ("xs", "gates", "c", "h", "tanh_c", "mask", "live"):
             arrays[name] = getattr(lstm_tape, name)
         arrays.update(("scratch " + k, v)
                       for k, v in lstm_tape.scratch.items())
-        arrays.update((f"head pre {k}", v) for k, v in enumerate(pre))
-        arrays.update((f"head post {k}", v) for k, v in enumerate(post))
+        arrays.update((f"head layer {k}", v) for k, v in enumerate(head_tape))
         assert "dW_x" in lstm_tape.scratch and "dh_out" in lstm_tape.scratch
         assert {k: v.dtype for k, v in arrays.items()} == {
             k: np.dtype(np.float32) for k in arrays}
@@ -595,6 +631,21 @@ class TestOptimizer:
         params = flat([0.0])
         nn.optimizer_step(params, flat([0.5]), 1.0, 10.0)
         np.testing.assert_allclose(params.arrays[0], [-0.5])
+
+    @given(st.lists(st.lists(st.integers(1, 40), max_size=3).map(tuple),
+                    min_size=1, max_size=6),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_global_norm_sums_array_by_array(self, shapes, dtype, seed):
+        # the flat vector squared once and summed slice by slice gives the
+        # bits of each array's own sum of squares
+        rng = np.random.default_rng(seed)
+        grads = nn.FlatParams.pack(
+            [(rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape))
+             .astype(dtype) for shape in shapes])
+        want = float(np.sqrt(sum(float((g * g).sum())
+                                 for g in grads.arrays)))
+        assert nn.global_norm(grads).hex() == want.hex()
 
     def test_quadratic_converges(self):
         p = flat([5.0])

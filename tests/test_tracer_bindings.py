@@ -73,3 +73,35 @@ def test_tracer_counts_a_bike_and_a_bus_episode():
     assert metrics["world.step_bus_world.calls"] == bus_T
     assert metrics["demand.sample_segment.calls"] == T + bus_T
     assert metrics["world.bus_move_requests"] > 0
+
+
+def test_short_training_calls_every_nn_and_ddpg_binding():
+    """perfbench reports calls and self time for each function its tracer
+    lists. A listed `nn` or `ddpg` function that training no longer calls,
+    because it was inlined into its caller say, would read 0 there and
+    hide its time in the caller's. A short `ddpg.train` on fig1a, under the
+    tracer, must call each of them at least once. This reads perfbench,
+    never edits it."""
+    import urbansched
+    from urbansched import ddpg, envs
+    from urbansched.cli import resolve_scenario
+
+    tracer_module = _load("perfbench_tracer", TRACER)
+    scenario = resolve_scenario("fig1a")
+    # the first episode fills the buffer; each later one acts through the
+    # actor and then trains on one sampled batch
+    config = ddpg.desk_config(seed=0, episodes=3, warmup_episodes=1,
+                              batch_size=2, train_steps_per_episode=1,
+                              exploration_eps=0.0, lstm_hidden=4,
+                              actor_hidden=4, critic_hidden=4)
+    tracer = tracer_module.Tracer(urbansched, "test")
+    tracer.install()
+    try:
+        ddpg.train(lambda: envs.BikeEnv(scenario=scenario, seed=0), config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    names = [name for name, _ in tracer_module.TRACED
+             if name.startswith(("nn.", "ddpg."))]
+    assert "nn.global_norm" in names and "ddpg.train_step" in names
+    assert [name for name in names if metrics[f"{name}.calls"] == 0] == []
