@@ -361,22 +361,26 @@ def decode_action(scores: np.ndarray, kind: str, capacity: int = 0):
     Bike: argmax over the first n scores picks the station; the trailing
     scalar scales by vehicle capacity and rounds to a signed bike count
     (feasibility clipping happens in the world).
+
+    scores is a 1-D array. It is decoded as Python floats: each step is
+    the double operation numpy would make on the same values, and an
+    argmax is the first maximum, as numpy's, without numpy's per-call
+    cost on a handful of values.
     """
-    scores = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
+    values = scores.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("action scores must be finite")
     if kind == "bus":
-        order = [OP_BACKWARD, OP_HALT, OP_FORWARD]
-        best = float(scores.max())
-        if scores[1] == best:  # ties break toward halting
+        best = max(values)
+        if values[1] == best:  # ties break toward halting
             return OP_HALT
-        return order[int(scores.argmax())]
+        return (OP_BACKWARD, OP_HALT, OP_FORWARD)[values.index(best)]
     if kind == "vehicle":
-        station = int(scores[:-1].argmax())
-        raw = float(np.clip(scores[-1], -1.0, 1.0)) * capacity
-        quantity = int(np.floor(abs(raw) + 0.5)) * (1 if raw >= 0 else -1)
-        quantity = int(np.clip(quantity, -capacity, capacity))
-        return station, quantity
+        stations = values[:-1]
+        station = stations.index(max(stations))
+        raw = min(max(values[-1], -1.0), 1.0) * capacity
+        quantity = math.floor(abs(raw) + 0.5) * (1 if raw >= 0 else -1)
+        return station, max(-capacity, min(quantity, capacity))
     raise ValueError(f"unknown agent kind {kind!r}")
 
 

@@ -27,6 +27,16 @@ def small_actor(obs_dim=5, action_dim=4, seed=0):
                            np.random.default_rng(seed))
 
 
+def float64_actor(obs_dim=5, action_dim=4, seed=0):
+    """small_actor's layout in float64. Two forwards that round apart,
+    such as a batched and a single one on another BLAS kernel, then agree
+    far inside atol=1e-12, where float32 scores would differ by ulps of
+    1e-7."""
+    return ActorNet.init(obs_dim, SMALL.lstm_hidden,
+                         [SMALL.actor_hidden, action_dim],
+                         ddpg.HEAD_ACTIVATIONS, np.random.default_rng(seed))
+
+
 class TestAct:
     def test_zero_parameters_zero_scores(self):
         actor = ActorNet(lstm=nn.LstmParams.zeros(5, 6),
@@ -43,7 +53,7 @@ class TestAct:
         np.testing.assert_array_equal(act(actor, window), act(actor, window))
 
     def test_padding_equivalence(self):
-        actor = small_actor()
+        actor = float64_actor()
         obs = np.random.default_rng(2).normal(size=5)
         short = obs[None, :]
         padded = np.vstack([np.zeros((3, 5)), short])
@@ -51,7 +61,7 @@ class TestAct:
                                    atol=1e-12)
 
     def test_batched_forward_matches_single(self):
-        actor = small_actor()
+        actor = float64_actor()
         rng = np.random.default_rng(3)
         windows = rng.normal(size=(6, 3, 5))
         windows[0, :2] = 0.0  # padded samples mixed into the batch
@@ -108,8 +118,7 @@ class TestAct:
     def test_actor_gradients_pass_grad_check(self):
         # a float64 actor of small_actor's layout: the finite differences
         # need float64's precision, which the learner's float32 has not
-        actor = ActorNet.init(3, SMALL.lstm_hidden, [SMALL.actor_hidden, 2],
-                              ddpg.HEAD_ACTIVATIONS, np.random.default_rng(0))
+        actor = float64_actor(obs_dim=3, action_dim=2)
         assert actor.params.vector.dtype == np.float64
         rng = np.random.default_rng(4)
         windows = rng.normal(size=(4, 3, 3))
@@ -206,6 +215,84 @@ class TestDecodeAction:
         while not done:
             _, _, done, _ = env.step(
                 decode_action(rng.uniform(-1, 1, size=3), "bus"))
+
+
+def reference_decode_action(scores, kind, capacity=0):
+    """decode_action as numpy calls: the reference for its Python-float
+    body."""
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("action scores must be finite")
+    if kind == "bus":
+        order = [W.OP_BACKWARD, W.OP_HALT, W.OP_FORWARD]
+        best = float(scores.max())
+        if scores[1] == best:  # ties break toward halting
+            return W.OP_HALT
+        return order[int(scores.argmax())]
+    if kind == "vehicle":
+        station = int(scores[:-1].argmax())
+        raw = float(np.clip(scores[-1], -1.0, 1.0)) * capacity
+        quantity = int(np.floor(abs(raw) + 0.5)) * (1 if raw >= 0 else -1)
+        quantity = int(np.clip(quantity, -capacity, capacity))
+        return station, quantity
+    raise ValueError(f"unknown agent kind {kind!r}")
+
+
+# Score values at the edges of the decoding, and their negatives: zero,
+# the clip bound and its neighbours, values past it, the smallest
+# subnormal and normal numbers of both dtypes, float32's largest, and
+# float64's magnitudes far past the clip.
+_EDGES = [0.0, 1.0, 1.0 + 2.0 ** -23, 1.0 - 2.0 ** -24, 0.5, 2.0,
+          2.0 ** -1074, 2.0 ** -1022, 2.0 ** -149, 2.0 ** -126,
+          float(np.finfo(np.float32).max), 1e300,
+          float(np.finfo(np.float64).max)]
+EDGE_SCORES = {dtype: [v for e in _EDGES for v in (e, -e)
+                       if e <= float(np.finfo(dtype).max)
+                       and float(dtype(v)) == v]
+               for dtype in (np.float64, np.float32)}
+
+
+@st.composite
+def score_vectors(draw, kind):
+    """A float64 or float32 score vector for an agent kind: 3 scores for a
+    bus, 2 or more for a vehicle (one station at least, and the quantity).
+    Its entries come from a pool of 1 to 4 values, so that exact ties are
+    common."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    width = 64 if dtype is np.float64 else 32
+    value = st.one_of(st.sampled_from(EDGE_SCORES[dtype]),
+                      st.floats(allow_nan=False, allow_infinity=False,
+                                width=width),
+                      st.floats(-1.5, 1.5, width=width))
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    size = 3 if kind == "bus" else draw(st.integers(2, 8))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                  max_size=size)), dtype=dtype)
+
+
+class TestDecodeActionReference:
+    @given(st.data(), st.sampled_from(["bus", "vehicle"]),
+           st.one_of(st.integers(0, 40), st.integers(0, 10 ** 20)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, data, kind, capacity):
+        scores = data.draw(score_vectors(kind))
+        expected = reference_decode_action(scores, kind, capacity)
+        got = decode_action(scores, kind, capacity)
+        assert got == expected
+        if kind == "bus":
+            got, expected = (got,), (expected,)
+        assert all(type(v) is int for v in got + expected)
+
+    @given(st.data(), st.sampled_from(["bus", "vehicle"]),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_nonfinite_raises_in_both(self, data, kind, bad):
+        scores = data.draw(score_vectors(kind))
+        scores[data.draw(st.integers(0, scores.size - 1))] = bad
+        for decode in (decode_action, reference_decode_action):
+            with pytest.raises(ValueError,
+                               match="action scores must be finite"):
+                decode(scores, kind, 10)
 
 
 class ListReplay:

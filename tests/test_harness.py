@@ -805,6 +805,55 @@ class TestCli:
                     "--policy", "greedy"]) == 0
         assert capsys.readouterr().out.startswith("served=")
 
+    @staticmethod
+    def bike5_path(tmp_path, edit):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "bike5.json").read_text())
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_greedy_fills_stations_in_rank_order(self, tmp_path, capsys):
+        # 44 bikes: S1, the busiest station, docks 30 of them and S2, the
+        # next, the other 14
+        path = self.bike5_path(tmp_path, lambda d: d["vehicles"][0].update(
+            capacity=40, initial_load=40))
+        greedy = harness.greedy_placement(ScenarioSpec.from_dict(
+            json.loads(path.read_text())))
+        assert [s["initial_bikes"] for s in greedy.stations] == [30, 14, 0,
+                                                                 0, 0]
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "greedy"]) == 0
+        assert (capsys.readouterr().out
+                == "served=31 lost=2 mean_return=31.000\n")
+
+    def test_greedy_past_all_docks_exit_1(self, tmp_path, capsys):
+        path = self.bike5_path(tmp_path, lambda d: d["vehicles"][0].update(
+            capacity=200, initial_load=200))
+        out = tmp_path / "report.csv"
+        assert cli(["simulate", "--scenario", str(path), "--policy",
+                    "greedy", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("204 dispatchable bikes exceed the 150 docks of all stations"
+                in captured.err)
+        assert not out.exists()
+
+    def test_oracle_past_its_step_bound_exit_1(self, tmp_path, capsys,
+                                               monkeypatch):
+        # 20,475 placements each replaying 10**6 segments; refused before
+        # an env of that episode is built
+        path = self.bike5_path(tmp_path, lambda d: d["clock"].update(
+            episode_length=10 ** 6))
+        monkeypatch.setattr(harness, "BikeEnv", None)
+        assert cli(["oracle", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"20475 placements x 1000000 segments = 20475000000 segment "
+                f"steps exceed the bound {harness.ORACLE_STEP_BOUND}"
+                in captured.err)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["stations"][0].update(x=10 ** 400), "coordinates must"),
         (lambda d: d["clock"].update(segment_minutes=10 ** 400),

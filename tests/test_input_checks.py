@@ -9,13 +9,15 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "urbansched"
 
 # Where a scenario enters the program, as module.qualified name patterns:
 # the loader and its helpers, the reposition request, a profile built
-# directly, and the two commands that need more of a scenario than the
-# loader asks. Behind them every scenario fact is settled, so a failure
-# there is a fault of the program (exit 2), never bad input (exit 1).
+# directly, and the three places that need more of a scenario than the
+# loader asks: the oracle, greedy placement (every bike docked) and the
+# forecast's history. Behind them every scenario fact is settled, so a
+# failure there is a fault of the program (exit 2), never bad input
+# (exit 1).
 SCENARIO_CHECKS = ["world.ScenarioSpec.*", "world._check_*",
                    "world.apply_reposition",
                    "demand.DemandProfile.__post_init__",
-                   "harness.run_exhaustive_bike",
+                   "harness.run_exhaustive_bike", "harness.greedy_placement",
                    "cli._history_from_scenario"]
 
 # Where every other input enters: a DDPG config, a checkpoint and the
