@@ -126,12 +126,14 @@ def bike_observe(world: W.WorldState, forecast: np.ndarray, vehicle_id: int,
     matrix into [row sums | column sums], which are c1 and c2. The layout
     keeps g as the state's third part; dropping the copy changes every
     observation.
+
+    b2 is one float64 subtraction of b1 from the world's `dock_vector`,
+    exact because the validator caps docks at `world.MAX_CAPACITY`.
     """
-    avail = world.available
+    bikes = np.array(world.available, dtype=float)
     return _observation(
-        world, (avail, [d - a for d, a in zip(world.docks, avail)]),
-        forecast, 2, world.vehicles, vehicle_id, max(len(avail), 1),
-        other_system)
+        world, (bikes, world.dock_vector - bikes), forecast, 2,
+        world.vehicles, vehicle_id, max(bikes.size, 1), other_system)
 
 
 def joint_features(world: W.WorldState, for_agent: str, k: int,

@@ -70,6 +70,16 @@ def _dispatchable_bikes(scenario: W.ScenarioSpec) -> int:
             + sum(scenario.initial_bikes))
 
 
+def _placeable_bikes(scenario: W.ScenarioSpec, what: str) -> int:
+    """The dispatchable bikes, which a placement docks at the stations;
+    more than all docks together raise ScenarioError, naming `what`."""
+    bikes, docks = _dispatchable_bikes(scenario), sum(scenario.docks)
+    if bikes > docks:
+        raise W.ScenarioError(f"{what}: {bikes} dispatchable bikes exceed "
+                              f"the {docks} docks of all stations")
+    return bikes
+
+
 def _with_placement(scenario: W.ScenarioSpec,
                     placement: dict[str, int]) -> W.ScenarioSpec:
     """Scenario copy with all dispatchable bikes pre-placed at stations."""
@@ -90,10 +100,7 @@ def greedy_placement(scenario: W.ScenarioSpec) -> W.ScenarioSpec:
     first, ties to the lowest id, and each in turn takes as many of the
     bikes left as it docks. Bikes beyond all docks together raise
     ScenarioError."""
-    left, docks = _dispatchable_bikes(scenario), sum(scenario.docks)
-    if left > docks:
-        raise W.ScenarioError(f"greedy placement: {left} dispatchable bikes "
-                              f"exceed the {docks} docks of all stations")
+    left = _placeable_bikes(scenario, "greedy placement")
     departures = first_segment_departures(scenario)
     ids = scenario.station_ids()
     placement = {}
@@ -129,13 +136,14 @@ def run_exhaustive_bike(scenario: W.ScenarioSpec, seed: int = 0):
     """Enumerate every initial placement of the dispatchable bikes and
     return (best placement dict, best served). Independent oracle for the
     long-term planning claim; refuses instances beyond PLACEMENT_BOUND
-    placements or ORACLE_STEP_BOUND segment steps, before any work. No
-    placement changes the episode's demand, so it is realised once and
-    each placement replays it, as `NoReposition` would play it."""
+    placements or ORACLE_STEP_BOUND segment steps, and more dispatchable
+    bikes than all docks, before any work. No placement changes the
+    episode's demand, so it is realised once and each placement replays
+    it, as `NoReposition` would play it."""
     ids = scenario.station_ids()
     if not ids:
         raise W.ScenarioError("oracle needs at least one station")
-    total = _dispatchable_bikes(scenario)
+    total = _placeable_bikes(scenario, "oracle")
     count = placement_count(total, len(ids))
     if count > PLACEMENT_BOUND:
         raise OracleTooLarge(

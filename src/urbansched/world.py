@@ -82,6 +82,10 @@ class WorldState:
     bus passengers' destinations are integer indices in scenario order,
     and bike trips name stations by index; bus arrivals keep stop ids.
 
+    `dock_vector` is the scenario's read-only float64 copy of `docks`,
+    shared by every world of the scenario, from which the bike
+    observation subtracts the docked bikes.
+
     `queues` lists the same deques as the stops' `queue_fwd` and
     `queue_bwd`: with n stops, stop i's forward queue sits at slot i and
     its backward queue at n + i. `slots` is the scenario's `queue_slots`.
@@ -92,6 +96,7 @@ class WorldState:
     # per-station lists in scenario order: bikes docked, dock count
     available: list[int]
     docks: list[int]
+    dock_vector: np.ndarray
     bus_stops: list[BusStop]
     vehicles: list[AgentState]
     buses: list[AgentState]
@@ -122,6 +127,17 @@ MAX_RATE = 10 ** 4
 # columns per station or stop, which the cap holds to 16 MB per station
 # or stop. The world fuzz of acceptance 8 runs clocks this long.
 MAX_EPISODE_LENGTH = 10 ** 6
+
+# The largest dock count, vehicle capacity or bus capacity: observations
+# carry docked bikes, free docks, loads and free seats as float64, which
+# holds every integer up to 2**53 exactly, so the bike observation's free
+# docks, one float64 subtraction, equal the integer counts.
+MAX_CAPACITY = 2 ** 53
+
+# The most buses a route may run: the world steps each bus every segment,
+# and a bus observation holds a block of (stops + 3) floats per bus, so
+# the cap keeps one observation of a 100-stop route under 9 MB.
+MAX_BUS_COUNT = 10 ** 4
 
 # The largest joint k: the widest row of the cross-system observation O,
 # a bus stop's (its last bus each way and its two queue lengths), has 4
@@ -212,12 +228,15 @@ class ScenarioSpec:
             if not (_is_number(st["x"]) and _is_number(st["y"])):
                 raise ScenarioError(f"station {st['id']}: coordinates must "
                                     f"be finite numbers")
-            _check_count(f"station {st['id']}: docks", st["docks"], 0)
+            _check_count(f"station {st['id']}: docks", st["docks"], 0,
+                         MAX_CAPACITY)
             bikes = st.get("initial_bikes", 0)
             _check_count(f"station {st['id']}: initial_bikes", bikes, 0,
                          st["docks"])
             self.initial_bikes.append(bikes)
         self.docks = [st["docks"] for st in self.stations]
+        self.dock_vector = np.array(self.docks, dtype=float)
+        self.dock_vector.flags.writeable = False
         self.coords = [(st["x"], st["y"]) for st in self.stations]
         self.stop_indices: dict[str, int] = {}
         self.stop_routes: list[int] = []
@@ -234,13 +253,13 @@ class ScenarioSpec:
                 self.stop_indices[sid] = len(self.stop_indices)
                 self.stop_routes.append(i)
             capacity, count = r.get("capacity", 30), r.get("bus_count", 1)
-            _check_count("route bus capacity", capacity, 1)
-            _check_count("route bus_count", count, 0)
+            _check_count("route bus capacity", capacity, 1, MAX_CAPACITY)
+            _check_count("route bus_count", count, 0, MAX_BUS_COUNT)
             self.bus_fleet += [(first, capacity)] * count
         self.vehicle_fleet: list[tuple[int, int, int]] = []
         for v in self.vehicles:
             capacity, load = v.get("capacity"), v.get("initial_load", 0)
-            _check_count("vehicle capacity", capacity, 1)
+            _check_count("vehicle capacity", capacity, 1, MAX_CAPACITY)
             _check_count("vehicle initial_load", load, 0, capacity)
             start = v.get("start")
             if start is None and not self.stations:
@@ -450,6 +469,7 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
                            scenario.segment_minutes),
         available=list(scenario.initial_bikes),
         docks=list(scenario.docks),
+        dock_vector=scenario.dock_vector,
         bus_stops=stops,
         vehicles=[AgentState(at, load, 0, capacity)
                   for at, load, capacity in scenario.vehicle_fleet],
@@ -478,19 +498,20 @@ def step_bike_world(world: WorldState,
     """
     avail = world.available
     docks = world.docks
-    # free docks less the docks reserved by this segment's arrivals, so a
-    # station ends the segment holding docks - room bikes
-    room = [d - a for d, a in zip(docks, avail)]
+    # docks reserved by this segment's arrivals, per destination they
+    # touch; a station's free docks are docks - available - reserved
+    reserved: dict[int, int] = {}
     served = 0
     lost = 0
     for o, d, count in realized_trips:
-        take = min(count, avail[o], max(room[d], 0))
+        held = reserved.get(d, 0)
+        take = min(count, avail[o], docks[d] - avail[d] - held)
         avail[o] -= take
-        room[o] += take
-        room[d] -= take
+        reserved[d] = held + take
         served += take
         lost += count - take
-    avail[:] = [d - r for d, r in zip(docks, room)]
+    for d, held in reserved.items():
+        avail[d] += held
     world.clock.advance()
     return world, served, lost
 

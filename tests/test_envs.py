@@ -149,6 +149,68 @@ class TestObservations:
         ]
 
 
+def list_built_bike_observe(world, forecast, vehicle_id, other_system):
+    """bike_observe as it wrote b2, a list of each station's docks less
+    its bikes, kept as a transcription."""
+    avail = world.available
+    return envs._observation(
+        world, (avail, [d - a for d, a in zip(world.docks, avail)]),
+        forecast, 2, world.vehicles, vehicle_id, max(len(avail), 1),
+        other_system)
+
+
+@st.composite
+def observed_bike_worlds(draw):
+    """(world, forecast, vehicle id, O): 0-5 stations with docks and
+    bikes up to world.MAX_CAPACITY, 0-3 vehicles (none without a
+    station) with loads, capacities and operations up to the cap, and O
+    from the joint features or absent."""
+    cap = W.MAX_CAPACITY
+    size = st.one_of(st.integers(1, 40), st.integers(cap - 3, cap))
+    n = draw(st.integers(0, 5))
+    stations = []
+    for i in range(n):
+        docks = draw(st.just(0) | size)
+        bikes = draw(st.sampled_from([0, docks]) | st.integers(0, docks))
+        stations.append({"id": f"B{i}", "x": float(i), "y": 0.0,
+                         "docks": docks, "initial_bikes": bikes})
+    vehicles = []
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        capacity = draw(size)
+        vehicles.append({
+            "capacity": capacity, "start": f"B{draw(st.integers(0, n - 1))}",
+            "initial_load": draw(st.sampled_from([0, capacity])
+                                 | st.integers(0, capacity))})
+    routes = ([{"stops": ["S1", "S2", "S3"]}]
+              if n < 2 or draw(st.booleans()) else [])
+    world = build_world(ScenarioSpec.from_dict({
+        "stations": stations, "vehicles": vehicles, "routes": routes,
+        "environment": draw(st.lists(st.floats(-10.0, 10.0), max_size=2))}))
+    for v in world.vehicles:
+        v.operation = draw(st.integers(-v.occupied, v.remaining))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    forecast = rng.normal(size=(HORIZON, 2 * max(n, 1)))
+    O = (joint_features(world, "vehicle", draw(st.integers(1, W.MAX_JOINT_K)),
+                        outage=draw(st.booleans()))
+         if draw(st.booleans()) else None)
+    me = draw(st.integers(0, len(vehicles) - 1)) if vehicles else 0
+    return world, forecast, me, O
+
+
+class TestBikeObservationReference:
+    @settings(max_examples=200, deadline=None)
+    @given(observed_bike_worlds())
+    def test_matches_list_built_observation(self, drawn):
+        """b2 as a float64 subtraction from the dock vector writes the
+        same bytes as the list of integer differences it replaced, at
+        and below the dock cap, with and without stations, vehicles and
+        O."""
+        got = bike_observe(*drawn)
+        want = list_built_bike_observe(*drawn)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDemandChannel:
     def test_horizon_matches_row_loop(self):
         T = 4

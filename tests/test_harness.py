@@ -12,7 +12,8 @@ from urbansched import envs, harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.ddpg import ActorNet, DdpgConfig, Policy
 from urbansched.envs import BikeEnv, BusEnv
-from urbansched.world import (MAX_EPISODE_LENGTH, MAX_JOINT_K, MAX_RATE,
+from urbansched.world import (MAX_BUS_COUNT, MAX_CAPACITY,
+                              MAX_EPISODE_LENGTH, MAX_JOINT_K, MAX_RATE,
                               ScenarioError, ScenarioSpec)
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
@@ -904,6 +905,71 @@ class TestCli:
         assert cli(["simulate", "--scenario", str(path),
                     "--policy", "greedy"]) == 0
         assert capsys.readouterr().out.startswith("served=")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["stations"][0].update(docks=MAX_CAPACITY + 1),
+         f"station B1: docks {MAX_CAPACITY + 1} must be an integer in "
+         f"0..{MAX_CAPACITY}"),
+        (lambda d: d["stations"][0].update(docks=10 ** 20),
+         f"0..{MAX_CAPACITY}"),
+        (lambda d: d["vehicles"][0].update(capacity=MAX_CAPACITY + 1),
+         f"vehicle capacity {MAX_CAPACITY + 1} must be an integer in "
+         f"1..{MAX_CAPACITY}"),
+        (lambda d: d["vehicles"][0].update(capacity=10 ** 20),
+         f"1..{MAX_CAPACITY}"),
+        (lambda d: d["routes"][0].update(capacity=MAX_CAPACITY + 1),
+         f"route bus capacity {MAX_CAPACITY + 1} must be an integer in "
+         f"1..{MAX_CAPACITY}"),
+        (lambda d: d["routes"][0].update(bus_count=MAX_BUS_COUNT + 1),
+         f"route bus_count {MAX_BUS_COUNT + 1} must be an integer in "
+         f"0..{MAX_BUS_COUNT}"),
+        (lambda d: d["routes"][0].update(bus_count=10 ** 12),
+         f"0..{MAX_BUS_COUNT}"),
+    ])
+    def test_count_past_its_cap_exit_1(self, edit, message, tmp_path,
+                                       capsys):
+        # docks or a vehicle capacity of 10**20 ran, and a bus_count of
+        # 10**12 failed to allocate its fleet (exit 2)
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_counts_at_their_caps_run(self, tmp_path, capsys):
+        doc = json.loads((resources.files("urbansched.scenarios")
+                          / "outage.json").read_text())
+        doc["stations"][0]["docks"] = MAX_CAPACITY
+        doc["stations"][0]["initial_bikes"] = MAX_CAPACITY
+        doc["vehicles"][0]["capacity"] = MAX_CAPACITY
+        doc["routes"][0].update(capacity=MAX_CAPACITY,
+                                bus_count=MAX_BUS_COUNT)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 0
+        assert capsys.readouterr().out.startswith("served=")
+
+    def test_oracle_past_all_docks_exit_1(self, tmp_path, capsys):
+        # every placement of 10 bikes overfills the 4 docks, so the oracle
+        # printed best_served=-1 placement=- and exited 0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "clock": {"episode_length": 2},
+            "stations": [{"id": "A", "x": 0, "y": 0, "docks": 2},
+                         {"id": "B", "x": 1, "y": 0, "docks": 2}],
+            "vehicles": [{"capacity": 10, "initial_load": 10}]}))
+        for command in (["oracle"], ["simulate", "--policy", "greedy"]):
+            assert cli([*command, "--scenario", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("10 dispatchable bikes exceed the 4 docks of all "
+                    "stations" in captured.err)
 
     def test_stop_on_two_routes_exit_1(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

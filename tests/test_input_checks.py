@@ -1,23 +1,26 @@
 import ast
 import importlib
+import re
 from fnmatch import fnmatch
 from pathlib import Path
 
+from urbansched import world
 from urbansched.world import InputError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "urbansched"
+README = PACKAGE.parents[1] / "README.md"
 
 # Where a scenario enters the program, as module.qualified name patterns:
 # the loader and its helpers, the reposition request, a profile built
 # directly, and the three places that need more of a scenario than the
-# loader asks: the oracle, greedy placement (every bike docked) and the
-# forecast's history. Behind them every scenario fact is settled, so a
-# failure there is a fault of the program (exit 2), never bad input
-# (exit 1).
+# loader asks: the oracle, placement (every bike docked, which the oracle
+# and greedy placement share) and the forecast's history. Behind them
+# every scenario fact is settled, so a failure there is a fault of the
+# program (exit 2), never bad input (exit 1).
 SCENARIO_CHECKS = ["world.ScenarioSpec.*", "world._check_*",
                    "world.apply_reposition",
                    "demand.DemandProfile.__post_init__",
-                   "harness.run_exhaustive_bike", "harness.greedy_placement",
+                   "harness.run_exhaustive_bike", "harness._placeable_bikes",
                    "cli._history_from_scenario"]
 
 # Where every other input enters: a DDPG config, a checkpoint and the
@@ -132,3 +135,37 @@ def test_scenario_keys_are_read_in_world_alone():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert reads.pop("world")
     assert {stem: gets for stem, gets in reads.items() if gets} == {}
+
+
+def readme_section(title: str) -> str:
+    """README.md's `## title` section, up to the next `## ` heading."""
+    text = README.read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def stated_caps(text: str) -> dict[str, set[int]]:
+    """Each `world.MAX_*` name in text that a parenthesised value follows,
+    written as an integer or a power such as 10**4, with the values
+    stated for it."""
+    caps: dict[str, set[int]] = {}
+    for name, base, power in re.findall(
+            r"`world\.(MAX_\w+)` \((\d+)(?:\*\*(\d+))?", text):
+        caps.setdefault(name, set()).add(int(base) ** int(power or 1))
+    return caps
+
+
+def test_every_world_cap_is_listed_with_its_value():
+    """Every world.MAX_* constant appears in README's Scenario JSON
+    section with its value, and with no other value."""
+    assert stated_caps("`world.MAX_A` (10**4; `world.MAX_B` (2) and "
+                       "1..`world.MAX_C`.") == {"MAX_A": {10 ** 4},
+                                                "MAX_B": {2}}
+    caps = {name: value for name, value in vars(world).items()
+            if name.startswith("MAX_")}
+    assert {"MAX_RATE", "MAX_EPISODE_LENGTH", "MAX_JOINT_K", "MAX_CAPACITY",
+            "MAX_BUS_COUNT"} <= set(caps)
+    stated = stated_caps(readme_section("Scenario JSON"))
+    assert {name: stated.get(name) for name in caps} == {
+        name: {value} for name, value in caps.items()}

@@ -255,6 +255,118 @@ class TestStepBikeWorld:
         assert world.total_bikes() == before
 
 
+class ReferenceBikeWorld:
+    """A plain transcription of the bike world: the segment step as
+    step_bike_world wrote it when it rebuilt a room list over every
+    station and then every station's available count, and the rules
+    apply_reposition's docstring states. Stations are two lists and a
+    vehicle a [location, occupied, operation, capacity] list, read from
+    the scenario document through `transcribe`."""
+
+    def __init__(self, doc):
+        facts = transcribe(doc)
+        self.available = list(facts["available"])
+        self.docks = list(facts["docks"])
+        self.vehicles = [[at, load, 0, capacity]
+                         for at, load, capacity in facts["vehicles"]]
+        self.now = facts["clock"][0]
+
+    def reposition(self, vehicle, station, quantity):
+        """Move the vehicle, then load or unload, clipped to the bikes
+        docked, the free seats, the bikes carried and the free docks; the
+        realized signed amount is its operation."""
+        v = self.vehicles[vehicle]
+        v[0] = station
+        if quantity > 0:
+            moved = min(quantity, self.available[station], v[3] - v[1])
+            self.available[station] -= moved
+            v[1] += moved
+            v[2] = moved
+        elif quantity < 0:
+            moved = min(-quantity, v[1],
+                        self.docks[station] - self.available[station])
+            self.available[station] += moved
+            v[1] -= moved
+            v[2] = -moved
+        else:
+            v[2] = 0
+
+    def step(self, trips):
+        avail, docks = self.available, self.docks
+        room = [d - a for d, a in zip(docks, avail)]
+        served = lost = 0
+        for o, d, count in trips:
+            take = min(count, avail[o], max(room[d], 0))
+            avail[o] -= take
+            room[o] += take
+            room[d] -= take
+            served += take
+            lost += count - take
+        avail[:] = [d - r for d, r in zip(docks, room)]
+        self.now += 1
+        return served, lost
+
+    def state(self):
+        return {"available": self.available,
+                "vehicles": [tuple(v) for v in self.vehicles],
+                "now": self.now}
+
+
+def bike_state(world):
+    """The bike half of a world as plain values, as the reference keeps
+    it."""
+    return {"available": world.available,
+            "vehicles": [(v.location, v.occupied, v.operation, v.capacity)
+                         for v in world.vehicles],
+            "now": world.clock.current}
+
+
+@st.composite
+def bike_segments(draw, docks: list[int], vehicles: int):
+    """Up to 6 segments for a world of the given docks and vehicle count:
+    each a list of (vehicle, station, quantity) repositions, then a list
+    of (origin, destination, count) trips with repeated destinations."""
+    n = len(docks)
+    most = max(docks, default=0) + 2
+    place = st.integers(0, max(n - 1, 0))
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        moves = draw(st.lists(st.tuples(
+            st.integers(0, vehicles - 1), place, st.integers(-most, most)),
+            max_size=2)) if vehicles else []
+        trips = []
+        if n >= 2:
+            for _ in range(draw(st.integers(0, 8))):
+                o, d = draw(st.permutations(range(n)))[:2]
+                trips.append((o, d, draw(st.integers(0, most))))
+        segments.append((moves, trips))
+    return segments
+
+
+class TestBikeReferenceWorld:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_docs(), st.data())
+    def test_matches_reference_world(self, doc, data):
+        """From a drawn scenario, with each station refilled to a drawn
+        count within its docks, drawn repositions and trips give the
+        same stations, vehicles, operations, clock, served and lost as
+        the reference, after every reposition and every segment."""
+        world = build_world(ScenarioSpec.from_dict(doc))
+        ref = ReferenceBikeWorld(doc)
+        refill = [data.draw(st.integers(0, d)) for d in world.docks]
+        world.available[:] = ref.available[:] = refill
+        segments = data.draw(bike_segments(world.docks, len(world.vehicles)))
+        assert bike_state(world) == ref.state()
+        for moves, trips in segments:
+            for vehicle, station, quantity in moves:
+                apply_reposition(world, vehicle, station, quantity)
+                ref.reposition(vehicle, station, quantity)
+                assert bike_state(world) == ref.state()
+            got = step_bike_world(world, trips)[1:]
+            assert got == ref.step(trips)
+            assert bike_state(world) == ref.state()
+
+
 def full_scan_max_wait(world):
     """Reference for BusEnv._max_wait: the longest wait found by reading
     every queued passenger."""
