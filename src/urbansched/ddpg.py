@@ -46,6 +46,13 @@ _CONFIG_RANGES = {
     "discount": (0.0, 1.0),
 }
 
+# The most cells history_window * batch_size * lstm_hidden, a product the
+# ranges above do not bound: a training actor tape holds 12 DTYPE values
+# per cell (four gates, c, h, tanh(c), the start mask and the four-gate
+# input projection), 96 MiB at this bound, which admits each size at its
+# own bound with the others at their defaults.
+_MAX_TAPE_CELLS = 2 ** 21
+
 
 @dataclass
 class DdpgConfig:
@@ -82,6 +89,12 @@ class DdpgConfig:
                     or f.type == "float" and not math.isfinite(value)):
                 raise InputError(f"DDPG config {f.name} must be a finite "
                                  f"number in [{low}, {high}], not {value!r}")
+        cells = self.history_window * self.batch_size * self.lstm_hidden
+        if cells > _MAX_TAPE_CELLS:
+            raise InputError(f"DDPG config history_window x batch_size x "
+                             f"lstm_hidden = {cells} exceeds "
+                             f"{_MAX_TAPE_CELLS}: the actor's training tape "
+                             f"would hold 12 values per cell")
         if self.batch_size > self.buffer_capacity:
             raise InputError(f"DDPG config batch_size {self.batch_size} "
                              "exceeds buffer_capacity "
@@ -263,6 +276,10 @@ class ReplayBuffer:
         # one of them, so 2 * capacity + W rows suffice. One more row, past
         # the ring, stays zero; padding reads it.
         self._ring = 2 * capacity + history_window
+        # a sampled window's rows as offsets from its observation's row,
+        # -W + 1 .. 1, and as positions in the window, 0 .. W, (W + 1, 1)
+        self._positions = np.arange(history_window + 1)[:, None]
+        self._offsets = self._positions - (history_window - 1)
         self._rng = np.random.default_rng(seed)
         self._size = 0
         self._next = 0  # transition slot the next push fills
@@ -315,18 +332,18 @@ class ReplayBuffer:
             raise ValueError(f"cannot sample {batch_size} of "
                              f"{self._size} transitions")
         idx = self._rng.integers(0, self._size, size=batch_size)
-        W = self.history_window
-        start = np.maximum(W - 1 - self._steps[idx], 0)
+        start = np.maximum(self.history_window - 1 - self._steps[idx], 0)
         # rows r - W + 1 .. r + 1 around each sampled observation r, time
         # major; those before the episode's first read the zero row past
         # the ring. The windows are (B, W, obs) views of the time-major
         # block, which ActorNet.forward reads without a copy.
-        offsets = np.arange(-W + 1, 2)[:, None]
-        rows = (self._rows[idx] + offsets) % self._ring
-        rows[offsets + (W - 1) < start] = self._ring
-        block = self._obs[rows]
+        rows = self._rows[idx] + self._offsets
+        rows %= self._ring
+        rows[self._positions < start] = self._ring
+        block = self._obs.take(rows, axis=0)
         return Batch(windows=block[:-1].transpose(1, 0, 2),
-                     actions=self._actions[idx], rewards=self._rewards[idx],
+                     actions=self._actions.take(idx, axis=0),
+                     rewards=self._rewards[idx],
                      next_windows=block[1:].transpose(1, 0, 2),
                      dones=self._dones[idx], start=start,
                      next_start=np.maximum(start - 1, 0))

@@ -229,7 +229,10 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     - the recurrent term is one batched product of h_t with a gate-major
       (4, H, H) copy of W_h, written straight into the pre-activations,
       to which the step's projection rows and the peephole terms are
-      then added;
+      then added. Step 0 starts from h_0 = c_0 = 0, so its
+      pre-activations are its projection rows and c_1 = i * g: the
+      dropped terms are zeros, which change no bit of a sum with a
+      projection row (no row is -0.0, as no bias is);
     - the elementwise expressions are written in place into buffers
       allocated once per tape.
     """
@@ -282,18 +285,24 @@ def lstm_forward(params: LstmParams, xs: np.ndarray,
     with np.errstate(over="ignore"):
         for t, (a, a_if, i, f, g, o, c_prev, c_next, h_prev, h_next, tanh_c,
                 live_t) in enumerate(tape.steps):
-            np.matmul(h_prev, W_h, out=z)
-            z += proj[:, t * shift:t * shift + batch]
-            np.multiply(peep_if, c_prev, out=tmp2)  # peepholes into i and f
-            z_if += tmp2
+            if t:
+                np.matmul(h_prev, W_h, out=z)
+                z += proj[:, t * shift:t * shift + batch]
+                np.multiply(peep_if, c_prev, out=tmp2)  # peepholes: i and f
+                z_if += tmp2
+            else:  # h_0 = c_0 = 0: the projection's rows alone
+                np.copyto(z, proj[:, :batch])
             np.negative(z_if, out=z_if)
             np.exp(z_if, out=z_if)
             z_if += 1.0
             np.divide(1.0, z_if, out=a_if)
             np.tanh(z_g, out=g)
-            np.multiply(f, c_prev, out=c_next)
-            np.multiply(i, g, out=tmp)
-            c_next += tmp
+            np.multiply(i, g, out=c_next)
+            if t:
+                np.multiply(f, c_prev, out=tmp)
+                c_next += tmp
+            else:  # f * c_0 is +0.0, which turns a product of -0.0 to +0.0
+                c_next += 0.0
             if live is not None:
                 c_next *= live_t  # and so h = o * tanh(0) = 0 as well
             np.multiply(peep_o, c_next, out=tmp)
@@ -327,11 +336,18 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
                   grads: LstmParams | None = None) -> LstmParams:
     """Exact BPTT through the tape.
 
-    dh_out holds dLoss/dh_t per step, shaped like the forward hs output,
-    (N, B, hidden), and is cast to the parameters' dtype. Writes the
-    parameter gradients into grads (fresh arrays of that dtype when None)
-    and returns it; the gradient with respect to the inputs is not
-    computed.
+    dh_out, (K, B, hidden) with 1 <= K <= N, holds dLoss/dh_t for the
+    last K steps, N - K .. N - 1, and is cast to the parameters' dtype;
+    the hidden states before them get no gradient from the loss, only
+    through the recurrence (K = N gives one per step, shaped like the
+    forward's hs). Writes the parameter gradients into grads (fresh
+    arrays of that dtype when None) and returns it; the gradient with
+    respect to the inputs is not computed.
+
+    The last step has no recurrent gradient, and the steps before the
+    last K have no dh_out row, so neither adds a zero. Every gradient
+    accumulates into an array that starts at +0.0, so terms that differ
+    only in the sign of a zero leave the same bits.
 
     The gate gradients are computed gate-major, in contiguous (B, H)
     blocks, with tanh(c_t) read from the tape. They are then copied
@@ -344,6 +360,11 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     dtype = params.W_h.dtype
     dh_out = np.asarray(dh_out, dtype=dtype)
     n_steps, batch, input_size = tape.xs.shape
+    # the step of dh_out's first row
+    first = n_steps - len(dh_out)
+    if not 0 <= first < n_steps:
+        raise ValueError(f"dh_out holds {len(dh_out)} steps of a sequence "
+                         f"of {n_steps}")
     H = params.hidden_size
     if grads is None:
         grads = LstmParams.zeros(input_size, H, dtype)
@@ -353,11 +374,10 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     work = tape.work
     peep = tape.per_sample("peep", params.peep)
     peep_if, peep_o = peep[:2], peep[2]
+    # each written by a step before it is read by the step that precedes it
     dh_rec = work("dh_rec", (batch, H))
-    dh_rec[...] = 0.0
     dc_rec = work("dc_rec", (batch, H))
-    dc_rec[...] = 0.0
-    dh = work("dh", (batch, H))
+    dh_sum = work("dh_sum", (batch, H))
     dc = work("dc", (batch, H))
     tmp2 = work("tmp", (2, batch, H))
     tmp, tmp_f = tmp2
@@ -377,11 +397,18 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
     db = work("db", grads.b.shape)
     dpeep = work("dpeep", grads.peep.shape)
     live, xs, W_h_T = tape.live, tape.xs, params.W_h.T
-    for t in range(n_steps - 1, -1, -1):
+    last = n_steps - 1
+    for t in range(last, -1, -1):
         a, a_if, i, f, g, o, c_prev, c, h_prev, _, tanh_c, live_t = (
             tape.steps[t])
         np.subtract(1, a, out=one_minus)
-        np.add(dh_out[t], dh_rec, out=dh)
+        # dh = dh_out row + dh_rec, each where it exists
+        if t == last:
+            dh = dh_out[-1]
+        elif t >= first:
+            dh = np.add(dh_out[t - first], dh_rec, out=dh_sum)
+        else:
+            dh = dh_rec
         # d_o = dh * tanh_c * o * (1 - o)
         np.multiply(dh, tanh_c, out=d_o)
         d_o *= o
@@ -391,7 +418,8 @@ def lstm_backward(params: LstmParams, tape: LstmTape, dh_out: np.ndarray,
         np.square(tanh_c, out=tmp)
         np.subtract(1, tmp, out=tmp)
         dc *= tmp
-        dc += dc_rec
+        if t != last:
+            dc += dc_rec
         np.multiply(d_o, peep_o, out=tmp)
         dc += tmp
         if live is not None:
@@ -631,13 +659,9 @@ class LstmNet:
         """Writes the parameter gradients into `grads` and returns its
         arrays; dout is the gradient of the forward's out."""
         lstm_tape, head_tape = tapes
-        dh = lstm_tape.scratch.get("dh_out")
-        if dh is None:  # only the last row is written; the others stay 0
-            dh = lstm_tape.work("dh_out", lstm_tape.h[1:].shape)
-            dh[...] = 0.0
-        dh[-1] = mlp_backward(self.head, head_tape, dout,
-                              grads=self._head_grads)
-        lstm_backward(self.lstm, lstm_tape, dh, grads=self._lstm_grads)
+        dh = mlp_backward(self.head, head_tape, dout, grads=self._head_grads)
+        # the head reads the last hidden state alone
+        lstm_backward(self.lstm, lstm_tape, dh[None], grads=self._lstm_grads)
         return self.grads.arrays
 
 

@@ -144,6 +144,12 @@ MAX_BUS_COUNT = 10 ** 4
 # columns, and a larger k only pads every row with zeros.
 MAX_JOINT_K = 4
 
+# The largest station coordinate magnitude: the k-means step of `forecast`
+# squares coordinate differences (up to 2 * 10**150 apart) and sums them,
+# and averages coordinates, and each of these stays finite in float64
+# (about 1.8e308) under this cap, where 1e308 overflowed.
+MAX_COORDINATE = 10 ** 150
+
 
 @dataclass
 class ScenarioSpec:
@@ -225,9 +231,11 @@ class ScenarioSpec:
             if st["id"] in self.station_indices:
                 raise ScenarioError(f"duplicate station id {st['id']!r}")
             self.station_indices[st["id"]] = len(self.station_indices)
-            if not (_is_number(st["x"]) and _is_number(st["y"])):
+            if not all(_is_number(v) and abs(v) <= MAX_COORDINATE
+                       for v in (st["x"], st["y"])):
                 raise ScenarioError(f"station {st['id']}: coordinates must "
-                                    f"be finite numbers")
+                                    f"be finite numbers of magnitude at "
+                                    f"most {MAX_COORDINATE:.0e}")
             _check_count(f"station {st['id']}: docks", st["docks"], 0,
                          MAX_CAPACITY)
             bikes = st.get("initial_bikes", 0)

@@ -9,7 +9,7 @@ this one by name, as pytest puts `tests/` on the import path.
 
 from hypothesis import strategies as st
 
-from urbansched.world import MAX_JOINT_K
+from urbansched.world import MAX_COORDINATE, MAX_JOINT_K
 
 # README.md's "Scenario JSON" defaults, written once for the tests.
 DEFAULTS = {"initial_bikes": 0, "initial_load": 0, "capacity": 30,
@@ -17,8 +17,11 @@ DEFAULTS = {"initial_bikes": 0, "initial_load": 0, "capacity": 30,
             "episode_start": 0, "enabled": False, "k": 2,
             "bus_outage": False}
 
+# small coordinates, and any up to world.MAX_COORDINATE, the cap included
 _coord = st.one_of(st.integers(-50, 50),
-                   st.floats(-100.0, 100.0, allow_nan=False))
+                   st.floats(-100.0, 100.0, allow_nan=False),
+                   st.sampled_from([-MAX_COORDINATE, MAX_COORDINATE]),
+                   st.floats(-float(MAX_COORDINATE), float(MAX_COORDINATE)))
 
 
 def _maybe(draw, doc: dict, key: str, values: st.SearchStrategy):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -838,6 +839,22 @@ class TestConfig:
             DdpgConfig(**{key: high, **room})
             with pytest.raises(InputError, match=key):
                 DdpgConfig(**{key: high + 1, **room})
+
+    def test_tape_cells_bound_the_sizes_together(self):
+        # configs are constructed only: no tape of these sizes is made
+        bound = ddpg._MAX_TAPE_CELLS
+        room = {"buffer_capacity": 10 ** 6}
+        DdpgConfig(history_window=8, batch_size=4096, lstm_hidden=64, **room)
+        assert 8 * 4096 * 64 == bound
+        for sizes in ({"history_window": 9, "batch_size": 4096,
+                       "lstm_hidden": 64},
+                      {"history_window": 256, "batch_size": 4096,
+                       "lstm_hidden": 1024}):
+            cells = math.prod(sizes.values())
+            with pytest.raises(InputError, match=(
+                    f"history_window x batch_size x lstm_hidden = {cells} "
+                    f"exceeds {bound}")):
+                DdpgConfig(**sizes, **room)
 
     def test_batch_within_buffer(self):
         DdpgConfig(batch_size=8, buffer_capacity=8)

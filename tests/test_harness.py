@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from urbansched import envs, harness, nn
 from urbansched.cli import cli, resolve_scenario
 from urbansched.ddpg import ActorNet, DdpgConfig, Policy
 from urbansched.envs import BikeEnv, BusEnv
-from urbansched.world import (MAX_BUS_COUNT, MAX_CAPACITY,
+from urbansched.world import (MAX_BUS_COUNT, MAX_CAPACITY, MAX_COORDINATE,
                               MAX_EPISODE_LENGTH, MAX_JOINT_K, MAX_RATE,
                               ScenarioError, ScenarioSpec)
 
@@ -588,6 +589,22 @@ class TestCli:
         assert next(iter(doc)) in err and "must be a finite number" in err
         assert not (tmp_path / "run").exists()
 
+    def test_train_config_sizes_past_their_joint_bound_exit_1(
+            self, tmp_path, capsys):
+        """Sizes each within its own bound whose actor tape would take
+        16 GiB for its gates alone exit 1 at the config's gate."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "history_window": 256, "batch_size": 4096, "lstm_hidden": 1024,
+            "buffer_capacity": 10 ** 6}))
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("history_window x batch_size x lstm_hidden = 1073741824 "
+                "exceeds 2097152" in captured.err)
+        assert not (tmp_path / "run").exists()
+
     def test_train_batch_past_buffer_exit_1(self, tmp_path, capsys):
         """A batch larger than the buffer would never update: exit 1."""
         cfg_path = tmp_path / "config.json"
@@ -872,6 +889,41 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @staticmethod
+    def spread_stations(value):
+        """An edit placing bike5's stations at alternating corners
+        (value, -value) and (-value, value)."""
+        def edit(doc):
+            for i, station in enumerate(doc["stations"]):
+                station["x"] = value if i % 2 else -value
+                station["y"] = -station["x"]
+        return edit
+
+    @pytest.mark.parametrize("value", [MAX_COORDINATE + 1, 1e151, 1e308])
+    def test_coordinate_past_its_cap_exit_1(self, value, tmp_path, capsys):
+        path = self.bike5_path(tmp_path, self.spread_stations(value))
+        assert cli(["forecast", "--scenario", str(path), "--epochs", "1",
+                    "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("coordinates must be finite numbers of magnitude at most "
+                "1e+150" in captured.err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [MAX_COORDINATE,
+                                       float(MAX_COORDINATE)])
+    def test_coordinate_at_its_cap_forecasts(self, value, tmp_path, capsys):
+        # the k-means step squares differences of 2 * 10**150 and averages
+        # the coordinates, without overflow
+        path = self.bike5_path(tmp_path, self.spread_stations(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["forecast", "--scenario", str(path), "--days", "2",
+                        "--epochs", "1", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("history_segments=")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["clock"].update(episode_length=MAX_EPISODE_LENGTH + 1),

@@ -355,6 +355,186 @@ class TestPinnedLstmBits:
             "8ed46d5feb51b8ffcbf51737a8a9f3c556d476766ec4e7e9502f4629f37eb827")
 
 
+def full_step_lstm_passes(p, xs, start, dh_out):
+    """lstm_forward and lstm_backward as they ran every step in full, kept
+    as a transcription: step 0 multiplied h_0 = c_0 = 0 by W_h, the
+    peepholes and f, and the backward took a dh_out row per step and
+    started from zero recurrent gradients. Contiguous xs only. Returns hs,
+    the tape arrays by name (the mask only with a start) and the four
+    gradients."""
+    dtype = p.W_h.dtype
+    xs = np.ascontiguousarray(xs, dtype=dtype)
+    dh_out = np.asarray(dh_out, dtype=dtype)
+    n_steps, batch, n_in = xs.shape
+    H = p.hidden_size
+    gates = np.empty((n_steps, 4, batch, H), dtype)
+    c = np.empty((n_steps + 1, batch, H), dtype)
+    h = np.empty((n_steps + 1, batch, H), dtype)
+    tanh_cs = np.empty((n_steps, batch, H), dtype)
+    live = None
+    if start is not None:
+        live = np.empty((n_steps, batch, H), dtype)
+        live[...] = (np.arange(n_steps)[:, None] >= start).astype(
+            dtype)[:, :, None]
+    c[0] = 0.0
+    h[0] = 0.0
+    proj = np.empty((4, n_steps * batch, H), dtype)
+    np.matmul(xs.reshape(-1, n_in), nn._gate_major(p.W_x), out=proj)
+    proj += p.b.reshape(4, 1, H)
+    W_h = np.empty((4, H, H), dtype)
+    np.copyto(W_h, nn._gate_major(p.W_h))
+    peep = np.empty((3, batch, H), dtype)
+    peep[...] = p.peep[:, None, :]
+    peep_if, peep_o = peep[:2], peep[2]
+    z = np.empty((4, batch, H), dtype)
+    z_if, z_g, z_o = z[:2], z[2], z[3]
+    tmp2 = np.empty((2, batch, H), dtype)
+    tmp = tmp2[0]
+    with np.errstate(over="ignore"):
+        for t in range(n_steps):
+            a = gates[t]
+            a_if, (i, f, g, o) = a[:2], a
+            c_prev, c_next, tanh_c = c[t], c[t + 1], tanh_cs[t]
+            np.matmul(h[t], W_h, out=z)
+            z += proj[:, t * batch:(t + 1) * batch]
+            np.multiply(peep_if, c_prev, out=tmp2)
+            z_if += tmp2
+            np.negative(z_if, out=z_if)
+            np.exp(z_if, out=z_if)
+            z_if += 1.0
+            np.divide(1.0, z_if, out=a_if)
+            np.tanh(z_g, out=g)
+            np.multiply(f, c_prev, out=c_next)
+            np.multiply(i, g, out=tmp)
+            c_next += tmp
+            if live is not None:
+                c_next *= live[t]
+            np.multiply(peep_o, c_next, out=tmp)
+            z_o += tmp
+            np.negative(z_o, out=z_o)
+            np.exp(z_o, out=z_o)
+            z_o += 1.0
+            np.divide(1.0, z_o, out=o)
+            np.tanh(c_next, out=tanh_c)
+            np.multiply(o, tanh_c, out=h[t + 1])
+    tape = {"gates": gates, "c": c, "h": h, "tanh_c": tanh_cs}
+    if live is not None:
+        tape["mask"] = live
+    grads = nn.LstmParams.zeros(n_in, H, dtype)
+    dh_rec = np.zeros((batch, H), dtype)
+    dc_rec = np.zeros((batch, H), dtype)
+    dh = np.empty((batch, H), dtype)
+    dc = np.empty((batch, H), dtype)
+    tmp_f = tmp2[1]
+    dgates = np.empty((4, batch, H), dtype)
+    d_i, d_f, d_g, d_o = dgates
+    d_if = dgates[:2]
+    d = np.empty((batch, 4 * H), dtype)
+    one_minus = np.empty((4, batch, H), dtype)
+    one_minus_if, one_minus_o = one_minus[:2], one_minus[3]
+    peep_terms = np.empty((3, batch, H), dtype)
+    dW_x = np.empty(grads.W_x.shape, dtype)
+    dW_h = np.empty(grads.W_h.shape, dtype)
+    db = np.empty(grads.b.shape, dtype)
+    dpeep = np.empty(grads.peep.shape, dtype)
+    for t in range(n_steps - 1, -1, -1):
+        a = gates[t]
+        a_if, (i, f, g, o) = a[:2], a
+        c_prev, c_t, h_prev, tanh_c = c[t], c[t + 1], h[t], tanh_cs[t]
+        np.subtract(1, a, out=one_minus)
+        np.add(dh_out[t], dh_rec, out=dh)
+        np.multiply(dh, tanh_c, out=d_o)
+        d_o *= o
+        d_o *= one_minus_o
+        np.multiply(dh, o, out=dc)
+        np.square(tanh_c, out=tmp)
+        np.subtract(1, tmp, out=tmp)
+        dc *= tmp
+        dc += dc_rec
+        np.multiply(d_o, peep_o, out=tmp)
+        dc += tmp
+        if live is not None:
+            dc *= live[t]
+        np.multiply(dc, g, out=d_i)
+        np.multiply(dc, c_prev, out=d_f)
+        d_if *= a_if
+        d_if *= one_minus_if
+        np.multiply(dc, i, out=d_g)
+        np.square(g, out=tmp)
+        np.subtract(1, tmp, out=tmp)
+        d_g *= tmp
+        nn._gate_major(d)[...] = dgates
+        np.matmul(xs[t].T, d, out=dW_x)
+        grads.W_x += dW_x
+        nn._batch_sum(d, out=db)
+        grads.b += db
+        np.multiply(d_if, c_prev, out=peep_terms[:2])
+        np.multiply(d_o, c_t, out=peep_terms[2])
+        nn._batch_sum(peep_terms, out=dpeep)
+        grads.peep += dpeep
+        if t == 0:
+            break
+        np.matmul(h_prev.T, d, out=dW_h)
+        grads.W_h += dW_h
+        np.matmul(d, p.W_h.T, out=dh_rec)
+        np.multiply(dc, f, out=dc_rec)
+        np.multiply(d_if, peep_if, out=tmp2)
+        dc_rec += tmp
+        dc_rec += tmp_f
+    return h[1:], tape, grads.arrays()
+
+
+class TestKnownZeroTerms:
+    """The kernels skip the terms whose value is known to be zero: step
+    0's products with h_0 = c_0 = 0, and the backward's zero dh_out rows
+    and zero recurrent gradients at the last step. Bit for bit, they give
+    what the full-step transcription gives: hs, every tape array and every
+    gradient, for a K-step dh_out as for its zero-padded full array."""
+
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 4),
+           st.sampled_from([1, 3, 8]), st.sampled_from([np.float32,
+                                                        np.float64]),
+           st.booleans(), st.sampled_from([1.0, 1000.0]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_full_step_passes(self, n_steps, batch, n_in, hidden,
+                                        dtype, masked, scale, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+        p = nn.LstmParams.init(n_in, hidden, rng)
+        p.peep[...] = rng.normal(size=p.peep.shape)  # every term in play
+        p = p.with_arrays([a.astype(dtype) for a in p.arrays()])
+        # a scale of 1000 saturates gates to exact 0 and 1, so that i * g
+        # can be -0.0; some inputs are zeros of either sign
+        xs = rng.normal(scale=scale, size=(n_steps, batch, n_in))
+        xs[rng.random(xs.shape) < 0.2] = 0.0
+        xs[rng.random(xs.shape) < 0.1] = -0.0
+        start = (rng.integers(0, n_steps + 1, size=batch) if masked
+                 else None)
+        k = data.draw(st.integers(1, n_steps))
+        dh_last = rng.normal(size=(k, batch, hidden)).astype(dtype)
+        dh_full = np.zeros((n_steps, batch, hidden), dtype)
+        dh_full[n_steps - k:] = dh_last
+        want_hs, want_tape, want_grads = full_step_lstm_passes(
+            p, xs, start, dh_full)
+        hs, tape = nn.lstm_forward(p, xs, start=start)
+        assert hs.tobytes() == want_hs.tobytes()
+        assert {name: getattr(tape, name).tobytes() for name in want_tape
+                } == {name: a.tobytes() for name, a in want_tape.items()}
+        want = [g.tobytes() for g in want_grads]
+        # the K-step call second, so that it finds the first call's
+        # recurrent gradients in the tape's working arrays
+        for dh in (dh_full, dh_last):
+            grads = nn.lstm_backward(p, tape, dh)
+            assert [g.tobytes() for g in grads.arrays()] == want
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_dh_out_of_no_step_or_too_many_rejected(self, k):
+        p = nn.LstmParams.init(2, 3, np.random.default_rng(0))
+        _, tape = nn.lstm_forward(p, np.ones((3, 2, 2)))
+        with pytest.raises(ValueError, match=f"dh_out holds {k} steps of a "
+                                             f"sequence of 3"):
+            nn.lstm_backward(p, tape, np.ones((k, 2, 3)))
+
+
 def _used_tape(n_steps, batch, n_in, hidden, start=None):
     """A tape whose arrays, scratch included, hold another pass's values."""
     rng = np.random.default_rng(99)
@@ -535,7 +715,8 @@ class TestDtype:
         arrays.update(("scratch " + k, v)
                       for k, v in lstm_tape.scratch.items())
         arrays.update((f"head layer {k}", v) for k, v in enumerate(head_tape))
-        assert "dW_x" in lstm_tape.scratch and "dh_out" in lstm_tape.scratch
+        # the backward's working arrays are among those checked
+        assert {"dW_x", "dh_rec", "dc_rec"} <= lstm_tape.scratch.keys()
         assert {k: v.dtype for k, v in arrays.items()} == {
             k: np.dtype(np.float32) for k in arrays}
         fresh = nn.lstm_backward(net.lstm, lstm_tape,
