@@ -32,14 +32,21 @@ class DemandProfile:
     """Piecewise-constant per-station arrival rates plus OD propensities.
 
     Nothing mutates a profile after construction, so the sampling tables
-    are built once here: for each day position, a draw table of the
-    stations with a nonzero rate, each with its Poisson leaves and their
-    exp(-leaf) taken once, its OD total and its cumulative OD row, and the
-    block of uniforms its draws take; and the bus rates split into leaves,
-    each with the two thresholds that decide a count of 0 or 1 without an
-    inversion: exp(-leaf) and exp(-leaf) + exp(-leaf) * leaf. A rate, OD
-    weight or bus rate that is negative or not finite, or a rate or bus
-    rate above `world.MAX_RATE`, raises `ScenarioError`.
+    are built once here. For each day position: a draw table of the
+    stations with a nonzero rate, and the block of uniforms its draws
+    take. A table entry holds the two thresholds that decide a count of 0
+    or 1 without an inversion, exp(-rate) and exp(-rate) + exp(-rate) *
+    rate; the Poisson leaves with their exp(-leaf) taken once; the OD
+    total; and the cumulative OD row without its last sum (the total), one
+    list per station that every day position shares. The bus rates split
+    into leaves, each with the same two thresholds: exp(-leaf) and
+    exp(-leaf) + exp(-leaf) * leaf. A rate, OD weight or bus rate that is
+    negative or not finite, or a rate or bus rate above `world.MAX_RATE`,
+    raises `ScenarioError`.
+
+    A station whose OD weights are all zero still draws its departure
+    count, reading its uniforms as any other station does, and sends no
+    trip; its expected OD row, and so its expected departures, are zero.
     """
 
     station_ids: list[str]
@@ -66,16 +73,20 @@ class DemandProfile:
             raise ScenarioError(f"bus rates must be finite and nonnegative, "
                                 f"at most {MAX_RATE}")
         # Sampling tables. Python floats and sequential sums, so a draw
-        # compares exactly what a scalar weighted choice would.
-        rows = self.od_weights.tolist()
-        od_cum = [list(accumulate(row)) for row in rows]
-        od_total = [sum(row) for row in rows]
+        # compares exactly what a scalar weighted choice would; a total is
+        # its row's last cumulative sum, not `sum()`, which compensates
+        # since Python 3.12. A row keeps its other n - 1 sums: bisecting
+        # them is bisecting the full non-decreasing row clamped to n - 1.
+        od_cum = [list(accumulate(row)) for row in self.od_weights.tolist()]
+        od_total = [cum.pop() for cum in od_cum]
         # Draw tables: per day position, the stations with a nonzero rate,
-        # in index order, as (index, rate, exp(-rate), split, OD total,
-        # cumulative OD row). `split` is None for a rate of at most
-        # POISSON_SPLIT, which inverts one uniform; a larger rate lists its
-        # Poisson leaves as (leaf, exp(-leaf)) pairs. A station with an
-        # all-zero OD row stays: its leaves still read their uniforms.
+        # in index order, as (index, rate, exp(-rate), count-of-one
+        # threshold, split, OD total, cumulative OD row). The threshold is
+        # `poisson_count`'s first cumulative sum, the same float operations.
+        # `split` is None for a rate of at most POISSON_SPLIT, which inverts
+        # one uniform; a larger rate lists its Poisson leaves as
+        # (leaf, exp(-leaf)) pairs. A station with an all-zero OD row
+        # stays: its leaves still read their uniforms.
         # Uniforms per block: a day position's draws take one per nonzero
         # rate plus one per trip that has a destination row; four standard
         # deviations above that mean make a refill rare. 0 draws no block.
@@ -87,7 +98,8 @@ class DemandProfile:
                 if rate > 0:
                     leaves = [(leaf, math.exp(-leaf))
                               for leaf in poisson_leaves(rate)]
-                    table.append((i, rate, math.exp(-rate),
+                    e = math.exp(-rate)
+                    table.append((i, rate, e, e + e * rate,
                                   leaves if len(leaves) > 1 else None,
                                   od_total[i], od_cum[i]))
             trips = sum(rate for rate, total in zip(row, od_total)
@@ -163,7 +175,8 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     Reproducible for a fixed rng state; counts are Poisson via inversion on
     the portable stream. Each trip's destination is the first whose
     cumulative OD weight exceeds a uniform scaled by the row total (the
-    last one if none does).
+    last one if none does): one bisection of the row without its last
+    sum, which can return no index past the last station.
 
     Bike draws walk the draw table of the segment's day position (see
     `DemandProfile`), so stations with a zero rate cost nothing. They read
@@ -171,38 +184,41 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
     made: each station's Poisson leaves, then its destinations. A draw
     that runs past the block appends a new one. The unread rest of the
     block is handed back (`give_back`), so the stream ends where single
-    draws leave it. A day position whose rates are all zero draws no
-    block. Bus leaves then take one block of uniforms, all of it read.
-    Each leaf's uniform is compared with the leaf's two thresholds (see
-    `DemandProfile`): below exp(-leaf) it counts 0, as a NaN does, and
-    below the first cumulative sum it counts 1 and lists its OD's shared
-    (origin, dest, 1) arrival. Only a leaf at or above both, one in about
-    seventeen of those that drew a passenger on the perfbench corridor,
-    is inverted by `poisson_count`. A split OD's leaves are summed into
-    one arrival.
+    draws leave it. An unsplit station's uniform is compared with its two
+    thresholds: below exp(-rate) it counts 0, as a NaN does, and below the
+    first cumulative sum it counts 1; only the rest run `poisson_count`. A
+    day position whose rates are all zero draws no block. Bus leaves then
+    take one block of uniforms, all of it read. Each leaf's uniform is
+    compared with the leaf's two thresholds (see `DemandProfile`): below
+    exp(-leaf) it counts 0, as a NaN does, and below the first cumulative
+    sum it counts 1 and lists its OD's shared (origin, dest, 1) arrival.
+    Only a leaf at or above both, one in about seventeen of those that
+    drew a passenger on the perfbench corridor, is inverted by
+    `poisson_count`. A split OD's leaves are summed into one arrival.
 
     Each block is a slice of the draws `rng` reads ahead, and the
     hand-back steps its cursor back, so the segments of an episode or a
     history share one stream without a numpy draw per block.
     """
-    last = len(profile.station_ids) - 1
     pos = clock.current % profile.segments_per_day
     block = profile._day_block[pos]
     trips: list[BikeTrip] = []
     if block:
         u = rng.uniforms(block).tolist()
         k, m = 0, block  # next unread uniform, uniforms held
-        for i, rate, exp_neg, split, total, cum in profile._draw_tables[pos]:
+        for i, rate, exp_neg, one, split, total, cum in (
+                profile._draw_tables[pos]):
             if split is None:
                 if k == m:
                     u, k = _refill(rng, u, k, 1, block), 0
                     m = len(u)
                 x = u[k]
                 k += 1
-                # below exp(-rate) the inversion counts 0; so does NaN
+                # below exp(-rate) the inversion counts 0, and so does NaN;
+                # below its first cumulative sum it counts 1
                 if not x >= exp_neg:
                     continue
-                count = poisson_count(x, rate, exp_neg)
+                count = 1 if x < one else poisson_count(x, rate, exp_neg)
             else:  # the sum of its leaves' counts, a uniform each
                 count = 0
                 for leaf, exp_neg in split:
@@ -219,12 +235,11 @@ def sample_segment(profile: DemandProfile, clock: SegmentClock,
                 u, k = _refill(rng, u, k, count, block), 0
                 m = len(u)
             if count == 1:
-                trips.append((i, min(bisect_right(cum, u[k] * total), last),
-                              1))
+                trips.append((i, bisect_right(cum, u[k] * total), 1))
                 k += 1
                 continue
             # destinations in ascending order, one triple per run
-            dests = sorted([min(bisect_right(cum, x * total), last)
+            dests = sorted([bisect_right(cum, x * total)
                             for x in u[k:k + count]])
             k += count
             j, c = dests[0], 0

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from urbansched import cli, envs
+from urbansched import cli, demand, envs
 from urbansched.cli import _history_from_scenario, resolve_scenario
 from urbansched.demand import DemandProfile, HistoryLog, sample_segment
 from urbansched.rng import (
-    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, poisson_leaves,
+    _POISSON_MAX_K, POISSON_SPLIT, PortableRng, poisson_count, poisson_leaves,
 )
 from urbansched.world import (
     MAX_RATE, ScenarioError, ScenarioSpec, SegmentClock,
@@ -90,8 +90,16 @@ def poisson(rng: PortableRng, rate: float) -> int:
     return k
 
 
+def seq_sum(values: list[float]) -> float:
+    """The left-to-right float sum; `sum()` compensates since Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def ref_choice(rng: PortableRng, weights: list[float]) -> int:
-    total = sum(weights)
+    total = seq_sum(weights)
     if total <= 0:
         raise ValueError("choice needs positive total weight")
     u = rng.uniform() * total
@@ -290,6 +298,27 @@ class TestDemandProfile:
         draws = [sample_segment(profile, SegmentClock(0, 8, seg, 15),
                                 PortableRng(21)) for seg in (0, 4)]
         assert draws[0] == draws[1]
+
+    def test_day_positions_share_one_row_per_station(self):
+        # each station's cumulative OD row, without its last sum, is one
+        # list that every day position's entry holds: a copy per entry
+        # would hold 4,800 rows for the city
+        profile = _city_profile()
+        n = len(profile.station_ids)
+        rows = {}
+        for table in profile._draw_tables:
+            for entry in table:
+                i, cum = entry[0], entry[-1]
+                assert rows.setdefault(i, cum) is cum
+                assert len(cum) == n - 1
+        assert len(rows) == n
+        tracemalloc.start()
+        try:
+            profile = _city_profile()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * 2 ** 20
 
     def test_expected_od_row_sums(self):
         profile = make_profile(rates=np.array([[3.0], [5.0], [0.0]]),
@@ -510,7 +539,7 @@ class TestSamplingBoundaries:
                 station_ids=[f"S{k:02d}" for k in range(n)],
                 rates=np.eye(n)[:, i:i + 1], od_weights=od)
             weights = od[i].tolist()
-            total = sum(weights)
+            total = seq_sum(weights)
             cum = 0.0
             for w in weights:
                 cum += w
@@ -692,6 +721,27 @@ class TestStationBranches:
         a, c = math.exp(-3.0), math.exp(-0.5)
         self._check([a, 0.75, c, 0.3], [(A, C, 1), (C, A, 1)])
         self._check([math.nextafter(a, 0.0), math.nextafter(c, 0.0)], [])
+
+    def test_uniform_at_the_count_of_one_threshold(self, monkeypatch):
+        # A's uniform at exp(-rate) + exp(-rate) * rate, the inversion's
+        # first cumulative sum, and an ulp either side: below it A counts 1
+        # without running the inversion, at or above it 2 by inversion.
+        # C's uniform, an ulp below exp(-0.5), counts 0.
+        inversions = []
+
+        def counted(u, rate, exp_neg):
+            inversions.append(rate)
+            return poisson_count(u, rate, exp_neg)
+
+        monkeypatch.setattr(demand, "poisson_count", counted)
+        e = math.exp(-3.0)
+        below, at, above = _around(e + e * 3.0)
+        c_zero = math.nextafter(math.exp(-0.5), 0.0)
+        self._check([below, 0.75, c_zero], [(A, C, 1)])
+        assert inversions == []
+        for x in (at, above):
+            self._check([x, 0.75, 0.25, c_zero], [(A, B, 1), (A, C, 1)])
+        assert inversions == [3.0, 3.0]
 
     def test_one_trip_destination_opens_a_refill(self):
         # A's trips read all but the block's last uniform, C's count takes

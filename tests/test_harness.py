@@ -832,6 +832,16 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return path
 
+    def test_all_zero_od_weights_send_no_trip(self, tmp_path, capsys):
+        # positive rates and no destination: each station draws its
+        # departure count and sends no trip, so nothing is served or lost
+        path = self.bike5_path(tmp_path, lambda d: d["demand_profile"].update(
+            od_weights=[[0.0] * 5 for _ in range(5)]))
+        assert cli(["simulate", "--scenario", str(path),
+                    "--policy", "none"]) == 0
+        assert (capsys.readouterr().out
+                == "served=0 lost=0 mean_return=0.000\n")
+
     def test_greedy_fills_stations_in_rank_order(self, tmp_path, capsys):
         # 44 bikes: S1, the busiest station, docks 30 of them and S2, the
         # next, the other 14
