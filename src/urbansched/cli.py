@@ -19,7 +19,7 @@ import numpy as np
 
 from . import forecast_bike, harness
 from .ddpg import DdpgConfig, Policy, desk_config, save_curve_csv, train
-from .demand import DemandProfile, HistoryLog, sample_segment
+from .demand import HistoryLog, sample_segment
 from .envs import BikeEnv
 from .rng import PortableRng
 from .world import InputError, ScenarioError, ScenarioSpec, SegmentClock
@@ -135,11 +135,10 @@ def cmd_train(args) -> int:
 
 def _history_from_scenario(scenario: ScenarioSpec, days: int,
                            seed: int) -> HistoryLog:
-    if scenario.demand_profile is None:
+    profile = scenario.profile
+    if profile is None:
         raise ScenarioError("forecast needs a demand_profile scenario")
-    ids = scenario.station_ids()
-    log = HistoryLog(station_ids=ids)
-    profile = DemandProfile.from_dict(scenario.demand_profile, ids)
+    log = HistoryLog(station_ids=scenario.station_ids())
     rng = PortableRng(seed)
     segments = days * profile.segments_per_day
     clock = SegmentClock(0, segments, 0, scenario.segment_minutes)
@@ -150,13 +149,24 @@ def _history_from_scenario(scenario: ScenarioSpec, days: int,
     return log
 
 
+# forecast's size flags at most: --days, as a station fit takes all of
+# the history's windows as one batch (its tapes hold about 13 KB a
+# segment, 125 MB for 100 days of 96 segments); --horizon, as the forecast
+# keeps an n x n flow matrix per segment (20 MB for 50 stations); --epochs,
+# as each is one gradient step over the history (about 20 us a segment).
+MAX_DAYS, MAX_HORIZON, MAX_EPOCHS = 100, 1000, 1000
+
+
 def cmd_forecast(args) -> int:
-    for flag, value, least in (
-            ("--days", args.days, 1), ("--horizon", args.horizon, 1),
-            ("--epochs", args.epochs, 1), ("--clusters", args.clusters, 1),
-            ("--seed", args.seed, 0)):
-        if value < least:
-            raise InputError(f"{flag} must be >= {least}, got {value}")
+    for flag, value, least, most in (
+            ("--days", args.days, 1, MAX_DAYS),
+            ("--horizon", args.horizon, 1, MAX_HORIZON),
+            ("--epochs", args.epochs, 1, MAX_EPOCHS),
+            ("--clusters", args.clusters, 1, None),
+            ("--seed", args.seed, 0, None)):
+        if value < least or most and value > most:
+            bound = f" and at most {most}" if most else ""
+            raise InputError(f"{flag} must be >= {least}{bound}, got {value}")
     scenario = resolve_scenario(args.scenario)
     out = _make_out_dir(args.out)
     log = _history_from_scenario(scenario, days=args.days, seed=args.seed)

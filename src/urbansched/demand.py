@@ -14,11 +14,14 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import PortableRng, poisson_count, poisson_leaves
-from .world import MAX_RATE, ScenarioError, SegmentClock
+
+if TYPE_CHECKING:
+    from .world import SegmentClock
 
 # A bike trip is (origin index, destination index, count) in station
 # order. A bus arrival is (origin id, destination id, count): passengers
@@ -31,8 +34,9 @@ BusArrival = tuple[str, str, int]
 class DemandProfile:
     """Piecewise-constant per-station arrival rates plus OD propensities.
 
-    Nothing mutates a profile after construction, so the sampling tables
-    are built once here. For each day position: a draw table of the
+    A profile trusts the document `world.ScenarioSpec` checked, the envs
+    of a scenario share it, its arrays are read-only, and its sampling
+    tables are built once here. For each day position: a draw table of the
     stations with a nonzero rate, and the block of uniforms its draws
     take. A table entry holds the two thresholds that decide a count of 0
     or 1 without an inversion, exp(-rate) and exp(-rate) + exp(-rate) *
@@ -40,9 +44,7 @@ class DemandProfile:
     total; and the cumulative OD row without its last sum (the total), one
     list per station that every day position shares. The bus rates split
     into leaves, each with the same two thresholds: exp(-leaf) and
-    exp(-leaf) + exp(-leaf) * leaf. A rate, OD weight or bus rate that is
-    negative or not finite, or a rate or bus rate above `world.MAX_RATE`,
-    raises `ScenarioError`.
+    exp(-leaf) + exp(-leaf) * leaf.
 
     A station whose OD weights are all zero still draws its departure
     count, reading its uniforms as any other station does, and sends no
@@ -55,23 +57,8 @@ class DemandProfile:
     bus_rates: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.od_weights = np.asarray(self.od_weights, dtype=float)
-        n = len(self.station_ids)
-        if self.rates.shape[0] != n:
-            raise ScenarioError("rates row count must match station count")
-        if self.od_weights.shape != (n, n):
-            raise ScenarioError("od_weights must be n x n")
-        if not (np.all((self.rates >= 0) & (self.rates <= MAX_RATE))
-                and np.all(np.isfinite(self.od_weights))
-                and np.all(self.od_weights >= 0)):
-            raise ScenarioError(f"rates and od_weights must be finite and "
-                                f"nonnegative, rates at most {MAX_RATE}")
-        if np.any(np.diag(self.od_weights) != 0):
-            raise ScenarioError("od_weights diagonal must be zero")
-        if not all(0 <= rate <= MAX_RATE for rate in self.bus_rates.values()):
-            raise ScenarioError(f"bus rates must be finite and nonnegative, "
-                                f"at most {MAX_RATE}")
+        self.rates = np.array(self.rates, dtype=float)
+        self.od_weights = np.array(self.od_weights, dtype=float)
         # Sampling tables. Python floats and sequential sums, so a draw
         # compares exactly what a scalar weighted choice would; a total is
         # its row's last cumulative sum, not `sum()`, which compensates
@@ -135,6 +122,9 @@ class DemandProfile:
             [e + e * leaf for e, leaf in zip(exp_neg, self._bus_leaves)],
             dtype=float)
         self._bus_leaf_od = np.array(owner, dtype=np.intp)
+        for array in (self.rates, self.od_weights, self._od_rowsum,
+                      self._bus_leaf_exp, self._bus_leaf_one, self._bus_leaf_od):
+            array.flags.writeable = False
 
     @property
     def segments_per_day(self) -> int:
@@ -150,16 +140,11 @@ class DemandProfile:
 
     @classmethod
     def from_dict(cls, doc: dict, station_ids: list[str]) -> "DemandProfile":
-        rates = np.array([doc["rates"][sid] for sid in station_ids], dtype=float)
-        bus_rates = {}
-        for entry in doc.get("bus_rates", []):
-            bus_rates[(entry["origin"], entry["destination"])] = float(entry["rate"])
-        return cls(
-            station_ids=station_ids,
-            rates=rates,
-            od_weights=np.asarray(doc["od_weights"], dtype=float),
-            bus_rates=bus_rates,
-        )
+        return cls(station_ids=station_ids,
+                   rates=[doc["rates"][sid] for sid in station_ids],
+                   od_weights=doc["od_weights"],
+                   bus_rates={(e["origin"], e["destination"]): float(e["rate"])
+                              for e in doc.get("bus_rates", [])})
 
 
 def sample_segment(profile: DemandProfile, clock: SegmentClock,

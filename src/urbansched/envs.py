@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as W
-from .demand import BikeTrip, BusArrival, DemandProfile, sample_segment
+from .demand import BikeTrip, BusArrival, sample_segment
 from .forecast_bike import encode_flow
 from .rng import PortableRng
 
@@ -172,8 +172,7 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 HORIZON = 2  # L, forecast segments in an observation
 
 
-def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _expected_demand(scenario: W.ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only blocks of expected bike [departures | arrivals] per
     station, (T + HORIZON + 1, 2n), and expected bus [forward | backward]
     boardings per stop, (T + HORIZON + 1, 2 n_stops). Row t is the segment
@@ -189,6 +188,7 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
     bike = np.zeros((T + HORIZON + 1, 2 * n))
     bus = np.zeros((T + HORIZON + 1, 2 * max(len(scenario.stop_indices), 1)))
     slots = scenario.queue_slots
+    profile = scenario.profile
     if profile is not None:
         start = scenario.episode_start
         for t in range(T):  # row t is day position start + t
@@ -208,8 +208,7 @@ def _expected_demand(scenario: W.ScenarioSpec, profile: DemandProfile | None
     return bike, bus
 
 
-def _realise(scenario: W.ScenarioSpec, profile: DemandProfile | None,
-             rng: PortableRng, outage: bool = False
+def _realise(scenario: W.ScenarioSpec, rng: PortableRng, outage: bool = False
              ) -> tuple[list[list[BikeTrip]], list[list[BusArrival]]]:
     """One episode's bike trips and bus arrivals, item t for the segment
     played after t segments: each segment's profile sample, then its
@@ -219,6 +218,7 @@ def _realise(scenario: W.ScenarioSpec, profile: DemandProfile | None,
     T = scenario.episode_length
     trips = [[] for _ in range(T)]
     bus_arrivals = [[] for _ in range(T)]
+    profile = scenario.profile
     if profile is not None:
         start = scenario.episode_start
         clock = W.SegmentClock(start, T, start, scenario.segment_minutes)
@@ -241,9 +241,10 @@ BUS_HEADWAY = 4  # the bike env's scenery buses reset stop timers this often
 
 @dataclass
 class _Env:
-    """What both MDPs share: the scenario's demand profile and expected
-    demand, built once, the joint toggle (None takes the scenario's), and
-    the episode's demand stream, drawn from the seed and the episode count.
+    """What both MDPs share: the expected demand, built once, the joint
+    toggle (None takes the scenario's), and the episode's demand stream,
+    drawn from the seed and the episode count. Both are drawn from the
+    scenario's profile, which its envs share and trust as checked at load.
 
     Each env defines `reset` and `step` in its own class body: perfbench's
     tracer wraps them where the class's `__dict__` holds them.
@@ -259,11 +260,7 @@ class _Env:
         if self.joint_enabled is None:
             self.joint_enabled = scenario.joint_enabled
         self.joint_k = scenario.joint_k
-        self.profile = (None if scenario.demand_profile is None else
-                        DemandProfile.from_dict(scenario.demand_profile,
-                                                scenario.station_ids()))
-        self.expected_bike, self.expected_bus = _expected_demand(
-            scenario, self.profile)
+        self.expected_bike, self.expected_bus = _expected_demand(scenario)
         self.world: W.WorldState | None = None
         self.obs: np.ndarray | None = None  # what reset or step last returned
         self.record: EpisodeRecord | None = None  # set when an episode ends
@@ -281,8 +278,7 @@ class _Env:
         """Realise the episode's demand and build its world. The last
         episode's demand and world go first, so no reset holds two."""
         self.world = self.trips = self.bus_arrivals = None
-        self.trips, self.bus_arrivals = _realise(self.scenario, self.profile,
-                                                 rng, outage)
+        self.trips, self.bus_arrivals = _realise(self.scenario, rng, outage)
         self.world = W.build_world(self.scenario)
         self.done = False
         self.record = None

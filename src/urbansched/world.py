@@ -9,8 +9,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .demand import DemandProfile
 
 # Bus operation codes: +1 drives toward the terminal stop s_n, -1 drives back
 # toward the origin stop s_1, 0 halts.
@@ -153,10 +156,9 @@ MAX_COORDINATE = 10 ** 150
 
 @dataclass
 class ScenarioSpec:
-    """A scenario document, validated once, when it is made. Apart from
-    the demand profile, whose format `DemandProfile.from_dict` owns, this
-    class alone reads the document and its defaults: validation resolves,
-    once, each fact the envs and worlds read.
+    """A scenario document, validated once, when it is made. This class
+    alone reads the document and its defaults: validation resolves, once,
+    each fact the envs and worlds read.
 
     - The clock: `episode_length`, `episode_start`, `segment_minutes`.
     - Per station, in scenario order: `initial_bikes`, `docks`, `coords`.
@@ -175,6 +177,7 @@ class ScenarioSpec:
     - `scripted_trips` and `outage_trips` are the bike trip lists as
       (segment, (origin index, destination index, count)) pairs, and
       `scripted_arrivals` the bus script as (segment, arrival) pairs.
+    - `profile`, the `DemandProfile` of `demand_profile`, built on first read.
 
     The document is never written; `dataclasses.replace` validates a
     changed copy.
@@ -428,6 +431,11 @@ class ScenarioSpec:
                                 f"false or \"random\"")
         self.outage_trips = self._bike_trips("outage_trips",
                                              joint.get("outage_trips", []))
+
+    @cached_property
+    def profile(self) -> DemandProfile | None:
+        return None if self.demand_profile is None else (
+            DemandProfile.from_dict(self.demand_profile, self.station_ids()))
 
     def station_ids(self) -> list[str]:
         return [s["id"] for s in self.stations]

@@ -19,7 +19,7 @@ from urbansched.rng import (
     _POISSON_MAX_K, POISSON_SPLIT, PortableRng, poisson_count, poisson_leaves,
 )
 from urbansched.world import (
-    MAX_RATE, ScenarioError, ScenarioSpec, SegmentClock,
+    ScenarioError, ScenarioSpec, SegmentClock,
 )
 
 
@@ -177,8 +177,9 @@ class TestPortableRng:
 
     def test_poisson_leaves_reject_bad_rates(self):
         # the bad rates (an infinite one would split without end, and NaN
-        # passes every comparison) are rejected where they enter, by
-        # `DemandProfile` (TestDemandProfile); a good one splits evenly
+        # passes every comparison) are rejected where they enter, when the
+        # scenario loads (test_harness's TestCli::test_bad_demand_exit_1
+        # and test_rate_past_its_cap_exit_1); a good one splits evenly
         assert poisson_leaves(120.0) == [30.0] * 4
 
     def test_choice_respects_weights(self):
@@ -258,36 +259,6 @@ class TestPortableRng:
 
 
 class TestDemandProfile:
-    def test_validation(self):
-        with pytest.raises(ScenarioError, match="diagonal"):
-            make_profile(od=np.ones((3, 3)))
-        with pytest.raises(ScenarioError, match="nonnegative"):
-            make_profile(rates=np.full((3, 4), -1.0))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ScenarioError, match="finite"):
-                make_profile(rates=np.full((3, 4), bad))
-            od = np.ones((3, 3)) - np.eye(3)
-            od[0, 1] = bad
-            with pytest.raises(ScenarioError, match="finite"):
-                make_profile(od=od)
-        with pytest.raises(ScenarioError, match="row count"):
-            DemandProfile(station_ids=IDS, rates=np.ones((2, 4)),
-                          od_weights=np.zeros((3, 3)))
-
-    def test_rates_capped(self):
-        make_profile(rates=np.full((3, 4), float(MAX_RATE)),
-                     bus_rates={("P0", "P1"): float(MAX_RATE)})
-        with pytest.raises(ScenarioError, match=f"at most {MAX_RATE}"):
-            make_profile(rates=np.full((3, 4), MAX_RATE + 1.0))
-        with pytest.raises(ScenarioError, match=f"at most {MAX_RATE}"):
-            make_profile(bus_rates={("P0", "P1"): MAX_RATE + 1.0})
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
-    def test_bad_bus_rate_rejected(self, bad):
-        with pytest.raises(ScenarioError, match="bus rates must be finite "
-                                                "and nonnegative"):
-            make_profile(bus_rates={("P0", "P1"): 2.0, ("P1", "P0"): bad})
-
     def test_rates_wrap_daily(self):
         rates = np.arange(12, dtype=float).reshape(3, 4)
         profile = make_profile(rates=rates)
@@ -851,12 +822,10 @@ class TestPinnedDemand:
             "demand_script": [{"segment": 2, "origin": "D",
                                "destination": "A", "count": 2}],
         })
-        profile = DemandProfile.from_dict(scenario.demand_profile,
-                                          scenario.station_ids())
         digest = hashlib.sha256()
         for seed in (1, 2 ** 40 + 3, 2 ** 64 - 1):
             rng = PortableRng(seed)
-            trips, arrivals = envs._realise(scenario, profile, rng)
+            trips, arrivals = envs._realise(scenario, rng)
             trips = _by_id(trips, scenario.station_ids())
             digest.update(repr(sorted(trips.items())).encode())
             digest.update(repr(sorted(

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urbansched import envs, world as W
-from urbansched.cli import resolve_scenario
+from urbansched.cli import cli, resolve_scenario
+from urbansched.demand import DemandProfile
 from urbansched.envs import (
     HORIZON, BikeEnv, BusEnv, EpisodeDone, RewardConfig, bike_observe,
     bus_observe, joint_features,
@@ -950,6 +951,55 @@ class TestSamplerCalls:
             env.reset()
             assert calls == [start + t for t in range(T)]
             calls.clear()
+
+
+def count_profile_builds(monkeypatch) -> list[DemandProfile]:
+    """Every `DemandProfile` built from now on, in build order."""
+    built = []
+    init = DemandProfile.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(DemandProfile, "__post_init__", counting)
+    return built
+
+
+class TestSharedProfile:
+    def test_envs_of_one_scenario_sample_its_one_profile(self, monkeypatch):
+        """A scenario builds its profile once, on first read, and every
+        env made from it samples that object and no other."""
+        built = count_profile_builds(monkeypatch)
+        real = envs.sample_segment
+        sampled = []
+
+        def recording(profile, clock, rng):
+            sampled.append(profile)
+            return real(profile, clock, rng)
+
+        monkeypatch.setattr(envs, "sample_segment", recording)
+        spec = profile_bus_scenario()
+        assert built == []
+        for env in (BikeEnv(scenario=spec), BikeEnv(scenario=spec, seed=3),
+                    BusEnv(scenario=spec), BusEnv(scenario=spec, seed=5)):
+            env.reset()
+            env.reset(seed=9)
+        assert built == [spec.profile]
+        assert len(sampled) == 4 * 2 * spec.episode_length
+        assert all(profile is spec.profile for profile in sampled)
+        assert not spec.profile.rates.flags.writeable
+        assert not spec.profile.od_weights.flags.writeable
+        assert mixed_scenario().profile is None
+
+    def test_greedy_eval_builds_two_profiles(self, monkeypatch, capsys):
+        """The loaded scenario's profile, which ranks greedy's stations,
+        and its placed copy's, which all five seeds' episodes sample."""
+        built = count_profile_builds(monkeypatch)
+        assert cli(["eval", "--scenario", "bike5", "--policy", "greedy",
+                    "--seeds", "0,1,2,3,4"]) == 0
+        assert capsys.readouterr().out.startswith("policy=greedy seeds=5 ")
+        assert len(built) == 2
 
 
 class TestRewardConfig:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from urbansched import envs, harness, nn
-from urbansched.cli import cli, resolve_scenario
+from urbansched.cli import (MAX_DAYS, MAX_EPOCHS, MAX_HORIZON, cli,
+                            resolve_scenario)
 from urbansched.ddpg import ActorNet, DdpgConfig, Policy
 from urbansched.envs import BikeEnv, BusEnv
 from urbansched.world import (MAX_BUS_COUNT, MAX_CAPACITY, MAX_COORDINATE,
@@ -832,6 +833,32 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return path
 
+    def test_day_position_and_segment_minutes_meanings(self, tmp_path,
+                                                       capsys):
+        """A segment's day position is its clock position modulo the
+        profile's day, so on bike5's 6-segment day an episode_start of -7
+        is position 5. segment_minutes scales only bus waits, drive
+        minutes and the bus reward, so a bike run reads the same at 15 and
+        at 1e-300."""
+        runs = []
+        for start in (-7, 5):
+            path = self.bike5_path(tmp_path, lambda d: d["clock"].update(
+                episode_start=start))
+            out = tmp_path / f"report{start}.csv"
+            assert cli(["eval", "--scenario", str(path), "--policy",
+                        "greedy", "--seeds", "0,1,2,3", "--episodes", "2",
+                        "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+        lines = []
+        for minutes in (15, 1e-300):
+            path = self.bike5_path(tmp_path, lambda d: d["clock"].update(
+                segment_minutes=minutes))
+            assert cli(["simulate", "--scenario", str(path),
+                        "--policy", "none"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] == "served=4 lost=29 mean_return=4.000\n"
+
     def test_all_zero_od_weights_send_no_trip(self, tmp_path, capsys):
         # positive rates and no destination: each station draws its
         # departure count and sends no trip, so nothing is served or lost
@@ -1070,6 +1097,15 @@ class TestCli:
         (lambda d: d["demand_profile"]["bus_rates"].append(
             {"origin": "S1", "destination": "S3", "rate": 50.0}),
          "OD 'S1'->'S3' twice"),
+        pytest.param(lambda d: d["demand_profile"]["rates"]["A"].__setitem__(
+            0, -1.0), "rates of station 'A'", id="negative station rate"),
+        pytest.param(lambda d: d["demand_profile"]["od_weights"][1]
+                     .__setitem__(0, math.inf), "od_weights entries",
+                     id="inf od weight"),
+        *[pytest.param(lambda d, bad=bad: d["demand_profile"]["bus_rates"][0]
+                       .update(rate=bad), f"bus_rates rate {bad!r} must be",
+                       id=f"bus rate {bad!r}")
+          for bad in (math.nan, math.inf, -math.inf, -0.5)],
     ])
     def test_bad_demand_exit_1(self, edit, message, tmp_path, capsys):
         doc = {
@@ -1358,6 +1394,25 @@ class TestCli:
                     "--out", str(tmp_path)]) == 1
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "history.csv").exists()
+
+    @pytest.mark.parametrize("flag, bound", [
+        ("--days", MAX_DAYS), ("--horizon", MAX_HORIZON),
+        ("--epochs", MAX_EPOCHS)])
+    def test_forecast_size_past_its_bound_exit_1(self, flag, bound, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        assert cli(["forecast", "--scenario", "bike5", flag, str(bound + 1),
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{flag} must be >= 1 and at most {bound}, got {bound + 1}"
+                in captured.err)
+        assert not out.exists()
+        # at the bound the flag passes, and fig1a, which has no demand
+        # profile, fails after it
+        assert cli(["forecast", "--scenario", "fig1a", flag, str(bound),
+                    "--out", str(out)]) == 1
+        assert "needs a demand_profile" in capsys.readouterr().err
 
     def test_forecast_emits_csvs(self, tmp_path, capsys):
         assert cli(["forecast", "--scenario", "bike5", "--days", "4",

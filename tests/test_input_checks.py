@@ -11,15 +11,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "urbansched"
 README = PACKAGE.parents[1] / "README.md"
 
 # Where a scenario enters the program, as module.qualified name patterns:
-# the loader and its helpers, the reposition request, a profile built
-# directly, and the three places that need more of a scenario than the
-# loader asks: the oracle, placement (every bike docked, which the oracle
-# and greedy placement share) and the forecast's history. Behind them
-# every scenario fact is settled, so a failure there is a fault of the
-# program (exit 2), never bad input (exit 1).
+# the loader and its helpers, the reposition request, and the three places
+# that need more of a scenario than the loader asks: the oracle, placement
+# (every bike docked, which the oracle and greedy placement share) and the
+# forecast's history. Behind them every scenario fact is settled, the
+# demand profile included, so a failure there is a fault of the program
+# (exit 2), never bad input (exit 1).
 SCENARIO_CHECKS = ["world.ScenarioSpec.*", "world._check_*",
                    "world.apply_reposition",
-                   "demand.DemandProfile.__post_init__",
                    "harness.run_exhaustive_bike", "harness._placeable_bikes",
                    "cli._history_from_scenario"]
 
@@ -36,9 +35,11 @@ INPUT_CHECKS = SCENARIO_CHECKS + [
     "cli.cmd_eval", "cli.cmd_train", "cli.cmd_forecast"]
 
 
-# The keys of a scenario document outside its demand profile, whose
-# format `DemandProfile.from_dict` owns. `world.ScenarioSpec` reads them
-# and resolves each default once; the other modules read what it resolved.
+# The keys of a scenario document outside its demand profile.
+# `world.ScenarioSpec` reads them and resolves each default once; the
+# other modules read what it resolved. The profile's own keys are read by
+# `DemandProfile.from_dict`, which the spec calls on the profile it has
+# checked to build `ScenarioSpec.profile`, the profile every module reads.
 SCENARIO_KEYS = {
     "stations", "routes", "vehicles", "clock", "environment",
     "demand_script", "demand_profile", "bus_script", "joint", "id", "x",

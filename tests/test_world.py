@@ -1,12 +1,13 @@
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scenario_docs import scenario_docs, transcribe
 
-from urbansched.envs import BikeEnv, BusEnv
+from urbansched.envs import BikeEnv, BusEnv, RewardConfig
 from urbansched.harness import _dispatchable_bikes
 from urbansched.world import (
     OP_BACKWARD, OP_FORWARD, OP_HALT, InputError, ScenarioError,
@@ -365,6 +366,58 @@ class TestBikeReferenceWorld:
             got = step_bike_world(world, trips)[1:]
             assert got == ref.step(trips)
             assert bike_state(world) == ref.state()
+
+
+class TestBikeReferenceEpisode:
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_docs(), st.data())
+    def test_matches_reference_episode(self, doc, data):
+        """A BikeEnv episode under drawn actions gives the step rewards
+        and the record of a reference episode played, on the demand the
+        env realised, by `BikeEnv`'s docstring: vehicle 0 repositions
+        before the segment's trips flow; a move adds the distance between
+        the two stations; bikes it tries to unload (at most those it
+        carries) that the station cannot dock are overflow; the reward is
+        0 until the last step, which settles served - beta * distance -
+        gamma_overflow * overflow."""
+        beta, gamma = data.draw(st.tuples(*[st.floats(0.0, 2.0)] * 2))
+        env = BikeEnv(scenario=ScenarioSpec.from_dict(doc),
+                      reward=RewardConfig(beta=beta, gamma_overflow=gamma),
+                      seed=data.draw(st.integers(0, 2 ** 20)))
+        env.reset()
+        ref = ReferenceBikeWorld(doc)
+        coords = transcribe(doc)["coords"]
+        places = max(len(ref.docks) - 1, 0)
+        served = lost = overflow = 0
+        distance = 0.0
+        for t, trips in enumerate(env.trips):
+            station = data.draw(st.integers(0, places))
+            quantity = data.draw(st.integers(-12, 12))
+            if ref.vehicles:
+                at, carried = ref.vehicles[0][:2]
+                ref.reposition(0, station, quantity)
+                if station != at:
+                    distance += math.dist(coords[at], coords[station])
+                if quantity < 0:  # bikes tried, less the bikes docked
+                    docked = carried - ref.vehicles[0][1]
+                    overflow += min(-quantity, carried) - docked
+            got = ref.step(trips)
+            served, lost = served + got[0], lost + got[1]
+            last = t == len(env.trips) - 1
+            _, reward, done, info = env.step((station, quantity))
+            assert done == last
+            assert (info["served"], info["lost"]) == got
+            # the two distances may round apart in the last place, and
+            # the settlement's terms may nearly cancel
+            terms = (served, beta * distance, gamma * overflow)
+            assert reward == (pytest.approx(
+                terms[0] - terms[1] - terms[2], rel=1e-12,
+                abs=1e-12 * sum(terms)) if last else 0.0)
+        record = env.record
+        assert (record.served, record.lost, record.overflow) == (
+            served, lost, overflow)
+        assert record.distance == pytest.approx(distance, rel=1e-12)
+        assert record.total_reward == reward
 
 
 def full_scan_max_wait(world):
