@@ -176,9 +176,9 @@ def cmd_forecast(args) -> int:
                          f"got {log.n_segments}; raise --days")
     log.save_trips_csv(os.path.join(out, "history.csv"))
     ids = scenario.station_ids()
-    coords = np.array(scenario.coords)
     k = min(args.clusters, len(ids))
-    clusters = forecast_bike.cluster_stations(ids, coords, k, seed=args.seed)
+    clusters = forecast_bike.cluster_stations(ids, scenario.coords, k,
+                                              seed=args.seed)
     od = forecast_bike.od_probabilities(log.total_od(), ids, clusters)
     departures = np.zeros((args.horizon, len(ids)))
     for i, sid in enumerate(ids):

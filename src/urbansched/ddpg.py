@@ -44,6 +44,10 @@ _CONFIG_RANGES = {
                      "train_steps_per_episode", "seed"), (0, math.inf)),
     "tau": (0.0, 1.0),
     "discount": (0.0, 1.0),
+    "exploration_eps": (0.0, 1.0),  # a per-step probability
+    # a negative step size, noise scale or clip norm (0: off) has no meaning
+    **dict.fromkeys(("actor_lr", "critic_lr", "ou_sigma", "clip_norm"),
+                    (0.0, math.inf)),
 }
 
 # The most cells history_window * batch_size * lstm_hidden, a product the

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import world as W
 from .demand import BikeTrip, BusArrival, sample_segment
-from .forecast_bike import encode_flow
 from .rng import PortableRng
+from .world import HORIZON
 
 
 @dataclass
@@ -166,46 +166,7 @@ def joint_features(world: W.WorldState, for_agent: str, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Demand shared by both envs: expected demand per env, a realisation per
-# episode, each indexed by segments played
-
-HORIZON = 2  # L, forecast segments in an observation
-
-
-def _expected_demand(scenario: W.ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only blocks of expected bike [departures | arrivals] per
-    station, (T + HORIZON + 1, 2n), and expected bus [forward | backward]
-    boardings per stop, (T + HORIZON + 1, 2 n_stops). Row t is the segment
-    played after t segments; the HORIZON + 1 zero rows after the T rows
-    let `_Env._horizon` read any clock position as one slice.
-
-    The rows are the profile's expected demand plus the scripted trips.
-    Outage trips stay unforecast: the forecasters cannot anticipate an
-    outage. A bus OD's expected boardings go to the column of the queue
-    its arrivals join, the slot the scenario's `queue_slots` gives it."""
-    n = max(len(scenario.station_indices), 1)
-    T = scenario.episode_length
-    bike = np.zeros((T + HORIZON + 1, 2 * n))
-    bus = np.zeros((T + HORIZON + 1, 2 * max(len(scenario.stop_indices), 1)))
-    slots = scenario.queue_slots
-    profile = scenario.profile
-    if profile is not None:
-        start = scenario.episode_start
-        for t in range(T):  # row t is day position start + t
-            bike[t] = encode_flow(profile.expected_od(start + t))
-        # bus rates are constant over the day: one row, summed in OD order
-        for (origin, dest), rate in sorted(profile.bus_rates.items()):
-            bus[0, slots[origin, dest][0]] += rate
-        bus[1:T] = bus[0]
-    if scenario.scripted_trips:
-        od = np.zeros((T, n, n))
-        for seg, (o, d, count) in scenario.scripted_trips:
-            od[seg - 1, o, d] += count
-        bike[:T] += [encode_flow(m) for m in od]
-    for seg, (origin, dest, count) in scenario.scripted_arrivals:
-        bus[seg - 1, slots[origin, dest][0]] += count
-    bike.flags.writeable = bus.flags.writeable = False
-    return bike, bus
+# The MDPs
 
 
 def _realise(scenario: W.ScenarioSpec, rng: PortableRng, outage: bool = False
@@ -233,17 +194,14 @@ def _realise(scenario: W.ScenarioSpec, rng: PortableRng, outage: bool = False
     return trips, bus_arrivals
 
 
-# ---------------------------------------------------------------------------
-# The MDPs
-
 BUS_HEADWAY = 4  # the bike env's scenery buses reset stop timers this often
 
 
 @dataclass
 class _Env:
-    """What both MDPs share: the expected demand, built once, the joint
+    """What both MDPs share: the scenario's expected demand, the joint
     toggle (None takes the scenario's), and the episode's demand stream,
-    drawn from the seed and the episode count. Both are drawn from the
+    drawn from the seed and the episode count. Both come from the
     scenario's profile, which its envs share and trust as checked at load.
 
     Each env defines `reset` and `step` in its own class body: perfbench's
@@ -256,11 +214,9 @@ class _Env:
     seed: int = 0
 
     def __post_init__(self):
-        scenario = self.scenario
         if self.joint_enabled is None:
-            self.joint_enabled = scenario.joint_enabled
-        self.joint_k = scenario.joint_k
-        self.expected_bike, self.expected_bus = _expected_demand(scenario)
+            self.joint_enabled = self.scenario.joint_enabled
+        self.expected_bike, self.expected_bus = self.scenario.expected_demand
         self.world: W.WorldState | None = None
         self.obs: np.ndarray | None = None  # what reset or step last returned
         self.record: EpisodeRecord | None = None  # set when an episode ends
@@ -303,12 +259,6 @@ class BikeEnv(_Env):
 
     kind = "vehicle"  # the agent kind a policy decodes actions for
 
-    def __post_init__(self):
-        super().__post_init__()
-        self._coords = np.array(self.scenario.coords, dtype=float)
-        # (a, b): distance from station a to b, added when first driven
-        self._distances: dict[tuple[int, int], float] = {}
-
     @property
     def n_stations(self) -> int:
         return len(self.scenario.station_indices)
@@ -332,7 +282,7 @@ class BikeEnv(_Env):
 
     def _observe(self) -> np.ndarray:
         w = self.world
-        O = (joint_features(w, "vehicle", self.joint_k, outage=self.outage)
+        O = (joint_features(w, "vehicle", self.scenario.joint_k, self.outage)
              if self.joint_enabled else None)
         self.obs = bike_observe(w, self._horizon(self.expected_bike), 0, O)
         return self.obs
@@ -349,7 +299,7 @@ class BikeEnv(_Env):
             W.apply_reposition(w, 0, station_idx, quantity)
             after = vehicle.location
             if before != after:
-                self.distance += self._distance(before, after)
+                self.distance += self.scenario.distance(before, after)
             # bikes the station could not dock; operation is -docked
             self.overflow += max(0, unload + vehicle.operation)
         _, served, lost = W.step_bike_world(w, self.trips[w.clock.elapsed])
@@ -370,15 +320,6 @@ class BikeEnv(_Env):
                 "overflow_total": self.overflow,
                 "outage": self.outage}
         return self._observe(), reward, self.done, info
-
-    def _distance(self, a: int, b: int) -> float:
-        """Distance between stations a and b, computed the first time the
-        vehicle drives between them."""
-        d = self._distances.get((a, b))
-        if d is None:
-            d = self._distances[a, b] = float(
-                np.linalg.norm(self._coords[a] - self._coords[b]))
-        return d
 
     def _tick_bus_scenery(self):
         """Reset the stop timers on the scenery buses' headway. Under an
@@ -423,7 +364,7 @@ class BusEnv(_Env):
 
     def _observe(self) -> np.ndarray:
         w = self.world
-        O = (joint_features(w, "bus", self.joint_k)
+        O = (joint_features(w, "bus", self.scenario.joint_k)
              if self.joint_enabled else None)
         self.obs = bus_observe(w, self._horizon(self.expected_bus), 0, O)
         return self.obs

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,20 +80,6 @@ def _placeable_bikes(scenario: W.ScenarioSpec, what: str) -> int:
     return bikes
 
 
-def _with_placement(scenario: W.ScenarioSpec,
-                    placement: dict[str, int]) -> W.ScenarioSpec:
-    """Scenario copy with all dispatchable bikes pre-placed at stations."""
-    stations = [dict(s, initial_bikes=placement.get(s["id"], 0))
-                for s in scenario.stations]
-    vehicles = [dict(v, initial_load=0) for v in scenario.vehicles]
-    return replace(scenario, stations=stations, vehicles=vehicles)
-
-
-def first_segment_departures(scenario: W.ScenarioSpec) -> np.ndarray:
-    n = len(scenario.stations)
-    return BikeEnv(scenario=scenario).expected_bike[0, :n]
-
-
 def greedy_placement(scenario: W.ScenarioSpec) -> W.ScenarioSpec:
     """Scenario copy with the dispatchable bikes placed in ranking order:
     stations rank by their first-segment predicted departures, largest
@@ -101,13 +87,13 @@ def greedy_placement(scenario: W.ScenarioSpec) -> W.ScenarioSpec:
     bikes left as it docks. Bikes beyond all docks together raise
     ScenarioError."""
     left = _placeable_bikes(scenario, "greedy placement")
-    departures = first_segment_departures(scenario)
     ids = scenario.station_ids()
+    departures = scenario.expected_demand[0][0, :len(ids)]
     placement = {}
     for i in sorted(range(len(ids)), key=lambda i: (-departures[i], ids[i])):
         placement[ids[i]] = min(left, scenario.docks[i])
         left -= placement[ids[i]]
-    return _with_placement(scenario, placement)
+    return scenario.with_placement(placement)
 
 
 def run_greedy_bike(scenario: W.ScenarioSpec, seed: int = 0) -> MetricsReport:

@@ -6,6 +6,7 @@ instead of raising, since RL exploration emits infeasible actions constantly.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -14,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .demand import DemandProfile
+from .forecast_bike import encode_flow
 
 # Bus operation codes: +1 drives toward the terminal stop s_n, -1 drives back
 # toward the origin stop s_1, 0 halts.
@@ -85,9 +87,9 @@ class WorldState:
     bus passengers' destinations are integer indices in scenario order,
     and bike trips name stations by index; bus arrivals keep stop ids.
 
-    `dock_vector` is the scenario's read-only float64 copy of `docks`,
-    shared by every world of the scenario, from which the bike
-    observation subtracts the docked bikes.
+    `dock_vector` and `env_features` are the scenario's read-only float64
+    arrays, shared by every world of it; the bike observation subtracts
+    the docked bikes from `dock_vector`.
 
     `queues` lists the same deques as the stops' `queue_fwd` and
     `queue_bwd`: with n stops, stop i's forward queue sits at slot i and
@@ -125,10 +127,12 @@ class WorldState:
 # uniform each, so a draw takes at most 256 leaves.
 MAX_RATE = 10 ** 4
 
-# The longest episode a scenario may declare, in segments: an env keeps
-# expected demand in blocks of episode_length + 3 rows of two float64
-# columns per station or stop, which the cap holds to 16 MB per station
-# or stop. The world fuzz of acceptance 8 runs clocks this long.
+HORIZON = 2  # L, forecast segments in an observation
+
+# The longest episode a scenario may declare, in segments: a scenario
+# keeps expected demand in blocks of episode_length + HORIZON + 1 rows of
+# two float64 columns per station or stop, 16 MB per station or stop at
+# the cap. The world fuzz of acceptance 8 runs clocks this long.
 MAX_EPISODE_LENGTH = 10 ** 6
 
 # The largest dock count, vehicle capacity or bus capacity: observations
@@ -157,11 +161,13 @@ MAX_COORDINATE = 10 ** 150
 @dataclass
 class ScenarioSpec:
     """A scenario document, validated once, when it is made. This class
-    alone reads the document and its defaults: validation resolves, once,
-    each fact the envs and worlds read.
+    alone reads the document and its defaults, and owns each fact derived
+    from it, shared by every env, world and placed copy of the scenario.
 
     - The clock: `episode_length`, `episode_start`, `segment_minutes`.
-    - Per station, in scenario order: `initial_bikes`, `docks`, `coords`.
+    - Per station, in scenario order: `initial_bikes`, `docks`, and the
+      read-only float64 `dock_vector` and `coords` (n, 2), whose distances
+      `distance` caches; `env_features`, `environment` as such an array.
     - `station_indices` and `stop_indices` map ids to their order in the
       scenario; stops are numbered across routes, in route order, and
       `stop_routes` lists each stop's route index.
@@ -177,10 +183,10 @@ class ScenarioSpec:
     - `scripted_trips` and `outage_trips` are the bike trip lists as
       (segment, (origin index, destination index, count)) pairs, and
       `scripted_arrivals` the bus script as (segment, arrival) pairs.
-    - `profile`, the `DemandProfile` of `demand_profile`, built on first read.
+    - `profile` (a `DemandProfile`) and `expected_demand`, built on first read.
 
-    The document is never written; `dataclasses.replace` validates a
-    changed copy.
+    The document is never written; `with_placement` places other bikes on
+    a copy, and `dataclasses.replace` validates any other changed copy.
     """
 
     stations: list[dict]
@@ -246,9 +252,8 @@ class ScenarioSpec:
                          st["docks"])
             self.initial_bikes.append(bikes)
         self.docks = [st["docks"] for st in self.stations]
-        self.dock_vector = np.array(self.docks, dtype=float)
-        self.dock_vector.flags.writeable = False
-        self.coords = [(st["x"], st["y"]) for st in self.stations]
+        # (a, b): distance from station a to b, added when first driven
+        self._distances: dict[tuple[int, int], float] = {}
         self.stop_indices: dict[str, int] = {}
         self.stop_routes: list[int] = []
         self.bus_fleet: list[tuple[int, int]] = []
@@ -299,6 +304,12 @@ class ScenarioSpec:
                 and all(map(_is_number, self.environment))):
             raise ScenarioError("environment must be a list of finite "
                                 "numbers")
+        self.dock_vector = np.array(self.docks, dtype=float)
+        self.coords = np.array([(st["x"], st["y"]) for st in self.stations],
+                               dtype=float).reshape(-1, 2)
+        self.env_features = np.array(self.environment, dtype=float)
+        for array in (self.dock_vector, self.coords, self.env_features):
+            array.flags.writeable = False
         self.queue_slots: dict[tuple[str, str], tuple[int, int]] = {}
         self.scripted_trips: list[tuple[int, tuple[int, int, int]]] = []
         self.scripted_arrivals: list[tuple[int, tuple[str, str, int]]] = []
@@ -437,6 +448,63 @@ class ScenarioSpec:
         return None if self.demand_profile is None else (
             DemandProfile.from_dict(self.demand_profile, self.station_ids()))
 
+    @cached_property
+    def expected_demand(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only blocks of expected bike [departures | arrivals] per
+        station and bus [forward | backward] boardings per stop, each of
+        T + HORIZON + 1 rows: row t is the segment played after t
+        segments, and the zero rows after the T rows let an env read any
+        clock position as one slice. The rows hold the profile's expected
+        demand plus the scripted trips; outage trips stay unforecast. A
+        bus OD's boardings go to the column of its `queue_slots` slot."""
+        n = max(len(self.station_indices), 1)
+        T = self.episode_length
+        bike = np.zeros((T + HORIZON + 1, 2 * n))
+        bus = np.zeros((T + HORIZON + 1, 2 * max(len(self.stop_indices), 1)))
+        if (profile := self.profile) is not None:
+            start = self.episode_start
+            for t in range(T):  # row t is day position start + t
+                bike[t] = encode_flow(profile.expected_od(start + t))
+            # bus rates are constant over the day: one row, summed in OD order
+            for (origin, dest), rate in sorted(profile.bus_rates.items()):
+                bus[0, self.queue_slots[origin, dest][0]] += rate
+            bus[1:T] = bus[0]
+        if self.scripted_trips:
+            od = np.zeros((T, n, n))
+            for seg, (o, d, count) in self.scripted_trips:
+                od[seg - 1, o, d] += count
+            bike[:T] += [encode_flow(m) for m in od]
+        for seg, (origin, dest, count) in self.scripted_arrivals:
+            bus[seg - 1, self.queue_slots[origin, dest][0]] += count
+        bike.flags.writeable = bus.flags.writeable = False
+        return bike, bus
+
+    def distance(self, a: int, b: int) -> float:
+        """Distance between stations a and b, computed the first time an
+        env of the scenario drives between them."""
+        d = self._distances.get((a, b))
+        if d is None:
+            d = self._distances[a, b] = float(
+                np.linalg.norm(self.coords[a] - self.coords[b]))
+        return d
+
+    def with_placement(self, placement: dict[str, int]) -> "ScenarioSpec":
+        """A copy with `placement`'s initial bikes (0 where it names no
+        station) and empty vehicles, sharing every other fact; each count
+        must be an integer in 0..docks, or ScenarioError."""
+        bikes = [placement.get(sid, 0) for sid in self.station_indices]
+        for sid, count, docks in zip(self.station_indices, bikes, self.docks):
+            _check_count(f"station {sid}: initial_bikes", count, 0, docks)
+        self.profile, self.expected_demand  # built here, so the copy shares
+        placed = copy.copy(self)
+        placed.stations = [dict(s, initial_bikes=count)
+                           for s, count in zip(self.stations, bikes)]
+        placed.vehicles = [dict(v, initial_load=0) for v in self.vehicles]
+        placed.initial_bikes = bikes
+        placed.vehicle_fleet = [(at, 0, capacity)
+                                for at, _, capacity in self.vehicle_fleet]
+        return placed
+
     def station_ids(self) -> list[str]:
         return [s["id"] for s in self.stations]
 
@@ -491,7 +559,7 @@ def build_world(scenario: ScenarioSpec) -> WorldState:
                   for at, load, capacity in scenario.vehicle_fleet],
         buses=[AgentState(at, 0, OP_HALT, capacity)
                for at, capacity in scenario.bus_fleet],
-        env_features=np.asarray(scenario.environment, dtype=float),
+        env_features=scenario.env_features,
         queues=([s.queue_fwd for s in stops]
                 + [s.queue_bwd for s in stops]),
         slots=scenario.queue_slots,

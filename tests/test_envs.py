@@ -583,28 +583,32 @@ class TestBikeEnv:
         assert total == pytest.approx(-0.1 * 5.0)
 
     def test_distances_cached_per_pair_driven(self):
-        # the oracle builds an env per placement, so an env holds the
-        # distances it drove, not a table over every station pair
+        # the scenario holds the distances its envs drove, not a table
+        # over every station pair, and its envs share them
         n = 2000
-        env = BikeEnv(scenario=ScenarioSpec.from_dict({
+        spec = ScenarioSpec.from_dict({
             "clock": {"episode_length": 6},
             "stations": [{"id": f"N{i}", "x": float(i % 50),
                           "y": float(i // 50), "docks": 5}
                          for i in range(n)],
             "routes": [], "vehicles": [{"capacity": 5}],
-            "environment": []}))
-        assert env._distances == {}
-        env.reset()
-        stops = [1999, 1999, 7, 1999, 0, 7]
-        done = False
-        for target in stops:
-            _, _, done, _ = env.step((target, 0))
-        assert done
-        coords = env._coords
-        assert env._distances == {
-            (a, b): float(np.linalg.norm(coords[a] - coords[b]))
-            for a, b in [(0, 1999), (1999, 7), (7, 1999), (1999, 0),
-                         (0, 7)]}
+            "environment": []})
+        assert spec._distances == {}
+        coords = spec.coords
+        assert coords.shape == (n, 2) and not coords.flags.writeable
+        driven = {(a, b): float(np.linalg.norm(coords[a] - coords[b]))
+                  for a, b in [(0, 1999), (1999, 7), (7, 1999), (1999, 0),
+                               (0, 7)]}
+        for _ in range(2):
+            env = BikeEnv(scenario=spec)
+            env.reset()
+            stops = [1999, 1999, 7, 1999, 0, 7]
+            done = False
+            for target in stops:
+                _, _, done, _ = env.step((target, 0))
+            assert done
+            assert spec._distances == driven
+        assert env.distance == sum(driven.values())
 
     def test_overflow_penalty(self):
         # station B has 5 docks, all empty; unloading 2 into a full B later
@@ -653,7 +657,7 @@ class TestBikeEnv:
         scenario = resolve_scenario("outage")
         on = BikeEnv(scenario=scenario, joint_enabled=True)
         off = BikeEnv(scenario=scenario, joint_enabled=False)
-        k = on.joint_k
+        k = scenario.joint_k
         n_stops = sum(len(r["stops"]) for r in scenario.routes)
         assert on.reset(seed=0).size - off.reset(seed=0).size == n_stops * k
 
@@ -966,6 +970,21 @@ def count_profile_builds(monkeypatch) -> list[DemandProfile]:
     return built
 
 
+def count_expected_demand_builds(monkeypatch) -> list[ScenarioSpec]:
+    """Every scenario whose expected demand is built from now on, in
+    build order."""
+    built = []
+    prop = ScenarioSpec.__dict__["expected_demand"]
+    build = prop.func
+
+    def counting(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(prop, "func", counting)
+    return built
+
+
 class TestSharedProfile:
     def test_envs_of_one_scenario_sample_its_one_profile(self, monkeypatch):
         """A scenario builds its profile once, on first read, and every
@@ -992,14 +1011,42 @@ class TestSharedProfile:
         assert not spec.profile.od_weights.flags.writeable
         assert mixed_scenario().profile is None
 
-    def test_greedy_eval_builds_two_profiles(self, monkeypatch, capsys):
-        """The loaded scenario's profile, which ranks greedy's stations,
-        and its placed copy's, which all five seeds' episodes sample."""
+    def test_greedy_eval_builds_one_profile(self, monkeypatch, capsys):
+        """The loaded scenario's profile ranks greedy's stations, and its
+        placed copy shares it with all five seeds' episodes."""
         built = count_profile_builds(monkeypatch)
         assert cli(["eval", "--scenario", "bike5", "--policy", "greedy",
                     "--seeds", "0,1,2,3,4"]) == 0
         assert capsys.readouterr().out.startswith("policy=greedy seeds=5 ")
-        assert len(built) == 2
+        assert len(built) == 1
+
+    def test_envs_of_one_scenario_share_its_expected_demand(self,
+                                                            monkeypatch):
+        """A scenario builds its expected demand once, on first read,
+        and every env made from it holds those read-only blocks."""
+        built = count_expected_demand_builds(monkeypatch)
+        spec = profile_bus_scenario()
+        made = [BikeEnv(scenario=spec), BikeEnv(scenario=spec, seed=3),
+                BusEnv(scenario=spec), BusEnv(scenario=spec, seed=5)]
+        for env in made:
+            env.reset()
+            env.step((0, 0) if env.kind == "vehicle" else W.OP_FORWARD)
+        assert built == [spec]
+        bike, bus = spec.expected_demand
+        assert not (bike.flags.writeable or bus.flags.writeable)
+        assert all(env.expected_bike is bike and env.expected_bus is bus
+                   for env in made)
+
+    @pytest.mark.parametrize("policy", ["none", "greedy"])
+    def test_eval_builds_expected_demand_once(self, monkeypatch, capsys,
+                                              policy):
+        """Greedy ranks the stations by the loaded scenario's expected
+        demand, and its placed copy shares it with every seed's env."""
+        built = count_expected_demand_builds(monkeypatch)
+        assert cli(["eval", "--scenario", "bike5", "--policy", policy,
+                    "--seeds", "0,1,2,3,4"]) == 0
+        assert capsys.readouterr().out.startswith(f"policy={policy} ")
+        assert len(built) == 1
 
 
 class TestRewardConfig:

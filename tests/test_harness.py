@@ -94,7 +94,7 @@ def per_placement_oracle(scenario, seed):
             continue
         placement = dict(zip(ids, split))
         served = harness.run_no_reposition(
-            harness._with_placement(scenario, placement), seed).served
+            scenario.with_placement(placement), seed).served
         if served > best_served:
             best_served, best_placement = served, placement
     return best_placement, best_served
@@ -442,6 +442,19 @@ class TestCli:
     def test_train_config_out_of_range_exit_1(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))  # NaN and Infinity included
+        assert cli(["train", "--scenario", "fig1a", "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert next(iter(doc)) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"exploration_eps": 7.0}, {"exploration_eps": -0.1},
+        {"ou_sigma": -1e300}, {"actor_lr": -0.5}, {"critic_lr": -0.5},
+        {"clip_norm": -1.0}])
+    def test_train_config_float_without_meaning_exit_1(self, doc, tmp_path,
+                                                       capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
         assert cli(["train", "--scenario", "fig1a", "--config",
                     str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert next(iter(doc)) in capsys.readouterr().err

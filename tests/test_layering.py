@@ -78,3 +78,14 @@ def test_rng_and_demand_sit_at_the_bottom():
     assert graph["rng"] == set()
     assert graph["demand"] == {"rng"}
     assert "demand" in graph["world"]
+
+
+def test_world_builds_expected_demand_without_a_cycle():
+    """`forecast_bike` imports only `nn`, so `world` can import its
+    `encode_flow` to build a scenario's expected demand, and `envs` reads
+    that demand from the scenario instead of encoding it again."""
+    graph = import_graph()
+    assert graph["forecast_bike"] == {"nn"}
+    assert graph["nn"] == set()
+    assert "forecast_bike" in graph["world"]
+    assert "forecast_bike" not in graph["envs"]

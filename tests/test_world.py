@@ -1,10 +1,11 @@
 import copy
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st, target
 from scenario_docs import scenario_docs, transcribe
 
 from urbansched.envs import BikeEnv, BusEnv, RewardConfig
@@ -176,13 +177,16 @@ class TestResolvedScenario:
                                              for at, load, capacity
                                              in want["vehicles"]]
         assert world.env_features.tolist() == want["environment"]
+        assert world.env_features is spec.env_features
+        assert not (spec.env_features.flags.writeable
+                    or spec.coords.flags.writeable)
         assert _dispatchable_bikes(spec) == (
             sum(want["available"])
             + sum(load for _, load, _ in want["vehicles"]))
         env = BikeEnv(scenario=spec)
         enabled, k, outage = want["joint"]
-        assert (env.joint_enabled, env.joint_k) == (enabled, k)
-        assert [tuple(c) for c in env._coords.tolist()] == want["coords"]
+        assert (env.joint_enabled, spec.joint_k) == (enabled, k)
+        assert [tuple(c) for c in spec.coords.tolist()] == want["coords"]
         env.reset()
         assert env.outage == outage or outage == "random"
         env.step((0, 1))
@@ -479,23 +483,23 @@ def passengers(world, ids):
 class ReferenceBusWorld:
     """A plain transcription of the rules step_bus_world's docstring
     states. Each passenger is one [destination id, arrival] list; routes,
-    stop ids and directions are read from the scenario's route lists, with
-    no slots table and no shared objects. A bus is a (route, place on the
-    route) pair."""
+    stop ids and directions are read from the scenario document's route
+    lists, at README.md's defaults, with no slots table and no shared
+    objects. A bus is a (route, place on the route) pair."""
 
-    def __init__(self, spec):
-        self.routes = [route["stops"] for route in spec.routes]
+    def __init__(self, doc):
+        routes = doc.get("routes", [])
+        self.routes = [route["stops"] for route in routes]
         self.base = [sum(map(len, self.routes[:r]))
                      for r in range(len(self.routes))]
-        self.now = spec.episode_start
-        self.minutes = spec.segment_minutes
+        self.now, _, self.minutes = transcribe(doc)["clock"]
         n = sum(map(len, self.routes))
         self.forward = [[] for _ in range(n)]
         self.backward = [[] for _ in range(n)]
         self.timers = [[0, 0] for _ in range(n)]
         self.buses = [{"route": r, "place": 0, "operation": OP_HALT,
                        "capacity": route.get("capacity", 30), "onboard": []}
-                      for r, route in enumerate(spec.routes)
+                      for r, route in enumerate(routes)
                       for _ in range(route.get("bus_count", 1))]
         self.boardings = 0
 
@@ -550,6 +554,11 @@ class ReferenceBusWorld:
             "boardings": self.boardings,
             "now": self.now,
         }
+
+    def max_wait(self):
+        """The longest wait, in segments, of any queued passenger."""
+        return max((self.now - arrival for queue in self.forward
+                    + self.backward for _, arrival in queue), default=0)
 
 
 def bus_state(world, ids):
@@ -774,12 +783,13 @@ class TestStepBusWorld:
         routes = [{"stops": [f"R{r}S{i}" for i in range(n)],
                    "bus_count": count, "capacity": capacity}
                   for r, (n, count, capacity) in enumerate(shapes)]
-        spec = ScenarioSpec.from_dict({
+        doc = {
             "clock": {"episode_length": len(script), "episode_start": start,
                       "segment_minutes": minutes},
             "stations": [], "routes": routes, "vehicles": [],
-            "environment": [], "bus_script": every_od(routes)})
-        world, ref = build_world(spec), ReferenceBusWorld(spec)
+            "environment": [], "bus_script": every_od(routes)}
+        spec = ScenarioSpec.from_dict(doc)
+        world, ref = build_world(spec), ReferenceBusWorld(doc)
         ids = stop_ids(spec)
         assert bus_state(world, ids) == ref.state()
         for moves, draws in script:
@@ -795,6 +805,142 @@ class TestStepBusWorld:
         step_bus_world(world, [OP_FORWARD], [])
         assert world.bus_stops[1].last_bus_fwd == 0
         assert world.bus_stops[0].last_bus_fwd == 1
+
+
+BUS_OPS = st.sampled_from([OP_FORWARD, OP_HALT, OP_BACKWARD])
+
+
+class TestBusReferenceWorld:
+    @settings(max_examples=100, deadline=None)
+    @given(scenario_docs(), st.data())
+    def test_matches_reference_world(self, doc, data):
+        """From a drawn scenario, multi-route included, with every OD of
+        its routes declared, drawn bus actions and arrivals give the same
+        passengers, buses, stop timers, boardings, clock, reduced wait
+        and drive time as the reference after every segment, bit for
+        bit."""
+        doc = dict(doc, bus_script=doc.get("bus_script", [])
+                   + every_od(doc.get("routes", [])))
+        spec = ScenarioSpec.from_dict(doc)
+        world, ref = build_world(spec), ReferenceBusWorld(doc)
+        ids = stop_ids(spec)
+        ods = sorted(spec.queue_slots)
+        assert bus_state(world, ids) == ref.state()
+        for _ in range(data.draw(st.integers(1, 12))):
+            actions = data.draw(st.lists(BUS_OPS, min_size=len(world.buses),
+                                         max_size=len(world.buses)))
+            arrivals = [(o, d, count) for (o, d), count in data.draw(
+                st.lists(st.tuples(st.sampled_from(ods), st.integers(0, 4)),
+                         max_size=8))] if ods else []
+            got = step_bus_world(world, actions, arrivals)[1:]
+            assert got == ref.step(actions, arrivals)
+            assert bus_state(world, ids) == ref.state()
+        target(float(ref.boardings), label="boardings")
+
+
+class TestBusReferenceEpisode:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_docs(), st.data())
+    def test_matches_reference_episode(self, doc, data):
+        """A BusEnv episode under drawn actions gives each step's reward,
+        max_wait and end, and the record, of a reference episode played,
+        on the arrivals the env realised, by `BusEnv`'s docstring: bus 0
+        takes the action and every other bus halts; a move's reward is
+        the boarders' waits in minutes less alpha times the drive time, a
+        halt's exactly 0; the episode ends once a queued passenger has
+        waited `patience` segments, or with the clock; the record holds
+        the boardings, reduced wait, drive time and summed rewards. The
+        drawn scenario's clock is drawn longer, and a drawn script of
+        arrivals on bus 0's route joins its bus script, so that the bus
+        meets waiting passengers."""
+        facts = transcribe(doc)
+        assume(facts["buses"])
+        length = facts["clock"][1] + data.draw(st.integers(0, 8))
+        route = facts["stop_routes"][facts["buses"][0][0]]
+        stops = doc["routes"][route]["stops"]
+        drawn = data.draw(st.lists(st.tuples(
+            st.permutations(stops), st.integers(1, length),
+            st.integers(1, 4)), max_size=12))
+        script = [{"segment": segment, "origin": od[0],
+                   "destination": od[1], "count": count}
+                  for od, segment, count in drawn]
+        doc = dict(doc, clock=dict(doc.get("clock", {}),
+                                   episode_length=length),
+                   bus_script=doc.get("bus_script", []) + script)
+        alpha = data.draw(st.floats(0.0, 2.0))
+        patience = data.draw(st.sampled_from(range(1, 11)))
+        env = BusEnv(scenario=ScenarioSpec.from_dict(doc),
+                     reward=RewardConfig(alpha=alpha, patience=patience),
+                     seed=data.draw(st.integers(0, 2 ** 20)))
+        env.reset()
+        ref = ReferenceBusWorld(doc)
+        halts = [OP_HALT] * (len(ref.buses) - 1)
+        total = reduced_wait = drive_time = 0.0
+        for t, arrivals in enumerate(env.bus_arrivals):
+            action = data.draw(BUS_OPS)
+            reduced, drive = ref.step([action] + halts, arrivals)
+            reward = 0.0 if action == OP_HALT else reduced - alpha * drive
+            total += reward
+            reduced_wait += reduced
+            drive_time += drive
+            ends = (t == len(env.bus_arrivals) - 1
+                    or ref.max_wait() >= patience)
+            _, got, done, info = env.step(action)
+            assert (got, done, info["max_wait"]) == (reward, ends,
+                                                     ref.max_wait())
+            if done:
+                break
+        target(float(ref.boardings), label="boardings")
+        record = env.record
+        assert (record.boardings, record.reduced_wait, record.drive_time,
+                record.total_reward) == (ref.boardings, reduced_wait,
+                                         drive_time, total)
+
+
+def resolved_facts(spec):
+    """Every attribute of a scenario but the facts built on first read,
+    each array as its dtype, shape and values."""
+    return {key: ((value.dtype.str, value.shape, value.tolist())
+                  if isinstance(value, np.ndarray) else value)
+            for key, value in vars(spec).items()
+            if key not in ("profile", "expected_demand", "_distances")}
+
+
+class TestWithPlacement:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_docs(), st.data())
+    def test_matches_a_validated_copy(self, doc, data):
+        """A placed copy resolves every fact as a copy of the placed
+        documents validated anew does, shares the scenario's profile,
+        expected demand and distances, and leaves the scenario as it
+        was; a count above a station's docks raises ScenarioError."""
+        original = copy.deepcopy(doc)
+        spec = ScenarioSpec.from_dict(doc)
+        before = resolved_facts(spec)
+        placement = {sid: data.draw(st.integers(0, docks))
+                     for sid, docks in zip(spec.station_ids(), spec.docks)
+                     if data.draw(st.booleans())}
+        placed = spec.with_placement(placement)
+        fresh = dataclasses.replace(
+            spec, stations=[dict(s, initial_bikes=placement.get(s["id"], 0))
+                            for s in spec.stations],
+            vehicles=[dict(v, initial_load=0) for v in spec.vehicles])
+        assert placed == fresh
+        assert resolved_facts(placed) == resolved_facts(fresh)
+        assert placed.profile is spec.profile
+        assert placed.expected_demand is spec.expected_demand
+        assert placed._distances is spec._distances
+        for shared, built in zip(placed.expected_demand,
+                                 fresh.expected_demand):
+            assert np.array_equal(shared, built)
+        assert resolved_facts(spec) == before
+        assert doc == original
+        if spec.stations:
+            i = data.draw(st.integers(0, len(spec.stations) - 1))
+            sid = spec.station_ids()[i]
+            over = spec.docks[i] + data.draw(st.integers(1, 3))
+            with pytest.raises(ScenarioError, match=f"station {sid}: "):
+                spec.with_placement({**placement, sid: over})
 
 
 class TestApplyReposition:
